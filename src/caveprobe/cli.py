@@ -21,9 +21,12 @@ from . import caves as caves_mod
 from . import explorer, gadgets, injector, machine
 from .memspace import (
     PAGE_SIZE,
+    USER_TOP,
     AddressSpace,
     GroundTruthMap,
+    ManifestError,
     load_manifest,
+    parse_manifest,
     parse_proc_maps,
 )
 from .probe import Prober, ProbeConfig
@@ -184,6 +187,40 @@ def emit_report(report: AttackReport, fmt: str = "json") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_image(path: Path) -> tuple[AddressSpace, int, int]:
+    """Parse the manifest once; return its space and its seed pair
+    (return site, stack pointer)."""
+    doc = parse_manifest(path.read_text())
+    seed_obj = doc.get("seeds")
+    if not isinstance(seed_obj, dict):
+        raise ManifestError('image manifest lacks a "seeds" object')
+    pair = []
+    for key in ("return_site", "stack_pointer"):
+        value = seed_obj.get(key)
+        if value is None:
+            raise ManifestError(f"seeds.{key} is missing")
+        try:
+            pair.append(int(value, 16))
+        except (TypeError, ValueError):
+            raise ManifestError(f"seeds.{key} is not a hex string: {value!r}") from None
+    return load_manifest(doc, base_dir=path.parent), pair[0], pair[1]
+
+
+def _aslr_offset(seed: int, space: AddressSpace) -> int:
+    """Draw the base shift for ``seed``: 2**28 pages of entropy.  A draw
+    that would push the highest user page past the user half is replaced
+    by a second draw from the same RNG over the pages left above it, so
+    every seed that fitted before keeps its offset."""
+    rng = random.Random(f"{seed}:aslr")
+    pages = rng.randrange(1 << _ASLR_PAGE_BITS)
+    top = max((b for b in space.pages if b < USER_TOP), default=None)
+    if top is not None:
+        room = (USER_TOP - PAGE_SIZE - top) // PAGE_SIZE
+        if pages > room:
+            pages = rng.randrange(room + 1)
+    return pages * PAGE_SIZE
+
+
 class Pipeline:
     """One attack run against one image.  Kept as an object so tests can
     reach the loaded space and prober behind a finished report."""
@@ -200,20 +237,10 @@ class Pipeline:
 
     def _load(self) -> None:
         cfg = self.config
-        path = Path(cfg.image_path)
-        text = path.read_text()
-        doc = json.loads(text)
-        seed_obj = doc.get("seeds")
-        if not isinstance(seed_obj, dict):
-            raise ValueError('image manifest lacks a "seeds" object')
-        return_site = int(seed_obj["return_site"], 16)
-        stack_pointer = int(seed_obj["stack_pointer"], 16)
-
-        space = load_manifest(text, base_dir=path.parent)
+        space, return_site, stack_pointer = _read_image(Path(cfg.image_path))
         offset = 0
         if cfg.aslr:
-            aslr_rng = random.Random(f"{cfg.seed}:aslr")
-            offset = aslr_rng.randrange(1 << _ASLR_PAGE_BITS) * PAGE_SIZE
+            offset = _aslr_offset(cfg.seed, space)
             space = space.shifted(offset, relocate_pointers=True)
             return_site += offset
             stack_pointer += offset

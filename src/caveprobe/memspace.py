@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +22,8 @@ USER_TOP = 1 << 47
 ADDR_TOP = 1 << 48
 
 _MASK64 = (1 << 64) - 1
+_ZERO_PAGE = bytes(PAGE_SIZE)
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class MemoryFault(Exception):
@@ -256,11 +260,22 @@ class AddressSpace:
         page aligned and must not push any page past the user-half top.
 
         With ``relocate_pointers`` the copy is also fixed up the way a
-        relocating loader would patch a rebased image: every aligned 8-byte
-        word whose value falls inside a page that was mapped before the
-        shift is rebased by the same offset.  Random data is effectively
-        never touched, since hitting the mapped span by accident requires a
-        64-bit value to land in it.
+        relocating loader would patch a rebased image: every aligned
+        little-endian 8-byte word, in every page including kernel-half
+        ones, whose value falls inside a user page that was mapped before
+        the shift is rebased by the same offset.  Random data is
+        effectively never touched, since hitting the mapped span by
+        accident requires a 64-bit value to land in it.
+
+        Most pages cannot hold such a word, so a page filter keeps the
+        per-word work off them.  An all-zero page is skipped with one
+        comparison, unless page 0 was mapped and zero is a pointer.  A page
+        with no word whose two top bytes are both zero is skipped, since
+        every candidate lies below 2**47.  A page whose smallest word lies
+        at or above the end of the old user span, or whose largest lies
+        below its start, is skipped after a C-level min/max.  Only the
+        words of the few remaining pages are matched against the old page
+        set.
         """
         if offset % PAGE_SIZE or offset < 0:
             raise ValueError("offset must be a non-negative page multiple")
@@ -270,15 +285,41 @@ class AddressSpace:
             if base < USER_TOP and nb + PAGE_SIZE > USER_TOP:
                 raise ValueError("shift pushes a page past the user half")
             out.pages[nb] = Page(page.perms, bytearray(page.data))
-        if relocate_pointers and offset:
-            old_bases = {b for b in self.pages if b < USER_TOP}
+        old_bases = {b for b in self.pages if b < USER_TOP}
+        if relocate_pointers and offset and old_bases:
+            lo = min(old_bases)
+            hi = max(old_bases) + PAGE_SIZE
             for page in out.pages.values():
-                data = page.data
-                for off in range(0, PAGE_SIZE, 8):
-                    value = int.from_bytes(data[off : off + 8], "little")
-                    if value & ~(PAGE_SIZE - 1) in old_bases:
-                        data[off : off + 8] = (value + offset).to_bytes(8, "little")
+                if lo == 0 or page.data != _ZERO_PAGE:
+                    _relocate_page(page.data, old_bases, lo, hi, offset)
         return out
+
+
+def _relocate_page(
+    data: bytearray, old_bases: set[int], lo: int, hi: int, offset: int
+) -> None:
+    """Add ``offset`` to every aligned little-endian word of ``data`` whose
+    page is in ``old_bases``; ``[lo, hi)`` bounds every such value."""
+    # such a word lies below hi <= 2**47, so its two top bytes are zero;
+    # random code and heap pages seldom hold one, and this test builds no
+    # per-word objects
+    top = int.from_bytes(data[6::8], "little") | int.from_bytes(data[7::8], "little")
+    if 0 not in top.to_bytes(PAGE_SIZE // 8, "little"):
+        return
+    words = array("Q", data)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    if min(words) >= hi or max(words) < lo:
+        return
+    hits = {w for w in set(words) if w & ~(PAGE_SIZE - 1) in old_bases}
+    if not hits:
+        return
+    for i, w in enumerate(words):
+        if w in hits:
+            words[i] = w + offset
+    if _BIG_ENDIAN:
+        words.byteswap()
+    data[:] = words.tobytes()
 
 
 # --- image manifests -------------------------------------------------------
@@ -294,9 +335,24 @@ def _parse_hex(value, what: str) -> int:
     raise ManifestError(f"{what} is not a hex string")
 
 
-def load_manifest(text: str, base_dir: str | Path | None = None) -> AddressSpace:
+def parse_manifest(text: str) -> dict:
+    """Parse manifest JSON and check its top-level shape."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ManifestError(f"not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("regions"), list):
+        raise ManifestError('manifest must be an object with a "regions" list')
+    return doc
+
+
+def load_manifest(
+    manifest: str | dict, base_dir: str | Path | None = None
+) -> AddressSpace:
     """Build an address space from a JSON image manifest.
 
+    ``manifest`` is the JSON text, or the document :func:`parse_manifest`
+    returned for it, so a caller that reads side-band keys parses once.
     The manifest is ``{"regions": [...]}`` where each region gives page
     aligned "start" and "len" hex strings, a "perms" string drawn from
     "rwxu", an optional "label", and optional content as either a "data"
@@ -304,13 +360,7 @@ def load_manifest(text: str, base_dir: str | Path | None = None) -> AddressSpace
     are zero filled.  Unknown top-level keys are ignored so callers may
     carry side-band data in the same document.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or not isinstance(doc.get("regions"), list):
-        raise ManifestError('manifest must be an object with a "regions" list')
-
+    doc = parse_manifest(manifest) if isinstance(manifest, str) else manifest
     space = AddressSpace()
     for i, region in enumerate(doc["regions"]):
         where = f"region {i}"

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,8 @@ from caveprobe.cli import (
     run_pipeline,
 )
 from caveprobe.synth import build_victim_image
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +138,17 @@ class TestPipeline:
             report = run_pipeline(base_config(image_paths, mode=mode))
             assert report.all_verdicts_pass(), mode
 
+    def test_aslr_redraws_when_the_shift_overflows(self):
+        # the first 2**28-page draw for this seed pushes the demo stack past
+        # the user half; the redraw must land the image inside it
+        report = run_pipeline(PipelineConfig(
+            image_path=str(REPO / "images" / "demo.json"),
+            ground_truth_path=str(REPO / "images" / "demo.maps"),
+            seed=156229,
+        ))
+        assert report.aslr_offset > 0
+        assert report.all_verdicts_pass()
+
     def test_bad_image_path_is_load_stage_error(self):
         with pytest.raises(StageError) as exc:
             run_pipeline(PipelineConfig(image_path="/nonexistent.json"))
@@ -197,7 +212,47 @@ class TestMain:
         main(["--image-path", manifest, "--seed", "5", "--out", str(out)])
         assert json.loads(out.read_text())["config"]["seed"] == 5
 
+    @pytest.mark.parametrize(
+        "seeds, field",
+        [
+            ({"stack_pointer": "0x7f0000001000"}, "seeds.return_site"),
+            ({"return_site": "0x400000", "stack_pointer": "7fz0"},
+             "seeds.stack_pointer"),
+        ],
+        ids=["missing-return-site", "non-hex-stack-pointer"],
+    )
+    def test_bad_seed_field_is_one_line_error(self, tmp_path, capsys, seeds,
+                                              field):
+        doc = json.loads(build_victim_image(21).manifest_text)
+        doc["seeds"] = seeds
+        manifest = tmp_path / "bad-seeds.json"
+        manifest.write_text(json.dumps(doc))
+        assert main(["--image-path", str(manifest)]) == EXIT_STAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"caveprobe: stage 'load' failed: {field} ")
+
     def test_stdout_report(self, image_paths, capsys):
         manifest, _, _ = image_paths
         assert main(["--image-path", manifest, "--format", "text"]) == EXIT_OK
         assert "caveprobe report" in capsys.readouterr().out
+
+
+# SHA-256 over the default-config JSON reports of images/demo.json with
+# images/demo.maps for seeds 0..9, concatenated in seed order.  A change that
+# means to leave behaviour alone keeps it; a change that deliberately alters
+# the reports updates it and says why in CHANGES.md.
+DEMO_REPORTS_SHA256 = "5dce8f58192126a1b8b5a85fd5e04c5272b51fbd8e532aabca40a4e1ed216d0b"
+
+
+def test_demo_reports_byte_identical(monkeypatch):
+    monkeypatch.chdir(REPO)  # the report records the image path as given
+    digest = hashlib.sha256()
+    for seed in range(10):
+        config = PipelineConfig(
+            image_path="images/demo.json",
+            ground_truth_path="images/demo.maps",
+            seed=seed,
+        )
+        digest.update(emit_report(run_pipeline(config)).encode())
+    assert digest.hexdigest() == DEMO_REPORTS_SHA256

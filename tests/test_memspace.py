@@ -219,6 +219,143 @@ class TestShifted:
         assert moved.read_bytes(0x18000, 16) == blob
 
 
+# --- relocation against an independent reference ----------------------------
+
+def reference_shift(space: AddressSpace, offset: int) -> str:
+    """content_hash of ``space.shifted(offset, relocate_pointers=True)`` by
+    the original per-word rule: every aligned little-endian word, in every
+    page, whose page number was an old user page moves by ``offset``."""
+    old_bases = {b for b in space.pages if b < USER_TOP}
+    out = AddressSpace()
+    for base, page in space.pages.items():
+        data = bytearray(page.data)
+        if offset:
+            for off in range(0, PAGE_SIZE, 8):
+                value = int.from_bytes(data[off : off + 8], "little")
+                if value & ~(PAGE_SIZE - 1) in old_bases:
+                    data[off : off + 8] = (value + offset).to_bytes(8, "little")
+        moved = base + offset if base < USER_TOP else base
+        out.map_region(moved, PAGE_SIZE, page.perms, bytes(data))
+    return out.content_hash()
+
+
+def words_page(*words: int, fill: int = 0) -> bytes:
+    """One page holding ``words`` at its start, then ``fill``."""
+    rest = [fill] * (PAGE_SIZE // 8 - len(words))
+    return b"".join(w.to_bytes(8, "little") for w in (*words, *rest))
+
+
+def assert_matches_reference(space: AddressSpace, offset: int) -> None:
+    moved = space.shifted(offset, relocate_pointers=True)
+    assert moved.content_hash() == reference_shift(space, offset)
+
+
+KERNEL = USER_TOP + 0x10000
+RANDOM_HIGH = 0x9C3F_71A2_55E0_1B47  # above 2**63, like random code bytes
+
+
+class TestRelocationReference:
+    def test_page_zero_mapped_moves_zero_words(self):
+        space = make_space(
+            (0, PAGE_SIZE, "rwu", b""),
+            (0x5000, PAGE_SIZE, "rwu", words_page(0, 0x5008)),
+        )
+        assert_matches_reference(space, 0x3000)
+        moved = space.shifted(0x3000, relocate_pointers=True)
+        assert moved.read_bytes(0x3000, 8) == (0x3000).to_bytes(8, "little")
+
+    def test_pointer_to_last_byte_of_highest_page(self):
+        last = 0x9000 + PAGE_SIZE - 1
+        space = make_space(
+            (0x8000, 2 * PAGE_SIZE, "rwu", words_page(last, fill=RANDOM_HIGH)),
+        )
+        assert_matches_reference(space, 0x10000)
+
+    def test_value_equal_to_span_end_stays(self):
+        hi = 0x8000 + 2 * PAGE_SIZE
+        space = make_space((0x8000, 2 * PAGE_SIZE, "rwu", words_page(hi, 0x8000)))
+        assert_matches_reference(space, 0x10000)
+        moved = space.shifted(0x10000, relocate_pointers=True)
+        assert moved.read_bytes(0x18000, 8) == hi.to_bytes(8, "little")
+
+    def test_value_in_gap_between_regions_stays(self):
+        gap = 0xA010
+        space = make_space(
+            (0x8000, 2 * PAGE_SIZE, "rwu", words_page(gap, 0xC018)),
+            (0xC000, PAGE_SIZE, "ru", b""),
+        )
+        assert_matches_reference(space, 0x20000)
+        moved = space.shifted(0x20000, relocate_pointers=True)
+        assert moved.read_bytes(0x28000, 8) == gap.to_bytes(8, "little")
+
+    def test_kernel_pages_holding_user_pointers(self):
+        space = make_space(
+            (0x8000, PAGE_SIZE, "rwu", b""),
+            (KERNEL, PAGE_SIZE, "r", words_page(0x8123, 0x8FF8, RANDOM_HIGH)),
+        )
+        assert_matches_reference(space, 0x10000)
+        moved = space.shifted(0x10000, relocate_pointers=True)
+        assert moved.get_page(KERNEL).data[:8] == (0x18123).to_bytes(8, "little")
+
+    def test_all_zero_pages(self):
+        space = make_space((0x8000, 4 * PAGE_SIZE, "rwu", b""))
+        assert_matches_reference(space, 0x10000)
+
+    def test_values_at_or_above_user_top(self):
+        space = make_space(
+            (0x8000, PAGE_SIZE, "rwu", words_page(
+                USER_TOP, USER_TOP + 0x8000, (1 << 63) + 0x8000, (1 << 64) - 1, 0x8000,
+            )),
+            (KERNEL, PAGE_SIZE, "r", words_page(USER_TOP, KERNEL)),
+        )
+        assert_matches_reference(space, 0x10000)
+
+
+@st.composite
+def relocation_cases(draw):
+    """A space with gapped user regions, optional kernel pages and page 0,
+    filled with words drawn from the boundary values of its own layout."""
+    first = draw(st.sampled_from([0, 1, 7, 1 << 20, USER_TOP // PAGE_SIZE - 32]))
+    regions = []
+    page = first
+    for _ in range(draw(st.integers(1, 3))):
+        pages = draw(st.integers(1, 3))
+        regions.append((page, pages))
+        page += pages + draw(st.integers(1, 3))  # leave a gap
+    kernel = draw(st.lists(st.integers(0, 3), max_size=2, unique=True))
+    bases = [(p + i) * PAGE_SIZE for p, n in regions for i in range(n)]
+    lo, hi = min(bases), max(bases) + PAGE_SIZE
+    pool = st.one_of(
+        st.sampled_from([0, lo, hi - 1, hi, hi + PAGE_SIZE, USER_TOP, RANDOM_HIGH]),
+        st.sampled_from(bases).flatmap(
+            lambda b: st.integers(b, b + PAGE_SIZE - 1)),
+        st.integers(lo, hi + PAGE_SIZE),  # pages and the gaps between them
+        st.integers(USER_TOP, (1 << 64) - 1),
+        st.integers(0, (1 << 64) - 1),
+    )
+    page_data = st.one_of(
+        st.just(b""),
+        st.lists(pool, max_size=6).map(lambda ws: words_page(*ws)),
+        st.lists(pool, max_size=6).map(lambda ws: words_page(*ws, fill=RANDOM_HIGH)),
+    )
+    space = AddressSpace()
+    for base in bases:
+        space.map_region(base, PAGE_SIZE, PagePermissions.from_rwxu(
+            draw(st.sampled_from(["rwu", "rxu", "ru", ""]))), draw(page_data))
+    for k in kernel:
+        space.map_region(KERNEL + k * PAGE_SIZE, PAGE_SIZE,
+                         PagePermissions.from_rwxu("r"), draw(page_data))
+    room = (USER_TOP - hi) // PAGE_SIZE
+    offset = draw(st.one_of(st.integers(0, min(64, room)), st.integers(0, room))) * PAGE_SIZE
+    return space, offset
+
+
+@given(relocation_cases())
+def test_relocation_matches_per_word_reference(case):
+    space, offset = case
+    assert_matches_reference(space, offset)
+
+
 class TestManifest:
     def test_load_with_hex_data(self):
         text = json.dumps(
