@@ -14,7 +14,7 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import caves as caves_mod
@@ -31,7 +31,6 @@ from .memspace import (
 )
 from .probe import Prober, ProbeConfig
 
-STAGES = ("probe", "explore", "gadgets", "caves", "inject", "execute")
 MODES = ("linear", "pointer-chase", "hybrid")
 RESTORE_MODES = ("payload", "chain-only")
 
@@ -42,6 +41,7 @@ EXIT_STAGE_ERROR = 2
 EXIT_VERDICT_FAILURE = 3
 
 _ASLR_PAGE_BITS = 28  # pages of entropy for the base shift
+MAX_STEPS = 100_000  # machine step budget of the execute stage
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,6 @@ class PipelineConfig:
     stop_after: str = "execute"
     aslr: bool = True
     explore_budget: int = explorer.DEFAULT_BUDGET
-    max_steps: int = 100_000
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -70,6 +69,10 @@ class PipelineConfig:
             raise ValueError(f"restore must be one of {RESTORE_MODES}")
         if self.cave_min_len <= 0 or self.cave_min_len % PAGE_SIZE:
             raise ValueError("cave_min_len must be a positive page multiple")
+        if self.explore_budget < 1:
+            raise ValueError("explore_budget must be at least 1")
+        if not 0 <= self.spurious_prob < 1:
+            raise ValueError("spurious_prob must be in [0, 1)")
 
 
 class StageError(RuntimeError):
@@ -101,18 +104,10 @@ class AttackReport:
 
     def to_json_obj(self) -> dict:
         cfg = {
-            "image-path": self.config.image_path,
-            "mode": self.config.mode,
-            "seed": self.config.seed,
-            "spurious-prob": self.config.spurious_prob,
-            "cave-min-len": f"{self.config.cave_min_len:#x}",
-            "chain-variant": self.config.chain_variant,
-            "restore": self.config.restore,
-            "ground-truth-path": self.config.ground_truth_path,
-            "stop-after": self.config.stop_after,
-            "aslr": self.config.aslr,
-            "explore-budget": self.config.explore_budget,
+            f.name.replace("_", "-"): getattr(self.config, f.name)
+            for f in fields(self.config)
         }
+        cfg["cave-min-len"] = f"{self.config.cave_min_len:#x}"
         obj: dict = {
             "tool": "caveprobe",
             "config": cfg,
@@ -221,291 +216,43 @@ def _aslr_offset(seed: int, space: AddressSpace) -> int:
     return pages * PAGE_SIZE
 
 
+@dataclass(slots=True)
 class Pipeline:
-    """One attack run against one image.  Kept as an object so tests can
-    reach the loaded space and prober behind a finished report."""
+    """One attack run against one image: the typed context its stages fill
+    in order.  Kept as an object so tests can reach the loaded space and
+    prober behind a finished report."""
 
-    def __init__(self, config: PipelineConfig):
-        self.config = config
-        self.space: AddressSpace | None = None
-        self.prober: Prober | None = None
-        self.truth: GroundTruthMap | None = None
-        self.seeds: explorer.SeedSet | None = None
-        self.report = AttackReport(config=config)
+    config: PipelineConfig
+    report: AttackReport = field(init=False)
+    # load
+    space: AddressSpace | None = None
+    prober: Prober | None = None
+    seeds: explorer.SeedSet | None = None
+    truth: GroundTruthMap | None = None
+    # probe, explore
+    pagemap: explorer.PageMap | None = None
+    code_pages: frozenset[int] = frozenset()
+    # gadgets
+    catalog: gadgets.GadgetCatalog | None = None
+    # inject
+    victim: injector.VictimFrame | None = None
+    record: injector.RestorationRecord | None = None
+    injection_rec: injector.InjectionRecord | None = None
+    marker: tuple[int, int] | None = None  # (address, value); payload mode only
+    epilogue: int | None = None
+    canary_before: bytes | None = None
 
-    # -- stage bodies ---------------------------------------------------------
-
-    def _load(self) -> None:
-        cfg = self.config
-        space, return_site, stack_pointer = _read_image(Path(cfg.image_path))
-        offset = 0
-        if cfg.aslr:
-            offset = _aslr_offset(cfg.seed, space)
-            space = space.shifted(offset, relocate_pointers=True)
-            return_site += offset
-            stack_pointer += offset
-        self.report.aslr_offset = offset
-        self.space = space
-        self.seeds = explorer.SeedSet((return_site, stack_pointer))
-        self.prober = Prober(
-            ProbeConfig(
-                spurious_abort_probability=cfg.spurious_prob,
-                rng_seed=cfg.seed,
-            )
-        )
-        if cfg.ground_truth_path is not None:
-            truth = parse_proc_maps(Path(cfg.ground_truth_path).read_text())
-            self.truth = truth.shifted(offset) if offset else truth
-
-    def _stage_probe(self) -> None:
-        cfg = self.config
-        self.pagemap = explorer.explore(
-            self.space, self.prober, cfg.mode, self.seeds, cfg.explore_budget
-        )
-        accessible = self.pagemap.accessible_pages()
-        self.report.exploration = {
-            "mode": cfg.mode,
-            "pages-probed": len(self.pagemap.entries),
-            "accessible-pages": len(accessible),
-        }
-
-    def _stage_explore(self) -> None:
-        # grow every accessible hit to its full contiguous extent, then
-        # classify each extent page by page with write probes
-        accessible = self.pagemap.accessible_pages()
-        if not accessible:
-            raise ValueError("exploration found nothing accessible")
-        extents: list[tuple[int, int]] = []
-        covered: set[int] = set()
-        for base in accessible:
-            if base in covered:
-                continue
-            lo, hi = explorer.region_around(self.space, self.prober, base)
-            covered.update(range(lo, hi, PAGE_SIZE))
-            extents.append((lo, hi))
-        extents.sort()
-
-        all_runs: list[explorer.MapRun] = []
-        matched = True
-        mismatches: list[str] = []
-        for lo, hi in extents:
-            recon = explorer.reconstruct_map(self.space, self.prober, lo, hi)
-            all_runs.extend(recon.runs)
-            for run in recon.runs:
-                writable = run.kind is explorer.Writability.WRITABLE
-                acc = run.kind is not explorer.Writability.INACCESSIBLE
-                for page in range(run.start, run.end, PAGE_SIZE):
-                    self.pagemap.entries[page] = explorer.PageEntry(
-                        acc, writable if acc else None
-                    )
-            if self.truth is not None:
-                ok, mm = explorer.match_ground_truth(recon, self.truth)
-                matched = matched and ok
-                mismatches.extend(mm)
-        self.report.reconstructed = explorer.ReconstructedMap(tuple(all_runs))
-        self.report.exploration["extents"] = len(extents)
-        if self.truth is not None:
-            self.report.map_mismatches = mismatches
-            self.report.verdicts["map-match"] = matched
-
-    def _codemap(self) -> set[int]:
-        # non-writable accessible pages are where return addresses and
-        # gadgets can live; writable pages would make neither trustworthy
-        return {
-            base
-            for base, entry in self.pagemap.entries.items()
-            if entry.accessible and entry.writable is False
-        }
-
-    def _stage_gadgets(self) -> None:
-        code_map = explorer.PageMap(
-            {
-                base: explorer.PageEntry(True)
-                for base in sorted(self._codemap())
-            }
-        )
-        self.catalog = gadgets.find_gadgets(self.space, code_map)
-        self.report.gadget_census = dict(self.catalog.found)
-        needed = list(gadgets.required_kinds(self.config.chain_variant))
-        needed.append("leave-ret")  # the pivot's epilogue reuse
-        missing = [k for k in needed if not self.catalog.found.get(k)]
-        if missing:
-            raise gadgets.MissingGadgetError(missing)
-
-    def _stage_caves(self) -> None:
-        self.cave_list = caves_mod.find_caves(
-            self.space, self.prober, self.pagemap, self.config.cave_min_len
-        )
-        self.report.cave_list = self.cave_list
-
-    def _stage_inject(self) -> None:
-        cfg = self.config
-        space, prober = self.space, self.prober
-        stack_ptr = self.seeds.pointers[1]
-        stack_region = explorer.region_around(space, prober, stack_ptr)
-        victim = injector.locate_victim_frame(
-            space, prober, stack_ptr, stack_region, self._codemap()
-        )
-        record = injector.restoration_record(victim)
-
-        chain = gadgets.build_mprotect_chain(
-            self.catalog,
-            0,  # placeholder; rebuilt below once the cave is known
-            PAGE_SIZE,
-            machine.PROT_RWX,
-            cfg.chain_variant,
-            space,
-        )
-        n_words = len(chain.words) + 2  # plus saved-rbp copy and continuation
-        payload_off = (8 * n_words + 15) & ~15
-
-        if cfg.restore == "payload":
-            # size the payload against the cleanup the layout implies
-            ranges = ((0, payload_off),)
-            probe_payload = machine.assemble_payload(record, list(ranges), (0, 0))
-            need_len = payload_off + len(probe_payload) + 8  # final marker slot
-        else:
-            need_len = 8 * n_words
-        need_len = max(need_len, 1)
-
-        cave = caves_mod.select_cave(self.cave_list, need_len)
-        chain = gadgets.build_mprotect_chain(
-            self.catalog, cave.start, cave.length,
-            machine.PROT_RWX, cfg.chain_variant, space,
-        )
-        if cfg.restore == "payload":
-            marker_addr = cave.start + cave.length - 8
-            marker_value = random.Random(f"{cfg.seed}:marker").getrandbits(64) | 1
-            payload = machine.assemble_payload(
-                record,
-                [(cave.start, payload_off)],
-                (marker_addr, marker_value),
-            )
-        else:
-            marker_addr = None
-            marker_value = None
-            payload = b""
-
-        image = injector.forge_fake_frame(victim, chain, payload, cave)
-        if payload:
-            assert image.payload_addr == cave.start + payload_off
-            assert image.payload_addr + len(payload) <= marker_addr
-
-        epilogue = self.catalog.lowest("leave-ret")
-        self.canary_before = space.read_bytes(victim.canary_slot_addr, 8)
-        rec = injector.inject(space, prober, victim, image, epilogue)
-
-        self.victim = victim
-        self.record = record
-        self.injection_rec = rec
-        self.cave = cave
-        self.marker = (marker_addr, marker_value)
-        self.epilogue = epilogue
-        self.report.injection = {
-            "cave": {"start": f"{cave.start:#x}", "len": f"{cave.length:#x}"},
-            "victim-slot": f"{victim.rbp_slot_addr:#x}",
-            "resume-rip": f"{record.resume_rip:#x}",
-            "epilogue-gadget": f"{epilogue:#x}",
-            "chain-words": [
-                {"value": f"{w.value:#x}", "role": w.role} for w in image.words
-            ],
-            "payload-addr": (
-                f"{image.payload_addr:#x}" if image.payload_addr else None
-            ),
-            "payload-len": len(payload),
-            "marker-addr": f"{marker_addr:#x}" if marker_addr else None,
-            "cleanup-ranges": [
-                {"start": f"{s:#x}", "len": f"{l:#x}"}
-                for s, l in rec.cleanup_ranges
-            ],
-            "overwritten": [f"{v:#x}" for v in rec.overwritten],
-        }
-
-    def _stage_execute(self) -> None:
-        cfg = self.config
-        state = machine.MachineState()
-        # the victim is paused right at its epilogue: base pointer at the
-        # frame we armed, stack pointer somewhere below in its locals
-        state.set_reg("rbp", self.victim.rbp_slot_addr)
-        state.set_reg("rsp", self.victim.rbp_slot_addr - 0x40)
-        if cfg.chain_variant == "short-4":
-            # the short chain assumes the register already holds the
-            # protection value when the return fires
-            state.set_reg("rdx", machine.PROT_RWX)
-        state.rip = self.epilogue
-        result = machine.run_until(
-            state, self.space, self.record.resume_rip, cfg.max_steps
-        )
-
-        effects = []
-        for eff in result.side_effects:
-            if isinstance(eff, machine.SyscallEffect):
-                effects.append(
-                    {
-                        "kind": "syscall",
-                        "name": eff.name,
-                        "args": [f"{a:#x}" for a in eff.args],
-                        "ret": eff.ret,
-                    }
-                )
-            else:
-                effects.append(
-                    {"kind": "store", "addr": f"{eff.addr:#x}", "value": f"{eff.value:#x}"}
-                )
-        self.report.run = {
-            "steps": result.steps,
-            "stop-reason": result.stop_reason,
-            "status": result.final_state.status,
-            "final-rip": f"{result.final_state.rip:#x}",
-            "final-rsp": f"{result.final_state.reg('rsp'):#x}",
-            "final-rbp": f"{result.final_state.reg('rbp'):#x}",
-            "side-effects": effects,
-        }
-
-        rec = self.record
-        restored = (
-            result.stop_reason == "reached-stop"
-            and result.final_state.rip == rec.resume_rip
-            and result.final_state.reg("rbp") == rec.resume_rbp
-        )
-        if cfg.restore == "payload":
-            restored = restored and result.final_state.reg("rsp") == rec.resume_rsp
-        self.report.verdicts["restoration"] = restored
-
-        if cfg.restore == "payload":
-            zeroed = all(
-                self.space.read_bytes(start, length) == bytes(length)
-                for start, length in self.injection_rec.cleanup_ranges
-            )
-            self.report.verdicts["cleanup-zeroed"] = zeroed
-            marker_addr, marker_value = self.marker
-            marker_ok = (
-                self.space.read_bytes(marker_addr, 8)
-                == marker_value.to_bytes(8, "little")
-            )
-            self.report.verdicts["marker-written"] = marker_ok
-
-        canary_now = self.space.read_bytes(self.victim.canary_slot_addr, 8)
-        self.report.verdicts["canary-intact"] = canary_now == self.canary_before
-
-    # -- driver ---------------------------------------------------------------
+    def __post_init__(self) -> None:
+        self.report = AttackReport(config=self.config)
 
     def run(self) -> AttackReport:
         try:
-            self._load()
+            _load(self)
         except Exception as exc:
             raise StageError("load", exc) from exc
-        bodies = {
-            "probe": self._stage_probe,
-            "explore": self._stage_explore,
-            "gadgets": self._stage_gadgets,
-            "caves": self._stage_caves,
-            "inject": self._stage_inject,
-            "execute": self._stage_execute,
-        }
-        for stage in STAGES:
+        for stage, body in _STAGE_TABLE:
             try:
-                bodies[stage]()
+                body(self)
             except Exception as exc:
                 raise StageError(stage, exc) from exc
             self.report.stages.append(stage)
@@ -513,6 +260,245 @@ class Pipeline:
                 break
         self.report.probe_counters = dict(self.prober.counters)
         return self.report
+
+
+# --- stage bodies -------------------------------------------------------------
+
+def _load(ctx: Pipeline) -> None:
+    cfg = ctx.config
+    space, return_site, stack_pointer = _read_image(Path(cfg.image_path))
+    offset = 0
+    if cfg.aslr:
+        offset = _aslr_offset(cfg.seed, space)
+        space = space.shifted(offset, relocate_pointers=True)
+        return_site += offset
+        stack_pointer += offset
+    ctx.report.aslr_offset = offset
+    ctx.space = space
+    ctx.seeds = explorer.SeedSet((return_site, stack_pointer))
+    ctx.prober = Prober(
+        ProbeConfig(spurious_abort_probability=cfg.spurious_prob, rng_seed=cfg.seed)
+    )
+    if cfg.ground_truth_path is not None:
+        truth = parse_proc_maps(Path(cfg.ground_truth_path).read_text())
+        ctx.truth = truth.shifted(offset) if offset else truth
+
+
+def _probe(ctx: Pipeline) -> None:
+    cfg = ctx.config
+    ctx.pagemap = explorer.explore(
+        ctx.space, ctx.prober, cfg.mode, ctx.seeds, cfg.explore_budget
+    )
+    ctx.report.exploration = {
+        "mode": cfg.mode,
+        "pages-probed": len(ctx.pagemap.entries),
+        "accessible-pages": len(ctx.pagemap.accessible_pages()),
+    }
+
+
+def _explore(ctx: Pipeline) -> None:
+    # grow every accessible hit to its full contiguous extent, then
+    # classify each extent page by page with write probes
+    accessible = ctx.pagemap.accessible_pages()
+    if not accessible:
+        raise ValueError("exploration found nothing accessible")
+    extents: list[tuple[int, int]] = []
+    covered: set[int] = set()
+    for base in accessible:
+        if base in covered:
+            continue
+        lo, hi = explorer.region_around(ctx.space, ctx.prober, base)
+        covered.update(range(lo, hi, PAGE_SIZE))
+        extents.append((lo, hi))
+    extents.sort()
+
+    all_runs: list[explorer.MapRun] = []
+    matched = True
+    mismatches: list[str] = []
+    for lo, hi in extents:
+        recon = explorer.reconstruct_map(ctx.space, ctx.prober, lo, hi)
+        all_runs.extend(recon.runs)
+        for run in recon.runs:
+            writable = run.kind is explorer.Writability.WRITABLE
+            acc = run.kind is not explorer.Writability.INACCESSIBLE
+            for page in range(run.start, run.end, PAGE_SIZE):
+                ctx.pagemap.entries[page] = explorer.PageEntry(
+                    acc, writable if acc else None
+                )
+        if ctx.truth is not None:
+            ok, mm = explorer.match_ground_truth(recon, ctx.truth)
+            matched = matched and ok
+            mismatches.extend(mm)
+    ctx.report.reconstructed = explorer.ReconstructedMap(tuple(all_runs))
+    ctx.report.exploration["extents"] = len(extents)
+    if ctx.truth is not None:
+        ctx.report.map_mismatches = mismatches
+        ctx.report.verdicts["map-match"] = matched
+    # non-writable accessible pages are where return addresses and gadgets
+    # can live; writable pages would make neither trustworthy
+    ctx.code_pages = frozenset(
+        base
+        for base, entry in ctx.pagemap.entries.items()
+        if entry.accessible and entry.writable is False
+    )
+
+
+def _gadgets(ctx: Pipeline) -> None:
+    code_map = explorer.PageMap(
+        {base: explorer.PageEntry(True) for base in ctx.code_pages}
+    )
+    ctx.catalog = gadgets.find_gadgets(ctx.space, code_map)
+    ctx.report.gadget_census = dict(ctx.catalog.found)
+    needed = list(gadgets.required_kinds(ctx.config.chain_variant))
+    needed.append("leave-ret")  # the pivot's epilogue reuse
+    missing = [k for k in needed if not ctx.catalog.found.get(k)]
+    if missing:
+        raise gadgets.MissingGadgetError(missing)
+
+
+def _caves(ctx: Pipeline) -> None:
+    ctx.report.cave_list = caves_mod.find_caves(
+        ctx.space, ctx.prober, ctx.pagemap, ctx.config.cave_min_len
+    )
+
+
+def _inject(ctx: Pipeline) -> None:
+    cfg = ctx.config
+    space, prober = ctx.space, ctx.prober
+    stack_ptr = ctx.seeds.pointers[1]
+    stack_region = explorer.region_around(space, prober, stack_ptr)
+    victim = injector.locate_victim_frame(
+        space, prober, stack_ptr, stack_region, ctx.code_pages
+    )
+    record = injector.restoration_record(victim)
+
+    # the image: saved-rbp copy, chain, continuation word; in payload mode
+    # the payload follows at the next 16-byte boundary, zeroes everything
+    # before it, and the marker takes the cave's last word
+    n_words = gadgets.chain_len(cfg.chain_variant) + 2
+    payload_off = (8 * n_words + 15) & ~15
+    if cfg.restore == "payload":
+        need_len = payload_off + machine.payload_len(payload_off) + 8
+    else:
+        need_len = 8 * n_words
+    cave = caves_mod.select_cave(ctx.report.cave_list, need_len)
+    chain = gadgets.build_mprotect_chain(
+        ctx.catalog, cave.start, cave.length,
+        machine.PROT_RWX, cfg.chain_variant, space,
+    )
+    payload = b""
+    if cfg.restore == "payload":
+        marker_addr = cave.start + cave.length - 8
+        marker_value = random.Random(f"{cfg.seed}:marker").getrandbits(64) | 1
+        ctx.marker = (marker_addr, marker_value)
+        payload = machine.assemble_payload(
+            record, [(cave.start, payload_off)], ctx.marker
+        )
+
+    image = injector.forge_fake_frame(victim, chain, payload, cave)
+    if payload:
+        assert image.payload_addr == cave.start + payload_off
+        assert image.payload_addr + len(payload) <= marker_addr
+
+    epilogue = ctx.catalog.lowest("leave-ret")
+    ctx.canary_before = space.read_bytes(victim.canary_slot_addr, 8)
+    rec = injector.inject(space, prober, victim, image, epilogue)
+
+    ctx.victim = victim
+    ctx.record = record
+    ctx.injection_rec = rec
+    ctx.epilogue = epilogue
+    ctx.report.injection = {
+        "cave": {"start": f"{cave.start:#x}", "len": f"{cave.length:#x}"},
+        "victim-slot": f"{victim.rbp_slot_addr:#x}",
+        "resume-rip": f"{record.resume_rip:#x}",
+        "epilogue-gadget": f"{epilogue:#x}",
+        "chain-words": [
+            {"value": f"{w.value:#x}", "role": w.role} for w in image.words
+        ],
+        "payload-addr": (
+            f"{image.payload_addr:#x}" if image.payload_addr else None
+        ),
+        "payload-len": len(payload),
+        "marker-addr": f"{ctx.marker[0]:#x}" if ctx.marker else None,
+        "cleanup-ranges": [
+            {"start": f"{s:#x}", "len": f"{l:#x}"}
+            for s, l in rec.cleanup_ranges
+        ],
+        "overwritten": [f"{v:#x}" for v in rec.overwritten],
+    }
+
+
+def _execute(ctx: Pipeline) -> None:
+    cfg = ctx.config
+    victim, record = ctx.victim, ctx.record
+    state = machine.MachineState()
+    # the victim is paused right at its epilogue: base pointer at the
+    # frame we armed, stack pointer somewhere below in its locals
+    state.set_reg("rbp", victim.rbp_slot_addr)
+    state.set_reg("rsp", victim.rbp_slot_addr - 0x40)
+    if cfg.chain_variant == "short-4":
+        # the short chain assumes the register already holds the
+        # protection value when the return fires
+        state.set_reg("rdx", machine.PROT_RWX)
+    state.rip = ctx.epilogue
+    if cfg.restore == "payload":
+        stop_rsp = record.resume_rsp
+    else:
+        # the chain's last ret pops the continuation word, the frame's last
+        frame = ctx.injection_rec.frame
+        stop_rsp = frame.base + 8 * len(frame.words)
+    result = machine.run_until(
+        state, ctx.space, record.resume_rip, MAX_STEPS, stop_rsp=stop_rsp
+    )
+
+    effects = [
+        {"kind": "syscall", "name": e.name, "args": [f"{a:#x}" for a in e.args],
+         "ret": e.ret}
+        if isinstance(e, machine.SyscallEffect)
+        else {"kind": "store", "addr": f"{e.addr:#x}", "value": f"{e.value:#x}"}
+        for e in result.side_effects
+    ]
+    final = result.final_state
+    ctx.report.run = {
+        "steps": result.steps,
+        "stop-reason": result.stop_reason,
+        "status": final.status,
+        "final-rip": f"{final.rip:#x}",
+        "final-rsp": f"{final.reg('rsp'):#x}",
+        "final-rbp": f"{final.reg('rbp'):#x}",
+        "side-effects": effects,
+    }
+
+    # reaching the stop puts rip and rsp where the finished pivot must
+    ctx.report.verdicts["restoration"] = (
+        result.stop_reason == "reached-stop"
+        and final.reg("rbp") == record.resume_rbp
+    )
+    if cfg.restore == "payload":
+        ctx.report.verdicts["cleanup-zeroed"] = all(
+            ctx.space.read_bytes(start, length) == bytes(length)
+            for start, length in ctx.injection_rec.cleanup_ranges
+        )
+        marker_addr, marker_value = ctx.marker
+        ctx.report.verdicts["marker-written"] = (
+            ctx.space.read_bytes(marker_addr, 8)
+            == marker_value.to_bytes(8, "little")
+        )
+    canary_now = ctx.space.read_bytes(victim.canary_slot_addr, 8)
+    ctx.report.verdicts["canary-intact"] = canary_now == ctx.canary_before
+
+
+# the one place stage order is defined
+_STAGE_TABLE = (
+    ("probe", _probe),
+    ("explore", _explore),
+    ("gadgets", _gadgets),
+    ("caves", _caves),
+    ("inject", _inject),
+    ("execute", _execute),
+)
+STAGES = tuple(stage for stage, _ in _STAGE_TABLE)
 
 
 def run_pipeline(config: PipelineConfig) -> AttackReport:
@@ -554,22 +540,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get(ENV_SEED, "0"))
+    if args.seed is None:
+        args.seed = int(os.environ.get(ENV_SEED, "0"))
     try:
+        # every config field has the flag of the same name
         config = PipelineConfig(
-            image_path=args.image_path,
-            mode=args.mode,
-            seed=seed,
-            spurious_prob=args.spurious_prob,
-            cave_min_len=args.cave_min_len,
-            chain_variant=args.chain_variant,
-            restore=args.restore,
-            ground_truth_path=args.ground_truth_path,
-            stop_after=args.stop_after,
-            aslr=args.aslr,
-            explore_budget=args.explore_budget,
+            **{f.name: getattr(args, f.name) for f in fields(PipelineConfig)}
         )
     except ValueError as exc:
         print(f"caveprobe: {exc}", file=sys.stderr)

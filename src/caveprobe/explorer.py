@@ -56,13 +56,6 @@ class PageMap:
     def accessible_pages(self) -> list[int]:
         return sorted(b for b, e in self.entries.items() if e.accessible)
 
-    def span(self) -> tuple[int, int] | None:
-        """Page-aligned (start, end) covering all accessible pages."""
-        acc = self.accessible_pages()
-        if not acc:
-            return None
-        return acc[0], acc[-1] + PAGE_SIZE
-
 
 @dataclass(frozen=True, slots=True)
 class MapRun:
@@ -87,37 +80,12 @@ class ReconstructedMap:
             for r in self.runs
         ]
 
-    def to_maps_text(self) -> str:
-        """Maps-format rendering of the accessible runs, for diffing against
-        a ground truth file.  The executable bit is unknowable from probes
-        and is left clear; inaccessible runs are omitted like unmapped
-        holes."""
-        lines = []
-        for r in self.runs:
-            if r.kind is Writability.INACCESSIBLE:
-                continue
-            bits = "rw-p" if r.kind is Writability.WRITABLE else "r--p"
-            lines.append(f"{r.start:x}-{r.end:x} {bits} 00000000 00:00 0")
-        return "\n".join(lines) + "\n"
-
 
 def _check_page_range(start: int, end: int) -> None:
     if start % PAGE_SIZE or end % PAGE_SIZE:
         raise ValueError("range bounds must be page aligned")
     if not (0 <= start <= end <= USER_TOP):
         raise ValueError("range must lie inside the user half")
-
-
-def scan_linear(
-    space: AddressSpace, prober: Prober, start: int, end: int
-) -> PageMap:
-    """Tap every page in [start, end) exactly once."""
-    _check_page_range(start, end)
-    pm = PageMap()
-    for base in range(start, end, PAGE_SIZE):
-        acc = prober.tap(space, base)
-        pm.entries[base] = PageEntry(acc is Accessibility.ACCESSIBLE)
-    return pm
 
 
 def harvest_pointers(page_bytes: bytes) -> list[int]:

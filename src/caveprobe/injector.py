@@ -30,7 +30,7 @@ class VictimFrame:
     rbp_slot_addr: int
     saved_rbp: int
     saved_rip: int
-    canary_slot_addr: int | None = None
+    canary_slot_addr: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,7 +56,6 @@ class FakeFrameImage:
     words: tuple[ChainWord, ...]
     payload: bytes
     payload_addr: int | None
-    restore: RestorationRecord
 
     def image_bytes(self) -> bytes:
         blob = b"".join(w.value.to_bytes(8, "little") for w in self.words)
@@ -98,7 +97,6 @@ def locate_victim_frame(
     codemap: set[int],
     *,
     caller_frames: int = 0,
-    expect_canary: bool = True,
 ) -> VictimFrame:
     """Find the innermost plausible frame above ``stack_ptr``.
 
@@ -107,7 +105,7 @@ def locate_victim_frame(
     neighbor holds a return address landing in a known code page; return
     address pages are validated with a probe, never a bare read.  With
     ``caller_frames`` > 0 the chain is followed that many links up, so the
-    pivot can hide between outer frames.  ``expect_canary`` records the slot
+    pivot can hide between outer frames.  The frame records the slot
     conventionally holding the stack canary, just below the saved base
     pointer.
     """
@@ -133,7 +131,7 @@ def locate_victim_frame(
             rbp_slot_addr=slot,
             saved_rbp=rbp,
             saved_rip=rip,
-            canary_slot_addr=slot - 8 if expect_canary else None,
+            canary_slot_addr=slot - 8,
         )
 
     slot = (stack_ptr + 7) & ~7
@@ -187,7 +185,6 @@ def forge_fake_frame(
         words=tuple(words),
         payload=payload,
         payload_addr=payload_addr,
-        restore=restoration_record(victim),
     )
 
 

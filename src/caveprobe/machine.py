@@ -67,14 +67,12 @@ MAX_CLEANUP_BYTES = 1 << 16
 
 @dataclass(slots=True)
 class MachineState:
-    """Register file plus run status.  ``flags`` exists only as a
-    placeholder; nothing sets or reads it."""
+    """Register file plus run status."""
 
     regs: dict[str, int] = field(
         default_factory=lambda: {name: 0 for name in REG_NAMES}
     )
     rip: int = 0
-    flags: int = 0
     status: str = RUNNING
     exit_code: int | None = None
     trap_reason: str | None = None
@@ -98,7 +96,6 @@ class SyscallEffect:
 class StoreEffect:
     addr: int
     value: int
-    width: int = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,40 +189,32 @@ def _sys_exit(state: MachineState, space: AddressSpace) -> int:
     return 0
 
 
-class SyscallModel:
-    """Dispatch table from syscall number to handler.  Unknown numbers trap."""
-
-    def __init__(self) -> None:
-        self.table = {
-            SYS_WRITE: ("write", _sys_write),
-            SYS_MPROTECT: ("mprotect", _sys_mprotect),
-            SYS_EXIT: ("exit", _sys_exit),
-        }
-
-    def dispatch(self, state: MachineState, space: AddressSpace,
-                 effects: list | None) -> None:
-        number = state.reg("rax")
-        entry = self.table.get(number)
-        if entry is None:
-            raise _Stop("unknown-syscall")
-        name, handler = entry
-        args = (state.reg("rdi"), state.reg("rsi"), state.reg("rdx"))
-        ret = handler(state, space)
-        state.set_reg("rax", ret & MASK64)
-        if effects is not None:
-            effects.append(SyscallEffect(number, name, args, ret))
+# syscall number -> (name, handler); unknown numbers trap
+_SYSCALLS = {
+    SYS_WRITE: ("write", _sys_write),
+    SYS_MPROTECT: ("mprotect", _sys_mprotect),
+    SYS_EXIT: ("exit", _sys_exit),
+}
 
 
-DEFAULT_SYSCALLS = SyscallModel()
+def _syscall(state: MachineState, space: AddressSpace,
+             effects: list | None) -> None:
+    number = state.reg("rax")
+    entry = _SYSCALLS.get(number)
+    if entry is None:
+        raise _Stop("unknown-syscall")
+    name, handler = entry
+    args = (state.reg("rdi"), state.reg("rsi"), state.reg("rdx"))
+    ret = handler(state, space)
+    state.set_reg("rax", ret & MASK64)
+    if effects is not None:
+        effects.append(SyscallEffect(number, name, args, ret))
 
 
 # --- instruction stepping ---------------------------------------------------
 
 def step(
-    state: MachineState,
-    space: AddressSpace,
-    effects: list | None = None,
-    syscalls: SyscallModel = DEFAULT_SYSCALLS,
+    state: MachineState, space: AddressSpace, effects: list | None = None
 ) -> MachineState:
     """Execute one instruction at ``state.rip``, mutating ``state``.
 
@@ -236,19 +225,14 @@ def step(
     if state.status != RUNNING:
         raise ValueError("machine is not running")
     try:
-        _execute(state, space, effects, syscalls)
+        _execute(state, space, effects)
     except _Stop as stop:
         state.status = TRAPPED
         state.trap_reason = stop.reason
     return state
 
 
-def _execute(
-    state: MachineState,
-    space: AddressSpace,
-    effects: list | None,
-    syscalls: SyscallModel,
-) -> None:
+def _execute(state: MachineState, space: AddressSpace, effects: list | None) -> None:
     rip = state.rip
     pos = rip
 
@@ -281,7 +265,7 @@ def _execute(
         if u8() != 0x05:
             raise _Stop("undecodable")
         state.rip = pos  # rip already past the instruction when it runs
-        syscalls.dispatch(state, space, effects)
+        _syscall(state, space, effects)
         return
     if 0x50 <= b0 <= 0x57:  # push r64
         rsp = (state.reg("rsp") - 8) & MASK64
@@ -339,23 +323,28 @@ def run_until(
     space: AddressSpace,
     stop_rip: int,
     max_steps: int = 100_000,
-    syscalls: SyscallModel = DEFAULT_SYSCALLS,
+    stop_rsp: int | None = None,
 ) -> RunResult:
     """Step until rip reaches ``stop_rip`` (checked before executing there),
-    the machine halts, or the step budget runs out."""
+    the machine halts, or the step budget runs out.
+
+    With ``stop_rsp`` set, reaching ``stop_rip`` stops the run only while
+    rsp equals it too: a chain gadget's ``ret`` byte can sit at the stop
+    address, and falling through it mid-chain is not the end of the run.
+    """
     effects: list = []
     steps = 0
     while True:
         if state.status != RUNNING:
             reason = "halted"
             break
-        if state.rip == stop_rip:
+        if state.rip == stop_rip and stop_rsp in (None, state.reg("rsp")):
             reason = "reached-stop"
             break
         if steps >= max_steps:
             reason = "budget-exhausted"
             break
-        step(state, space, effects, syscalls)
+        step(state, space, effects)
         steps += 1
     return RunResult(state, steps, tuple(effects), reason)
 
@@ -393,6 +382,13 @@ def enc_nop() -> bytes:
 # length of the marker-writing prologue that assemble_payload emits,
 # nop-padded so the cleanup region stays 8-byte divisible
 MARKER_STUB_LEN = 24
+
+
+def payload_len(cleanup_bytes: int) -> int:
+    """Length of the payload assemble_payload emits for ``cleanup_bytes``
+    of cleanup: the marker stub, the rsi zeroing, one 13-byte store pair per
+    zeroed word, three restore loads and the final jump."""
+    return MARKER_STUB_LEN + 10 + 13 * (cleanup_bytes // 8) + 3 * 10 + 2
 
 
 def assemble_payload(
@@ -440,4 +436,5 @@ def assemble_payload(
     out += enc_mov_ri("rbp", record.resume_rbp)
     out += enc_mov_ri("rcx", record.resume_rip)
     out += enc_jmp_r("rcx")
+    assert len(out) == payload_len(total)
     return bytes(out)

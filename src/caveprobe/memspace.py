@@ -132,9 +132,6 @@ class AddressSpace:
     def is_mapped(self, addr: int) -> bool:
         return (addr & ~(PAGE_SIZE - 1)) in self.pages
 
-    def mapped_page_bases(self) -> list[int]:
-        return sorted(self.pages)
-
     def map_region(
         self,
         start: int,

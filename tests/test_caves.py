@@ -12,7 +12,7 @@ def quiet_prober() -> Prober:
 
 
 def pagemap_for(space) -> PageMap:
-    return PageMap({b: PageEntry(True) for b in space.mapped_page_bases()})
+    return PageMap({b: PageEntry(True) for b in space.pages})
 
 
 class TestFindCaves:

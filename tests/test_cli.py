@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from caveprobe.cli import (
     EXIT_OK,
@@ -55,6 +59,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             base_config(image_paths, restore="partial")
 
+    def test_explore_budget_checked(self, image_paths):
+        with pytest.raises(ValueError):
+            base_config(image_paths, explore_budget=0)
+
+    @pytest.mark.parametrize("prob", [-0.1, 1.0, float("nan")])
+    def test_spurious_prob_checked(self, image_paths, prob):
+        with pytest.raises(ValueError):
+            base_config(image_paths, spurious_prob=prob)
+
 
 class TestPipeline:
     def test_full_run_all_verdicts(self, image_paths):
@@ -85,6 +98,13 @@ class TestPipeline:
         assert report.probe_counters.get("write_tx", 0) == 0
         assert report.probe_counters.get("claws", 0) == 0
         assert report.verdicts == {}
+
+    def test_run_context_declares_every_attribute(self, image_paths):
+        pipe = Pipeline(base_config(image_paths))
+        pipe.run()
+        assert pipe.code_pages and pipe.marker is not None
+        with pytest.raises(AttributeError):
+            pipe.undeclared = 1
 
     def test_stage_order_stops_midway(self, image_paths):
         report = run_pipeline(base_config(image_paths, stop_after="caves"))
@@ -147,6 +167,24 @@ class TestPipeline:
             seed=156229,
         ))
         assert report.aslr_offset > 0
+        assert report.all_verdicts_pass()
+
+    @pytest.mark.parametrize("restore", ["payload", "chain-only"])
+    def test_stop_waits_for_the_finished_chain(self, tmp_path, restore):
+        # the lowest pop-rax-ret's ret byte is this image's saved rip, so
+        # rip reaches the resume address mid-chain, before the syscall
+        img = build_victim_image(342514169, code_pages=64, cave_pages=64,
+                                 stack_pages=64)
+        manifest = tmp_path / "ret-at-resume.json"
+        manifest.write_text(img.manifest_text)
+        report = run_pipeline(PipelineConfig(
+            image_path=str(manifest), seed=1, restore=restore,
+        ))
+        resume = int(report.injection["resume-rip"], 16)
+        assert report.gadget_census["pop-rax-ret"][0] + 1 == resume
+        syscalls = [e["name"] for e in report.run["side-effects"]
+                    if e["kind"] == "syscall"]
+        assert syscalls == ["mprotect"]
         assert report.all_verdicts_pass()
 
     def test_bad_image_path_is_load_stage_error(self):
@@ -232,6 +270,22 @@ class TestMain:
         assert err.count("\n") == 1
         assert err.startswith(f"caveprobe: stage 'load' failed: {field} ")
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--explore-budget", "0"], "explore_budget"),
+            (["--spurious-prob", "1"], "spurious_prob"),
+        ],
+        ids=["zero-explore-budget", "certain-abort"],
+    )
+    def test_bad_knob_fails_before_any_file_is_read(self, capsys, flags, field):
+        # the image path does not exist, so a load would fail differently
+        code = main(["--image-path", "/nonexistent/image.json", *flags])
+        assert code == EXIT_STAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"caveprobe: {field} ")
+
     def test_stdout_report(self, image_paths, capsys):
         manifest, _, _ = image_paths
         assert main(["--image-path", manifest, "--format", "text"]) == EXIT_OK
@@ -256,3 +310,44 @@ def test_demo_reports_byte_identical(monkeypatch):
         )
         digest.update(emit_report(run_pipeline(config)).encode())
     assert digest.hexdigest() == DEMO_REPORTS_SHA256
+
+
+GADGET_KINDS = ("pop-rdi-ret", "pop-rsi-ret", "pop-rdx-ret", "pop-rax-ret",
+                "pop-rbp-ret", "syscall", "leave-ret")
+
+
+@given(
+    image_seed=st.integers(0, 2**32 - 1),
+    run_seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(["linear", "pointer-chase", "hybrid"]),
+    variant=st.sampled_from(["sound-5", "short-4"]),
+    restore=st.sampled_from(["payload", "chain-only"]),
+    aslr=st.booleans(),
+    omit=st.one_of(st.none(), st.sampled_from(GADGET_KINDS)),
+)
+def test_main_gives_a_report_or_a_one_line_error(
+    image_seed, run_seed, mode, variant, restore, aslr, omit
+):
+    img = build_victim_image(image_seed, omit_gadgets=(omit,) if omit else ())
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = Path(tmp) / "victim.json"
+        maps = Path(tmp) / "victim.maps"
+        manifest.write_text(img.manifest_text)
+        maps.write_text(img.maps_text)
+        argv = [
+            "--image-path", str(manifest), "--ground-truth-path", str(maps),
+            "--seed", str(run_seed), "--mode", mode,
+            "--chain-variant", variant, "--restore", restore,
+            "--out", str(Path(tmp) / "report.json"),
+        ]
+        if not aslr:
+            argv.append("--no-aslr")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3)
+    if code == EXIT_STAGE_ERROR:
+        assert err.getvalue().count("\n") == 1
+        assert err.getvalue().startswith("caveprobe: ")
+    else:
+        assert err.getvalue() == ""

@@ -5,7 +5,6 @@ import pytest
 from caveprobe.explorer import (
     MapRun,
     PageEntry,
-    PageMap,
     ReconstructedMap,
     SeedSet,
     egg_hunt,
@@ -15,7 +14,6 @@ from caveprobe.explorer import (
     match_ground_truth,
     reconstruct_map,
     region_around,
-    scan_linear,
     truth_runs,
 )
 from caveprobe.memspace import PAGE_SIZE, USER_TOP, parse_proc_maps
@@ -41,27 +39,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             PageEntry(accessible=False, writable=True)
         PageEntry(accessible=False, writable=None)
-
-    def test_span(self):
-        pm = PageMap({0x2000: PageEntry(True), 0x5000: PageEntry(True),
-                      0x9000: PageEntry(False)})
-        assert pm.span() == (0x2000, 0x6000)
-        assert PageMap().span() is None
-
-
-class TestScanLinear:
-    def test_one_tap_per_page(self):
-        space = make_space((0x10000, 4 * PAGE_SIZE, "ru", b""))
-        p = quiet_prober()
-        pm = scan_linear(space, p, 0x0E000, 0x16000)
-        assert p.counters["taps"] == 8
-        assert p.counters["read_tx"] == 8
-        accessible = pm.accessible_pages()
-        assert accessible == [0x10000, 0x11000, 0x12000, 0x13000]
-
-    def test_alignment_checked(self):
-        with pytest.raises(ValueError):
-            scan_linear(make_space(), quiet_prober(), 0x100, 0x2000)
 
 
 class TestHarvest:
@@ -218,7 +195,6 @@ class TestReconstruct:
             (MapRun(0x1000, 0x3000, Writability.READ_ONLY),)
         )
         assert recon.to_text() == "1000-3000 readonly\n"
-        assert "r--p" in recon.to_maps_text()
 
 
 class TestGroundTruthCompare:

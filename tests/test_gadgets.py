@@ -104,7 +104,6 @@ class TestChainTypes:
     def test_to_bytes_little_endian(self):
         chain = RopChain((ChainWord(0x1122334455667788, "gadget-address"),))
         assert chain.to_bytes() == bytes.fromhex("8877665544332211")
-        assert chain.byte_len() == 8
 
 
 class TestRequiredKinds:

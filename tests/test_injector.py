@@ -116,14 +116,6 @@ class TestLocate:
                 (STACK, STACK + PAGE_SIZE), codemap={CODE},
             )
 
-    def test_no_canary_expectation(self):
-        space = self.build_stack()
-        frame = locate_victim_frame(
-            space, quiet_prober(), STACK + 0x700, (STACK, STACK + PAGE_SIZE),
-            codemap={CODE}, expect_canary=False,
-        )
-        assert frame.canary_slot_addr is None
-
 
 class TestForge:
     def test_payload_layout_frozen(self):

@@ -300,6 +300,20 @@ class TestRunUntil:
         assert result.stop_reason == "halted"
         assert result.final_state.status == m.TRAPPED
 
+    def test_stop_rsp_runs_through_a_mid_chain_stop_rip(self):
+        # pop rax; ret whose ret byte is the stop address: after the pop the
+        # rip matches but rsp is mid-chain, so only the second visit stops
+        space = machine_space(b"\x58\xc3")
+        state = ready_state()
+        push_words(space, state, 0x1234, CODE + 1)
+        rsp0 = state.reg("rsp")
+        result = m.run_until(state, space, CODE + 1, max_steps=10,
+                             stop_rsp=rsp0 + 16)
+        assert result.stop_reason == "reached-stop"
+        assert result.steps == 2
+        assert state.reg("rax") == 0x1234
+        assert state.reg("rsp") == rsp0 + 16
+
     def test_budget_exhausted(self):
         # jmp rcx back to itself, forever
         space = machine_space(b"\xff\xe1")
