@@ -43,16 +43,17 @@ def find_caves(
 ) -> list[CaveRegion]:
     """Collect maximal zero-filled writable runs of at least ``min_len``.
 
-    Only pages the pagemap marks accessible are considered; each candidate
-    is claw-probed, and its bytes are checked for zero only on a writable
-    verdict.  Runs are maximal with respect to the probed set and returned
-    sorted by address.
+    Only pages the pagemap marks accessible are considered; a candidate
+    without a writability verdict yet is claw-probed through the pagemap,
+    and its bytes are checked for zero only on a writable verdict.  Runs
+    are maximal with respect to the probed set and returned sorted by
+    address.
     """
     if min_len <= 0 or min_len % PAGE_SIZE:
         raise ValueError("min_len must be a positive page multiple")
     usable: set[int] = set()
     for base in pagemap.accessible_pages():
-        if prober.claw(space, base) is not Writability.WRITABLE:
+        if pagemap.claw(space, prober, base) is not Writability.WRITABLE:
             continue
         if space.read_bytes(base, PAGE_SIZE) == _ZERO_PAGE:
             usable.add(base)

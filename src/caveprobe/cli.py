@@ -40,6 +40,10 @@ EXIT_OK = 0
 EXIT_STAGE_ERROR = 2
 EXIT_VERDICT_FAILURE = 3
 
+# what the report splits by stage: the transactions and retries the
+# attacker pays for
+STAGE_COUNTERS = ("read_tx", "write_tx", "retries")
+
 _ASLR_PAGE_BITS = 28  # pages of entropy for the base shift
 MAX_STEPS = 100_000  # machine step budget of the execute stage
 
@@ -98,6 +102,7 @@ class AttackReport:
     run: dict = field(default_factory=dict)
     verdicts: dict[str, bool] = field(default_factory=dict)
     probe_counters: dict[str, int] = field(default_factory=dict)
+    stage_counters: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def all_verdicts_pass(self) -> bool:
         return all(self.verdicts.values())
@@ -114,6 +119,7 @@ class AttackReport:
             "aslr-offset": f"{self.aslr_offset:#x}",
             "stages": list(self.stages),
             "probe-counters": dict(sorted(self.probe_counters.items())),
+            "probe-counters-by-stage": self.stage_counters,
         }
         if "probe" in self.stages:
             obj["exploration"] = self.exploration
@@ -250,12 +256,17 @@ class Pipeline:
             _load(self)
         except Exception as exc:
             raise StageError("load", exc) from exc
+        counters = self.prober.counters
         for stage, body in _STAGE_TABLE:
+            before = {k: counters[k] for k in STAGE_COUNTERS}
             try:
                 body(self)
             except Exception as exc:
                 raise StageError(stage, exc) from exc
             self.report.stages.append(stage)
+            self.report.stage_counters[stage] = {
+                k: counters[k] - before[k] for k in STAGE_COUNTERS
+            }
             if stage == self.config.stop_after:
                 break
         self.report.probe_counters = dict(self.prober.counters)
@@ -307,7 +318,9 @@ def _explore(ctx: Pipeline) -> None:
     for base in accessible:
         if base in covered:
             continue
-        lo, hi = explorer.region_around(ctx.space, ctx.prober, base)
+        lo, hi = explorer.region_around(
+            ctx.space, ctx.prober, base, pagemap=ctx.pagemap
+        )
         covered.update(range(lo, hi, PAGE_SIZE))
         extents.append((lo, hi))
     extents.sort()
@@ -316,15 +329,10 @@ def _explore(ctx: Pipeline) -> None:
     matched = True
     mismatches: list[str] = []
     for lo, hi in extents:
-        recon = explorer.reconstruct_map(ctx.space, ctx.prober, lo, hi)
+        recon = explorer.reconstruct_map(
+            ctx.space, ctx.prober, lo, hi, pagemap=ctx.pagemap
+        )
         all_runs.extend(recon.runs)
-        for run in recon.runs:
-            writable = run.kind is explorer.Writability.WRITABLE
-            acc = run.kind is not explorer.Writability.INACCESSIBLE
-            for page in range(run.start, run.end, PAGE_SIZE):
-                ctx.pagemap.entries[page] = explorer.PageEntry(
-                    acc, writable if acc else None
-                )
         if ctx.truth is not None:
             ok, mm = explorer.match_ground_truth(recon, ctx.truth)
             matched = matched and ok
@@ -366,9 +374,12 @@ def _inject(ctx: Pipeline) -> None:
     cfg = ctx.config
     space, prober = ctx.space, ctx.prober
     stack_ptr = ctx.seeds.pointers[1]
-    stack_region = explorer.region_around(space, prober, stack_ptr)
+    stack_region = explorer.region_around(
+        space, prober, stack_ptr, pagemap=ctx.pagemap
+    )
     victim = injector.locate_victim_frame(
-        space, prober, stack_ptr, stack_region, ctx.code_pages
+        space, prober, stack_ptr, stack_region, ctx.code_pages,
+        pagemap=ctx.pagemap,
     )
     record = injector.restoration_record(victim)
 
@@ -507,8 +518,34 @@ def run_pipeline(config: PipelineConfig) -> AttackReport:
 
 # --- command line ------------------------------------------------------------
 
+class _UsageError(Exception):
+    """A flag argparse rejected; main prints it as one line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # one line naming the flag instead of the usage block
+        raise _UsageError(message)
+
+
+def _int_auto(text: str) -> int:
+    """An integer in any base Python literals use (0x1000, 4096)."""
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
+def _env_seed() -> int:
+    text = os.environ.get(ENV_SEED, "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"${ENV_SEED} is not an integer: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="caveprobe",
         description=(
             "Probe a victim image without faulting, reconstruct its memory "
@@ -524,30 +561,33 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"master RNG seed (default: ${ENV_SEED} or 0)",
     )
     p.add_argument("--spurious-prob", type=float, default=0.001)
-    p.add_argument(
-        "--cave-min-len", type=lambda s: int(s, 0), default=PAGE_SIZE
-    )
+    p.add_argument("--cave-min-len", type=_int_auto, default=PAGE_SIZE)
     p.add_argument("--chain-variant", choices=gadgets.CHAIN_VARIANTS, default="sound-5")
     p.add_argument("--restore", choices=RESTORE_MODES, default="payload")
     p.add_argument("--ground-truth-path", default=None)
     p.add_argument("--stop-after", choices=STAGES, default="execute")
     p.add_argument("--no-aslr", dest="aslr", action="store_false")
-    p.add_argument("--explore-budget", type=int, default=explorer.DEFAULT_BUDGET)
+    p.add_argument(
+        "--explore-budget",
+        type=int,
+        default=explorer.DEFAULT_BUDGET,
+        help="max pages probed in the whole run",
+    )
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.seed is None:
-        args.seed = int(os.environ.get(ENV_SEED, "0"))
     try:
+        args = _build_parser().parse_args(argv)
+        if args.seed is None:
+            args.seed = _env_seed()
         # every config field has the flag of the same name
         config = PipelineConfig(
             **{f.name: getattr(args, f.name) for f in fields(PipelineConfig)}
         )
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"caveprobe: {exc}", file=sys.stderr)
         return EXIT_STAGE_ERROR
     try:

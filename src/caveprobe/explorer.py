@@ -47,14 +47,58 @@ class PageEntry:
             raise ValueError("an inaccessible page cannot be writable")
 
 
+class ExploreBudgetError(Exception):
+    """A page needed a first probe after the store held its budget."""
+
+
 @dataclass(slots=True)
 class PageMap:
-    """Accumulated probe verdicts keyed by page base address."""
+    """Probe verdicts keyed by page base address: the one store a run
+    probes through.  The victim is paused, so a verdict holds for the whole
+    run; ``tap`` and ``claw`` probe a page only for a verdict not yet
+    stored.  With a ``budget``, no more than that many pages are ever
+    probed."""
 
     entries: dict[int, PageEntry] = field(default_factory=dict)
+    budget: int | None = None
 
     def accessible_pages(self) -> list[int]:
         return sorted(b for b, e in self.entries.items() if e.accessible)
+
+    def _admit(self, base: int) -> None:
+        if self.budget is not None and len(self.entries) >= self.budget:
+            raise ExploreBudgetError(
+                f"explore budget of {self.budget} pages is spent; "
+                f"page {base:#x} needs one more"
+            )
+
+    def tap(self, space: AddressSpace, prober: Prober, base: int) -> bool:
+        """Accessibility of the page at ``base``, tapped at most once."""
+        entry = self.entries.get(base)
+        if entry is None:
+            self._admit(base)
+            entry = PageEntry(prober.tap(space, base) is Accessibility.ACCESSIBLE)
+            self.entries[base] = entry
+        return entry.accessible
+
+    def claw(self, space: AddressSpace, prober: Prober, base: int) -> Writability:
+        """Writability of the page at ``base``, clawed at most once.  A page
+        already tapped accessible costs only the write transaction."""
+        entry = self.entries.get(base)
+        if entry is None:
+            self._admit(base)
+            kind = prober.claw(space, base)
+        elif not entry.accessible:
+            return Writability.INACCESSIBLE
+        elif entry.writable is not None:
+            return Writability.WRITABLE if entry.writable else Writability.READ_ONLY
+        else:
+            kind = prober.claw(space, base, known_accessible=True)
+        accessible = kind is not Writability.INACCESSIBLE
+        self.entries[base] = PageEntry(
+            accessible, kind is Writability.WRITABLE if accessible else None
+        )
+        return kind
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,7 +156,7 @@ def explore_from_pointers(
     """
     if budget < 1:
         raise ValueError("budget must be positive")
-    pm = _pagemap if _pagemap is not None else PageMap()
+    pm = _pagemap if _pagemap is not None else PageMap(budget=budget)
     queue: list[int] = []
     queued: set[int] = set()
     for ptr in seeds.pointers:
@@ -124,14 +168,7 @@ def explore_from_pointers(
     while qi < len(queue) and len(pm.entries) < budget:
         base = queue[qi]
         qi += 1
-        entry = pm.entries.get(base)
-        if entry is None:
-            # pages carried over from an earlier strategy keep their
-            # verdict; everything else costs exactly one probe
-            acc = prober.tap(space, base)
-            entry = PageEntry(acc is Accessibility.ACCESSIBLE)
-            pm.entries[base] = entry
-        if not entry.accessible:
+        if not pm.tap(space, prober, base):
             continue
         data = space.read_bytes(base, PAGE_SIZE)
         for ptr in harvest_pointers(data):
@@ -147,24 +184,21 @@ def _sweep(
     prober: Prober,
     anchor: int,
     pm: PageMap,
-    budget: int,
     max_gap: int,
     *,
     stop_on_hit: bool = False,
 ) -> int | None:
     """Bidirectional linear sweep from ``anchor``: walk up, then down, until
-    ``max_gap`` consecutive pages in a direction were inaccessible.  Returns
-    the first accessible page when ``stop_on_hit`` is set."""
+    ``max_gap`` consecutive pages in a direction were inaccessible, or the
+    store holds its budget.  Returns the first accessible page when
+    ``stop_on_hit`` is set."""
     for step in (PAGE_SIZE, -PAGE_SIZE):
         base = AddressSpace.page_base(anchor)
         if step < 0:
             base += step  # upward pass already covered the anchor page
         misses = 0
-        while 0 <= base < USER_TOP and misses < max_gap and len(pm.entries) < budget:
-            if base not in pm.entries:
-                acc = prober.tap(space, base)
-                pm.entries[base] = PageEntry(acc is Accessibility.ACCESSIBLE)
-            if pm.entries[base].accessible:
+        while 0 <= base < USER_TOP and misses < max_gap and len(pm.entries) < pm.budget:
+            if pm.tap(space, prober, base):
                 if stop_on_hit:
                     return base
                 misses = 0
@@ -194,15 +228,15 @@ def explore(
     if mode == "pointer-chase":
         return explore_from_pointers(space, prober, seeds, budget)
     if mode == "linear":
-        pm = PageMap()
+        pm = PageMap(budget=budget)
         for anchor in seeds.pointers:
-            _sweep(space, prober, anchor, pm, budget, max_gap)
+            _sweep(space, prober, anchor, pm, max_gap)
         return pm
     if mode == "hybrid":
-        pm = PageMap()
+        pm = PageMap(budget=budget)
         hit = None
         for anchor in seeds.pointers:
-            hit = _sweep(space, prober, anchor, pm, budget, max_gap, stop_on_hit=True)
+            hit = _sweep(space, prober, anchor, pm, max_gap, stop_on_hit=True)
             if hit is not None:
                 break
         if hit is None:
@@ -213,41 +247,55 @@ def explore(
 
 
 def region_around(
-    space: AddressSpace, prober: Prober, addr: int, max_pages: int = 1024
+    space: AddressSpace,
+    prober: Prober,
+    addr: int,
+    max_pages: int = 1024,
+    *,
+    pagemap: PageMap | None = None,
 ) -> tuple[int, int]:
     """Extent of the contiguous accessible run containing ``addr``.
 
-    Probes outward in both directions until the first inaccessible page.
-    The page holding ``addr`` itself must be accessible.
+    Probes outward in both directions until the first inaccessible page,
+    through ``pagemap`` (a fresh one by default), so pages it already holds
+    cost nothing.  The page holding ``addr`` itself must be accessible.
     """
+    pm = pagemap if pagemap is not None else PageMap()
     base = AddressSpace.page_base(addr)
-    if prober.tap(space, base) is not Accessibility.ACCESSIBLE:
+    if not pm.tap(space, prober, base):
         raise ValueError(f"page {base:#x} is not accessible")
     lo = base
     for _ in range(max_pages):
         nxt = lo - PAGE_SIZE
-        if nxt < 0 or prober.tap(space, nxt) is not Accessibility.ACCESSIBLE:
+        if nxt < 0 or not pm.tap(space, prober, nxt):
             break
         lo = nxt
     hi = base + PAGE_SIZE
     for _ in range(max_pages):
-        if hi >= USER_TOP or prober.tap(space, hi) is not Accessibility.ACCESSIBLE:
+        if hi >= USER_TOP or not pm.tap(space, prober, hi):
             break
         hi += PAGE_SIZE
     return lo, hi
 
 
 def reconstruct_map(
-    space: AddressSpace, prober: Prober, start: int, end: int
+    space: AddressSpace,
+    prober: Prober,
+    start: int,
+    end: int,
+    *,
+    pagemap: PageMap | None = None,
 ) -> ReconstructedMap:
-    """Classify every page in [start, end) via write probes and coalesce
-    adjacent pages of equal classification into runs."""
+    """Classify every page in [start, end) via write probes through
+    ``pagemap`` (a fresh one by default) and coalesce adjacent pages of
+    equal classification into runs."""
     _check_page_range(start, end)
+    pm = pagemap if pagemap is not None else PageMap()
     runs: list[MapRun] = []
     cur_kind: Writability | None = None
     cur_start = start
     for base in range(start, end, PAGE_SIZE):
-        kind = prober.claw(space, base)
+        kind = pm.claw(space, prober, base)
         if kind is not cur_kind:
             if cur_kind is not None:
                 runs.append(MapRun(cur_start, base, cur_kind))
@@ -339,21 +387,13 @@ def egg_hunt(
         raise ValueError("tag length must be between 4 and 32 bytes")
     _check_page_range(start, end)
     overlap = len(tag) - 1
-    acc_cache: dict[int, bool] = {}
-
-    def accessible(base: int) -> bool:
-        if base not in acc_cache:
-            acc_cache[base] = (
-                prober.tap(space, base) is Accessibility.ACCESSIBLE
-            )
-        return acc_cache[base]
-
+    pm = PageMap()
     for base in range(start, end, PAGE_SIZE):
-        if not accessible(base):
+        if not pm.tap(space, prober, base):
             continue
         buf = space.read_bytes(base, PAGE_SIZE)
         nxt = base + PAGE_SIZE
-        if overlap and nxt < end and accessible(nxt):
+        if overlap and nxt < end and pm.tap(space, prober, nxt):
             buf += space.read_bytes(nxt, overlap)
         hit = buf.find(tag)
         if hit != -1:

@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .memspace import AddressSpace, MemoryFault
-from .probe import NotWritableError, Prober, Accessibility
+from .probe import NotWritableError, Prober
 from .gadgets import ChainWord, RopChain
 from .caves import CaveRegion
+from .explorer import PageMap
 
 
 class InjectionError(Exception):
@@ -97,18 +98,21 @@ def locate_victim_frame(
     codemap: set[int],
     *,
     caller_frames: int = 0,
+    pagemap: PageMap | None = None,
 ) -> VictimFrame:
     """Find the innermost plausible frame above ``stack_ptr``.
 
     Walks upward at 8-byte alignment looking for a slot whose value points
     higher into the stack region (a frame-pointer chain link) and whose
     neighbor holds a return address landing in a known code page; return
-    address pages are validated with a probe, never a bare read.  With
+    address pages are validated with a probe through ``pagemap`` (a fresh
+    one by default), never a bare read.  With
     ``caller_frames`` > 0 the chain is followed that many links up, so the
     pivot can hide between outer frames.  The frame records the slot
     conventionally holding the stack canary, just below the saved base
     pointer.
     """
+    pm = pagemap if pagemap is not None else PageMap()
     lo, hi = stack_region
     if not lo <= stack_ptr < hi:
         raise InjectionError("stack pointer outside the stack region")
@@ -125,7 +129,7 @@ def locate_victim_frame(
         rip_page = AddressSpace.page_base(rip)
         if rip_page not in codemap:
             return None
-        if prober.tap(space, rip_page) is not Accessibility.ACCESSIBLE:
+        if not pm.tap(space, prober, rip_page):
             return None
         return VictimFrame(
             rbp_slot_addr=slot,

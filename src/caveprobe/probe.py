@@ -171,15 +171,18 @@ class Prober:
         self._note("tap", addr, result)
         return result
 
-    def claw(self, space: AddressSpace, addr: int) -> Writability:
+    def claw(
+        self, space: AddressSpace, addr: int, *, known_accessible: bool = False
+    ) -> Writability:
         """Classify writability of ``addr`` without modifying memory.
 
-        Runs a tap first; an inaccessible address short-circuits with no
-        write transaction at all.  Otherwise the write-and-abort transaction
-        distinguishes writable from read-only.
+        Runs a tap first, unless the caller already holds an accessible
+        verdict for the page (``known_accessible``); an inaccessible address
+        short-circuits with no write transaction at all.  Otherwise the
+        write-and-abort transaction distinguishes writable from read-only.
         """
         self.counters["claws"] += 1
-        if self.tap(space, addr) is Accessibility.INACCESSIBLE:
+        if not known_accessible and self.tap(space, addr) is Accessibility.INACCESSIBLE:
             self._note("claw", addr, Writability.INACCESSIBLE)
             return Writability.INACCESSIBLE
         attempts = 0

@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from caveprobe import cli
 from caveprobe.cli import (
     EXIT_OK,
     EXIT_STAGE_ERROR,
+    STAGE_COUNTERS,
     Pipeline,
     PipelineConfig,
     StageError,
@@ -18,9 +20,12 @@ from caveprobe.cli import (
     main,
     run_pipeline,
 )
+from caveprobe.probe import ProbeOutcome, Prober
 from caveprobe.synth import build_victim_image
 
 REPO = Path(__file__).resolve().parent.parent
+DEMO = str(REPO / "images" / "demo.json")
+DEMO_MAPS = str(REPO / "images" / "demo.maps")
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +192,50 @@ class TestPipeline:
         assert syscalls == ["mprotect"]
         assert report.all_verdicts_pass()
 
+    def test_stage_counters_sum_to_probe_counters(self):
+        report = run_pipeline(PipelineConfig(
+            image_path=DEMO, ground_truth_path=DEMO_MAPS, seed=3,
+        ))
+        by_stage = emit_report(report)
+        by_stage = json.loads(by_stage)["probe-counters-by-stage"]
+        assert list(by_stage) == sorted(report.stages)
+        for key in STAGE_COUNTERS:
+            total = sum(counts[key] for counts in by_stage.values())
+            assert total == report.probe_counters.get(key, 0), key
+        # every page the caves stage looks at was clawed while exploring
+        assert by_stage["caves"] == dict.fromkeys(STAGE_COUNTERS, 0)
+
+    @pytest.mark.parametrize("mode", ["linear", "pointer-chase", "hybrid"])
+    def test_each_probe_settles_once_per_page(self, monkeypatch, mode):
+        class TracedProber(Prober):
+            def __init__(self, config=None):
+                super().__init__(config, trace=True)
+                self.safe_spans = []
+
+            def safe_write(self, space, addr, data):
+                start = len(self.trace_log)
+                try:
+                    super().safe_write(space, addr, data)
+                finally:
+                    self.safe_spans.append(range(start, len(self.trace_log)))
+
+        monkeypatch.setattr(cli, "Prober", TracedProber)
+        pipe = Pipeline(PipelineConfig(
+            image_path=DEMO, ground_truth_path=DEMO_MAPS, seed=4, mode=mode,
+            spurious_prob=0.2,
+        ))
+        assert pipe.run().all_verdicts_pass()
+        in_safe_write = {i for span in pipe.prober.safe_spans for i in span}
+        assert in_safe_write
+        settled = [
+            (op, addr & ~0xFFF)
+            for i, (op, addr, out) in enumerate(pipe.prober.trace_log)
+            if op in ("read_tx", "write_tx")
+            and out is not ProbeOutcome.RETRYABLE_ABORT
+            and i not in in_safe_write
+        ]
+        assert len(settled) == len(set(settled))
+
     def test_bad_image_path_is_load_stage_error(self):
         with pytest.raises(StageError) as exc:
             run_pipeline(PipelineConfig(image_path="/nonexistent.json"))
@@ -286,6 +335,40 @@ class TestMain:
         assert err.count("\n") == 1
         assert err.startswith(f"caveprobe: {field} ")
 
+    def test_explore_budget_holds_for_the_whole_run(self, capsys):
+        # three pages satisfy the probe stage; growing them into extents
+        # needs a fourth
+        code = main(["--image-path", DEMO, "--explore-budget", "3"])
+        assert code == EXIT_STAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("caveprobe: ")
+        assert "explore budget of 3 pages" in err
+
+    def test_seed_environment_not_an_integer(self, monkeypatch, capsys):
+        monkeypatch.setenv("CAVEPROBE_SEED", "x")
+        assert main(["--image-path", DEMO]) == EXIT_STAGE_ERROR
+        assert capsys.readouterr().err == (
+            "caveprobe: $CAVEPROBE_SEED is not an integer: 'x'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--image-path", DEMO, "--cave-min-len", "zz"], "--cave-min-len"),
+            (["--image-path", DEMO, "--seed", "x"], "--seed"),
+            (["--image-path", DEMO, "--mode", "spiral"], "--mode"),
+            ([], "--image-path"),
+        ],
+        ids=["cave-min-len", "seed", "mode", "missing-image-path"],
+    )
+    def test_flag_error_is_one_line(self, capsys, flags, flag):
+        assert main(flags) == EXIT_STAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("caveprobe: ")
+        assert flag in err and "<lambda>" not in err
+
     def test_stdout_report(self, image_paths, capsys):
         manifest, _, _ = image_paths
         assert main(["--image-path", manifest, "--format", "text"]) == EXIT_OK
@@ -296,7 +379,7 @@ class TestMain:
 # images/demo.maps for seeds 0..9, concatenated in seed order.  A change that
 # means to leave behaviour alone keeps it; a change that deliberately alters
 # the reports updates it and says why in CHANGES.md.
-DEMO_REPORTS_SHA256 = "5dce8f58192126a1b8b5a85fd5e04c5272b51fbd8e532aabca40a4e1ed216d0b"
+DEMO_REPORTS_SHA256 = "71e3c7b2d83fe13bf714f83c79d97ac843d3586e9d71a49d1ecbbf25969ec8ab"
 
 
 def test_demo_reports_byte_identical(monkeypatch):

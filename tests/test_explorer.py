@@ -3,8 +3,10 @@ import random
 import pytest
 
 from caveprobe.explorer import (
+    ExploreBudgetError,
     MapRun,
     PageEntry,
+    PageMap,
     ReconstructedMap,
     SeedSet,
     egg_hunt,
@@ -159,6 +161,76 @@ class TestRegionAround:
     def test_inaccessible_anchor_rejected(self):
         with pytest.raises(ValueError):
             region_around(make_space(), quiet_prober(), 0x5000)
+
+
+class TestPageMapStore:
+    def space(self):
+        return make_space(
+            (0x10000, PAGE_SIZE, "ru", b""),
+            (0x11000, PAGE_SIZE, "rwu", b""),
+        )
+
+    def test_second_tap_costs_no_transaction(self):
+        space, p, pm = self.space(), quiet_prober(), PageMap()
+        assert pm.tap(space, p, 0x10000) is True
+        assert pm.tap(space, p, 0x10000) is True
+        assert pm.tap(space, p, 0x20000) is False
+        assert pm.tap(space, p, 0x20000) is False
+        assert p.counters["read_tx"] == 2 and p.counters["taps"] == 2
+
+    def test_second_claw_costs_no_transaction(self):
+        space, p, pm = self.space(), quiet_prober(), PageMap()
+        for _ in range(2):
+            assert pm.claw(space, p, 0x10000) is Writability.READ_ONLY
+            assert pm.claw(space, p, 0x11000) is Writability.WRITABLE
+            assert pm.claw(space, p, 0x20000) is Writability.INACCESSIBLE
+        assert p.counters["claws"] == 3
+        assert p.counters["read_tx"] == 3 and p.counters["write_tx"] == 2
+        assert pm.entries[0x11000] == PageEntry(True, True)
+        assert pm.entries[0x20000] == PageEntry(False)
+
+    def test_known_accessible_page_costs_one_write_tx(self):
+        space, p, pm = self.space(), quiet_prober(), PageMap()
+        pm.tap(space, p, 0x11000)
+        before = dict(p.counters)
+        assert pm.claw(space, p, 0x11000) is Writability.WRITABLE
+        assert p.counters["write_tx"] - before.get("write_tx", 0) == 1
+        assert p.counters["read_tx"] == before["read_tx"]
+        assert p.counters["claws"] == 1
+
+    def test_tapped_inaccessible_page_claws_free(self):
+        space, p, pm = self.space(), quiet_prober(), PageMap()
+        pm.tap(space, p, 0x20000)
+        assert pm.claw(space, p, 0x20000) is Writability.INACCESSIBLE
+        assert p.counters["claws"] == 0 and p.counters["write_tx"] == 0
+
+    def test_budget_refuses_a_new_page_only(self):
+        space, p = self.space(), quiet_prober()
+        pm = PageMap(budget=1)
+        pm.tap(space, p, 0x10000)
+        with pytest.raises(ExploreBudgetError, match="budget of 1 pages"):
+            pm.tap(space, p, 0x11000)
+        with pytest.raises(ExploreBudgetError):
+            pm.claw(space, p, 0x11000)
+        assert pm.claw(space, p, 0x10000) is Writability.READ_ONLY
+        assert list(pm.entries) == [0x10000]
+
+    def test_explore_stops_at_the_budget_it_stores(self):
+        space = make_space((0x10000, 8 * PAGE_SIZE, "ru", b""))
+        pm = explore(space, quiet_prober(), "linear", SeedSet((0x12000,)),
+                     budget=3)
+        assert len(pm.entries) == 3 and pm.budget == 3
+
+    def test_region_around_reuses_stored_verdicts(self):
+        space, p, pm = self.space(), quiet_prober(), PageMap()
+        assert region_around(space, p, 0x10000, pagemap=pm) == (0x10000, 0x12000)
+        taps = p.counters["taps"]
+        assert region_around(space, p, 0x11000, pagemap=pm) == (0x10000, 0x12000)
+        recon = reconstruct_map(space, p, 0x10000, 0x12000, pagemap=pm)
+        assert [r.kind for r in recon.runs] == [Writability.READ_ONLY,
+                                                Writability.WRITABLE]
+        assert p.counters["taps"] == taps
+        assert p.counters["read_tx"] == taps
 
 
 class TestReconstruct:
