@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .memspace import PAGE_SIZE, AddressSpace
+from .memspace import PAGE_SIZE
 from .explorer import PageMap
-from .probe import Prober, Writability
+from .probe import Writability
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
 
@@ -35,16 +35,11 @@ class NoCaveError(Exception):
         self.need_len = need_len
 
 
-def find_caves(
-    space: AddressSpace,
-    prober: Prober,
-    pagemap: PageMap,
-    min_len: int = PAGE_SIZE,
-) -> list[CaveRegion]:
+def find_caves(pm: PageMap, min_len: int = PAGE_SIZE) -> list[CaveRegion]:
     """Collect maximal zero-filled writable runs of at least ``min_len``.
 
-    Only pages the pagemap marks accessible are considered; a candidate
-    without a writability verdict yet is claw-probed through the pagemap,
+    Only pages the store marks accessible are considered; a candidate
+    without a writability verdict yet is claw-probed through the store,
     and its bytes are checked for zero only on a writable verdict.  Runs
     are maximal with respect to the probed set and returned sorted by
     address.
@@ -52,10 +47,10 @@ def find_caves(
     if min_len <= 0 or min_len % PAGE_SIZE:
         raise ValueError("min_len must be a positive page multiple")
     usable: set[int] = set()
-    for base in pagemap.accessible_pages():
-        if pagemap.claw(space, prober, base) is not Writability.WRITABLE:
+    for base in pm.accessible_pages():
+        if pm.claw(base) is not Writability.WRITABLE:
             continue
-        if space.read_bytes(base, PAGE_SIZE) == _ZERO_PAGE:
+        if pm.space.read_bytes(base, PAGE_SIZE) == _ZERO_PAGE:
             usable.add(base)
 
     caves: list[CaveRegion] = []

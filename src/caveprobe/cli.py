@@ -269,6 +269,11 @@ class Pipeline:
             }
             if stage == self.config.stop_after:
                 break
+        # the store's totals after the last stage: what --explore-budget caps
+        self.report.exploration["pages-probed"] = len(self.pagemap.entries)
+        self.report.exploration["accessible-pages"] = len(
+            self.pagemap.accessible_pages()
+        )
         self.report.probe_counters = dict(self.prober.counters)
         return self.report
 
@@ -298,13 +303,10 @@ def _load(ctx: Pipeline) -> None:
 def _probe(ctx: Pipeline) -> None:
     cfg = ctx.config
     ctx.pagemap = explorer.explore(
-        ctx.space, ctx.prober, cfg.mode, ctx.seeds, cfg.explore_budget
+        explorer.PageMap(ctx.space, ctx.prober, cfg.explore_budget),
+        cfg.mode, ctx.seeds,
     )
-    ctx.report.exploration = {
-        "mode": cfg.mode,
-        "pages-probed": len(ctx.pagemap.entries),
-        "accessible-pages": len(ctx.pagemap.accessible_pages()),
-    }
+    ctx.report.exploration = {"mode": cfg.mode}
 
 
 def _explore(ctx: Pipeline) -> None:
@@ -318,9 +320,7 @@ def _explore(ctx: Pipeline) -> None:
     for base in accessible:
         if base in covered:
             continue
-        lo, hi = explorer.region_around(
-            ctx.space, ctx.prober, base, pagemap=ctx.pagemap
-        )
+        lo, hi = explorer.region_around(ctx.pagemap, base)
         covered.update(range(lo, hi, PAGE_SIZE))
         extents.append((lo, hi))
     extents.sort()
@@ -329,9 +329,7 @@ def _explore(ctx: Pipeline) -> None:
     matched = True
     mismatches: list[str] = []
     for lo, hi in extents:
-        recon = explorer.reconstruct_map(
-            ctx.space, ctx.prober, lo, hi, pagemap=ctx.pagemap
-        )
+        recon = explorer.reconstruct_map(ctx.pagemap, lo, hi)
         all_runs.extend(recon.runs)
         if ctx.truth is not None:
             ok, mm = explorer.match_ground_truth(recon, ctx.truth)
@@ -352,10 +350,7 @@ def _explore(ctx: Pipeline) -> None:
 
 
 def _gadgets(ctx: Pipeline) -> None:
-    code_map = explorer.PageMap(
-        {base: explorer.PageEntry(True) for base in ctx.code_pages}
-    )
-    ctx.catalog = gadgets.find_gadgets(ctx.space, code_map)
+    ctx.catalog = gadgets.find_gadgets(ctx.space, ctx.code_pages)
     ctx.report.gadget_census = dict(ctx.catalog.found)
     needed = list(gadgets.required_kinds(ctx.config.chain_variant))
     needed.append("leave-ret")  # the pivot's epilogue reuse
@@ -365,21 +360,16 @@ def _gadgets(ctx: Pipeline) -> None:
 
 
 def _caves(ctx: Pipeline) -> None:
-    ctx.report.cave_list = caves_mod.find_caves(
-        ctx.space, ctx.prober, ctx.pagemap, ctx.config.cave_min_len
-    )
+    ctx.report.cave_list = caves_mod.find_caves(ctx.pagemap, ctx.config.cave_min_len)
 
 
 def _inject(ctx: Pipeline) -> None:
     cfg = ctx.config
     space, prober = ctx.space, ctx.prober
     stack_ptr = ctx.seeds.pointers[1]
-    stack_region = explorer.region_around(
-        space, prober, stack_ptr, pagemap=ctx.pagemap
-    )
+    stack_region = explorer.region_around(ctx.pagemap, stack_ptr)
     victim = injector.locate_victim_frame(
-        space, prober, stack_ptr, stack_region, ctx.code_pages,
-        pagemap=ctx.pagemap,
+        ctx.pagemap, stack_ptr, stack_region, ctx.code_pages
     )
     record = injector.restoration_record(victim)
 

@@ -54,13 +54,15 @@ class ExploreBudgetError(Exception):
 @dataclass(slots=True)
 class PageMap:
     """Probe verdicts keyed by page base address: the one store a run
-    probes through.  The victim is paused, so a verdict holds for the whole
-    run; ``tap`` and ``claw`` probe a page only for a verdict not yet
-    stored.  With a ``budget``, no more than that many pages are ever
-    probed."""
+    probes through, and the only way it probes.  It owns the space and the
+    prober.  The victim is paused, so a verdict holds for the whole run;
+    ``tap`` and ``claw`` probe a page only for a verdict not yet stored.
+    With a ``budget``, no more than that many pages are ever probed."""
 
-    entries: dict[int, PageEntry] = field(default_factory=dict)
+    space: AddressSpace
+    prober: Prober
     budget: int | None = None
+    entries: dict[int, PageEntry] = field(default_factory=dict)
 
     def accessible_pages(self) -> list[int]:
         return sorted(b for b, e in self.entries.items() if e.accessible)
@@ -72,28 +74,29 @@ class PageMap:
                 f"page {base:#x} needs one more"
             )
 
-    def tap(self, space: AddressSpace, prober: Prober, base: int) -> bool:
+    def tap(self, base: int) -> bool:
         """Accessibility of the page at ``base``, tapped at most once."""
         entry = self.entries.get(base)
         if entry is None:
             self._admit(base)
-            entry = PageEntry(prober.tap(space, base) is Accessibility.ACCESSIBLE)
+            tapped = self.prober.tap(self.space, base)
+            entry = PageEntry(tapped is Accessibility.ACCESSIBLE)
             self.entries[base] = entry
         return entry.accessible
 
-    def claw(self, space: AddressSpace, prober: Prober, base: int) -> Writability:
+    def claw(self, base: int) -> Writability:
         """Writability of the page at ``base``, clawed at most once.  A page
         already tapped accessible costs only the write transaction."""
         entry = self.entries.get(base)
         if entry is None:
             self._admit(base)
-            kind = prober.claw(space, base)
+            kind = self.prober.claw(self.space, base)
         elif not entry.accessible:
             return Writability.INACCESSIBLE
         elif entry.writable is not None:
             return Writability.WRITABLE if entry.writable else Writability.READ_ONLY
         else:
-            kind = prober.claw(space, base, known_accessible=True)
+            kind = self.prober.claw(self.space, base, known_accessible=True)
         accessible = kind is not Writability.INACCESSIBLE
         self.entries[base] = PageEntry(
             accessible, kind is Writability.WRITABLE if accessible else None
@@ -140,23 +143,14 @@ def harvest_pointers(page_bytes: bytes) -> list[int]:
     return [v for v in _PAGE_UNPACK.unpack(page_bytes) if 0 < v < USER_TOP]
 
 
-def explore_from_pointers(
-    space: AddressSpace,
-    prober: Prober,
-    seeds: SeedSet,
-    budget: int = DEFAULT_BUDGET,
-    *,
-    _pagemap: PageMap | None = None,
-) -> PageMap:
+def explore_from_pointers(pm: PageMap, seeds: SeedSet) -> PageMap:
     """Breadth-first pointer chase from the seed addresses.
 
     Each dequeued page is tapped; accessible pages are read (only after the
     tap) and mined for further pointer candidates.  Inaccessible candidates
-    are recorded too.  Stops after ``budget`` probed pages.
+    are recorded too.  A store with a budget raises ExploreBudgetError at
+    the first page beyond it.
     """
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    pm = _pagemap if _pagemap is not None else PageMap(budget=budget)
     queue: list[int] = []
     queued: set[int] = set()
     for ptr in seeds.pointers:
@@ -165,12 +159,12 @@ def explore_from_pointers(
             queue.append(base)
             queued.add(base)
     qi = 0
-    while qi < len(queue) and len(pm.entries) < budget:
+    while qi < len(queue):
         base = queue[qi]
         qi += 1
-        if not pm.tap(space, prober, base):
+        if not pm.tap(base):
             continue
-        data = space.read_bytes(base, PAGE_SIZE)
+        data = pm.space.read_bytes(base, PAGE_SIZE)
         for ptr in harvest_pointers(data):
             nb = AddressSpace.page_base(ptr)
             if nb not in queued:
@@ -180,25 +174,18 @@ def explore_from_pointers(
 
 
 def _sweep(
-    space: AddressSpace,
-    prober: Prober,
-    anchor: int,
-    pm: PageMap,
-    max_gap: int,
-    *,
-    stop_on_hit: bool = False,
+    pm: PageMap, anchor: int, max_gap: int, *, stop_on_hit: bool = False
 ) -> int | None:
     """Bidirectional linear sweep from ``anchor``: walk up, then down, until
-    ``max_gap`` consecutive pages in a direction were inaccessible, or the
-    store holds its budget.  Returns the first accessible page when
-    ``stop_on_hit`` is set."""
+    ``max_gap`` consecutive pages in a direction were inaccessible.  Returns
+    the first accessible page when ``stop_on_hit`` is set."""
     for step in (PAGE_SIZE, -PAGE_SIZE):
         base = AddressSpace.page_base(anchor)
         if step < 0:
             base += step  # upward pass already covered the anchor page
         misses = 0
-        while 0 <= base < USER_TOP and misses < max_gap and len(pm.entries) < pm.budget:
-            if pm.tap(space, prober, base):
+        while 0 <= base < USER_TOP and misses < max_gap:
+            if pm.tap(base):
                 if stop_on_hit:
                     return base
                 misses = 0
@@ -209,93 +196,63 @@ def _sweep(
 
 
 def explore(
-    space: AddressSpace,
-    prober: Prober,
-    mode: str,
-    seeds: SeedSet,
-    budget: int = DEFAULT_BUDGET,
-    max_gap: int = DEFAULT_MAX_GAP,
+    pm: PageMap, mode: str, seeds: SeedSet, max_gap: int = DEFAULT_MAX_GAP
 ) -> PageMap:
-    """Run one exploration strategy.
+    """Run one exploration strategy through ``pm``; it stops gracefully
+    when the store's budget is spent.
 
     ``linear``: gap-limited bidirectional sweep around every seed.
     ``pointer-chase``: breadth-first pointer harvest from the seeds.
     ``hybrid``: sweep until the first accessible page, then hand that page
     plus the original seeds to the pointer chase.
     """
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    if mode == "pointer-chase":
-        return explore_from_pointers(space, prober, seeds, budget)
-    if mode == "linear":
-        pm = PageMap(budget=budget)
-        for anchor in seeds.pointers:
-            _sweep(space, prober, anchor, pm, max_gap)
-        return pm
-    if mode == "hybrid":
-        pm = PageMap(budget=budget)
-        hit = None
-        for anchor in seeds.pointers:
-            hit = _sweep(space, prober, anchor, pm, max_gap, stop_on_hit=True)
-            if hit is not None:
-                break
-        if hit is None:
-            return pm
-        chase_seeds = SeedSet((hit, *seeds.pointers))
-        return explore_from_pointers(space, prober, chase_seeds, budget, _pagemap=pm)
-    raise ValueError(f"unknown exploration mode {mode!r}")
+    try:
+        if mode == "pointer-chase":
+            explore_from_pointers(pm, seeds)
+        elif mode == "linear":
+            for anchor in seeds.pointers:
+                _sweep(pm, anchor, max_gap)
+        elif mode == "hybrid":
+            for anchor in seeds.pointers:
+                hit = _sweep(pm, anchor, max_gap, stop_on_hit=True)
+                if hit is not None:
+                    explore_from_pointers(pm, SeedSet((hit, *seeds.pointers)))
+                    break
+        else:
+            raise ValueError(f"unknown exploration mode {mode!r}")
+    except ExploreBudgetError:
+        pass  # a later stage that needs one more page fails on it instead
+    return pm
 
 
-def region_around(
-    space: AddressSpace,
-    prober: Prober,
-    addr: int,
-    max_pages: int = 1024,
-    *,
-    pagemap: PageMap | None = None,
-) -> tuple[int, int]:
+def region_around(pm: PageMap, addr: int) -> tuple[int, int]:
     """Extent of the contiguous accessible run containing ``addr``.
 
     Probes outward in both directions until the first inaccessible page,
-    through ``pagemap`` (a fresh one by default), so pages it already holds
-    cost nothing.  The page holding ``addr`` itself must be accessible.
+    through ``pm``, so pages it already holds cost nothing.  The page
+    holding ``addr`` itself must be accessible.
     """
-    pm = pagemap if pagemap is not None else PageMap()
     base = AddressSpace.page_base(addr)
-    if not pm.tap(space, prober, base):
+    if not pm.tap(base):
         raise ValueError(f"page {base:#x} is not accessible")
     lo = base
-    for _ in range(max_pages):
-        nxt = lo - PAGE_SIZE
-        if nxt < 0 or not pm.tap(space, prober, nxt):
-            break
-        lo = nxt
+    while lo > 0 and pm.tap(lo - PAGE_SIZE):
+        lo -= PAGE_SIZE
     hi = base + PAGE_SIZE
-    for _ in range(max_pages):
-        if hi >= USER_TOP or not pm.tap(space, prober, hi):
-            break
+    while hi < USER_TOP and pm.tap(hi):
         hi += PAGE_SIZE
     return lo, hi
 
 
-def reconstruct_map(
-    space: AddressSpace,
-    prober: Prober,
-    start: int,
-    end: int,
-    *,
-    pagemap: PageMap | None = None,
-) -> ReconstructedMap:
-    """Classify every page in [start, end) via write probes through
-    ``pagemap`` (a fresh one by default) and coalesce adjacent pages of
-    equal classification into runs."""
+def reconstruct_map(pm: PageMap, start: int, end: int) -> ReconstructedMap:
+    """Classify every page in [start, end) via write probes through ``pm``
+    and coalesce adjacent pages of equal classification into runs."""
     _check_page_range(start, end)
-    pm = pagemap if pagemap is not None else PageMap()
     runs: list[MapRun] = []
     cur_kind: Writability | None = None
     cur_start = start
     for base in range(start, end, PAGE_SIZE):
-        kind = pm.claw(space, prober, base)
+        kind = pm.claw(base)
         if kind is not cur_kind:
             if cur_kind is not None:
                 runs.append(MapRun(cur_start, base, cur_kind))
@@ -370,13 +327,7 @@ def match_ground_truth(
     return False, mismatches
 
 
-def egg_hunt(
-    space: AddressSpace,
-    prober: Prober,
-    tag: bytes,
-    start: int,
-    end: int,
-) -> int | None:
+def egg_hunt(pm: PageMap, tag: bytes, start: int, end: int) -> int | None:
     """Find the lowest address of ``tag`` in [start, end) using only probes
     plus reads of pages already probed accessible.
 
@@ -387,14 +338,13 @@ def egg_hunt(
         raise ValueError("tag length must be between 4 and 32 bytes")
     _check_page_range(start, end)
     overlap = len(tag) - 1
-    pm = PageMap()
     for base in range(start, end, PAGE_SIZE):
-        if not pm.tap(space, prober, base):
+        if not pm.tap(base):
             continue
-        buf = space.read_bytes(base, PAGE_SIZE)
+        buf = pm.space.read_bytes(base, PAGE_SIZE)
         nxt = base + PAGE_SIZE
-        if overlap and nxt < end and pm.tap(space, prober, nxt):
-            buf += space.read_bytes(nxt, overlap)
+        if overlap and nxt < end and pm.tap(nxt):
+            buf += pm.space.read_bytes(nxt, overlap)
         hit = buf.find(tag)
         if hit != -1:
             # the buffer extends only len(tag)-1 bytes past the page, so any

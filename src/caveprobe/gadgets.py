@@ -8,10 +8,10 @@ is just as executable as an intended one.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .memspace import PAGE_SIZE, AddressSpace
-from .explorer import PageMap
 from .machine import SYS_MPROTECT
 
 CHAIN_VARIANTS = ("sound-5", "short-4")
@@ -59,17 +59,17 @@ class MissingGadgetError(Exception):
         self.missing = tuple(sorted(missing))
 
 
-def find_gadgets(space: AddressSpace, pagemap: PageMap) -> GadgetCatalog:
-    """Scan every page the pagemap marks accessible for every pattern in
-    default_gadget_specs().
+def find_gadgets(space: AddressSpace, pages: Iterable[int]) -> GadgetCatalog:
+    """Scan every page base in ``pages``, each one probed accessible, for
+    every pattern in default_gadget_specs().
 
-    Pages never probed accessible are never read.  A pattern straddling two
-    adjacent accessible pages counts too, since execution would cross the
-    boundary just as happily.
+    No other page is read.  A pattern straddling two adjacent pages of the
+    set counts too, since execution would cross the boundary just as
+    happily.
     """
     specs = default_gadget_specs()
     max_len = max(len(s.pattern) for s in specs)
-    accessible = set(pagemap.accessible_pages())
+    accessible = set(pages)
     hits: dict[str, list[int]] = {s.name: [] for s in specs}
     for base in sorted(accessible):
         buf = space.read_bytes(base, PAGE_SIZE)

@@ -91,35 +91,31 @@ def restoration_record(victim: VictimFrame) -> RestorationRecord:
 
 
 def locate_victim_frame(
-    space: AddressSpace,
-    prober: Prober,
+    pm: PageMap,
     stack_ptr: int,
     stack_region: tuple[int, int],
     codemap: set[int],
     *,
     caller_frames: int = 0,
-    pagemap: PageMap | None = None,
 ) -> VictimFrame:
     """Find the innermost plausible frame above ``stack_ptr``.
 
     Walks upward at 8-byte alignment looking for a slot whose value points
     higher into the stack region (a frame-pointer chain link) and whose
     neighbor holds a return address landing in a known code page; return
-    address pages are validated with a probe through ``pagemap`` (a fresh
-    one by default), never a bare read.  With
-    ``caller_frames`` > 0 the chain is followed that many links up, so the
-    pivot can hide between outer frames.  The frame records the slot
+    address pages are validated with a probe through ``pm``, never a bare
+    read.  With ``caller_frames`` > 0 the chain is followed that many links
+    up, so the pivot can hide between outer frames.  The frame records the slot
     conventionally holding the stack canary, just below the saved base
     pointer.
     """
-    pm = pagemap if pagemap is not None else PageMap()
     lo, hi = stack_region
     if not lo <= stack_ptr < hi:
         raise InjectionError("stack pointer outside the stack region")
 
     def plausible(slot: int) -> VictimFrame | None:
         try:
-            raw = space.read_bytes(slot, 16)
+            raw = pm.space.read_bytes(slot, 16)
         except MemoryFault:
             return None
         rbp = int.from_bytes(raw[:8], "little")
@@ -129,7 +125,7 @@ def locate_victim_frame(
         rip_page = AddressSpace.page_base(rip)
         if rip_page not in codemap:
             return None
-        if not pm.tap(space, prober, rip_page):
+        if not pm.tap(rip_page):
             return None
         return VictimFrame(
             rbp_slot_addr=slot,

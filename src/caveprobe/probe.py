@@ -57,6 +57,17 @@ class ProbeConfig:
             raise ValueError("max_retries must be at least 1")
 
 
+# final outcome of a settled transaction -> classification
+_READ_VERDICTS = {
+    ProbeOutcome.COMMITTED: Accessibility.ACCESSIBLE,
+    ProbeOutcome.FATAL_ABORT: Accessibility.INACCESSIBLE,
+}
+_WRITE_VERDICTS = {
+    ProbeOutcome.EXPLICIT_ABORT: Writability.WRITABLE,
+    ProbeOutcome.FATAL_ABORT: Writability.READ_ONLY,
+}
+
+
 class RetryBudgetExhausted(RuntimeError):
     """Every attempt aborted transiently; the address stays unclassified."""
 
@@ -146,30 +157,29 @@ class Prober:
 
     # -- classification probes ----------------------------------------------
 
-    def tap(self, space: AddressSpace, addr: int) -> Accessibility:
-        """Classify readability of ``addr`` without risking a fault.
-
-        Transient aborts are retried up to ``max_retries`` times beyond the
-        first attempt; running out of budget raises RetryBudgetExhausted
-        rather than returning a wrong classification.
+    def _settle(
+        self, op: str, attempt, space: AddressSpace, addr: int, verdicts: dict
+    ):
+        """Repeat the ``attempt`` transaction past transient aborts, up to
+        ``max_retries`` times beyond the first attempt, and map its final
+        outcome through ``verdicts``.  Running out of budget raises
+        RetryBudgetExhausted rather than returning a wrong classification.
         """
-        self.counters["taps"] += 1
-        attempts = 0
-        while True:
-            attempts += 1
-            out = self.transaction_read(space, addr)
-            if out is ProbeOutcome.COMMITTED:
-                result = Accessibility.ACCESSIBLE
-                break
-            if out is ProbeOutcome.FATAL_ABORT:
-                result = Accessibility.INACCESSIBLE
-                break
+        for attempts in range(1, self.config.max_retries + 2):
+            out = attempt(space, addr)
+            if out is not ProbeOutcome.RETRYABLE_ABORT:
+                result = verdicts[out]
+                self._note(op, addr, result)
+                return result
             self.counters["retries"] += 1
-            if attempts > self.config.max_retries:
-                self._note("tap", addr, "exhausted")
-                raise RetryBudgetExhausted(addr, attempts)
-        self._note("tap", addr, result)
-        return result
+        self._note(op, addr, "exhausted")
+        raise RetryBudgetExhausted(addr, attempts)
+
+    def tap(self, space: AddressSpace, addr: int) -> Accessibility:
+        """Classify readability of ``addr`` without risking a fault;
+        transient aborts are retried."""
+        self.counters["taps"] += 1
+        return self._settle("tap", self.transaction_read, space, addr, _READ_VERDICTS)
 
     def claw(
         self, space: AddressSpace, addr: int, *, known_accessible: bool = False
@@ -185,22 +195,9 @@ class Prober:
         if not known_accessible and self.tap(space, addr) is Accessibility.INACCESSIBLE:
             self._note("claw", addr, Writability.INACCESSIBLE)
             return Writability.INACCESSIBLE
-        attempts = 0
-        while True:
-            attempts += 1
-            out = self.transaction_write_abort(space, addr)
-            if out is ProbeOutcome.EXPLICIT_ABORT:
-                result = Writability.WRITABLE
-                break
-            if out is ProbeOutcome.FATAL_ABORT:
-                result = Writability.READ_ONLY
-                break
-            self.counters["retries"] += 1
-            if attempts > self.config.max_retries:
-                self._note("claw", addr, "exhausted")
-                raise RetryBudgetExhausted(addr, attempts)
-        self._note("claw", addr, result)
-        return result
+        return self._settle(
+            "claw", self.transaction_write_abort, space, addr, _WRITE_VERDICTS
+        )
 
     def safe_write(self, space: AddressSpace, addr: int, data: bytes) -> None:
         """Write only after claw confirms every touched page is writable.

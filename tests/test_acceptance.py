@@ -15,7 +15,7 @@ import re
 
 from caveprobe.caves import find_caves
 from caveprobe.cli import Pipeline, PipelineConfig, emit_report, run_pipeline
-from caveprobe.explorer import PageEntry, PageMap, egg_hunt, reconstruct_map
+from caveprobe.explorer import PageMap, egg_hunt, reconstruct_map
 from caveprobe.gadgets import (
     build_mprotect_chain,
     default_gadget_specs,
@@ -69,7 +69,7 @@ def test_criterion_1_map_reconstruction_exact():
                 rng_seed=seed,
                 max_retries=100,
             ))
-            recon = reconstruct_map(space, prober, start, end)
+            recon = reconstruct_map(PageMap(space, prober), start, end)
             got = [(r.start, r.end, r.kind.value) for r in recon.runs]
             if got != want and len(failures) < 3:
                 failures.append(
@@ -169,8 +169,7 @@ def test_criterion_4_gadget_census_matches_regex_oracle():
             base = gen.choice(pairs)
             _poke(space, base + PAGE_SIZE - 1, spec.pattern)
             planted_straddles += 1
-        pm = PageMap({b: PageEntry(b in acc_set) for b in truth})
-        catalog = find_gadgets(space, pm)
+        catalog = find_gadgets(space, acc_set)
         if catalog.searched_pages != len(accessible):
             failures.append(f"layout {i}: searched {catalog.searched_pages}")
         for spec in specs:
@@ -212,11 +211,8 @@ def test_criterion_5_chain_flips_protection_and_returns_zero():
         truth = img.truth
         space = load_manifest(img.manifest_text)
         code_start, code_len, _ = truth.regions["code"]
-        pm = PageMap({
-            code_start + off: PageEntry(True)
-            for off in range(0, code_len, PAGE_SIZE)
-        })
-        catalog = find_gadgets(space, pm)
+        code_pages = range(code_start, code_start + code_len, PAGE_SIZE)
+        catalog = find_gadgets(space, code_pages)
         chain = build_mprotect_chain(
             catalog, truth.cave_start, truth.cave_len, PROT_RWX, variant, space
         )
@@ -383,7 +379,7 @@ def test_criterion_7_egg_hunt_matches_regex_oracle():
                 break
 
         prober = Prober(ProbeConfig(rng_seed=t))
-        got = egg_hunt(space, prober, tag, start, end)
+        got = egg_hunt(PageMap(space, prober), tag, start, end)
         if got != expected and len(failures) < 3:
             failures.append(
                 f"trial {t}: hunt gave "

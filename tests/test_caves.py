@@ -11,21 +11,22 @@ def quiet_prober() -> Prober:
     return Prober(ProbeConfig(spurious_abort_probability=0.0))
 
 
-def pagemap_for(space) -> PageMap:
-    return PageMap({b: PageEntry(True) for b in space.pages})
+def pagemap_for(space, prober=None) -> PageMap:
+    return PageMap(space, prober or quiet_prober(),
+                   entries={b: PageEntry(True) for b in space.pages})
 
 
 class TestFindCaves:
     def test_zero_writable_run_found(self):
         space = make_space((0x100000, 3 * PAGE_SIZE, "rwu", b""))
-        caves = find_caves(space, quiet_prober(), pagemap_for(space))
+        caves = find_caves(pagemap_for(space))
         assert caves == [CaveRegion(0x100000, 3 * PAGE_SIZE)]
         assert caves[0].end == 0x103000
 
     def test_nonzero_pages_break_runs(self):
         blob = bytes(PAGE_SIZE) + b"\x01" + bytes(PAGE_SIZE - 1) + bytes(PAGE_SIZE)
         space = make_space((0x100000, 3 * PAGE_SIZE, "rwu", blob))
-        caves = find_caves(space, quiet_prober(), pagemap_for(space))
+        caves = find_caves(pagemap_for(space))
         assert caves == [
             CaveRegion(0x100000, PAGE_SIZE),
             CaveRegion(0x102000, PAGE_SIZE),
@@ -36,7 +37,7 @@ class TestFindCaves:
             (0x100000, PAGE_SIZE, "ru", b""),
             (0x101000, PAGE_SIZE, "rwu", b""),
         )
-        caves = find_caves(space, quiet_prober(), pagemap_for(space))
+        caves = find_caves(pagemap_for(space))
         assert caves == [CaveRegion(0x101000, PAGE_SIZE)]
 
     def test_min_len_filters_short_runs(self):
@@ -44,14 +45,14 @@ class TestFindCaves:
             (0x100000, PAGE_SIZE, "rwu", b""),
             (0x200000, 4 * PAGE_SIZE, "rwu", b""),
         )
-        caves = find_caves(space, quiet_prober(), pagemap_for(space),
+        caves = find_caves(pagemap_for(space),
                            min_len=2 * PAGE_SIZE)
         assert caves == [CaveRegion(0x200000, 4 * PAGE_SIZE)]
 
     def test_unprobed_pages_invisible(self):
         space = make_space((0x100000, 2 * PAGE_SIZE, "rwu", b""))
-        pm = PageMap({0x100000: PageEntry(True)})
-        caves = find_caves(space, quiet_prober(), pm)
+        pm = PageMap(space, quiet_prober(), entries={0x100000: PageEntry(True)})
+        caves = find_caves(pm)
         assert caves == [CaveRegion(0x100000, PAGE_SIZE)]
 
     def test_sorted_by_address(self):
@@ -59,20 +60,20 @@ class TestFindCaves:
             (0x500000, PAGE_SIZE, "rwu", b""),
             (0x100000, PAGE_SIZE, "rwu", b""),
         )
-        caves = find_caves(space, quiet_prober(), pagemap_for(space))
+        caves = find_caves(pagemap_for(space))
         assert [c.start for c in caves] == [0x100000, 0x500000]
 
     def test_probe_before_read_discipline(self):
         space = make_space((0x100000, 2 * PAGE_SIZE, "rwu", b""))
         p = quiet_prober()
-        find_caves(space, p, pagemap_for(space))
+        find_caves(pagemap_for(space, p))
         assert p.counters["claws"] == 2
 
     def test_min_len_validation(self):
         with pytest.raises(ValueError):
-            find_caves(make_space(), quiet_prober(), PageMap(), min_len=100)
+            find_caves(PageMap(make_space(), quiet_prober()), min_len=100)
         with pytest.raises(ValueError):
-            find_caves(make_space(), quiet_prober(), PageMap(), min_len=0)
+            find_caves(PageMap(make_space(), quiet_prober()), min_len=0)
 
 
 class TestSelectCave:

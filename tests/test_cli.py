@@ -236,6 +236,24 @@ class TestPipeline:
         ]
         assert len(settled) == len(set(settled))
 
+    @pytest.mark.parametrize("mode", ["linear", "hybrid"])
+    def test_large_region_is_one_run(self, tmp_path, mode):
+        # a code region longer than 1,024 pages is grown in full, once
+        img = build_victim_image(3, code_pages=1100)
+        manifest = tmp_path / "big-code.json"
+        manifest.write_text(img.manifest_text)
+        report = run_pipeline(PipelineConfig(
+            image_path=str(manifest), mode=mode, stop_after="explore",
+        ))
+        code_start, code_len, _ = img.truth.regions["code"]
+        start = code_start + report.aslr_offset
+        runs = sorted(report.reconstructed.runs, key=lambda r: r.start)
+        assert [(r.start, r.end) for r in runs if r.start <= start < r.end] == [
+            (start, start + 1100 * 0x1000)
+        ]
+        assert code_len == 1100 * 0x1000
+        assert all(a.end <= b.start for a, b in zip(runs, runs[1:]))
+
     def test_bad_image_path_is_load_stage_error(self):
         with pytest.raises(StageError) as exc:
             run_pipeline(PipelineConfig(image_path="/nonexistent.json"))
@@ -345,6 +363,17 @@ class TestMain:
         assert err.startswith("caveprobe: ")
         assert "explore budget of 3 pages" in err
 
+    def test_reported_pages_probed_is_the_budget_the_run_needs(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "report.json"
+        assert main(["--image-path", DEMO, "--out", str(out)]) == EXIT_OK
+        needed = json.loads(out.read_text())["exploration"]["pages-probed"]
+        budget = ["--image-path", DEMO, "--out", str(out), "--explore-budget"]
+        assert main([*budget, str(needed)]) == EXIT_OK
+        assert main([*budget, str(needed - 1)]) == EXIT_STAGE_ERROR
+        assert f"explore budget of {needed - 1} pages" in capsys.readouterr().err
+
     def test_seed_environment_not_an_integer(self, monkeypatch, capsys):
         monkeypatch.setenv("CAVEPROBE_SEED", "x")
         assert main(["--image-path", DEMO]) == EXIT_STAGE_ERROR
@@ -379,7 +408,7 @@ class TestMain:
 # images/demo.maps for seeds 0..9, concatenated in seed order.  A change that
 # means to leave behaviour alone keeps it; a change that deliberately alters
 # the reports updates it and says why in CHANGES.md.
-DEMO_REPORTS_SHA256 = "71e3c7b2d83fe13bf714f83c79d97ac843d3586e9d71a49d1ecbbf25969ec8ab"
+DEMO_REPORTS_SHA256 = "b3669b305b84ecac8b0758be7935d33f05ea7730c4c0bc4dabaf8b3fa8814f01"
 
 
 def test_demo_reports_byte_identical(monkeypatch):

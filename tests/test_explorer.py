@@ -27,6 +27,10 @@ def quiet_prober() -> Prober:
     return Prober(ProbeConfig(spurious_abort_probability=0.0))
 
 
+def quiet_store(space, budget=None) -> PageMap:
+    return PageMap(space, quiet_prober(), budget)
+
+
 def ptr_page(*values: int) -> bytes:
     """A page blob whose leading qwords are the given values."""
     return b"".join(v.to_bytes(8, "little") for v in values)
@@ -67,12 +71,12 @@ class TestPointerChase:
             (0x40000000, PAGE_SIZE, "ru", ptr_page(0x80000000)),
             (0x80000000, PAGE_SIZE, "rwu", b""),
         )
-        pm = explore_from_pointers(space, quiet_prober(), SeedSet((0x10008,)))
+        pm = explore_from_pointers(quiet_store(space), SeedSet((0x10008,)))
         assert pm.accessible_pages() == [0x10000, 0x40000000, 0x80000000]
 
     def test_records_inaccessible_candidates(self):
         space = make_space((0x10000, PAGE_SIZE, "ru", ptr_page(0x77770000)))
-        pm = explore_from_pointers(space, quiet_prober(), SeedSet((0x10000,)))
+        pm = explore_from_pointers(quiet_store(space), SeedSet((0x10000,)))
         assert pm.entries[0x77770000].accessible is False
 
     def test_never_reads_before_successful_tap(self):
@@ -82,7 +86,7 @@ class TestPointerChase:
             (0x30000, PAGE_SIZE, "ru", b""),
         )
         p = Prober(ProbeConfig(spurious_abort_probability=0.0), trace=True)
-        pm = explore_from_pointers(space, p, SeedSet((0x10000,)))
+        pm = explore_from_pointers(PageMap(space, p), SeedSet((0x10000,)))
         assert pm.entries[0x20000].accessible is False
         assert pm.entries[0x30000].accessible is True
 
@@ -95,8 +99,9 @@ class TestPointerChase:
             regions.append((addr, PAGE_SIZE, "ru", ptr_page(nxt)))
             addr = nxt
         space = make_space(*regions)
-        pm = explore_from_pointers(space, quiet_prober(), SeedSet((0x10000,)),
-                                   budget=5)
+        pm = quiet_store(space, budget=5)
+        with pytest.raises(ExploreBudgetError):
+            explore_from_pointers(pm, SeedSet((0x10000,)))
         assert len(pm.entries) == 5
 
     def test_dedup_single_probe_per_page(self):
@@ -104,7 +109,7 @@ class TestPointerChase:
         space = make_space((0x10000, PAGE_SIZE, "ru",
                             ptr_page(*([0x10008] * 16))))
         p = quiet_prober()
-        explore_from_pointers(space, p, SeedSet((0x10000, 0x10100)))
+        explore_from_pointers(PageMap(space, p), SeedSet((0x10000, 0x10100)))
         assert p.counters["taps"] == 1
 
 
@@ -119,14 +124,14 @@ class TestExploreModes:
         )
 
     def test_linear_bridges_small_gaps_only(self):
-        pm = explore(self.layout(), quiet_prober(), "linear",
-                     SeedSet((0x100000,)), budget=4096, max_gap=64)
+        pm = explore(quiet_store(self.layout(), budget=4096), "linear",
+                     SeedSet((0x100000,)), max_gap=64)
         assert 0x112000 in pm.accessible_pages()
         assert 0x70000000 not in pm.entries
 
     def test_linear_respects_max_gap(self):
-        pm = explore(self.layout(), quiet_prober(), "linear",
-                     SeedSet((0x100000,)), budget=4096, max_gap=4)
+        pm = explore(quiet_store(self.layout(), budget=4096), "linear",
+                     SeedSet((0x100000,)), max_gap=4)
         assert 0x112000 not in pm.entries
 
     def test_pointer_chase_jumps_the_big_hole(self):
@@ -134,19 +139,19 @@ class TestExploreModes:
             (0x100000, PAGE_SIZE, "ru", ptr_page(0x70000000)),
             (0x70000000, PAGE_SIZE, "rwu", b""),
         )
-        pm = explore(space, quiet_prober(), "pointer-chase",
+        pm = explore(quiet_store(space), "pointer-chase",
                      SeedSet((0x100000,)))
         assert 0x70000000 in pm.accessible_pages()
 
     def test_hybrid_combines_both(self):
-        pm = explore(self.layout(), quiet_prober(), "hybrid",
+        pm = explore(quiet_store(self.layout()), "hybrid",
                      SeedSet((0x112008,)))
         # the sweep finds the data page; the harvest then reaches the code
         assert 0x100000 in pm.accessible_pages()
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            explore(make_space(), quiet_prober(), "dfs", SeedSet((0x1000,)))
+            explore(quiet_store(make_space()), "dfs", SeedSet((0x1000,)))
 
 
 class TestRegionAround:
@@ -155,12 +160,20 @@ class TestRegionAround:
             (0x20000, 3 * PAGE_SIZE, "rwu", b""),
             (0x23000, PAGE_SIZE, "ru", b""),  # adjacent but separate perms
         )
-        lo, hi = region_around(space, quiet_prober(), 0x21234)
+        lo, hi = region_around(quiet_store(space), 0x21234)
         assert (lo, hi) == (0x20000, 0x24000)  # accessibility merges them
 
     def test_inaccessible_anchor_rejected(self):
         with pytest.raises(ValueError):
-            region_around(make_space(), quiet_prober(), 0x5000)
+            region_around(quiet_store(make_space()), 0x5000)
+
+    def test_no_page_cap(self):
+        # 1,100 pages grown from either end, beyond what a 1,024-page cap
+        # per direction reaches
+        start, end = 0x100000, 0x100000 + 1100 * PAGE_SIZE
+        space = make_space((start, end - start, "ru", b""))
+        assert region_around(quiet_store(space), start) == (start, end)
+        assert region_around(quiet_store(space), end - 1) == (start, end)
 
 
 class TestPageMapStore:
@@ -171,62 +184,65 @@ class TestPageMapStore:
         )
 
     def test_second_tap_costs_no_transaction(self):
-        space, p, pm = self.space(), quiet_prober(), PageMap()
-        assert pm.tap(space, p, 0x10000) is True
-        assert pm.tap(space, p, 0x10000) is True
-        assert pm.tap(space, p, 0x20000) is False
-        assert pm.tap(space, p, 0x20000) is False
+        p = quiet_prober()
+        pm = PageMap(self.space(), p)
+        assert pm.tap(0x10000) is True
+        assert pm.tap(0x10000) is True
+        assert pm.tap(0x20000) is False
+        assert pm.tap(0x20000) is False
         assert p.counters["read_tx"] == 2 and p.counters["taps"] == 2
 
     def test_second_claw_costs_no_transaction(self):
-        space, p, pm = self.space(), quiet_prober(), PageMap()
+        p = quiet_prober()
+        pm = PageMap(self.space(), p)
         for _ in range(2):
-            assert pm.claw(space, p, 0x10000) is Writability.READ_ONLY
-            assert pm.claw(space, p, 0x11000) is Writability.WRITABLE
-            assert pm.claw(space, p, 0x20000) is Writability.INACCESSIBLE
+            assert pm.claw(0x10000) is Writability.READ_ONLY
+            assert pm.claw(0x11000) is Writability.WRITABLE
+            assert pm.claw(0x20000) is Writability.INACCESSIBLE
         assert p.counters["claws"] == 3
         assert p.counters["read_tx"] == 3 and p.counters["write_tx"] == 2
         assert pm.entries[0x11000] == PageEntry(True, True)
         assert pm.entries[0x20000] == PageEntry(False)
 
     def test_known_accessible_page_costs_one_write_tx(self):
-        space, p, pm = self.space(), quiet_prober(), PageMap()
-        pm.tap(space, p, 0x11000)
+        p = quiet_prober()
+        pm = PageMap(self.space(), p)
+        pm.tap(0x11000)
         before = dict(p.counters)
-        assert pm.claw(space, p, 0x11000) is Writability.WRITABLE
+        assert pm.claw(0x11000) is Writability.WRITABLE
         assert p.counters["write_tx"] - before.get("write_tx", 0) == 1
         assert p.counters["read_tx"] == before["read_tx"]
         assert p.counters["claws"] == 1
 
     def test_tapped_inaccessible_page_claws_free(self):
-        space, p, pm = self.space(), quiet_prober(), PageMap()
-        pm.tap(space, p, 0x20000)
-        assert pm.claw(space, p, 0x20000) is Writability.INACCESSIBLE
+        p = quiet_prober()
+        pm = PageMap(self.space(), p)
+        pm.tap(0x20000)
+        assert pm.claw(0x20000) is Writability.INACCESSIBLE
         assert p.counters["claws"] == 0 and p.counters["write_tx"] == 0
 
     def test_budget_refuses_a_new_page_only(self):
-        space, p = self.space(), quiet_prober()
-        pm = PageMap(budget=1)
-        pm.tap(space, p, 0x10000)
+        pm = quiet_store(self.space(), budget=1)
+        pm.tap(0x10000)
         with pytest.raises(ExploreBudgetError, match="budget of 1 pages"):
-            pm.tap(space, p, 0x11000)
+            pm.tap(0x11000)
         with pytest.raises(ExploreBudgetError):
-            pm.claw(space, p, 0x11000)
-        assert pm.claw(space, p, 0x10000) is Writability.READ_ONLY
+            pm.claw(0x11000)
+        assert pm.claw(0x10000) is Writability.READ_ONLY
         assert list(pm.entries) == [0x10000]
 
     def test_explore_stops_at_the_budget_it_stores(self):
         space = make_space((0x10000, 8 * PAGE_SIZE, "ru", b""))
-        pm = explore(space, quiet_prober(), "linear", SeedSet((0x12000,)),
-                     budget=3)
+        pm = explore(quiet_store(space, budget=3), "linear", SeedSet((0x12000,)))
         assert len(pm.entries) == 3 and pm.budget == 3
 
     def test_region_around_reuses_stored_verdicts(self):
-        space, p, pm = self.space(), quiet_prober(), PageMap()
-        assert region_around(space, p, 0x10000, pagemap=pm) == (0x10000, 0x12000)
+        p = quiet_prober()
+        pm = PageMap(self.space(), p)
+        assert region_around(pm, 0x10000) == (0x10000, 0x12000)
         taps = p.counters["taps"]
-        assert region_around(space, p, 0x11000, pagemap=pm) == (0x10000, 0x12000)
-        recon = reconstruct_map(space, p, 0x10000, 0x12000, pagemap=pm)
+        assert region_around(pm, 0x11000) == (0x10000, 0x12000)
+        recon = reconstruct_map(pm, 0x10000, 0x12000)
         assert [r.kind for r in recon.runs] == [Writability.READ_ONLY,
                                                 Writability.WRITABLE]
         assert p.counters["taps"] == taps
@@ -239,7 +255,7 @@ class TestReconstruct:
             (0x30000, 2 * PAGE_SIZE, "ru", b""),
             (0x32000, 2 * PAGE_SIZE, "rwu", b""),
         )
-        recon = reconstruct_map(space, quiet_prober(), 0x2F000, 0x35000)
+        recon = reconstruct_map(quiet_store(space), 0x2F000, 0x35000)
         kinds = [(r.start, r.end, r.kind) for r in recon.runs]
         assert kinds == [
             (0x2F000, 0x30000, Writability.INACCESSIBLE),
@@ -249,7 +265,7 @@ class TestReconstruct:
         ]
 
     def test_all_unmapped_single_run(self):
-        recon = reconstruct_map(make_space(), quiet_prober(), 0x0, 0x8000)
+        recon = reconstruct_map(quiet_store(make_space()), 0x0, 0x8000)
         assert recon.runs == (MapRun(0x0, 0x8000, Writability.INACCESSIBLE),)
 
     def test_alternating_pages_stay_uncoalesced(self):
@@ -258,7 +274,7 @@ class TestReconstruct:
             perms = "ru" if i % 2 == 0 else "rwu"
             regions.append((0x40000 + i * PAGE_SIZE, PAGE_SIZE, perms, b""))
         space = make_space(*regions)
-        recon = reconstruct_map(space, quiet_prober(), 0x40000, 0x46000)
+        recon = reconstruct_map(quiet_store(space), 0x40000, 0x46000)
         assert len(recon.runs) == 6
         assert all(r.end - r.start == PAGE_SIZE for r in recon.runs)
 
@@ -292,7 +308,7 @@ class TestGroundTruthCompare:
 
     def test_match(self):
         truth = parse_proc_maps(self.MAPS)
-        recon = reconstruct_map(self.space(), quiet_prober(), 0x100000, 0x106000)
+        recon = reconstruct_map(quiet_store(self.space()), 0x100000, 0x106000)
         ok, mismatches = match_ground_truth(recon, truth)
         assert ok and mismatches == []
 
@@ -317,14 +333,14 @@ class TestEggHunt:
         space = make_space(
             (0x50000, PAGE_SIZE, "ru", bytes(blob)),
         )
-        got = egg_hunt(space, quiet_prober(), b"EGGSEGGS", 0x4C000, 0x54000)
+        got = egg_hunt(quiet_store(space), b"EGGSEGGS", 0x4C000, 0x54000)
         assert got == 0x50123
 
     def test_straddling_pages(self):
         first = bytes(PAGE_SIZE - 3) + b"EGG"
         second = b"SEGGS" + bytes(PAGE_SIZE - 5)
         space = make_space((0x60000, 2 * PAGE_SIZE, "ru", first + second))
-        got = egg_hunt(space, quiet_prober(), b"EGGSEGGS", 0x60000, 0x62000)
+        got = egg_hunt(quiet_store(space), b"EGGSEGGS", 0x60000, 0x62000)
         assert got == 0x60000 + PAGE_SIZE - 3
 
     def test_no_straddle_into_inaccessible_page(self):
@@ -333,12 +349,12 @@ class TestEggHunt:
             (0x60000, PAGE_SIZE, "ru", first),
             (0x61000, PAGE_SIZE, "", b"SEGGS"),
         )
-        got = egg_hunt(space, quiet_prober(), b"EGGSEGGS", 0x60000, 0x62000)
+        got = egg_hunt(quiet_store(space), b"EGGSEGGS", 0x60000, 0x62000)
         assert got is None
 
     def test_absent_returns_none_without_faults(self):
         space = make_space((0x70000, PAGE_SIZE, "ru", b""))
-        got = egg_hunt(space, quiet_prober(), b"EGGSEGGS", 0x60000, 0x80000)
+        got = egg_hunt(quiet_store(space), b"EGGSEGGS", 0x60000, 0x80000)
         assert got is None
 
     def test_lowest_of_several(self):
@@ -346,15 +362,15 @@ class TestEggHunt:
         blob[0x800 : 0x808] = b"EGGSEGGS"
         blob[0x100 : 0x108] = b"EGGSEGGS"
         space = make_space((0x70000, PAGE_SIZE, "ru", bytes(blob)))
-        assert egg_hunt(space, quiet_prober(), b"EGGSEGGS",
+        assert egg_hunt(quiet_store(space), b"EGGSEGGS",
                         0x70000, 0x71000) == 0x70100
 
     def test_tag_length_bounds(self):
         space = make_space()
         with pytest.raises(ValueError):
-            egg_hunt(space, quiet_prober(), b"abc", 0x0, 0x1000)
+            egg_hunt(quiet_store(space), b"abc", 0x0, 0x1000)
         with pytest.raises(ValueError):
-            egg_hunt(space, quiet_prober(), b"x" * 33, 0x0, 0x1000)
+            egg_hunt(quiet_store(space), b"x" * 33, 0x0, 0x1000)
 
 
 def test_random_layout_agreement():
@@ -379,5 +395,5 @@ def test_random_layout_agreement():
             if nxt not in reach:
                 reach.add(nxt)
                 frontier.append(nxt)
-        pm = explore_from_pointers(space, quiet_prober(), SeedSet((seed,)))
+        pm = explore_from_pointers(quiet_store(space), SeedSet((seed,)))
         assert set(pm.accessible_pages()) == reach

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from caveprobe.explorer import PageEntry, PageMap
 from caveprobe.gadgets import (
     CHAIN_VARIANTS,
     ChainWord,
@@ -19,10 +18,6 @@ from caveprobe.memspace import PAGE_SIZE
 from helpers import make_space
 
 
-def pagemap_for(*bases: int) -> PageMap:
-    return PageMap({b: PageEntry(True) for b in bases})
-
-
 def space_with_code(base: int, code: bytes, pages: int = 1):
     return make_space((base, pages * PAGE_SIZE, "rxu", code))
 
@@ -33,7 +28,7 @@ class TestFindGadgets:
         code[0x10:0x12] = b"\x5f\xc3"   # pop rdi; ret
         code[0x40:0x42] = b"\x0f\x05"   # syscall
         space = space_with_code(0x400000, bytes(code))
-        cat = find_gadgets(space, pagemap_for(0x400000))
+        cat = find_gadgets(space, {0x400000})
         assert cat.found["pop-rdi-ret"] == (0x400010,)
         assert cat.found["syscall"] == (0x400040,)
         assert cat.searched_pages == 1
@@ -42,19 +37,19 @@ class TestFindGadgets:
         # 5f 5f c3: "pop rdi; pop rdi; ret" hides a pop-rdi-ret at +1
         code = b"\x5f\x5f\xc3" + b"\x90" * (PAGE_SIZE - 3)
         space = space_with_code(0x400000, code)
-        cat = find_gadgets(space, pagemap_for(0x400000))
+        cat = find_gadgets(space, {0x400000})
         assert cat.found["pop-rdi-ret"] == (0x400001,)
 
     def test_straddles_adjacent_accessible_pages(self):
         code = b"\x90" * (PAGE_SIZE - 1) + b"\x5f" + b"\xc3" + b"\x90" * (PAGE_SIZE - 1)
         space = space_with_code(0x400000, code, pages=2)
-        cat = find_gadgets(space, pagemap_for(0x400000, 0x401000))
+        cat = find_gadgets(space, {0x400000, 0x401000})
         assert 0x400FFF in cat.found["pop-rdi-ret"]
 
     def test_no_straddle_when_next_page_unprobed(self):
         code = b"\x90" * (PAGE_SIZE - 1) + b"\x5f" + b"\xc3" + b"\x90" * (PAGE_SIZE - 1)
         space = space_with_code(0x400000, code, pages=2)
-        cat = find_gadgets(space, pagemap_for(0x400000))
+        cat = find_gadgets(space, {0x400000})
         assert 0x400FFF not in cat.found["pop-rdi-ret"]
 
     def test_ignores_pages_not_in_map(self):
@@ -63,7 +58,7 @@ class TestFindGadgets:
             (0x400000, PAGE_SIZE, "rxu", code),
             (0x500000, PAGE_SIZE, "rxu", code),
         )
-        cat = find_gadgets(space, pagemap_for(0x400000))
+        cat = find_gadgets(space, {0x400000})
         assert cat.found["pop-rdi-ret"] == (0x400000,)
 
     def test_addresses_sorted(self):
@@ -71,7 +66,7 @@ class TestFindGadgets:
         for off in (0x800, 0x20, 0x400):
             code[off : off + 2] = b"\x5e\xc3"
         space = space_with_code(0x400000, bytes(code))
-        cat = find_gadgets(space, pagemap_for(0x400000))
+        cat = find_gadgets(space, {0x400000})
         assert list(cat.found["pop-rsi-ret"]) == sorted(cat.found["pop-rsi-ret"])
 
     def test_brute_force_agreement(self):
@@ -79,7 +74,7 @@ class TestFindGadgets:
         for _ in range(20):
             blob = rng.randbytes(2 * PAGE_SIZE)
             space = space_with_code(0x400000, blob, pages=2)
-            cat = find_gadgets(space, pagemap_for(0x400000, 0x401000))
+            cat = find_gadgets(space, {0x400000, 0x401000})
             for spec in default_gadget_specs():
                 expected = []
                 pos = blob.find(spec.pattern)
@@ -185,7 +180,7 @@ class TestBuildChain:
         code[0x320:0x322] = b"\x5a\xc3"
         code[0x330:0x332] = b"\x58\xc3"
         space = space_with_code(0x400000, bytes(code))
-        cat = find_gadgets(space, pagemap_for(0x400000))
+        cat = find_gadgets(space, {0x400000})
         assert cat.found["syscall"] == (0x400100, 0x400200)
         chain = build_mprotect_chain(cat, 0x700000, 0x1000, 7, space=space)
         assert chain.words[-1].value == 0x400200

@@ -1,6 +1,7 @@
 import pytest
 
 from caveprobe.caves import CaveRegion
+from caveprobe.explorer import PageMap
 from caveprobe.gadgets import ChainWord, RopChain
 from caveprobe.injector import (
     FakeFrameImage,
@@ -75,7 +76,7 @@ class TestLocate:
     def test_finds_innermost_frame(self):
         space = self.build_stack()
         frame = locate_victim_frame(
-            space, quiet_prober(), STACK + 0x700, (STACK, STACK + PAGE_SIZE),
+            PageMap(space, quiet_prober()), STACK + 0x700, (STACK, STACK + PAGE_SIZE),
             codemap={CODE},
         )
         assert frame.rbp_slot_addr == STACK + 0x800
@@ -86,7 +87,7 @@ class TestLocate:
     def test_walks_caller_frames(self):
         space = self.build_stack()
         frame = locate_victim_frame(
-            space, quiet_prober(), STACK + 0x700, (STACK, STACK + PAGE_SIZE),
+            PageMap(space, quiet_prober()), STACK + 0x700, (STACK, STACK + PAGE_SIZE),
             codemap={CODE}, caller_frames=1,
         )
         assert frame.rbp_slot_addr == STACK + 0xA00
@@ -96,7 +97,7 @@ class TestLocate:
         space = self.build_stack()
         with pytest.raises(InjectionError):
             locate_victim_frame(
-                space, quiet_prober(), STACK + 0x700,
+                PageMap(space, quiet_prober()), STACK + 0x700,
                 (STACK, STACK + PAGE_SIZE), codemap={CODE}, caller_frames=2,
             )
 
@@ -104,7 +105,7 @@ class TestLocate:
         space = self.build_stack()
         with pytest.raises(InjectionError):
             locate_victim_frame(
-                space, quiet_prober(), STACK + 0x700,
+                PageMap(space, quiet_prober()), STACK + 0x700,
                 (STACK, STACK + PAGE_SIZE), codemap={0x999000},
             )
 
@@ -112,7 +113,7 @@ class TestLocate:
         space = self.build_stack()
         with pytest.raises(InjectionError):
             locate_victim_frame(
-                space, quiet_prober(), STACK - 0x1000,
+                PageMap(space, quiet_prober()), STACK - 0x1000,
                 (STACK, STACK + PAGE_SIZE), codemap={CODE},
             )
 
