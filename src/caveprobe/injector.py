@@ -136,13 +136,18 @@ def locate_victim_frame(
 
     slot = (stack_ptr + 7) & ~7
     frame = None
+    scanned = 0
     while slot + 16 <= hi:
         frame = plausible(slot)
+        scanned += 1
         if frame is not None:
             break
         slot += 8
     if frame is None:
-        raise InjectionError("no plausible frame above the stack pointer")
+        raise InjectionError(
+            f"no plausible frame above the stack pointer {stack_ptr:#x}: "
+            f"scanned {scanned} slots of the stack region {lo:#x}-{hi:#x}"
+        )
 
     for _ in range(caller_frames):
         frame_up = plausible(frame.saved_rbp)

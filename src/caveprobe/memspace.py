@@ -190,17 +190,15 @@ class AddressSpace:
         if count == 0:
             return b""
         self._check_range(addr, count, write=False)
-        out = bytearray()
+        chunks = []
         pos = addr
         end = addr + count
         while pos < end:
             base = pos & ~(PAGE_SIZE - 1)
-            page = self.pages[base]
-            lo = pos - base
             hi = min(PAGE_SIZE, end - base)
-            out += page.data[lo:hi]
+            chunks.append(memoryview(self.pages[base].data)[pos - base : hi])
             pos = base + hi
-        return bytes(out)
+        return b"".join(chunks)
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         """Native write, all or nothing: permissions for the whole range are
@@ -250,13 +248,24 @@ class AddressSpace:
         return {base: bytes(p.data) for base, p in self.pages.items()}
 
     def shifted(self, offset: int, *, relocate_pointers: bool = False) -> "AddressSpace":
-        """Deep copy with every user-half page moved up by ``offset``.
+        """Deep copy of this space, then :meth:`rebase` of the copy."""
+        out = AddressSpace()
+        out.pages = {
+            base: Page(page.perms, bytearray(page.data))
+            for base, page in self.pages.items()
+        }
+        out.rebase(offset, relocate_pointers=relocate_pointers)
+        return out
+
+    def rebase(self, offset: int, *, relocate_pointers: bool = True) -> None:
+        """Move every user-half page up by ``offset``, in place.
 
         Kernel-half pages stay in place, like the fixed hardware-dictated
         mappings real base randomization never moves.  The offset must be
-        page aligned and must not push any page past the user-half top.
+        page aligned and must not push any page past the user-half top;
+        otherwise ValueError is raised before any page moves.
 
-        With ``relocate_pointers`` the copy is also fixed up the way a
+        With ``relocate_pointers`` the pages are also fixed up the way a
         relocating loader would patch a rebased image: every aligned
         little-endian 8-byte word, in every page including kernel-half
         ones, whose value falls inside a user page that was mapped before
@@ -276,20 +285,19 @@ class AddressSpace:
         """
         if offset % PAGE_SIZE or offset < 0:
             raise ValueError("offset must be a non-negative page multiple")
-        out = AddressSpace()
-        for base, page in self.pages.items():
-            nb = base + offset if base < USER_TOP else base
-            if base < USER_TOP and nb + PAGE_SIZE > USER_TOP:
-                raise ValueError("shift pushes a page past the user half")
-            out.pages[nb] = Page(page.perms, bytearray(page.data))
         old_bases = {b for b in self.pages if b < USER_TOP}
+        if old_bases and max(old_bases) + offset + PAGE_SIZE > USER_TOP:
+            raise ValueError("shift pushes a page past the user half")
+        self.pages = {
+            (base + offset if base < USER_TOP else base): page
+            for base, page in self.pages.items()
+        }
         if relocate_pointers and offset and old_bases:
             lo = min(old_bases)
             hi = max(old_bases) + PAGE_SIZE
-            for page in out.pages.values():
+            for page in self.pages.values():
                 if lo == 0 or page.data != _ZERO_PAGE:
                     _relocate_page(page.data, old_bases, lo, hi, offset)
-        return out
 
 
 def _relocate_page(

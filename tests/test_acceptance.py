@@ -214,7 +214,7 @@ def test_criterion_5_chain_flips_protection_and_returns_zero():
         code_pages = range(code_start, code_start + code_len, PAGE_SIZE)
         catalog = find_gadgets(space, code_pages)
         chain = build_mprotect_chain(
-            catalog, truth.cave_start, truth.cave_len, PROT_RWX, variant, space
+            catalog, truth.cave_start, truth.cave_len, PROT_RWX, variant
         )
 
         chain_addr = truth.stack_region[0]

@@ -87,6 +87,15 @@ class TestSelectCave:
             select_cave([CaveRegion(0x100000, 0x1000)], 0x2000)
         assert exc.value.need_len == 0x2000
 
+    def test_no_fit_names_the_caves(self):
+        caves = [CaveRegion(0x100000, 0x1000), CaveRegion(0x300000, 0x3000)]
+        with pytest.raises(NoCaveError) as exc:
+            select_cave(caves, 0x4000)
+        assert str(exc.value) == (
+            "no cave of at least 0x4000 bytes among 2 caves, of 0x1000, "
+            "0x3000 bytes"
+        )
+
     def test_need_len_positive(self):
         with pytest.raises(ValueError):
             select_cave([], 0)

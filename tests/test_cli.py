@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from caveprobe import cli
+from caveprobe import cli, explorer
 from caveprobe.cli import (
     EXIT_OK,
     EXIT_STAGE_ERROR,
@@ -20,7 +20,8 @@ from caveprobe.cli import (
     main,
     run_pipeline,
 )
-from caveprobe.probe import ProbeOutcome, Prober
+from caveprobe.memspace import AddressSpace
+from caveprobe.probe import ProbeOutcome, Prober, Writability
 from caveprobe.synth import build_victim_image
 
 REPO = Path(__file__).resolve().parent.parent
@@ -254,6 +255,64 @@ class TestPipeline:
         assert code_len == 1100 * 0x1000
         assert all(a.end <= b.start for a, b in zip(runs, runs[1:]))
 
+    def test_overlapping_extents_fail_map_match(self, monkeypatch):
+        # the second extent reaches back over the first; each still matches
+        # the truth over its own range
+        real = explorer.region_around
+        extents = []
+
+        def overlapping(pm, addr):
+            lo, hi = real(pm, addr)
+            if len(extents) == 1:
+                lo = extents[0][0]
+            extents.append((lo, hi))
+            return lo, hi
+
+        monkeypatch.setattr(explorer, "region_around", overlapping)
+        report = run_pipeline(PipelineConfig(
+            image_path=DEMO, ground_truth_path=DEMO_MAPS, stop_after="explore",
+        ))
+        assert report.verdicts["map-match"] is False
+        (line,) = [m for m in report.map_mismatches if "overlaps" in m]
+        assert line.endswith(f"overlaps the run {extents[0][0]:#x}-{extents[0][1]:#x}")
+
+    def test_disjoint_runs_out_of_start_order_do_not_overlap(self, monkeypatch):
+        # the second extent's run starts before the first extent's last
+        # run ends, yet no two runs share a page
+        real = explorer.reconstruct_map
+        calls = []
+
+        def interleaved(pm, lo, hi):
+            calls.append(lo)
+            if len(calls) == 1:
+                return explorer.ReconstructedMap((
+                    explorer.MapRun(lo, lo + 0x1000, Writability.READ_ONLY),
+                    explorer.MapRun(lo + 0x3000, lo + 0x4000, Writability.WRITABLE),
+                ))
+            if len(calls) == 2:
+                first = calls[0]
+                return explorer.ReconstructedMap((
+                    explorer.MapRun(first + 0x1000, first + 0x2000, Writability.READ_ONLY),
+                ))
+            return real(pm, lo, hi)
+
+        monkeypatch.setattr(explorer, "reconstruct_map", interleaved)
+        report = run_pipeline(PipelineConfig(
+            image_path=DEMO, ground_truth_path=DEMO_MAPS, stop_after="explore",
+        ))
+        assert len(calls) >= 2
+        assert not [m for m in report.map_mismatches if "overlaps" in m]
+
+    def test_load_relocates_in_place(self, monkeypatch, tmp_path):
+        # the loaded image is rebased where it was built, never copied
+        def copy_refused(*args, **kwargs):
+            raise AssertionError("AddressSpace.shifted called")
+
+        monkeypatch.setattr(AddressSpace, "shifted", copy_refused)
+        out = tmp_path / "report.json"
+        assert main(["--image-path", DEMO, "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["aslr-offset"] != "0x0"
+
     def test_bad_image_path_is_load_stage_error(self):
         with pytest.raises(StageError) as exc:
             run_pipeline(PipelineConfig(image_path="/nonexistent.json"))
@@ -373,6 +432,15 @@ class TestMain:
         assert main([*budget, str(needed)]) == EXIT_OK
         assert main([*budget, str(needed - 1)]) == EXIT_STAGE_ERROR
         assert f"explore budget of {needed - 1} pages" in capsys.readouterr().err
+
+    def test_no_cave_names_what_the_min_len_left(self, capsys):
+        # the demo's zero runs are 0x4000 and 0x3000 bytes long
+        flags = ["--image-path", DEMO, "--cave-min-len", "0x5000"]
+        assert main(flags) == EXIT_STAGE_ERROR
+        assert capsys.readouterr().err == (
+            "caveprobe: stage 'inject' failed: no cave of at least 0x146 "
+            "bytes among 0 caves; cave-min-len is 0x5000\n"
+        )
 
     def test_seed_environment_not_an_integer(self, monkeypatch, capsys):
         monkeypatch.setenv("CAVEPROBE_SEED", "x")

@@ -109,6 +109,23 @@ class TestLocate:
                 (STACK, STACK + PAGE_SIZE), codemap={0x999000},
             )
 
+    def test_no_frame_names_the_region_and_slots_scanned(self):
+        space = make_space(
+            (CODE, PAGE_SIZE, "rxu", b""),
+            (STACK, PAGE_SIZE, "rwu", b""),
+        )
+        with pytest.raises(InjectionError) as exc:
+            locate_victim_frame(
+                PageMap(space, quiet_prober()), STACK + 0x700,
+                (STACK, STACK + PAGE_SIZE), codemap={CODE},
+            )
+        # slots STACK+0x700 .. STACK+0xFF0, eight bytes apart
+        assert str(exc.value) == (
+            f"no plausible frame above the stack pointer {STACK + 0x700:#x}: "
+            f"scanned 287 slots of the stack region "
+            f"{STACK:#x}-{STACK + PAGE_SIZE:#x}"
+        )
+
     def test_stack_pointer_must_be_inside_region(self):
         space = self.build_stack()
         with pytest.raises(InjectionError):

@@ -173,6 +173,75 @@ class TestContentHash:
         assert space.content_hash() == space.content_hash()
 
 
+def reference_read(space: AddressSpace, addr: int, count: int):
+    """Outcome of a read by a per-byte rule: the bytes, or the ValueError
+    type, or the (address, kind) of the first byte that may not be read."""
+    if count < 0:
+        return ValueError
+    out = bytearray()
+    for pos in range(addr, addr + count):
+        page = space.pages.get(pos - pos % PAGE_SIZE)
+        if page is None:
+            return (pos, "unmapped")
+        if not (page.perms.user_accessible and page.perms.readable):
+            return (pos, "perm")
+        out.append(page.data[pos % PAGE_SIZE])
+    return bytes(out)
+
+
+def read_outcome(space: AddressSpace, addr: int, count: int):
+    try:
+        return space.read_bytes(addr, count)
+    except ValueError:
+        return ValueError
+    except MemoryFault as exc:
+        return (exc.addr, exc.kind)
+
+
+# readable, kernel-only, user-but-unreadable, a hole, then readable again
+READ_LAYOUT = (
+    (0x4000, 2 * PAGE_SIZE, "rxu", bytes(range(256)) * 32),
+    (0x6000, PAGE_SIZE, "r", b"\x11" * PAGE_SIZE),
+    (0x7000, PAGE_SIZE, "u", b""),
+    (0x9000, PAGE_SIZE, "rwu", b"\x22" * PAGE_SIZE),
+)
+
+
+class TestReadOutcomes:
+    @pytest.mark.parametrize("addr, count", [
+        (0x4010, 0x20),                      # inside one page
+        (0x4000, PAGE_SIZE),                 # a whole page
+        (0x5000 - 8, 16),                    # straddles two readable pages
+        (0x5000 - 8, 2 * PAGE_SIZE),         # runs into the kernel-only page
+        (0x6010, 8),                         # kernel-only page: perm
+        (0x7010, 8),                         # user page without r: perm
+        (0x8010, 8),                         # the hole: unmapped
+        (0x9FF8, 16),                        # runs off the last page
+        (0x9000, 0),                         # zero length
+        (0x8000, 0),                         # zero length in the hole
+        (0x4000, -1),                        # negative length
+        (0x8000, -5),                        # negative length in the hole
+    ])
+    def test_matches_per_byte_reference(self, addr, count):
+        space = make_space(*READ_LAYOUT)
+        assert read_outcome(space, addr, count) == reference_read(space, addr, count)
+
+    @given(
+        addr=st.integers(0x3000, 0xA000),
+        count=st.integers(-2, 3 * PAGE_SIZE),
+    )
+    def test_any_range_matches_per_byte_reference(self, addr, count):
+        space = make_space(*READ_LAYOUT)
+        assert read_outcome(space, addr, count) == reference_read(space, addr, count)
+
+    def test_result_is_a_copy(self):
+        space = make_space(*READ_LAYOUT)
+        one, two = space.read_bytes(0x9010, 8), space.read_bytes(0x4FF8, 16)
+        space.write_bytes(0x9010, b"\x33" * 8)
+        assert type(one) is bytes and one == b"\x22" * 8
+        assert type(two) is bytes
+
+
 class TestShifted:
     def test_moves_user_pages_only(self):
         space = make_space(
@@ -219,6 +288,47 @@ class TestShifted:
         assert moved.read_bytes(0x18000, 16) == blob
 
 
+class TestRebase:
+    def test_moves_pages_in_place(self):
+        space = make_space(
+            (0x8000, PAGE_SIZE, "rwu", (0x8010).to_bytes(8, "little")),
+            (USER_TOP, PAGE_SIZE, "rx", b""),
+        )
+        page = space.get_page(0x8000)
+        space.rebase(0x10000)
+        assert space.get_page(0x18000) is page  # moved, not copied
+        assert not space.is_mapped(0x8000)
+        assert space.is_mapped(USER_TOP)
+        assert space.read_bytes(0x18000, 8) == (0x18010).to_bytes(8, "little")
+
+    def test_without_relocation_keeps_bytes(self):
+        space = make_space((0x8000, PAGE_SIZE, "rwu", (0x8010).to_bytes(8, "little")))
+        space.rebase(0x10000, relocate_pointers=False)
+        assert space.read_bytes(0x18000, 8) == (0x8010).to_bytes(8, "little")
+
+    def test_overflow_raises_and_moves_nothing(self):
+        space = make_space(
+            (0x8000, PAGE_SIZE, "rwu", (0x8010).to_bytes(8, "little")),
+            (USER_TOP - PAGE_SIZE, PAGE_SIZE, "ru", b""),
+            (USER_TOP, PAGE_SIZE, "r", (0x8010).to_bytes(8, "little")),
+        )
+        before = dict(space.pages)
+        digest = space.content_hash()
+        with pytest.raises(ValueError):
+            space.rebase(PAGE_SIZE)
+        assert space.pages == before
+        assert all(space.pages[b] is p for b, p in before.items())
+        assert space.content_hash() == digest
+
+    def test_rejects_unaligned_or_negative(self):
+        space = make_space((0x8000, PAGE_SIZE, "rwu", b""))
+        digest = space.content_hash()
+        for offset in (8, -PAGE_SIZE):
+            with pytest.raises(ValueError):
+                space.rebase(offset)
+        assert space.content_hash() == digest
+
+
 # --- relocation against an independent reference ----------------------------
 
 def reference_shift(space: AddressSpace, offset: int) -> str:
@@ -245,9 +355,21 @@ def words_page(*words: int, fill: int = 0) -> bytes:
     return b"".join(w.to_bytes(8, "little") for w in (*words, *rest))
 
 
+def twin(space: AddressSpace) -> AddressSpace:
+    """A copy built page by page through map_region."""
+    out = AddressSpace()
+    for base, page in space.pages.items():
+        out.map_region(base, PAGE_SIZE, page.perms, bytes(page.data))
+    return out
+
+
 def assert_matches_reference(space: AddressSpace, offset: int) -> None:
+    want = reference_shift(space, offset)
     moved = space.shifted(offset, relocate_pointers=True)
-    assert moved.content_hash() == reference_shift(space, offset)
+    assert moved.content_hash() == want
+    in_place = twin(space)
+    in_place.rebase(offset)
+    assert in_place.content_hash() == want
 
 
 KERNEL = USER_TOP + 0x10000
