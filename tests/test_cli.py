@@ -492,6 +492,23 @@ def test_demo_reports_byte_identical(monkeypatch):
     assert digest.hexdigest() == DEMO_REPORTS_SHA256
 
 
+# The same ten reports rendered with ``--format text``.
+DEMO_TEXT_REPORTS_SHA256 = "33e55180eb18b30c83ecfc6c59f87a72be06f190508d833b4c5d1561c2c934b6"
+
+
+def test_demo_text_reports_byte_identical(monkeypatch):
+    monkeypatch.chdir(REPO)
+    digest = hashlib.sha256()
+    for seed in range(10):
+        config = PipelineConfig(
+            image_path="images/demo.json",
+            ground_truth_path="images/demo.maps",
+            seed=seed,
+        )
+        digest.update(emit_report(run_pipeline(config), "text").encode())
+    assert digest.hexdigest() == DEMO_TEXT_REPORTS_SHA256
+
+
 GADGET_KINDS = ("pop-rdi-ret", "pop-rsi-ret", "pop-rdx-ret", "pop-rax-ret",
                 "pop-rbp-ret", "syscall", "leave-ret")
 
