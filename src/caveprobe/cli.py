@@ -146,45 +146,50 @@ class AttackReport:
 
 
 def emit_report(report: AttackReport, fmt: str = "json") -> str:
-    """Render a report deterministically; identical runs give identical text."""
+    """Render a report deterministically; identical runs give identical text.
+
+    Both formats come from ``report.to_json_obj()``.  The text form is a
+    summary of that document: hex values lose their ``0x``, and an empty
+    cave list is left out.
+    """
+    obj = report.to_json_obj()
     if fmt == "json":
-        return json.dumps(report.to_json_obj(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
+    cfg = obj["config"]
     lines = [
         "caveprobe report",
-        f"  image: {report.config.image_path}",
-        f"  mode: {report.config.mode}  seed: {report.config.seed}  "
-        f"aslr-offset: {report.aslr_offset:#x}",
-        f"  stages: {' -> '.join(report.stages)}",
+        f"  image: {cfg['image-path']}",
+        f"  mode: {cfg['mode']}  seed: {cfg['seed']}  "
+        f"aslr-offset: {obj['aslr-offset']}",
+        f"  stages: {' -> '.join(obj['stages'])}",
     ]
-    if report.exploration:
-        e = report.exploration
+    if e := obj.get("exploration"):
         lines.append(
             f"  probed {e['pages-probed']} pages, "
             f"{e['accessible-pages']} accessible"
         )
-    if report.reconstructed is not None:
+    if "reconstructed-map" in obj:
         lines.append("  reconstructed map:")
-        for run in report.reconstructed.runs:
-            lines.append(f"    {run.start:x}-{run.end:x} {run.kind.value}")
-    if report.gadget_census:
-        counts = ", ".join(
-            f"{name}:{len(addrs)}" for name, addrs in sorted(report.gadget_census.items())
+        lines += (
+            f"    {r['start'][2:]}-{r['end'][2:]} {r['class']}"
+            for r in obj["reconstructed-map"]
         )
+    if census := obj.get("gadgets"):
+        counts = ", ".join(f"{name}:{len(addrs)}" for name, addrs in census.items())
         lines.append(f"  gadgets: {counts}")
-    if report.cave_list:
+    if cave_list := obj.get("caves"):
         lines.append("  caves:")
-        for c in report.cave_list:
-            lines.append(f"    {c.start:x}+{c.length:x}")
-    if report.run:
-        lines.append(
-            f"  run: {report.run['steps']} steps, {report.run['stop-reason']}"
-        )
-    if report.verdicts:
+        lines += (f"    {c['start'][2:]}+{c['len'][2:]}" for c in cave_list)
+    if run := obj.get("run"):
+        lines.append(f"  run: {run['steps']} steps, {run['stop-reason']}")
+    if obj["verdicts"]:
         lines.append("  verdicts:")
-        for name, ok in sorted(report.verdicts.items()):
-            lines.append(f"    {name}: {'pass' if ok else 'FAIL'}")
+        lines += (
+            f"    {name}: {'pass' if ok else 'FAIL'}"
+            for name, ok in obj["verdicts"].items()
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -606,7 +611,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_STAGE_ERROR
     text = emit_report(report, args.format)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(f"caveprobe: cannot write {args.out}: {reason}", file=sys.stderr)
+            return EXIT_STAGE_ERROR
     else:
         sys.stdout.write(text)
     return EXIT_OK if report.all_verdicts_pass() else EXIT_VERDICT_FAILURE

@@ -118,9 +118,6 @@ class ReconstructedMap:
 
     runs: tuple[MapRun, ...]
 
-    def to_text(self) -> str:
-        return "\n".join(f"{r.start:x}-{r.end:x} {r.kind.value}" for r in self.runs) + "\n"
-
     def to_json_obj(self) -> list[dict]:
         return [
             {"start": f"{r.start:#x}", "end": f"{r.end:#x}", "class": r.kind.value}

@@ -19,23 +19,22 @@ CHAIN_VARIANTS = ("sound-5", "short-4")
 
 @dataclass(frozen=True, slots=True)
 class GadgetSpec:
-    """A named byte pattern plus the instruction sequence it decodes to."""
+    """A named byte pattern the census looks for."""
 
     name: str
     pattern: bytes
-    semantics: tuple[str, ...]
 
 
 def default_gadget_specs() -> tuple[GadgetSpec, ...]:
     """The pattern set the chain builder knows how to use."""
     return (
-        GadgetSpec("pop-rdi-ret", b"\x5f\xc3", ("pop rdi", "ret")),
-        GadgetSpec("pop-rsi-ret", b"\x5e\xc3", ("pop rsi", "ret")),
-        GadgetSpec("pop-rdx-ret", b"\x5a\xc3", ("pop rdx", "ret")),
-        GadgetSpec("pop-rax-ret", b"\x58\xc3", ("pop rax", "ret")),
-        GadgetSpec("pop-rbp-ret", b"\x5d\xc3", ("pop rbp", "ret")),
-        GadgetSpec("syscall", b"\x0f\x05", ("syscall",)),
-        GadgetSpec("leave-ret", b"\xc9\xc3", ("leave", "ret")),
+        GadgetSpec("pop-rdi-ret", b"\x5f\xc3"),
+        GadgetSpec("pop-rsi-ret", b"\x5e\xc3"),
+        GadgetSpec("pop-rdx-ret", b"\x5a\xc3"),
+        GadgetSpec("pop-rax-ret", b"\x58\xc3"),
+        GadgetSpec("pop-rbp-ret", b"\x5d\xc3"),
+        GadgetSpec("syscall", b"\x0f\x05"),
+        GadgetSpec("leave-ret", b"\xc9\xc3"),
     )
 
 

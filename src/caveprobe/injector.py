@@ -95,8 +95,6 @@ def locate_victim_frame(
     stack_ptr: int,
     stack_region: tuple[int, int],
     codemap: set[int],
-    *,
-    caller_frames: int = 0,
 ) -> VictimFrame:
     """Find the innermost plausible frame above ``stack_ptr``.
 
@@ -104,57 +102,33 @@ def locate_victim_frame(
     higher into the stack region (a frame-pointer chain link) and whose
     neighbor holds a return address landing in a known code page; return
     address pages are validated with a probe through ``pm``, never a bare
-    read.  With ``caller_frames`` > 0 the chain is followed that many links
-    up, so the pivot can hide between outer frames.  The frame records the slot
-    conventionally holding the stack canary, just below the saved base
-    pointer.
+    read.  The frame records the slot conventionally holding the stack
+    canary, just below the saved base pointer.
     """
     lo, hi = stack_region
     if not lo <= stack_ptr < hi:
         raise InjectionError("stack pointer outside the stack region")
 
-    def plausible(slot: int) -> VictimFrame | None:
+    slots = range((stack_ptr + 7) & ~7, hi - 15, 8)
+    for slot in slots:
         try:
             raw = pm.space.read_bytes(slot, 16)
         except MemoryFault:
-            return None
+            continue
         rbp = int.from_bytes(raw[:8], "little")
         rip = int.from_bytes(raw[8:], "little")
-        if not (slot < rbp < hi):
-            return None
         rip_page = AddressSpace.page_base(rip)
-        if rip_page not in codemap:
-            return None
-        if not pm.tap(rip_page):
-            return None
-        return VictimFrame(
-            rbp_slot_addr=slot,
-            saved_rbp=rbp,
-            saved_rip=rip,
-            canary_slot_addr=slot - 8,
-        )
-
-    slot = (stack_ptr + 7) & ~7
-    frame = None
-    scanned = 0
-    while slot + 16 <= hi:
-        frame = plausible(slot)
-        scanned += 1
-        if frame is not None:
-            break
-        slot += 8
-    if frame is None:
-        raise InjectionError(
-            f"no plausible frame above the stack pointer {stack_ptr:#x}: "
-            f"scanned {scanned} slots of the stack region {lo:#x}-{hi:#x}"
-        )
-
-    for _ in range(caller_frames):
-        frame_up = plausible(frame.saved_rbp)
-        if frame_up is None:
-            raise InjectionError("frame chain ended before the requested depth")
-        frame = frame_up
-    return frame
+        if slot < rbp < hi and rip_page in codemap and pm.tap(rip_page):
+            return VictimFrame(
+                rbp_slot_addr=slot,
+                saved_rbp=rbp,
+                saved_rip=rip,
+                canary_slot_addr=slot - 8,
+            )
+    raise InjectionError(
+        f"no plausible frame above the stack pointer {stack_ptr:#x}: "
+        f"scanned {len(slots)} slots of the stack region {lo:#x}-{hi:#x}"
+    )
 
 
 def forge_fake_frame(

@@ -8,14 +8,12 @@ read-only page traps exactly like the real MMU would fault it.
 Supported encodings (little endian, REX.W = 0x48 where shown):
 
     58+rd            pop r64
-    50+rd            push r64
     C3               ret
     C9               leave            (rsp <- rbp; rbp <- pop)
-    0F 05            syscall
+    0F 05            syscall          (mprotect only; other numbers trap)
     90               nop
     48 B8+rd imm64   mov r64, imm64
-    48 89 /r         mov r/m64, r64   (mod 00 and 11 only; no SIB, no disp)
-    48 8B /r         mov r64, r/m64   (mod 00 and 11 only; no SIB, no disp)
+    48 89 /r         mov [r64], r64   (mod 00 only; no SIB, no disp)
     FF /4 (mod 11)   jmp r64
 
 There are no flags and no arithmetic; the verification runs need none.
@@ -42,13 +40,10 @@ REG_NAMES = (
 _REG_INDEX = {name: i for i, name in enumerate(REG_NAMES)}
 
 RUNNING = "running"
-EXITED = "exited"
 TRAPPED = "trapped"
 
 # Linux x86-64 ABI values used by the syscall model.
-SYS_WRITE = 1
 SYS_MPROTECT = 10
-SYS_EXIT = 60
 
 PROT_READ = 1
 PROT_WRITE = 2
@@ -57,9 +52,6 @@ PROT_RWX = PROT_READ | PROT_WRITE | PROT_EXEC
 
 EINVAL = 22
 ENOMEM = 12
-EFAULT = 14
-
-MAX_INSN_LEN = 10
 
 # assemble_payload refuses to unroll zero stores past this many bytes
 MAX_CLEANUP_BYTES = 1 << 16
@@ -74,7 +66,6 @@ class MachineState:
     )
     rip: int = 0
     status: str = RUNNING
-    exit_code: int | None = None
     trap_reason: str | None = None
 
     def reg(self, name: str) -> int:
@@ -142,10 +133,19 @@ def _write64(space: AddressSpace, addr: int, value: int,
 
 # --- syscall model ----------------------------------------------------------
 
-def _sys_mprotect(state: MachineState, space: AddressSpace) -> int:
-    addr = state.reg("rdi")
-    length = state.reg("rsi")
-    prot = state.reg("rdx")
+def _syscall(state: MachineState, space: AddressSpace,
+             effects: list | None) -> None:
+    """mprotect(rdi, rsi, rdx); any other number in rax traps."""
+    if state.reg("rax") != SYS_MPROTECT:
+        raise _Stop("unknown-syscall")
+    args = (state.reg("rdi"), state.reg("rsi"), state.reg("rdx"))
+    ret = _mprotect(space, *args)
+    state.set_reg("rax", ret & MASK64)
+    if effects is not None:
+        effects.append(SyscallEffect(SYS_MPROTECT, "mprotect", args, ret))
+
+
+def _mprotect(space: AddressSpace, addr: int, length: int, prot: int) -> int:
     if addr % PAGE_SIZE or prot & ~(PROT_READ | PROT_WRITE | PROT_EXEC):
         return -EINVAL
     if addr >= USER_TOP:
@@ -171,46 +171,6 @@ def _sys_mprotect(state: MachineState, space: AddressSpace) -> int:
     return 0
 
 
-def _sys_write(state: MachineState, space: AddressSpace) -> int:
-    buf = state.reg("rsi")
-    count = state.reg("rdx")
-    if count > (1 << 20):  # simulator cap, not a kernel behavior
-        return -EFAULT
-    try:
-        space.read_bytes(buf, count)
-    except (MemoryFault, ValueError):
-        return -EFAULT
-    return count
-
-
-def _sys_exit(state: MachineState, space: AddressSpace) -> int:
-    state.status = EXITED
-    state.exit_code = state.reg("rdi")
-    return 0
-
-
-# syscall number -> (name, handler); unknown numbers trap
-_SYSCALLS = {
-    SYS_WRITE: ("write", _sys_write),
-    SYS_MPROTECT: ("mprotect", _sys_mprotect),
-    SYS_EXIT: ("exit", _sys_exit),
-}
-
-
-def _syscall(state: MachineState, space: AddressSpace,
-             effects: list | None) -> None:
-    number = state.reg("rax")
-    entry = _SYSCALLS.get(number)
-    if entry is None:
-        raise _Stop("unknown-syscall")
-    name, handler = entry
-    args = (state.reg("rdi"), state.reg("rsi"), state.reg("rdx"))
-    ret = handler(state, space)
-    state.set_reg("rax", ret & MASK64)
-    if effects is not None:
-        effects.append(SyscallEffect(number, name, args, ret))
-
-
 # --- instruction stepping ---------------------------------------------------
 
 def step(
@@ -233,8 +193,7 @@ def step(
 
 
 def _execute(state: MachineState, space: AddressSpace, effects: list | None) -> None:
-    rip = state.rip
-    pos = rip
+    pos = state.rip
 
     def u8() -> int:
         nonlocal pos
@@ -267,12 +226,6 @@ def _execute(state: MachineState, space: AddressSpace, effects: list | None) -> 
         state.rip = pos  # rip already past the instruction when it runs
         _syscall(state, space, effects)
         return
-    if 0x50 <= b0 <= 0x57:  # push r64
-        rsp = (state.reg("rsp") - 8) & MASK64
-        _write64(space, rsp, state.reg(REG_NAMES[b0 - 0x50]), effects)
-        state.set_reg("rsp", rsp)
-        state.rip = pos
-        return
     if 0x58 <= b0 <= 0x5F:  # pop r64
         state.set_reg(REG_NAMES[b0 - 0x58], pop64())
         state.rip = pos
@@ -286,28 +239,14 @@ def _execute(state: MachineState, space: AddressSpace, effects: list | None) -> 
             state.set_reg(REG_NAMES[b1 - 0xB8], imm)
             state.rip = pos
             return
-        if b1 in (0x89, 0x8B):
+        if b1 == 0x89:  # mov [r64], r64
             modrm = u8()
-            mod = modrm >> 6
-            reg = REG_NAMES[(modrm >> 3) & 7]
             rm_i = modrm & 7
-            if mod == 0b11:
-                rm = REG_NAMES[rm_i]
-                if b1 == 0x89:
-                    state.set_reg(rm, state.reg(reg))
-                else:
-                    state.set_reg(reg, state.reg(rm))
+            if modrm >> 6 == 0b00 and rm_i not in (4, 5):  # 4 needs SIB, 5 is rip-rel
+                src = state.reg(REG_NAMES[(modrm >> 3) & 7])
+                _write64(space, state.reg(REG_NAMES[rm_i]), src, effects)
                 state.rip = pos
                 return
-            if mod == 0b00 and rm_i not in (4, 5):  # 4 needs SIB, 5 is rip-rel
-                addr = state.reg(REG_NAMES[rm_i])
-                if b1 == 0x89:
-                    _write64(space, addr, state.reg(reg), effects)
-                else:
-                    state.set_reg(reg, _read64(space, addr))
-                state.rip = pos
-                return
-            raise _Stop("undecodable")
         raise _Stop("undecodable")
     if b0 == 0xFF:  # jmp r64
         modrm = u8()

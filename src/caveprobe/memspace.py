@@ -119,7 +119,6 @@ class AddressSpace:
     """Sparse map of page base address to :class:`Page`."""
 
     def __init__(self) -> None:
-        self.page_size = PAGE_SIZE
         self.pages: dict[int, Page] = {}
 
     @staticmethod

@@ -16,7 +16,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .memspace import USER_TOP, AddressSpace
+from .memspace import PAGE_SIZE, USER_TOP, AddressSpace
 
 
 class ProbeOutcome(enum.Enum):
@@ -213,5 +213,5 @@ class Prober:
         while base < end:
             if self.claw(space, base) is not Writability.WRITABLE:
                 raise NotWritableError(base)
-            base += space.page_size
+            base += PAGE_SIZE
         space.write_bytes(addr, data)

@@ -334,6 +334,14 @@ class TestReportRendering:
         assert "verdicts:" in text
         assert "restoration: pass" in text
 
+    def test_text_leaves_out_an_empty_cave_list(self):
+        # the demo's zero runs are 0x4000 and 0x3000 bytes long
+        report = run_pipeline(PipelineConfig(
+            image_path=DEMO, cave_min_len=0x5000, stop_after="caves"
+        ))
+        assert json.loads(emit_report(report, "json"))["caves"] == []
+        assert "caves:" not in emit_report(report, "text")
+
     def test_unknown_format(self, image_paths):
         report = run_pipeline(base_config(image_paths, stop_after="probe"))
         with pytest.raises(ValueError):
@@ -465,6 +473,16 @@ class TestMain:
         assert err.count("\n") == 1
         assert err.startswith("caveprobe: ")
         assert flag in err and "<lambda>" not in err
+
+    @pytest.mark.parametrize(
+        "out", ["", "missing/r.json"], ids=["directory", "missing-parent"]
+    )
+    def test_unwritable_out_is_one_line_error(self, tmp_path, capsys, out):
+        path = tmp_path / out
+        assert main(["--image-path", DEMO, "--out", str(path)]) == EXIT_STAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"caveprobe: cannot write {path}: ")
 
     def test_stdout_report(self, image_paths, capsys):
         manifest, _, _ = image_paths

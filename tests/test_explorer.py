@@ -278,12 +278,6 @@ class TestReconstruct:
         assert len(recon.runs) == 6
         assert all(r.end - r.start == PAGE_SIZE for r in recon.runs)
 
-    def test_text_rendering(self):
-        recon = ReconstructedMap(
-            (MapRun(0x1000, 0x3000, Writability.READ_ONLY),)
-        )
-        assert recon.to_text() == "1000-3000 readonly\n"
-
 
 class TestGroundTruthCompare:
     MAPS = (

@@ -84,23 +84,6 @@ class TestLocate:
         assert frame.saved_rip == CODE + 0x234
         assert frame.canary_slot_addr == STACK + 0x7F8
 
-    def test_walks_caller_frames(self):
-        space = self.build_stack()
-        frame = locate_victim_frame(
-            PageMap(space, quiet_prober()), STACK + 0x700, (STACK, STACK + PAGE_SIZE),
-            codemap={CODE}, caller_frames=1,
-        )
-        assert frame.rbp_slot_addr == STACK + 0xA00
-        assert frame.saved_rip == CODE + 0x300
-
-    def test_chain_depth_exhausted(self):
-        space = self.build_stack()
-        with pytest.raises(InjectionError):
-            locate_victim_frame(
-                PageMap(space, quiet_prober()), STACK + 0x700,
-                (STACK, STACK + PAGE_SIZE), codemap={CODE}, caller_frames=2,
-            )
-
     def test_requires_return_address_in_codemap(self):
         space = self.build_stack()
         with pytest.raises(InjectionError):
