@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -12,6 +13,8 @@ from caveprobe import cli, explorer
 from caveprobe.cli import (
     EXIT_OK,
     EXIT_STAGE_ERROR,
+    MODES,
+    RESTORE_MODES,
     STAGE_COUNTERS,
     Pipeline,
     PipelineConfig,
@@ -20,6 +23,7 @@ from caveprobe.cli import (
     main,
     run_pipeline,
 )
+from caveprobe.gadgets import CHAIN_VARIANTS
 from caveprobe.memspace import AddressSpace
 from caveprobe.probe import ProbeOutcome, Prober, Writability
 from caveprobe.synth import build_victim_image
@@ -152,6 +156,23 @@ class TestPipeline:
         report = run_pipeline(base_config(image_paths, aslr=False))
         assert report.aslr_offset == 0
         assert int(report.injection["resume-rip"], 16) == truth.saved_rip
+
+    @pytest.mark.parametrize("aslr", [True, False])
+    @pytest.mark.parametrize("restore", RESTORE_MODES)
+    def test_reported_overwritten_words_are_the_saved_pair(
+        self, tmp_path, restore, aslr
+    ):
+        img = build_victim_image(7)
+        manifest = tmp_path / "victim.json"
+        manifest.write_text(img.manifest_text)
+        report = run_pipeline(PipelineConfig(
+            image_path=str(manifest), seed=4, restore=restore, aslr=aslr,
+        ))
+        offset = report.aslr_offset
+        assert report.injection["overwritten"] == [
+            f"{img.truth.saved_rbp + offset:#x}",
+            f"{img.truth.saved_rip + offset:#x}",
+        ]
 
     def test_aslr_offsets_differ_by_seed(self, image_paths):
         r1 = run_pipeline(base_config(image_paths, seed=11))
@@ -525,6 +546,28 @@ def test_demo_text_reports_byte_identical(monkeypatch):
         )
         digest.update(emit_report(run_pipeline(config), "text").encode())
     assert digest.hexdigest() == DEMO_TEXT_REPORTS_SHA256
+
+
+# The JSON reports for every mode x chain variant x restore combination,
+# in that product order, with seeds 0..2 innermost: 36 passing reports.
+DEMO_COMBO_REPORTS_SHA256 = "0151f916513a3f7175ffb6ea1801c048957a53c43688fa88a22b6244e566dea1"
+
+
+def test_demo_combo_reports_byte_identical(monkeypatch):
+    monkeypatch.chdir(REPO)
+    digest = hashlib.sha256()
+    for mode, variant, restore in itertools.product(
+        MODES, CHAIN_VARIANTS, RESTORE_MODES
+    ):
+        for seed in range(3):
+            report = run_pipeline(PipelineConfig(
+                image_path="images/demo.json",
+                ground_truth_path="images/demo.maps",
+                mode=mode, chain_variant=variant, restore=restore, seed=seed,
+            ))
+            assert report.all_verdicts_pass(), (mode, variant, restore, seed)
+            digest.update(emit_report(report).encode())
+    assert digest.hexdigest() == DEMO_COMBO_REPORTS_SHA256
 
 
 GADGET_KINDS = ("pop-rdi-ret", "pop-rsi-ret", "pop-rdx-ret", "pop-rax-ret",
