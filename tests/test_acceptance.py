@@ -311,7 +311,7 @@ def test_criterion_6_end_to_end_verdicts_and_memory_integrity(tmp_path):
             failures.append(f"trial {t}: page set changed")
             continue
 
-        frame = pipe.injection_rec.frame
+        frame = pipe.image
         allowed = [
             (frame.base, frame.base + frame.total_len()),
             (pipe.victim.rbp_slot_addr, pipe.victim.rbp_slot_addr + 16),

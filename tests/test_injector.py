@@ -10,8 +10,7 @@ from caveprobe.injector import (
     forge_fake_frame,
     inject,
     locate_victim_frame,
-    plan_cleanup,
-    restoration_record,
+    payload_offset,
 )
 from caveprobe.memspace import PAGE_SIZE
 from caveprobe.probe import ProbeConfig, Prober
@@ -46,10 +45,10 @@ def victim() -> VictimFrame:
 
 class TestRestorationRecord:
     def test_values(self):
-        rec = restoration_record(victim())
-        assert rec.resume_rip == CODE + 0x234
-        assert rec.resume_rbp == STACK + 0x900
-        assert rec.resume_rsp == STACK + 0x810
+        v = victim()
+        assert v.resume_rip == CODE + 0x234
+        assert v.resume_rbp == STACK + 0x900
+        assert v.resume_rsp == STACK + 0x810
 
 
 class TestLocate:
@@ -131,6 +130,13 @@ class TestForge:
         assert image.words[0].role == "saved-rbp"
         assert image.words[-1].value == CAVE + 0x60
         assert image.words[-1].role == "resume-address"
+        assert payload_offset(9) == 0x60
+
+    def test_payload_offset_rounds_up_to_16(self):
+        # saved-rbp copy + chain + continuation: 7 chain words make 0x48
+        # bytes, rounded to 0x50; 6 make exactly 0x40
+        assert payload_offset(7) == 0x50
+        assert payload_offset(6) == 0x40
 
     def test_image_bytes_pad_before_payload(self):
         image = forge_fake_frame(victim(), nine_word_chain(), b"\xCC" * 4,
@@ -164,12 +170,12 @@ class TestPlanCleanup:
     def test_payload_mode_covers_words_and_pad(self):
         image = forge_fake_frame(victim(), nine_word_chain(), b"\xCC" * 8,
                                  CaveRegion(CAVE, 0x1000))
-        assert plan_cleanup(image) == ((CAVE, 0x60),)
+        assert image.cleanup == (CAVE, 0x60)
 
     def test_chain_only_covers_words(self):
         image = forge_fake_frame(victim(), nine_word_chain(), b"",
                                  CaveRegion(CAVE, 0x1000))
-        assert plan_cleanup(image) == ((CAVE, 0x58),)
+        assert image.cleanup == (CAVE, 0x58)
 
 
 def arming_space():
@@ -193,13 +199,12 @@ class TestInject:
         space, v = arming_space()
         image = forge_fake_frame(v, nine_word_chain(), b"\xAA" * 16,
                                  CaveRegion(CAVE, 0x1000))
-        rec = inject(space, quiet_prober(), v, image, EPILOGUE)
+        assert inject(space, quiet_prober(), v, image, EPILOGUE) is None
         assert space.read_bytes(CAVE, image.total_len()) == image.image_bytes()
         slot = space.read_bytes(v.rbp_slot_addr, 16)
         assert int.from_bytes(slot[:8], "little") == CAVE
         assert int.from_bytes(slot[8:], "little") == EPILOGUE
-        assert rec.overwritten == (v.saved_rbp, v.saved_rip)
-        assert rec.cleanup_ranges == ((CAVE, 0x60),)
+        assert image.cleanup == (CAVE, 0x60)
         # canary untouched
         assert space.read_bytes(v.canary_slot_addr, 8) == (0xC0FFEE).to_bytes(8, "little")
 

@@ -13,6 +13,7 @@ from caveprobe.memspace import (
     MemoryFault,
     PagePermissions,
     load_manifest,
+    page_runs,
     parse_proc_maps,
 )
 from helpers import make_space
@@ -478,6 +479,20 @@ def test_relocation_matches_per_word_reference(case):
     assert_matches_reference(space, offset)
 
 
+class TestPageRuns:
+    def test_adjacent_pages_merge(self):
+        bases = [0x5000, 0x1000, 0x2000, 0x7000, 0x6000]
+        assert page_runs(bases) == [(0x1000, 0x3000), (0x5000, 0x8000)]
+
+    @given(st.sets(st.integers(0, 63)))
+    def test_runs_are_maximal_and_cover_exactly(self, pages):
+        runs = page_runs(p * PAGE_SIZE for p in pages)
+        covered = [b for lo, hi in runs for b in range(lo, hi, PAGE_SIZE)]
+        assert covered == sorted(p * PAGE_SIZE for p in pages)
+        # a gap of at least one page separates consecutive runs
+        assert all(a[1] < b[0] for a, b in zip(runs, runs[1:]))
+
+
 class TestManifest:
     def test_load_with_hex_data(self):
         text = json.dumps(
@@ -541,6 +556,23 @@ class TestManifest:
             {"regions": [{"start": 0x1000, "len": 0x1000, "perms": "ru"}]}
         )
         assert load_manifest(text).is_mapped(0x1000)
+
+    def test_rejects_boolean_address(self):
+        # json false is an int to isinstance; it must not map page 0
+        text = json.dumps(
+            {"regions": [{"start": False, "len": "0x1000", "perms": "ru"}]}
+        )
+        with pytest.raises(ManifestError, match="region 0 start"):
+            load_manifest(text)
+
+    def test_rejects_boolean_offset(self, tmp_path):
+        (tmp_path / "blob.bin").write_bytes(b"\x11" * 32)
+        text = json.dumps(
+            {"regions": [{"start": "0x1000", "len": "0x1000", "perms": "ru",
+                          "file": "blob.bin", "offset": True}]}
+        )
+        with pytest.raises(ManifestError, match="offset"):
+            load_manifest(text, base_dir=tmp_path)
 
 
 class TestProcMaps:
