@@ -13,7 +13,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .memspace import PAGE_SIZE, USER_TOP, AddressSpace, GroundTruthMap
-from .probe import Accessibility, Prober, Writability
+from .probe import ACCESSIBLE, NO_ACCESS, READ_ONLY, WRITABLE, Prober, Writability
 
 DEFAULT_BUDGET = 4096
 DEFAULT_MAX_GAP = 64
@@ -68,7 +68,7 @@ class PageMap:
         return sorted(b for b, e in self.entries.items() if e.accessible)
 
     def _admit(self, base: int) -> None:
-        if self.budget is not None and len(self.entries) >= self.budget:
+        if len(self.entries) >= self.budget:
             raise ExploreBudgetError(
                 f"explore budget of {self.budget} pages is spent; "
                 f"page {base:#x} needs one more"
@@ -78,9 +78,9 @@ class PageMap:
         """Accessibility of the page at ``base``, tapped at most once."""
         entry = self.entries.get(base)
         if entry is None:
-            self._admit(base)
-            tapped = self.prober.tap(self.space, base)
-            entry = PageEntry(tapped is Accessibility.ACCESSIBLE)
+            if self.budget is not None:
+                self._admit(base)
+            entry = PageEntry(self.prober.tap(self.space, base) is ACCESSIBLE)
             self.entries[base] = entry
         return entry.accessible
 
@@ -89,17 +89,18 @@ class PageMap:
         already tapped accessible costs only the write transaction."""
         entry = self.entries.get(base)
         if entry is None:
-            self._admit(base)
+            if self.budget is not None:
+                self._admit(base)
             kind = self.prober.claw(self.space, base)
         elif not entry.accessible:
-            return Writability.INACCESSIBLE
+            return NO_ACCESS
         elif entry.writable is not None:
-            return Writability.WRITABLE if entry.writable else Writability.READ_ONLY
+            return WRITABLE if entry.writable else READ_ONLY
         else:
             kind = self.prober.claw(self.space, base, known_accessible=True)
-        accessible = kind is not Writability.INACCESSIBLE
+        accessible = kind is not NO_ACCESS
         self.entries[base] = PageEntry(
-            accessible, kind is Writability.WRITABLE if accessible else None
+            accessible, kind is WRITABLE if accessible else None
         )
         return kind
 

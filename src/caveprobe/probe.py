@@ -57,16 +57,20 @@ class ProbeConfig:
             raise ValueError("max_retries must be at least 1")
 
 
-# final outcome of a settled transaction -> classification
-_READ_VERDICTS = {
-    ProbeOutcome.COMMITTED: Accessibility.ACCESSIBLE,
-    ProbeOutcome.FATAL_ABORT: Accessibility.INACCESSIBLE,
-}
-_WRITE_VERDICTS = {
-    ProbeOutcome.EXPLICIT_ABORT: Writability.WRITABLE,
-    ProbeOutcome.FATAL_ABORT: Writability.READ_ONLY,
-}
+# Module-level aliases: a probe runs once per page, and a global lookup
+# costs a tenth of an enum class attribute lookup.
+ACCESSIBLE = Accessibility.ACCESSIBLE
+INACCESSIBLE = Accessibility.INACCESSIBLE
+WRITABLE = Writability.WRITABLE
+READ_ONLY = Writability.READ_ONLY
+NO_ACCESS = Writability.INACCESSIBLE
+_RETRYABLE = ProbeOutcome.RETRYABLE_ABORT
+_FATAL = ProbeOutcome.FATAL_ABORT
 
+# (transaction op, probe op, outcome and verdict of an allowed access,
+# verdict of a refused one)
+_READ = ("read_tx", "tap", ProbeOutcome.COMMITTED, ACCESSIBLE, INACCESSIBLE)
+_WRITE = ("write_tx", "claw", ProbeOutcome.EXPLICIT_ABORT, WRITABLE, READ_ONLY)
 
 class RetryBudgetExhausted(RuntimeError):
     """Every attempt aborted transiently; the address stays unclassified."""
@@ -101,85 +105,62 @@ class Prober:
         self.counters: Counter[str] = Counter()
         self.trace_log: list[tuple[str, int, object]] | None = [] if trace else None
 
-    def _spurious(self) -> bool:
-        p = self.config.spurious_abort_probability
-        return p > 0.0 and self.rng.random() < p
-
     def _note(self, op: str, addr: int, result: object) -> None:
         if self.trace_log is not None:
             self.trace_log.append((op, addr, result))
 
-    # -- single transactions -------------------------------------------------
-
-    def transaction_read(self, space: AddressSpace, addr: int) -> ProbeOutcome:
-        """One transactional read attempt.  Never faults.
-
-        A mapped, readable, user-accessible user-half address commits,
-        except for the occasional simulated transient abort.  Everything
-        else aborts fatally: the fault is suppressed inside the transaction
-        and surfaces as an abort code distinct from the transient one.
-        """
-        self.counters["read_tx"] += 1
-        page = space.get_page(addr)
-        if (
-            addr < USER_TOP
-            and page is not None
-            and page.perms.readable
-            and page.perms.user_accessible
-        ):
-            out = ProbeOutcome.RETRYABLE_ABORT if self._spurious() else ProbeOutcome.COMMITTED
-        else:
-            out = ProbeOutcome.FATAL_ABORT
-        self._note("read_tx", addr, out)
-        return out
-
-    def transaction_write_abort(self, space: AddressSpace, addr: int) -> ProbeOutcome:
-        """One transactional write attempt ending in an explicit abort.
-
-        The explicit abort rolls the write back, so memory is never
-        modified regardless of outcome.  A writable destination reports the
-        explicit abort; a non-writable one aborts fatally on the suppressed
-        fault.
-        """
-        self.counters["write_tx"] += 1
-        page = space.get_page(addr)
-        if (
-            addr < USER_TOP
-            and page is not None
-            and page.perms.writable
-            and page.perms.user_accessible
-        ):
-            out = ProbeOutcome.RETRYABLE_ABORT if self._spurious() else ProbeOutcome.EXPLICIT_ABORT
-        else:
-            out = ProbeOutcome.FATAL_ABORT
-        self._note("write_tx", addr, out)
-        return out
-
     # -- classification probes ----------------------------------------------
 
-    def _settle(
-        self, op: str, attempt, space: AddressSpace, addr: int, verdicts: dict
-    ):
-        """Repeat the ``attempt`` transaction past transient aborts, up to
-        ``max_retries`` times beyond the first attempt, and map its final
-        outcome through ``verdicts``.  Running out of budget raises
-        RetryBudgetExhausted rather than returning a wrong classification.
+    def _settle(self, addr: int, allowed: bool, kind: tuple):
+        """Run every transaction of one probe of ``addr``, in this one frame,
+        and return the probe's verdict; ``kind`` is ``_READ`` or ``_WRITE``.
+
+        Each attempt is one transaction, counted and traced.  An access the
+        page ``allowed`` succeeds, except for the occasional simulated
+        transient abort, which is retried up to ``max_retries`` times beyond
+        the first attempt.  Any other access aborts fatally at the first
+        attempt: the fault is suppressed inside the transaction and surfaces
+        as an abort code distinct from the transient one.  Running out of
+        retries raises RetryBudgetExhausted rather than returning a wrong
+        classification.
         """
-        for attempts in range(1, self.config.max_retries + 2):
-            out = attempt(space, addr)
-            if out is not ProbeOutcome.RETRYABLE_ABORT:
-                result = verdicts[out]
-                self._note(op, addr, result)
-                return result
-            self.counters["retries"] += 1
-        self._note(op, addr, "exhausted")
-        raise RetryBudgetExhausted(addr, attempts)
+        tx, op, done, verdict, refused = kind
+        counters = self.counters
+        trace = self.trace_log
+        if not allowed:
+            counters[tx] += 1
+            if trace is not None:
+                trace += ((tx, addr, _FATAL), (op, addr, refused))
+            return refused
+        p = self.config.spurious_abort_probability
+        attempts = 1
+        if p > 0.0:
+            rand = self.rng.random
+            while rand() < p:
+                if trace is not None:
+                    trace.append((tx, addr, _RETRYABLE))
+                if attempts > self.config.max_retries:
+                    counters[tx] += attempts
+                    counters["retries"] += attempts
+                    self._note(op, addr, "exhausted")
+                    raise RetryBudgetExhausted(addr, attempts)
+                attempts += 1
+        counters[tx] += attempts
+        if attempts > 1:
+            counters["retries"] += attempts - 1
+        if trace is not None:
+            trace += ((tx, addr, done), (op, addr, verdict))
+        return verdict
 
     def tap(self, space: AddressSpace, addr: int) -> Accessibility:
-        """Classify readability of ``addr`` without risking a fault;
-        transient aborts are retried."""
+        """Classify readability of ``addr`` without risking a fault: a
+        mapped, readable, user-accessible user-half address commits its
+        read transaction."""
         self.counters["taps"] += 1
-        return self._settle("tap", self.transaction_read, space, addr, _READ_VERDICTS)
+        page = space.pages.get(addr & ~(PAGE_SIZE - 1))
+        perms = page.perms if page is not None else None
+        return self._settle(addr, addr < USER_TOP and perms is not None
+                            and perms.readable and perms.user_accessible, _READ)
 
     def claw(
         self, space: AddressSpace, addr: int, *, known_accessible: bool = False
@@ -188,16 +169,19 @@ class Prober:
 
         Runs a tap first, unless the caller already holds an accessible
         verdict for the page (``known_accessible``); an inaccessible address
-        short-circuits with no write transaction at all.  Otherwise the
-        write-and-abort transaction distinguishes writable from read-only.
+        short-circuits with no write transaction at all.  Otherwise a write
+        transaction ending in an explicit abort, which rolls the write back,
+        distinguishes writable from read-only: a non-writable destination
+        aborts fatally on the suppressed fault.
         """
         self.counters["claws"] += 1
-        if not known_accessible and self.tap(space, addr) is Accessibility.INACCESSIBLE:
-            self._note("claw", addr, Writability.INACCESSIBLE)
-            return Writability.INACCESSIBLE
-        return self._settle(
-            "claw", self.transaction_write_abort, space, addr, _WRITE_VERDICTS
-        )
+        if not known_accessible and self.tap(space, addr) is INACCESSIBLE:
+            self._note("claw", addr, NO_ACCESS)
+            return NO_ACCESS
+        page = space.pages.get(addr & ~(PAGE_SIZE - 1))
+        perms = page.perms if page is not None else None
+        return self._settle(addr, addr < USER_TOP and perms is not None
+                            and perms.writable and perms.user_accessible, _WRITE)
 
     def safe_write(self, space: AddressSpace, addr: int, data: bytes) -> None:
         """Write only after claw confirms every touched page is writable.
@@ -211,7 +195,7 @@ class Prober:
         end = addr + len(data)
         base = AddressSpace.page_base(addr)
         while base < end:
-            if self.claw(space, base) is not Writability.WRITABLE:
+            if self.claw(space, base) is not WRITABLE:
                 raise NotWritableError(base)
             base += PAGE_SIZE
         space.write_bytes(addr, data)

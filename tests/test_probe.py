@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from caveprobe.memspace import PAGE_SIZE, USER_TOP, AddressSpace
+from caveprobe.memspace import PAGE_SIZE, USER_TOP, AddressSpace, PagePermissions
 from caveprobe.probe import (
     Accessibility,
     NotWritableError,
@@ -50,47 +51,65 @@ class TestConfig:
             ProbeConfig(max_retries=0)
 
 
+def traced_prober(**kw) -> Prober:
+    kw.setdefault("spurious_abort_probability", 0.0)
+    return Prober(ProbeConfig(**kw), trace=True)
+
+
+def transactions(p: Prober) -> list[tuple[str, int, ProbeOutcome]]:
+    """The ``read_tx``/``write_tx`` entries of a traced prober's log."""
+    return [e for e in p.trace_log if e[0] in ("read_tx", "write_tx")]
+
+
 class TestSingleTransactions:
+    """The outcome of each transaction, read off its trace entry."""
+
     def test_read_commits_on_accessible(self, space):
-        p = quiet_prober()
-        assert p.transaction_read(space, 0x10000) is ProbeOutcome.COMMITTED
+        p = traced_prober()
+        p.tap(space, 0x10000)
+        assert transactions(p) == [("read_tx", 0x10000, ProbeOutcome.COMMITTED)]
 
     def test_read_fatal_on_unmapped(self, space):
-        p = quiet_prober()
-        assert p.transaction_read(space, 0x999000) is ProbeOutcome.FATAL_ABORT
+        p = traced_prober()
+        p.tap(space, 0x999000)
+        assert transactions(p) == [("read_tx", 0x999000, ProbeOutcome.FATAL_ABORT)]
 
     def test_read_fatal_on_guard(self, space):
-        p = quiet_prober()
-        assert p.transaction_read(space, 0x12000) is ProbeOutcome.FATAL_ABORT
+        p = traced_prober()
+        p.tap(space, 0x12000)
+        assert transactions(p) == [("read_tx", 0x12000, ProbeOutcome.FATAL_ABORT)]
 
     def test_read_fatal_on_supervisor_page(self, space):
-        p = quiet_prober()
-        assert p.transaction_read(space, 0x13000) is ProbeOutcome.FATAL_ABORT
+        p = traced_prober()
+        p.tap(space, 0x13000)
+        assert transactions(p) == [("read_tx", 0x13000, ProbeOutcome.FATAL_ABORT)]
 
     def test_read_fatal_on_kernel_half(self, space):
-        p = quiet_prober()
-        assert p.transaction_read(space, USER_TOP) is ProbeOutcome.FATAL_ABORT
+        p = traced_prober()
+        p.tap(space, USER_TOP)
+        assert transactions(p) == [("read_tx", USER_TOP, ProbeOutcome.FATAL_ABORT)]
 
     def test_write_explicit_abort_on_writable(self, space):
-        p = quiet_prober()
-        out = p.transaction_write_abort(space, 0x11000)
-        assert out is ProbeOutcome.EXPLICIT_ABORT
+        p = traced_prober()
+        p.claw(space, 0x11000, known_accessible=True)
+        assert transactions(p) == [("write_tx", 0x11000, ProbeOutcome.EXPLICIT_ABORT)]
 
     def test_write_fatal_on_read_only(self, space):
-        p = quiet_prober()
-        assert p.transaction_write_abort(space, 0x10000) is ProbeOutcome.FATAL_ABORT
+        p = traced_prober()
+        p.claw(space, 0x10000, known_accessible=True)
+        assert transactions(p) == [("write_tx", 0x10000, ProbeOutcome.FATAL_ABORT)]
 
     def test_write_never_modifies(self, space):
-        p = quiet_prober()
+        p = traced_prober()
         before = space.content_hash()
-        p.transaction_write_abort(space, 0x11000)
-        p.transaction_write_abort(space, 0x10000)
+        p.claw(space, 0x11000, known_accessible=True)
+        p.claw(space, 0x10000, known_accessible=True)
         assert space.content_hash() == before
 
     def test_counters(self, space):
-        p = quiet_prober()
-        p.transaction_read(space, 0x10000)
-        p.transaction_write_abort(space, 0x11000)
+        p = traced_prober()
+        p.tap(space, 0x10000)
+        p.claw(space, 0x11000, known_accessible=True)
         assert p.counters["read_tx"] == 1
         assert p.counters["write_tx"] == 1
 
@@ -242,3 +261,122 @@ def test_probes_never_fault_or_mutate(seed, addr_seed):
         p.tap(space, addr)
         p.claw(space, addr)
     assert space.content_hash() == before
+
+
+class ReferenceProber:
+    """Per-attempt model of the probes: every attempt is its own
+    transaction, which checks the page, draws for a transient abort, and is
+    counted and traced; a probe repeats attempts until one is not
+    transient or ``max_retries`` retries are spent."""
+
+    READ = {ProbeOutcome.COMMITTED: Accessibility.ACCESSIBLE,
+            ProbeOutcome.FATAL_ABORT: Accessibility.INACCESSIBLE}
+    WRITE = {ProbeOutcome.EXPLICIT_ABORT: Writability.WRITABLE,
+             ProbeOutcome.FATAL_ABORT: Writability.READ_ONLY}
+
+    def __init__(self, config: ProbeConfig):
+        self.config = config
+        self.rng = random.Random(config.rng_seed)
+        self.counters = Counter()
+        self.trace_log = []
+
+    def attempt(self, space, addr, write):
+        op = "write_tx" if write else "read_tx"
+        self.counters[op] += 1
+        page = space.get_page(addr)
+        allowed = (
+            addr < USER_TOP
+            and page is not None
+            and page.perms.user_accessible
+            and (page.perms.writable if write else page.perms.readable)
+        )
+        p = self.config.spurious_abort_probability
+        if not allowed:
+            out = ProbeOutcome.FATAL_ABORT
+        elif p > 0 and self.rng.random() < p:
+            out = ProbeOutcome.RETRYABLE_ABORT
+        else:
+            out = ProbeOutcome.EXPLICIT_ABORT if write else ProbeOutcome.COMMITTED
+        self.trace_log.append((op, addr, out))
+        return out
+
+    def settle(self, op, space, addr, write, verdicts):
+        for attempts in range(1, self.config.max_retries + 2):
+            out = self.attempt(space, addr, write)
+            if out is not ProbeOutcome.RETRYABLE_ABORT:
+                self.trace_log.append((op, addr, verdicts[out]))
+                return verdicts[out]
+            self.counters["retries"] += 1
+        self.trace_log.append((op, addr, "exhausted"))
+        raise RetryBudgetExhausted(addr, attempts)
+
+    def tap(self, space, addr):
+        self.counters["taps"] += 1
+        return self.settle("tap", space, addr, False, self.READ)
+
+    def claw(self, space, addr, *, known_accessible=False):
+        self.counters["claws"] += 1
+        if not known_accessible and self.tap(space, addr) is Accessibility.INACCESSIBLE:
+            self.trace_log.append(("claw", addr, Writability.INACCESSIBLE))
+            return Writability.INACCESSIBLE
+        return self.settle("claw", space, addr, True, self.WRITE)
+
+
+def probe_outcome(probe, *args, **kw):
+    try:
+        return probe(*args, **kw)
+    except RetryBudgetExhausted as exc:
+        return ("exhausted", exc.addr, exc.attempts)
+
+
+USER_SPECS = ["", "u", "r", "rw", "ru", "rwu", "rxu", "rwxu"]
+KERNEL_SPECS = ["", "r", "rw", "rx"]
+
+
+@st.composite
+def probe_sessions(draw):
+    """A space with user and kernel-half pages of every permission kind, a
+    probe config, and a list of (claw?, address, known_accessible) probes."""
+    space = AddressSpace()
+    bases = []
+    for i in range(draw(st.integers(1, 4))):
+        base = 0x10000 + 2 * i * PAGE_SIZE  # every other page stays unmapped
+        space.map_region(base, PAGE_SIZE, PagePermissions.from_rwxu(
+            draw(st.sampled_from(USER_SPECS))))
+        bases.append(base)
+    for i in range(draw(st.integers(0, 2))):
+        base = USER_TOP + i * PAGE_SIZE
+        space.map_region(base, PAGE_SIZE, PagePermissions.from_rwxu(
+            draw(st.sampled_from(KERNEL_SPECS))))
+        bases.append(base)
+    config = ProbeConfig(
+        spurious_abort_probability=draw(st.one_of(
+            st.sampled_from([0.0, 0.001, 0.3, 0.9]),
+            st.floats(0.0, 0.95),
+        )),
+        rng_seed=draw(st.integers(0, 2**32 - 1)),
+        max_retries=draw(st.integers(1, 5)),
+    )
+    addr = st.one_of(
+        st.sampled_from(bases).flatmap(lambda b: st.integers(b, b + 2 * PAGE_SIZE - 1)),
+        st.integers(0, (1 << 48) - 1),
+    )
+    probes = draw(st.lists(st.tuples(st.booleans(), addr, st.booleans()), max_size=12))
+    return space, config, probes
+
+
+@given(probe_sessions())
+def test_probes_match_per_attempt_reference(session):
+    space, config, probes = session
+    p = Prober(config, trace=True)
+    ref = ReferenceProber(config)
+    for is_claw, addr, known_accessible in probes:
+        if is_claw:
+            got = probe_outcome(p.claw, space, addr, known_accessible=known_accessible)
+            want = probe_outcome(ref.claw, space, addr, known_accessible=known_accessible)
+        else:
+            got = probe_outcome(p.tap, space, addr)
+            want = probe_outcome(ref.tap, space, addr)
+        assert got == want
+    assert list(p.counters.items()) == list(ref.counters.items())
+    assert p.trace_log == ref.trace_log
