@@ -12,8 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import sys
-from array import array
+import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +22,12 @@ USER_TOP = 1 << 47
 ADDR_TOP = 1 << 48
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
-_BIG_ENDIAN = sys.byteorder == "big"
+_WORDS = PAGE_SIZE // 8
+_WORD = struct.Struct("<Q")
+# bytes.translate tables: a zero byte becomes 1 and any other byte 0, and
+# the reverse
+_IS_ZERO = bytes([1]) + bytes(255)
+_IS_NONZERO = bytes([0]) + bytes([1]) * 255
 
 
 class MemoryFault(Exception):
@@ -276,11 +280,11 @@ class AddressSpace:
         per-word work off them.  An all-zero page is skipped with one
         comparison, unless page 0 was mapped and zero is a pointer.  A page
         with no word whose two top bytes are both zero is skipped, since
-        every candidate lies below 2**47.  A page whose smallest word lies
-        at or above the end of the old user span, or whose largest lies
-        below its start, is skipped after a C-level min/max.  Only the
-        words of the few remaining pages are matched against the old page
-        set.
+        every candidate lies below 2**47.  On the pages left, a mask with
+        one byte per word, built from the page's eight byte lanes, marks
+        the words whose top bytes are zero and whose low bytes are not
+        (zero words too if page 0 was mapped); only the marked words are
+        read, matched against the old page set and rewritten.
         """
         if offset % PAGE_SIZE or offset < 0:
             raise ValueError("offset must be a non-negative page multiple")
@@ -292,38 +296,42 @@ class AddressSpace:
             for base, page in self.pages.items()
         }
         if relocate_pointers and offset and old_bases:
-            lo = min(old_bases)
-            hi = max(old_bases) + PAGE_SIZE
+            zero_is_pointer = 0 in old_bases
             for page in self.pages.values():
-                if lo == 0 or page.data != _ZERO_PAGE:
-                    _relocate_page(page.data, old_bases, lo, hi, offset)
+                if zero_is_pointer or page.data != _ZERO_PAGE:
+                    _relocate_page(page.data, old_bases, zero_is_pointer, offset)
 
 
 def _relocate_page(
-    data: bytearray, old_bases: set[int], lo: int, hi: int, offset: int
+    data: bytearray, old_bases: set[int], zero_is_pointer: bool, offset: int
 ) -> None:
     """Add ``offset`` to every aligned little-endian word of ``data`` whose
-    page is in ``old_bases``; ``[lo, hi)`` bounds every such value."""
-    # such a word lies below hi <= 2**47, so its two top bytes are zero;
-    # random code and heap pages seldom hold one, and this test builds no
-    # per-word objects
+    page is in ``old_bases``, which lie below 2**47."""
+    # Byte lane k, data[k::8], holds byte k of every word, so each lane as
+    # one integer lets a few C-level operations test all 512 words at once.
+    # A candidate's two top bytes are zero; random code and heap pages
+    # seldom hold such a word, and this first test builds no per-word
+    # objects.
     top = int.from_bytes(data[6::8], "little") | int.from_bytes(data[7::8], "little")
-    if 0 not in top.to_bytes(PAGE_SIZE // 8, "little"):
+    top = top.to_bytes(_WORDS, "little")
+    if 0 not in top:
         return
-    words = array("Q", data)
-    if _BIG_ENDIAN:
-        words.byteswap()
-    if min(words) >= hi or max(words) < lo:
-        return
-    hits = {w for w in set(words) if w & ~(PAGE_SIZE - 1) in old_bases}
-    if not hits:
-        return
-    for i, w in enumerate(words):
-        if w in hits:
-            words[i] = w + offset
-    if _BIG_ENDIAN:
-        words.byteswap()
-    data[:] = words.tobytes()
+    # one byte per word, 1 where the word is a candidate: its top bytes are
+    # zero and, unless zero is itself a pointer, some low byte is not
+    marks = int.from_bytes(top.translate(_IS_ZERO), "little")
+    if not zero_is_pointer:
+        low = 0
+        for k in range(6):
+            low |= int.from_bytes(data[k::8], "little")
+        low = low.to_bytes(_WORDS, "little").translate(_IS_NONZERO)
+        marks &= int.from_bytes(low, "little")
+    marks = marks.to_bytes(_WORDS, "little")
+    i = marks.find(1)
+    while i >= 0:
+        w = _WORD.unpack_from(data, 8 * i)[0]
+        if w & ~(PAGE_SIZE - 1) in old_bases:
+            _WORD.pack_into(data, 8 * i, w + offset)
+        i = marks.find(1, i + 1)
 
 
 def page_runs(bases: Iterable[int]) -> list[tuple[int, int]]:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -432,6 +433,79 @@ class TestRelocationReference:
             (KERNEL, PAGE_SIZE, "r", words_page(USER_TOP, KERNEL)),
         )
         assert_matches_reference(space, 0x10000)
+
+    # The relocation marks candidate words through a mask built from the
+    # page's eight byte lanes; each case below puts a word where one lane or
+    # one end of that mask decides it.
+
+    def test_pointer_whose_only_nonzero_low_byte_is_byte_5(self):
+        far = 1 << 40  # bytes 00 00 00 00 00 01 00 00
+        space = make_space(
+            (0x8000, PAGE_SIZE, "rwu", words_page(far, fill=RANDOM_HIGH)),
+            (far, PAGE_SIZE, "ru", b""),
+        )
+        assert_matches_reference(space, 0x10000)
+        moved = space.shifted(0x10000, relocate_pointers=True)
+        assert moved.read_bytes(0x18000, 8) == (far + 0x10000).to_bytes(8, "little")
+
+    def test_zero_top_word_into_a_gap_stays(self):
+        gap = 0x9800
+        space = make_space(
+            (0x8000, PAGE_SIZE, "rwu", words_page(RANDOM_HIGH, gap, 0xA010, fill=RANDOM_HIGH)),
+            (0xA000, PAGE_SIZE, "ru", b""),
+        )
+        assert_matches_reference(space, 0x10000)
+        moved = space.shifted(0x10000, relocate_pointers=True)
+        assert moved.read_bytes(0x18008, 16) == b"".join(
+            w.to_bytes(8, "little") for w in (gap, 0x1A010)
+        )
+
+    @pytest.mark.parametrize("page_zero", [True, False], ids=["page-0-mapped", "page-0-unmapped"])
+    def test_zero_words(self, page_zero):
+        regions = [(0x8000, PAGE_SIZE, "rwu", words_page(0, 0x8010, 0, fill=RANDOM_HIGH))]
+        if page_zero:
+            regions.append((0, PAGE_SIZE, "ru", b""))
+        space = make_space(*regions)
+        assert_matches_reference(space, 0x10000)
+        moved = space.shifted(0x10000, relocate_pointers=True)
+        zero = 0x10000 if page_zero else 0
+        assert moved.read_bytes(0x18000, 24) == b"".join(
+            w.to_bytes(8, "little") for w in (zero, 0x18010, zero)
+        )
+
+    def test_pointers_in_first_and_last_slot(self):
+        words = [RANDOM_HIGH] * (PAGE_SIZE // 8)
+        words[0], words[-1] = 0x8008, 0x8FF8
+        space = make_space((0x8000, PAGE_SIZE, "rwu", words_page(*words)))
+        assert_matches_reference(space, 0x10000)
+        moved = space.shifted(0x10000, relocate_pointers=True)
+        assert moved.read_bytes(0x18000, 8) == (0x18008).to_bytes(8, "little")
+        assert moved.read_bytes(0x18FF8, 8) == (0x18FF8).to_bytes(8, "little")
+
+    def test_distinct_words_with_three_pointers(self):
+        # like a data page: 512 distinct words, most of them small integers
+        # or random values, and three pointers
+        rng = random.Random(9)
+        words = rng.sample(range(1, 1 << 12), 256) + [
+            rng.getrandbits(64) | 1 << 63 for _ in range(253)
+        ]
+        rng.shuffle(words)
+        words[17:17] = [0x8040]
+        words[300:300] = [0x9100]
+        words[511:511] = [0x8FFF]
+        assert len(set(words)) == PAGE_SIZE // 8
+        space = make_space(
+            (0x8000, PAGE_SIZE, "rwu", words_page(*words)),
+            (0x9000, PAGE_SIZE, "ru", b""),
+        )
+        assert_matches_reference(space, 0x10000)
+        moved = space.shifted(0x10000, relocate_pointers=True)
+        data = moved.read_bytes(0x18000, PAGE_SIZE)
+        got = [int.from_bytes(data[i : i + 8], "little") for i in range(0, PAGE_SIZE, 8)]
+        changed = [(i, w, g) for i, (w, g) in enumerate(zip(words, got)) if w != g]
+        assert changed == [
+            (17, 0x8040, 0x18040), (300, 0x9100, 0x19100), (511, 0x8FFF, 0x18FFF),
+        ]
 
 
 @st.composite
