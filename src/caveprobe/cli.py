@@ -438,7 +438,7 @@ def _inject(ctx: Pipeline) -> None:
         ),
         "payload-len": len(payload),
         "marker-addr": f"{ctx.marker[0]:#x}" if ctx.marker else None,
-        "cleanup-ranges": [_hex_extent(*image.cleanup)],
+        "cleanup-ranges": [_hex_extent(*image.cleanup)] if payload else [],
         "overwritten": [f"{victim.saved_rbp:#x}", f"{victim.saved_rip:#x}"],
     }
 

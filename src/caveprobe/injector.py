@@ -83,14 +83,14 @@ class FakeFrameImage:
         return len(self.image_bytes())
 
     @property
-    def cleanup(self) -> tuple[int, int]:
+    def cleanup(self) -> tuple[int, int] | None:
         """(start, length) the payload must zero afterwards: the frame word,
         the chain words, and the alignment padding before the payload.  The
         payload cannot be in it; code cannot zero bytes it has yet to
-        execute."""
-        if self.payload_addr is not None:
-            return self.base, self.payload_addr - self.base
-        return self.base, 8 * len(self.words)
+        execute.  None without a payload, since nothing zeroes the cave."""
+        if self.payload_addr is None:
+            return None
+        return self.base, self.payload_addr - self.base
 
 
 def locate_victim_frame(

@@ -550,7 +550,7 @@ def test_demo_text_reports_byte_identical(monkeypatch):
 
 # The JSON reports for every mode x chain variant x restore combination,
 # in that product order, with seeds 0..2 innermost: 36 passing reports.
-DEMO_COMBO_REPORTS_SHA256 = "0151f916513a3f7175ffb6ea1801c048957a53c43688fa88a22b6244e566dea1"
+DEMO_COMBO_REPORTS_SHA256 = "fd3a24ffd7e59856d8496e2e7dea235710cf442a1a433db0fb7f3db52621a6e6"
 
 
 def test_demo_combo_reports_byte_identical(monkeypatch):

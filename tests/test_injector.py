@@ -172,10 +172,11 @@ class TestPlanCleanup:
                                  CaveRegion(CAVE, 0x1000))
         assert image.cleanup == (CAVE, 0x60)
 
-    def test_chain_only_covers_words(self):
+    def test_chain_only_has_no_cleanup(self):
+        # no payload runs, so nothing zeroes the chain image
         image = forge_fake_frame(victim(), nine_word_chain(), b"",
                                  CaveRegion(CAVE, 0x1000))
-        assert image.cleanup == (CAVE, 0x58)
+        assert image.cleanup is None
 
 
 def arming_space():
