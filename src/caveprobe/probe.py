@@ -72,6 +72,7 @@ _FATAL = ProbeOutcome.FATAL_ABORT
 _READ = ("read_tx", "tap", ProbeOutcome.COMMITTED, ACCESSIBLE, INACCESSIBLE)
 _WRITE = ("write_tx", "claw", ProbeOutcome.EXPLICIT_ABORT, WRITABLE, READ_ONLY)
 
+
 class RetryBudgetExhausted(RuntimeError):
     """Every attempt aborted transiently; the address stays unclassified."""
 
@@ -158,9 +159,11 @@ class Prober:
         read transaction."""
         self.counters["taps"] += 1
         page = space.pages.get(addr & ~(PAGE_SIZE - 1))
-        perms = page.perms if page is not None else None
-        return self._settle(addr, addr < USER_TOP and perms is not None
-                            and perms.readable and perms.user_accessible, _READ)
+        allowed = (
+            addr < USER_TOP and page is not None
+            and page.perms.readable and page.perms.user_accessible
+        )
+        return self._settle(addr, allowed, _READ)
 
     def claw(
         self, space: AddressSpace, addr: int, *, known_accessible: bool = False
@@ -179,9 +182,11 @@ class Prober:
             self._note("claw", addr, NO_ACCESS)
             return NO_ACCESS
         page = space.pages.get(addr & ~(PAGE_SIZE - 1))
-        perms = page.perms if page is not None else None
-        return self._settle(addr, addr < USER_TOP and perms is not None
-                            and perms.writable and perms.user_accessible, _WRITE)
+        allowed = (
+            addr < USER_TOP and page is not None
+            and page.perms.writable and page.perms.user_accessible
+        )
+        return self._settle(addr, allowed, _WRITE)
 
     def safe_write(self, space: AddressSpace, addr: int, data: bytes) -> None:
         """Write only after claw confirms every touched page is writable.
