@@ -196,8 +196,8 @@ def emit_report(report: AttackReport, fmt: str = "json") -> str:
 
 def _read_image(path: Path) -> tuple[AddressSpace, int, int]:
     """Parse the manifest once; return its space and its seed pair
-    (return site, stack pointer)."""
-    doc = parse_manifest(path.read_text())
+    (return site, stack pointer).  JSON is UTF-8 whatever the locale."""
+    doc = parse_manifest(path.read_bytes().decode())
     seed_obj = doc.get("seeds")
     if not isinstance(seed_obj, dict):
         raise ManifestError('image manifest lacks a "seeds" object')
@@ -315,8 +315,8 @@ def _probe(ctx: Pipeline) -> None:
 
 
 def _explore(ctx: Pipeline) -> None:
-    # grow every accessible hit to its full contiguous extent, then
-    # classify each extent page by page with write probes
+    # grow every accessible hit to its full contiguous extent with claws,
+    # which settle each page's verdict, then coalesce them into runs
     accessible = ctx.pagemap.accessible_pages()
     if not accessible:
         raise ValueError("exploration found nothing accessible")

@@ -85,8 +85,9 @@ class PageMap:
         return entry.accessible
 
     def claw(self, base: int) -> Writability:
-        """Writability of the page at ``base``, clawed at most once.  A page
-        already tapped accessible costs only the write transaction."""
+        """Writability of the page at ``base``, clawed at most once.  A new
+        page costs one write transaction if writable, and a tap more if
+        not; a page already tapped accessible costs only the write."""
         entry = self.entries.get(base)
         if entry is None:
             if self.budget is not None:
@@ -226,18 +227,18 @@ def explore(
 def region_around(pm: PageMap, addr: int) -> tuple[int, int]:
     """Extent of the contiguous accessible run containing ``addr``.
 
-    Probes outward in both directions until the first inaccessible page,
-    through ``pm``, so pages it already holds cost nothing.  The page
-    holding ``addr`` itself must be accessible.
+    Claws outward in both directions until the first inaccessible page,
+    through ``pm``: stored pages cost nothing, and every page grown is
+    stored with its writability.  The page of ``addr`` must be accessible.
     """
     base = AddressSpace.page_base(addr)
-    if not pm.tap(base):
+    if pm.claw(base) is NO_ACCESS:
         raise ValueError(f"page {base:#x} is not accessible")
     lo = base
-    while lo > 0 and pm.tap(lo - PAGE_SIZE):
+    while lo > 0 and pm.claw(lo - PAGE_SIZE) is not NO_ACCESS:
         lo -= PAGE_SIZE
     hi = base + PAGE_SIZE
-    while hi < USER_TOP and pm.tap(hi):
+    while hi < USER_TOP and pm.claw(hi) is not NO_ACCESS:
         hi += PAGE_SIZE
     return lo, hi
 

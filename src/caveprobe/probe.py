@@ -170,23 +170,25 @@ class Prober:
     ) -> Writability:
         """Classify writability of ``addr`` without modifying memory.
 
-        Runs a tap first, unless the caller already holds an accessible
-        verdict for the page (``known_accessible``); an inaccessible address
-        short-circuits with no write transaction at all.  Otherwise a write
-        transaction ending in an explicit abort, which rolls the write back,
-        distinguishes writable from read-only: a non-writable destination
-        aborts fatally on the suppressed fault.
+        Writes first, in a transaction ending in an explicit abort that
+        rolls the write back; reaching the abort proves the page writable
+        (there are no write-only pages).  Only a write that aborts fatally
+        is followed by a tap, which tells read-only from inaccessible,
+        unless the caller holds an accessible verdict (``known_accessible``).
         """
         self.counters["claws"] += 1
-        if not known_accessible and self.tap(space, addr) is INACCESSIBLE:
-            self._note("claw", addr, NO_ACCESS)
-            return NO_ACCESS
         page = space.pages.get(addr & ~(PAGE_SIZE - 1))
         allowed = (
             addr < USER_TOP and page is not None
             and page.perms.writable and page.perms.user_accessible
         )
-        return self._settle(addr, allowed, _WRITE)
+        if allowed or known_accessible:
+            return self._settle(addr, allowed, _WRITE)
+        self.counters["write_tx"] += 1
+        self._note("write_tx", addr, _FATAL)
+        kind = READ_ONLY if self.tap(space, addr) is ACCESSIBLE else NO_ACCESS
+        self._note("claw", addr, kind)
+        return kind
 
     def safe_write(self, space: AddressSpace, addr: int, data: bytes) -> None:
         """Write only after claw confirms every touched page is writable.

@@ -425,6 +425,26 @@ class TestMain:
         assert err.count("\n") == 1
         assert err.startswith(f"caveprobe: stage 'load' failed: {field} ")
 
+    def test_crlf_manifest_gives_the_same_report(self, tmp_path):
+        crlf = tmp_path / "demo.json"
+        crlf.write_bytes(Path(DEMO).read_bytes().replace(b"\n", b"\r\n"))
+        reports = []
+        for path in (DEMO, str(crlf)):
+            out = tmp_path / "r.json"
+            assert main(["--image-path", path, "--out", str(out)]) == EXIT_OK
+            doc = json.loads(out.read_text())
+            assert doc["config"].pop("image-path") == path
+            reports.append(doc)
+        assert reports[0] == reports[1]
+
+    def test_manifest_that_is_not_utf8_is_one_line_error(self, tmp_path, capsys):
+        manifest = tmp_path / "not-utf8.json"
+        manifest.write_bytes(b"\xff" + Path(DEMO).read_bytes())
+        assert main(["--image-path", str(manifest)]) == EXIT_STAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("caveprobe: stage 'load' failed: ")
+
     @pytest.mark.parametrize(
         "flags, field",
         [
@@ -515,7 +535,7 @@ class TestMain:
 # images/demo.maps for seeds 0..9, concatenated in seed order.  A change that
 # means to leave behaviour alone keeps it; a change that deliberately alters
 # the reports updates it and says why in CHANGES.md.
-DEMO_REPORTS_SHA256 = "b3669b305b84ecac8b0758be7935d33f05ea7730c4c0bc4dabaf8b3fa8814f01"
+DEMO_REPORTS_SHA256 = "dc966c238bd47eed0d6e055c594446a5063f069d62c754e4197ea7cb3a224f09"
 
 
 def test_demo_reports_byte_identical(monkeypatch):
@@ -550,7 +570,7 @@ def test_demo_text_reports_byte_identical(monkeypatch):
 
 # The JSON reports for every mode x chain variant x restore combination,
 # in that product order, with seeds 0..2 innermost: 36 passing reports.
-DEMO_COMBO_REPORTS_SHA256 = "fd3a24ffd7e59856d8496e2e7dea235710cf442a1a433db0fb7f3db52621a6e6"
+DEMO_COMBO_REPORTS_SHA256 = "09b46e50ed2606ad431c277eff946024ae9e5bfe971a4450134f8c080302b6a4"
 
 
 def test_demo_combo_reports_byte_identical(monkeypatch):

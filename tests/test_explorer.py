@@ -167,6 +167,20 @@ class TestRegionAround:
         with pytest.raises(ValueError):
             region_around(quiet_store(make_space()), 0x5000)
 
+    def test_writable_run_costs_one_write_per_page(self):
+        # five writable pages between two holes: each page of the run is
+        # settled by its write; only the two edge pages, whose writes
+        # fault, are tapped as well
+        space = make_space((0x20000, 5 * PAGE_SIZE, "rwu", b""))
+        p = quiet_prober()
+        pm = PageMap(space, p)
+        assert region_around(pm, 0x22000) == (0x20000, 0x25000)
+        assert p.counters["write_tx"] == 5 + 2
+        assert p.counters["read_tx"] == 2
+        recon = reconstruct_map(pm, 0x20000, 0x25000)
+        assert [r.kind for r in recon.runs] == [Writability.WRITABLE]
+        assert p.counters["write_tx"] + p.counters["read_tx"] == 9
+
     def test_no_page_cap(self):
         # 1,100 pages grown from either end, beyond what a 1,024-page cap
         # per direction reaches
@@ -200,7 +214,7 @@ class TestPageMapStore:
             assert pm.claw(0x11000) is Writability.WRITABLE
             assert pm.claw(0x20000) is Writability.INACCESSIBLE
         assert p.counters["claws"] == 3
-        assert p.counters["read_tx"] == 3 and p.counters["write_tx"] == 2
+        assert p.counters["read_tx"] == 2 and p.counters["write_tx"] == 3
         assert pm.entries[0x11000] == PageEntry(True, True)
         assert pm.entries[0x20000] == PageEntry(False)
 
@@ -240,13 +254,12 @@ class TestPageMapStore:
         p = quiet_prober()
         pm = PageMap(self.space(), p)
         assert region_around(pm, 0x10000) == (0x10000, 0x12000)
-        taps = p.counters["taps"]
+        spent = dict(p.counters)
         assert region_around(pm, 0x11000) == (0x10000, 0x12000)
         recon = reconstruct_map(pm, 0x10000, 0x12000)
         assert [r.kind for r in recon.runs] == [Writability.READ_ONLY,
                                                 Writability.WRITABLE]
-        assert p.counters["taps"] == taps
-        assert p.counters["read_tx"] == taps
+        assert p.counters == spent
 
 
 class TestReconstruct:

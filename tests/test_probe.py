@@ -172,11 +172,33 @@ class TestClaw:
     def test_read_only(self, space):
         assert quiet_prober().claw(space, 0x10000) is Writability.READ_ONLY
 
-    def test_inaccessible_short_circuits(self, space):
-        p = quiet_prober()
-        assert p.claw(space, 0x999000) is Writability.INACCESSIBLE
-        assert p.counters["write_tx"] == 0
-        assert p.counters["read_tx"] == 1
+    @pytest.mark.parametrize("addr, known_accessible, kind, expected", [
+        pytest.param(0x11000, False, Writability.WRITABLE,
+                     [("write_tx", 0x11000, ProbeOutcome.EXPLICIT_ABORT)],
+                     id="writable"),
+        pytest.param(0x10000, False, Writability.READ_ONLY,
+                     [("write_tx", 0x10000, ProbeOutcome.FATAL_ABORT),
+                      ("read_tx", 0x10000, ProbeOutcome.COMMITTED)],
+                     id="read-only"),
+        pytest.param(0x999000, False, Writability.INACCESSIBLE,
+                     [("write_tx", 0x999000, ProbeOutcome.FATAL_ABORT),
+                      ("read_tx", 0x999000, ProbeOutcome.FATAL_ABORT)],
+                     id="inaccessible"),
+        pytest.param(0x10000, True, Writability.READ_ONLY,
+                     [("write_tx", 0x10000, ProbeOutcome.FATAL_ABORT)],
+                     id="read-only-known-accessible"),
+    ])
+    def test_exact_transactions_per_kind(
+        self, space, addr, known_accessible, kind, expected
+    ):
+        # the write comes first; only a fatal one on a page not known
+        # accessible is followed by a tap
+        p = traced_prober()
+        assert p.claw(space, addr, known_accessible=known_accessible) is kind
+        assert transactions(p) == expected
+        assert p.counters["write_tx"] == 1
+        assert p.counters["read_tx"] == len(expected) - 1
+        assert p.counters["retries"] == 0
 
     def test_never_modifies_memory(self, space):
         p = quiet_prober()
@@ -300,26 +322,32 @@ class ReferenceProber:
         self.trace_log.append((op, addr, out))
         return out
 
-    def settle(self, op, space, addr, write, verdicts):
+    def settle(self, op, space, addr, write):
+        """The outcome of the first attempt that is not transient."""
         for attempts in range(1, self.config.max_retries + 2):
             out = self.attempt(space, addr, write)
             if out is not ProbeOutcome.RETRYABLE_ABORT:
-                self.trace_log.append((op, addr, verdicts[out]))
-                return verdicts[out]
+                return out
             self.counters["retries"] += 1
         self.trace_log.append((op, addr, "exhausted"))
         raise RetryBudgetExhausted(addr, attempts)
 
     def tap(self, space, addr):
         self.counters["taps"] += 1
-        return self.settle("tap", space, addr, False, self.READ)
+        verdict = self.READ[self.settle("tap", space, addr, False)]
+        self.trace_log.append(("tap", addr, verdict))
+        return verdict
 
     def claw(self, space, addr, *, known_accessible=False):
+        """Write first; only a fatal write, on a page not known accessible,
+        is followed by a tap that tells read-only from inaccessible."""
         self.counters["claws"] += 1
-        if not known_accessible and self.tap(space, addr) is Accessibility.INACCESSIBLE:
-            self.trace_log.append(("claw", addr, Writability.INACCESSIBLE))
-            return Writability.INACCESSIBLE
-        return self.settle("claw", space, addr, True, self.WRITE)
+        verdict = self.WRITE[self.settle("claw", space, addr, True)]
+        if verdict is Writability.READ_ONLY and not known_accessible:
+            if self.tap(space, addr) is Accessibility.INACCESSIBLE:
+                verdict = Writability.INACCESSIBLE
+        self.trace_log.append(("claw", addr, verdict))
+        return verdict
 
 
 def probe_outcome(probe, *args, **kw):
