@@ -63,13 +63,14 @@ def sweep_point(
         except RetryBudgetExhausted:
             gave_up += 1
     c = prober.counters
-    transactions = c["read_tx"] + c["write_tx"]
+    transactions = c.get("read_tx", 0) + c.get("write_tx", 0)
+    retries = c.get("retries", 0)
     return {
         "abort-probability": probability,
         "probes": probes,
         "transactions": transactions,
-        "retries": c["retries"],
-        "retries-per-probe": round(c["retries"] / probes, 4),
+        "retries": retries,
+        "retries-per-probe": round(retries / probes, 4),
         "gave-up": gave_up,
         "gave-up-rate": round(gave_up / probes, 4),
     }

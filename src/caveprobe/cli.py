@@ -197,7 +197,12 @@ def emit_report(report: AttackReport, fmt: str = "json") -> str:
 def _read_image(path: Path) -> tuple[AddressSpace, int, int]:
     """Parse the manifest once; return its space and its seed pair
     (return site, stack pointer).  JSON is UTF-8 whatever the locale."""
-    doc = parse_manifest(path.read_bytes().decode())
+    try:  # the text stays unnamed, so it is freed before the pages are built
+        doc = parse_manifest(path.read_bytes().decode())
+    except UnicodeDecodeError as exc:
+        raise ManifestError(
+            f"manifest {path} is not UTF-8: first bad byte at offset {exc.start}"
+        ) from None
     seed_obj = doc.get("seeds")
     if not isinstance(seed_obj, dict):
         raise ManifestError('image manifest lacks a "seeds" object')
@@ -263,14 +268,14 @@ class Pipeline:
             raise StageError("load", exc) from exc
         counters = self.prober.counters
         for stage, body in _STAGE_TABLE:
-            before = {k: counters[k] for k in STAGE_COUNTERS}
+            before = {k: counters.get(k, 0) for k in STAGE_COUNTERS}
             try:
                 body(self)
             except Exception as exc:
                 raise StageError(stage, exc) from exc
             self.report.stages.append(stage)
             self.report.stage_counters[stage] = {
-                k: counters[k] - before[k] for k in STAGE_COUNTERS
+                k: counters.get(k, 0) - before[k] for k in STAGE_COUNTERS
             }
             if stage == self.config.stop_after:
                 break

@@ -176,20 +176,26 @@ def _sweep(
     pm: PageMap, anchor: int, max_gap: int, *, stop_on_hit: bool = False
 ) -> int | None:
     """Bidirectional linear sweep from ``anchor``: walk up, then down, until
-    ``max_gap`` consecutive pages in a direction were inaccessible.  Returns
-    the first accessible page when ``stop_on_hit`` is set."""
+    ``max_gap`` consecutive pages in a direction were inaccessible.  With
+    ``stop_on_hit`` it returns the first accessible page, having only tapped.
+
+    The previous page of the pass picks the probe.  After an accessible page
+    not known to be read-only the sweep claws, as the run may go on writable
+    and ``region_around`` claws it anyway: a writable page costs one
+    transaction, not a tap and a claw.  At the start of a pass, after a miss
+    and after a read-only page it taps, since a gap costs one transaction to
+    tap and two to claw.  A page is a hit or a miss as with taps alone."""
     for step in (PAGE_SIZE, -PAGE_SIZE):
         base = AddressSpace.page_base(anchor)
         if step < 0:
             base += step  # upward pass already covered the anchor page
-        misses = 0
+        misses, clawing = 0, False
         while 0 <= base < USER_TOP and misses < max_gap:
-            if pm.tap(base):
-                if stop_on_hit:
-                    return base
-                misses = 0
-            else:
-                misses += 1
+            hit = pm.claw(base) is not NO_ACCESS if clawing else pm.tap(base)
+            if hit and stop_on_hit:
+                return base
+            misses = 0 if hit else misses + 1
+            clawing = hit and pm.entries[base].writable is not False
             base += step
     return None
 
@@ -200,7 +206,8 @@ def explore(
     """Run one exploration strategy through ``pm``; it stops gracefully
     when the store's budget is spent.
 
-    ``linear``: gap-limited bidirectional sweep around every seed.
+    ``linear``: gap-limited bidirectional sweep around every seed; it claws
+    on through accessible runs, so a writable page there costs one transaction.
     ``pointer-chase``: breadth-first pointer harvest from the seeds.
     ``hybrid``: sweep until the first accessible page, then hand that page
     plus the original seeds to the pointer chase.

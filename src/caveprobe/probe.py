@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import random
-from collections import Counter
 from dataclasses import dataclass
 
 from .memspace import PAGE_SIZE, USER_TOP, AddressSpace
@@ -96,14 +95,15 @@ class Prober:
     """Probe driver owning the retry RNG and per-operation counters.
 
     Counter keys: ``read_tx``, ``write_tx``, ``taps``, ``claws``,
-    ``retries``, ``safe_writes``.  With ``trace=True`` every primitive call
-    is appended to ``trace_log`` as ``(op, addr, result)``.
+    ``retries``, ``safe_writes``; a key appears at its first increment, so
+    read ``counters`` with ``.get(key, 0)``.  With ``trace=True`` every
+    primitive call is appended to ``trace_log`` as ``(op, addr, result)``.
     """
 
     def __init__(self, config: ProbeConfig | None = None, *, trace: bool = False):
         self.config = config or ProbeConfig()
         self.rng = random.Random(self.config.rng_seed)
-        self.counters: Counter[str] = Counter()
+        self.counters: dict[str, int] = {}
         self.trace_log: list[tuple[str, int, object]] | None = [] if trace else None
 
     def _note(self, op: str, addr: int, result: object) -> None:
@@ -129,7 +129,7 @@ class Prober:
         counters = self.counters
         trace = self.trace_log
         if not allowed:
-            counters[tx] += 1
+            counters[tx] = counters.get(tx, 0) + 1
             if trace is not None:
                 trace += ((tx, addr, _FATAL), (op, addr, refused))
             return refused
@@ -141,14 +141,14 @@ class Prober:
                 if trace is not None:
                     trace.append((tx, addr, _RETRYABLE))
                 if attempts > self.config.max_retries:
-                    counters[tx] += attempts
-                    counters["retries"] += attempts
+                    counters[tx] = counters.get(tx, 0) + attempts
+                    counters["retries"] = counters.get("retries", 0) + attempts
                     self._note(op, addr, "exhausted")
                     raise RetryBudgetExhausted(addr, attempts)
                 attempts += 1
-        counters[tx] += attempts
+        counters[tx] = counters.get(tx, 0) + attempts
         if attempts > 1:
-            counters["retries"] += attempts - 1
+            counters["retries"] = counters.get("retries", 0) + attempts - 1
         if trace is not None:
             trace += ((tx, addr, done), (op, addr, verdict))
         return verdict
@@ -157,7 +157,7 @@ class Prober:
         """Classify readability of ``addr`` without risking a fault: a
         mapped, readable, user-accessible user-half address commits its
         read transaction."""
-        self.counters["taps"] += 1
+        self.counters["taps"] = self.counters.get("taps", 0) + 1
         page = space.pages.get(addr & ~(PAGE_SIZE - 1))
         allowed = (
             addr < USER_TOP and page is not None
@@ -176,7 +176,7 @@ class Prober:
         is followed by a tap, which tells read-only from inaccessible,
         unless the caller holds an accessible verdict (``known_accessible``).
         """
-        self.counters["claws"] += 1
+        self.counters["claws"] = self.counters.get("claws", 0) + 1
         page = space.pages.get(addr & ~(PAGE_SIZE - 1))
         allowed = (
             addr < USER_TOP and page is not None
@@ -184,7 +184,7 @@ class Prober:
         )
         if allowed or known_accessible:
             return self._settle(addr, allowed, _WRITE)
-        self.counters["write_tx"] += 1
+        self.counters["write_tx"] = self.counters.get("write_tx", 0) + 1
         self._note("write_tx", addr, _FATAL)
         kind = READ_ONLY if self.tap(space, addr) is ACCESSIBLE else NO_ACCESS
         self._note("claw", addr, kind)
@@ -198,7 +198,7 @@ class Prober:
         """
         if not data:
             raise ValueError("safe_write requires a non-empty payload")
-        self.counters["safe_writes"] += 1
+        self.counters["safe_writes"] = self.counters.get("safe_writes", 0) + 1
         end = addr + len(data)
         base = AddressSpace.page_base(addr)
         while base < end:

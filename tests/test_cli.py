@@ -439,11 +439,15 @@ class TestMain:
 
     def test_manifest_that_is_not_utf8_is_one_line_error(self, tmp_path, capsys):
         manifest = tmp_path / "not-utf8.json"
-        manifest.write_bytes(b"\xff" + Path(DEMO).read_bytes())
+        text = Path(DEMO).read_bytes()
+        manifest.write_bytes(text[:7] + b"\xff" + text[7:])
         assert main(["--image-path", str(manifest)]) == EXIT_STAGE_ERROR
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("caveprobe: stage 'load' failed: ")
+        assert str(manifest) in err
+        assert "is not UTF-8: first bad byte at offset 7" in err
+        assert "codec" not in err
 
     @pytest.mark.parametrize(
         "flags, field",
@@ -570,7 +574,7 @@ def test_demo_text_reports_byte_identical(monkeypatch):
 
 # The JSON reports for every mode x chain variant x restore combination,
 # in that product order, with seeds 0..2 innermost: 36 passing reports.
-DEMO_COMBO_REPORTS_SHA256 = "09b46e50ed2606ad431c277eff946024ae9e5bfe971a4450134f8c080302b6a4"
+DEMO_COMBO_REPORTS_SHA256 = "9438f84a43d63fd545f637e6eb797036f751cb40effaf2bb68e0ee6c0b89c03d"
 
 
 def test_demo_combo_reports_byte_identical(monkeypatch):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from caveprobe.explorer import (
     ExploreBudgetError,
@@ -18,9 +19,10 @@ from caveprobe.explorer import (
     region_around,
     truth_runs,
 )
-from caveprobe.memspace import PAGE_SIZE, USER_TOP, parse_proc_maps
+from caveprobe.memspace import PAGE_SIZE, USER_TOP, load_manifest, parse_proc_maps
 from caveprobe.probe import ProbeConfig, Prober, Writability
-from helpers import make_space
+from caveprobe.synth import build_victim_image
+from helpers import NONE, W, make_space, page_class
 
 
 def quiet_prober() -> Prober:
@@ -154,6 +156,91 @@ class TestExploreModes:
             explore(quiet_store(make_space()), "dfs", SeedSet((0x1000,)))
 
 
+def transactions(p: Prober) -> tuple[int, int]:
+    return p.counters.get("read_tx", 0), p.counters.get("write_tx", 0)
+
+
+class TestLinearSweepProbes:
+    # a gap, 5 writable pages, a 2-page gap, 3 read-only pages, a gap
+    RW = 0x20000
+    RO = RW + 7 * PAGE_SIZE
+
+    def layout(self):
+        return make_space(
+            (self.RW, 5 * PAGE_SIZE, "rwu", b""),
+            (self.RO, 3 * PAGE_SIZE, "ru", b""),
+        )
+
+    def test_exact_transactions_through_explore_stage(self):
+        p = quiet_prober()
+        pm = explore(PageMap(self.layout(), p), "linear", SeedSet((self.RW,)),
+                     max_gap=4)
+        # upward: tap the anchor, claw 4 writable pages (1 write each),
+        # claw the far edge (fatal write, fatal tap), tap the next gap page,
+        # tap the first read-only page, claw the second (fatal write,
+        # committed tap), tap the third, claw the far edge (2), tap 3 gap
+        # pages; downward: tap 4 gap pages.  A tap-only sweep pays 18 reads.
+        assert transactions(p) == (14, 7)
+        extents = [region_around(pm, self.RW), region_around(pm, self.RO)]
+        assert extents == [(self.RW, self.RW + 5 * PAGE_SIZE),
+                           (self.RO, self.RO + 3 * PAGE_SIZE)]
+        # the writes left: each extent's tapped first page and the tapped
+        # third read-only page; a tap-only sweep leaves all 8 pages
+        assert transactions(p) == (14, 10)
+        kinds = [[r.kind for r in reconstruct_map(pm, lo, hi).runs]
+                 for lo, hi in extents]
+        assert kinds == [[Writability.WRITABLE], [Writability.READ_ONLY]]
+        assert transactions(p) == (14, 10)
+
+    def test_hybrid_sweep_only_taps(self):
+        p = quiet_prober()
+        explore(PageMap(self.layout(), p), "hybrid", SeedSet((self.RW,)))
+        assert "claws" not in p.counters
+
+
+def reference_linear_sweep(space, anchors, max_gap) -> dict[int, bool]:
+    """Pages a tap-only linear sweep stores, in the order it first visits
+    them, with the accessibility a perfect observer gives each."""
+    seen: dict[int, bool] = {}
+    for anchor in anchors:
+        for step in (PAGE_SIZE, -PAGE_SIZE):
+            base = anchor - anchor % PAGE_SIZE + min(step, 0)
+            misses = 0
+            while 0 <= base < USER_TOP and misses < max_gap:
+                if base not in seen:
+                    page = space.pages.get(base)
+                    seen[base] = page is not None and page_class(page.perms) != NONE
+                misses = 0 if seen[base] else misses + 1
+                base += step
+    return seen
+
+
+@given(
+    image_seed=st.integers(0, 2**32 - 1),
+    pages=st.sampled_from((4, 16)),
+    budget=st.one_of(st.integers(1, 300), st.just(4096)),
+    max_gap=st.sampled_from((1, 3, 64)),
+    abort_prob=st.sampled_from((0.0, 0.3)),
+)
+def test_linear_store_matches_tap_only_sweep(
+    image_seed, pages, budget, max_gap, abort_prob
+):
+    img = build_victim_image(
+        image_seed, code_pages=pages, cave_pages=pages, stack_pages=pages
+    )
+    space = load_manifest(img.manifest_text)
+    anchors = (img.truth.return_site, img.truth.stack_pointer)
+    prober = Prober(ProbeConfig(spurious_abort_probability=abort_prob,
+                                rng_seed=image_seed))
+    pm = explore(PageMap(space, prober, budget), "linear", SeedSet(anchors),
+                 max_gap)
+    want = list(reference_linear_sweep(space, anchors, max_gap).items())
+    assert [(b, e.accessible) for b, e in pm.entries.items()] == want[:budget]
+    for base, entry in pm.entries.items():
+        if entry.writable is not None:
+            assert entry.writable == (page_class(space.pages[base].perms) == W)
+
+
 class TestRegionAround:
     def test_exact_extent(self):
         space = make_space(
@@ -233,7 +320,8 @@ class TestPageMapStore:
         pm = PageMap(self.space(), p)
         pm.tap(0x20000)
         assert pm.claw(0x20000) is Writability.INACCESSIBLE
-        assert p.counters["claws"] == 0 and p.counters["write_tx"] == 0
+        assert p.counters.get("claws", 0) == 0
+        assert p.counters.get("write_tx", 0) == 0
 
     def test_budget_refuses_a_new_page_only(self):
         pm = quiet_store(self.space(), budget=1)

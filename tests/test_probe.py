@@ -127,7 +127,7 @@ class TestTap:
         p = quiet_prober()
         for _ in range(50):
             p.tap(space, 0x10000)
-        assert p.counters["retries"] == 0
+        assert p.counters.get("retries", 0) == 0
         assert p.counters["read_tx"] == 50
 
     def test_retry_sequence_frozen_seed(self, space):
@@ -197,8 +197,8 @@ class TestClaw:
         assert p.claw(space, addr, known_accessible=known_accessible) is kind
         assert transactions(p) == expected
         assert p.counters["write_tx"] == 1
-        assert p.counters["read_tx"] == len(expected) - 1
-        assert p.counters["retries"] == 0
+        assert p.counters.get("read_tx", 0) == len(expected) - 1
+        assert p.counters.get("retries", 0) == 0
 
     def test_never_modifies_memory(self, space):
         p = quiet_prober()
