@@ -7,66 +7,4 @@ the result on a small machine model to check that control flow lands back
 where the victim would have returned anyway.
 """
 
-from .memspace import (
-    PAGE_SIZE,
-    USER_TOP,
-    AddressSpace,
-    GroundTruthMap,
-    MemoryFault,
-    PagePermissions,
-    load_manifest,
-    parse_proc_maps,
-)
-from .probe import (
-    Accessibility,
-    ProbeConfig,
-    Prober,
-    RetryBudgetExhausted,
-    Writability,
-)
-from .explorer import PageMap, SeedSet, explore
-from .gadgets import GadgetCatalog, MissingGadgetError, build_mprotect_chain, find_gadgets
-from .caves import CaveRegion, NoCaveError, find_caves, select_cave
-from .injector import VictimFrame, forge_fake_frame, inject, locate_victim_frame
-from .machine import MachineState, run_until, step
-from .cli import Pipeline, PipelineConfig, run_pipeline
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "PAGE_SIZE",
-    "USER_TOP",
-    "AddressSpace",
-    "GroundTruthMap",
-    "MemoryFault",
-    "PagePermissions",
-    "load_manifest",
-    "parse_proc_maps",
-    "Accessibility",
-    "ProbeConfig",
-    "Prober",
-    "RetryBudgetExhausted",
-    "Writability",
-    "PageMap",
-    "SeedSet",
-    "explore",
-    "GadgetCatalog",
-    "MissingGadgetError",
-    "build_mprotect_chain",
-    "find_gadgets",
-    "CaveRegion",
-    "NoCaveError",
-    "find_caves",
-    "select_cave",
-    "VictimFrame",
-    "forge_fake_frame",
-    "inject",
-    "locate_victim_frame",
-    "MachineState",
-    "run_until",
-    "step",
-    "Pipeline",
-    "PipelineConfig",
-    "run_pipeline",
-    "__version__",
-]

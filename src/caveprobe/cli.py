@@ -194,15 +194,21 @@ def emit_report(report: AttackReport, fmt: str = "json") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_utf8(path: Path, what: str) -> str:
+    """The text of the input file ``path``: UTF-8 whatever the locale."""
+    try:
+        return path.read_bytes().decode()
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"{what} {path} is not UTF-8: first bad byte at offset {exc.start}"
+        ) from None
+
+
 def _read_image(path: Path) -> tuple[AddressSpace, int, int]:
     """Parse the manifest once; return its space and its seed pair
-    (return site, stack pointer).  JSON is UTF-8 whatever the locale."""
-    try:  # the text stays unnamed, so it is freed before the pages are built
-        doc = parse_manifest(path.read_bytes().decode())
-    except UnicodeDecodeError as exc:
-        raise ManifestError(
-            f"manifest {path} is not UTF-8: first bad byte at offset {exc.start}"
-        ) from None
+    (return site, stack pointer)."""
+    # the text stays unnamed, so it is freed before the pages are built
+    doc = parse_manifest(_read_utf8(path, "manifest"))
     seed_obj = doc.get("seeds")
     if not isinstance(seed_obj, dict):
         raise ManifestError('image manifest lacks a "seeds" object')
@@ -306,7 +312,8 @@ def _load(ctx: Pipeline) -> None:
         ProbeConfig(spurious_abort_probability=cfg.spurious_prob, rng_seed=cfg.seed)
     )
     if cfg.ground_truth_path is not None:
-        truth = parse_proc_maps(Path(cfg.ground_truth_path).read_text())
+        path = Path(cfg.ground_truth_path)
+        truth = parse_proc_maps(_read_utf8(path, "ground truth"))
         ctx.truth = truth.shifted(offset) if offset else truth
 
 
@@ -419,7 +426,7 @@ def _inject(ctx: Pipeline) -> None:
         marker_value = random.Random(f"{cfg.seed}:marker").getrandbits(64) | 1
         ctx.marker = (cave.start + cave.length - 8, marker_value)
         payload = machine.assemble_payload(
-            victim, [(cave.start, payload_off)], ctx.marker
+            victim, (cave.start, payload_off), ctx.marker
         )
 
     image = injector.forge_fake_frame(victim, chain, payload, cave)

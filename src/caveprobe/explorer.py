@@ -57,11 +57,11 @@ class PageMap:
     probes through, and the only way it probes.  It owns the space and the
     prober.  The victim is paused, so a verdict holds for the whole run;
     ``tap`` and ``claw`` probe a page only for a verdict not yet stored.
-    With a ``budget``, no more than that many pages are ever probed."""
+    No more than ``budget`` pages are ever probed."""
 
     space: AddressSpace
     prober: Prober
-    budget: int | None = None
+    budget: int = DEFAULT_BUDGET
     entries: dict[int, PageEntry] = field(default_factory=dict)
 
     def accessible_pages(self) -> list[int]:
@@ -78,8 +78,7 @@ class PageMap:
         """Accessibility of the page at ``base``, tapped at most once."""
         entry = self.entries.get(base)
         if entry is None:
-            if self.budget is not None:
-                self._admit(base)
+            self._admit(base)
             entry = PageEntry(self.prober.tap(self.space, base) is ACCESSIBLE)
             self.entries[base] = entry
         return entry.accessible
@@ -90,8 +89,7 @@ class PageMap:
         not; a page already tapped accessible costs only the write."""
         entry = self.entries.get(base)
         if entry is None:
-            if self.budget is not None:
-                self._admit(base)
+            self._admit(base)
             kind = self.prober.claw(self.space, base)
         elif not entry.accessible:
             return NO_ACCESS
@@ -147,8 +145,8 @@ def explore_from_pointers(pm: PageMap, seeds: SeedSet) -> PageMap:
 
     Each dequeued page is tapped; accessible pages are read (only after the
     tap) and mined for further pointer candidates.  Inaccessible candidates
-    are recorded too.  A store with a budget raises ExploreBudgetError at
-    the first page beyond it.
+    are recorded too.  The store raises ExploreBudgetError at the first
+    page beyond its budget.
     """
     queue: list[int] = []
     queued: set[int] = set()

@@ -114,9 +114,6 @@ class RopChain:
         if not self.words or self.words[0].role != "gadget-address":
             raise ValueError("a chain must start with a gadget address")
 
-    def to_bytes(self) -> bytes:
-        return b"".join(w.value.to_bytes(8, "little") for w in self.words)
-
 
 def required_kinds(variant: str) -> tuple[str, ...]:
     """Gadget kinds a chain variant consumes."""

@@ -79,9 +79,6 @@ class FakeFrameImage:
             blob += bytes(pad) + self.payload
         return blob
 
-    def total_len(self) -> int:
-        return len(self.image_bytes())
-
     @property
     def cleanup(self) -> tuple[int, int] | None:
         """(start, length) the payload must zero afterwards: the frame word,

@@ -332,30 +332,28 @@ def payload_len(cleanup_bytes: int) -> int:
 
 def assemble_payload(
     resume,
-    cleanup_ranges: list[tuple[int, int]],
+    cleanup: tuple[int, int],
     marker: tuple[int, int],
 ) -> bytes:
     """Emit position-independent bytes (from the supported subset only) that:
 
     1. write the marker value to the marker address,
-    2. zero every cleanup range with unrolled 8-byte stores,
+    2. zero the cleanup range ``(start, length)`` with unrolled 8-byte stores,
     3. load the stack and base pointers the victim resumes with,
     4. jump to the victim's resume address.
 
     ``resume`` must expose resume_rip/resume_rsp/resume_rbp, as
-    ``injector.VictimFrame`` does.  Ranges must be 8-byte divisible and
-    together no larger than MAX_CLEANUP_BYTES, since each zeroed 8 bytes
-    costs 13 instruction bytes.
+    ``injector.VictimFrame`` does.  The range must be 8-byte divisible and
+    no larger than MAX_CLEANUP_BYTES, since each zeroed 8 bytes costs 13
+    instruction bytes.
     """
     marker_addr, marker_value = marker
-    total = 0
-    for start, length in cleanup_ranges:
-        if length < 0 or length % 8:
-            raise ValueError("cleanup ranges must be 8-byte divisible")
-        total += length
-    if total > MAX_CLEANUP_BYTES:
+    start, length = cleanup
+    if length < 0 or length % 8:
+        raise ValueError("the cleanup range must be 8-byte divisible")
+    if length > MAX_CLEANUP_BYTES:
         raise ValueError(
-            f"cleanup of {total:#x} bytes exceeds the "
+            f"cleanup of {length:#x} bytes exceeds the "
             f"{MAX_CLEANUP_BYTES:#x}-byte unrolled-store limit"
         )
 
@@ -367,14 +365,13 @@ def assemble_payload(
     assert len(out) == MARKER_STUB_LEN
 
     out += enc_mov_ri("rsi", 0)
-    for start, length in cleanup_ranges:
-        for off in range(0, length, 8):
-            out += enc_mov_ri("rdi", start + off)
-            out += enc_store("rdi", "rsi")
+    for off in range(0, length, 8):
+        out += enc_mov_ri("rdi", start + off)
+        out += enc_store("rdi", "rsi")
 
     out += enc_mov_ri("rsp", resume.resume_rsp)
     out += enc_mov_ri("rbp", resume.resume_rbp)
     out += enc_mov_ri("rcx", resume.resume_rip)
     out += enc_jmp_r("rcx")
-    assert len(out) == payload_len(total)
+    assert len(out) == payload_len(length)
     return bytes(out)

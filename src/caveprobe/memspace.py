@@ -9,7 +9,6 @@ user accessible.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 import struct
@@ -86,26 +85,6 @@ class PagePermissions:
             user_accessible="u" in seen,
         )
 
-    def as_rwxu(self) -> str:
-        out = ""
-        if self.readable:
-            out += "r"
-        if self.writable:
-            out += "w"
-        if self.executable:
-            out += "x"
-        if self.user_accessible:
-            out += "u"
-        return out
-
-    def _bits(self) -> int:
-        return (
-            (1 if self.readable else 0)
-            | (2 if self.writable else 0)
-            | (4 if self.executable else 0)
-            | (8 if self.user_accessible else 0)
-        )
-
 
 @dataclass(slots=True)
 class Page:
@@ -131,9 +110,6 @@ class AddressSpace:
 
     def get_page(self, addr: int) -> Page | None:
         return self.pages.get(addr & ~(PAGE_SIZE - 1))
-
-    def is_mapped(self, addr: int) -> bool:
-        return (addr & ~(PAGE_SIZE - 1)) in self.pages
 
     def map_region(
         self,
@@ -236,45 +212,31 @@ class AddressSpace:
         for base in bases:
             self.pages[base].perms = perms
 
-    def content_hash(self) -> str:
-        """SHA-256 over every page's base, permissions, and bytes."""
-        h = hashlib.sha256()
-        for base in sorted(self.pages):
-            page = self.pages[base]
-            h.update(base.to_bytes(8, "little"))
-            h.update(bytes([page.perms._bits()]))
-            h.update(page.data)
-        return h.hexdigest()
-
-    def snapshot(self) -> dict[int, bytes]:
-        """Immutable copy of every page's bytes, keyed by page base."""
-        return {base: bytes(p.data) for base, p in self.pages.items()}
-
-    def shifted(self, offset: int, *, relocate_pointers: bool = False) -> "AddressSpace":
+    def shifted(self, offset: int) -> "AddressSpace":
         """Deep copy of this space, then :meth:`rebase` of the copy."""
         out = AddressSpace()
         out.pages = {
             base: Page(page.perms, bytearray(page.data))
             for base, page in self.pages.items()
         }
-        out.rebase(offset, relocate_pointers=relocate_pointers)
+        out.rebase(offset)
         return out
 
-    def rebase(self, offset: int, *, relocate_pointers: bool = True) -> None:
-        """Move every user-half page up by ``offset``, in place.
+    def rebase(self, offset: int) -> None:
+        """Move every user-half page up by ``offset``, in place, and
+        relocate the pointers into them.
 
         Kernel-half pages stay in place, like the fixed hardware-dictated
         mappings real base randomization never moves.  The offset must be
         page aligned and must not push any page past the user-half top;
         otherwise ValueError is raised before any page moves.
 
-        With ``relocate_pointers`` the pages are also fixed up the way a
-        relocating loader would patch a rebased image: every aligned
-        little-endian 8-byte word, in every page including kernel-half
-        ones, whose value falls inside a user page that was mapped before
-        the shift is rebased by the same offset.  Random data is
-        effectively never touched, since hitting the mapped span by
-        accident requires a 64-bit value to land in it.
+        The fix-up is the one a relocating loader applies to a rebased
+        image: every aligned little-endian 8-byte word, in every page
+        including kernel-half ones, whose value falls inside a user page
+        that was mapped before the shift is rebased by the same offset.
+        Random data is effectively never touched, since hitting the mapped
+        span by accident requires a 64-bit value to land in it.
 
         Most pages cannot hold such a word, so a page filter keeps the
         per-word work off them.  An all-zero page is skipped with one
@@ -295,7 +257,7 @@ class AddressSpace:
             (base + offset if base < USER_TOP else base): page
             for base, page in self.pages.items()
         }
-        if relocate_pointers and offset and old_bases:
+        if offset and old_bases:
             zero_is_pointer = 0 in old_bases
             for page in self.pages.values():
                 if zero_is_pointer or page.data != _ZERO_PAGE:
@@ -365,26 +327,25 @@ def parse_manifest(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifestError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ManifestError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("regions"), list):
         raise ManifestError('manifest must be an object with a "regions" list')
     return doc
 
 
-def load_manifest(
-    manifest: str | dict, base_dir: str | Path | None = None
-) -> AddressSpace:
-    """Build an address space from a JSON image manifest.
+def load_manifest(doc: dict, base_dir: str | Path | None = None) -> AddressSpace:
+    """Build an address space from the manifest document that
+    :func:`parse_manifest` returned, so a caller that reads side-band keys
+    parses once.
 
-    ``manifest`` is the JSON text, or the document :func:`parse_manifest`
-    returned for it, so a caller that reads side-band keys parses once.
     The manifest is ``{"regions": [...]}`` where each region gives page
     aligned "start" and "len" hex strings, a "perms" string drawn from
     "rwxu", an optional "label", and optional content as either a "data"
-    hex blob or a "file" path with byte "offset".  Regions without content
-    are zero filled.  Unknown top-level keys are ignored so callers may
-    carry side-band data in the same document.
+    hex blob or a "file" path string with byte "offset".  Regions without
+    content are zero filled.  Unknown top-level keys are ignored so callers
+    may carry side-band data in the same document.
     """
-    doc = parse_manifest(manifest) if isinstance(manifest, str) else manifest
     space = AddressSpace()
     for i, region in enumerate(doc["regions"]):
         where = f"region {i}"
@@ -407,6 +368,8 @@ def load_manifest(
             except (TypeError, ValueError):
                 raise ManifestError(f"{where}: data is not a hex blob") from None
         elif "file" in region:
+            if not isinstance(region["file"], str):
+                raise ManifestError(f"{where}: file must be a string")
             path = Path(region["file"])
             if base_dir is not None and not path.is_absolute():
                 path = Path(base_dir) / path
@@ -429,36 +392,21 @@ def load_manifest(
 
 # --- /proc/<pid>/maps ground truth -----------------------------------------
 
+# start-end perms offset dev inode, then an optional path; only the bounds
+# and the permission letters are kept
 _MAPS_LINE = re.compile(
-    r"^([0-9a-fA-F]+)-([0-9a-fA-F]+)\s+([r-][w-][x-][ps])\s+"
-    r"([0-9a-fA-F]+)\s+(\S+)\s+(\d+)\s*(.*)$"
+    r"^([0-9a-fA-F]+)-([0-9a-fA-F]+)\s+([r-][w-][x-])[ps]\s+"
+    r"[0-9a-fA-F]+\s+\S+\s+\d+\s*.*$"
 )
 
 
 @dataclass(frozen=True, slots=True)
 class MapsRegion:
-    """One line of a maps-format ground truth file."""
+    """Bounds and permissions from one line of a maps-format file."""
 
     start: int
     end: int
     perms: PagePermissions
-    shared: bool
-    offset: int
-    dev: str
-    inode: int
-    label: str
-
-    def to_line(self) -> str:
-        bits = (
-            ("r" if self.perms.readable else "-")
-            + ("w" if self.perms.writable else "-")
-            + ("x" if self.perms.executable else "-")
-            + ("s" if self.shared else "p")
-        )
-        line = f"{self.start:x}-{self.end:x} {bits} {self.offset:08x} {self.dev} {self.inode}"
-        if self.label:
-            line += f"  {self.label}"
-        return line
 
 
 @dataclass(frozen=True)
@@ -467,9 +415,6 @@ class GroundTruthMap:
 
     regions: tuple[MapsRegion, ...]
 
-    def to_text(self) -> str:
-        return "\n".join(r.to_line() for r in self.regions) + "\n"
-
     def user_regions(self) -> list[MapsRegion]:
         return [r for r in self.regions if r.start < USER_TOP]
 
@@ -477,17 +422,11 @@ class GroundTruthMap:
         """Move user-half regions up by ``offset``; kernel lines stay put."""
         if offset % PAGE_SIZE or offset < 0:
             raise ValueError("offset must be a non-negative page multiple")
-        moved = []
-        for r in self.regions:
-            if r.start < USER_TOP:
-                moved.append(
-                    MapsRegion(
-                        r.start + offset, r.end + offset, r.perms,
-                        r.shared, r.offset, r.dev, r.inode, r.label,
-                    )
-                )
-            else:
-                moved.append(r)
+        moved = [
+            MapsRegion(r.start + offset, r.end + offset, r.perms)
+            if r.start < USER_TOP else r
+            for r in self.regions
+        ]
         return GroundTruthMap(tuple(sorted(moved, key=lambda r: r.start)))
 
 
@@ -495,9 +434,10 @@ def parse_proc_maps(text: str) -> GroundTruthMap:
     """Parse maps-format text: ``start-end perms offset dev inode [path]``.
 
     Permission fields use the usual rwx letters plus p/s for private versus
-    shared.  User accessibility is inferred from the address half.
+    shared.  User accessibility is inferred from the address half.  Every
+    field is checked, though only bounds and permissions are kept.
     """
-    regions: list[MapsRegion] = []
+    numbered: list[tuple[int, int, MapsRegion]] = []  # (start, line, region)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip()
         if not line:
@@ -521,20 +461,9 @@ def parse_proc_maps(text: str) -> GroundTruthMap:
             )
         except ValueError as exc:
             raise MapsParseError(line_no, str(exc)) from None
-        regions.append(
-            MapsRegion(
-                start=start,
-                end=end,
-                perms=perms,
-                shared=field[3] == "s",
-                offset=int(m.group(4), 16),
-                dev=m.group(5),
-                inode=int(m.group(6)),
-                label=m.group(7).strip(),
-            )
-        )
-    regions.sort(key=lambda r: r.start)
-    for a, b in zip(regions, regions[1:]):
+        numbered.append((start, line_no, MapsRegion(start, end, perms)))
+    numbered.sort()
+    for (_, _, a), (_, line_no, b) in zip(numbered, numbered[1:]):
         if b.start < a.end:
-            raise MapsParseError(0, f"regions {a.start:#x} and {b.start:#x} overlap")
-    return GroundTruthMap(tuple(regions))
+            raise MapsParseError(line_no, f"regions {a.start:#x} and {b.start:#x} overlap")
+    return GroundTruthMap(tuple(region for _, _, region in numbered))

@@ -66,7 +66,6 @@ def build_victim_image(
     code_pages: int = 4,
     cave_pages: int = 4,
     stack_pages: int = 4,
-    with_kernel_region: bool = True,
     omit_gadgets: tuple[str, ...] = (),
 ) -> VictimImage:
     """Deterministically build one victim image from ``seed``.
@@ -189,11 +188,8 @@ def build_victim_image(
         (heap_start, heap_len, "rwu", bytes(heap), "rw-p", 0, "00:00", 0, "[heap]"),
         (guard_start, page, "", b"", "---p", 0, "00:00", 0, ""),
         (stack_base, stack_len, "rwu", bytes(stack), "rw-p", 0, "00:00", 0, "[stack]"),
+        (USER_TOP, page, "rx", b"", "r-xp", 0, "00:00", 0, "[vsyscall]"),
     ]
-    if with_kernel_region:
-        region_rows.append(
-            (USER_TOP, page, "rx", b"", "r-xp", 0, "00:00", 0, "[vsyscall]")
-        )
 
     manifest_regions = []
     maps_lines = []

@@ -3,6 +3,7 @@ test wherever they serve as oracles."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 from caveprobe.memspace import PAGE_SIZE, USER_TOP, AddressSpace, PagePermissions
@@ -20,6 +21,29 @@ def make_space(*regions: tuple[int, int, str, bytes]) -> AddressSpace:
     for start, length, perms, data in regions:
         space.map_region(start, length, PagePermissions.from_rwxu(perms), data)
     return space
+
+
+def is_mapped(space: AddressSpace, addr: int) -> bool:
+    """Whether a page of ``space`` holds ``addr``."""
+    return addr - addr % PAGE_SIZE in space.pages
+
+
+def page_bytes(space: AddressSpace) -> dict[int, bytes]:
+    """A copy of every page's bytes, keyed by page base."""
+    return {base: bytes(page.data) for base, page in space.pages.items()}
+
+
+def space_digest(space: AddressSpace) -> str:
+    """SHA-256 over every page's base, permission flags and bytes: equal
+    digests mean nothing in ``space`` changed."""
+    h = hashlib.sha256()
+    for base in sorted(space.pages):
+        page = space.pages[base]
+        p = page.perms
+        h.update(base.to_bytes(8, "little"))
+        h.update(bytes([p.readable, p.writable, p.executable, p.user_accessible]))
+        h.update(page.data)
+    return h.hexdigest()
 
 
 def page_class(perms: PagePermissions) -> str:

@@ -27,11 +27,17 @@ from caveprobe.machine import (
     SyscallEffect,
     run_until,
 )
-from caveprobe.memspace import PAGE_SIZE, USER_TOP, load_manifest
+from caveprobe.memspace import PAGE_SIZE, USER_TOP, load_manifest, parse_manifest
 from caveprobe.probe import ProbeConfig, Prober
 from caveprobe.synth import build_victim_image
 
-from helpers import NONE, random_permed_space, truth_class_runs
+from helpers import (
+    NONE,
+    page_bytes,
+    random_permed_space,
+    space_digest,
+    truth_class_runs,
+)
 
 
 def _criterion(num: int, ok: bool, detail: str) -> None:
@@ -69,7 +75,8 @@ def test_criterion_1_map_reconstruction_exact():
                 rng_seed=seed,
                 max_retries=100,
             ))
-            recon = reconstruct_map(PageMap(space, prober), start, end)
+            pm = PageMap(space, prober, budget=(end - start) // PAGE_SIZE)
+            recon = reconstruct_map(pm, start, end)
             got = [(r.start, r.end, r.kind.value) for r in recon.runs]
             if got != want and len(failures) < 3:
                 failures.append(
@@ -94,7 +101,7 @@ def test_criterion_2_probes_never_fault_or_mutate():
     for i in range(n_spaces):
         gen = random.Random(2000 + i)
         space, _, start, end = random_permed_space(gen)
-        before = space.content_hash()
+        before = space_digest(space)
         prober = Prober(ProbeConfig(rng_seed=i))
         fuzz = random.Random(5000 + i)
         for _ in range(per_space):
@@ -112,7 +119,7 @@ def test_criterion_2_probes_never_fault_or_mutate():
             else:
                 prober.claw(space, addr)
             probes += 1
-        if space.content_hash() != before:
+        if space_digest(space) != before:
             mutated.append(f"space {i} changed under probing")
     detail = (
         f"{probes} fuzz probes over {n_spaces} spaces, "
@@ -131,7 +138,7 @@ def test_criterion_3_write_probe_classification_exact():
     for i in range(60):
         gen = random.Random(3000 + i)
         space, truth, _, _ = random_permed_space(gen, gen.randint(8, 96))
-        before = space.content_hash()
+        before = space_digest(space)
         prober = Prober(ProbeConfig(rng_seed=i))
         for base, cls in truth.items():
             # probe through an unaligned interior address half the time;
@@ -141,7 +148,7 @@ def test_criterion_3_write_probe_classification_exact():
             pages += 1
             if got != cls and len(failures) < 3:
                 failures.append(f"page {base:#x}: probed {got}, truth {cls}")
-        if space.content_hash() != before:
+        if space_digest(space) != before:
             failures.append(f"layout {i} mutated by write probes")
     detail = f"classified {pages} pages across 60 layouts byte-exactly"
     if failures:
@@ -209,7 +216,7 @@ def test_criterion_5_chain_flips_protection_and_returns_zero():
         variant = ("sound-5", "short-4")[t % 2]
         img = build_victim_image(500 + t)
         truth = img.truth
-        space = load_manifest(img.manifest_text)
+        space = load_manifest(parse_manifest(img.manifest_text))
         code_start, code_len, _ = truth.regions["code"]
         code_pages = range(code_start, code_start + code_len, PAGE_SIZE)
         catalog = find_gadgets(space, code_pages)
@@ -220,7 +227,9 @@ def test_criterion_5_chain_flips_protection_and_returns_zero():
         chain_addr = truth.stack_region[0]
         sentinel = 0x1F00000000
         space.write_bytes(
-            chain_addr, chain.to_bytes() + sentinel.to_bytes(8, "little")
+            chain_addr,
+            b"".join(w.value.to_bytes(8, "little") for w in chain.words)
+            + sentinel.to_bytes(8, "little"),
         )
         cave_before = space.read_bytes(truth.cave_start, truth.cave_len)
 
@@ -303,17 +312,17 @@ def test_criterion_6_end_to_end_verdicts_and_memory_integrity(tmp_path):
                 failures.append(f"trial {t}: verdicts {report.verdicts}")
             continue
 
-        ref = load_manifest(img.manifest_text).shifted(
-            report.aslr_offset, relocate_pointers=True
-        ).snapshot()
-        post = pipe.space.snapshot()
+        ref = page_bytes(
+            load_manifest(parse_manifest(img.manifest_text)).shifted(report.aslr_offset)
+        )
+        post = page_bytes(pipe.space)
         if set(ref) != set(post):
             failures.append(f"trial {t}: page set changed")
             continue
 
         frame = pipe.image
         allowed = [
-            (frame.base, frame.base + frame.total_len()),
+            (frame.base, frame.base + len(frame.image_bytes())),
             (pipe.victim.rbp_slot_addr, pipe.victim.rbp_slot_addr + 16),
             (pipe.marker[0], pipe.marker[0] + 8),
         ]

@@ -449,6 +449,19 @@ class TestMain:
         assert "is not UTF-8: first bad byte at offset 7" in err
         assert "codec" not in err
 
+    def test_ground_truth_that_is_not_utf8_is_one_line_error(self, tmp_path, capsys):
+        maps = tmp_path / "bad.maps"
+        maps.write_bytes(b"\xff\xfe" + Path(DEMO_MAPS).read_bytes())
+        assert main(["--image-path", DEMO, "--ground-truth-path", str(maps)]) \
+            == EXIT_STAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err == (
+            f"caveprobe: stage 'load' failed: ground truth {maps} is not "
+            "UTF-8: first bad byte at offset 0\n"
+        )
+        assert "codec" not in err
+
     @pytest.mark.parametrize(
         "flags, field",
         [

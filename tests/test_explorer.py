@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from caveprobe.explorer import (
+    DEFAULT_BUDGET,
     ExploreBudgetError,
     MapRun,
     PageEntry,
@@ -19,7 +20,13 @@ from caveprobe.explorer import (
     region_around,
     truth_runs,
 )
-from caveprobe.memspace import PAGE_SIZE, USER_TOP, load_manifest, parse_proc_maps
+from caveprobe.memspace import (
+    PAGE_SIZE,
+    USER_TOP,
+    load_manifest,
+    parse_manifest,
+    parse_proc_maps,
+)
 from caveprobe.probe import ProbeConfig, Prober, Writability
 from caveprobe.synth import build_victim_image
 from helpers import NONE, W, make_space, page_class
@@ -29,7 +36,7 @@ def quiet_prober() -> Prober:
     return Prober(ProbeConfig(spurious_abort_probability=0.0))
 
 
-def quiet_store(space, budget=None) -> PageMap:
+def quiet_store(space, budget=DEFAULT_BUDGET) -> PageMap:
     return PageMap(space, quiet_prober(), budget)
 
 
@@ -228,7 +235,7 @@ def test_linear_store_matches_tap_only_sweep(
     img = build_victim_image(
         image_seed, code_pages=pages, cave_pages=pages, stack_pages=pages
     )
-    space = load_manifest(img.manifest_text)
+    space = load_manifest(parse_manifest(img.manifest_text))
     anchors = (img.truth.return_site, img.truth.stack_pointer)
     prober = Prober(ProbeConfig(spurious_abort_probability=abort_prob,
                                 rng_seed=image_seed))

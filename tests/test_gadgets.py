@@ -191,10 +191,6 @@ class TestChainTypes:
         with pytest.raises(ValueError):
             RopChain((ChainWord(5, "immediate"),))
 
-    def test_to_bytes_little_endian(self):
-        chain = RopChain((ChainWord(0x1122334455667788, "gadget-address"),))
-        assert chain.to_bytes() == bytes.fromhex("8877665544332211")
-
 
 class TestRequiredKinds:
     def test_variants(self):

@@ -15,19 +15,16 @@ from caveprobe.memspace import (
     PagePermissions,
     load_manifest,
     page_runs,
+    parse_manifest,
     parse_proc_maps,
 )
-from helpers import make_space
+from helpers import is_mapped, make_space, space_digest
 
 
 class TestPagePermissions:
     def test_writable_implies_readable(self):
         with pytest.raises(ValueError):
             PagePermissions(readable=False, writable=True)
-
-    def test_rwxu_round_trip(self):
-        for spec in ("", "r", "ru", "rwu", "rxu", "rwxu", "rx"):
-            assert PagePermissions.from_rwxu(spec).as_rwxu() == spec
 
     def test_rejects_unknown_letter(self):
         with pytest.raises(ValueError):
@@ -75,7 +72,7 @@ class TestMapRegion:
     def test_kernel_half_without_user_bit_is_fine(self):
         space = AddressSpace()
         space.map_region(USER_TOP, PAGE_SIZE, PagePermissions.from_rwxu("rx"))
-        assert space.is_mapped(USER_TOP)
+        assert is_mapped(space, USER_TOP)
 
     def test_rejects_past_canonical_top(self):
         space = AddressSpace()
@@ -163,16 +160,16 @@ class TestSetProtection:
 class TestContentHash:
     def test_sensitive_to_data_and_perms(self):
         space = make_space((0x8000, PAGE_SIZE, "rwu", b""))
-        h0 = space.content_hash()
+        h0 = space_digest(space)
         space.write_bytes(0x8000, b"\x01")
-        h1 = space.content_hash()
+        h1 = space_digest(space)
         space.set_protection(0x8000, PAGE_SIZE, PagePermissions.from_rwxu("ru"))
-        h2 = space.content_hash()
+        h2 = space_digest(space)
         assert len({h0, h1, h2}) == 3
 
     def test_stable_without_changes(self):
         space = make_space((0x8000, PAGE_SIZE, "ru", b"abc"))
-        assert space.content_hash() == space.content_hash()
+        assert space_digest(space) == space_digest(space)
 
 
 def reference_read(space: AddressSpace, addr: int, count: int):
@@ -251,9 +248,9 @@ class TestShifted:
             (USER_TOP, PAGE_SIZE, "rx", b""),
         )
         moved = space.shifted(0x10000)
-        assert moved.is_mapped(0x18000)
-        assert not moved.is_mapped(0x8000)
-        assert moved.is_mapped(USER_TOP)
+        assert is_mapped(moved, 0x18000)
+        assert not is_mapped(moved, 0x8000)
+        assert is_mapped(moved, USER_TOP)
         assert moved.read_bytes(0x18000, 2) == b"hi"
 
     def test_is_a_deep_copy(self):
@@ -277,7 +274,7 @@ class TestShifted:
     def test_relocates_stored_pointers(self):
         ptr = (0x8000).to_bytes(8, "little") + (0xDEAD0000).to_bytes(8, "little")
         space = make_space((0x8000, PAGE_SIZE, "rwu", ptr))
-        moved = space.shifted(0x10000, relocate_pointers=True)
+        moved = space.shifted(0x10000)
         words = moved.read_bytes(0x18000, 16)
         # a pointer into the old mapping is rebased; a dangling value is not
         assert int.from_bytes(words[:8], "little") == 0x18000
@@ -286,7 +283,7 @@ class TestShifted:
     def test_unaligned_pointer_bytes_not_rewritten(self):
         blob = b"\x01" + (0x8000).to_bytes(8, "little") + bytes(7)
         space = make_space((0x8000, PAGE_SIZE, "rwu", blob))
-        moved = space.shifted(0x10000, relocate_pointers=True)
+        moved = space.shifted(0x10000)
         assert moved.read_bytes(0x18000, 16) == blob
 
 
@@ -299,14 +296,9 @@ class TestRebase:
         page = space.get_page(0x8000)
         space.rebase(0x10000)
         assert space.get_page(0x18000) is page  # moved, not copied
-        assert not space.is_mapped(0x8000)
-        assert space.is_mapped(USER_TOP)
+        assert not is_mapped(space, 0x8000)
+        assert is_mapped(space, USER_TOP)
         assert space.read_bytes(0x18000, 8) == (0x18010).to_bytes(8, "little")
-
-    def test_without_relocation_keeps_bytes(self):
-        space = make_space((0x8000, PAGE_SIZE, "rwu", (0x8010).to_bytes(8, "little")))
-        space.rebase(0x10000, relocate_pointers=False)
-        assert space.read_bytes(0x18000, 8) == (0x8010).to_bytes(8, "little")
 
     def test_overflow_raises_and_moves_nothing(self):
         space = make_space(
@@ -315,26 +307,26 @@ class TestRebase:
             (USER_TOP, PAGE_SIZE, "r", (0x8010).to_bytes(8, "little")),
         )
         before = dict(space.pages)
-        digest = space.content_hash()
+        digest = space_digest(space)
         with pytest.raises(ValueError):
             space.rebase(PAGE_SIZE)
         assert space.pages == before
         assert all(space.pages[b] is p for b, p in before.items())
-        assert space.content_hash() == digest
+        assert space_digest(space) == digest
 
     def test_rejects_unaligned_or_negative(self):
         space = make_space((0x8000, PAGE_SIZE, "rwu", b""))
-        digest = space.content_hash()
+        digest = space_digest(space)
         for offset in (8, -PAGE_SIZE):
             with pytest.raises(ValueError):
                 space.rebase(offset)
-        assert space.content_hash() == digest
+        assert space_digest(space) == digest
 
 
 # --- relocation against an independent reference ----------------------------
 
 def reference_shift(space: AddressSpace, offset: int) -> str:
-    """content_hash of ``space.shifted(offset, relocate_pointers=True)`` by
+    """space_digest of ``space.shifted(offset)`` by
     the original per-word rule: every aligned little-endian word, in every
     page, whose page number was an old user page moves by ``offset``."""
     old_bases = {b for b in space.pages if b < USER_TOP}
@@ -348,7 +340,7 @@ def reference_shift(space: AddressSpace, offset: int) -> str:
                     data[off : off + 8] = (value + offset).to_bytes(8, "little")
         moved = base + offset if base < USER_TOP else base
         out.map_region(moved, PAGE_SIZE, page.perms, bytes(data))
-    return out.content_hash()
+    return space_digest(out)
 
 
 def words_page(*words: int, fill: int = 0) -> bytes:
@@ -367,11 +359,11 @@ def twin(space: AddressSpace) -> AddressSpace:
 
 def assert_matches_reference(space: AddressSpace, offset: int) -> None:
     want = reference_shift(space, offset)
-    moved = space.shifted(offset, relocate_pointers=True)
-    assert moved.content_hash() == want
+    moved = space.shifted(offset)
+    assert space_digest(moved) == want
     in_place = twin(space)
     in_place.rebase(offset)
-    assert in_place.content_hash() == want
+    assert space_digest(in_place) == want
 
 
 KERNEL = USER_TOP + 0x10000
@@ -385,7 +377,7 @@ class TestRelocationReference:
             (0x5000, PAGE_SIZE, "rwu", words_page(0, 0x5008)),
         )
         assert_matches_reference(space, 0x3000)
-        moved = space.shifted(0x3000, relocate_pointers=True)
+        moved = space.shifted(0x3000)
         assert moved.read_bytes(0x3000, 8) == (0x3000).to_bytes(8, "little")
 
     def test_pointer_to_last_byte_of_highest_page(self):
@@ -399,7 +391,7 @@ class TestRelocationReference:
         hi = 0x8000 + 2 * PAGE_SIZE
         space = make_space((0x8000, 2 * PAGE_SIZE, "rwu", words_page(hi, 0x8000)))
         assert_matches_reference(space, 0x10000)
-        moved = space.shifted(0x10000, relocate_pointers=True)
+        moved = space.shifted(0x10000)
         assert moved.read_bytes(0x18000, 8) == hi.to_bytes(8, "little")
 
     def test_value_in_gap_between_regions_stays(self):
@@ -409,7 +401,7 @@ class TestRelocationReference:
             (0xC000, PAGE_SIZE, "ru", b""),
         )
         assert_matches_reference(space, 0x20000)
-        moved = space.shifted(0x20000, relocate_pointers=True)
+        moved = space.shifted(0x20000)
         assert moved.read_bytes(0x28000, 8) == gap.to_bytes(8, "little")
 
     def test_kernel_pages_holding_user_pointers(self):
@@ -418,7 +410,7 @@ class TestRelocationReference:
             (KERNEL, PAGE_SIZE, "r", words_page(0x8123, 0x8FF8, RANDOM_HIGH)),
         )
         assert_matches_reference(space, 0x10000)
-        moved = space.shifted(0x10000, relocate_pointers=True)
+        moved = space.shifted(0x10000)
         assert moved.get_page(KERNEL).data[:8] == (0x18123).to_bytes(8, "little")
 
     def test_all_zero_pages(self):
@@ -445,7 +437,7 @@ class TestRelocationReference:
             (far, PAGE_SIZE, "ru", b""),
         )
         assert_matches_reference(space, 0x10000)
-        moved = space.shifted(0x10000, relocate_pointers=True)
+        moved = space.shifted(0x10000)
         assert moved.read_bytes(0x18000, 8) == (far + 0x10000).to_bytes(8, "little")
 
     def test_zero_top_word_into_a_gap_stays(self):
@@ -455,7 +447,7 @@ class TestRelocationReference:
             (0xA000, PAGE_SIZE, "ru", b""),
         )
         assert_matches_reference(space, 0x10000)
-        moved = space.shifted(0x10000, relocate_pointers=True)
+        moved = space.shifted(0x10000)
         assert moved.read_bytes(0x18008, 16) == b"".join(
             w.to_bytes(8, "little") for w in (gap, 0x1A010)
         )
@@ -467,7 +459,7 @@ class TestRelocationReference:
             regions.append((0, PAGE_SIZE, "ru", b""))
         space = make_space(*regions)
         assert_matches_reference(space, 0x10000)
-        moved = space.shifted(0x10000, relocate_pointers=True)
+        moved = space.shifted(0x10000)
         zero = 0x10000 if page_zero else 0
         assert moved.read_bytes(0x18000, 24) == b"".join(
             w.to_bytes(8, "little") for w in (zero, 0x18010, zero)
@@ -478,7 +470,7 @@ class TestRelocationReference:
         words[0], words[-1] = 0x8008, 0x8FF8
         space = make_space((0x8000, PAGE_SIZE, "rwu", words_page(*words)))
         assert_matches_reference(space, 0x10000)
-        moved = space.shifted(0x10000, relocate_pointers=True)
+        moved = space.shifted(0x10000)
         assert moved.read_bytes(0x18000, 8) == (0x18008).to_bytes(8, "little")
         assert moved.read_bytes(0x18FF8, 8) == (0x18FF8).to_bytes(8, "little")
 
@@ -499,7 +491,7 @@ class TestRelocationReference:
             (0x9000, PAGE_SIZE, "ru", b""),
         )
         assert_matches_reference(space, 0x10000)
-        moved = space.shifted(0x10000, relocate_pointers=True)
+        moved = space.shifted(0x10000)
         data = moved.read_bytes(0x18000, PAGE_SIZE)
         got = [int.from_bytes(data[i : i + 8], "little") for i in range(0, PAGE_SIZE, 8)]
         changed = [(i, w, g) for i, (w, g) in enumerate(zip(words, got)) if w != g]
@@ -578,9 +570,9 @@ class TestManifest:
                 ]
             }
         )
-        space = load_manifest(text)
+        space = load_manifest(parse_manifest(text))
         assert space.read_bytes(0x1000, 4) == bytes.fromhex("deadbeef")
-        assert space.is_mapped(0x3000)
+        assert is_mapped(space, 0x3000)
         with pytest.raises(MemoryFault):
             space.read_bytes(0x3000, 1)
 
@@ -595,27 +587,27 @@ class TestManifest:
                 ]
             }
         )
-        space = load_manifest(text, base_dir=tmp_path)
+        space = load_manifest(parse_manifest(text), base_dir=tmp_path)
         assert space.read_bytes(0x1000, 32) == b"\x11" * 32
 
     def test_unknown_top_level_keys_ignored(self):
         text = json.dumps({"regions": [], "seeds": {"x": 1}, "comment": "hi"})
-        load_manifest(text)
+        load_manifest(parse_manifest(text))
 
     def test_rejects_bad_json(self):
         with pytest.raises(ManifestError):
-            load_manifest("{nope")
+            parse_manifest("{nope")
 
     def test_rejects_missing_regions(self):
         with pytest.raises(ManifestError):
-            load_manifest("{}")
+            parse_manifest("{}")
 
     def test_rejects_unaligned_region(self):
         text = json.dumps(
             {"regions": [{"start": "0x10", "len": "0x1000", "perms": "ru"}]}
         )
         with pytest.raises(ManifestError):
-            load_manifest(text)
+            load_manifest(parse_manifest(text))
 
     def test_rejects_bad_hex(self):
         text = json.dumps(
@@ -623,13 +615,13 @@ class TestManifest:
                           "data": "zz"}]}
         )
         with pytest.raises(ManifestError):
-            load_manifest(text)
+            load_manifest(parse_manifest(text))
 
     def test_accepts_integer_addresses(self):
         text = json.dumps(
             {"regions": [{"start": 0x1000, "len": 0x1000, "perms": "ru"}]}
         )
-        assert load_manifest(text).is_mapped(0x1000)
+        assert is_mapped(load_manifest(parse_manifest(text)), 0x1000)
 
     def test_rejects_boolean_address(self):
         # json false is an int to isinstance; it must not map page 0
@@ -637,7 +629,7 @@ class TestManifest:
             {"regions": [{"start": False, "len": "0x1000", "perms": "ru"}]}
         )
         with pytest.raises(ManifestError, match="region 0 start"):
-            load_manifest(text)
+            load_manifest(parse_manifest(text))
 
     def test_rejects_boolean_offset(self, tmp_path):
         (tmp_path / "blob.bin").write_bytes(b"\x11" * 32)
@@ -646,7 +638,20 @@ class TestManifest:
                           "file": "blob.bin", "offset": True}]}
         )
         with pytest.raises(ManifestError, match="offset"):
-            load_manifest(text, base_dir=tmp_path)
+            load_manifest(parse_manifest(text), base_dir=tmp_path)
+
+    def test_rejects_file_that_is_not_a_string(self):
+        text = json.dumps(
+            {"regions": [{"start": "0x1000", "len": "0x1000", "perms": "ru",
+                          "file": 5}]}
+        )
+        with pytest.raises(ManifestError, match="^region 0: file must be a string$"):
+            load_manifest(parse_manifest(text))
+
+    def test_rejects_deep_nesting(self):
+        text = "[" * 100_000 + "]" * 100_000
+        with pytest.raises(ManifestError, match="^not valid JSON: nested too deeply$"):
+            parse_manifest(text)
 
 
 class TestProcMaps:
@@ -663,8 +668,6 @@ class TestProcMaps:
         assert (first.start, first.end) == (0x400000, 0x404000)
         assert first.perms.readable and first.perms.executable
         assert not first.perms.writable
-        assert first.label == "/opt/victim/app"
-        assert first.inode == 40001
 
     def test_user_accessibility_from_address_half(self):
         truth = parse_proc_maps(self.SAMPLE)
@@ -674,10 +677,6 @@ class TestProcMaps:
     def test_user_regions_excludes_kernel(self):
         truth = parse_proc_maps(self.SAMPLE)
         assert len(truth.user_regions()) == 3
-
-    def test_round_trip(self):
-        truth = parse_proc_maps(self.SAMPLE)
-        assert parse_proc_maps(truth.to_text()) == truth
 
     def test_sorted_on_parse(self):
         lines = self.SAMPLE.splitlines()
@@ -691,8 +690,17 @@ class TestProcMaps:
             "00400000-00402000 r-xp 00000000 00:00 0\n"
             "00401000-00403000 rw-p 00000000 00:00 0\n"
         )
-        with pytest.raises(MapsParseError):
+        with pytest.raises(MapsParseError) as exc:
             parse_proc_maps(text)
+        assert exc.value.line_no == 2
+
+    def test_overlap_names_the_later_line(self):
+        # sorted, the repeated line is second, but it is line 3 of the file
+        line = "00400000-00401000 r-xp 00000000 00:00 0\n"
+        text = line + "00429000-0042a000 rw-p 00000000 00:00 0\n" + line
+        with pytest.raises(MapsParseError, match="^line 3: ") as exc:
+            parse_proc_maps(text)
+        assert exc.value.line_no == 3
 
     def test_unparseable_line_names_line_number(self):
         with pytest.raises(MapsParseError) as exc:

@@ -14,7 +14,7 @@ from caveprobe.probe import (
     RetryBudgetExhausted,
     Writability,
 )
-from helpers import make_space, random_permed_space
+from helpers import make_space, random_permed_space, space_digest
 
 
 @pytest.fixture
@@ -101,10 +101,10 @@ class TestSingleTransactions:
 
     def test_write_never_modifies(self, space):
         p = traced_prober()
-        before = space.content_hash()
+        before = space_digest(space)
         p.claw(space, 0x11000, known_accessible=True)
         p.claw(space, 0x10000, known_accessible=True)
-        assert space.content_hash() == before
+        assert space_digest(space) == before
 
     def test_counters(self, space):
         p = traced_prober()
@@ -202,10 +202,10 @@ class TestClaw:
 
     def test_never_modifies_memory(self, space):
         p = quiet_prober()
-        before = space.content_hash()
+        before = space_digest(space)
         for addr in (0x10000, 0x11000, 0x12000, 0x999000):
             p.claw(space, addr)
-        assert space.content_hash() == before
+        assert space_digest(space) == before
 
     def test_retry_in_write_phase(self, space):
         p = Prober(ProbeConfig(spurious_abort_probability=0.3, rng_seed=11,
@@ -231,11 +231,11 @@ class TestSafeWrite:
 
     def test_refuses_read_only_and_writes_nothing(self, space):
         p = quiet_prober()
-        before = space.content_hash()
+        before = space_digest(space)
         with pytest.raises(NotWritableError) as exc:
             p.safe_write(space, 0x10FF0, b"B" * 32)
         assert exc.value.page_base == 0x10000
-        assert space.content_hash() == before
+        assert space_digest(space) == before
 
     def test_partial_refusal_writes_nothing(self):
         space = make_space(
@@ -243,11 +243,11 @@ class TestSafeWrite:
             (0x21000, PAGE_SIZE, "ru", b""),
         )
         p = quiet_prober()
-        before = space.content_hash()
+        before = space_digest(space)
         with pytest.raises(NotWritableError) as exc:
             p.safe_write(space, 0x20FF8, b"C" * 16)
         assert exc.value.page_base == 0x21000
-        assert space.content_hash() == before
+        assert space_digest(space) == before
 
     def test_rejects_empty_payload(self, space):
         with pytest.raises(ValueError):
@@ -274,7 +274,7 @@ def test_probes_never_fault_or_mutate(seed, addr_seed):
     rng = random.Random(seed)
     space, _, start, end = random_permed_space(rng, max_pages=24)
     p = Prober(ProbeConfig(spurious_abort_probability=0.001, rng_seed=seed))
-    before = space.content_hash()
+    before = space_digest(space)
     arng = random.Random(addr_seed)
     for _ in range(32):
         addr = arng.randrange(0, 1 << 48)
@@ -282,7 +282,7 @@ def test_probes_never_fault_or_mutate(seed, addr_seed):
             addr = arng.randrange(start, max(end, start + 1))
         p.tap(space, addr)
         p.claw(space, addr)
-    assert space.content_hash() == before
+    assert space_digest(space) == before
 
 
 class ReferenceProber:
