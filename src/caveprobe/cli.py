@@ -26,10 +26,11 @@ from .memspace import (
     GroundTruthMap,
     ManifestError,
     load_manifest,
+    parse_hex,
     parse_manifest,
     parse_proc_maps,
 )
-from .probe import Prober, ProbeConfig
+from .probe import READ_ONLY, Prober, ProbeConfig
 
 MODES = ("linear", "pointer-chase", "hybrid")
 RESTORE_MODES = ("payload", "chain-only")
@@ -198,6 +199,8 @@ def _read_utf8(path: Path, what: str) -> str:
     """The text of the input file ``path``: UTF-8 whatever the locale."""
     try:
         return path.read_bytes().decode()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ValueError(
             f"{what} {path} is not UTF-8: first bad byte at offset {exc.start}"
@@ -217,10 +220,7 @@ def _read_image(path: Path) -> tuple[AddressSpace, int, int]:
         value = seed_obj.get(key)
         if value is None:
             raise ManifestError(f"seeds.{key} is missing")
-        try:
-            pair.append(int(value, 16))
-        except (TypeError, ValueError):
-            raise ManifestError(f"seeds.{key} is not a hex string: {value!r}") from None
+        pair.append(parse_hex(value, f"seeds.{key}"))
     return load_manifest(doc, base_dir=path.parent), pair[0], pair[1]
 
 
@@ -254,7 +254,6 @@ class Pipeline:
     truth: GroundTruthMap | None = None
     # probe, explore
     pagemap: explorer.PageMap | None = None
-    code_pages: frozenset[int] = frozenset()
     # gadgets
     catalog: gadgets.GadgetCatalog | None = None
     # inject
@@ -371,17 +370,13 @@ def _explore(ctx: Pipeline) -> None:
     if ctx.truth is not None:
         ctx.report.map_mismatches = mismatches
         ctx.report.verdicts["map-match"] = matched
-    # non-writable accessible pages are where return addresses and gadgets
-    # can live; writable pages would make neither trustworthy
-    ctx.code_pages = frozenset(
-        base
-        for base, entry in ctx.pagemap.entries.items()
-        if entry.accessible and entry.writable is False
-    )
 
 
 def _gadgets(ctx: Pipeline) -> None:
-    ctx.catalog = gadgets.find_gadgets(ctx.space, ctx.code_pages)
+    # read-only pages are where gadgets can live; writable pages would
+    # not make them trustworthy
+    code = [b for b, v in ctx.pagemap.entries.items() if v is READ_ONLY]
+    ctx.catalog = gadgets.find_gadgets(ctx.space, code)
     ctx.report.gadget_census = dict(ctx.catalog.found)
     needed = list(gadgets.required_kinds(ctx.config.chain_variant))
     needed.append("leave-ret")  # the pivot's epilogue reuse
@@ -396,11 +391,7 @@ def _caves(ctx: Pipeline) -> None:
 
 def _inject(ctx: Pipeline) -> None:
     cfg = ctx.config
-    stack_ptr = ctx.seeds.pointers[1]
-    stack_region = explorer.region_around(ctx.pagemap, stack_ptr)
-    victim = injector.locate_victim_frame(
-        ctx.pagemap, stack_ptr, stack_region, ctx.code_pages
-    )
+    victim = injector.locate_victim_frame(ctx.pagemap, ctx.seeds.pointers[1])
 
     # the image: saved-rbp copy, chain, continuation word; in payload mode
     # the payload follows, zeroes everything before it, and the marker

@@ -13,7 +13,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .memspace import PAGE_SIZE, USER_TOP, AddressSpace, GroundTruthMap
-from .probe import ACCESSIBLE, NO_ACCESS, READ_ONLY, WRITABLE, Prober, Writability
+from .probe import ACCESSIBLE, NO_ACCESS, READ_ONLY, Accessibility, Prober, Writability
 
 DEFAULT_BUDGET = 4096
 DEFAULT_MAX_GAP = 64
@@ -34,19 +34,6 @@ class SeedSet:
             raise ValueError("seed set must contain at least one pointer")
 
 
-@dataclass(slots=True)
-class PageEntry:
-    """Probe verdict for one page.  ``writable`` stays None until a write
-    probe ran."""
-
-    accessible: bool
-    writable: bool | None = None
-
-    def __post_init__(self) -> None:
-        if not self.accessible and self.writable:
-            raise ValueError("an inaccessible page cannot be writable")
-
-
 class ExploreBudgetError(Exception):
     """A page needed a first probe after the store held its budget."""
 
@@ -55,17 +42,19 @@ class ExploreBudgetError(Exception):
 class PageMap:
     """Probe verdicts keyed by page base address: the one store a run
     probes through, and the only way it probes.  It owns the space and the
-    prober.  The victim is paused, so a verdict holds for the whole run;
-    ``tap`` and ``claw`` probe a page only for a verdict not yet stored.
-    No more than ``budget`` pages are ever probed."""
+    prober.  Each page maps to the strongest verdict its probes settled:
+    the claw's ``Writability``, or ``ACCESSIBLE`` when only a tap hit.  The
+    victim is paused, so a verdict holds for the whole run; ``tap`` and
+    ``claw`` probe a page only for a verdict not yet stored.  No more than
+    ``budget`` pages are ever probed."""
 
     space: AddressSpace
     prober: Prober
     budget: int = DEFAULT_BUDGET
-    entries: dict[int, PageEntry] = field(default_factory=dict)
+    entries: dict[int, Accessibility | Writability] = field(default_factory=dict)
 
     def accessible_pages(self) -> list[int]:
-        return sorted(b for b, e in self.entries.items() if e.accessible)
+        return sorted(b for b, v in self.entries.items() if v is not NO_ACCESS)
 
     def _admit(self, base: int) -> None:
         if len(self.entries) >= self.budget:
@@ -76,32 +65,27 @@ class PageMap:
 
     def tap(self, base: int) -> bool:
         """Accessibility of the page at ``base``, tapped at most once."""
-        entry = self.entries.get(base)
-        if entry is None:
+        verdict = self.entries.get(base)
+        if verdict is None:
             self._admit(base)
-            entry = PageEntry(self.prober.tap(self.space, base) is ACCESSIBLE)
-            self.entries[base] = entry
-        return entry.accessible
+            hit = self.prober.tap(self.space, base) is ACCESSIBLE
+            verdict = self.entries[base] = ACCESSIBLE if hit else NO_ACCESS
+        return verdict is not NO_ACCESS
 
     def claw(self, base: int) -> Writability:
         """Writability of the page at ``base``, clawed at most once.  A new
         page costs one write transaction if writable, and a tap more if
         not; a page already tapped accessible costs only the write."""
-        entry = self.entries.get(base)
-        if entry is None:
+        verdict = self.entries.get(base)
+        if verdict is None:
             self._admit(base)
-            kind = self.prober.claw(self.space, base)
-        elif not entry.accessible:
-            return NO_ACCESS
-        elif entry.writable is not None:
-            return WRITABLE if entry.writable else READ_ONLY
+            verdict = self.prober.claw(self.space, base)
+        elif verdict is ACCESSIBLE:
+            verdict = self.prober.claw(self.space, base, known_accessible=True)
         else:
-            kind = self.prober.claw(self.space, base, known_accessible=True)
-        accessible = kind is not NO_ACCESS
-        self.entries[base] = PageEntry(
-            accessible, kind is WRITABLE if accessible else None
-        )
-        return kind
+            return verdict
+        self.entries[base] = verdict
+        return verdict
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,7 +177,7 @@ def _sweep(
             if hit and stop_on_hit:
                 return base
             misses = 0 if hit else misses + 1
-            clawing = hit and pm.entries[base].writable is not False
+            clawing = hit and pm.entries[base] is not READ_ONLY
             base += step
     return None
 

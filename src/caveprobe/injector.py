@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import explorer
 from .memspace import AddressSpace, MemoryFault
-from .probe import NotWritableError, Prober
+from .probe import READ_ONLY, NotWritableError, Prober
 from .gadgets import ChainWord, RopChain
 from .caves import CaveRegion
-from .explorer import PageMap
 
 
 class InjectionError(Exception):
@@ -90,35 +90,26 @@ class FakeFrameImage:
         return self.base, self.payload_addr - self.base
 
 
-def locate_victim_frame(
-    pm: PageMap,
-    stack_ptr: int,
-    stack_region: tuple[int, int],
-    codemap: set[int],
-) -> VictimFrame:
+def locate_victim_frame(pm: explorer.PageMap, stack_ptr: int) -> VictimFrame:
     """Find the innermost plausible frame above ``stack_ptr``.
 
-    Walks upward at 8-byte alignment looking for a slot whose value points
-    higher into the stack region (a frame-pointer chain link) and whose
-    neighbor holds a return address landing in a known code page; return
-    address pages are validated with a probe through ``pm``, never a bare
-    read.  The frame records the slot conventionally holding the stack
-    canary, just below the saved base pointer.
+    Grows the stack extent around ``stack_ptr`` through ``pm``, then walks
+    upward at 8-byte alignment looking for a slot whose value points
+    higher into the extent (a frame-pointer chain link) and whose neighbor
+    holds a return address on a page whose stored verdict is read-only:
+    a return address is validated against the verdict its probe stored,
+    never a bare read.  The frame records the slot conventionally holding
+    the stack canary, just below the saved base pointer.
     """
-    lo, hi = stack_region
-    if not lo <= stack_ptr < hi:
-        raise InjectionError("stack pointer outside the stack region")
-
+    lo, hi = explorer.region_around(pm, stack_ptr)
     slots = range((stack_ptr + 7) & ~7, hi - 15, 8)
     for slot in slots:
-        try:
-            raw = pm.space.read_bytes(slot, 16)
-        except MemoryFault:
-            continue
+        # every slot lies in the extent just grown, so the read cannot fault
+        raw = pm.space.read_bytes(slot, 16)
         rbp = int.from_bytes(raw[:8], "little")
         rip = int.from_bytes(raw[8:], "little")
         rip_page = AddressSpace.page_base(rip)
-        if slot < rbp < hi and rip_page in codemap and pm.tap(rip_page):
+        if slot < rbp < hi and pm.entries.get(rip_page) is READ_ONLY:
             return VictimFrame(
                 rbp_slot_addr=slot,
                 saved_rbp=rbp,

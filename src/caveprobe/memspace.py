@@ -19,6 +19,8 @@ from pathlib import Path
 PAGE_SIZE = 4096
 USER_TOP = 1 << 47
 ADDR_TOP = 1 << 48
+# pages one manifest may map in all (256 MiB); each is allocated on load
+MAX_MANIFEST_PAGES = 1 << 16
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
 _WORDS = PAGE_SIZE // 8
@@ -310,7 +312,8 @@ def page_runs(bases: Iterable[int]) -> list[tuple[int, int]]:
 
 # --- image manifests -------------------------------------------------------
 
-def _parse_hex(value, what: str) -> int:
+def parse_hex(value, what: str) -> int:
+    """A manifest address or length: a hex string or a JSON integer."""
     if type(value) is int:  # not bool: JSON true/false are ints to isinstance
         return value
     if isinstance(value, str):
@@ -344,15 +347,24 @@ def load_manifest(doc: dict, base_dir: str | Path | None = None) -> AddressSpace
     "rwxu", an optional "label", and optional content as either a "data"
     hex blob or a "file" path string with byte "offset".  Regions without
     content are zero filled.  Unknown top-level keys are ignored so callers
-    may carry side-band data in the same document.
+    may carry side-band data in the same document.  The regions may map
+    no more than ``MAX_MANIFEST_PAGES`` pages in all.
     """
     space = AddressSpace()
+    pages = 0
     for i, region in enumerate(doc["regions"]):
         where = f"region {i}"
         if not isinstance(region, dict):
             raise ManifestError(f"{where}: not an object")
-        start = _parse_hex(region.get("start"), f"{where} start")
-        length = _parse_hex(region.get("len"), f"{where} len")
+        start = parse_hex(region.get("start"), f"{where} start")
+        length = parse_hex(region.get("len"), f"{where} len")
+        # checked before any page or blob of the region is allocated
+        pages += length // PAGE_SIZE
+        if pages > MAX_MANIFEST_PAGES:
+            raise ManifestError(
+                f"{where}: len {length:#x} takes the image past "
+                f"{MAX_MANIFEST_PAGES} pages"
+            )
         perms_field = region.get("perms", "")
         if not isinstance(perms_field, str):
             raise ManifestError(f"{where}: perms must be a string")
@@ -381,7 +393,8 @@ def load_manifest(doc: dict, base_dir: str | Path | None = None) -> AddressSpace
                     fh.seek(offset)
                     blob = fh.read(length)
             except OSError as exc:
-                raise ManifestError(f"{where}: cannot read blob: {exc}") from None
+                reason = exc.strerror or exc
+                raise ManifestError(f"{where}: cannot read {path}: {reason}") from None
 
         try:
             space.map_region(start, length, perms, blob)

@@ -1,9 +1,9 @@
 import pytest
 
 from caveprobe.caves import CaveRegion, NoCaveError, find_caves, select_cave
-from caveprobe.explorer import PageEntry, PageMap
+from caveprobe.explorer import PageMap
 from caveprobe.memspace import PAGE_SIZE
-from caveprobe.probe import ProbeConfig, Prober
+from caveprobe.probe import ACCESSIBLE, ProbeConfig, Prober
 from helpers import make_space
 
 
@@ -13,7 +13,7 @@ def quiet_prober() -> Prober:
 
 def pagemap_for(space, prober=None) -> PageMap:
     return PageMap(space, prober or quiet_prober(),
-                   entries={b: PageEntry(True) for b in space.pages})
+                   entries=dict.fromkeys(space.pages, ACCESSIBLE))
 
 
 class TestFindCaves:
@@ -51,7 +51,7 @@ class TestFindCaves:
 
     def test_unprobed_pages_invisible(self):
         space = make_space((0x100000, 2 * PAGE_SIZE, "rwu", b""))
-        pm = PageMap(space, quiet_prober(), entries={0x100000: PageEntry(True)})
+        pm = PageMap(space, quiet_prober(), entries={0x100000: ACCESSIBLE})
         caves = find_caves(pm)
         assert caves == [CaveRegion(0x100000, PAGE_SIZE)]
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from caveprobe import cli, explorer
+from caveprobe import cli, explorer, gadgets
 from caveprobe.cli import (
     EXIT_OK,
     EXIT_STAGE_ERROR,
@@ -112,9 +112,38 @@ class TestPipeline:
     def test_run_context_declares_every_attribute(self, image_paths):
         pipe = Pipeline(base_config(image_paths))
         pipe.run()
-        assert pipe.code_pages and pipe.marker is not None
+        assert pipe.pagemap.entries and pipe.marker is not None
         with pytest.raises(AttributeError):
             pipe.undeclared = 1
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("image_seed", [3, 21, 40])
+    def test_gadgets_search_the_readonly_runs(self, monkeypatch, tmp_path,
+                                              mode, image_seed):
+        # the gadgets stage takes its pages from the store: exactly the
+        # pages of the report's readonly runs
+        real = gadgets.find_gadgets
+        searched = []
+
+        def recording(space, pages):
+            searched.append(list(pages))
+            return real(space, searched[-1])
+
+        monkeypatch.setattr(gadgets, "find_gadgets", recording)
+        manifest = tmp_path / "victim.json"
+        manifest.write_text(build_victim_image(image_seed).manifest_text)
+        report = run_pipeline(PipelineConfig(
+            image_path=str(manifest), mode=mode, seed=image_seed,
+            stop_after="gadgets",
+        ))
+        readonly = [
+            base
+            for run in report.reconstructed.runs
+            if run.kind is Writability.READ_ONLY
+            for base in range(run.start, run.end, 0x1000)
+        ]
+        (pages,) = searched
+        assert readonly and sorted(pages) == sorted(readonly)
 
     def test_stage_order_stops_midway(self, image_paths):
         report = run_pipeline(base_config(image_paths, stop_after="caves"))
@@ -411,8 +440,10 @@ class TestMain:
             ({"stack_pointer": "0x7f0000001000"}, "seeds.return_site"),
             ({"return_site": "0x400000", "stack_pointer": "7fz0"},
              "seeds.stack_pointer"),
+            ({"return_site": True, "stack_pointer": "0x7f0000001000"},
+             "seeds.return_site"),
         ],
-        ids=["missing-return-site", "non-hex-stack-pointer"],
+        ids=["missing-return-site", "non-hex-stack-pointer", "boolean-return-site"],
     )
     def test_bad_seed_field_is_one_line_error(self, tmp_path, capsys, seeds,
                                               field):
@@ -424,6 +455,21 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"caveprobe: stage 'load' failed: {field} ")
+
+    def test_integer_seeds_give_the_same_report(self, tmp_path):
+        # seeds take JSON integers, as region starts and lengths do
+        doc = json.loads(Path(DEMO).read_text())
+        doc["seeds"] = {key: int(value, 16) for key, value in doc["seeds"].items()}
+        manifest = tmp_path / "demo.json"
+        manifest.write_text(json.dumps(doc))
+        reports = []
+        for path in (DEMO, str(manifest)):
+            out = tmp_path / "r.json"
+            assert main(["--image-path", path, "--out", str(out)]) == EXIT_OK
+            doc = json.loads(out.read_text())
+            assert doc["config"].pop("image-path") == path
+            reports.append(doc)
+        assert reports[0] == reports[1]
 
     def test_crlf_manifest_gives_the_same_report(self, tmp_path):
         crlf = tmp_path / "demo.json"
@@ -461,6 +507,42 @@ class TestMain:
             "UTF-8: first bad byte at offset 0\n"
         )
         assert "codec" not in err
+
+    def test_missing_ground_truth_is_one_line_error(self, tmp_path, capsys):
+        maps = tmp_path / "nope.maps"
+        assert main(["--image-path", DEMO, "--ground-truth-path", str(maps)]) \
+            == EXIT_STAGE_ERROR
+        err = capsys.readouterr().err
+        assert err == (
+            f"caveprobe: stage 'load' failed: cannot read {maps}: "
+            "No such file or directory\n"
+        )
+        assert "Errno" not in err
+
+    def test_image_path_that_is_a_directory_is_one_line_error(self, tmp_path,
+                                                              capsys):
+        assert main(["--image-path", str(tmp_path)]) == EXIT_STAGE_ERROR
+        err = capsys.readouterr().err
+        assert err == (
+            f"caveprobe: stage 'load' failed: cannot read {tmp_path}: "
+            "Is a directory\n"
+        )
+        assert "Errno" not in err
+
+    def test_missing_blob_file_is_one_line_error(self, tmp_path, capsys):
+        doc = json.loads(build_victim_image(21).manifest_text)
+        region = doc["regions"][0]
+        region.pop("data", None)
+        region["file"] = "missing.bin"
+        manifest = tmp_path / "victim.json"
+        manifest.write_text(json.dumps(doc))
+        assert main(["--image-path", str(manifest)]) == EXIT_STAGE_ERROR
+        err = capsys.readouterr().err
+        assert err == (
+            f"caveprobe: stage 'load' failed: region 0: cannot read "
+            f"{tmp_path / 'missing.bin'}: No such file or directory\n"
+        )
+        assert "Errno" not in err
 
     @pytest.mark.parametrize(
         "flags, field",

@@ -7,7 +7,6 @@ from caveprobe.explorer import (
     DEFAULT_BUDGET,
     ExploreBudgetError,
     MapRun,
-    PageEntry,
     PageMap,
     ReconstructedMap,
     SeedSet,
@@ -27,9 +26,9 @@ from caveprobe.memspace import (
     parse_manifest,
     parse_proc_maps,
 )
-from caveprobe.probe import ProbeConfig, Prober, Writability
+from caveprobe.probe import Accessibility, ProbeConfig, Prober, Writability
 from caveprobe.synth import build_victim_image
-from helpers import NONE, W, make_space, page_class
+from helpers import NONE, make_space, page_class
 
 
 def quiet_prober() -> Prober:
@@ -49,11 +48,6 @@ class TestTypes:
     def test_seed_set_rejects_empty(self):
         with pytest.raises(ValueError):
             SeedSet(())
-
-    def test_page_entry_invariant(self):
-        with pytest.raises(ValueError):
-            PageEntry(accessible=False, writable=True)
-        PageEntry(accessible=False, writable=None)
 
 
 class TestHarvest:
@@ -86,7 +80,7 @@ class TestPointerChase:
     def test_records_inaccessible_candidates(self):
         space = make_space((0x10000, PAGE_SIZE, "ru", ptr_page(0x77770000)))
         pm = explore_from_pointers(quiet_store(space), SeedSet((0x10000,)))
-        assert pm.entries[0x77770000].accessible is False
+        assert pm.entries[0x77770000] is Writability.INACCESSIBLE
 
     def test_never_reads_before_successful_tap(self):
         space = make_space(
@@ -96,8 +90,8 @@ class TestPointerChase:
         )
         p = Prober(ProbeConfig(spurious_abort_probability=0.0), trace=True)
         pm = explore_from_pointers(PageMap(space, p), SeedSet((0x10000,)))
-        assert pm.entries[0x20000].accessible is False
-        assert pm.entries[0x30000].accessible is True
+        assert pm.entries[0x20000] is Writability.INACCESSIBLE
+        assert pm.entries[0x30000] is Accessibility.ACCESSIBLE
 
     def test_budget_bounds_probed_pages(self):
         # every page points at the next, far away
@@ -242,10 +236,12 @@ def test_linear_store_matches_tap_only_sweep(
     pm = explore(PageMap(space, prober, budget), "linear", SeedSet(anchors),
                  max_gap)
     want = list(reference_linear_sweep(space, anchors, max_gap).items())
-    assert [(b, e.accessible) for b, e in pm.entries.items()] == want[:budget]
-    for base, entry in pm.entries.items():
-        if entry.writable is not None:
-            assert entry.writable == (page_class(space.pages[base].perms) == W)
+    assert [
+        (b, v is not Writability.INACCESSIBLE) for b, v in pm.entries.items()
+    ] == want[:budget]
+    for base, verdict in pm.entries.items():
+        if verdict in (Writability.WRITABLE, Writability.READ_ONLY):
+            assert verdict.value == page_class(space.pages[base].perms)
 
 
 class TestRegionAround:
@@ -309,15 +305,20 @@ class TestPageMapStore:
             assert pm.claw(0x20000) is Writability.INACCESSIBLE
         assert p.counters["claws"] == 3
         assert p.counters["read_tx"] == 2 and p.counters["write_tx"] == 3
-        assert pm.entries[0x11000] == PageEntry(True, True)
-        assert pm.entries[0x20000] == PageEntry(False)
+        assert pm.entries == {
+            0x10000: Writability.READ_ONLY,
+            0x11000: Writability.WRITABLE,
+            0x20000: Writability.INACCESSIBLE,
+        }
 
     def test_known_accessible_page_costs_one_write_tx(self):
         p = quiet_prober()
         pm = PageMap(self.space(), p)
         pm.tap(0x11000)
+        assert pm.entries[0x11000] is Accessibility.ACCESSIBLE
         before = dict(p.counters)
         assert pm.claw(0x11000) is Writability.WRITABLE
+        assert pm.entries[0x11000] is Writability.WRITABLE
         assert p.counters["write_tx"] - before.get("write_tx", 0) == 1
         assert p.counters["read_tx"] == before["read_tx"]
         assert p.counters["claws"] == 1
@@ -326,6 +327,7 @@ class TestPageMapStore:
         p = quiet_prober()
         pm = PageMap(self.space(), p)
         pm.tap(0x20000)
+        assert pm.entries[0x20000] is Writability.INACCESSIBLE
         assert pm.claw(0x20000) is Writability.INACCESSIBLE
         assert p.counters.get("claws", 0) == 0
         assert p.counters.get("write_tx", 0) == 0

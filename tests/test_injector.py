@@ -12,8 +12,8 @@ from caveprobe.injector import (
     locate_victim_frame,
     payload_offset,
 )
-from caveprobe.memspace import PAGE_SIZE
-from caveprobe.probe import ProbeConfig, Prober
+from caveprobe.memspace import PAGE_SIZE, PagePermissions
+from caveprobe.probe import ProbeConfig, Prober, Writability
 from helpers import make_space, space_digest
 
 STACK = 0x7F0000000000
@@ -72,24 +72,36 @@ class TestLocate:
         put(STACK + 0x7F8, 0xDEAD10CC)       # canary below the inner slot
         return space
 
+    def explored(self, space) -> PageMap:
+        """A store holding every mapped page's claw verdict, as the explore
+        stage leaves it."""
+        pm = PageMap(space, quiet_prober())
+        for base in space.pages:
+            pm.claw(base)
+        return pm
+
     def test_finds_innermost_frame(self):
-        space = self.build_stack()
-        frame = locate_victim_frame(
-            PageMap(space, quiet_prober()), STACK + 0x700, (STACK, STACK + PAGE_SIZE),
-            codemap={CODE},
-        )
+        frame = locate_victim_frame(self.explored(self.build_stack()), STACK + 0x700)
         assert frame.rbp_slot_addr == STACK + 0x800
         assert frame.saved_rbp == STACK + 0xA00
         assert frame.saved_rip == CODE + 0x234
         assert frame.canary_slot_addr == STACK + 0x7F8
 
-    def test_requires_return_address_in_codemap(self):
-        space = self.build_stack()
+    def test_refuses_return_address_on_unprobed_page(self):
+        # the stack alone was probed: no verdict vouches for the code page,
+        # and locating stores none for it
+        pm = PageMap(self.build_stack(), quiet_prober())
         with pytest.raises(InjectionError):
-            locate_victim_frame(
-                PageMap(space, quiet_prober()), STACK + 0x700,
-                (STACK, STACK + PAGE_SIZE), codemap={0x999000},
-            )
+            locate_victim_frame(pm, STACK + 0x700)
+        assert CODE not in pm.entries
+
+    def test_refuses_return_address_on_writable_page(self):
+        space = self.build_stack()
+        space.set_protection(CODE, PAGE_SIZE, PagePermissions.from_rwxu("rwxu"))
+        pm = self.explored(space)
+        assert pm.entries[CODE] is Writability.WRITABLE
+        with pytest.raises(InjectionError):
+            locate_victim_frame(pm, STACK + 0x700)
 
     def test_no_frame_names_the_region_and_slots_scanned(self):
         space = make_space(
@@ -97,10 +109,7 @@ class TestLocate:
             (STACK, PAGE_SIZE, "rwu", b""),
         )
         with pytest.raises(InjectionError) as exc:
-            locate_victim_frame(
-                PageMap(space, quiet_prober()), STACK + 0x700,
-                (STACK, STACK + PAGE_SIZE), codemap={CODE},
-            )
+            locate_victim_frame(self.explored(space), STACK + 0x700)
         # slots STACK+0x700 .. STACK+0xFF0, eight bytes apart
         assert str(exc.value) == (
             f"no plausible frame above the stack pointer {STACK + 0x700:#x}: "
@@ -108,13 +117,10 @@ class TestLocate:
             f"{STACK:#x}-{STACK + PAGE_SIZE:#x}"
         )
 
-    def test_stack_pointer_must_be_inside_region(self):
-        space = self.build_stack()
-        with pytest.raises(InjectionError):
-            locate_victim_frame(
-                PageMap(space, quiet_prober()), STACK - 0x1000,
-                (STACK, STACK + PAGE_SIZE), codemap={CODE},
-            )
+    def test_stack_pointer_on_inaccessible_page_fails(self):
+        pm = self.explored(self.build_stack())
+        with pytest.raises(ValueError, match="not accessible"):
+            locate_victim_frame(pm, STACK - 0x1000)
 
 
 class TestForge:

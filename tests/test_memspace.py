@@ -1,5 +1,6 @@
 import json
 import random
+import signal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -652,6 +653,30 @@ class TestManifest:
         text = "[" * 100_000 + "]" * 100_000
         with pytest.raises(ManifestError, match="^not valid JSON: nested too deeply$"):
             parse_manifest(text)
+
+    def test_rejects_a_region_past_the_page_cap(self):
+        # about 128 TB: refused from the lengths alone.  Mapping it would
+        # walk 2**35 page bases before allocating any, so if the cap were
+        # gone the alarm would end the walk after a second.
+        text = json.dumps({"regions": [
+            {"start": "0x1000", "len": "0x1000", "perms": "ru"},
+            {"start": "0x2000", "len": "0x7fff00000000", "perms": "rwu"},
+        ]})
+
+        def too_slow(signum, frame):
+            raise AssertionError("the manifest was not refused within a second")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            with pytest.raises(ManifestError) as exc:
+                load_manifest(parse_manifest(text))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert str(exc.value) == (
+            "region 1: len 0x7fff00000000 takes the image past 65536 pages"
+        )
 
 
 class TestProcMaps:
