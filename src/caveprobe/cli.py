@@ -326,50 +326,31 @@ def _probe(ctx: Pipeline) -> None:
 
 
 def _explore(ctx: Pipeline) -> None:
-    # grow every accessible hit to its full contiguous extent with claws,
-    # which settle each page's verdict, then coalesce them into runs
+    # grow each accessible hit, in address order, to its maximal run with
+    # claws, which settle each page's verdict.  A run ends below a page
+    # stored inaccessible, and a stored verdict is never weakened, so a hit
+    # past the last run grows a run that starts past it: the extents come
+    # out sorted and disjoint
     accessible = ctx.pagemap.accessible_pages()
     if not accessible:
         raise ValueError("exploration found nothing accessible")
-    extents: list[tuple[int, int]] = []
-    covered: set[int] = set()
+    runs: list[explorer.MapRun] = []
+    mismatches: list[str] = []
+    extents = hi = 0
     for base in accessible:
-        if base in covered:
+        if base < hi:
             continue
         lo, hi = explorer.region_around(ctx.pagemap, base)
-        covered.update(range(lo, hi, PAGE_SIZE))
-        extents.append((lo, hi))
-    extents.sort()
-
-    all_runs: list[explorer.MapRun] = []
-    matched = True
-    mismatches: list[str] = []
-    for lo, hi in extents:
         recon = explorer.reconstruct_map(ctx.pagemap, lo, hi)
-        all_runs.extend(recon.runs)
+        runs.extend(recon.runs)
+        extents += 1
         if ctx.truth is not None:
-            ok, mm = explorer.match_ground_truth(recon, ctx.truth)
-            matched = matched and ok
-            mismatches.extend(mm)
-    if ctx.truth is not None:
-        # each extent was matched over its own range only, so extents
-        # that overlap would each pass; in start order, a run overlaps an
-        # earlier one exactly when it starts below the furthest end so far
-        reach: explorer.MapRun | None = None
-        for run in sorted(all_runs, key=lambda r: r.start):
-            if reach is not None and run.start < reach.end:
-                matched = False
-                mismatches.append(
-                    f"{run.start:#x}-{run.end:#x}: overlaps the run "
-                    f"{reach.start:#x}-{reach.end:#x}"
-                )
-            if reach is None or run.end > reach.end:
-                reach = run
-    ctx.report.reconstructed = explorer.ReconstructedMap(tuple(all_runs))
-    ctx.report.exploration["extents"] = len(extents)
+            mismatches += explorer.match_ground_truth(recon, ctx.truth)
+    ctx.report.reconstructed = explorer.ReconstructedMap(tuple(runs))
+    ctx.report.exploration["extents"] = extents
     if ctx.truth is not None:
         ctx.report.map_mismatches = mismatches
-        ctx.report.verdicts["map-match"] = matched
+        ctx.report.verdicts["map-match"] = not mismatches
 
 
 def _gadgets(ctx: Pipeline) -> None:

@@ -286,19 +286,20 @@ def truth_runs(truth: GroundTruthMap, start: int, end: int) -> tuple[MapRun, ...
 
 def match_ground_truth(
     recon: ReconstructedMap, truth: GroundTruthMap
-) -> tuple[bool, list[str]]:
+) -> list[str]:
     """Compare a reconstruction against ground truth over its own range.
 
-    Returns (matched, mismatch descriptions).  Only the user half is
-    compared; kernel regions are invisible to probes by design.
+    Returns a description of each run where they differ; the reconstruction
+    matches when the list is empty.  Only the user half is compared; kernel
+    regions are invisible to probes by design.
     """
     if not recon.runs:
-        return True, []
+        return []
     start = recon.runs[0].start
     end = recon.runs[-1].end
     expected = truth_runs(truth, start, end)
     if expected == recon.runs:
-        return True, []
+        return []
     mismatches = []
     got = {(r.start, r.end): r.kind for r in recon.runs}
     want = {(r.start, r.end): r.kind for r in expected}
@@ -312,7 +313,7 @@ def match_ground_truth(
                 f"{g.value if g else 'missing'}, truth "
                 f"{w.value if w else 'missing'}"
             )
-    return False, mismatches
+    return mismatches
 
 
 def egg_hunt(pm: PageMap, tag: bytes, start: int, end: int) -> int | None:

@@ -330,6 +330,10 @@ def parse_manifest(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifestError(f"not valid JSON: {exc}") from None
+    except ValueError:
+        # the int() of a too-long integer literal; its text names the limit
+        # differently from one Python version to the next
+        raise ManifestError("not valid JSON: an integer has too many digits") from None
     except RecursionError:
         raise ManifestError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("regions"), list):
@@ -388,6 +392,8 @@ def load_manifest(doc: dict, base_dir: str | Path | None = None) -> AddressSpace
             offset = region.get("offset", 0)
             if type(offset) is not int or offset < 0:
                 raise ManifestError(f"{where}: offset must be a non-negative int")
+            if offset >= 1 << 63:  # a seek takes a signed 64-bit offset
+                raise ManifestError(f"{where}: offset is past the largest file offset")
             try:
                 with open(path, "rb") as fh:
                     fh.seek(offset)

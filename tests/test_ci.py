@@ -1,4 +1,5 @@
-"""The CI workflow runs the tier-1 command that README documents."""
+"""The CI workflow runs the tier-1 command that README documents, on
+Pythons from the floor pyproject.toml declares."""
 
 import re
 from pathlib import Path
@@ -24,3 +25,18 @@ def readme_ci_command() -> str:
 
 def test_workflow_runs_the_readme_ci_command():
     assert workflow_test_command() == readme_ci_command()
+
+
+def version(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split("."))
+
+
+def test_lowest_workflow_python_is_the_requires_python_floor():
+    text = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
+    match = re.search(r"python-version: \[(.*?)\]", text)
+    assert match, "tier1.yml has no python-version matrix"
+    matrix = [v.strip().strip("\"'") for v in match.group(1).split(",")]
+    project = (REPO / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python = ">=([0-9.]+)"$', project, re.M)
+    assert floor, 'pyproject.toml has no requires-python = ">=X.Y" line'
+    assert min(matrix, key=version) == floor.group(1)

@@ -413,21 +413,18 @@ class TestGroundTruthCompare:
     def test_match(self):
         truth = parse_proc_maps(self.MAPS)
         recon = reconstruct_map(quiet_store(self.space()), 0x100000, 0x106000)
-        ok, mismatches = match_ground_truth(recon, truth)
-        assert ok and mismatches == []
+        assert match_ground_truth(recon, truth) == []
 
     def test_mismatch_reported(self):
         truth = parse_proc_maps(self.MAPS)
         wrong = ReconstructedMap(
             (MapRun(0x100000, 0x106000, Writability.WRITABLE),)
         )
-        ok, mismatches = match_ground_truth(wrong, truth)
-        assert not ok
-        assert mismatches
+        assert match_ground_truth(wrong, truth)
 
     def test_empty_reconstruction_matches(self):
-        ok, mm = match_ground_truth(ReconstructedMap(()), parse_proc_maps(self.MAPS))
-        assert ok and mm == []
+        truth = parse_proc_maps(self.MAPS)
+        assert match_ground_truth(ReconstructedMap(()), truth) == []
 
 
 class TestEggHunt:
