@@ -38,6 +38,15 @@ def default_gadget_specs() -> tuple[GadgetSpec, ...]:
     )
 
 
+_SPECS = default_gadget_specs()
+_KINDS = {spec.pattern: spec.name for spec in _SPECS}  # every pattern is two bytes
+_FIRST, _LAST = ({pattern[i] for pattern in _KINDS} for i in (0, 1))
+assert not _FIRST & _LAST, "the census scan needs first and last pattern bytes apart"
+# bytes.translate table: first pattern bytes become 1, last ones 2, others 0
+_MARKS = bytes(1 if b in _FIRST else 2 if b in _LAST else 0 for b in range(256))
+_RET = next(s.pattern[-1:] for s in _SPECS if s.name.endswith("-ret"))
+
+
 @dataclass(frozen=True, slots=True)
 class GadgetCatalog:
     """Census result: every address per gadget kind, sorted ascending, plus
@@ -65,34 +74,27 @@ def find_gadgets(space: AddressSpace, pages: Iterable[int]) -> GadgetCatalog:
     every pattern in default_gadget_specs().
 
     No other page is read.  Each maximal run of adjacent pages is read
-    once and scanned once per distinct last pattern byte; at each hit the
-    byte before it names the kind.  So a pattern straddling two adjacent
-    pages of the set counts too, since execution would cross the boundary
-    just as happily, and one ending outside the set does not.
+    and translated once, marking first and last pattern bytes; a marked
+    pair is a hit if its bytes form a pattern.  So a pattern straddling
+    two adjacent pages of the set counts too, since execution would cross
+    the boundary just as happily, and one ending outside the set does not.
     """
-    specs = default_gadget_specs()
-    # last byte -> first byte -> kind; every pattern is two bytes long
-    kinds_by_last: dict[int, dict[int, str]] = {}
-    for spec in specs:
-        first, last = spec.pattern
-        kinds_by_last.setdefault(last, {})[first] = spec.name
-    ret = next(s.pattern[-1:] for s in specs if s.name.endswith("-ret"))
     accessible = set(pages)
-    hits: dict[str, list[int]] = {s.name: [] for s in specs}
+    hits: dict[str, list[int]] = {s.name: [] for s in _SPECS}
     into_ret: list[int] = []
     for start, end in page_runs(accessible):
         buf = space.read_bytes(start, end - start)
-        for last, kinds in kinds_by_last.items():
-            pos = buf.find(last, 1)
-            while pos != -1:
-                name = kinds.get(buf[pos - 1])
-                if name is not None:
-                    hits[name].append(start + pos - 1)
-                    # the chain continues past a syscall only through a ret
-                    # right after it, read here in the same run
-                    if name == "syscall" and buf[pos + 1 : pos + 2] == ret:
-                        into_ret.append(start + pos - 1)
-                pos = buf.find(last, pos + 1)
+        marked = buf.translate(_MARKS)
+        pos = marked.find(b"\x01\x02")
+        while pos != -1:
+            name = _KINDS.get(buf[pos : pos + 2])
+            if name is not None:
+                hits[name].append(start + pos)
+                # the chain continues past a syscall only through a ret
+                # right after it, read here in the same run
+                if name == "syscall" and buf[pos + 2 : pos + 3] == _RET:
+                    into_ret.append(start + pos)
+            pos = marked.find(b"\x01\x02", pos + 2)
     return GadgetCatalog(
         found={name: tuple(addrs) for name, addrs in hits.items()},
         searched_pages=len(accessible),

@@ -9,6 +9,7 @@ user accessible.
 
 from __future__ import annotations
 
+import binascii
 import json
 import re
 import struct
@@ -142,11 +143,15 @@ class AddressSpace:
         for base in range(start, end, PAGE_SIZE):
             if base in self.pages:
                 raise ValueError(f"page {base:#x} already mapped")
+        view = memoryview(data)
         for base in range(start, end, PAGE_SIZE):
             off = base - start
-            chunk = data[off : off + PAGE_SIZE]
-            buf = bytearray(PAGE_SIZE)
-            buf[: len(chunk)] = chunk
+            chunk = view[off : off + PAGE_SIZE]
+            if len(chunk) == PAGE_SIZE:  # a page the blob fills: one copy
+                buf = bytearray(chunk)
+            else:  # where the blob ends, and past it
+                buf = bytearray(PAGE_SIZE)
+                buf[: len(chunk)] = chunk
             self.pages[base] = Page(perms, buf)
 
     def _check_range(self, addr: int, count: int, *, write: bool) -> None:
@@ -348,11 +353,11 @@ def load_manifest(doc: dict, base_dir: str | Path | None = None) -> AddressSpace
 
     The manifest is ``{"regions": [...]}`` where each region gives page
     aligned "start" and "len" hex strings, a "perms" string drawn from
-    "rwxu", an optional "label", and optional content as either a "data"
-    hex blob or a "file" path string with byte "offset".  Regions without
-    content are zero filled.  Unknown top-level keys are ignored so callers
-    may carry side-band data in the same document.  The regions may map
-    no more than ``MAX_MANIFEST_PAGES`` pages in all.
+    "rwxu", an optional "label", and optional content as either "data", a
+    hex string with no whitespace, or a "file" path with byte "offset".
+    Regions without content are zero filled.  Unknown top-level keys are
+    ignored so callers may carry side-band data in the same document.  The
+    regions may map no more than ``MAX_MANIFEST_PAGES`` pages in all.
     """
     space = AddressSpace()
     pages = 0
@@ -380,12 +385,14 @@ def load_manifest(doc: dict, base_dir: str | Path | None = None) -> AddressSpace
         blob = b""
         if "data" in region:
             try:
-                blob = bytes.fromhex(region["data"])
+                blob = binascii.unhexlify(region["data"])
             except (TypeError, ValueError):
                 raise ManifestError(f"{where}: data is not a hex blob") from None
         elif "file" in region:
             if not isinstance(region["file"], str):
                 raise ManifestError(f"{where}: file must be a string")
+            if "\0" in region["file"]:  # open() would reject it in its own words
+                raise ManifestError(f"{where}: file must not contain a NUL character")
             path = Path(region["file"])
             if base_dir is not None and not path.is_absolute():
                 path = Path(base_dir) / path

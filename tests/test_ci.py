@@ -1,5 +1,6 @@
 """The CI workflow runs the tier-1 command that README documents, on
-Pythons from the floor pyproject.toml declares."""
+Pythons from the floor pyproject.toml declares, and smoke-runs the
+benchmark both untraced and traced."""
 
 import re
 from pathlib import Path
@@ -40,3 +41,16 @@ def test_lowest_workflow_python_is_the_requires_python_floor():
     floor = re.search(r'^requires-python = ">=([0-9.]+)"$', project, re.M)
     assert floor, 'pyproject.toml has no requires-python = ">=X.Y" line'
     assert min(matrix, key=version) == floor.group(1)
+
+
+def test_benchmark_smoke_runs_untraced_and_traced():
+    text = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
+    step = text.split("- name: Benchmark smoke\n", 1)[1].split("\n      - ", 1)[0]
+    runs = re.findall(
+        r"^\s+python perfbench/run\.py --workload all --seed 1 --seconds 0 "
+        r"--trace ([01]) \| tee (\S+)$", step, re.M)
+    assert sorted(trace for trace, _ in runs) == ["0", "1"]
+    for _, out in runs:
+        # the last line of each run's output must say "correct": true
+        check = re.escape(f"tail -n 1 {out} | python -c ") + r".*\[\"correct\"\] is not True"
+        assert re.search(check, step), f"no correctness check on {out}"

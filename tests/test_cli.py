@@ -496,6 +496,21 @@ class TestMain:
         )
         assert "Errno" not in err
 
+    def test_blob_file_with_a_nul_character_is_one_line_error(self, tmp_path, capsys):
+        # open() refuses such a path with "embedded null byte", which names
+        # no region
+        doc = json.loads(build_victim_image(21).manifest_text)
+        region = doc["regions"][0]
+        region.pop("data", None)
+        region["file"] = "blob\0.bin"
+        manifest = tmp_path / "victim.json"
+        manifest.write_text(json.dumps(doc))
+        assert main(["--image-path", str(manifest)]) == EXIT_STAGE_ERROR
+        assert capsys.readouterr().err == (
+            "caveprobe: stage 'load' failed: region 0: file must not contain "
+            "a NUL character\n"
+        )
+
     def test_blob_offset_past_any_file_is_one_line_error(self, tmp_path, capsys):
         # too large for the seek call, whose own error names an
         # "offset-sized integer"

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from caveprobe import gadgets
 from caveprobe.gadgets import (
     CHAIN_VARIANTS,
     ChainWord,
@@ -111,6 +112,10 @@ def brute_force_census(space: AddressSpace, pages: set[int]):
 
 # bytes that form, or almost form, the patterns, so hits are dense
 DENSE = bytes({b for spec in default_gadget_specs() for b in spec.pattern} | {0x90})
+FIRST_BYTES = sorted({spec.pattern[0] for spec in default_gadget_specs()})
+LAST_BYTES = sorted({spec.pattern[-1] for spec in default_gadget_specs()})
+# a first byte of one pattern then the last byte of another: no gadget
+CROSS_PAIRS = [b"\x5f\x05", b"\xc9\x05", b"\x0f\xc3"]
 
 
 @st.composite
@@ -118,7 +123,10 @@ def census_cases(draw):
     """Up to eight mapped page slots, some unmapped; a random subset of the
     mapped pages is the census set, so the set has holes where mapped pages
     lie outside it.  Patterns are planted across page ends, and syscall
-    sites end exactly at a page end with C3 on the next page."""
+    sites end exactly at a page end with C3 on the next page.  Cross pairs
+    are planted inside pages and across page ends, and a page may end with
+    a first pattern byte and start with a last one, so that a run ending
+    or starting there has half a pattern at its edge."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     slots = draw(st.integers(1, 8))
     mapped = [i for i in range(slots) if draw(st.booleans())] or [0]
@@ -133,7 +141,9 @@ def census_cases(draw):
         end = first + (i + 1) * PAGE_SIZE
         page = space.pages[end - PAGE_SIZE].data
         nxt = space.pages.get(end)
-        kind = draw(st.sampled_from(["straddle", "syscall-end", "last-byte", "none"]))
+        kind = draw(st.sampled_from(
+            ["straddle", "syscall-end", "last-byte", "cross", "edges", "none"]
+        ))
         if kind == "straddle" and nxt is not None:
             pattern = draw(st.sampled_from(specs)).pattern
             page[-1], nxt.data[0] = pattern
@@ -143,6 +153,15 @@ def census_cases(draw):
                 nxt.data[0] = 0xC3
         elif kind == "last-byte":
             page[-2:] = draw(st.sampled_from(specs)).pattern
+        elif kind == "cross":
+            pair = draw(st.sampled_from(CROSS_PAIRS))
+            off = draw(st.integers(0, PAGE_SIZE - 3))
+            page[off : off + 2] = pair
+            if nxt is not None:
+                page[-1], nxt.data[0] = pair
+        elif kind == "edges":
+            page[0] = draw(st.sampled_from(LAST_BYTES))
+            page[-1] = draw(st.sampled_from(FIRST_BYTES))
     chosen = {first + i * PAGE_SIZE for i in mapped if draw(st.booleans())}
     return space, chosen
 
@@ -155,6 +174,37 @@ def test_census_matches_brute_force(case):
     assert cat.found == found
     assert cat.syscalls_into_ret == into_ret
     assert cat.searched_pages == len(pages)
+
+
+@pytest.mark.parametrize("pair", CROSS_PAIRS, ids=lambda pair: pair.hex(" "))
+def test_cross_pairs_are_not_gadgets(pair):
+    # inside a page and across the end of two adjacent pages
+    code = bytearray(b"\x90" * 2 * PAGE_SIZE)
+    code[0x10:0x12] = pair
+    code[PAGE_SIZE - 1], code[PAGE_SIZE] = pair
+    space = space_with_code(0x400000, bytes(code), pages=2)
+    cat = find_gadgets(space, {0x400000, 0x401000})
+    assert all(addrs == () for addrs in cat.found.values())
+    assert cat.syscalls_into_ret == ()
+
+
+def test_half_patterns_at_run_edges_are_not_gadgets():
+    # a run that starts with a last byte and ends with a first byte: each
+    # half's other byte lies on a mapped page outside the census set
+    code = bytearray(b"\x90" * 3 * PAGE_SIZE)
+    code[PAGE_SIZE - 1 : PAGE_SIZE + 1] = b"\x5f\xc3"
+    code[2 * PAGE_SIZE - 1 : 2 * PAGE_SIZE + 1] = b"\x0f\x05"
+    space = space_with_code(0x400000, bytes(code), pages=3)
+    cat = find_gadgets(space, {0x401000})
+    assert all(addrs == () for addrs in cat.found.values())
+
+
+def test_every_pattern_translates_to_the_first_then_last_marks():
+    specs = default_gadget_specs()
+    for spec in specs:
+        assert spec.pattern.translate(gadgets._MARKS) == b"\x01\x02", spec.name
+    others = bytes(sorted(set(range(256)) - {b for s in specs for b in s.pattern}))
+    assert others.translate(gadgets._MARKS) == bytes(len(others))
 
 
 def test_one_read_per_contiguous_run(monkeypatch):

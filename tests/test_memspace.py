@@ -1,6 +1,8 @@
 import json
 import random
 import signal
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -618,6 +620,23 @@ class TestManifest:
         with pytest.raises(ManifestError):
             load_manifest(parse_manifest(text))
 
+    @pytest.mark.parametrize(
+        "data",
+        ["abc", "de ad", "de\nad", "dead\t", "d\u00e9", "\u0663\u0663", 5, None, ["de"], True],
+        ids=["odd-length", "space", "newline", "tab", "non-ascii", "non-ascii-digits",
+             "integer", "null", "list", "boolean"],
+    )
+    def test_data_that_is_not_one_contiguous_hex_string_is_refused(self, data):
+        # whitespace between hex bytes is refused too: a blob is one
+        # contiguous hex string
+        text = json.dumps({"regions": [
+            {"start": "0x1000", "len": "0x1000", "perms": "ru", "data": "00"},
+            {"start": "0x2000", "len": "0x1000", "perms": "ru", "data": data},
+        ]})
+        with pytest.raises(ManifestError) as exc:
+            load_manifest(parse_manifest(text))
+        assert str(exc.value) == "region 1: data is not a hex blob"
+
     def test_accepts_integer_addresses(self):
         text = json.dumps(
             {"regions": [{"start": 0x1000, "len": 0x1000, "perms": "ru"}]}
@@ -677,6 +696,71 @@ class TestManifest:
         assert str(exc.value) == (
             "region 1: len 0x7fff00000000 takes the image past 65536 pages"
         )
+
+
+def reference_pages(regions) -> dict[int, tuple[tuple[bool, ...], bytes]]:
+    """What each region's pages must hold, one page at a time: zero fill,
+    then copy the page's slice of the blob over it."""
+    pages = {}
+    for start, length, letters, blob in regions:
+        flags = tuple(letter in letters for letter in "rwxu")
+        for off in range(0, length, PAGE_SIZE):
+            page = bytearray(PAGE_SIZE)
+            part = blob[off : off + PAGE_SIZE]
+            page[: len(part)] = part
+            pages[start + off] = (flags, bytes(page))
+    return pages
+
+
+@st.composite
+def blob_regions(draw):
+    """Up to three regions of one to four pages.  Each blob is any length
+    up to its region's, often one byte short of, at or past a page end,
+    and comes as inline hex (either case) or as a file read from an
+    offset; a file may hold bytes past the region's end."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    regions = []
+    for i in range(draw(st.integers(1, 3))):
+        npages = draw(st.integers(1, 4))
+        length = npages * PAGE_SIZE
+        if draw(st.booleans()):
+            size = draw(st.integers(0, length))
+        else:
+            edge = draw(st.integers(0, npages)) * PAGE_SIZE
+            size = min(max(edge + draw(st.sampled_from([-1, 0, 1])), 0), length)
+        # regions at least a megabyte apart never touch
+        region = {"start": hex((i + 1) << 20), "len": hex(length),
+                  "perms": draw(st.sampled_from(["", "ru", "rwu", "rxu", "rwxu"]))}
+        blob = rng.randbytes(size)
+        source = draw(st.sampled_from(["data", "DATA", "file"]))
+        contents = None
+        if source == "file":
+            pad = rng.randbytes(draw(st.integers(0, 9)))
+            past = rng.randbytes(draw(st.integers(0, 9))) if size == length else b""
+            region.update(file=f"blob{i}.bin", offset=len(pad))
+            contents = pad + blob + past
+        else:
+            region["data"] = blob.hex().upper() if source == "DATA" else blob.hex()
+        regions.append((region, blob, contents))
+    return regions
+
+
+@given(blob_regions())
+def test_load_matches_the_zero_fill_then_copy_reference(regions):
+    with tempfile.TemporaryDirectory() as tmp:
+        for region, _, contents in regions:
+            if contents is not None:
+                Path(tmp, region["file"]).write_bytes(contents)
+        text = json.dumps({"regions": [region for region, _, _ in regions]})
+        space = load_manifest(parse_manifest(text), base_dir=tmp)
+    got = {
+        base: ((p.readable, p.writable, p.executable, p.user_accessible), bytes(page.data))
+        for base, page in space.pages.items()
+        for p in [page.perms]
+    }
+    assert got == reference_pages(
+        (int(r["start"], 16), int(r["len"], 16), r["perms"], blob) for r, blob, _ in regions
+    )
 
 
 class TestProcMaps:
