@@ -1,10 +1,10 @@
 """Attack pipeline and command line front end.
 
 The pipeline drives the whole flow against a loaded victim image: explore
-accessibility from the two seed addresses, classify writability, census
+accessibility from the host's stack pointer, classify writability, census
 gadgets, pick a cave, forge and inject the fake frame, then execute the
-pivot on the machine model and judge the outcome.  The only addresses it is
-given are the image's seed pair; everything else must come out of probes.
+pivot on the machine model and judge the outcome.  The only address it is
+given is the image's stack pointer; everything else must come out of probes.
 """
 
 from __future__ import annotations
@@ -207,21 +207,21 @@ def _read_utf8(path: Path, what: str) -> str:
         ) from None
 
 
-def _read_image(path: Path) -> tuple[AddressSpace, int, int]:
-    """Parse the manifest once; return its space and its seed pair
-    (return site, stack pointer)."""
+def _read_image(path: Path) -> tuple[AddressSpace, int]:
+    """Parse the manifest once; return its space and its stack pointer, the
+    one seed the attacker is given.  Other seeds are ground truth for
+    checkers and are not read."""
     # the text stays unnamed, so it is freed before the pages are built
     doc = parse_manifest(_read_utf8(path, "manifest"))
     seed_obj = doc.get("seeds")
     if not isinstance(seed_obj, dict):
         raise ManifestError('image manifest lacks a "seeds" object')
-    pair = []
-    for key in ("return_site", "stack_pointer"):
-        value = seed_obj.get(key)
-        if value is None:
-            raise ManifestError(f"seeds.{key} is missing")
-        pair.append(parse_hex(value, f"seeds.{key}"))
-    return load_manifest(doc, base_dir=path.parent), pair[0], pair[1]
+    stack_pointer = parse_hex(seed_obj.get("stack_pointer"), "seeds.stack_pointer")
+    if not 0 <= stack_pointer < USER_TOP:
+        raise ManifestError(
+            f"seeds.stack_pointer is outside the user half [0, {USER_TOP:#x})"
+        )
+    return load_manifest(doc, base_dir=path.parent), stack_pointer
 
 
 def _aslr_offset(seed: int, space: AddressSpace) -> int:
@@ -250,7 +250,7 @@ class Pipeline:
     # load
     space: AddressSpace | None = None
     prober: Prober | None = None
-    seeds: explorer.SeedSet | None = None
+    stack_pointer: int | None = None
     truth: GroundTruthMap | None = None
     # probe, explore
     pagemap: explorer.PageMap | None = None
@@ -297,16 +297,14 @@ class Pipeline:
 
 def _load(ctx: Pipeline) -> None:
     cfg = ctx.config
-    space, return_site, stack_pointer = _read_image(Path(cfg.image_path))
+    space, stack_pointer = _read_image(Path(cfg.image_path))
     offset = 0
     if cfg.aslr:
         offset = _aslr_offset(cfg.seed, space)
         space.rebase(offset)
-        return_site += offset
-        stack_pointer += offset
     ctx.report.aslr_offset = offset
     ctx.space = space
-    ctx.seeds = explorer.SeedSet((return_site, stack_pointer))
+    ctx.stack_pointer = stack_pointer + offset
     ctx.prober = Prober(
         ProbeConfig(spurious_abort_probability=cfg.spurious_prob, rng_seed=cfg.seed)
     )
@@ -320,7 +318,7 @@ def _probe(ctx: Pipeline) -> None:
     cfg = ctx.config
     ctx.pagemap = explorer.explore(
         explorer.PageMap(ctx.space, ctx.prober, cfg.explore_budget),
-        cfg.mode, ctx.seeds,
+        cfg.mode, ctx.stack_pointer,
     )
     ctx.report.exploration = {"mode": cfg.mode}
 
@@ -372,7 +370,7 @@ def _caves(ctx: Pipeline) -> None:
 
 def _inject(ctx: Pipeline) -> None:
     cfg = ctx.config
-    victim = injector.locate_victim_frame(ctx.pagemap, ctx.seeds.pointers[1])
+    victim = injector.locate_victim_frame(ctx.pagemap, ctx.stack_pointer)
 
     # the image: saved-rbp copy, chain, continuation word; in payload mode
     # the payload follows, zeroes everything before it, and the marker

@@ -22,20 +22,12 @@ _QWORDS_PER_PAGE = PAGE_SIZE // 8
 _PAGE_UNPACK = struct.Struct(f"<{_QWORDS_PER_PAGE}Q")
 
 
-@dataclass(frozen=True, slots=True)
-class SeedSet:
-    """The only addresses the explorer is given for free: a known return
-    site inside the target's code plus the host stack pointer."""
-
-    pointers: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.pointers:
-            raise ValueError("seed set must contain at least one pointer")
-
-
 class ExploreBudgetError(Exception):
     """A page needed a first probe after the store held its budget."""
+
+
+class NoFrameError(ValueError):
+    """No slot above the stack pointer holds a plausible frame."""
 
 
 @dataclass(slots=True)
@@ -124,21 +116,16 @@ def harvest_pointers(page_bytes: bytes) -> list[int]:
     return [v for v in _PAGE_UNPACK.unpack(page_bytes) if 0 < v < USER_TOP]
 
 
-def explore_from_pointers(pm: PageMap, seeds: SeedSet) -> PageMap:
-    """Breadth-first pointer chase from the seed addresses.
+def explore_from_pointers(pm: PageMap, pointers: tuple[int, ...]) -> PageMap:
+    """Breadth-first pointer chase from the addresses in ``pointers``.
 
     Each dequeued page is tapped; accessible pages are read (only after the
     tap) and mined for further pointer candidates.  Inaccessible candidates
     are recorded too.  The store raises ExploreBudgetError at the first
     page beyond its budget.
     """
-    queue: list[int] = []
-    queued: set[int] = set()
-    for ptr in seeds.pointers:
-        base = AddressSpace.page_base(ptr)
-        if base not in queued:
-            queue.append(base)
-            queued.add(base)
+    queue = list(dict.fromkeys(AddressSpace.page_base(p) for p in pointers))
+    queued = set(queue)
     qi = 0
     while qi < len(queue):
         base = queue[qi]
@@ -182,30 +169,61 @@ def _sweep(
     return None
 
 
-def explore(
-    pm: PageMap, mode: str, seeds: SeedSet, max_gap: int = DEFAULT_MAX_GAP
-) -> PageMap:
-    """Run one exploration strategy through ``pm``; it stops gracefully
-    when the store's budget is spent.
+def frame_above(pm: PageMap, stack_ptr: int) -> tuple[int, int, int]:
+    """(slot address, saved base pointer, saved return address) of the
+    innermost plausible frame above ``stack_ptr``.
 
-    ``linear``: gap-limited bidirectional sweep around every seed; it claws
-    on through accessible runs, so a writable page there costs one transaction.
-    ``pointer-chase``: breadth-first pointer harvest from the seeds.
+    Grows the stack extent around ``stack_ptr`` through ``pm``, then walks
+    upward at 8-byte alignment for a slot whose value points higher into
+    the extent (a frame-pointer chain link) and whose neighbor holds a
+    return address on a page that claws read-only through ``pm``: its
+    probe verdict vouches for it, and a page already stored costs nothing.
+    """
+    lo, hi = region_around(pm, stack_ptr)
+    slots = range((stack_ptr + 7) & ~7, hi - 15, 8)
+    for slot in slots:
+        # every slot lies in the extent just grown, so the read cannot fault
+        raw = pm.space.read_bytes(slot, 16)
+        rbp = int.from_bytes(raw[:8], "little")
+        rip = int.from_bytes(raw[8:], "little")
+        rip_page = AddressSpace.page_base(rip)
+        if slot < rbp < hi and rip < USER_TOP and pm.claw(rip_page) is READ_ONLY:
+            return slot, rbp, rip
+    raise NoFrameError(
+        f"no plausible frame above the stack pointer {stack_ptr:#x}: "
+        f"scanned {len(slots)} slots of the stack region {lo:#x}-{hi:#x}"
+    )
+
+
+def explore(
+    pm: PageMap, mode: str, stack_pointer: int, max_gap: int = DEFAULT_MAX_GAP
+) -> PageMap:
+    """Run one exploration strategy from the stack pointer, the only
+    address the attacker is given, through ``pm``; it stops gracefully when
+    the store's budget is spent.
+
+    ``linear``: gap-limited bidirectional sweep around the stack pointer,
+    then around the saved return address of the first frame above it; it
+    claws on through accessible runs, so a writable page costs one transaction.
+    ``pointer-chase``: breadth-first pointer harvest from the stack pointer.
     ``hybrid``: sweep until the first accessible page, then hand that page
-    plus the original seeds to the pointer chase.
+    plus the stack pointer to the pointer chase.
     """
     try:
         if mode == "pointer-chase":
-            explore_from_pointers(pm, seeds)
+            explore_from_pointers(pm, (stack_pointer,))
         elif mode == "linear":
-            for anchor in seeds.pointers:
-                _sweep(pm, anchor, max_gap)
+            _sweep(pm, stack_pointer, max_gap)
+            try:
+                _, _, code_anchor = frame_above(pm, stack_pointer)
+            except ValueError:
+                pass  # no stack, or no frame on it: nothing leads to the code
+            else:
+                _sweep(pm, code_anchor, max_gap)
         elif mode == "hybrid":
-            for anchor in seeds.pointers:
-                hit = _sweep(pm, anchor, max_gap, stop_on_hit=True)
-                if hit is not None:
-                    explore_from_pointers(pm, SeedSet((hit, *seeds.pointers)))
-                    break
+            hit = _sweep(pm, stack_pointer, max_gap, stop_on_hit=True)
+            if hit is not None:
+                explore_from_pointers(pm, (hit, stack_pointer))
         else:
             raise ValueError(f"unknown exploration mode {mode!r}")
     except ExploreBudgetError:

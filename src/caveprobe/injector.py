@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import explorer
 from .memspace import AddressSpace, MemoryFault
-from .probe import READ_ONLY, NotWritableError, Prober
+from .probe import NotWritableError, Prober
 from .gadgets import ChainWord, RopChain
 from .caves import CaveRegion
 
@@ -91,35 +91,14 @@ class FakeFrameImage:
 
 
 def locate_victim_frame(pm: explorer.PageMap, stack_ptr: int) -> VictimFrame:
-    """Find the innermost plausible frame above ``stack_ptr``.
-
-    Grows the stack extent around ``stack_ptr`` through ``pm``, then walks
-    upward at 8-byte alignment looking for a slot whose value points
-    higher into the extent (a frame-pointer chain link) and whose neighbor
-    holds a return address on a page whose stored verdict is read-only:
-    a return address is validated against the verdict its probe stored,
-    never a bare read.  The frame records the slot conventionally holding
-    the stack canary, just below the saved base pointer.
-    """
-    lo, hi = explorer.region_around(pm, stack_ptr)
-    slots = range((stack_ptr + 7) & ~7, hi - 15, 8)
-    for slot in slots:
-        # every slot lies in the extent just grown, so the read cannot fault
-        raw = pm.space.read_bytes(slot, 16)
-        rbp = int.from_bytes(raw[:8], "little")
-        rip = int.from_bytes(raw[8:], "little")
-        rip_page = AddressSpace.page_base(rip)
-        if slot < rbp < hi and pm.entries.get(rip_page) is READ_ONLY:
-            return VictimFrame(
-                rbp_slot_addr=slot,
-                saved_rbp=rbp,
-                saved_rip=rip,
-                canary_slot_addr=slot - 8,
-            )
-    raise InjectionError(
-        f"no plausible frame above the stack pointer {stack_ptr:#x}: "
-        f"scanned {len(slots)} slots of the stack region {lo:#x}-{hi:#x}"
-    )
+    """The frame ``explorer.frame_above`` finds above ``stack_ptr``, with
+    the slot conventionally holding the stack canary, just below the saved
+    base pointer."""
+    try:
+        slot, rbp, rip = explorer.frame_above(pm, stack_ptr)
+    except explorer.NoFrameError as exc:
+        raise InjectionError(str(exc)) from None
+    return VictimFrame(slot, rbp, rip, canary_slot_addr=slot - 8)
 
 
 def forge_fake_frame(

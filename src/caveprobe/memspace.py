@@ -408,6 +408,10 @@ def load_manifest(doc: dict, base_dir: str | Path | None = None) -> AddressSpace
             except OSError as exc:
                 reason = exc.strerror or exc
                 raise ManifestError(f"{where}: cannot read {path}: {reason}") from None
+            except UnicodeEncodeError:  # a lone surrogate; open() names no region
+                raise ManifestError(
+                    f"{where}: file has a character no file name can hold"
+                ) from None
 
         try:
             space.map_region(start, length, perms, blob)

@@ -1,17 +1,36 @@
-"""The names the benchmark in ``perfbench/`` reaches inside caveprobe.
+"""The names the benchmark in ``perfbench/`` reaches inside caveprobe, and
+its oracle run over synth images.
 
 A traced benchmark run wraps every attribute in ``spans.SPANNED``, and the
 benchmark scripts import names from the package.  Deleting one of them
 breaks the benchmark without failing any other test, so this file pins
-them.  It only reads ``perfbench/``.
+them.  The benchmark checks each run with ``workloads.check_report``, an
+oracle independent of the report's own verdicts; the sweep here runs it in
+tier-1.  This file only reads ``perfbench/``.
 """
 
 import ast
 import importlib
 import importlib.util
+import itertools
+import sys
 from pathlib import Path
 
+from caveprobe.cli import MODES, PipelineConfig, run_pipeline
+from caveprobe.synth import build_victim_image
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench_module(name: str):
+    """Load ``perfbench/<name>.py`` without putting ``perfbench/`` on the path."""
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module  # dataclasses look their module up there
+        spec.loader.exec_module(module)
+    return sys.modules[key]
 
 
 def _caveprobe_imports() -> list[tuple[str, str, str]]:
@@ -27,9 +46,7 @@ def _caveprobe_imports() -> list[tuple[str, str, str]]:
 
 
 def test_every_spanned_attribute_exists():
-    spec = importlib.util.spec_from_file_location("spans", PERFBENCH / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _perfbench_module("spans")
     assert spans.SPANNED
     missing = [
         (getattr(owner, "__name__", owner), attr)
@@ -48,3 +65,26 @@ def test_benchmark_imports_resolve():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert unresolved == []
+
+
+def test_oracle_passes_synth_images_in_every_mode(tmp_path):
+    # 16-page regions, seeds 0..29, every mode with ASLR on and off: the
+    # attacker starts from the stack pointer alone, and each run must pass
+    # its verdicts and the benchmark's oracle
+    check_report = _perfbench_module("workloads").check_report
+    failures = []
+    for seed in range(30):
+        img = build_victim_image(seed, code_pages=16, cave_pages=16, stack_pages=16)
+        manifest = tmp_path / f"victim-{seed}.json"
+        maps = tmp_path / f"victim-{seed}.maps"
+        manifest.write_text(img.manifest_text)
+        maps.write_text(img.maps_text)
+        for mode, aslr in itertools.product(MODES, (True, False)):
+            report = run_pipeline(PipelineConfig(
+                image_path=str(manifest), ground_truth_path=str(maps),
+                mode=mode, seed=seed, aslr=aslr,
+            ))
+            wrong = check_report(report, img.truth)
+            if not report.all_verdicts_pass() or wrong is not None:
+                failures.append((seed, mode, aslr, wrong))
+    assert failures == []

@@ -1,9 +1,12 @@
 """The CI workflow runs the tier-1 command that README documents, on
-Pythons from the floor pyproject.toml declares, and smoke-runs the
-benchmark both untraced and traced."""
+Pythons from the floor pyproject.toml declares, smoke-runs the benchmark
+both untraced and traced, and runs the installed console script in every
+mode."""
 
 import re
 from pathlib import Path
+
+from caveprobe.cli import MODES
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -43,9 +46,15 @@ def test_lowest_workflow_python_is_the_requires_python_floor():
     assert min(matrix, key=version) == floor.group(1)
 
 
-def test_benchmark_smoke_runs_untraced_and_traced():
+def workflow_step(name: str) -> str:
+    """The body of the tier1.yml step called ``name``, up to the next step."""
     text = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
-    step = text.split("- name: Benchmark smoke\n", 1)[1].split("\n      - ", 1)[0]
+    assert f"- name: {name}\n" in text, f"tier1.yml has no {name!r} step"
+    return text.split(f"- name: {name}\n", 1)[1].split("\n      - ", 1)[0]
+
+
+def test_benchmark_smoke_runs_untraced_and_traced():
+    step = workflow_step("Benchmark smoke")
     runs = re.findall(
         r"^\s+python perfbench/run\.py --workload all --seed 1 --seconds 0 "
         r"--trace ([01]) \| tee (\S+)$", step, re.M)
@@ -54,3 +63,15 @@ def test_benchmark_smoke_runs_untraced_and_traced():
         # the last line of each run's output must say "correct": true
         check = re.escape(f"tail -n 1 {out} | python -c ") + r".*\[\"correct\"\] is not True"
         assert re.search(check, step), f"no correctness check on {out}"
+
+
+def test_installed_console_script_runs_every_mode_outside_the_checkout():
+    step = workflow_step("Installed console script")
+    lines = [line.strip() for line in step.splitlines()]
+    install = lines.index("pip install .")
+    leave = lines.index('cd "$RUNNER_TEMP"')
+    runs = re.findall(
+        r'^caveprobe --image-path "\$GITHUB_WORKSPACE/images/demo\.json" '
+        r"--mode (\S+)", "\n".join(lines[leave:]), re.M)
+    assert install < leave
+    assert sorted(runs) == sorted(MODES)

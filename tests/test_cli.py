@@ -389,13 +389,20 @@ class TestMain:
     @pytest.mark.parametrize(
         "seeds, field",
         [
-            ({"stack_pointer": "0x7f0000001000"}, "seeds.return_site"),
+            ({"return_site": "0x400000"}, "seeds.stack_pointer"),
             ({"return_site": "0x400000", "stack_pointer": "7fz0"},
              "seeds.stack_pointer"),
-            ({"return_site": True, "stack_pointer": "0x7f0000001000"},
-             "seeds.return_site"),
+            ({"return_site": "0x400000", "stack_pointer": True},
+             "seeds.stack_pointer"),
+            # outside the user half; at or past 2**47 every page probes
+            # inaccessible, so the run would fail late on a page address
+            ({"stack_pointer": -0x1000}, "seeds.stack_pointer"),
+            ({"stack_pointer": hex(2**47)}, "seeds.stack_pointer"),
+            ({"stack_pointer": "0x" + "f" * 20}, "seeds.stack_pointer"),
         ],
-        ids=["missing-return-site", "non-hex-stack-pointer", "boolean-return-site"],
+        ids=["missing-stack-pointer", "non-hex-stack-pointer",
+             "boolean-stack-pointer", "negative-stack-pointer",
+             "stack-pointer-at-2**47", "stack-pointer-past-2**64"],
     )
     def test_bad_seed_field_is_one_line_error(self, tmp_path, capsys, seeds,
                                               field):
@@ -509,6 +516,22 @@ class TestMain:
         assert capsys.readouterr().err == (
             "caveprobe: stage 'load' failed: region 0: file must not contain "
             "a NUL character\n"
+        )
+
+    def test_blob_file_with_a_lone_surrogate_is_one_line_error(self, tmp_path,
+                                                               capsys):
+        # open() cannot encode such a path and says so in codec text, which
+        # names no region
+        doc = json.loads(build_victim_image(21).manifest_text)
+        region = doc["regions"][0]
+        region.pop("data", None)
+        region["file"] = "blob\ud800.bin"
+        manifest = tmp_path / "victim.json"
+        manifest.write_text(json.dumps(doc))
+        assert main(["--image-path", str(manifest)]) == EXIT_STAGE_ERROR
+        assert capsys.readouterr().err == (
+            "caveprobe: stage 'load' failed: region 0: file has a character "
+            "no file name can hold\n"
         )
 
     def test_blob_offset_past_any_file_is_one_line_error(self, tmp_path, capsys):
@@ -627,7 +650,7 @@ class TestMain:
 # images/demo.maps for seeds 0..9, concatenated in seed order.  A change that
 # means to leave behaviour alone keeps it; a change that deliberately alters
 # the reports updates it and says why in CHANGES.md.
-DEMO_REPORTS_SHA256 = "dc966c238bd47eed0d6e055c594446a5063f069d62c754e4197ea7cb3a224f09"
+DEMO_REPORTS_SHA256 = "496f7a5d5db48818760183caeb01c3cb0ec37b24aa6558f50a729b465a1ab17d"
 
 
 def test_demo_reports_byte_identical(monkeypatch):
@@ -662,7 +685,7 @@ def test_demo_text_reports_byte_identical(monkeypatch):
 
 # The JSON reports for every mode x chain variant x restore combination,
 # in that product order, with seeds 0..2 innermost: 36 passing reports.
-DEMO_COMBO_REPORTS_SHA256 = "9438f84a43d63fd545f637e6eb797036f751cb40effaf2bb68e0ee6c0b89c03d"
+DEMO_COMBO_REPORTS_SHA256 = "807f9a659b3c317568b0829aa9bf0957c9461a8261db3907b4531758abc81765"
 
 
 def test_demo_combo_reports_byte_identical(monkeypatch):

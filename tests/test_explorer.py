@@ -6,13 +6,14 @@ from hypothesis import given, strategies as st
 from caveprobe.explorer import (
     DEFAULT_BUDGET,
     ExploreBudgetError,
+    NoFrameError,
     MapRun,
     PageMap,
     ReconstructedMap,
-    SeedSet,
     egg_hunt,
     explore,
     explore_from_pointers,
+    frame_above,
     harvest_pointers,
     match_ground_truth,
     reconstruct_map,
@@ -44,12 +45,6 @@ def ptr_page(*values: int) -> bytes:
     return b"".join(v.to_bytes(8, "little") for v in values)
 
 
-class TestTypes:
-    def test_seed_set_rejects_empty(self):
-        with pytest.raises(ValueError):
-            SeedSet(())
-
-
 class TestHarvest:
     def test_extracts_user_half_pointers(self):
         page = ptr_page(0x404000, 0, USER_TOP, USER_TOP - 8, 1 << 63, 0x11)
@@ -74,12 +69,12 @@ class TestPointerChase:
             (0x40000000, PAGE_SIZE, "ru", ptr_page(0x80000000)),
             (0x80000000, PAGE_SIZE, "rwu", b""),
         )
-        pm = explore_from_pointers(quiet_store(space), SeedSet((0x10008,)))
+        pm = explore_from_pointers(quiet_store(space), (0x10008,))
         assert pm.accessible_pages() == [0x10000, 0x40000000, 0x80000000]
 
     def test_records_inaccessible_candidates(self):
         space = make_space((0x10000, PAGE_SIZE, "ru", ptr_page(0x77770000)))
-        pm = explore_from_pointers(quiet_store(space), SeedSet((0x10000,)))
+        pm = explore_from_pointers(quiet_store(space), (0x10000,))
         assert pm.entries[0x77770000] is Writability.INACCESSIBLE
 
     def test_never_reads_before_successful_tap(self):
@@ -89,7 +84,7 @@ class TestPointerChase:
             (0x30000, PAGE_SIZE, "ru", b""),
         )
         p = Prober(ProbeConfig(spurious_abort_probability=0.0), trace=True)
-        pm = explore_from_pointers(PageMap(space, p), SeedSet((0x10000,)))
+        pm = explore_from_pointers(PageMap(space, p), (0x10000,))
         assert pm.entries[0x20000] is Writability.INACCESSIBLE
         assert pm.entries[0x30000] is Accessibility.ACCESSIBLE
 
@@ -104,7 +99,7 @@ class TestPointerChase:
         space = make_space(*regions)
         pm = quiet_store(space, budget=5)
         with pytest.raises(ExploreBudgetError):
-            explore_from_pointers(pm, SeedSet((0x10000,)))
+            explore_from_pointers(pm, (0x10000,))
         assert len(pm.entries) == 5
 
     def test_dedup_single_probe_per_page(self):
@@ -112,7 +107,7 @@ class TestPointerChase:
         space = make_space((0x10000, PAGE_SIZE, "ru",
                             ptr_page(*([0x10008] * 16))))
         p = quiet_prober()
-        explore_from_pointers(PageMap(space, p), SeedSet((0x10000, 0x10100)))
+        explore_from_pointers(PageMap(space, p), (0x10000, 0x10100))
         assert p.counters["taps"] == 1
 
 
@@ -128,13 +123,13 @@ class TestExploreModes:
 
     def test_linear_bridges_small_gaps_only(self):
         pm = explore(quiet_store(self.layout(), budget=4096), "linear",
-                     SeedSet((0x100000,)), max_gap=64)
+                     0x100000, max_gap=64)
         assert 0x112000 in pm.accessible_pages()
         assert 0x70000000 not in pm.entries
 
     def test_linear_respects_max_gap(self):
         pm = explore(quiet_store(self.layout(), budget=4096), "linear",
-                     SeedSet((0x100000,)), max_gap=4)
+                     0x100000, max_gap=4)
         assert 0x112000 not in pm.entries
 
     def test_pointer_chase_jumps_the_big_hole(self):
@@ -142,19 +137,17 @@ class TestExploreModes:
             (0x100000, PAGE_SIZE, "ru", ptr_page(0x70000000)),
             (0x70000000, PAGE_SIZE, "rwu", b""),
         )
-        pm = explore(quiet_store(space), "pointer-chase",
-                     SeedSet((0x100000,)))
+        pm = explore(quiet_store(space), "pointer-chase", 0x100000)
         assert 0x70000000 in pm.accessible_pages()
 
     def test_hybrid_combines_both(self):
-        pm = explore(quiet_store(self.layout()), "hybrid",
-                     SeedSet((0x112008,)))
+        pm = explore(quiet_store(self.layout()), "hybrid", 0x112008)
         # the sweep finds the data page; the harvest then reaches the code
         assert 0x100000 in pm.accessible_pages()
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            explore(quiet_store(make_space()), "dfs", SeedSet((0x1000,)))
+            explore(quiet_store(make_space()), "dfs", 0x1000)
 
 
 def transactions(p: Prober) -> tuple[int, int]:
@@ -174,19 +167,21 @@ class TestLinearSweepProbes:
 
     def test_exact_transactions_through_explore_stage(self):
         p = quiet_prober()
-        pm = explore(PageMap(self.layout(), p), "linear", SeedSet((self.RW,)),
+        pm = explore(PageMap(self.layout(), p), "linear", self.RW,
                      max_gap=4)
         # upward: tap the anchor, claw 4 writable pages (1 write each),
         # claw the far edge (fatal write, fatal tap), tap the next gap page,
         # tap the first read-only page, claw the second (fatal write,
         # committed tap), tap the third, claw the far edge (2), tap 3 gap
         # pages; downward: tap 4 gap pages.  A tap-only sweep pays 18 reads.
-        assert transactions(p) == (14, 7)
+        # The walk for a frame then grows the anchor's extent, clawing its
+        # tapped first page (1 write), and finds no frame on zero pages.
+        assert transactions(p) == (14, 8)
         extents = [region_around(pm, self.RW), region_around(pm, self.RO)]
         assert extents == [(self.RW, self.RW + 5 * PAGE_SIZE),
                            (self.RO, self.RO + 3 * PAGE_SIZE)]
-        # the writes left: each extent's tapped first page and the tapped
-        # third read-only page; a tap-only sweep leaves all 8 pages
+        # the writes left: the read-only extent's tapped first and third
+        # pages; a tap-only sweep leaves all 8 pages
         assert transactions(p) == (14, 10)
         kinds = [[r.kind for r in reconstruct_map(pm, lo, hi).runs]
                  for lo, hi in extents]
@@ -195,8 +190,72 @@ class TestLinearSweepProbes:
 
     def test_hybrid_sweep_only_taps(self):
         p = quiet_prober()
-        explore(PageMap(self.layout(), p), "hybrid", SeedSet((self.RW,)))
+        explore(PageMap(self.layout(), p), "hybrid", self.RW)
         assert "claws" not in p.counters
+
+
+class TestFrameAbove:
+    # a frame-pointer chain on the stack whose saved return address is the
+    # only way to the code: no other word anywhere points into it, and it
+    # lies far past any gap limit
+    STACK = 0x7F0000000000
+    CODE = 0x400000
+
+    def layout(self, code_perms="rxu"):
+        space = make_space(
+            (self.CODE, 2 * PAGE_SIZE, code_perms, b""),
+            (self.STACK, PAGE_SIZE, "rwu", b""),
+        )
+
+        def put(addr, value):
+            space.write_bytes(addr, value.to_bytes(8, "little"))
+
+        put(self.STACK + 0xA00, 0)                 # outer frame: terminator
+        put(self.STACK + 0x800, self.STACK + 0xA00)
+        put(self.STACK + 0x808, self.CODE + 0x234)
+        put(self.STACK + 0x7F8, 0xDEAD10CC)        # canary below the slot
+        return space
+
+    def test_linear_reaches_code_only_the_return_address_points_to(self):
+        pm = explore(quiet_store(self.layout()), "linear", self.STACK + 0x700)
+        assert pm.entries[self.CODE] is Writability.READ_ONLY
+        # the second sweep grew the code run past the return address's page
+        assert self.CODE + PAGE_SIZE in pm.accessible_pages()
+
+    def test_pointer_chase_and_hybrid_do_not_walk_frames(self):
+        # the return address is harvested as a pointer, so its page is
+        # found, but nothing sweeps past it
+        for mode in ("pointer-chase", "hybrid"):
+            pm = explore(quiet_store(self.layout()), mode, self.STACK + 0x700)
+            assert self.CODE in pm.accessible_pages()
+            assert self.CODE + PAGE_SIZE not in pm.entries
+
+    def test_walk_claws_the_return_address_page(self):
+        p = quiet_prober()
+        pm = PageMap(self.layout(), p)
+        got = frame_above(pm, self.STACK + 0x700)
+        assert got == (self.STACK + 0x800, self.STACK + 0xA00, self.CODE + 0x234)
+        assert pm.entries[self.CODE] is Writability.READ_ONLY
+        # a second walk finds every verdict stored
+        spent = dict(p.counters)
+        assert frame_above(pm, self.STACK + 0x700) == got
+        assert p.counters == spent
+
+    def test_return_address_on_a_writable_page_is_refused(self):
+        space = self.layout(code_perms="rwxu")
+        pm = quiet_store(space)
+        with pytest.raises(NoFrameError, match="no plausible frame"):
+            frame_above(pm, self.STACK + 0x700)
+        assert pm.entries[self.CODE] is Writability.WRITABLE
+        # linear sweeps from no address the walk refused
+        pm = explore(quiet_store(space), "linear", self.STACK + 0x700)
+        assert pm.entries[self.CODE] is Writability.WRITABLE
+        assert self.CODE + PAGE_SIZE not in pm.entries
+
+    def test_linear_from_an_inaccessible_stack_pointer_stops_after_its_sweep(self):
+        pm = explore(quiet_store(self.layout()), "linear", self.STACK - 0x1000)
+        assert self.STACK in pm.accessible_pages()
+        assert self.CODE not in pm.entries
 
 
 def reference_linear_sweep(space, anchors, max_gap) -> dict[int, bool]:
@@ -230,11 +289,13 @@ def test_linear_store_matches_tap_only_sweep(
         image_seed, code_pages=pages, cave_pages=pages, stack_pages=pages
     )
     space = load_manifest(parse_manifest(img.manifest_text))
-    anchors = (img.truth.return_site, img.truth.stack_pointer)
+    # the second sweep starts at the saved return address of the frame
+    # above the stack pointer
+    anchors = (img.truth.stack_pointer, img.truth.saved_rip)
     prober = Prober(ProbeConfig(spurious_abort_probability=abort_prob,
                                 rng_seed=image_seed))
-    pm = explore(PageMap(space, prober, budget), "linear", SeedSet(anchors),
-                 max_gap)
+    pm = explore(PageMap(space, prober, budget), "linear",
+                 img.truth.stack_pointer, max_gap)
     want = list(reference_linear_sweep(space, anchors, max_gap).items())
     assert [
         (b, v is not Writability.INACCESSIBLE) for b, v in pm.entries.items()
@@ -344,7 +405,7 @@ class TestPageMapStore:
 
     def test_explore_stops_at_the_budget_it_stores(self):
         space = make_space((0x10000, 8 * PAGE_SIZE, "ru", b""))
-        pm = explore(quiet_store(space, budget=3), "linear", SeedSet((0x12000,)))
+        pm = explore(quiet_store(space, budget=3), "linear", 0x12000)
         assert len(pm.entries) == 3 and pm.budget == 3
 
     def test_region_around_reuses_stored_verdicts(self):
@@ -496,5 +557,5 @@ def test_random_layout_agreement():
             if nxt not in reach:
                 reach.add(nxt)
                 frontier.append(nxt)
-        pm = explore_from_pointers(quiet_store(space), SeedSet((seed,)))
+        pm = explore_from_pointers(quiet_store(space), (seed,))
         assert set(pm.accessible_pages()) == reach

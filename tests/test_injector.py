@@ -87,13 +87,13 @@ class TestLocate:
         assert frame.saved_rip == CODE + 0x234
         assert frame.canary_slot_addr == STACK + 0x7F8
 
-    def test_refuses_return_address_on_unprobed_page(self):
-        # the stack alone was probed: no verdict vouches for the code page,
-        # and locating stores none for it
+    def test_claws_return_address_on_unprobed_page(self):
+        # the stack alone was probed: locating claws the code page, and its
+        # read-only verdict vouches for the return address
         pm = PageMap(self.build_stack(), quiet_prober())
-        with pytest.raises(InjectionError):
-            locate_victim_frame(pm, STACK + 0x700)
-        assert CODE not in pm.entries
+        frame = locate_victim_frame(pm, STACK + 0x700)
+        assert frame.saved_rip == CODE + 0x234
+        assert pm.entries[CODE] is Writability.READ_ONLY
 
     def test_refuses_return_address_on_writable_page(self):
         space = self.build_stack()
