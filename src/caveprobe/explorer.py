@@ -13,7 +13,9 @@ import struct
 from dataclasses import dataclass, field
 
 from .memspace import PAGE_SIZE, USER_TOP, AddressSpace, GroundTruthMap
-from .probe import ACCESSIBLE, NO_ACCESS, READ_ONLY, Accessibility, Prober, Writability
+from .probe import (
+    ACCESSIBLE, NO_ACCESS, READ_ONLY, WRITABLE, Accessibility, Prober, Writability,
+)
 
 DEFAULT_BUDGET = 4096
 DEFAULT_MAX_GAP = 64
@@ -78,6 +80,18 @@ class PageMap:
             return verdict
         self.entries[base] = verdict
         return verdict
+
+    def probe_next(self, base: int, step: int) -> bool:
+        """Accessibility of the page at ``base`` on a walk moving by
+        ``step``: the one probe-order rule of every walk.  It claws when
+        the page before it on the walk is stored accessible and not
+        read-only, since the run may go on writable and a writable page
+        costs one transaction, not a tap and a claw; it taps otherwise,
+        since a gap costs one transaction to tap and two to claw."""
+        before = self.entries.get(base - step)
+        if before is ACCESSIBLE or before is WRITABLE:
+            return self.claw(base) is not NO_ACCESS
+        return self.tap(base)
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,23 +162,19 @@ def _sweep(
     ``max_gap`` consecutive pages in a direction were inaccessible.  With
     ``stop_on_hit`` it returns the first accessible page, having only tapped.
 
-    The previous page of the pass picks the probe.  After an accessible page
-    not known to be read-only the sweep claws, as the run may go on writable
-    and ``region_around`` claws it anyway: a writable page costs one
-    transaction, not a tap and a claw.  At the start of a pass, after a miss
-    and after a read-only page it taps, since a gap costs one transaction to
-    tap and two to claw.  A page is a hit or a miss as with taps alone."""
+    Each page is probed by ``PageMap.probe_next``; the downward pass takes
+    the anchor page as its first neighbour.  A page is a hit or a miss as
+    with taps alone."""
     for step in (PAGE_SIZE, -PAGE_SIZE):
         base = AddressSpace.page_base(anchor)
         if step < 0:
             base += step  # upward pass already covered the anchor page
-        misses, clawing = 0, False
+        misses = 0
         while 0 <= base < USER_TOP and misses < max_gap:
-            hit = pm.claw(base) is not NO_ACCESS if clawing else pm.tap(base)
+            hit = pm.probe_next(base, step)
             if hit and stop_on_hit:
                 return base
             misses = 0 if hit else misses + 1
-            clawing = hit and pm.entries[base] is not READ_ONLY
             base += step
     return None
 
@@ -234,18 +244,23 @@ def explore(
 def region_around(pm: PageMap, addr: int) -> tuple[int, int]:
     """Extent of the contiguous accessible run containing ``addr``.
 
-    Claws outward in both directions until the first inaccessible page,
-    through ``pm``: stored pages cost nothing, and every page grown is
-    stored with its writability.  The page of ``addr`` must be accessible.
+    Walks outward in both directions until the first inaccessible page,
+    each page probed through ``pm`` by ``PageMap.probe_next``, so past a
+    read-only page one tap finds the edge.  A page a tap found accessible
+    is then clawed with that verdict known, so every page grown is stored
+    with its writability; stored pages cost nothing.  The page of ``addr``
+    must be accessible.
     """
     base = AddressSpace.page_base(addr)
     if pm.claw(base) is NO_ACCESS:
         raise ValueError(f"page {base:#x} is not accessible")
     lo = base
-    while lo > 0 and pm.claw(lo - PAGE_SIZE) is not NO_ACCESS:
+    while lo > 0 and pm.probe_next(lo - PAGE_SIZE, -PAGE_SIZE):
         lo -= PAGE_SIZE
+        pm.claw(lo)
     hi = base + PAGE_SIZE
-    while hi < USER_TOP and pm.claw(hi) is not NO_ACCESS:
+    while hi < USER_TOP and pm.probe_next(hi, PAGE_SIZE):
+        pm.claw(hi)
         hi += PAGE_SIZE
     return lo, hi
 

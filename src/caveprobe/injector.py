@@ -145,10 +145,10 @@ def inject(
 ) -> None:
     """Plant the image and arm the victim frame, all through safe writes.
 
-    Write order: image into the cave, then the saved-base-pointer slot,
-    then the saved-return-address slot, so the frame is armed last.  On a
-    refused write every completed step is undone in reverse order.  The
-    canary slot below the frame is never written.
+    Write order: image into the cave, then both frame slots, saved base
+    pointer and saved return address, in one 16-byte write, so the frame
+    is armed last and never half-armed.  If that write is refused, the
+    cave is restored.  The canary slot below the frame is never written.
     """
     slot = victim.rbp_slot_addr
     current = space.read_bytes(slot, 16)
@@ -167,16 +167,11 @@ def inject(
 
     blob = image.image_bytes()
     old_cave = space.read_bytes(image.base, len(blob))
-    undo: list[tuple[int, bytes]] = []
+    prober.safe_write(space, image.base, blob)
+    rbp, rip = image.base, epilogue_gadget_addr
+    frame = rbp.to_bytes(8, "little") + rip.to_bytes(8, "little")
     try:
-        prober.safe_write(space, image.base, blob)
-        undo.append((image.base, old_cave))
-        prober.safe_write(space, slot, image.base.to_bytes(8, "little"))
-        undo.append((slot, current[:8]))
-        prober.safe_write(
-            space, slot + 8, epilogue_gadget_addr.to_bytes(8, "little")
-        )
+        prober.safe_write(space, slot, frame)
     except NotWritableError:
-        for addr, original in reversed(undo):
-            prober.safe_write(space, addr, original)
+        prober.safe_write(space, image.base, old_cave)
         raise

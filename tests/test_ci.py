@@ -1,7 +1,7 @@
 """The CI workflow runs the tier-1 command that README documents, on
 Pythons from the floor pyproject.toml declares, smoke-runs the benchmark
-both untraced and traced, and runs the installed console script in every
-mode."""
+both untraced and traced, runs the installed console script in every mode,
+and runs README's install commands as written."""
 
 import re
 from pathlib import Path
@@ -18,9 +18,13 @@ def workflow_test_command() -> str:
     return match.group(1).strip()
 
 
-def readme_ci_command() -> str:
+def readme_installation() -> str:
     text = (REPO / "README.md").read_text()
-    section = text.split("\n## Installation\n", 1)[1].split("\n## ", 1)[0]
+    return text.split("\n## Installation\n", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_ci_command() -> str:
+    section = readme_installation()
     after = section[section.index("command CI runs"):]
     match = re.search(r"```sh\n(.*?)\n```", after, re.S)
     assert match, "README's Installation section has no block after 'command CI runs'"
@@ -75,3 +79,21 @@ def test_installed_console_script_runs_every_mode_outside_the_checkout():
         r"--mode (\S+)", "\n".join(lines[leave:]), re.M)
     assert install < leave
     assert sorted(runs) == sorted(MODES)
+
+
+def test_editable_install_runs_the_readme_install_commands():
+    # the first block of README's Installation section, line for line and
+    # in order; --no-build-isolation checks no build requirement, so the
+    # block installs pyproject.toml's setuptools floor and wheel first
+    block = re.search(r"```sh\n(.*?)\n```", readme_installation(), re.S)
+    assert block, "README's Installation section has no sh block"
+    commands = block.group(1).splitlines()
+    assert commands[-1] == "pip install -e . --no-build-isolation"
+    project = (REPO / "pyproject.toml").read_text()
+    floor = re.search(r'^requires = \["(setuptools>=[0-9.]+)"\]$', project, re.M)
+    assert floor, 'pyproject.toml has no requires = ["setuptools>=X"] line'
+    assert commands[:-1] == [f'pip install wheel "{floor.group(1)}"']
+    lines = [line.strip() for line in workflow_step("Editable install").splitlines()]
+    assert commands[0] in lines, "the Editable install step does not install wheel first"
+    start = lines.index(commands[0])
+    assert lines[start:start + len(commands)] == commands

@@ -256,6 +256,18 @@ class TestPipeline:
         # every page the caves stage looks at was clawed while exploring
         assert by_stage["caves"] == dict.fromkeys(STAGE_COUNTERS, 0)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_inject_stage_pays_two_transactions(self, mode):
+        # one claw of the cave page for the image and one of the stack page
+        # for both frame slots, which are armed in a single safe write
+        report = run_pipeline(PipelineConfig(
+            image_path=DEMO, ground_truth_path=DEMO_MAPS, mode=mode,
+            spurious_prob=0.0,
+        ))
+        assert report.stage_counters["inject"] == {
+            "read_tx": 0, "write_tx": 2, "retries": 0}
+        assert report.probe_counters["safe_writes"] == 2
+
     @pytest.mark.parametrize("mode", ["linear", "pointer-chase", "hybrid"])
     def test_each_probe_settles_once_per_page(self, monkeypatch, mode):
         class TracedProber(Prober):
@@ -650,7 +662,7 @@ class TestMain:
 # images/demo.maps for seeds 0..9, concatenated in seed order.  A change that
 # means to leave behaviour alone keeps it; a change that deliberately alters
 # the reports updates it and says why in CHANGES.md.
-DEMO_REPORTS_SHA256 = "496f7a5d5db48818760183caeb01c3cb0ec37b24aa6558f50a729b465a1ab17d"
+DEMO_REPORTS_SHA256 = "cb665ea4261196a1744f8230b208e90ed2455b24f9d3fee792dfbaff9b740789"
 
 
 def test_demo_reports_byte_identical(monkeypatch):
@@ -685,7 +697,7 @@ def test_demo_text_reports_byte_identical(monkeypatch):
 
 # The JSON reports for every mode x chain variant x restore combination,
 # in that product order, with seeds 0..2 innermost: 36 passing reports.
-DEMO_COMBO_REPORTS_SHA256 = "807f9a659b3c317568b0829aa9bf0957c9461a8261db3907b4531758abc81765"
+DEMO_COMBO_REPORTS_SHA256 = "b9a1765a8d9c0a72b696b57ea936f34ed4e8cb005bc37128725dfa1cbe4a626d"
 
 
 def test_demo_combo_reports_byte_identical(monkeypatch):

@@ -173,25 +173,90 @@ class TestLinearSweepProbes:
         # claw the far edge (fatal write, fatal tap), tap the next gap page,
         # tap the first read-only page, claw the second (fatal write,
         # committed tap), tap the third, claw the far edge (2), tap 3 gap
-        # pages; downward: tap 4 gap pages.  A tap-only sweep pays 18 reads.
-        # The walk for a frame then grows the anchor's extent, clawing its
-        # tapped first page (1 write), and finds no frame on zero pages.
-        assert transactions(p) == (14, 8)
+        # pages.  Downward: the anchor page is the first neighbour, and it
+        # is stored accessible and not read-only, so the gap page below it
+        # is clawed (fatal write, fatal tap); then tap 3 gap pages.  A
+        # tap-only sweep pays 18 reads.  The walk for a frame then grows
+        # the anchor's extent, clawing its tapped first page (1 write); the
+        # page below is stored inaccessible, and no frame is on zero pages.
+        assert transactions(p) == (14, 9)
         extents = [region_around(pm, self.RW), region_around(pm, self.RO)]
         assert extents == [(self.RW, self.RW + 5 * PAGE_SIZE),
                            (self.RO, self.RO + 3 * PAGE_SIZE)]
         # the writes left: the read-only extent's tapped first and third
         # pages; a tap-only sweep leaves all 8 pages
-        assert transactions(p) == (14, 10)
+        assert transactions(p) == (14, 11)
         kinds = [[r.kind for r in reconstruct_map(pm, lo, hi).runs]
                  for lo, hi in extents]
         assert kinds == [[Writability.WRITABLE], [Writability.READ_ONLY]]
-        assert transactions(p) == (14, 10)
+        assert transactions(p) == (14, 11)
 
     def test_hybrid_sweep_only_taps(self):
         p = quiet_prober()
         explore(PageMap(self.layout(), p), "hybrid", self.RW)
         assert "claws" not in p.counters
+
+
+class TestProbeOrderRule:
+    # PageMap.probe_next claws a page whose neighbour on the walk's side is
+    # stored accessible and not read-only, and taps it otherwise; the
+    # sweep and region_around both walk by it
+
+    def test_neighbour_verdict_picks_the_probe(self):
+        space = make_space(
+            (0x20000, 2 * PAGE_SIZE, "rwu", b""),
+            (0x22000, PAGE_SIZE, "ru", b""),
+            (0x23000, PAGE_SIZE, "rwu", b""),
+        )
+        p = quiet_prober()
+        pm = PageMap(space, p)
+
+        def probe(base, step):
+            claws = p.counters.get("claws", 0)
+            assert pm.probe_next(base, step)
+            return "claw" if p.counters.get("claws", 0) > claws else "tap"
+
+        assert probe(0x21000, PAGE_SIZE) == "tap"     # nothing stored below
+        assert probe(0x22000, PAGE_SIZE) == "claw"    # tapped accessible below
+        assert pm.entries[0x22000] is Writability.READ_ONLY
+        assert probe(0x23000, PAGE_SIZE) == "tap"     # read-only below
+        assert probe(0x20000, -PAGE_SIZE) == "claw"   # walking down: tapped above
+        assert pm.entries[0x20000] is Writability.WRITABLE
+
+    def test_read_only_run_edges_cost_one_read_each(self):
+        # three read-only pages between gaps: each page pays a write and a
+        # read to settle as read-only, and each edge only the read that
+        # finds it inaccessible; clawing the edges paid a write more each
+        space = make_space((0x20000, 3 * PAGE_SIZE, "ru", b""))
+        p = quiet_prober()
+        pm = PageMap(space, p)
+        assert region_around(pm, 0x21000) == (0x20000, 0x23000)
+        assert transactions(p) == (3 + 2, 3)
+        assert [pm.entries[b] for b in (0x1F000, 0x23000)] == [
+            Writability.INACCESSIBLE, Writability.INACCESSIBLE]
+
+    @pytest.mark.parametrize("ro_first", [True, False])
+    @pytest.mark.parametrize("anchor", [0x20000, 0x21000, 0x23000])
+    def test_read_only_page_then_writable_grows_one_extent(self, ro_first, anchor):
+        # a read-only page directly below or above three writable ones,
+        # grown from either kind: past the read-only page the walk taps,
+        # and the page it finds is clawed too, so the extent is whole and
+        # each page is stored with its own kind
+        ro = 0x20000 if ro_first else 0x23000
+        rw = 0x21000 if ro_first else 0x20000
+        space = make_space((ro, PAGE_SIZE, "ru", b""),
+                           (rw, 3 * PAGE_SIZE, "rwu", b""))
+        pm = quiet_store(space)
+        assert region_around(pm, anchor) == (0x20000, 0x24000)
+        want = dict.fromkeys(range(rw, rw + 3 * PAGE_SIZE, PAGE_SIZE),
+                             Writability.WRITABLE)
+        want[ro] = Writability.READ_ONLY
+        assert {b: pm.entries[b] for b in want} == want
+        recon = reconstruct_map(pm, 0x20000, 0x24000)
+        assert sorted((r.start, r.end, r.kind) for r in recon.runs) == sorted([
+            (ro, ro + PAGE_SIZE, Writability.READ_ONLY),
+            (rw, rw + 3 * PAGE_SIZE, Writability.WRITABLE),
+        ])
 
 
 class TestFrameAbove:
@@ -323,11 +388,14 @@ class TestRegionAround:
         # settled by its write; only the two edge pages, whose writes
         # fault, are tapped as well
         space = make_space((0x20000, 5 * PAGE_SIZE, "rwu", b""))
-        p = quiet_prober()
+        p = Prober(ProbeConfig(spurious_abort_probability=0.0), trace=True)
         pm = PageMap(space, p)
         assert region_around(pm, 0x22000) == (0x20000, 0x25000)
         assert p.counters["write_tx"] == 5 + 2
         assert p.counters["read_tx"] == 2
+        for edge in (0x1F000, 0x25000):
+            assert [op for op, addr, _ in p.trace_log
+                    if addr == edge and op.endswith("_tx")] == ["write_tx", "read_tx"]
         recon = reconstruct_map(pm, 0x20000, 0x25000)
         assert [r.kind for r in recon.runs] == [Writability.WRITABLE]
         assert p.counters["write_tx"] + p.counters["read_tx"] == 9

@@ -13,7 +13,7 @@ from caveprobe.injector import (
     payload_offset,
 )
 from caveprobe.memspace import PAGE_SIZE, PagePermissions
-from caveprobe.probe import ProbeConfig, Prober, Writability
+from caveprobe.probe import NotWritableError, ProbeConfig, Prober, Writability
 from helpers import make_space, space_digest
 
 STACK = 0x7F0000000000
@@ -254,7 +254,46 @@ class TestInject:
         image = forge_fake_frame(v, nine_word_chain(), b"\xAA" * 16,
                                  CaveRegion(CAVE, 0x1000))
         before = space_digest(space)
-        from caveprobe.probe import NotWritableError
         with pytest.raises(NotWritableError):
             inject(space, quiet_prober(), v, image, EPILOGUE)
         assert space_digest(space) == before
+
+    @pytest.mark.parametrize("refused", ["rbp-slot-page", "rip-slot-page"])
+    def test_refused_slot_page_leaves_cave_and_slots_untouched(self, refused):
+        # the slot pair straddles two stack pages and one of them is
+        # read-only: the 16-byte frame write claws both before writing, so
+        # neither slot is ever written, and the planted image is undone
+        slot = STACK + PAGE_SIZE - 8
+        v = VictimFrame(rbp_slot_addr=slot, saved_rbp=STACK + 0x1100,
+                        saved_rip=CODE + 0x234, canary_slot_addr=slot - 8)
+        space = make_space(
+            (CODE, PAGE_SIZE, "rxu", b"\x90" * 0x100 + b"\xc9\xc3"),
+            (CAVE, PAGE_SIZE, "rwu", b"\x5A" * PAGE_SIZE),
+            (STACK, 2 * PAGE_SIZE, "rwu", b""),
+        )
+        space.write_bytes(slot, v.saved_rbp.to_bytes(8, "little"))
+        space.write_bytes(slot + 8, v.saved_rip.to_bytes(8, "little"))
+        page = STACK if refused == "rbp-slot-page" else STACK + PAGE_SIZE
+        space.set_protection(page, PAGE_SIZE, PagePermissions.from_rwxu("ru"))
+        image = forge_fake_frame(v, nine_word_chain(), b"\xAA" * 16,
+                                 CaveRegion(CAVE, 0x1000))
+        cave = space.read_bytes(CAVE, PAGE_SIZE)
+        frame = space.read_bytes(slot, 16)
+        before = space_digest(space)
+        written = []
+        write_bytes = space.write_bytes
+
+        def logged(addr, data):
+            written.append((addr, len(data)))
+            write_bytes(addr, data)
+
+        space.write_bytes = logged
+        with pytest.raises(NotWritableError) as err:
+            inject(space, quiet_prober(), v, image, EPILOGUE)
+        assert err.value.page_base == page
+        assert space.read_bytes(CAVE, PAGE_SIZE) == cave
+        assert space.read_bytes(slot, 16) == frame
+        assert space_digest(space) == before
+        # the image and its undo, nothing else
+        blob = len(image.image_bytes())
+        assert written == [(CAVE, blob), (CAVE, blob)]
