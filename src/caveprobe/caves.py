@@ -14,8 +14,6 @@ from .memspace import PAGE_SIZE, page_runs
 from .explorer import PageMap
 from .probe import Writability
 
-_ZERO_PAGE = bytes(PAGE_SIZE)
-
 
 @dataclass(frozen=True, slots=True)
 class CaveRegion:
@@ -55,8 +53,7 @@ def find_caves(pm: PageMap, min_len: int = PAGE_SIZE) -> list[CaveRegion]:
     usable = [
         base
         for base in pm.accessible_pages()
-        if pm.claw(base) is Writability.WRITABLE
-        and pm.space.read_bytes(base, PAGE_SIZE) == _ZERO_PAGE
+        if pm.claw(base) is Writability.WRITABLE and pm.space.is_zero_page(base)
     ]
     return [
         CaveRegion(start, end - start)

@@ -15,6 +15,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import caves as caves_mod
@@ -147,16 +148,56 @@ class AttackReport:
         return obj
 
 
+def _write_json(value, pad: str, out: list[str]) -> None:
+    """Append to ``out`` the text ``json.dumps(value, indent=2,
+    sort_keys=True)`` gives for ``value`` at the line break and indent
+    ``pad``.  The stdlib encoder writes indented JSON in pure Python; this
+    writes the same bytes with fewer calls, strings through the C escaper.
+    Keys must be strings."""
+    if isinstance(value, str):
+        out.append(_json_str(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + _json_str(key) + ": ")
+            _write_json(value[key], inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif isinstance(value, int) and not isinstance(value, bool):
+        out.append(int.__repr__(value))
+    else:  # bool, None, float; anything else raises TypeError there
+        out.append(json.dumps(value))
+
+
 def emit_report(report: AttackReport, fmt: str = "json") -> str:
     """Render a report deterministically; identical runs give identical text.
 
-    Both formats come from ``report.to_json_obj()``.  The text form is a
-    summary of that document: hex values lose their ``0x``, and an empty
-    cave list is left out.
+    Both formats come from ``report.to_json_obj()``.  The JSON form is
+    exactly ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline.
+    The text form is a summary of that document: hex values lose their
+    ``0x``, and an empty cave list is left out.
     """
     obj = report.to_json_obj()
     if fmt == "json":
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        out: list[str] = []
+        _write_json(obj, "\n", out)
+        out.append("\n")
+        return "".join(out)
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
     cfg = obj["config"]

@@ -12,7 +12,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from .memspace import PAGE_SIZE, USER_TOP, AddressSpace, GroundTruthMap
+from .memspace import (
+    PAGE_SIZE, USER_TOP, AddressSpace, GroundTruthMap, lane_filter,
+)
 from .probe import (
     ACCESSIBLE, NO_ACCESS, READ_ONLY, WRITABLE, Accessibility, Prober, Writability,
 )
@@ -20,8 +22,10 @@ from .probe import (
 DEFAULT_BUDGET = 4096
 DEFAULT_MAX_GAP = 64
 
-_QWORDS_PER_PAGE = PAGE_SIZE // 8
-_PAGE_UNPACK = struct.Struct(f"<{_QWORDS_PER_PAGE}Q")
+_WORD = struct.Struct("<Q")
+_PAGE_UNPACK = struct.Struct(f"<{PAGE_SIZE // 8}Q")
+# marked words past which harvest_pointers unpacks the whole page
+_FEW_WORDS = 32
 
 
 class ExploreBudgetError(Exception):
@@ -93,6 +97,16 @@ class PageMap:
             return self.claw(base) is not NO_ACCESS
         return self.tap(base)
 
+    def grow(self, base: int, step: int) -> bool:
+        """Whether the page at ``base`` extends a run grown by ``step``:
+        probed by ``probe_next``, then clawed, so every page of the run is
+        stored with its writability.  A page already stored with its
+        writability, or as a gap, costs one lookup."""
+        verdict = self.entries.get(base)
+        if verdict is not None and verdict is not ACCESSIBLE:
+            return verdict is not NO_ACCESS
+        return self.probe_next(base, step) and self.claw(base) is not NO_ACCESS
+
 
 @dataclass(frozen=True, slots=True)
 class MapRun:
@@ -123,11 +137,23 @@ def _check_page_range(start: int, end: int) -> None:
 
 
 def harvest_pointers(page_bytes: bytes) -> list[int]:
-    """Extract pointer candidates: aligned 8-byte words that are nonzero
-    and fall inside the user half."""
+    """Extract pointer candidates in word order: aligned 8-byte words that
+    are nonzero and fall inside the user half.  On a page where
+    ``lane_filter`` marks few words, only those are read; where it marks
+    many, one unpack of the page costs less than a read per word."""
     if len(page_bytes) != PAGE_SIZE:
         raise ValueError("harvest expects exactly one page of bytes")
-    return [v for v in _PAGE_UNPACK.unpack(page_bytes) if 0 < v < USER_TOP]
+    marks = lane_filter(page_bytes)
+    if marks.count(1) > _FEW_WORDS:
+        return [v for v in _PAGE_UNPACK.unpack(page_bytes) if 0 < v < USER_TOP]
+    found = []
+    i = marks.find(1)
+    while i >= 0:
+        v = _WORD.unpack_from(page_bytes, 8 * i)[0]
+        if v < USER_TOP:
+            found.append(v)
+        i = marks.find(1, i + 1)
+    return found
 
 
 def explore_from_pointers(pm: PageMap, pointers: tuple[int, ...]) -> PageMap:
@@ -188,10 +214,14 @@ def frame_above(pm: PageMap, stack_ptr: int) -> tuple[int, int, int]:
     the extent (a frame-pointer chain link) and whose neighbor holds a
     return address on a page that claws read-only through ``pm``: its
     probe verdict vouches for it, and a page already stored costs nothing.
+    The canary slot just below it must not lie below ``stack_ptr``, where
+    the stack may end.
     """
     lo, hi = region_around(pm, stack_ptr)
     slots = range((stack_ptr + 7) & ~7, hi - 15, 8)
     for slot in slots:
+        if slot - 8 < stack_ptr:
+            continue
         # every slot lies in the extent just grown, so the read cannot fault
         raw = pm.space.read_bytes(slot, 16)
         rbp = int.from_bytes(raw[:8], "little")
@@ -245,22 +275,19 @@ def region_around(pm: PageMap, addr: int) -> tuple[int, int]:
     """Extent of the contiguous accessible run containing ``addr``.
 
     Walks outward in both directions until the first inaccessible page,
-    each page probed through ``pm`` by ``PageMap.probe_next``, so past a
-    read-only page one tap finds the edge.  A page a tap found accessible
-    is then clawed with that verdict known, so every page grown is stored
-    with its writability; stored pages cost nothing.  The page of ``addr``
-    must be accessible.
+    each page settled through ``pm`` by ``PageMap.grow``, which follows the
+    probe-order rule, so past a read-only page one tap finds the edge.
+    Every page grown is stored with its writability; stored pages cost
+    nothing.  The page of ``addr`` must be accessible.
     """
     base = AddressSpace.page_base(addr)
     if pm.claw(base) is NO_ACCESS:
         raise ValueError(f"page {base:#x} is not accessible")
     lo = base
-    while lo > 0 and pm.probe_next(lo - PAGE_SIZE, -PAGE_SIZE):
+    while lo > 0 and pm.grow(lo - PAGE_SIZE, -PAGE_SIZE):
         lo -= PAGE_SIZE
-        pm.claw(lo)
     hi = base + PAGE_SIZE
-    while hi < USER_TOP and pm.probe_next(hi, PAGE_SIZE):
-        pm.claw(hi)
+    while hi < USER_TOP and pm.grow(hi, PAGE_SIZE):
         hi += PAGE_SIZE
     return lo, hi
 

@@ -186,6 +186,12 @@ class AddressSpace:
             pos = base + hi
         return b"".join(chunks)
 
+    def is_zero_page(self, base: int) -> bool:
+        """Whether the page at ``base`` holds only zero bytes: a native read
+        of the whole page, compared in place.  Faults as read_bytes does."""
+        self._check_range(base, PAGE_SIZE, write=False)
+        return self.pages[base].data == _ZERO_PAGE
+
     def write_bytes(self, addr: int, data: bytes) -> None:
         """Native write, all or nothing: permissions for the whole range are
         checked before any byte changes."""
@@ -249,11 +255,12 @@ class AddressSpace:
         per-word work off them.  An all-zero page is skipped with one
         comparison, unless page 0 was mapped and zero is a pointer.  A page
         with no word whose two top bytes are both zero is skipped, since
-        every candidate lies below 2**47.  On the pages left, a mask with
-        one byte per word, built from the page's eight byte lanes, marks
-        the words whose top bytes are zero and whose low bytes are not
-        (zero words too if page 0 was mapped); only the marked words are
-        read, matched against the old page set and rewritten.
+        every candidate lies below 2**47.  On the pages left,
+        ``lane_filter`` builds a mask with one byte per word, from the
+        page's eight byte lanes, that marks the words whose top bytes are
+        zero and whose low bytes are not (zero words too if page 0 was
+        mapped); only the marked words are read, matched against the old
+        page set and rewritten.
         """
         if offset % PAGE_SIZE or offset < 0:
             raise ValueError("offset must be a non-negative page multiple")
@@ -271,30 +278,36 @@ class AddressSpace:
                     _relocate_page(page.data, old_bases, zero_is_pointer, offset)
 
 
-def _relocate_page(
-    data: bytearray, old_bases: set[int], zero_is_pointer: bool, offset: int
-) -> None:
-    """Add ``offset`` to every aligned little-endian word of ``data`` whose
-    page is in ``old_bases``, which lie below 2**47."""
-    # Byte lane k, data[k::8], holds byte k of every word, so each lane as
-    # one integer lets a few C-level operations test all 512 words at once.
-    # A candidate's two top bytes are zero; random code and heap pages
-    # seldom hold such a word, and this first test builds no per-word
-    # objects.
+def lane_filter(data: bytes | bytearray, *, zero: bool = False) -> bytes:
+    """One byte per aligned little-endian word of the page ``data``: 1 where
+    the word's two top bytes are zero and its value is not (or, with
+    ``zero``, may be), 0 elsewhere; empty when no word's top bytes are zero.
+
+    A marked word is below 2**48, so every pointer into the user half is
+    marked.  Byte lane k, data[k::8], holds byte k of every word, so each
+    lane as one integer lets a few C-level operations test all 512 words at
+    once.  Random code and heap pages seldom hold a word with zero top
+    bytes, and that first test builds no per-word objects."""
     top = int.from_bytes(data[6::8], "little") | int.from_bytes(data[7::8], "little")
     top = top.to_bytes(_WORDS, "little")
     if 0 not in top:
-        return
-    # one byte per word, 1 where the word is a candidate: its top bytes are
-    # zero and, unless zero is itself a pointer, some low byte is not
+        return b""
     marks = int.from_bytes(top.translate(_IS_ZERO), "little")
-    if not zero_is_pointer:
+    if not zero:
         low = 0
         for k in range(6):
             low |= int.from_bytes(data[k::8], "little")
         low = low.to_bytes(_WORDS, "little").translate(_IS_NONZERO)
         marks &= int.from_bytes(low, "little")
-    marks = marks.to_bytes(_WORDS, "little")
+    return marks.to_bytes(_WORDS, "little")
+
+
+def _relocate_page(
+    data: bytearray, old_bases: set[int], zero_is_pointer: bool, offset: int
+) -> None:
+    """Add ``offset`` to every aligned little-endian word of ``data`` whose
+    page is in ``old_bases``, which lie below 2**47."""
+    marks = lane_filter(data, zero=zero_is_pointer)
     i = marks.find(1)
     while i >= 0:
         w = _WORD.unpack_from(data, 8 * i)[0]

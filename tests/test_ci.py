@@ -1,7 +1,8 @@
 """The CI workflow runs the tier-1 command that README documents, on
 Pythons from the floor pyproject.toml declares, smoke-runs the benchmark
 both untraced and traced, runs the installed console script in every mode,
-and runs README's install commands as written."""
+checks its JSON report against the stdlib's json.tool, and runs README's
+install commands as written."""
 
 import re
 from pathlib import Path
@@ -79,6 +80,24 @@ def test_installed_console_script_runs_every_mode_outside_the_checkout():
         r"--mode (\S+)", "\n".join(lines[leave:]), re.M)
     assert install < leave
     assert sorted(runs) == sorted(MODES)
+
+
+def test_json_report_is_checked_against_json_tool():
+    # after the installed package's report is written, the stdlib rewrites
+    # it with json.dumps's options and cmp must find no difference
+    step = workflow_step("JSON report matches json.tool")
+    lines = [line.strip() for line in step.splitlines()]
+    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
+    assert workflow.index("- name: Installed console script") < workflow.index(
+        "- name: JSON report matches json.tool")
+    assert lines[lines.index("run: |") + 1:] == [
+        'cd "$RUNNER_TEMP"',
+        'caveprobe --image-path "$GITHUB_WORKSPACE/images/demo.json" '
+        "--out demo-report.json",
+        "python -m json.tool --sort-keys --indent 2 demo-report.json "
+        "demo-report-stdlib.json",
+        "cmp demo-report.json demo-report-stdlib.json",
+    ]
 
 
 def test_editable_install_runs_the_readme_install_commands():

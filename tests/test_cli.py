@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
@@ -333,6 +334,31 @@ class TestPipeline:
         assert exc.value.stage == "load"
 
 
+# JSON values with the awkward cases spelled out: escapes, lone
+# surrogates, ints past 64 bits, floats json writes specially
+_TEXT = (
+    st.text()
+    | st.text(st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF))
+    | st.sampled_from(["", '"', "\\", '\\"', "\x00\x1f\x7f", "\u2028",
+                       "caf\u00e9 \u20ac \U0001f600", "\ud800x\udfff"])
+)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([-1, -(2**64), 2**64, 2**200, -(10**40)])
+    | st.floats()
+    | st.sampled_from([0.001, -0.0, 1e300, 1e-300, 0.1])
+    | _TEXT,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT, inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
 class TestReportRendering:
     def test_json_deterministic(self, image_paths):
         cfg = base_config(image_paths)
@@ -355,6 +381,14 @@ class TestReportRendering:
         ))
         assert json.loads(emit_report(report, "json"))["caves"] == []
         assert "caves:" not in emit_report(report, "text")
+
+    @given(value=JSON_VALUES)
+    def test_json_is_what_the_stdlib_writes(self, value):
+        # emit_report renders whatever to_json_obj() returns
+        report = types.SimpleNamespace(to_json_obj=lambda: value)
+        assert emit_report(report, "json") == (
+            json.dumps(value, indent=2, sort_keys=True) + "\n"
+        )
 
     def test_unknown_format(self, image_paths):
         report = run_pipeline(base_config(image_paths, stop_after="probe"))
@@ -608,6 +642,35 @@ class TestMain:
         assert main([*budget, str(needed)]) == EXIT_OK
         assert main([*budget, str(needed - 1)]) == EXIT_STAGE_ERROR
         assert f"explore budget of {needed - 1} pages" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [
+        pytest.param(m, marks=pytest.mark.xfail(
+            strict=True,
+            reason="explore drops NoFrameError in linear mode, so the run "
+                   "fails at gadgets with every kind missing",
+        )) if m == "linear" else m
+        for m in MODES
+    ])
+    def test_frame_at_the_bottom_of_the_stack_is_refused(self, tmp_path, capsys,
+                                                         mode):
+        # the demo's stack holds one frame, at its first word, and the stack
+        # pointer points at it: its canary slot would lie on the guard page
+        doc = json.loads(Path(DEMO).read_text())
+        stack = next(r for r in doc["regions"] if r.get("label") == "[stack]")
+        start = int(stack["start"], 16)
+        frame = (start + 0x100).to_bytes(8, "little") + int(
+            doc["seeds"]["return_site"], 16).to_bytes(8, "little")
+        stack["data"] = frame.hex()
+        doc["seeds"]["stack_pointer"] = hex(start)
+        manifest = tmp_path / "bottom.json"
+        manifest.write_text(json.dumps(doc))
+        assert main(["--image-path", str(manifest), "--no-aslr",
+                     "--mode", mode]) == EXIT_STAGE_ERROR
+        assert capsys.readouterr().err == (
+            "caveprobe: stage 'inject' failed: no plausible frame above "
+            f"the stack pointer {start:#x}: scanned 2047 slots of the "
+            f"stack region {start:#x}-{start + 0x4000:#x}\n"
+        )
 
     def test_no_cave_names_what_the_min_len_left(self, capsys):
         # the demo's zero runs are 0x4000 and 0x3000 bytes long

@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -60,6 +61,34 @@ class TestHarvest:
     def test_requires_one_page(self):
         with pytest.raises(ValueError):
             harvest_pointers(b"short")
+
+    @given(
+        fill=st.none() | st.integers(0, 2**32),
+        # this many leading words are user-half pointers, so pages with
+        # few and with many candidates are both drawn
+        pointers=st.integers(0, PAGE_SIZE // 8),
+        words=st.lists(
+            st.tuples(
+                st.integers(0, PAGE_SIZE // 8 - 1),
+                # 2**40 and 2**46: only byte 5 is not zero
+                st.sampled_from([0, 1, 2**40, 2**46, 2**47 - 1, 2**47,
+                                 2**48 - 1, 2**48, 2**63, 2**64 - 1])
+                | st.integers(0, 2**64 - 1),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_matches_the_per_word_filter(self, fill, pointers, words):
+        # a zero or random page with boundary and random words written in
+        page = bytearray(PAGE_SIZE if fill is None
+                         else random.Random(fill).randbytes(PAGE_SIZE))
+        page[:8 * pointers] = struct.pack(
+            f"<{pointers}Q", *range(0x7F00_0000_0000, 0x7F00_0000_0000 + 8 * pointers, 8))
+        for index, value in words:
+            page[8 * index:8 * index + 8] = value.to_bytes(8, "little")
+        page = bytes(page)
+        want = [v for v in struct.unpack("<512Q", page) if 0 < v < USER_TOP]
+        assert harvest_pointers(page) == want
 
 
 class TestPointerChase:

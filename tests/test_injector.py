@@ -117,6 +117,31 @@ class TestLocate:
             f"{STACK:#x}-{STACK + PAGE_SIZE:#x}"
         )
 
+    def test_frame_whose_canary_lies_below_the_stack_pointer_is_refused(self):
+        # a frame at the stack's first word would put its canary slot on the
+        # guard page below; the scan skips it and keeps its range
+        space = make_space(
+            (CODE, PAGE_SIZE, "rxu", b""),
+            (STACK - PAGE_SIZE, PAGE_SIZE, "", b""),
+            (STACK, PAGE_SIZE, "rwu", b""),
+        )
+        space.write_bytes(STACK, (STACK + 0x100).to_bytes(8, "little"))
+        space.write_bytes(STACK + 8, (CODE + 0x234).to_bytes(8, "little"))
+        with pytest.raises(InjectionError) as exc:
+            locate_victim_frame(self.explored(space), STACK)
+        assert str(exc.value) == (
+            f"no plausible frame above the stack pointer {STACK:#x}: "
+            f"scanned 511 slots of the stack region "
+            f"{STACK:#x}-{STACK + PAGE_SIZE:#x}"
+        )
+
+    def test_frame_one_word_above_the_stack_pointer_is_found(self):
+        # its canary slot is the stack pointer's own word
+        space = self.build_stack()
+        frame = locate_victim_frame(self.explored(space), STACK + 0x7F8)
+        assert frame.rbp_slot_addr == STACK + 0x800
+        assert frame.canary_slot_addr == STACK + 0x7F8
+
     def test_stack_pointer_on_inaccessible_page_fails(self):
         pm = self.explored(self.build_stack())
         with pytest.raises(ValueError, match="not accessible"):

@@ -133,6 +133,19 @@ class TestReadWrite:
             space.write_bytes(0x5FF8, b"A" * 16)
         assert space.read_bytes(0x5000, PAGE_SIZE) == before
 
+    def test_zero_page_test_reads_as_read_bytes_does(self):
+        space = make_space(
+            (0x5000, PAGE_SIZE, "rwu", b""),
+            (0x6000, PAGE_SIZE, "rwu", b"\0" * (PAGE_SIZE - 1) + b"\1"),
+            (0x7000, PAGE_SIZE, "", b""),
+        )
+        assert space.is_zero_page(0x5000)
+        assert not space.is_zero_page(0x6000)
+        for base, kind in ((0x7000, "perm"), (0x8000, "unmapped")):
+            with pytest.raises(MemoryFault) as exc:
+                space.is_zero_page(base)
+            assert (exc.value.addr, exc.value.kind) == (base, kind)
+
     def test_zero_length_read(self):
         assert AddressSpace().read_bytes(0x1234, 0) == b""
 
