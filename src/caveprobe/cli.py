@@ -236,12 +236,15 @@ def emit_report(report: AttackReport, fmt: str = "json") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_utf8(path: Path, what: str) -> str:
-    """The text of the input file ``path``: UTF-8 whatever the locale."""
+def _parse_file(path: Path, what: str, parse):
+    """``parse`` of the input file ``path``'s bytes, which must be UTF-8
+    whatever the locale."""
     try:
-        return path.read_bytes().decode()
+        raw = path.read_bytes()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+    try:
+        return parse(raw)
     except UnicodeDecodeError as exc:
         raise ValueError(
             f"{what} {path} is not UTF-8: first bad byte at offset {exc.start}"
@@ -252,8 +255,8 @@ def _read_image(path: Path) -> tuple[AddressSpace, int]:
     """Parse the manifest once; return its space and its stack pointer, the
     one seed the attacker is given.  Other seeds are ground truth for
     checkers and are not read."""
-    # the text stays unnamed, so it is freed before the pages are built
-    doc = parse_manifest(_read_utf8(path, "manifest"))
+    # the file's bytes are freed before the pages are built
+    doc = _parse_file(path, "manifest", parse_manifest)
     seed_obj = doc.get("seeds")
     if not isinstance(seed_obj, dict):
         raise ManifestError('image manifest lacks a "seeds" object')
@@ -351,7 +354,9 @@ def _load(ctx: Pipeline) -> None:
     )
     if cfg.ground_truth_path is not None:
         path = Path(cfg.ground_truth_path)
-        truth = parse_proc_maps(_read_utf8(path, "ground truth"))
+        truth = _parse_file(
+            path, "ground truth", lambda raw: parse_proc_maps(raw.decode())
+        )
         ctx.truth = truth.shifted(offset) if offset else truth
 
 

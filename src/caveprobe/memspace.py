@@ -342,10 +342,91 @@ def parse_hex(value, what: str) -> int:
     raise ManifestError(f"{what} is not a hex string")
 
 
-def parse_manifest(text: str) -> dict:
-    """Parse manifest JSON and check its top-level shape."""
+def _splice_blobs(raw: bytes) -> tuple[bytes, dict[str, bytes]]:
+    """Split manifest ``raw`` into a skeleton and the blobs decoded from it.
+
+    Each "data" member's literal that ``unhexlify`` accepts is decoded, and
+    its contents become a placeholder in the skeleton; the blobs are keyed
+    by the text the placeholder parses to.
+
+    Without a backslash in ``raw`` every quote delimits a string literal,
+    so the literals pair up by ``find`` alone; with one, nothing is
+    spliced.  A placeholder is a ``\\u0000`` escape and a number, which no
+    literal of a backslash-free file can spell.  Hex digits are never a
+    quote, a backslash, a control character or a byte that is not UTF-8,
+    so taking them out hides no fault of the file.  The key is compared in
+    place: a slice of the previous literal could copy a whole blob.
+    """
+    blobs: dict[str, bytes] = {}
+    if b"\\" in raw:
+        return raw, blobs
+    view = memoryview(raw)
+    parts = []
+    done = 0  # raw[:done] is in parts
+    prev_lo = prev_hi = 0  # the previous literal's contents, raw[prev_lo:prev_hi]
+    lo = raw.find(b'"') + 1
+    while lo:
+        hi = raw.find(b'"', lo)
+        if hi < 0:
+            break
+        if (
+            prev_hi - prev_lo == 4
+            and raw.startswith(b"data", prev_lo)
+            and raw[prev_hi + 1 : lo - 1].strip(b" \t\n\r") == b":"
+        ):
+            try:
+                blob = binascii.unhexlify(view[lo:hi])
+            except binascii.Error:
+                pass
+            else:
+                n = len(blobs)
+                blobs[f"\0{n}"] = blob
+                parts += (view[done:lo], b"\\u0000%d" % n)
+                done = hi
+        prev_lo, prev_hi = lo, hi
+        lo = raw.find(b'"', hi + 1) + 1
+    if not blobs:
+        return raw, blobs
+    parts.append(view[done:])
+    return b"".join(parts), blobs
+
+
+def parse_manifest(raw: bytes | str) -> dict:
+    """Parse manifest JSON, given as the file's bytes or as text, and check
+    its top-level shape.
+
+    Each "data" member whose value is a hex literal comes back as the
+    decoded bytes, found and decoded in one pass over ``raw`` so the JSON
+    scanner never walks a blob; every other value is what ``json.loads``
+    gives.  A manifest holding a backslash anywhere is parsed by ``json``
+    alone and keeps its hex text.  Bytes that are not UTF-8 raise
+    UnicodeDecodeError at the offset of the first bad byte.
+    """
+    text = raw if isinstance(raw, str) else None
+    if text is not None:
+        raw = text.encode("utf-8", "surrogatepass")
+    skeleton, blobs = _splice_blobs(raw)
+
+    def swap(obj: dict) -> dict:
+        value = obj.get("data")
+        if type(value) is str and value in blobs:
+            obj["data"] = blobs[value]
+        return obj
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(skeleton.decode(), object_hook=swap)
+    except (ValueError, RecursionError):
+        # the skeleton's offsets are not the file's: parse the whole text
+        # again for the message and the offset of the file's first fault
+        doc = _parse_json(raw.decode() if text is None else text)
+    if not isinstance(doc, dict) or not isinstance(doc.get("regions"), list):
+        raise ManifestError('manifest must be an object with a "regions" list')
+    return doc
+
+
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifestError(f"not valid JSON: {exc}") from None
     except ValueError:
@@ -354,9 +435,6 @@ def parse_manifest(text: str) -> dict:
         raise ManifestError("not valid JSON: an integer has too many digits") from None
     except RecursionError:
         raise ManifestError("not valid JSON: nested too deeply") from None
-    if not isinstance(doc, dict) or not isinstance(doc.get("regions"), list):
-        raise ManifestError('manifest must be an object with a "regions" list')
-    return doc
 
 
 def load_manifest(doc: dict, base_dir: str | Path | None = None) -> AddressSpace:
@@ -367,7 +445,8 @@ def load_manifest(doc: dict, base_dir: str | Path | None = None) -> AddressSpace
     The manifest is ``{"regions": [...]}`` where each region gives page
     aligned "start" and "len" hex strings, a "perms" string drawn from
     "rwxu", an optional "label", and optional content as either "data", a
-    hex string with no whitespace, or a "file" path with byte "offset".
+    hex string with no whitespace (or the bytes :func:`parse_manifest`
+    decoded from one), or a "file" path with byte "offset".
     Regions without content are zero filled.  Unknown top-level keys are
     ignored so callers may carry side-band data in the same document.  The
     regions may map no more than ``MAX_MANIFEST_PAGES`` pages in all.
@@ -397,10 +476,12 @@ def load_manifest(doc: dict, base_dir: str | Path | None = None) -> AddressSpace
 
         blob = b""
         if "data" in region:
-            try:
-                blob = binascii.unhexlify(region["data"])
-            except (TypeError, ValueError):
-                raise ManifestError(f"{where}: data is not a hex blob") from None
+            blob = region["data"]
+            if type(blob) is not bytes:
+                try:
+                    blob = binascii.unhexlify(blob)
+                except (TypeError, ValueError):
+                    raise ManifestError(f"{where}: data is not a hex blob") from None
         elif "file" in region:
             if not isinstance(region["file"], str):
                 raise ManifestError(f"{where}: file must be a string")

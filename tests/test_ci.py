@@ -1,8 +1,9 @@
 """The CI workflow runs the tier-1 command that README documents, on
 Pythons from the floor pyproject.toml declares, smoke-runs the benchmark
 both untraced and traced, runs the installed console script in every mode,
-checks its JSON report against the stdlib's json.tool, and runs README's
-install commands as written."""
+checks its JSON report against the stdlib's json.tool and against the
+report of a demo copy that holds a backslash, and runs README's install
+commands as written."""
 
 import re
 from pathlib import Path
@@ -97,6 +98,29 @@ def test_json_report_is_checked_against_json_tool():
         "python -m json.tool --sort-keys --indent 2 demo-report.json "
         "demo-report-stdlib.json",
         "cmp demo-report.json demo-report-stdlib.json",
+    ]
+
+
+def test_manifest_with_a_backslash_is_checked_against_the_demo_report():
+    # a copy of the demo with its first "label" key spelled as a \u escape
+    # takes the json-only parse; the installed package must report the same
+    # bytes for it, run from a second directory under the same relative path
+    step = workflow_step("Manifest with a backslash gives the same report")
+    lines = [line.strip() for line in step.splitlines()]
+    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
+    assert workflow.index("- name: Installed console script") < workflow.index(
+        "- name: Manifest with a backslash gives the same report")
+    assert lines[lines.index("run: |") + 1:] == [
+        'mkdir "$RUNNER_TEMP/plain" "$RUNNER_TEMP/escaped"',
+        'cp images/demo.json "$RUNNER_TEMP/plain/demo.json"',
+        "sed '0,/\"label\"/s//\"\\\\u006cabel\"/' images/demo.json "
+        '> "$RUNNER_TEMP/escaped/demo.json"',
+        'grep -F \'"\\u006cabel"\' "$RUNNER_TEMP/escaped/demo.json"',
+        'cd "$RUNNER_TEMP/plain"',
+        'caveprobe --image-path demo.json --out "$RUNNER_TEMP/plain-report.json"',
+        'cd "$RUNNER_TEMP/escaped"',
+        'caveprobe --image-path demo.json --out "$RUNNER_TEMP/escaped-report.json"',
+        'cmp "$RUNNER_TEMP/plain-report.json" "$RUNNER_TEMP/escaped-report.json"',
     ]
 
 

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import tempfile
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from caveprobe.cli import (
     run_pipeline,
 )
 from caveprobe.gadgets import CHAIN_VARIANTS
-from caveprobe.memspace import AddressSpace
+from caveprobe.memspace import PAGE_SIZE, AddressSpace
 from caveprobe.probe import ProbeOutcome, Prober, Writability
 from caveprobe.synth import build_victim_image
 
@@ -328,6 +329,20 @@ class TestPipeline:
         assert main(["--image-path", DEMO, "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["aslr-offset"] != "0x0"
 
+    def test_reading_an_image_peaks_below_its_file_and_its_pages(self, tmp_path):
+        # the file's bytes, the decoded blobs and the pages: never a second
+        # copy of the file as text or as parsed hex strings
+        manifest = tmp_path / "victim.json"
+        manifest.write_text(build_victim_image(
+            5, code_pages=64, cave_pages=64, stack_pages=64).manifest_text)
+        tracemalloc.start()
+        try:
+            space, _ = cli._read_image(manifest)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < manifest.stat().st_size + len(space.pages) * PAGE_SIZE
+
     def test_bad_image_path_is_load_stage_error(self):
         with pytest.raises(StageError) as exc:
             run_pipeline(PipelineConfig(image_path="/nonexistent.json"))
@@ -394,6 +409,19 @@ class TestReportRendering:
         report = run_pipeline(base_config(image_paths, stop_after="probe"))
         with pytest.raises(ValueError):
             emit_report(report, "yaml")
+
+
+def assert_same_report_as_demo(manifest: Path) -> None:
+    """The default JSON report of ``manifest`` is the demo image's, but for
+    the image path it records."""
+    reports = []
+    for path in (DEMO, str(manifest)):
+        out = manifest.parent / "r.json"
+        assert main(["--image-path", path, "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["config"].pop("image-path") == path
+        reports.append(doc)
+    assert reports[0] == reports[1]
 
 
 class TestMain:
@@ -467,26 +495,20 @@ class TestMain:
         doc["seeds"] = {key: int(value, 16) for key, value in doc["seeds"].items()}
         manifest = tmp_path / "demo.json"
         manifest.write_text(json.dumps(doc))
-        reports = []
-        for path in (DEMO, str(manifest)):
-            out = tmp_path / "r.json"
-            assert main(["--image-path", path, "--out", str(out)]) == EXIT_OK
-            doc = json.loads(out.read_text())
-            assert doc["config"].pop("image-path") == path
-            reports.append(doc)
-        assert reports[0] == reports[1]
+        assert_same_report_as_demo(manifest)
 
     def test_crlf_manifest_gives_the_same_report(self, tmp_path):
         crlf = tmp_path / "demo.json"
         crlf.write_bytes(Path(DEMO).read_bytes().replace(b"\n", b"\r\n"))
-        reports = []
-        for path in (DEMO, str(crlf)):
-            out = tmp_path / "r.json"
-            assert main(["--image-path", path, "--out", str(out)]) == EXIT_OK
-            doc = json.loads(out.read_text())
-            assert doc["config"].pop("image-path") == path
-            reports.append(doc)
-        assert reports[0] == reports[1]
+        assert_same_report_as_demo(crlf)
+
+    def test_manifest_with_a_backslash_gives_the_same_report(self, tmp_path):
+        # a backslash anywhere sends the file to json alone, with no blob
+        # decoded in the scan
+        escaped = tmp_path / "demo.json"
+        escaped.write_bytes(Path(DEMO).read_bytes().replace(
+            b'"label"', b'"\\u006cabel"', 1))
+        assert_same_report_as_demo(escaped)
 
     def test_manifest_that_is_not_utf8_is_one_line_error(self, tmp_path, capsys):
         manifest = tmp_path / "not-utf8.json"

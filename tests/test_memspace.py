@@ -1,3 +1,4 @@
+import binascii
 import json
 import random
 import signal
@@ -774,6 +775,179 @@ def test_load_matches_the_zero_fill_then_copy_reference(regions):
     assert got == reference_pages(
         (int(r["start"], 16), int(r["len"], 16), r["perms"], blob) for r, blob, _ in regions
     )
+
+
+# --- manifest parsing against one json.loads of the text ---------------------
+
+def json_parse_manifest(text: str) -> dict:
+    """The manifest parse by one ``json.loads`` of the whole text, with the
+    messages parse_manifest gives."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ManifestError(f"not valid JSON: {exc}") from None
+    except ValueError:
+        raise ManifestError("not valid JSON: an integer has too many digits") from None
+    except RecursionError:
+        raise ManifestError("not valid JSON: nested too deeply") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("regions"), list):
+        raise ManifestError('manifest must be an object with a "regions" list')
+    return doc
+
+
+def decoded_blobs(value):
+    """``value`` with every "data" member that unhexlify accepts replaced by
+    its bytes, at any depth."""
+    if isinstance(value, list):
+        return [decoded_blobs(v) for v in value]
+    if not isinstance(value, dict):
+        return value
+    out = {k: decoded_blobs(v) for k, v in value.items()}
+    if isinstance(out.get("data"), str):
+        try:
+            out["data"] = binascii.unhexlify(out["data"])
+        except ValueError:
+            pass
+    return out
+
+
+def reference_parse(raw: bytes) -> dict:
+    """What parse_manifest must return for ``raw``: the json.loads document,
+    with its hex blobs decoded unless a backslash anywhere in ``raw`` sends
+    the whole file to json alone."""
+    doc = json_parse_manifest(raw.decode())
+    return doc if b"\\" in raw else decoded_blobs(doc)
+
+
+def parse_outcome(parse, raw):
+    try:
+        return "doc", parse(raw)
+    except ManifestError as exc:
+        return "manifest-error", str(exc)
+    except UnicodeDecodeError as exc:
+        return "not-utf8", exc.start
+
+
+class Obj(list):
+    """A JSON object as its members in order, so a key may repeat."""
+
+
+HEX_TEXT = st.binary(max_size=6).flatmap(
+    lambda b: st.sampled_from([b.hex(), b.hex().upper()]))
+DATA_TEXT = HEX_TEXT | st.sampled_from(["", "abc", "zz", "de ad", "0G", "\u00e90", "0x00"])
+LABELS = st.text("ab -/[]\u00e9\u20ac\U0001f600", max_size=5) | st.sampled_from(
+    ["caf\u00e9", "data", "\u0663\u0663"])
+# labels json can only write with a backslash
+ESCAPED_LABELS = st.sampled_from(["a\\b", 'q"q', "\x01"])
+# "ad" and "0f" are keys that are hex too
+KEYS = st.sampled_from(["data", "data", "label", "ad", "0f", "dat", "Data", "datas", "d\u00e4ta"])
+# hex as a "data" value, or inside one: in a list, or a nested object's key or value
+DATA_VALUES = DATA_TEXT | st.lists(DATA_TEXT, min_size=1, max_size=2) | st.tuples(
+    st.sampled_from(["ad", "data"]), DATA_TEXT).map(lambda member: Obj([member]))
+JSON_TREES = st.recursive(
+    st.integers(-2, 2**70) | st.booleans() | st.none() | LABELS | DATA_TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(st.tuples(KEYS, inner), max_size=3).map(Obj),
+    max_leaves=10,
+)
+MEMBERS = st.lists(st.tuples(KEYS, JSON_TREES), max_size=3)
+SPACE = st.sampled_from(["", " ", "\n", "\t", " \r\n "])
+
+
+@st.composite
+def manifest_bytes(draw):
+    """A manifest-like document written with any JSON whitespace, "data"
+    members as values, nested keys, under "seeds" and repeated, often with
+    a fault placed after every blob: a stray comma, a control character in
+    the last label, a byte that is not UTF-8, or a stray byte anywhere.
+    Three documents in seven hold a backslash: a \\u escape for each
+    character past ASCII or in the key "data", or a label json escapes."""
+    spelling = draw(st.sampled_from(
+        ["plain", "plain", "plain", "plain", "ascii", "data-key", "label"]))
+
+    def string(s: str) -> str:
+        if s == "data" and spelling == "data-key":
+            return '"d\\u0061ta"'
+        return json.dumps(s, ensure_ascii=spelling == "ascii")
+
+    def write(value) -> str:
+        if isinstance(value, Obj):
+            inner = ",".join(
+                draw(SPACE) + string(k) + draw(SPACE) + ":" + draw(SPACE)
+                + write(v) + draw(SPACE)
+                for k, v in value
+            )
+            return "{" + (inner or draw(SPACE)) + "}"
+        if isinstance(value, list):
+            inner = ",".join(draw(SPACE) + write(v) + draw(SPACE) for v in value)
+            return "[" + (inner or draw(SPACE)) + "]"
+        if isinstance(value, str):
+            return string(value)
+        return json.dumps(value)
+
+    regions = [
+        Obj([("start", "0x1000"), ("data", draw(DATA_VALUES)), *draw(MEMBERS)])
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    seeds = Obj([("stack_pointer", "0x1000"), ("data", draw(DATA_TEXT))])
+    label = draw(ESCAPED_LABELS if spelling == "label" else LABELS)
+    doc = Obj([("regions", regions), ("seeds", seeds), *draw(MEMBERS), ("label", label)])
+    raw = write(doc).encode()
+    fault = draw(st.sampled_from(
+        [None, None, "comma", "control", "not-utf8", "stray"]))
+    last = raw.rindex(b'"', 0, raw.rindex(b'"')) + 1  # inside the last label
+    if fault == "comma":
+        raw = raw[:-1] + b",}"
+    elif fault == "control":
+        raw = raw[:last] + b"\x01" + raw[last:]
+    elif fault == "not-utf8":
+        raw = raw[:last] + b"\xff" + raw[last:]
+    elif fault == "stray":
+        pos = draw(st.integers(0, len(raw)))
+        byte = draw(st.sampled_from([b'"', b":", b"\\", b",", b"\x00", b"\xff", b"}"]))
+        raw = raw[:pos] + byte + raw[pos:]
+    return raw
+
+
+@given(manifest_bytes())
+def test_parse_decodes_blobs_and_otherwise_matches_json(raw):
+    want = parse_outcome(reference_parse, raw)
+    assert parse_outcome(parse_manifest, raw) == want
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError:
+        return
+    assert parse_outcome(parse_manifest, text) == want
+
+
+DEMO = Path(__file__).resolve().parent.parent / "images" / "demo.json"
+
+
+@pytest.mark.parametrize("fault", [
+    # a missing comma after the stack's blob
+    lambda raw: raw.replace(b'"\n    },\n    {\n      "start": "0x800000000000"',
+                            b'"\n    }\n    {\n      "start": "0x800000000000"'),
+    # a control character in the last label, past every blob
+    lambda raw: raw.replace(b'"[vsyscall]"', b'"[vsys\x01call]"'),
+    # a byte that is not UTF-8 after the last blob
+    lambda raw: raw.replace(b'"[vsyscall]"', b'"[vsys\xffcall]"'),
+], ids=["missing-comma-after-a-blob", "control-character-in-a-label",
+        "bad-utf8-after-a-blob"])
+def test_faults_past_a_blob_give_the_json_message_and_offset(fault):
+    raw = fault(DEMO.read_bytes())
+    assert raw != DEMO.read_bytes()
+    got = parse_outcome(parse_manifest, raw)
+    assert got[0] != "doc"
+    assert got == parse_outcome(reference_parse, raw)
+
+
+def test_demo_blobs_come_back_decoded():
+    doc = parse_manifest(DEMO.read_bytes())
+    want = json.loads(DEMO.read_text())
+    blobs = [r for r in doc["regions"] if "data" in r]
+    assert blobs and all(type(r["data"]) is bytes for r in blobs)
+    assert doc == decoded_blobs(want)
+    assert space_digest(load_manifest(doc)) == space_digest(load_manifest(want))
 
 
 class TestProcMaps:
