@@ -566,43 +566,28 @@ def _int_auto(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
 
 
-def _env_seed() -> int:
-    text = os.environ.get(ENV_SEED, "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"${ENV_SEED} is not an integer: {text!r}") from None
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    # a config flag that is not given sets nothing, so PipelineConfig holds
+    # the one copy of each default
     p = _Parser(
         prog="caveprobe",
         description=(
             "Probe a victim image without faulting, reconstruct its memory "
             "map, and verify a fake-stack-frame pivot end to end."
         ),
+        argument_default=argparse.SUPPRESS,
     )
     p.add_argument("--image-path", required=True, help="victim image manifest (JSON)")
-    p.add_argument("--mode", choices=MODES, default="hybrid")
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help=f"master RNG seed (default: ${ENV_SEED} or 0)",
-    )
-    p.add_argument("--spurious-prob", type=float, default=0.001)
-    p.add_argument("--cave-min-len", type=_int_auto, default=PAGE_SIZE)
-    p.add_argument("--chain-variant", choices=gadgets.CHAIN_VARIANTS, default="sound-5")
-    p.add_argument("--restore", choices=RESTORE_MODES, default="payload")
-    p.add_argument("--ground-truth-path", default=None)
-    p.add_argument("--stop-after", choices=STAGES, default="execute")
+    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--seed", type=int, help=f"master RNG seed, else ${ENV_SEED}")
+    p.add_argument("--spurious-prob", type=float)
+    p.add_argument("--cave-min-len", type=_int_auto)
+    p.add_argument("--chain-variant", choices=gadgets.CHAIN_VARIANTS)
+    p.add_argument("--restore", choices=RESTORE_MODES)
+    p.add_argument("--ground-truth-path")
+    p.add_argument("--stop-after", choices=STAGES)
     p.add_argument("--no-aslr", dest="aslr", action="store_false")
-    p.add_argument(
-        "--explore-budget",
-        type=int,
-        default=explorer.DEFAULT_BUDGET,
-        help="max pages probed in the whole run",
-    )
+    p.add_argument("--explore-budget", type=int, help="max pages probed in the whole run")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     return p
@@ -610,13 +595,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        if args.seed is None:
-            args.seed = _env_seed()
-        # every config field has the flag of the same name
-        config = PipelineConfig(
-            **{f.name: getattr(args, f.name) for f in fields(PipelineConfig)}
-        )
+        given = vars(_build_parser().parse_args(argv))
+        fmt, out = given.pop("format"), given.pop("out")
+        if "seed" not in given and ENV_SEED in os.environ:
+            text = os.environ[ENV_SEED]
+            try:
+                given["seed"] = int(text)
+            except ValueError:
+                raise ValueError(f"${ENV_SEED} is not an integer: {text!r}") from None
+        # every other flag sets the config field of its name
+        config = PipelineConfig(**given)
     except (_UsageError, ValueError) as exc:
         print(f"caveprobe: {exc}", file=sys.stderr)
         return EXIT_STAGE_ERROR
@@ -625,13 +613,13 @@ def main(argv: list[str] | None = None) -> int:
     except StageError as exc:
         print(f"caveprobe: {exc}", file=sys.stderr)
         return EXIT_STAGE_ERROR
-    text = emit_report(report, args.format)
-    if args.out:
+    text = emit_report(report, fmt)
+    if out:
         try:
-            Path(args.out).write_text(text)
+            Path(out).write_text(text)
         except OSError as exc:
             reason = exc.strerror or exc
-            print(f"caveprobe: cannot write {args.out}: {reason}", file=sys.stderr)
+            print(f"caveprobe: cannot write {out}: {reason}", file=sys.stderr)
             return EXIT_STAGE_ERROR
     else:
         sys.stdout.write(text)

@@ -1,10 +1,9 @@
 """Address-space exploration strategies built on the probe primitives.
 
-Three strategies are offered: a linear page sweep, a pointer-chasing
+Two strategies are offered: a linear page sweep, and a pointer-chasing
 breadth-first walk that harvests pointer-looking words from every page it
-can read, and a hybrid that sweeps linearly until the first hit and then
-switches to pointer chasing.  All of them classify pages purely through
-probes and never read a page before a probe said it is accessible.
+can read.  Both classify pages purely through probes and never read a page
+before a probe said it is accessible.
 """
 
 from __future__ import annotations
@@ -23,9 +22,6 @@ DEFAULT_BUDGET = 4096
 DEFAULT_MAX_GAP = 64
 
 _WORD = struct.Struct("<Q")
-_PAGE_UNPACK = struct.Struct(f"<{PAGE_SIZE // 8}Q")
-# marked words past which harvest_pointers unpacks the whole page
-_FEW_WORDS = 32
 
 
 class ExploreBudgetError(Exception):
@@ -138,14 +134,11 @@ def _check_page_range(start: int, end: int) -> None:
 
 def harvest_pointers(page_bytes: bytes) -> list[int]:
     """Extract pointer candidates in word order: aligned 8-byte words that
-    are nonzero and fall inside the user half.  On a page where
-    ``lane_filter`` marks few words, only those are read; where it marks
-    many, one unpack of the page costs less than a read per word."""
+    are nonzero and fall inside the user half.  Only the words
+    ``lane_filter`` marks are read."""
     if len(page_bytes) != PAGE_SIZE:
         raise ValueError("harvest expects exactly one page of bytes")
     marks = lane_filter(page_bytes)
-    if marks.count(1) > _FEW_WORDS:
-        return [v for v in _PAGE_UNPACK.unpack(page_bytes) if 0 < v < USER_TOP]
     found = []
     i = marks.find(1)
     while i >= 0:
@@ -181,12 +174,9 @@ def explore_from_pointers(pm: PageMap, pointers: tuple[int, ...]) -> PageMap:
     return pm
 
 
-def _sweep(
-    pm: PageMap, anchor: int, max_gap: int, *, stop_on_hit: bool = False
-) -> int | None:
+def _sweep(pm: PageMap, anchor: int, max_gap: int) -> None:
     """Bidirectional linear sweep from ``anchor``: walk up, then down, until
-    ``max_gap`` consecutive pages in a direction were inaccessible.  With
-    ``stop_on_hit`` it returns the first accessible page, having only tapped.
+    ``max_gap`` consecutive pages in a direction were inaccessible.
 
     Each page is probed by ``PageMap.probe_next``; the downward pass takes
     the anchor page as its first neighbour.  A page is a hit or a miss as
@@ -197,12 +187,8 @@ def _sweep(
             base += step  # upward pass already covered the anchor page
         misses = 0
         while 0 <= base < USER_TOP and misses < max_gap:
-            hit = pm.probe_next(base, step)
-            if hit and stop_on_hit:
-                return base
-            misses = 0 if hit else misses + 1
+            misses = 0 if pm.probe_next(base, step) else misses + 1
             base += step
-    return None
 
 
 def frame_above(pm: PageMap, stack_ptr: int) -> tuple[int, int, int]:
@@ -245,25 +231,20 @@ def explore(
     ``linear``: gap-limited bidirectional sweep around the stack pointer,
     then around the saved return address of the first frame above it; it
     claws on through accessible runs, so a writable page costs one transaction.
-    ``pointer-chase``: breadth-first pointer harvest from the stack pointer.
-    ``hybrid``: sweep until the first accessible page, then hand that page
-    plus the stack pointer to the pointer chase.
+    Without that frame nothing leads to the code, so the walk's ValueError
+    propagates.
+    ``pointer-chase`` and ``hybrid``: breadth-first pointer harvest from the
+    stack pointer.  A sweep to its first hit would stop on the stack
+    pointer's own page, which a paused host always has, so ``hybrid`` is the
+    pointer chase under the name reports have always given it.
     """
     try:
-        if mode == "pointer-chase":
+        if mode in ("pointer-chase", "hybrid"):
             explore_from_pointers(pm, (stack_pointer,))
         elif mode == "linear":
             _sweep(pm, stack_pointer, max_gap)
-            try:
-                _, _, code_anchor = frame_above(pm, stack_pointer)
-            except ValueError:
-                pass  # no stack, or no frame on it: nothing leads to the code
-            else:
-                _sweep(pm, code_anchor, max_gap)
-        elif mode == "hybrid":
-            hit = _sweep(pm, stack_pointer, max_gap, stop_on_hit=True)
-            if hit is not None:
-                explore_from_pointers(pm, (hit, stack_pointer))
+            _, _, code_anchor = frame_above(pm, stack_pointer)
+            _sweep(pm, code_anchor, max_gap)
         else:
             raise ValueError(f"unknown exploration mode {mode!r}")
     except ExploreBudgetError:

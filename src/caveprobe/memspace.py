@@ -10,6 +10,7 @@ user accessible.
 from __future__ import annotations
 
 import binascii
+import contextlib
 import json
 import re
 import struct
@@ -330,16 +331,25 @@ def page_runs(bases: Iterable[int]) -> list[tuple[int, int]]:
 
 # --- image manifests -------------------------------------------------------
 
+# what int(text, 16) also takes, and a manifest must not: "_", a sign,
+# whitespace and digits past ASCII
+_HEX = re.compile(r"(?:0[xX])?[0-9a-fA-F]+")
+
+
 def parse_hex(value, what: str) -> int:
-    """A manifest address or length: a hex string or a JSON integer."""
+    """A manifest address or length: a JSON integer, or ASCII hex digits
+    with an optional ``0x`` or ``0X``."""
     if type(value) is int:  # not bool: JSON true/false are ints to isinstance
         return value
-    if isinstance(value, str):
-        try:
-            return int(value, 16)
-        except ValueError:
-            pass
+    if isinstance(value, str) and _HEX.fullmatch(value):
+        return int(value, 16)
     raise ManifestError(f"{what} is not a hex string")
+
+
+def _clip(text: str) -> str:
+    """``text`` cut to its first 80 characters plus ``...``: a value from a
+    file, bounded for a one-line message."""
+    return text if len(text) <= 80 else text[:80] + "..."
 
 
 def _splice_blobs(raw: bytes) -> tuple[bytes, dict[str, bytes]]:
@@ -391,34 +401,36 @@ def _splice_blobs(raw: bytes) -> tuple[bytes, dict[str, bytes]]:
     return b"".join(parts), blobs
 
 
-def parse_manifest(raw: bytes | str) -> dict:
-    """Parse manifest JSON, given as the file's bytes or as text, and check
-    its top-level shape.
+def parse_manifest(raw: bytes) -> dict:
+    """Parse the manifest file's bytes as JSON and check the document's
+    top-level shape.
 
-    Each "data" member whose value is a hex literal comes back as the
-    decoded bytes, found and decoded in one pass over ``raw`` so the JSON
-    scanner never walks a blob; every other value is what ``json.loads``
-    gives.  A manifest holding a backslash anywhere is parsed by ``json``
-    alone and keeps its hex text.  Bytes that are not UTF-8 raise
-    UnicodeDecodeError at the offset of the first bad byte.
+    Each "data" member whose value is a hex string comes back as the
+    decoded bytes; every other value is what ``json.loads`` gives.  In a
+    file with no backslash the blobs are found and decoded in one pass over
+    ``raw``, so the JSON scanner never walks one; in a file with one,
+    ``json`` parses every literal and each blob is decoded from its text.
+    Bytes that are not UTF-8 raise UnicodeDecodeError at the offset of the
+    first bad byte.
     """
-    text = raw if isinstance(raw, str) else None
-    if text is not None:
-        raw = text.encode("utf-8", "surrogatepass")
     skeleton, blobs = _splice_blobs(raw)
 
     def swap(obj: dict) -> dict:
         value = obj.get("data")
-        if type(value) is str and value in blobs:
-            obj["data"] = blobs[value]
+        if type(value) is str:
+            if value in blobs:  # a membership test: an empty blob is falsy
+                obj["data"] = blobs[value]
+            else:
+                with contextlib.suppress(ValueError):
+                    obj["data"] = binascii.unhexlify(value)
         return obj
 
     try:
         doc = json.loads(skeleton.decode(), object_hook=swap)
     except (ValueError, RecursionError):
-        # the skeleton's offsets are not the file's: parse the whole text
-        # again for the message and the offset of the file's first fault
-        doc = _parse_json(raw.decode() if text is None else text)
+        # the skeleton's offsets are not the file's, and the file fails at
+        # the same fault: parse it for that fault's message and offset
+        doc = _parse_json(raw.decode())
     if not isinstance(doc, dict) or not isinstance(doc.get("regions"), list):
         raise ManifestError('manifest must be an object with a "regions" list')
     return doc
@@ -444,9 +456,9 @@ def load_manifest(doc: dict, base_dir: str | Path | None = None) -> AddressSpace
 
     The manifest is ``{"regions": [...]}`` where each region gives page
     aligned "start" and "len" hex strings, a "perms" string drawn from
-    "rwxu", an optional "label", and optional content as either "data", a
-    hex string with no whitespace (or the bytes :func:`parse_manifest`
-    decoded from one), or a "file" path with byte "offset".
+    "rwxu", an optional "label", and optional content as either "data", the
+    bytes :func:`parse_manifest` decodes from a hex string, or a "file"
+    path with byte "offset".
     Regions without content are zero filled.  Unknown top-level keys are
     ignored so callers may carry side-band data in the same document.  The
     regions may map no more than ``MAX_MANIFEST_PAGES`` pages in all.
@@ -463,8 +475,7 @@ def load_manifest(doc: dict, base_dir: str | Path | None = None) -> AddressSpace
         pages += length // PAGE_SIZE
         if pages > MAX_MANIFEST_PAGES:
             raise ManifestError(
-                f"{where}: len {length:#x} takes the image past "
-                f"{MAX_MANIFEST_PAGES} pages"
+                f"{where}: len takes the image past {MAX_MANIFEST_PAGES} pages"
             )
         perms_field = region.get("perms", "")
         if not isinstance(perms_field, str):
@@ -478,18 +489,16 @@ def load_manifest(doc: dict, base_dir: str | Path | None = None) -> AddressSpace
         if "data" in region:
             blob = region["data"]
             if type(blob) is not bytes:
-                try:
-                    blob = binascii.unhexlify(blob)
-                except (TypeError, ValueError):
-                    raise ManifestError(f"{where}: data is not a hex blob") from None
+                raise ManifestError(f"{where}: data is not a hex blob")
         elif "file" in region:
-            if not isinstance(region["file"], str):
+            name = region["file"]
+            if not isinstance(name, str):
                 raise ManifestError(f"{where}: file must be a string")
-            if "\0" in region["file"]:  # open() would reject it in its own words
+            if "\0" in name:  # open() would reject it in its own words
                 raise ManifestError(f"{where}: file must not contain a NUL character")
-            path = Path(region["file"])
-            if base_dir is not None and not path.is_absolute():
-                path = Path(base_dir) / path
+            # an absolute name replaces the folder
+            folder = Path() if base_dir is None else Path(base_dir)
+            path = folder / name
             offset = region.get("offset", 0)
             if type(offset) is not int or offset < 0:
                 raise ManifestError(f"{where}: offset must be a non-negative int")
@@ -501,7 +510,9 @@ def load_manifest(doc: dict, base_dir: str | Path | None = None) -> AddressSpace
                     blob = fh.read(length)
             except OSError as exc:
                 reason = exc.strerror or exc
-                raise ManifestError(f"{where}: cannot read {path}: {reason}") from None
+                raise ManifestError(
+                    f"{where}: cannot read {folder / _clip(name)}: {reason}"
+                ) from None
             except UnicodeEncodeError:  # a lone surrogate; open() names no region
                 raise ManifestError(
                     f"{where}: file has a character no file name can hold"
@@ -516,10 +527,10 @@ def load_manifest(doc: dict, base_dir: str | Path | None = None) -> AddressSpace
 
 # --- /proc/<pid>/maps ground truth -----------------------------------------
 
-# start-end perms offset dev inode, then an optional path; only the bounds
-# and the permission letters are kept
+# start-end perms offset dev inode, then an optional path; only the bounds,
+# 64-bit values as the kernel writes them, and the permission letters are kept
 _MAPS_LINE = re.compile(
-    r"^([0-9a-fA-F]+)-([0-9a-fA-F]+)\s+([r-][w-][x-])[ps]\s+"
+    r"^([0-9a-fA-F]{1,16})-([0-9a-fA-F]{1,16})\s+([r-][w-][x-])[ps]\s+"
     r"[0-9a-fA-F]+\s+\S+\s+\d+\s*.*$"
 )
 
@@ -568,7 +579,7 @@ def parse_proc_maps(text: str) -> GroundTruthMap:
             continue
         m = _MAPS_LINE.match(line)
         if m is None:
-            raise MapsParseError(line_no, f"unparseable maps line: {raw!r}")
+            raise MapsParseError(line_no, f"unparseable maps line: {_clip(raw)!r}")
         start = int(m.group(1), 16)
         end = int(m.group(2), 16)
         if end <= start:

@@ -216,7 +216,7 @@ def test_criterion_5_chain_flips_protection_and_returns_zero():
         variant = ("sound-5", "short-4")[t % 2]
         img = build_victim_image(500 + t)
         truth = img.truth
-        space = load_manifest(parse_manifest(img.manifest_text))
+        space = load_manifest(parse_manifest(img.manifest_text.encode()))
         code_start, code_len, _ = truth.regions["code"]
         code_pages = range(code_start, code_start + code_len, PAGE_SIZE)
         catalog = find_gadgets(space, code_pages)
@@ -313,7 +313,7 @@ def test_criterion_6_end_to_end_verdicts_and_memory_integrity(tmp_path):
             continue
 
         ref = page_bytes(
-            load_manifest(parse_manifest(img.manifest_text)).shifted(report.aslr_offset)
+            load_manifest(parse_manifest(img.manifest_text.encode())).shifted(report.aslr_offset)
         )
         post = page_bytes(pipe.space)
         if set(ref) != set(post):

@@ -1,9 +1,9 @@
 """The CI workflow runs the tier-1 command that README documents, on
-Pythons from the floor pyproject.toml declares, smoke-runs the benchmark
-both untraced and traced, runs the installed console script in every mode,
-checks its JSON report against the stdlib's json.tool and against the
-report of a demo copy that holds a backslash, and runs README's install
-commands as written."""
+Pythons from the floor pyproject.toml declares, records src/'s line count
+in the run's summary, smoke-runs the benchmark both untraced and traced,
+runs the installed console script in every mode, checks its JSON report
+against the stdlib's json.tool and against the report of a demo copy that
+holds a backslash, and runs README's install commands as written."""
 
 import re
 from pathlib import Path
@@ -57,6 +57,17 @@ def workflow_step(name: str) -> str:
     text = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
     assert f"- name: {name}\n" in text, f"tier1.yml has no {name!r} step"
     return text.split(f"- name: {name}\n", 1)[1].split("\n      - ", 1)[0]
+
+
+def test_source_line_count_goes_to_the_step_summary():
+    # a record of src/'s size on every run, after the tests and not a gate
+    step = workflow_step("Source line count")
+    lines = [line.strip() for line in step.splitlines()]
+    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
+    assert workflow.index("- name: Tier-1 tests") < workflow.index(
+        "- name: Source line count")
+    assert 'wc -l src/caveprobe/*.py >> "$GITHUB_STEP_SUMMARY"' in lines
+    assert "continue-on-error" not in step
 
 
 def test_benchmark_smoke_runs_untraced_and_traced():

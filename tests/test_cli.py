@@ -1,8 +1,11 @@
+import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
 import json
+import re
 import tempfile
 import tracemalloc
 import types
@@ -665,18 +668,12 @@ class TestMain:
         assert main([*budget, str(needed - 1)]) == EXIT_STAGE_ERROR
         assert f"explore budget of {needed - 1} pages" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mode", [
-        pytest.param(m, marks=pytest.mark.xfail(
-            strict=True,
-            reason="explore drops NoFrameError in linear mode, so the run "
-                   "fails at gadgets with every kind missing",
-        )) if m == "linear" else m
-        for m in MODES
-    ])
+    @pytest.mark.parametrize("mode", MODES)
     def test_frame_at_the_bottom_of_the_stack_is_refused(self, tmp_path, capsys,
                                                          mode):
         # the demo's stack holds one frame, at its first word, and the stack
-        # pointer points at it: its canary slot would lie on the guard page
+        # pointer points at it: its canary slot would lie on the guard page.
+        # linear walks for the frame to find the code, so it fails first
         doc = json.loads(Path(DEMO).read_text())
         stack = next(r for r in doc["regions"] if r.get("label") == "[stack]")
         start = int(stack["start"], 16)
@@ -688,11 +685,76 @@ class TestMain:
         manifest.write_text(json.dumps(doc))
         assert main(["--image-path", str(manifest), "--no-aslr",
                      "--mode", mode]) == EXIT_STAGE_ERROR
+        stage = "probe" if mode == "linear" else "inject"
         assert capsys.readouterr().err == (
-            "caveprobe: stage 'inject' failed: no plausible frame above "
+            f"caveprobe: stage '{stage}' failed: no plausible frame above "
             f"the stack pointer {start:#x}: scanned 2047 slots of the "
             f"stack region {start:#x}-{start + 0x4000:#x}\n"
         )
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_stack_pointer_on_an_unmapped_page_is_refused(self, tmp_path, capsys,
+                                                          mode):
+        # the page below the demo's stack is a gap: linear's frame walk
+        # names it, and the pointer chase finds nothing to grow
+        doc = json.loads(Path(DEMO).read_text())
+        stack = next(r for r in doc["regions"] if r.get("label") == "[stack]")
+        gap = int(stack["start"], 16) - PAGE_SIZE
+        doc["seeds"]["stack_pointer"] = hex(gap + 0x80)
+        manifest = tmp_path / "gap.json"
+        manifest.write_text(json.dumps(doc))
+        assert main(["--image-path", str(manifest), "--no-aslr",
+                     "--mode", mode]) == EXIT_STAGE_ERROR
+        if mode == "linear":
+            want = f"stage 'probe' failed: page {gap:#x} is not accessible"
+        else:
+            want = "stage 'explore' failed: exploration found nothing accessible"
+        assert capsys.readouterr().err == f"caveprobe: {want}\n"
+
+    @pytest.mark.parametrize("value", [
+        "\u0661\u0660\u0660\u0660", "0x_1000", " 0x1000\n", "+0x10", "-0x1000",
+    ], ids=["arabic-indic-digits", "underscore", "whitespace", "plus", "minus"])
+    @pytest.mark.parametrize("field", [
+        "region 0 start", "region 0 len", "seeds.stack_pointer",
+    ])
+    def test_hex_field_outside_the_grammar_is_refused(self, tmp_path, capsys,
+                                                      field, value):
+        # int(value, 16) takes the first four; a manifest takes none
+        doc = json.loads(Path(DEMO).read_text())
+        if field == "seeds.stack_pointer":
+            doc["seeds"]["stack_pointer"] = value
+        else:
+            doc["regions"][0][field.split()[-1]] = value
+        manifest = tmp_path / "bad-hex.json"
+        manifest.write_text(json.dumps(doc))
+        assert main(["--image-path", str(manifest)]) == EXIT_STAGE_ERROR
+        assert capsys.readouterr().err == (
+            f"caveprobe: stage 'load' failed: {field} is not a hex string\n"
+        )
+
+    @pytest.mark.parametrize("fault", ["len", "file", "maps-line"])
+    def test_load_message_bounds_a_long_value_from_a_file(self, tmp_path, capsys,
+                                                          fault):
+        doc = json.loads(Path(DEMO).read_text())
+        region = doc["regions"][0]
+        maps = tmp_path / "victim.maps"
+        maps.write_text(Path(DEMO_MAPS).read_text())
+        if fault == "len":
+            region["len"] = "f" * 100_000
+        elif fault == "file":
+            region.pop("data")
+            region["file"] = "b" * 100_000
+        else:
+            maps.write_text("m" * 100_000 + "\n")
+        manifest = tmp_path / "victim.json"
+        manifest.write_text(json.dumps(doc))
+        code = main(["--image-path", str(manifest), "--ground-truth-path", str(maps)])
+        err = capsys.readouterr().err
+        assert code == EXIT_STAGE_ERROR
+        assert err.count("\n") == 1 and len(err) < 300
+        assert err.startswith("caveprobe: stage 'load' failed: ")
+        if fault != "len":
+            assert "b" * 80 + "..." in err or "m" * 80 + "..." in err
 
     def test_no_cave_names_what_the_min_len_left(self, capsys):
         # the demo's zero runs are 0x4000 and 0x3000 bytes long
@@ -800,6 +862,68 @@ def test_demo_combo_reports_byte_identical(monkeypatch):
             assert report.all_verdicts_pass(), (mode, variant, restore, seed)
             digest.update(emit_report(report).encode())
     assert digest.hexdigest() == DEMO_COMBO_REPORTS_SHA256
+
+
+def assert_hybrid_reports_as_pointer_chase(**config) -> None:
+    """``hybrid`` runs the pointer chase: its JSON report is pointer-chase's
+    once the mode names are swapped."""
+    hybrid, chase = (
+        emit_report(run_pipeline(PipelineConfig(mode=mode, **config)))
+        for mode in ("hybrid", "pointer-chase")
+    )
+    assert hybrid.count('"hybrid"') == 2  # config.mode and exploration.mode
+    assert hybrid.replace('"hybrid"', '"pointer-chase"') == chase
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_hybrid_reports_as_pointer_chase_on_the_demo(seed):
+    assert_hybrid_reports_as_pointer_chase(
+        image_path=DEMO, ground_truth_path=DEMO_MAPS, seed=seed)
+
+
+def test_hybrid_reports_as_pointer_chase_on_synth_images(tmp_path):
+    # the images and run seeds tests/test_bench_contract.py checks with the
+    # benchmark's oracle
+    for seed in range(30):
+        img = build_victim_image(seed, code_pages=16, cave_pages=16, stack_pages=16)
+        manifest = tmp_path / f"victim-{seed}.json"
+        maps = tmp_path / f"victim-{seed}.maps"
+        manifest.write_text(img.manifest_text)
+        maps.write_text(img.maps_text)
+        for aslr in (True, False):
+            assert_hybrid_reports_as_pointer_chase(
+                image_path=str(manifest), ground_truth_path=str(maps),
+                seed=seed, aslr=aslr)
+
+
+def readme_command_line() -> str:
+    text = (REPO / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    match = re.search(r"```\n(.*?)\n```", section, re.S)
+    assert match, "README's Command line section has no block"
+    return match.group(1)
+
+
+def test_readme_command_line_names_every_flag_and_its_default():
+    # PipelineConfig holds the one copy of each config default; the block
+    # names it for every flag that takes a value, and names no other value
+    block = readme_command_line()
+    parser = cli._build_parser()
+    config = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        flag = action.option_strings[0]
+        assert re.search(rf"(?<![\w-]){flag}(?![\w-])", block), flag
+        line = next(
+            (line for line in block.splitlines() if line.startswith(flag + " ")), None)
+        named = re.search(r"\(([^()]*)\)$", line or "")
+        want = config.get(action.dest, action.default)
+        if want in (None, dataclasses.MISSING) or isinstance(want, bool):
+            assert named is None, flag  # required, or a switch
+            continue
+        assert named, f"{flag} names no default"
+        assert named.group(1) == str(want), flag
 
 
 GADGET_KINDS = ("pop-rdi-ret", "pop-rsi-ret", "pop-rdx-ret", "pop-rax-ret",

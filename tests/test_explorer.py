@@ -150,15 +150,20 @@ class TestExploreModes:
             (0x70000000, PAGE_SIZE, "rwu", b""),
         )
 
+    # no frame is on these layouts, so linear fails after its first sweep;
+    # the store keeps what that sweep found
+
     def test_linear_bridges_small_gaps_only(self):
-        pm = explore(quiet_store(self.layout(), budget=4096), "linear",
-                     0x100000, max_gap=64)
+        pm = quiet_store(self.layout(), budget=4096)
+        with pytest.raises(NoFrameError):
+            explore(pm, "linear", 0x100000, max_gap=64)
         assert 0x112000 in pm.accessible_pages()
         assert 0x70000000 not in pm.entries
 
     def test_linear_respects_max_gap(self):
-        pm = explore(quiet_store(self.layout(), budget=4096), "linear",
-                     0x100000, max_gap=4)
+        pm = quiet_store(self.layout(), budget=4096)
+        with pytest.raises(NoFrameError):
+            explore(pm, "linear", 0x100000, max_gap=4)
         assert 0x112000 not in pm.entries
 
     def test_pointer_chase_jumps_the_big_hole(self):
@@ -196,8 +201,9 @@ class TestLinearSweepProbes:
 
     def test_exact_transactions_through_explore_stage(self):
         p = quiet_prober()
-        pm = explore(PageMap(self.layout(), p), "linear", self.RW,
-                     max_gap=4)
+        pm = PageMap(self.layout(), p)
+        with pytest.raises(NoFrameError):
+            explore(pm, "linear", self.RW, max_gap=4)
         # upward: tap the anchor, claw 4 writable pages (1 write each),
         # claw the far edge (fatal write, fatal tap), tap the next gap page,
         # tap the first read-only page, claw the second (fatal write,
@@ -207,7 +213,8 @@ class TestLinearSweepProbes:
         # is clawed (fatal write, fatal tap); then tap 3 gap pages.  A
         # tap-only sweep pays 18 reads.  The walk for a frame then grows
         # the anchor's extent, clawing its tapped first page (1 write); the
-        # page below is stored inaccessible, and no frame is on zero pages.
+        # page below is stored inaccessible, and no frame is on zero pages,
+        # so the walk's error ends the sweep.
         assert transactions(p) == (14, 9)
         extents = [region_around(pm, self.RW), region_around(pm, self.RO)]
         assert extents == [(self.RW, self.RW + 5 * PAGE_SIZE),
@@ -341,13 +348,19 @@ class TestFrameAbove:
         with pytest.raises(NoFrameError, match="no plausible frame"):
             frame_above(pm, self.STACK + 0x700)
         assert pm.entries[self.CODE] is Writability.WRITABLE
-        # linear sweeps from no address the walk refused
-        pm = explore(quiet_store(space), "linear", self.STACK + 0x700)
+        # linear sweeps from no address the walk refused, and names the
+        # missing frame
+        pm = quiet_store(space)
+        with pytest.raises(NoFrameError, match="no plausible frame"):
+            explore(pm, "linear", self.STACK + 0x700)
         assert pm.entries[self.CODE] is Writability.WRITABLE
         assert self.CODE + PAGE_SIZE not in pm.entries
 
     def test_linear_from_an_inaccessible_stack_pointer_stops_after_its_sweep(self):
-        pm = explore(quiet_store(self.layout()), "linear", self.STACK - 0x1000)
+        pm = quiet_store(self.layout())
+        with pytest.raises(ValueError, match=f"^page {self.STACK - 0x1000:#x} "
+                                             "is not accessible$"):
+            explore(pm, "linear", self.STACK - 0x1000)
         assert self.STACK in pm.accessible_pages()
         assert self.CODE not in pm.entries
 
@@ -382,7 +395,7 @@ def test_linear_store_matches_tap_only_sweep(
     img = build_victim_image(
         image_seed, code_pages=pages, cave_pages=pages, stack_pages=pages
     )
-    space = load_manifest(parse_manifest(img.manifest_text))
+    space = load_manifest(parse_manifest(img.manifest_text.encode()))
     # the second sweep starts at the saved return address of the frame
     # above the stack pointer
     anchors = (img.truth.stack_pointer, img.truth.saved_rip)

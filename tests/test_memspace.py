@@ -19,6 +19,7 @@ from caveprobe.memspace import (
     PagePermissions,
     load_manifest,
     page_runs,
+    parse_hex,
     parse_manifest,
     parse_proc_maps,
 )
@@ -576,6 +577,23 @@ class TestPageRuns:
         assert all(a[1] < b[0] for a, b in zip(runs, runs[1:]))
 
 
+class TestParseHex:
+    @pytest.mark.parametrize("value, want", [
+        ("0x1000", 0x1000), ("0X1000", 0x1000), ("1000", 0x1000), ("aBc", 0xABC),
+        (0x1000, 0x1000), (-1, -1),
+    ])
+    def test_accepts_ascii_hex_and_json_integers(self, value, want):
+        assert parse_hex(value, "x") == want
+
+    @pytest.mark.parametrize("value", [
+        "", "0x", "0x0x1", "1_000", "\u0661", "\uff11", "1000\n", "0x10 ", "+1",
+        "-1", "1.0", True, None, 1.0,
+    ])
+    def test_refuses_anything_else(self, value):
+        with pytest.raises(ManifestError, match="^x is not a hex string$"):
+            parse_hex(value, "x")
+
+
 class TestManifest:
     def test_load_with_hex_data(self):
         text = json.dumps(
@@ -587,7 +605,7 @@ class TestManifest:
                 ]
             }
         )
-        space = load_manifest(parse_manifest(text))
+        space = load_manifest(parse_manifest(text.encode()))
         assert space.read_bytes(0x1000, 4) == bytes.fromhex("deadbeef")
         assert is_mapped(space, 0x3000)
         with pytest.raises(MemoryFault):
@@ -604,27 +622,27 @@ class TestManifest:
                 ]
             }
         )
-        space = load_manifest(parse_manifest(text), base_dir=tmp_path)
+        space = load_manifest(parse_manifest(text.encode()), base_dir=tmp_path)
         assert space.read_bytes(0x1000, 32) == b"\x11" * 32
 
     def test_unknown_top_level_keys_ignored(self):
         text = json.dumps({"regions": [], "seeds": {"x": 1}, "comment": "hi"})
-        load_manifest(parse_manifest(text))
+        load_manifest(parse_manifest(text.encode()))
 
     def test_rejects_bad_json(self):
         with pytest.raises(ManifestError):
-            parse_manifest("{nope")
+            parse_manifest(b"{nope")
 
     def test_rejects_missing_regions(self):
         with pytest.raises(ManifestError):
-            parse_manifest("{}")
+            parse_manifest(b"{}")
 
     def test_rejects_unaligned_region(self):
         text = json.dumps(
             {"regions": [{"start": "0x10", "len": "0x1000", "perms": "ru"}]}
         )
         with pytest.raises(ManifestError):
-            load_manifest(parse_manifest(text))
+            load_manifest(parse_manifest(text.encode()))
 
     def test_rejects_bad_hex(self):
         text = json.dumps(
@@ -632,7 +650,7 @@ class TestManifest:
                           "data": "zz"}]}
         )
         with pytest.raises(ManifestError):
-            load_manifest(parse_manifest(text))
+            load_manifest(parse_manifest(text.encode()))
 
     @pytest.mark.parametrize(
         "data",
@@ -648,14 +666,14 @@ class TestManifest:
             {"start": "0x2000", "len": "0x1000", "perms": "ru", "data": data},
         ]})
         with pytest.raises(ManifestError) as exc:
-            load_manifest(parse_manifest(text))
+            load_manifest(parse_manifest(text.encode()))
         assert str(exc.value) == "region 1: data is not a hex blob"
 
     def test_accepts_integer_addresses(self):
         text = json.dumps(
             {"regions": [{"start": 0x1000, "len": 0x1000, "perms": "ru"}]}
         )
-        assert is_mapped(load_manifest(parse_manifest(text)), 0x1000)
+        assert is_mapped(load_manifest(parse_manifest(text.encode())), 0x1000)
 
     def test_rejects_boolean_address(self):
         # json false is an int to isinstance; it must not map page 0
@@ -663,7 +681,7 @@ class TestManifest:
             {"regions": [{"start": False, "len": "0x1000", "perms": "ru"}]}
         )
         with pytest.raises(ManifestError, match="region 0 start"):
-            load_manifest(parse_manifest(text))
+            load_manifest(parse_manifest(text.encode()))
 
     def test_rejects_boolean_offset(self, tmp_path):
         (tmp_path / "blob.bin").write_bytes(b"\x11" * 32)
@@ -672,7 +690,7 @@ class TestManifest:
                           "file": "blob.bin", "offset": True}]}
         )
         with pytest.raises(ManifestError, match="offset"):
-            load_manifest(parse_manifest(text), base_dir=tmp_path)
+            load_manifest(parse_manifest(text.encode()), base_dir=tmp_path)
 
     def test_rejects_file_that_is_not_a_string(self):
         text = json.dumps(
@@ -680,12 +698,12 @@ class TestManifest:
                           "file": 5}]}
         )
         with pytest.raises(ManifestError, match="^region 0: file must be a string$"):
-            load_manifest(parse_manifest(text))
+            load_manifest(parse_manifest(text.encode()))
 
     def test_rejects_deep_nesting(self):
         text = "[" * 100_000 + "]" * 100_000
         with pytest.raises(ManifestError, match="^not valid JSON: nested too deeply$"):
-            parse_manifest(text)
+            parse_manifest(text.encode())
 
     def test_rejects_a_region_past_the_page_cap(self):
         # about 128 TB: refused from the lengths alone.  Mapping it would
@@ -703,12 +721,12 @@ class TestManifest:
         signal.setitimer(signal.ITIMER_REAL, 1.0)
         try:
             with pytest.raises(ManifestError) as exc:
-                load_manifest(parse_manifest(text))
+                load_manifest(parse_manifest(text.encode()))
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert str(exc.value) == (
-            "region 1: len 0x7fff00000000 takes the image past 65536 pages"
+            "region 1: len takes the image past 65536 pages"
         )
 
 
@@ -766,7 +784,7 @@ def test_load_matches_the_zero_fill_then_copy_reference(regions):
             if contents is not None:
                 Path(tmp, region["file"]).write_bytes(contents)
         text = json.dumps({"regions": [region for region, _, _ in regions]})
-        space = load_manifest(parse_manifest(text), base_dir=tmp)
+        space = load_manifest(parse_manifest(text.encode()), base_dir=tmp)
     got = {
         base: ((p.readable, p.writable, p.executable, p.user_accessible), bytes(page.data))
         for base, page in space.pages.items()
@@ -813,10 +831,8 @@ def decoded_blobs(value):
 
 def reference_parse(raw: bytes) -> dict:
     """What parse_manifest must return for ``raw``: the json.loads document,
-    with its hex blobs decoded unless a backslash anywhere in ``raw`` sends
-    the whole file to json alone."""
-    doc = json_parse_manifest(raw.decode())
-    return doc if b"\\" in raw else decoded_blobs(doc)
+    with its hex blobs decoded."""
+    return decoded_blobs(json_parse_manifest(raw.decode()))
 
 
 def parse_outcome(parse, raw):
@@ -911,13 +927,7 @@ def manifest_bytes(draw):
 
 @given(manifest_bytes())
 def test_parse_decodes_blobs_and_otherwise_matches_json(raw):
-    want = parse_outcome(reference_parse, raw)
-    assert parse_outcome(parse_manifest, raw) == want
-    try:
-        text = raw.decode()
-    except UnicodeDecodeError:
-        return
-    assert parse_outcome(parse_manifest, text) == want
+    assert parse_outcome(parse_manifest, raw) == parse_outcome(reference_parse, raw)
 
 
 DEMO = Path(__file__).resolve().parent.parent / "images" / "demo.json"
@@ -947,7 +957,26 @@ def test_demo_blobs_come_back_decoded():
     blobs = [r for r in doc["regions"] if "data" in r]
     assert blobs and all(type(r["data"]) is bytes for r in blobs)
     assert doc == decoded_blobs(want)
-    assert space_digest(load_manifest(doc)) == space_digest(load_manifest(want))
+    assert space_digest(load_manifest(doc)) == space_digest(
+        load_manifest(decoded_blobs(want)))
+
+
+def test_hex_text_data_is_refused_by_the_loader():
+    # parse_manifest hands the loader bytes; hex text is what json.loads
+    # alone gives, and the loader decodes nothing itself
+    doc = json.loads(DEMO.read_text())
+    with pytest.raises(ManifestError, match=r"^region 0: data is not a hex blob$"):
+        load_manifest(doc)
+
+
+@pytest.mark.parametrize("label", ["plain", "caf\\u00e9"], ids=["spliced", "json-only"])
+def test_empty_data_comes_back_as_empty_bytes(label):
+    raw = ('{"regions": [{"start": "0x1000", "len": "0x1000", "perms": "ru", '
+           '"data": "", "label": "%s"}]}' % label).encode()
+    doc = parse_manifest(raw)
+    assert doc["regions"][0]["data"] == b""
+    assert type(doc["regions"][0]["data"]) is bytes
+    assert load_manifest(doc).read_bytes(0x1000, 8) == bytes(8)
 
 
 class TestProcMaps:
@@ -1006,6 +1035,13 @@ class TestProcMaps:
     def test_unaligned_bounds_rejected(self):
         with pytest.raises(MapsParseError):
             parse_proc_maps("00400001-00402000 r-xp 00000000 00:00 0\n")
+
+    def test_address_past_sixteen_digits_is_unparseable(self):
+        # the kernel writes 64-bit addresses; an overlap message would echo
+        # a longer one whole
+        assert parse_proc_maps("ffffffffff600000-ffffffffff601000 r-xp 0 00:00 0\n")
+        with pytest.raises(MapsParseError, match="^line 1: unparseable maps line"):
+            parse_proc_maps("0ffffffffff600000-0ffffffffff601000 r-xp 0 00:00 0\n")
 
     def test_shifted_moves_user_lines_only(self):
         truth = parse_proc_maps(self.SAMPLE)
