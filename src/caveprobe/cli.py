@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _json_str
@@ -379,20 +380,18 @@ def _explore(ctx: Pipeline) -> None:
     if not accessible:
         raise ValueError("exploration found nothing accessible")
     runs: list[explorer.MapRun] = []
-    mismatches: list[str] = []
     extents = hi = 0
     for base in accessible:
         if base < hi:
             continue
         lo, hi = explorer.region_around(ctx.pagemap, base)
-        recon = explorer.reconstruct_map(ctx.pagemap, lo, hi)
-        runs.extend(recon.runs)
+        runs.extend(explorer.reconstruct_map(ctx.pagemap, lo, hi).runs)
         extents += 1
-        if ctx.truth is not None:
-            mismatches += explorer.match_ground_truth(recon, ctx.truth)
     ctx.report.reconstructed = explorer.ReconstructedMap(tuple(runs))
     ctx.report.exploration["extents"] = extents
     if ctx.truth is not None:
+        # every verdict the store holds so far, misses included
+        mismatches = explorer.match_ground_truth(ctx.pagemap, ctx.truth)
         ctx.report.map_mismatches = mismatches
         ctx.report.verdicts["map-match"] = not mismatches
 
@@ -558,12 +557,31 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _int_auto(text: str) -> int:
-    """An integer in any base Python literals use (0x1000, 4096)."""
-    try:
-        return int(text, 0)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+def _ascii(pattern: str, convert, what: str):
+    """A flag type that takes only text ``pattern`` matches whole, then
+    ``convert``s it; int() and float() alone would also take other scripts'
+    digits, underscores and padding."""
+    match = re.compile(pattern).fullmatch
+
+    def parse(text: str):
+        if match(text):
+            try:
+                return convert(text)
+            except ValueError:  # past int()'s digit limit
+                pass
+        raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+
+    return parse
+
+
+_SEED = _ascii(r"-?[0-9]+", int, "an integer")
+_COUNT = _ascii(r"[0-9]+", int, "a decimal count")
+_LENGTH = _ascii(
+    r"[0-9]+|0[xX][0-9a-fA-F]+",
+    lambda t: int(t, 16) if t[1:2] in ("x", "X") else int(t),
+    "a decimal or 0x-hex length",
+)
+_PROB = _ascii(r"[0-9]+\.?[0-9]*|\.[0-9]+", float, "a decimal fraction")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -579,15 +597,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--image-path", required=True, help="victim image manifest (JSON)")
     p.add_argument("--mode", choices=MODES)
-    p.add_argument("--seed", type=int, help=f"master RNG seed, else ${ENV_SEED}")
-    p.add_argument("--spurious-prob", type=float)
-    p.add_argument("--cave-min-len", type=_int_auto)
+    p.add_argument("--seed", type=_SEED, help=f"master RNG seed, else ${ENV_SEED}")
+    p.add_argument("--spurious-prob", type=_PROB)
+    p.add_argument("--cave-min-len", type=_LENGTH)
     p.add_argument("--chain-variant", choices=gadgets.CHAIN_VARIANTS)
     p.add_argument("--restore", choices=RESTORE_MODES)
     p.add_argument("--ground-truth-path")
     p.add_argument("--stop-after", choices=STAGES)
     p.add_argument("--no-aslr", dest="aslr", action="store_false")
-    p.add_argument("--explore-budget", type=int, help="max pages probed in the whole run")
+    p.add_argument("--explore-budget", type=_COUNT, help="max pages probed in the whole run")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     return p
@@ -598,11 +616,10 @@ def main(argv: list[str] | None = None) -> int:
         given = vars(_build_parser().parse_args(argv))
         fmt, out = given.pop("format"), given.pop("out")
         if "seed" not in given and ENV_SEED in os.environ:
-            text = os.environ[ENV_SEED]
             try:
-                given["seed"] = int(text)
-            except ValueError:
-                raise ValueError(f"${ENV_SEED} is not an integer: {text!r}") from None
+                given["seed"] = _SEED(os.environ[ENV_SEED])
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"${ENV_SEED} is {exc}") from None
         # every other flag sets the config field of its name
         config = PipelineConfig(**given)
     except (_UsageError, ValueError) as exc:

@@ -292,69 +292,36 @@ def reconstruct_map(pm: PageMap, start: int, end: int) -> ReconstructedMap:
     return ReconstructedMap(tuple(runs))
 
 
-def truth_runs(truth: GroundTruthMap, start: int, end: int) -> tuple[MapRun, ...]:
-    """Classification runs a perfect observer would produce for [start, end),
-    derived straight from ground-truth region permissions."""
-    _check_page_range(start, end)
-    marks: list[MapRun] = []
+def match_ground_truth(pm: PageMap, truth: GroundTruthMap) -> list[str]:
+    """Judge every verdict ``pm`` stores against ground truth, page by page.
 
-    def push(lo: int, hi: int, kind: Writability) -> None:
-        if lo >= hi:
-            return
-        if marks and marks[-1].kind is kind and marks[-1].end == lo:
-            marks[-1] = MapRun(marks[-1].start, hi, kind)
-        else:
-            marks.append(MapRun(lo, hi, kind))
-
-    pos = start
-    for r in truth.user_regions():
-        lo = max(r.start, start)
-        hi = min(r.end, end)
-        if hi <= lo:
-            continue
-        push(pos, lo, Writability.INACCESSIBLE)
-        if r.perms.writable:
-            kind = Writability.WRITABLE
-        elif r.perms.readable:
-            kind = Writability.READ_ONLY
-        else:
-            kind = Writability.INACCESSIBLE
-        push(lo, hi, kind)
-        pos = hi
-    push(pos, end, Writability.INACCESSIBLE)
-    return tuple(marks)
-
-
-def match_ground_truth(
-    recon: ReconstructedMap, truth: GroundTruthMap
-) -> list[str]:
-    """Compare a reconstruction against ground truth over its own range.
-
-    Returns a description of each run where they differ; the reconstruction
-    matches when the list is empty.  Only the user half is compared; kernel
-    regions are invisible to probes by design.
+    A page tapped accessible must be readable, a clawed page must have the
+    truth's writability, and a miss must be unmapped or unreadable; pages
+    and ``truth.regions`` are walked together in address order.  Returns
+    one line per run of adjacent pages that disagree in the same way; the
+    store matches when the list is empty.
     """
-    if not recon.runs:
-        return []
-    start = recon.runs[0].start
-    end = recon.runs[-1].end
-    expected = truth_runs(truth, start, end)
-    if expected == recon.runs:
-        return []
-    mismatches = []
-    got = {(r.start, r.end): r.kind for r in recon.runs}
-    want = {(r.start, r.end): r.kind for r in expected}
-    for key in sorted(set(got) | set(want)):
-        g = got.get(key)
-        w = want.get(key)
-        if g != w:
-            lo, hi = key
-            mismatches.append(
-                f"{lo:#x}-{hi:#x}: probed "
-                f"{g.value if g else 'missing'}, truth "
-                f"{w.value if w else 'missing'}"
-            )
-    return mismatches
+    regions = truth.regions
+    ri = 0
+    bad: list[list] = []  # [lo, hi, probed, truth] of each disagreeing run
+    for base, got in sorted(pm.entries.items()):
+        while ri < len(regions) and regions[ri].end <= base:
+            ri += 1
+        want = NO_ACCESS
+        if ri < len(regions) and regions[ri].start <= base:
+            perms = regions[ri].perms
+            if perms.readable and perms.user_accessible:
+                want = WRITABLE if perms.writable else READ_ONLY
+        if got is want or (got is ACCESSIBLE and want is not NO_ACCESS):
+            continue
+        if bad and bad[-1][1:] == [base, got, want]:
+            bad[-1][1] += PAGE_SIZE
+        else:
+            bad.append([base, base + PAGE_SIZE, got, want])
+    return [
+        f"{lo:#x}-{hi:#x}: probed {got.value}, truth {want.value}"
+        for lo, hi, got, want in bad
+    ]
 
 
 def egg_hunt(pm: PageMap, tag: bytes, start: int, end: int) -> int | None:

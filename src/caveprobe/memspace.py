@@ -550,9 +550,6 @@ class GroundTruthMap:
 
     regions: tuple[MapsRegion, ...]
 
-    def user_regions(self) -> list[MapsRegion]:
-        return [r for r in self.regions if r.start < USER_TOP]
-
     def shifted(self, offset: int) -> "GroundTruthMap":
         """Move user-half regions up by ``offset``; kernel lines stay put."""
         if offset % PAGE_SIZE or offset < 0:

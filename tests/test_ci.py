@@ -94,6 +94,29 @@ def test_installed_console_script_runs_every_mode_outside_the_checkout():
     assert sorted(runs) == sorted(MODES)
 
 
+def test_ground_truth_that_disagrees_must_fail_map_match():
+    # the demo's maps with the stack's guard page made writable: the
+    # installed package must exit 3 and print a failed map-match verdict
+    step = workflow_step("Ground truth that disagrees fails map-match")
+    lines = [line.strip() for line in step.splitlines()]
+    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
+    assert workflow.index("- name: Installed console script") < workflow.index(
+        "- name: Ground truth that disagrees fails map-match")
+    assert "shell: bash" in lines
+    assert lines[lines.index("run: |") + 1:] == [
+        "sed 's/^7f0000302000-7f0000303000 ---p/7f0000302000-7f0000303000 rw-p/' "
+        'images/demo.maps > "$RUNNER_TEMP/guard-rw.maps"',
+        "grep -F '7f0000302000-7f0000303000 rw-p' \"$RUNNER_TEMP/guard-rw.maps\"",
+        "code=0",
+        'caveprobe --image-path images/demo.json --ground-truth-path '
+        '"$RUNNER_TEMP/guard-rw.maps" --format text > "$RUNNER_TEMP/guard-rw.txt" '
+        "|| code=$?",
+        'cat "$RUNNER_TEMP/guard-rw.txt"',
+        'test "$code" -eq 3',
+        "grep -F 'map-match: FAIL' \"$RUNNER_TEMP/guard-rw.txt\"",
+    ]
+
+
 def test_json_report_is_checked_against_json_tool():
     # after the installed package's report is written, the stdlib rewrites
     # it with json.dumps's options and cmp must find no difference

@@ -772,6 +772,44 @@ class TestMain:
             "caveprobe: $CAVEPROBE_SEED is not an integer: 'x'\n"
         )
 
+    def test_seed_environment_takes_only_ascii_digits(self, monkeypatch, capsys):
+        monkeypatch.setenv("CAVEPROBE_SEED", " \u0661_\u0662 ")
+        assert main(["--image-path", DEMO]) == EXIT_STAGE_ERROR
+        assert capsys.readouterr().err == (
+            "caveprobe: $CAVEPROBE_SEED is not an integer: ' \u0661_\u0662 '\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flag, text, key, value",
+        [
+            ("--seed", "-3", "seed", -3),
+            ("--explore-budget", "0100", "explore-budget", 100),
+            ("--cave-min-len", "8192", "cave-min-len", "0x2000"),
+            ("--cave-min-len", "0X2000", "cave-min-len", "0x2000"),
+            ("--spurious-prob", ".25", "spurious-prob", 0.25),
+            ("--spurious-prob", "0.", "spurious-prob", 0.0),
+        ],
+    )
+    def test_number_flag_ascii_forms(self, tmp_path, flag, text, key, value):
+        out = tmp_path / "r.json"
+        flags = ["--image-path", DEMO, "--stop-after", "probe", "--out", str(out)]
+        assert main([*flags, flag, text]) == EXIT_OK
+        assert json.loads(out.read_text())["config"][key] == value
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_wrong_truth_for_a_stored_miss_fails_map_match(
+        self, tmp_path, capsys, mode
+    ):
+        # every mode stores the stack's guard page as a miss, which no
+        # extent's runs include; a truth that calls it writable must fail
+        maps = tmp_path / "guard-rw.maps"
+        maps.write_text(Path(DEMO_MAPS).read_text().replace(
+            "7f0000302000-7f0000303000 ---p", "7f0000302000-7f0000303000 rw-p"))
+        code = main(["--image-path", DEMO, "--mode", mode, "--format", "text",
+                     "--ground-truth-path", str(maps)])
+        assert code == cli.EXIT_VERDICT_FAILURE
+        assert "    map-match: FAIL\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "flags, flag",
         [
@@ -779,8 +817,25 @@ class TestMain:
             (["--image-path", DEMO, "--seed", "x"], "--seed"),
             (["--image-path", DEMO, "--mode", "spiral"], "--mode"),
             ([], "--image-path"),
+            # number flags take ASCII digits only, with no separator or pad
+            (["--image-path", DEMO, "--seed", "\u0663"], "--seed"),
+            (["--image-path", DEMO, "--seed", "1_0"], "--seed"),
+            (["--image-path", DEMO, "--seed", " 3"], "--seed"),
+            (["--image-path", DEMO, "--seed", "0x10"], "--seed"),
+            (["--image-path", DEMO, "--explore-budget", "1_0_0_0"], "--explore-budget"),
+            (["--image-path", DEMO, "--explore-budget", "-1"], "--explore-budget"),
+            (["--image-path", DEMO, "--cave-min-len", "0x1_000"], "--cave-min-len"),
+            (["--image-path", DEMO, "--cave-min-len", "0x"], "--cave-min-len"),
+            (["--image-path", DEMO, "--spurious-prob", "0.0_01"], "--spurious-prob"),
+            (["--image-path", DEMO, "--spurious-prob", "1e-3"], "--spurious-prob"),
+            (["--image-path", DEMO, "--spurious-prob", "."], "--spurious-prob"),
         ],
-        ids=["cave-min-len", "seed", "mode", "missing-image-path"],
+        ids=["cave-min-len", "seed", "mode", "missing-image-path",
+             "seed-arabic-indic-digit", "seed-underscore", "seed-padded", "seed-hex",
+             "explore-budget-underscore", "explore-budget-negative",
+             "cave-min-len-underscore", "cave-min-len-bare-0x",
+             "spurious-prob-underscore", "spurious-prob-exponent",
+             "spurious-prob-bare-point"],
     )
     def test_flag_error_is_one_line(self, capsys, flags, flag):
         assert main(flags) == EXIT_STAGE_ERROR

@@ -10,7 +10,6 @@ from caveprobe.explorer import (
     NoFrameError,
     MapRun,
     PageMap,
-    ReconstructedMap,
     egg_hunt,
     explore,
     explore_from_pointers,
@@ -19,7 +18,6 @@ from caveprobe.explorer import (
     match_ground_truth,
     reconstruct_map,
     region_around,
-    truth_runs,
 )
 from caveprobe.memspace import (
     PAGE_SIZE,
@@ -563,6 +561,7 @@ class TestReconstruct:
 class TestGroundTruthCompare:
     MAPS = (
         "00100000-00102000 r-xp 00000000 00:00 0\n"
+        "00102000-00103000 ---p 00000000 00:00 0\n"
         "00104000-00106000 rw-p 00000000 00:00 0\n"
     )
 
@@ -572,30 +571,52 @@ class TestGroundTruthCompare:
             (0x104000, 2 * PAGE_SIZE, "rwu", b""),
         )
 
-    def test_truth_runs(self):
-        truth = parse_proc_maps(self.MAPS)
-        runs = truth_runs(truth, 0x100000, 0x106000)
-        assert runs == (
-            MapRun(0x100000, 0x102000, Writability.READ_ONLY),
-            MapRun(0x102000, 0x104000, Writability.INACCESSIBLE),
-            MapRun(0x104000, 0x106000, Writability.WRITABLE),
-        )
+    def check(self, entries):
+        store = PageMap(self.space(), quiet_prober(), entries=dict(entries))
+        return match_ground_truth(store, parse_proc_maps(self.MAPS))
 
     def test_match(self):
-        truth = parse_proc_maps(self.MAPS)
-        recon = reconstruct_map(quiet_store(self.space()), 0x100000, 0x106000)
-        assert match_ground_truth(recon, truth) == []
+        store = quiet_store(self.space())
+        reconstruct_map(store, 0x100000, 0x106000)
+        assert match_ground_truth(store, parse_proc_maps(self.MAPS)) == []
+
+    def test_tapped_page_on_readable_region_passes(self):
+        assert self.check({0x100000: Accessibility.ACCESSIBLE}) == []
+
+    def test_tapped_page_on_unreadable_region_fails(self):
+        assert self.check({0x102000: Accessibility.ACCESSIBLE}) == [
+            "0x102000-0x103000: probed accessible, truth inaccessible"
+        ]
+
+    def test_readonly_claw_on_writable_region_fails(self):
+        assert self.check({0x104000: Writability.READ_ONLY}) == [
+            "0x104000-0x105000: probed readonly, truth writable"
+        ]
+
+    def test_miss_inside_readable_region_fails(self):
+        assert self.check({0x101000: Writability.INACCESSIBLE}) == [
+            "0x101000-0x102000: probed inaccessible, truth readonly"
+        ]
+
+    def test_miss_on_unreadable_region_passes(self):
+        assert self.check({0x102000: Writability.INACCESSIBLE}) == []
+
+    def test_empty_store_matches(self):
+        assert self.check({}) == []
 
     def test_mismatch_reported(self):
-        truth = parse_proc_maps(self.MAPS)
-        wrong = ReconstructedMap(
-            (MapRun(0x100000, 0x106000, Writability.WRITABLE),)
-        )
-        assert match_ground_truth(wrong, truth)
-
-    def test_empty_reconstruction_matches(self):
-        truth = parse_proc_maps(self.MAPS)
-        assert match_ground_truth(ReconstructedMap(()), truth) == []
+        # adjacent pages that disagree alike form one run
+        got = self.check({
+            0x100000: Writability.WRITABLE,
+            0x101000: Writability.WRITABLE,
+            0x104000: Writability.READ_ONLY,
+            0x105000: Writability.INACCESSIBLE,
+        })
+        assert got == [
+            "0x100000-0x102000: probed writable, truth readonly",
+            "0x104000-0x105000: probed readonly, truth writable",
+            "0x105000-0x106000: probed inaccessible, truth writable",
+        ]
 
 
 class TestEggHunt:

@@ -999,10 +999,6 @@ class TestProcMaps:
         assert truth.regions[0].perms.user_accessible
         assert not truth.regions[-1].perms.user_accessible
 
-    def test_user_regions_excludes_kernel(self):
-        truth = parse_proc_maps(self.SAMPLE)
-        assert len(truth.user_regions()) == 3
-
     def test_sorted_on_parse(self):
         lines = self.SAMPLE.splitlines()
         text = "\n".join(reversed(lines)) + "\n"
