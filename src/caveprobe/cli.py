@@ -27,6 +27,7 @@ from .memspace import (
     AddressSpace,
     GroundTruthMap,
     ManifestError,
+    _clip,
     load_manifest,
     parse_hex,
     parse_manifest,
@@ -240,15 +241,16 @@ def emit_report(report: AttackReport, fmt: str = "json") -> str:
 def _parse_file(path: Path, what: str, parse):
     """``parse`` of the input file ``path``'s bytes, which must be UTF-8
     whatever the locale."""
+    shown = _clip(repr(str(path)))
     try:
         raw = path.read_bytes()
     except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot read {shown}: {exc.strerror or exc}") from None
     try:
         return parse(raw)
     except UnicodeDecodeError as exc:
         raise ValueError(
-            f"{what} {path} is not UTF-8: first bad byte at offset {exc.start}"
+            f"{what} {shown} is not UTF-8: first bad byte at offset {exc.start}"
         ) from None
 
 
@@ -478,9 +480,9 @@ def _execute(ctx: Pipeline) -> None:
     # frame we armed, stack pointer somewhere below in its locals
     state.set_reg("rbp", victim.rbp_slot_addr)
     state.set_reg("rsp", victim.rbp_slot_addr - 0x40)
-    if cfg.chain_variant == "short-4":
-        # the short chain assumes the register already holds the
-        # protection value when the return fires
+    if "pop-rdx-ret" not in gadgets.required_kinds(cfg.chain_variant):
+        # a chain without an rdx load assumes the register already holds
+        # the protection value when the return fires
         state.set_reg("rdx", machine.PROT_RWX)
     state.rip = ctx.epilogue
     if cfg.restore == "payload":
@@ -553,8 +555,10 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
-        # one line naming the flag instead of the usage block
-        raise _UsageError(message)
+        # one line naming the flag instead of the usage block; the text
+        # ahead of any choices may echo an argument, so it is cut
+        echo, sep, choices = message.partition(" (choose from ")
+        raise _UsageError(_clip(echo) + sep + choices)
 
 
 def _ascii(pattern: str, convert, what: str):
@@ -569,7 +573,7 @@ def _ascii(pattern: str, convert, what: str):
                 return convert(text)
             except ValueError:  # past int()'s digit limit
                 pass
-        raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+        raise argparse.ArgumentTypeError(f"not {what}: {_clip(repr(text))}")
 
     return parse
 
@@ -613,7 +617,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        given = vars(_build_parser().parse_args(argv))
+        args, extra = _build_parser().parse_known_args(argv)
+        if extra:  # argparse would echo them raw, line breaks included
+            raise _UsageError(f"unrecognized arguments: {_clip(repr(' '.join(extra)))}")
+        given = vars(args)
         fmt, out = given.pop("format"), given.pop("out")
         if "seed" not in given and ENV_SEED in os.environ:
             try:
@@ -635,8 +642,8 @@ def main(argv: list[str] | None = None) -> int:
         try:
             Path(out).write_text(text)
         except OSError as exc:
-            reason = exc.strerror or exc
-            print(f"caveprobe: cannot write {out}: {reason}", file=sys.stderr)
+            print(f"caveprobe: cannot write {_clip(repr(out))}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
             return EXIT_STAGE_ERROR
     else:
         sys.stdout.write(text)

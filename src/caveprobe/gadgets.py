@@ -14,37 +14,30 @@ from dataclasses import dataclass
 from .memspace import PAGE_SIZE, AddressSpace, page_runs
 from .machine import SYS_MPROTECT
 
-CHAIN_VARIANTS = ("sound-5", "short-4")
+# each kind's census pattern, in the order synth plants them
+GADGETS: dict[str, bytes] = {
+    "pop-rdi-ret": b"\x5f\xc3",
+    "pop-rsi-ret": b"\x5e\xc3",
+    "pop-rdx-ret": b"\x5a\xc3",
+    "pop-rax-ret": b"\x58\xc3",
+    "pop-rbp-ret": b"\x5d\xc3",
+    "syscall": b"\x0f\x05",
+    "leave-ret": b"\xc9\xc3",
+}
+# each variant's kinds in chain order, the argument loaders then the syscall;
+# "short-4" trusts rdx to hold the protection value when the pivot begins
+CHAINS: dict[str, tuple[str, ...]] = {
+    "sound-5": ("pop-rdi-ret", "pop-rsi-ret", "pop-rdx-ret", "pop-rax-ret", "syscall"),
+    "short-4": ("pop-rdi-ret", "pop-rsi-ret", "pop-rax-ret", "syscall"),
+}
+CHAIN_VARIANTS = tuple(CHAINS)
 
-
-@dataclass(frozen=True, slots=True)
-class GadgetSpec:
-    """A named byte pattern the census looks for."""
-
-    name: str
-    pattern: bytes
-
-
-def default_gadget_specs() -> tuple[GadgetSpec, ...]:
-    """The pattern set the chain builder knows how to use."""
-    return (
-        GadgetSpec("pop-rdi-ret", b"\x5f\xc3"),
-        GadgetSpec("pop-rsi-ret", b"\x5e\xc3"),
-        GadgetSpec("pop-rdx-ret", b"\x5a\xc3"),
-        GadgetSpec("pop-rax-ret", b"\x58\xc3"),
-        GadgetSpec("pop-rbp-ret", b"\x5d\xc3"),
-        GadgetSpec("syscall", b"\x0f\x05"),
-        GadgetSpec("leave-ret", b"\xc9\xc3"),
-    )
-
-
-_SPECS = default_gadget_specs()
-_KINDS = {spec.pattern: spec.name for spec in _SPECS}  # every pattern is two bytes
+_KINDS = {pattern: name for name, pattern in GADGETS.items()}  # all two bytes
 _FIRST, _LAST = ({pattern[i] for pattern in _KINDS} for i in (0, 1))
 assert not _FIRST & _LAST, "the census scan needs first and last pattern bytes apart"
 # bytes.translate table: first pattern bytes become 1, last ones 2, others 0
 _MARKS = bytes(1 if b in _FIRST else 2 if b in _LAST else 0 for b in range(256))
-_RET = next(s.pattern[-1:] for s in _SPECS if s.name.endswith("-ret"))
+_RET = GADGETS["pop-rdi-ret"][-1:]
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,7 +64,7 @@ class MissingGadgetError(Exception):
 
 def find_gadgets(space: AddressSpace, pages: Iterable[int]) -> GadgetCatalog:
     """Scan every page base in ``pages``, each one probed accessible, for
-    every pattern in default_gadget_specs().
+    every pattern in GADGETS.
 
     No other page is read.  Each maximal run of adjacent pages is read
     and translated once, marking first and last pattern bytes; a marked
@@ -80,7 +73,7 @@ def find_gadgets(space: AddressSpace, pages: Iterable[int]) -> GadgetCatalog:
     the boundary just as happily, and one ending outside the set does not.
     """
     accessible = set(pages)
-    hits: dict[str, list[int]] = {s.name: [] for s in _SPECS}
+    hits: dict[str, list[int]] = {name: [] for name in GADGETS}
     into_ret: list[int] = []
     for start, end in page_runs(accessible):
         buf = space.read_bytes(start, end - start)
@@ -108,24 +101,11 @@ class ChainWord:
     role: str  # "gadget-address" | "immediate" | "resume-address"
 
 
-@dataclass(frozen=True, slots=True)
-class RopChain:
-    words: tuple[ChainWord, ...]
-
-    def __post_init__(self) -> None:
-        if not self.words or self.words[0].role != "gadget-address":
-            raise ValueError("a chain must start with a gadget address")
-
-
 def required_kinds(variant: str) -> tuple[str, ...]:
     """Gadget kinds a chain variant consumes."""
-    if variant == "sound-5":
-        return ("pop-rdi-ret", "pop-rsi-ret", "pop-rdx-ret", "pop-rax-ret", "syscall")
-    if variant == "short-4":
-        # the shorter variant drops the rdx load and trusts the register to
-        # already hold the protection value when the pivot begins
-        return ("pop-rdi-ret", "pop-rsi-ret", "pop-rax-ret", "syscall")
-    raise ValueError(f"unknown chain variant {variant!r}")
+    if variant not in CHAINS:
+        raise ValueError(f"unknown chain variant {variant!r}")
+    return CHAINS[variant]
 
 
 def chain_len(variant: str) -> int:
@@ -134,29 +114,19 @@ def chain_len(variant: str) -> int:
     return 2 * len(required_kinds(variant)) - 1
 
 
-def _pick_syscall(catalog: GadgetCatalog) -> int:
-    """Choose the syscall site.  The chain continues past the call only if
-    the bytes after it fall through into a ret, so prefer the lowest
-    occurrence the census saw followed by C3; otherwise take the lowest
-    occurrence as for any other kind."""
-    if catalog.syscalls_into_ret:
-        return catalog.syscalls_into_ret[0]
-    return catalog.found["syscall"][0]
-
-
 def build_mprotect_chain(
     catalog: GadgetCatalog,
     cave_addr: int,
     cave_len: int,
     prot_value: int,
     variant: str = "sound-5",
-) -> RopChain:
+) -> tuple[ChainWord, ...]:
     """Build the argument-loading chain for one memory-protection syscall.
 
-    The default variant loads all three arguments; "short-4" omits the rdx
-    gadget.  Every kind resolves to its lowest cataloged address.  The chain
-    ends with the syscall word; the caller appends the continuation word the
-    falling-through ret will consume.
+    Each loader kind of the variant, in CHAINS order, gives its lowest
+    cataloged address and then the value it pops.  The chain ends with the
+    lowest syscall site the census saw fall through into a ret, else the
+    lowest one; the caller appends the word that ret will consume.
     """
     if cave_addr % PAGE_SIZE:
         raise ValueError("cave address must be page aligned")
@@ -166,16 +136,14 @@ def build_mprotect_chain(
     missing = [k for k in kinds if not catalog.found.get(k)]
     if missing:
         raise MissingGadgetError(missing)
-
-    g = lambda name: ChainWord(catalog.lowest(name), "gadget-address")
-    imm = lambda v: ChainWord(v, "immediate")
-    words = [g("pop-rdi-ret"), imm(cave_addr), g("pop-rsi-ret"), imm(cave_len)]
-    if variant == "sound-5":
-        words += [g("pop-rdx-ret"), imm(prot_value)]
-    words += [
-        g("pop-rax-ret"),
-        imm(SYS_MPROTECT),
-        ChainWord(_pick_syscall(catalog), "gadget-address"),
+    values = {"pop-rdi-ret": cave_addr, "pop-rsi-ret": cave_len,
+              "pop-rdx-ret": prot_value, "pop-rax-ret": SYS_MPROTECT}
+    words = [
+        word
+        for kind in kinds[:-1]
+        for word in (ChainWord(catalog.lowest(kind), "gadget-address"),
+                     ChainWord(values[kind], "immediate"))
     ]
-    assert len(words) == chain_len(variant)
-    return RopChain(tuple(words))
+    syscall = (catalog.syscalls_into_ret or catalog.found["syscall"])[0]
+    words.append(ChainWord(syscall, "gadget-address"))
+    return tuple(words)

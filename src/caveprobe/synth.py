@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .memspace import PAGE_SIZE, USER_TOP
-from .gadgets import default_gadget_specs
+from .gadgets import GADGETS
 
 _PRINTABLE = bytes(range(0x20, 0x7F))
 
@@ -101,11 +101,10 @@ def build_victim_image(
     code = bytearray(rng.randbytes(code_len))
     plants: dict[str, int] = {}
     taken: list[tuple[int, int]] = []
-    for spec in default_gadget_specs():
-        if spec.name in omit_gadgets:
+    for name, pattern in GADGETS.items():
+        if name in omit_gadgets:
             continue
-        pattern = spec.pattern
-        if spec.name == "syscall":
+        if name == "syscall":
             pattern = pattern + b"\xc3"  # must fall through into a ret
         while True:
             off = rng.randrange(0, page - len(pattern))
@@ -113,7 +112,7 @@ def build_victim_image(
                 break
         taken.append((off, off + len(pattern)))
         code[off : off + len(pattern)] = pattern
-        plants[spec.name] = code_start + off
+        plants[name] = code_start + off
     _scrub_hanging_syscalls(code)
 
     def code_addr() -> int:

@@ -1,11 +1,16 @@
 """Shared builders for test address spaces, independent of the code under
-test wherever they serve as oracles."""
+test wherever they serve as oracles, and the rule every run of ``cli.main``
+on a bad input must keep."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import random
+import re
 
+from caveprobe.cli import EXIT_STAGE_ERROR, main
 from caveprobe.memspace import PAGE_SIZE, USER_TOP, AddressSpace, PagePermissions
 
 # writability classes as plain strings, kept separate from the library's
@@ -116,3 +121,39 @@ def truth_class_runs(
         else:
             runs.append((base, base + PAGE_SIZE, cls))
     return runs
+
+
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    """``cli.main(argv)`` run in-process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# text of Python's own exceptions and codecs, which no message of the
+# program holds
+LEAKS = re.compile(
+    r"Traceback|\b[A-Z][A-Za-z]*(Error|Exception)\b|codec|Errno|NoneType|"
+    r"'(str|int|float|bool|dict|list|bytes|tuple)'|invalid literal|"
+    r"unsupported operand|has no attribute|unhashable|not subscriptable|"
+    r"not iterable|out of range|can't|object is not|positional argument|"
+    r"null byte"
+)
+
+
+def error_fault(code: int, err: str) -> str | None:
+    """Why a run that failed with exit ``code`` and stderr ``err`` breaks
+    the rule for a failed run, or None.  The rule: exit 2 and exactly one
+    stderr line that starts ``caveprobe: ``, holds no text of a Python
+    exception or codec, and is under 300 bytes."""
+    if code != EXIT_STAGE_ERROR:
+        return f"exit {code}"
+    if err.count("\n") != 1 or not err.startswith("caveprobe: "):
+        return f"not one line: {err[:200]!r}"
+    if LEAKS.search(err):
+        return f"Python text: {err[:200]!r}"
+    size = len(err.encode("utf-8", "backslashreplace"))
+    if size >= 300:
+        return f"{size} bytes: {err[:200]!r}"
+    return None

@@ -16,11 +16,7 @@ import re
 from caveprobe.caves import find_caves
 from caveprobe.cli import Pipeline, PipelineConfig, emit_report, run_pipeline
 from caveprobe.explorer import PageMap, egg_hunt, reconstruct_map
-from caveprobe.gadgets import (
-    build_mprotect_chain,
-    default_gadget_specs,
-    find_gadgets,
-)
+from caveprobe.gadgets import GADGETS, build_mprotect_chain, find_gadgets
 from caveprobe.machine import (
     PROT_RWX,
     MachineState,
@@ -159,8 +155,7 @@ def test_criterion_3_write_probe_classification_exact():
 def test_criterion_4_gadget_census_matches_regex_oracle():
     """The gadget census over probed-accessible pages equals an overlapping
     regex scan, including patterns straddling page boundaries."""
-    specs = default_gadget_specs()
-    max_len = max(len(s.pattern) for s in specs)
+    max_len = max(len(pattern) for pattern in GADGETS.values())
     failures: list[str] = []
     hits_total = 0
     planted_straddles = 0
@@ -172,16 +167,16 @@ def test_criterion_4_gadget_census_matches_regex_oracle():
         pairs = [b for b in accessible if b + PAGE_SIZE in acc_set]
         if pairs:
             # force boundary coverage: split one pattern across two pages
-            spec = gen.choice(specs)
+            pattern = gen.choice(list(GADGETS.values()))
             base = gen.choice(pairs)
-            _poke(space, base + PAGE_SIZE - 1, spec.pattern)
+            _poke(space, base + PAGE_SIZE - 1, pattern)
             planted_straddles += 1
         catalog = find_gadgets(space, acc_set)
         if catalog.searched_pages != len(accessible):
             failures.append(f"layout {i}: searched {catalog.searched_pages}")
-        for spec in specs:
+        for name, pattern in GADGETS.items():
             want: list[int] = []
-            pat = re.compile(b"(?=" + re.escape(spec.pattern) + b")")
+            pat = re.compile(b"(?=" + re.escape(pattern) + b")")
             for base in accessible:
                 buf = space.read_bytes(base, PAGE_SIZE)
                 if base + PAGE_SIZE in acc_set and max_len > 1:
@@ -191,11 +186,11 @@ def test_criterion_4_gadget_census_matches_regex_oracle():
                     for m in pat.finditer(buf)
                     if m.start() < PAGE_SIZE
                 )
-            got = catalog.found[spec.name]
+            got = catalog.found[name]
             hits_total += len(got)
             if got != tuple(want) and len(failures) < 3:
                 failures.append(
-                    f"layout {i} {spec.name}: {len(got)} found, "
+                    f"layout {i} {name}: {len(got)} found, "
                     f"{len(want)} expected"
                 )
     detail = (
@@ -228,7 +223,7 @@ def test_criterion_5_chain_flips_protection_and_returns_zero():
         sentinel = 0x1F00000000
         space.write_bytes(
             chain_addr,
-            b"".join(w.value.to_bytes(8, "little") for w in chain.words)
+            b"".join(w.value.to_bytes(8, "little") for w in chain)
             + sentinel.to_bytes(8, "little"),
         )
         cave_before = space.read_bytes(truth.cave_start, truth.cave_len)
@@ -258,7 +253,7 @@ def test_criterion_5_chain_flips_protection_and_returns_zero():
             and sys_effects[0].args == (truth.cave_start, truth.cave_len, PROT_RWX)
             and sys_effects[0].ret == 0
             and state.reg("rax") == 0
-            and state.reg("rsp") == chain_addr + 8 * (len(chain.words) + 1)
+            and state.reg("rsp") == chain_addr + 8 * (len(chain) + 1)
             and all(
                 p.readable and p.writable and p.executable and p.user_accessible
                 for p in page_perms

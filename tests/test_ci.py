@@ -1,9 +1,10 @@
 """The CI workflow runs the tier-1 command that README documents, on
 Pythons from the floor pyproject.toml declares, records src/'s line count
 in the run's summary, smoke-runs the benchmark both untraced and traced,
-runs the installed console script in every mode, checks its JSON report
-against the stdlib's json.tool and against the report of a demo copy that
-holds a backslash, and runs README's install commands as written."""
+runs the installed console script in every mode, checks that it cuts a
+long flag value to one short line, checks its JSON report against the
+stdlib's json.tool and against the report of a demo copy that holds a
+backslash, and runs README's install commands as written."""
 
 import re
 from pathlib import Path
@@ -92,6 +93,32 @@ def test_installed_console_script_runs_every_mode_outside_the_checkout():
         r"--mode (\S+)", "\n".join(lines[leave:]), re.M)
     assert install < leave
     assert sorted(runs) == sorted(MODES)
+
+
+def test_long_flag_values_give_one_short_line():
+    # a --mode of 100,000 x's, then a --seed of 100,000 9's, right after the
+    # console script is installed: each run exits 2 with one stderr line
+    # under 300 bytes
+    step = workflow_step("Long flag values give one short line")
+    lines = [line.strip() for line in step.splitlines()]
+    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
+    steps = re.findall(r"^      - name: (.+)$", workflow, re.M)
+    assert steps.index("Long flag values give one short line") == steps.index(
+        "Installed console script") + 1
+    assert "shell: bash" in lines
+    runs = []
+    for flag, char, out in [("--mode", "x", "long-mode"), ("--seed", "9", "long-seed")]:
+        runs += [
+            "code=0",
+            f"caveprobe --image-path images/demo.json {flag} "
+            f"\"$(python -c 'print(\"{char}\" * 100000)')\" "
+            f'2> "$RUNNER_TEMP/{out}.txt" || code=$?',
+            f'cat "$RUNNER_TEMP/{out}.txt"',
+            'test "$code" -eq 2',
+            f'test "$(wc -l < "$RUNNER_TEMP/{out}.txt")" -eq 1',
+            f'test "$(wc -c < "$RUNNER_TEMP/{out}.txt")" -lt 300',
+        ]
+    assert lines[lines.index("run: |") + 1:] == runs
 
 
 def test_ground_truth_that_disagrees_must_fail_map_match():

@@ -533,7 +533,7 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err == (
-            f"caveprobe: stage 'load' failed: ground truth {maps} is not "
+            f"caveprobe: stage 'load' failed: ground truth {str(maps)!r} is not "
             "UTF-8: first bad byte at offset 0\n"
         )
         assert "codec" not in err
@@ -544,7 +544,7 @@ class TestMain:
             == EXIT_STAGE_ERROR
         err = capsys.readouterr().err
         assert err == (
-            f"caveprobe: stage 'load' failed: cannot read {maps}: "
+            f"caveprobe: stage 'load' failed: cannot read {str(maps)!r}: "
             "No such file or directory\n"
         )
         assert "Errno" not in err
@@ -554,7 +554,7 @@ class TestMain:
         assert main(["--image-path", str(tmp_path)]) == EXIT_STAGE_ERROR
         err = capsys.readouterr().err
         assert err == (
-            f"caveprobe: stage 'load' failed: cannot read {tmp_path}: "
+            f"caveprobe: stage 'load' failed: cannot read {str(tmp_path)!r}: "
             "Is a directory\n"
         )
         assert "Errno" not in err
@@ -852,7 +852,7 @@ class TestMain:
         assert main(["--image-path", DEMO, "--out", str(path)]) == EXIT_STAGE_ERROR
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith(f"caveprobe: cannot write {path}: ")
+        assert err.startswith(f"caveprobe: cannot write {str(path)!r}: ")
 
     def test_stdout_report(self, image_paths, capsys):
         manifest, _, _ = image_paths

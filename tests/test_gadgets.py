@@ -6,12 +6,12 @@ from hypothesis import given, strategies as st
 from caveprobe import gadgets
 from caveprobe.gadgets import (
     CHAIN_VARIANTS,
-    ChainWord,
+    CHAINS,
+    GADGETS,
     GadgetCatalog,
     MissingGadgetError,
-    RopChain,
     build_mprotect_chain,
-    default_gadget_specs,
+    chain_len,
     find_gadgets,
     required_kinds,
 )
@@ -77,13 +77,13 @@ class TestFindGadgets:
             blob = rng.randbytes(2 * PAGE_SIZE)
             space = space_with_code(0x400000, blob, pages=2)
             cat = find_gadgets(space, {0x400000, 0x401000})
-            for spec in default_gadget_specs():
+            for name, pattern in GADGETS.items():
                 expected = []
-                pos = blob.find(spec.pattern)
+                pos = blob.find(pattern)
                 while pos != -1:
                     expected.append(0x400000 + pos)
-                    pos = blob.find(spec.pattern, pos + 1)
-                assert list(cat.found[spec.name]) == expected
+                    pos = blob.find(pattern, pos + 1)
+                assert list(cat.found[name]) == expected
 
 
 def brute_force_census(space: AddressSpace, pages: set[int]):
@@ -95,7 +95,7 @@ def brute_force_census(space: AddressSpace, pages: set[int]):
         page = data.get(addr - addr % PAGE_SIZE)
         return None if page is None else page[addr % PAGE_SIZE]
 
-    specs = [(list(spec.pattern), spec.name) for spec in default_gadget_specs()]
+    specs = [(list(pattern), name) for name, pattern in GADGETS.items()]
     longest = max(len(pattern) for pattern, _ in specs)
     found = {name: [] for _, name in specs}
     into_ret = []
@@ -111,9 +111,9 @@ def brute_force_census(space: AddressSpace, pages: set[int]):
 
 
 # bytes that form, or almost form, the patterns, so hits are dense
-DENSE = bytes({b for spec in default_gadget_specs() for b in spec.pattern} | {0x90})
-FIRST_BYTES = sorted({spec.pattern[0] for spec in default_gadget_specs()})
-LAST_BYTES = sorted({spec.pattern[-1] for spec in default_gadget_specs()})
+DENSE = bytes({b for pattern in GADGETS.values() for b in pattern} | {0x90})
+FIRST_BYTES = sorted({pattern[0] for pattern in GADGETS.values()})
+LAST_BYTES = sorted({pattern[-1] for pattern in GADGETS.values()})
 # a first byte of one pattern then the last byte of another: no gadget
 CROSS_PAIRS = [b"\x5f\x05", b"\xc9\x05", b"\x0f\xc3"]
 
@@ -136,7 +136,7 @@ def census_cases(draw):
         data = bytes(rng.choices(DENSE, k=PAGE_SIZE))
         space.map_region(first + i * PAGE_SIZE, PAGE_SIZE,
                          PagePermissions.from_rwxu("rxu"), data)
-    specs = default_gadget_specs()
+    patterns = list(GADGETS.values())
     for i in mapped:
         end = first + (i + 1) * PAGE_SIZE
         page = space.pages[end - PAGE_SIZE].data
@@ -145,14 +145,14 @@ def census_cases(draw):
             ["straddle", "syscall-end", "last-byte", "cross", "edges", "none"]
         ))
         if kind == "straddle" and nxt is not None:
-            pattern = draw(st.sampled_from(specs)).pattern
+            pattern = draw(st.sampled_from(patterns))
             page[-1], nxt.data[0] = pattern
         elif kind == "syscall-end":
             page[-2:] = b"\x0f\x05"
             if nxt is not None:
                 nxt.data[0] = 0xC3
         elif kind == "last-byte":
-            page[-2:] = draw(st.sampled_from(specs)).pattern
+            page[-2:] = draw(st.sampled_from(patterns))
         elif kind == "cross":
             pair = draw(st.sampled_from(CROSS_PAIRS))
             off = draw(st.integers(0, PAGE_SIZE - 3))
@@ -200,10 +200,9 @@ def test_half_patterns_at_run_edges_are_not_gadgets():
 
 
 def test_every_pattern_translates_to_the_first_then_last_marks():
-    specs = default_gadget_specs()
-    for spec in specs:
-        assert spec.pattern.translate(gadgets._MARKS) == b"\x01\x02", spec.name
-    others = bytes(sorted(set(range(256)) - {b for s in specs for b in s.pattern}))
+    for name, pattern in GADGETS.items():
+        assert pattern.translate(gadgets._MARKS) == b"\x01\x02", name
+    others = bytes(sorted(set(range(256)) - {b for p in GADGETS.values() for b in p}))
     assert others.translate(gadgets._MARKS) == bytes(len(others))
 
 
@@ -236,12 +235,6 @@ class TestCatalog:
         assert cat.lowest("pop-rdi-ret") is None
 
 
-class TestChainTypes:
-    def test_chain_must_start_with_gadget(self):
-        with pytest.raises(ValueError):
-            RopChain((ChainWord(5, "immediate"),))
-
-
 class TestRequiredKinds:
     def test_variants(self):
         assert "pop-rdx-ret" in required_kinds("sound-5")
@@ -253,7 +246,8 @@ class TestRequiredKinds:
             required_kinds("five")
 
     def test_variant_constant(self):
-        assert set(CHAIN_VARIANTS) == {"sound-5", "short-4"}
+        # in this order: perfbench's combos rotate through the variants so
+        assert CHAIN_VARIANTS == ("sound-5", "short-4")
 
 
 def full_catalog() -> GadgetCatalog:
@@ -273,8 +267,8 @@ def full_catalog() -> GadgetCatalog:
 class TestBuildChain:
     def test_sound_variant_word_sequence(self):
         chain = build_mprotect_chain(full_catalog(), 0x700000, 0x2000, 7)
-        values = [w.value for w in chain.words]
-        roles = [w.role for w in chain.words]
+        values = [w.value for w in chain]
+        roles = [w.role for w in chain]
         assert values == [
             0x400010, 0x700000,
             0x400020, 0x2000,
@@ -287,7 +281,7 @@ class TestBuildChain:
     def test_short_variant_drops_rdx_pair(self):
         chain = build_mprotect_chain(full_catalog(), 0x700000, 0x2000, 7,
                                      variant="short-4")
-        values = [w.value for w in chain.words]
+        values = [w.value for w in chain]
         assert values == [
             0x400010, 0x700000,
             0x400020, 0x2000,
@@ -324,4 +318,34 @@ class TestBuildChain:
         cat = find_gadgets(space, {0x400000})
         assert cat.found["syscall"] == (0x400100, 0x400200)
         chain = build_mprotect_chain(cat, 0x700000, 0x1000, 7)
-        assert chain.words[-1].value == 0x400200
+        assert chain[-1].value == 0x400200
+
+
+def two_site_catalog() -> GadgetCatalog:
+    """Two sites of every kind, apart from every other kind's, so each word
+    names the kind it came from and that kind's lowest site."""
+    return GadgetCatalog(
+        {name: (0x400000 + 0x100 * i + 0x10, 0x480000 + 0x100 * i)
+         for i, name in enumerate(GADGETS)},
+        searched_pages=2,
+    )
+
+
+@pytest.mark.parametrize("variant", list(CHAINS))
+def test_chain_follows_its_table_entry(variant):
+    # the words alternate gadget and immediate, the gadgets being each
+    # kind's lowest site in table order and the last one the syscall; the
+    # immediates fill rdi, rsi, rdx when loaded, then rax
+    cat = two_site_catalog()
+    chain = build_mprotect_chain(cat, 0x700000, 0x2000, 7, variant)
+    assert len(chain) == chain_len(variant)
+    gadget_words = [w.value for w in chain if w.role == "gadget-address"]
+    assert gadget_words == [cat.found[kind][0] for kind in CHAINS[variant]]
+    assert CHAINS[variant][-1] == "syscall"
+    assert chain[-1].value == cat.found["syscall"][0]
+    assert [w.role for w in chain[::2]] == ["gadget-address"] * len(CHAINS[variant])
+    immediates = {"pop-rdi-ret": 0x700000, "pop-rsi-ret": 0x2000,
+                  "pop-rdx-ret": 7, "pop-rax-ret": SYS_MPROTECT}
+    loaded = [kind for kind in immediates if kind in CHAINS[variant]]
+    assert [w.value for w in chain[1::2]] == [immediates[k] for k in loaded]
+    assert [w.role for w in chain[1::2]] == ["immediate"] * len(loaded)

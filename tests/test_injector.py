@@ -2,7 +2,7 @@ import pytest
 
 from caveprobe.caves import CaveRegion
 from caveprobe.explorer import PageMap
-from caveprobe.gadgets import ChainWord, RopChain
+from caveprobe.gadgets import ChainWord
 from caveprobe.injector import (
     FakeFrameImage,
     InjectionError,
@@ -25,13 +25,13 @@ def quiet_prober() -> Prober:
     return Prober(ProbeConfig(spurious_abort_probability=0.0))
 
 
-def nine_word_chain() -> RopChain:
+def nine_word_chain() -> tuple[ChainWord, ...]:
     words = []
     for i in range(4):
         words.append(ChainWord(CODE + 0x10 * (i + 1), "gadget-address"))
         words.append(ChainWord(0x1000 + i, "immediate"))
     words.append(ChainWord(CODE + 0x50, "gadget-address"))
-    return RopChain(tuple(words))
+    return tuple(words)
 
 
 def victim() -> VictimFrame:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from caveprobe import machine as m
-from caveprobe.gadgets import default_gadget_specs
+from caveprobe.gadgets import GADGETS
 from caveprobe.memspace import PAGE_SIZE, USER_TOP, PagePermissions
 from helpers import make_space
 
@@ -287,28 +287,28 @@ class TestRunUntil:
 class TestGadgetSemanticsAgreement:
     def test_every_spec_behaves_as_documented(self):
         # execute each cataloged pattern and check the machine does what
-        # the spec's name promises
+        # its kind's name promises
         pop_regs = {"pop-rdi-ret": "rdi", "pop-rsi-ret": "rsi",
                     "pop-rdx-ret": "rdx", "pop-rax-ret": "rax",
                     "pop-rbp-ret": "rbp"}
-        for spec in default_gadget_specs():
-            space = machine_space(spec.pattern + b"\x90" * 8)
+        for name, pattern in GADGETS.items():
+            space = machine_space(pattern + b"\x90" * 8)
             state = ready_state()
-            if spec.name in pop_regs:
-                reg = pop_regs[spec.name]
+            if name in pop_regs:
+                reg = pop_regs[name]
                 push_words(space, state, 0x5151, CODE + 0x20)
                 m.step(state, space)  # the pop
-                assert state.reg(reg) == 0x5151, spec.name
+                assert state.reg(reg) == 0x5151, name
                 m.step(state, space)  # the ret
-                assert state.rip == CODE + 0x20, spec.name
-            elif spec.name == "syscall":
+                assert state.rip == CODE + 0x20, name
+            elif name == "syscall":
                 state.set_reg("rax", m.SYS_MPROTECT)
                 state.set_reg("rdi", DATA)
                 state.set_reg("rsi", PAGE_SIZE)
                 state.set_reg("rdx", m.PROT_READ)
                 m.step(state, space)
                 assert state.reg("rax") == 0
-            elif spec.name == "leave-ret":
+            elif name == "leave-ret":
                 frame = STACK + 0x100
                 space.write_bytes(frame, (0x7777).to_bytes(8, "little"))
                 space.write_bytes(frame + 8, (CODE + 0x30).to_bytes(8, "little"))
@@ -318,7 +318,7 @@ class TestGadgetSemanticsAgreement:
                 m.step(state, space)  # ret
                 assert state.rip == CODE + 0x30
             else:
-                pytest.fail(f"spec {spec.name} not covered")
+                pytest.fail(f"kind {name} not covered")
 
 
 class TestAssemblers:
