@@ -33,7 +33,7 @@ from .memspace import (
     parse_manifest,
     parse_proc_maps,
 )
-from .probe import READ_ONLY, Prober, ProbeConfig
+from .probe import READ_ONLY, Prober
 
 MODES = ("linear", "pointer-chase", "hybrid")
 RESTORE_MODES = ("payload", "chain-only")
@@ -241,7 +241,7 @@ def emit_report(report: AttackReport, fmt: str = "json") -> str:
 def _parse_file(path: Path, what: str, parse):
     """``parse`` of the input file ``path``'s bytes, which must be UTF-8
     whatever the locale."""
-    shown = _clip(repr(str(path)))
+    shown = _clip(str(path))
     try:
         raw = path.read_bytes()
     except OSError as exc:
@@ -352,9 +352,7 @@ def _load(ctx: Pipeline) -> None:
     ctx.report.aslr_offset = offset
     ctx.space = space
     ctx.stack_pointer = stack_pointer + offset
-    ctx.prober = Prober(
-        ProbeConfig(spurious_abort_probability=cfg.spurious_prob, rng_seed=cfg.seed)
-    )
+    ctx.prober = Prober(cfg.spurious_prob, cfg.seed)
     if cfg.ground_truth_path is not None:
         path = Path(cfg.ground_truth_path)
         truth = _parse_file(
@@ -555,10 +553,12 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
-        # one line naming the flag instead of the usage block; the text
-        # ahead of any choices may echo an argument, so it is cut
-        echo, sep, choices = message.partition(" (choose from ")
-        raise _UsageError(_clip(echo) + sep + choices)
+        # one line naming the flag instead of the usage block: the text ahead
+        # of an invalid choice's choice list is escaped and cut as _clip does
+        head = re.match(r"argument \S+: invalid choice: .*(?= \(choose from )", message, re.S)
+        echo = head[0] if head else message
+        shown = re.sub(r"[^ -~]", lambda m: ascii(m[0])[1:-1], echo)
+        raise _UsageError(shown[:80] + "..." * (len(shown) > 80) + message[len(echo):])
 
 
 def _ascii(pattern: str, convert, what: str):
@@ -573,7 +573,7 @@ def _ascii(pattern: str, convert, what: str):
                 return convert(text)
             except ValueError:  # past int()'s digit limit
                 pass
-        raise argparse.ArgumentTypeError(f"not {what}: {_clip(repr(text))}")
+        raise argparse.ArgumentTypeError(f"not {what}: {_clip(text)}")
 
     return parse
 
@@ -619,7 +619,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args, extra = _build_parser().parse_known_args(argv)
         if extra:  # argparse would echo them raw, line breaks included
-            raise _UsageError(f"unrecognized arguments: {_clip(repr(' '.join(extra)))}")
+            raise _UsageError(f"unrecognized arguments: {_clip(' '.join(extra))}")
         given = vars(args)
         fmt, out = given.pop("format"), given.pop("out")
         if "seed" not in given and ENV_SEED in os.environ:
@@ -642,7 +642,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             Path(out).write_text(text)
         except OSError as exc:
-            print(f"caveprobe: cannot write {_clip(repr(out))}: "
+            print(f"caveprobe: cannot write {_clip(out)}: "
                   f"{exc.strerror or exc}", file=sys.stderr)
             return EXIT_STAGE_ERROR
     else:

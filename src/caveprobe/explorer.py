@@ -19,7 +19,7 @@ from .probe import (
 )
 
 DEFAULT_BUDGET = 4096
-DEFAULT_MAX_GAP = 64
+MAX_GAP = 64
 
 _WORD = struct.Struct("<Q")
 
@@ -174,9 +174,9 @@ def explore_from_pointers(pm: PageMap, pointers: tuple[int, ...]) -> PageMap:
     return pm
 
 
-def _sweep(pm: PageMap, anchor: int, max_gap: int) -> None:
+def _sweep(pm: PageMap, anchor: int) -> None:
     """Bidirectional linear sweep from ``anchor``: walk up, then down, until
-    ``max_gap`` consecutive pages in a direction were inaccessible.
+    ``MAX_GAP`` consecutive pages in a direction were inaccessible.
 
     Each page is probed by ``PageMap.probe_next``; the downward pass takes
     the anchor page as its first neighbour.  A page is a hit or a miss as
@@ -186,7 +186,7 @@ def _sweep(pm: PageMap, anchor: int, max_gap: int) -> None:
         if step < 0:
             base += step  # upward pass already covered the anchor page
         misses = 0
-        while 0 <= base < USER_TOP and misses < max_gap:
+        while 0 <= base < USER_TOP and misses < MAX_GAP:
             misses = 0 if pm.probe_next(base, step) else misses + 1
             base += step
 
@@ -221,9 +221,7 @@ def frame_above(pm: PageMap, stack_ptr: int) -> tuple[int, int, int]:
     )
 
 
-def explore(
-    pm: PageMap, mode: str, stack_pointer: int, max_gap: int = DEFAULT_MAX_GAP
-) -> PageMap:
+def explore(pm: PageMap, mode: str, stack_pointer: int) -> PageMap:
     """Run one exploration strategy from the stack pointer, the only
     address the attacker is given, through ``pm``; it stops gracefully when
     the store's budget is spent.
@@ -242,9 +240,9 @@ def explore(
         if mode in ("pointer-chase", "hybrid"):
             explore_from_pointers(pm, (stack_pointer,))
         elif mode == "linear":
-            _sweep(pm, stack_pointer, max_gap)
+            _sweep(pm, stack_pointer)
             _, _, code_anchor = frame_above(pm, stack_pointer)
-            _sweep(pm, code_anchor, max_gap)
+            _sweep(pm, code_anchor)
         else:
             raise ValueError(f"unknown exploration mode {mode!r}")
     except ExploreBudgetError:

@@ -262,14 +262,14 @@ def run_until(
     space: AddressSpace,
     stop_rip: int,
     max_steps: int,
-    stop_rsp: int | None = None,
+    stop_rsp: int,
 ) -> RunResult:
-    """Step until rip reaches ``stop_rip`` (checked before executing there),
-    the machine halts, or the step budget runs out.
+    """Step until rip reaches ``stop_rip`` while rsp equals ``stop_rsp``
+    (checked before executing there), the machine halts, or the step budget
+    runs out.
 
-    With ``stop_rsp`` set, reaching ``stop_rip`` stops the run only while
-    rsp equals it too: a chain gadget's ``ret`` byte can sit at the stop
-    address, and falling through it mid-chain is not the end of the run.
+    Rip alone does not stop the run: a chain gadget's ``ret`` byte can sit
+    at the stop address, and falling through it mid-chain is not the end.
     """
     effects: list = []
     steps = 0
@@ -277,7 +277,7 @@ def run_until(
         if state.status != RUNNING:
             reason = "halted"
             break
-        if state.rip == stop_rip and stop_rsp in (None, state.reg("rsp")):
+        if state.rip == stop_rip and state.reg("rsp") == stop_rsp:
             reason = "reached-stop"
             break
         if steps >= max_steps:

@@ -346,10 +346,11 @@ def parse_hex(value, what: str) -> int:
     raise ManifestError(f"{what} is not a hex string")
 
 
-def _clip(text: str) -> str:
-    """``text`` cut to its first 80 characters plus ``...``: a value from a
-    file, bounded for a one-line message."""
-    return text if len(text) <= 80 else text[:80] + "..."
+def _clip(value: str) -> str:
+    """``ascii(value)`` cut to its first 80 characters plus ``...``: an echo
+    for a one-line message, at most 83 bytes whatever the value holds."""
+    shown = ascii(value)
+    return shown if len(shown) <= 80 else shown[:80] + "..."
 
 
 def _splice_blobs(raw: bytes) -> tuple[bytes, dict[str, bytes]]:
@@ -511,7 +512,7 @@ def load_manifest(doc: dict, base_dir: str | Path | None = None) -> AddressSpace
             except OSError as exc:
                 reason = exc.strerror or exc
                 raise ManifestError(
-                    f"{where}: cannot read {folder / _clip(name)}: {reason}"
+                    f"{where}: cannot read {_clip(str(path))}: {reason}"
                 ) from None
             except UnicodeEncodeError:  # a lone surrogate; open() names no region
                 raise ManifestError(
@@ -576,7 +577,7 @@ def parse_proc_maps(text: str) -> GroundTruthMap:
             continue
         m = _MAPS_LINE.match(line)
         if m is None:
-            raise MapsParseError(line_no, f"unparseable maps line: {_clip(raw)!r}")
+            raise MapsParseError(line_no, f"unparseable maps line: {_clip(raw)}")
         start = int(m.group(1), 16)
         end = int(m.group(2), 16)
         if end <= start:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
 
 from .memspace import PAGE_SIZE, USER_TOP, AddressSpace
 
@@ -36,25 +35,8 @@ class Writability(enum.Enum):
     INACCESSIBLE = "inaccessible"
 
 
-@dataclass(frozen=True, slots=True)
-class ProbeConfig:
-    """Knobs for the transaction simulation.
-
-    ``spurious_abort_probability`` is the per-attempt chance of a transient
-    abort on an otherwise fine access.  ``max_retries`` bounds how many times
-    a transient abort is retried before the probe gives up.
-    """
-
-    spurious_abort_probability: float = 0.001
-    rng_seed: int = 0
-    max_retries: int = 100
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.spurious_abort_probability < 1.0):
-            raise ValueError("spurious_abort_probability must be in [0, 1)")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be at least 1")
-
+# Transient aborts retried per probe beyond its first attempt.
+MAX_RETRIES = 100
 
 # Module-level aliases: a probe runs once per page, and a global lookup
 # costs a tenth of an enum class attribute lookup.
@@ -94,15 +76,19 @@ class NotWritableError(Exception):
 class Prober:
     """Probe driver owning the retry RNG and per-operation counters.
 
+    ``spurious_abort_probability`` is the per-attempt chance of a transient
+    abort on an otherwise fine access; ``rng_seed`` seeds those aborts.
     Counter keys: ``read_tx``, ``write_tx``, ``taps``, ``claws``,
     ``retries``, ``safe_writes``; a key appears at its first increment, so
     read ``counters`` with ``.get(key, 0)``.  With ``trace=True`` every
     primitive call is appended to ``trace_log`` as ``(op, addr, result)``.
     """
 
-    def __init__(self, config: ProbeConfig | None = None, *, trace: bool = False):
-        self.config = config or ProbeConfig()
-        self.rng = random.Random(self.config.rng_seed)
+    def __init__(
+        self, spurious_abort_probability: float, rng_seed: int, *, trace: bool = False
+    ):
+        self.spurious_abort_probability = spurious_abort_probability
+        self.rng = random.Random(rng_seed)
         self.counters: dict[str, int] = {}
         self.trace_log: list[tuple[str, int, object]] | None = [] if trace else None
 
@@ -118,7 +104,7 @@ class Prober:
 
         Each attempt is one transaction, counted and traced.  An access the
         page ``allowed`` succeeds, except for the occasional simulated
-        transient abort, which is retried up to ``max_retries`` times beyond
+        transient abort, which is retried up to ``MAX_RETRIES`` times beyond
         the first attempt.  Any other access aborts fatally at the first
         attempt: the fault is suppressed inside the transaction and surfaces
         as an abort code distinct from the transient one.  Running out of
@@ -133,14 +119,14 @@ class Prober:
             if trace is not None:
                 trace += ((tx, addr, _FATAL), (op, addr, refused))
             return refused
-        p = self.config.spurious_abort_probability
+        p = self.spurious_abort_probability
         attempts = 1
         if p > 0.0:
             rand = self.rng.random
             while rand() < p:
                 if trace is not None:
                     trace.append((tx, addr, _RETRYABLE))
-                if attempts > self.config.max_retries:
+                if attempts > MAX_RETRIES:
                     counters[tx] = counters.get(tx, 0) + attempts
                     counters["retries"] = counters.get("retries", 0) + attempts
                     self._note(op, addr, "exhausted")

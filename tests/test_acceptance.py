@@ -24,7 +24,7 @@ from caveprobe.machine import (
     run_until,
 )
 from caveprobe.memspace import PAGE_SIZE, USER_TOP, load_manifest, parse_manifest
-from caveprobe.probe import ProbeConfig, Prober
+from caveprobe.probe import Prober
 from caveprobe.synth import build_victim_image
 
 from helpers import (
@@ -66,11 +66,7 @@ def test_criterion_1_map_reconstruction_exact():
         pages_total += (end - start) // PAGE_SIZE
         want = truth_class_runs(truth, start, end)
         for prob, seed in ((0.0, i), (0.01, 7919 + i)):
-            prober = Prober(ProbeConfig(
-                spurious_abort_probability=prob,
-                rng_seed=seed,
-                max_retries=100,
-            ))
+            prober = Prober(prob, seed)
             pm = PageMap(space, prober, budget=(end - start) // PAGE_SIZE)
             recon = reconstruct_map(pm, start, end)
             got = [(r.start, r.end, r.kind.value) for r in recon.runs]
@@ -98,7 +94,7 @@ def test_criterion_2_probes_never_fault_or_mutate():
         gen = random.Random(2000 + i)
         space, _, start, end = random_permed_space(gen)
         before = space_digest(space)
-        prober = Prober(ProbeConfig(rng_seed=i))
+        prober = Prober(0.001, i)
         fuzz = random.Random(5000 + i)
         for _ in range(per_space):
             r = fuzz.random()
@@ -135,7 +131,7 @@ def test_criterion_3_write_probe_classification_exact():
         gen = random.Random(3000 + i)
         space, truth, _, _ = random_permed_space(gen, gen.randint(8, 96))
         before = space_digest(space)
-        prober = Prober(ProbeConfig(rng_seed=i))
+        prober = Prober(0.001, i)
         for base, cls in truth.items():
             # probe through an unaligned interior address half the time;
             # the verdict belongs to the whole page either way
@@ -235,7 +231,9 @@ def test_criterion_5_chain_flips_protection_and_returns_zero():
         # start at the bare ret inside the first pop gadget so the machine
         # simply begins consuming the chain
         state.rip = catalog.lowest("pop-rdi-ret") + 1
-        result = run_until(state, space, sentinel, 10_000)
+        result = run_until(
+            state, space, sentinel, 10_000, chain_addr + 8 * (len(chain) + 1)
+        )
 
         sys_effects = [
             e for e in result.side_effects if isinstance(e, SyscallEffect)
@@ -382,7 +380,7 @@ def test_criterion_7_egg_hunt_matches_regex_oracle():
                 expected = base + m.start()
                 break
 
-        prober = Prober(ProbeConfig(rng_seed=t))
+        prober = Prober(0.001, t)
         got = egg_hunt(PageMap(space, prober), tag, start, end)
         if got != expected and len(failures) < 3:
             failures.append(

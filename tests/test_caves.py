@@ -3,12 +3,12 @@ import pytest
 from caveprobe.caves import CaveRegion, NoCaveError, find_caves, select_cave
 from caveprobe.explorer import PageMap
 from caveprobe.memspace import PAGE_SIZE
-from caveprobe.probe import ACCESSIBLE, ProbeConfig, Prober
+from caveprobe.probe import ACCESSIBLE, Prober
 from helpers import make_space
 
 
 def quiet_prober() -> Prober:
-    return Prober(ProbeConfig(spurious_abort_probability=0.0))
+    return Prober(0.0, 0)
 
 
 def pagemap_for(space, prober=None) -> PageMap:

@@ -96,7 +96,8 @@ def test_installed_console_script_runs_every_mode_outside_the_checkout():
 
 
 def test_long_flag_values_give_one_short_line():
-    # a --mode of 100,000 x's, then a --seed of 100,000 9's, right after the
+    # a --mode of 100,000 x's, a --seed of 100,000 9's, a $CAVEPROBE_SEED of
+    # 10,000 U+1F600 and an --image-path of 10,000 U+1F600, right after the
     # console script is installed: each run exits 2 with one stderr line
     # under 300 bytes
     step = workflow_step("Long flag values give one short line")
@@ -106,13 +107,21 @@ def test_long_flag_values_give_one_short_line():
     assert steps.index("Long flag values give one short line") == steps.index(
         "Installed console script") + 1
     assert "shell: bash" in lines
+    emoji = "\"$(python -c 'print(\"\\U0001F600\" * 10000)')\""
+    commands = [
+        ("caveprobe --image-path images/demo.json --mode "
+         "\"$(python -c 'print(\"x\" * 100000)')\"", "long-mode"),
+        ("caveprobe --image-path images/demo.json --seed "
+         "\"$(python -c 'print(\"9\" * 100000)')\"", "long-seed"),
+        (f"CAVEPROBE_SEED={emoji} caveprobe --image-path images/demo.json",
+         "long-seed-variable"),
+        (f"caveprobe --image-path {emoji}", "long-image-path"),
+    ]
     runs = []
-    for flag, char, out in [("--mode", "x", "long-mode"), ("--seed", "9", "long-seed")]:
+    for command, out in commands:
         runs += [
             "code=0",
-            f"caveprobe --image-path images/demo.json {flag} "
-            f"\"$(python -c 'print(\"{char}\" * 100000)')\" "
-            f'2> "$RUNNER_TEMP/{out}.txt" || code=$?',
+            f'{command} 2> "$RUNNER_TEMP/{out}.txt" || code=$?',
             f'cat "$RUNNER_TEMP/{out}.txt"',
             'test "$code" -eq 2',
             f'test "$(wc -l < "$RUNNER_TEMP/{out}.txt")" -eq 1',

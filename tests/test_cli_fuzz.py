@@ -6,16 +6,17 @@ changed, and tries the whole catalogue every time:
 
 - each flag given each value of ``VALUES``, both as ``--flag value`` and as
   ``--flag=value`` (``--help`` only in the second form, since the first
-  prints the help and exits);
+  prints the help and exits), and ``--s=value``, a prefix of three flags;
 - ``$CAVEPROBE_SEED`` set to each value of ``VALUES``;
 - ``images/demo.maps`` as the ground truth with one line dropped, one line
   doubled, or one field of one line swapped for each value of
   ``FIELD_VALUES``.
 
 ``VALUES`` holds what a command line or an environment can carry: empty
-text, 100,000-character values of letters, digits, hex digits and
-non-ASCII digits, a line break, an undecodable byte, and a valid value of
-each kind of flag.  A run passes when it exits 0 or 3 with a report and
+text, 100,000-character values of letters, digits, hex digits, non-ASCII
+digits, a four-byte character and a control character, the text argparse
+puts ahead of a choice list followed by four-byte characters, a line
+break, an undecodable byte, and a valid value of each kind of flag.  A run passes when it exits 0 or 3 with a report and
 nothing on stderr, or exits 2 with exactly one stderr line that starts
 ``caveprobe: ``, holds no text of a Python exception or codec, and is under
 300 bytes.
@@ -35,8 +36,10 @@ DEMO_MAPS = REPO / "images" / "demo.maps"
 LONG = 100_000
 VALUES = [
     "", "x" * LONG, "9" * LONG, "-" + "9" * LONG, "0x" + "f" * LONG,
-    "١" * LONG, "a\nb", "\udcff", "0", "-1", "0x2000", ".5",
-    "linear", "short-4", "chain-only", "caves", "text", "--mode",
+    "١" * LONG, "\U0001F600" * LONG, "\x01" * LONG,
+    " (choose from " + "\U0001F600" * LONG, "a\nb", "\udcff",
+    "0", "-1", "0x2000", ".5", "linear", "short-4", "chain-only", "caves", "text",
+    "--mode",
 ]
 FLAGS = [
     "--image-path", "--mode", "--seed", "--spurious-prob", "--cave-min-len",
@@ -45,7 +48,7 @@ FLAGS = [
 ]
 FIELD_VALUES = [
     "", "x" * LONG, "9" * LONG, "f" * 17, "0", "-1", "١", "\x00", "rwxp",
-    "---s", "a b",
+    "---s", "a b", "\U0001F600" * LONG, "\x01" * LONG,
 ]
 
 
@@ -77,6 +80,8 @@ def flag_cases():
             if flag != "--help":
                 yield [flag, value]
             yield [f"{flag}={value}"]
+    for value in VALUES:
+        yield [f"--s={value}"]
 
 
 def maps_cases():
@@ -103,7 +108,7 @@ def test_every_flag_value_gives_a_report_or_one_short_line(tmp_path, monkeypatch
         fault = run_fault(argv, tmp_path / str(seen), monkeypatch)
         if fault is not None:
             faults.append(f"{[a[:40] for a in argv]}: {fault}")
-    assert seen == (len(FLAGS) * 2 + 1) * len(VALUES)
+    assert seen == (len(FLAGS) * 2 + 2) * len(VALUES)
     assert not faults, "\n".join(faults)
 
 

@@ -1,9 +1,11 @@
 import random
 import struct
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, strategies as st
 
+from caveprobe import explorer
 from caveprobe.explorer import (
     DEFAULT_BUDGET,
     ExploreBudgetError,
@@ -26,13 +28,13 @@ from caveprobe.memspace import (
     parse_manifest,
     parse_proc_maps,
 )
-from caveprobe.probe import Accessibility, ProbeConfig, Prober, Writability
+from caveprobe.probe import Accessibility, Prober, Writability
 from caveprobe.synth import build_victim_image
 from helpers import NONE, make_space, page_class
 
 
 def quiet_prober() -> Prober:
-    return Prober(ProbeConfig(spurious_abort_probability=0.0))
+    return Prober(0.0, 0)
 
 
 def quiet_store(space, budget=DEFAULT_BUDGET) -> PageMap:
@@ -110,7 +112,7 @@ class TestPointerChase:
             (0x20000, PAGE_SIZE, "", b""),  # tap says no; a read would fault
             (0x30000, PAGE_SIZE, "ru", b""),
         )
-        p = Prober(ProbeConfig(spurious_abort_probability=0.0), trace=True)
+        p = Prober(0.0, 0, trace=True)
         pm = explore_from_pointers(PageMap(space, p), (0x10000,))
         assert pm.entries[0x20000] is Writability.INACCESSIBLE
         assert pm.entries[0x30000] is Accessibility.ACCESSIBLE
@@ -154,14 +156,14 @@ class TestExploreModes:
     def test_linear_bridges_small_gaps_only(self):
         pm = quiet_store(self.layout(), budget=4096)
         with pytest.raises(NoFrameError):
-            explore(pm, "linear", 0x100000, max_gap=64)
+            explore(pm, "linear", 0x100000)
         assert 0x112000 in pm.accessible_pages()
         assert 0x70000000 not in pm.entries
 
-    def test_linear_respects_max_gap(self):
+    def test_linear_respects_the_gap_limit(self):
         pm = quiet_store(self.layout(), budget=4096)
-        with pytest.raises(NoFrameError):
-            explore(pm, "linear", 0x100000, max_gap=4)
+        with patch.object(explorer, "MAX_GAP", 4), pytest.raises(NoFrameError):
+            explore(pm, "linear", 0x100000)
         assert 0x112000 not in pm.entries
 
     def test_pointer_chase_jumps_the_big_hole(self):
@@ -200,8 +202,8 @@ class TestLinearSweepProbes:
     def test_exact_transactions_through_explore_stage(self):
         p = quiet_prober()
         pm = PageMap(self.layout(), p)
-        with pytest.raises(NoFrameError):
-            explore(pm, "linear", self.RW, max_gap=4)
+        with patch.object(explorer, "MAX_GAP", 4), pytest.raises(NoFrameError):
+            explore(pm, "linear", self.RW)
         # upward: tap the anchor, claw 4 writable pages (1 write each),
         # claw the far edge (fatal write, fatal tap), tap the next gap page,
         # tap the first read-only page, claw the second (fatal write,
@@ -363,7 +365,7 @@ class TestFrameAbove:
         assert self.CODE not in pm.entries
 
 
-def reference_linear_sweep(space, anchors, max_gap) -> dict[int, bool]:
+def reference_linear_sweep(space, anchors, gap) -> dict[int, bool]:
     """Pages a tap-only linear sweep stores, in the order it first visits
     them, with the accessibility a perfect observer gives each."""
     seen: dict[int, bool] = {}
@@ -371,7 +373,7 @@ def reference_linear_sweep(space, anchors, max_gap) -> dict[int, bool]:
         for step in (PAGE_SIZE, -PAGE_SIZE):
             base = anchor - anchor % PAGE_SIZE + min(step, 0)
             misses = 0
-            while 0 <= base < USER_TOP and misses < max_gap:
+            while 0 <= base < USER_TOP and misses < gap:
                 if base not in seen:
                     page = space.pages.get(base)
                     seen[base] = page is not None and page_class(page.perms) != NONE
@@ -384,11 +386,11 @@ def reference_linear_sweep(space, anchors, max_gap) -> dict[int, bool]:
     image_seed=st.integers(0, 2**32 - 1),
     pages=st.sampled_from((4, 16)),
     budget=st.one_of(st.integers(1, 300), st.just(4096)),
-    max_gap=st.sampled_from((1, 3, 64)),
+    gap=st.sampled_from((1, 3, 64)),
     abort_prob=st.sampled_from((0.0, 0.3)),
 )
 def test_linear_store_matches_tap_only_sweep(
-    image_seed, pages, budget, max_gap, abort_prob
+    image_seed, pages, budget, gap, abort_prob
 ):
     img = build_victim_image(
         image_seed, code_pages=pages, cave_pages=pages, stack_pages=pages
@@ -397,11 +399,11 @@ def test_linear_store_matches_tap_only_sweep(
     # the second sweep starts at the saved return address of the frame
     # above the stack pointer
     anchors = (img.truth.stack_pointer, img.truth.saved_rip)
-    prober = Prober(ProbeConfig(spurious_abort_probability=abort_prob,
-                                rng_seed=image_seed))
-    pm = explore(PageMap(space, prober, budget), "linear",
-                 img.truth.stack_pointer, max_gap)
-    want = list(reference_linear_sweep(space, anchors, max_gap).items())
+    prober = Prober(abort_prob, image_seed)
+    with patch.object(explorer, "MAX_GAP", gap):
+        pm = explore(PageMap(space, prober, budget), "linear",
+                     img.truth.stack_pointer)
+    want = list(reference_linear_sweep(space, anchors, gap).items())
     assert [
         (b, v is not Writability.INACCESSIBLE) for b, v in pm.entries.items()
     ] == want[:budget]
@@ -428,7 +430,7 @@ class TestRegionAround:
         # settled by its write; only the two edge pages, whose writes
         # fault, are tapped as well
         space = make_space((0x20000, 5 * PAGE_SIZE, "rwu", b""))
-        p = Prober(ProbeConfig(spurious_abort_probability=0.0), trace=True)
+        p = Prober(0.0, 0, trace=True)
         pm = PageMap(space, p)
         assert region_around(pm, 0x22000) == (0x20000, 0x25000)
         assert p.counters["write_tx"] == 5 + 2

@@ -13,7 +13,7 @@ from caveprobe.injector import (
     payload_offset,
 )
 from caveprobe.memspace import PAGE_SIZE, PagePermissions
-from caveprobe.probe import NotWritableError, ProbeConfig, Prober, Writability
+from caveprobe.probe import NotWritableError, Prober, Writability
 from helpers import make_space, space_digest
 
 STACK = 0x7F0000000000
@@ -22,7 +22,7 @@ CAVE = 0x600000
 
 
 def quiet_prober() -> Prober:
-    return Prober(ProbeConfig(spurious_abort_probability=0.0))
+    return Prober(0.0, 0)
 
 
 def nine_word_chain() -> tuple[ChainWord, ...]:

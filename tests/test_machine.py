@@ -249,7 +249,8 @@ class TestRunUntil:
     def test_reached_stop_checked_before_execution(self):
         space = machine_space(b"\x90\x90\xcc")
         state = ready_state()
-        result = m.run_until(state, space, CODE + 2, max_steps=10)
+        result = m.run_until(state, space, CODE + 2, max_steps=10,
+                             stop_rsp=STACK + PAGE_SIZE)
         assert result.stop_reason == "reached-stop"
         assert result.steps == 2
         assert state.status == m.RUNNING  # the trap byte never ran
@@ -257,7 +258,8 @@ class TestRunUntil:
     def test_halted(self):
         space = machine_space(b"\xcc")
         state = ready_state()
-        result = m.run_until(state, space, CODE + 0x100, max_steps=10)
+        result = m.run_until(state, space, CODE + 0x100, max_steps=10,
+                             stop_rsp=STACK + PAGE_SIZE)
         assert result.stop_reason == "halted"
         assert result.final_state.status == m.TRAPPED
 
@@ -279,7 +281,8 @@ class TestRunUntil:
         # jmp rcx back to itself, forever
         space = machine_space(b"\xff\xe1")
         state = ready_state(rcx=CODE)
-        result = m.run_until(state, space, CODE + 0x100, max_steps=25)
+        result = m.run_until(state, space, CODE + 0x100, max_steps=25,
+                             stop_rsp=STACK + PAGE_SIZE)
         assert result.stop_reason == "budget-exhausted"
         assert result.steps == 25
 
@@ -372,7 +375,8 @@ class TestAssemblePayload:
         space.write_bytes(DATA + 0x100, payload)
         state = m.MachineState()
         state.rip = DATA + 0x100
-        result = m.run_until(state, space, _Record.resume_rip, max_steps=1000)
+        result = m.run_until(state, space, _Record.resume_rip, max_steps=1000,
+                             stop_rsp=_Record.resume_rsp)
         assert result.stop_reason == "reached-stop"
         assert state.reg("rsp") == _Record.resume_rsp
         assert state.reg("rbp") == _Record.resume_rbp

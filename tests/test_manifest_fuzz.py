@@ -7,7 +7,8 @@ the whole catalogue, every time:
 - each field of the top level, of ``seeds`` and of every region (``file``
   and ``offset`` included) swapped for every JSON type, for integers at 0,
   -1, 2**63, 2**64 and huge, and for strings that are empty, very long,
-  hold a NUL, a lone surrogate or non-ASCII digits;
+  hold a NUL, a lone surrogate, non-ASCII digits or a line break, or are
+  100,000 four-byte characters or control characters;
 - ``file`` naming a directory, a missing file, an empty file and a file
   of bytes that are not UTF-8;
 - each field removed, an extra key in each object, each member
@@ -56,7 +57,10 @@ def base_doc() -> Obj:
 
 JSON_TYPES = [None, True, False, 0, 1.5, "0x1000", [], Obj(), [1], Obj([("a", 1)])]
 INTEGERS = [0, -1, 2**63, 2**64, 10**400, Raw("9" * 5000)]
-STRINGS = ["", "f" * 100_000, "0x1\x000", "\ud800", "١٠٠٠"]
+STRINGS = [
+    "", "f" * 100_000, "0x1\x000", "\ud800", "١٠٠٠", "a\nb",
+    "\U0001F600" * 100_000, "\x01" * 100_000,
+]
 FILES = [".", "missing.bin", "empty.bin", "not-utf8.bin"]
 REGION_KEYS = ("start", "len", "perms", "label", "data", "file", "offset")
 

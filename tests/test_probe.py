@@ -1,14 +1,15 @@
 import random
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, strategies as st
 
+from caveprobe import explorer, probe
 from caveprobe.memspace import PAGE_SIZE, USER_TOP, AddressSpace, PagePermissions
 from caveprobe.probe import (
     Accessibility,
     NotWritableError,
-    ProbeConfig,
     ProbeOutcome,
     Prober,
     RetryBudgetExhausted,
@@ -28,32 +29,17 @@ def space():
     )
 
 
-def quiet_prober(**kw) -> Prober:
-    kw.setdefault("spurious_abort_probability", 0.0)
-    return Prober(ProbeConfig(**kw))
+def quiet_prober() -> Prober:
+    return Prober(0.0, 0)
 
 
-class TestConfig:
-    def test_defaults(self):
-        cfg = ProbeConfig()
-        assert cfg.spurious_abort_probability == 0.001
-        assert cfg.max_retries == 100
-
-    def test_probability_range(self):
-        with pytest.raises(ValueError):
-            ProbeConfig(spurious_abort_probability=1.0)
-        with pytest.raises(ValueError):
-            ProbeConfig(spurious_abort_probability=-0.1)
-        ProbeConfig(spurious_abort_probability=0.0)
-
-    def test_retry_minimum(self):
-        with pytest.raises(ValueError):
-            ProbeConfig(max_retries=0)
+def test_retry_budget_and_sweep_gap_constants():
+    assert probe.MAX_RETRIES == 100
+    assert explorer.MAX_GAP == 64
 
 
-def traced_prober(**kw) -> Prober:
-    kw.setdefault("spurious_abort_probability", 0.0)
-    return Prober(ProbeConfig(**kw), trace=True)
+def traced_prober() -> Prober:
+    return Prober(0.0, 0, trace=True)
 
 
 def transactions(p: Prober) -> list[tuple[str, int, ProbeOutcome]]:
@@ -133,17 +119,17 @@ class TestTap:
     def test_retry_sequence_frozen_seed(self, space):
         # with seed 99 at probability 0.5 the first four draws are below
         # 0.5 and the fifth is 0.7599, so the fifth attempt commits
-        p = Prober(ProbeConfig(spurious_abort_probability=0.5, rng_seed=99,
-                               max_retries=4))
-        assert p.tap(space, 0x10000) is Accessibility.ACCESSIBLE
+        p = Prober(0.5, 99)
+        with patch.object(probe, "MAX_RETRIES", 4):
+            assert p.tap(space, 0x10000) is Accessibility.ACCESSIBLE
         assert p.counters["read_tx"] == 5
         assert p.counters["retries"] == 4
 
     def test_retry_budget_exhaustion_frozen_seed(self, space):
         # same draw sequence, one less retry allowed: the budget runs out
-        p = Prober(ProbeConfig(spurious_abort_probability=0.5, rng_seed=99,
-                               max_retries=3))
-        with pytest.raises(RetryBudgetExhausted) as exc:
+        p = Prober(0.5, 99)
+        with patch.object(probe, "MAX_RETRIES", 3), \
+                pytest.raises(RetryBudgetExhausted) as exc:
             p.tap(space, 0x10000)
         assert exc.value.attempts == 4
         assert exc.value.addr == 0x10000
@@ -151,15 +137,14 @@ class TestTap:
     def test_exhaustion_never_misclassifies(self, space):
         # seed 0 at probability 0.9: the first five draws all fall below
         # 0.9, so a 4-retry budget is spent without an answer
-        p = Prober(ProbeConfig(spurious_abort_probability=0.9, rng_seed=0,
-                               max_retries=4))
-        with pytest.raises(RetryBudgetExhausted) as exc:
+        p = Prober(0.9, 0)
+        with patch.object(probe, "MAX_RETRIES", 4), \
+                pytest.raises(RetryBudgetExhausted) as exc:
             p.tap(space, 0x11000)
         assert exc.value.attempts == 5
 
     def test_spurious_aborts_eventually_resolve(self, space):
-        p = Prober(ProbeConfig(spurious_abort_probability=0.3, rng_seed=7,
-                               max_retries=100))
+        p = Prober(0.3, 7)
         for _ in range(200):
             assert p.tap(space, 0x11000) is Accessibility.ACCESSIBLE
         assert p.counters["retries"] > 0
@@ -208,8 +193,7 @@ class TestClaw:
         assert space_digest(space) == before
 
     def test_retry_in_write_phase(self, space):
-        p = Prober(ProbeConfig(spurious_abort_probability=0.3, rng_seed=11,
-                               max_retries=100))
+        p = Prober(0.3, 11)
         for _ in range(100):
             assert p.claw(space, 0x11000) is Writability.WRITABLE
 
@@ -256,7 +240,7 @@ class TestSafeWrite:
 
 class TestTrace:
     def test_trace_records_primitives(self, space):
-        p = Prober(ProbeConfig(spurious_abort_probability=0.0), trace=True)
+        p = Prober(0.0, 0, trace=True)
         p.tap(space, 0x10000)
         p.claw(space, 0x11000)
         ops = [op for op, _, _ in p.trace_log]
@@ -273,7 +257,7 @@ class TestTrace:
 def test_probes_never_fault_or_mutate(seed, addr_seed):
     rng = random.Random(seed)
     space, _, start, end = random_permed_space(rng, max_pages=24)
-    p = Prober(ProbeConfig(spurious_abort_probability=0.001, rng_seed=seed))
+    p = Prober(0.001, seed)
     before = space_digest(space)
     arng = random.Random(addr_seed)
     for _ in range(32):
@@ -289,16 +273,17 @@ class ReferenceProber:
     """Per-attempt model of the probes: every attempt is its own
     transaction, which checks the page, draws for a transient abort, and is
     counted and traced; a probe repeats attempts until one is not
-    transient or ``max_retries`` retries are spent."""
+    transient or ``retries`` retries are spent."""
 
     READ = {ProbeOutcome.COMMITTED: Accessibility.ACCESSIBLE,
             ProbeOutcome.FATAL_ABORT: Accessibility.INACCESSIBLE}
     WRITE = {ProbeOutcome.EXPLICIT_ABORT: Writability.WRITABLE,
              ProbeOutcome.FATAL_ABORT: Writability.READ_ONLY}
 
-    def __init__(self, config: ProbeConfig):
-        self.config = config
-        self.rng = random.Random(config.rng_seed)
+    def __init__(self, spurious_abort_probability: float, rng_seed: int, retries: int):
+        self.spurious_abort_probability = spurious_abort_probability
+        self.retries = retries
+        self.rng = random.Random(rng_seed)
         self.counters = Counter()
         self.trace_log = []
 
@@ -312,7 +297,7 @@ class ReferenceProber:
             and page.perms.user_accessible
             and (page.perms.writable if write else page.perms.readable)
         )
-        p = self.config.spurious_abort_probability
+        p = self.spurious_abort_probability
         if not allowed:
             out = ProbeOutcome.FATAL_ABORT
         elif p > 0 and self.rng.random() < p:
@@ -324,7 +309,7 @@ class ReferenceProber:
 
     def settle(self, op, space, addr, write):
         """The outcome of the first attempt that is not transient."""
-        for attempts in range(1, self.config.max_retries + 2):
+        for attempts in range(1, self.retries + 2):
             out = self.attempt(space, addr, write)
             if out is not ProbeOutcome.RETRYABLE_ABORT:
                 return out
@@ -364,7 +349,7 @@ KERNEL_SPECS = ["", "r", "rw", "rx"]
 @st.composite
 def probe_sessions(draw):
     """A space with user and kernel-half pages of every permission kind, a
-    probe config, and a list of (claw?, address, known_accessible) probes."""
+    prober's (abort probability, seed, retry budget), and a list of (claw?, address, known_accessible) probes."""
     space = AddressSpace()
     bases = []
     for i in range(draw(st.integers(1, 4))):
@@ -377,34 +362,35 @@ def probe_sessions(draw):
         space.map_region(base, PAGE_SIZE, PagePermissions.from_rwxu(
             draw(st.sampled_from(KERNEL_SPECS))))
         bases.append(base)
-    config = ProbeConfig(
-        spurious_abort_probability=draw(st.one_of(
+    settings = (
+        draw(st.one_of(
             st.sampled_from([0.0, 0.001, 0.3, 0.9]),
             st.floats(0.0, 0.95),
         )),
-        rng_seed=draw(st.integers(0, 2**32 - 1)),
-        max_retries=draw(st.integers(1, 5)),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.integers(1, 5)),
     )
     addr = st.one_of(
         st.sampled_from(bases).flatmap(lambda b: st.integers(b, b + 2 * PAGE_SIZE - 1)),
         st.integers(0, (1 << 48) - 1),
     )
     probes = draw(st.lists(st.tuples(st.booleans(), addr, st.booleans()), max_size=12))
-    return space, config, probes
+    return space, settings, probes
 
 
 @given(probe_sessions())
 def test_probes_match_per_attempt_reference(session):
-    space, config, probes = session
-    p = Prober(config, trace=True)
-    ref = ReferenceProber(config)
-    for is_claw, addr, known_accessible in probes:
-        if is_claw:
-            got = probe_outcome(p.claw, space, addr, known_accessible=known_accessible)
-            want = probe_outcome(ref.claw, space, addr, known_accessible=known_accessible)
-        else:
-            got = probe_outcome(p.tap, space, addr)
-            want = probe_outcome(ref.tap, space, addr)
-        assert got == want
+    space, (prob, seed, retries), probes = session
+    p = Prober(prob, seed, trace=True)
+    ref = ReferenceProber(prob, seed, retries)
+    with patch.object(probe, "MAX_RETRIES", retries):
+        for is_claw, addr, known_accessible in probes:
+            if is_claw:
+                got = probe_outcome(p.claw, space, addr, known_accessible=known_accessible)
+                want = probe_outcome(ref.claw, space, addr, known_accessible=known_accessible)
+            else:
+                got = probe_outcome(p.tap, space, addr)
+                want = probe_outcome(ref.tap, space, addr)
+            assert got == want
     assert list(p.counters.items()) == list(ref.counters.items())
     assert p.trace_log == ref.trace_log
