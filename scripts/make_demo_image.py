@@ -7,33 +7,42 @@ so a full run can be checked end to end:
     python3 scripts/make_demo_image.py --seed 7 --out images/
     python3 -m caveprobe --image-path images/demo.json \
         --ground-truth-path images/demo.maps --seed 1
+
+A bad flag value ends the script with one line on stderr and exit 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
+from caveprobe.cli import _SEED, _Parser, _UsageError, _ascii
 from caveprobe.synth import build_victim_image
+
+# the CLI's flag grammar and its one-line usage errors
+_PAGES = _ascii(r"0*[1-9][0-9]*", int, "a positive decimal")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0,
+    parser = _Parser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=_SEED, default=0,
                         help="layout randomization seed (default 0)")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory (default current)")
     parser.add_argument("--name", default="demo",
                         help="basename for the written files (default demo)")
-    parser.add_argument("--code-pages", type=int, default=4)
-    parser.add_argument("--cave-pages", type=int, default=4)
-    parser.add_argument("--stack-pages", type=int, default=4)
+    for region in ("code", "cave", "stack"):
+        parser.add_argument(f"--{region}-pages", type=_PAGES, default=4,
+                            help=f"pages in the {region} region (default 4, at least 1)")
     parser.add_argument("--omit-gadget", action="append", default=[],
                         metavar="KIND",
                         help="leave out a gadget kind (repeatable); useful "
                              "for exercising the failure path")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        print(f"{parser.prog}: {exc}", file=sys.stderr)
+        return 2
 
     image = build_victim_image(
         args.seed,

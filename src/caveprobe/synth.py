@@ -12,6 +12,10 @@ do not fall through into a ret; such a site would be cataloged as usable
 yet derail any chain routed through it.  All other incidental pattern
 occurrences are left in place, since their bytes execute exactly as their
 pattern promises.
+
+The manifest text is ``json.dumps(manifest, indent=2)`` with each blob's hex
+spliced in for a placeholder; hex never needs escaping, so the text is what
+dumping the blobs themselves would give, without json escaping megabytes.
 """
 
 from __future__ import annotations
@@ -73,6 +77,10 @@ def build_victim_image(
     ``omit_gadgets`` suppresses planting the named gadget kinds, which is
     how tests produce images where chain construction must fail.
     """
+    for name, count in (("code_pages", code_pages), ("cave_pages", cave_pages),
+                        ("stack_pages", stack_pages)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, not {count}")
     rng = random.Random(seed)
     page = PAGE_SIZE
 
@@ -180,17 +188,18 @@ def build_victim_image(
     app = "/opt/victim/app"
     region_rows = [
         # (start, length, perms, blob, maps perms, offset, dev, inode, label)
-        (code_start, code_len, "rxu", bytes(code), "r-xp", 0, "08:01", 40001, app),
+        (code_start, code_len, "rxu", code, "r-xp", 0, "08:01", 40001, app),
         (rodata_start, rodata_len, "ru", rodata, "r--p", code_len, "08:01", 40001, app),
-        (data_start, data_len, "rwu", bytes(data), "rw-p", code_len + rodata_len, "08:01", 40001, app),
+        (data_start, data_len, "rwu", data, "rw-p", code_len + rodata_len, "08:01", 40001, app),
         (cave_start, cave_len, "rwu", b"", "rw-p", 0, "00:00", 0, ""),
-        (heap_start, heap_len, "rwu", bytes(heap), "rw-p", 0, "00:00", 0, "[heap]"),
+        (heap_start, heap_len, "rwu", heap, "rw-p", 0, "00:00", 0, "[heap]"),
         (guard_start, page, "", b"", "---p", 0, "00:00", 0, ""),
-        (stack_base, stack_len, "rwu", bytes(stack), "rw-p", 0, "00:00", 0, "[stack]"),
+        (stack_base, stack_len, "rwu", stack, "rw-p", 0, "00:00", 0, "[stack]"),
         (USER_TOP, page, "rx", b"", "r-xp", 0, "00:00", 0, "[vsyscall]"),
     ]
 
     manifest_regions = []
+    blobs = []  # the blobs whose hex replaces the "\0" placeholders, in order
     maps_lines = []
     for start, length, perms, blob, maps_perms, offset, dev, inode, label in region_rows:
         entry = {
@@ -199,8 +208,9 @@ def build_victim_image(
             "perms": perms,
             "label": label or "anon",
         }
-        if blob and any(blob):
-            entry["data"] = blob.hex()
+        if blob != bytes(len(blob)):  # an all-zero region loads zero-filled
+            entry["data"] = "\0"
+            blobs.append(blob)
         manifest_regions.append(entry)
         line = f"{start:x}-{start + length:x} {maps_perms} {offset:08x} {dev} {inode}"
         if label:
@@ -237,8 +247,14 @@ def build_victim_image(
         cave_len=cave_len,
         stack_region=(stack_base, stack_top),
     )
+    # json writes "\0" as \u0000, which no label, perms or address spells
+    head, *tails = json.dumps(manifest, indent=2).split("\\u0000")
+    parts = [head]
+    for blob, tail in zip(blobs, tails):
+        parts += (blob.hex(), tail)
+    parts.append("\n")
     return VictimImage(
-        manifest_text=json.dumps(manifest, indent=2) + "\n",
+        manifest_text="".join(parts),
         maps_text="\n".join(maps_lines) + "\n",
         truth=truth,
     )

@@ -4,7 +4,9 @@ in the run's summary, smoke-runs the benchmark both untraced and traced,
 runs the installed console script in every mode, checks that it cuts a
 long flag value to one short line, checks its JSON report against the
 stdlib's json.tool and against the report of a demo copy that holds a
-backslash, and runs README's install commands as written."""
+backslash, rebuilds the demo image with the installed package's image
+script and checks that script's one-line refusal of a zero page count, and
+runs README's install commands as written."""
 
 import re
 from pathlib import Path
@@ -191,6 +193,33 @@ def test_manifest_with_a_backslash_is_checked_against_the_demo_report():
         'cd "$RUNNER_TEMP/escaped"',
         'caveprobe --image-path demo.json --out "$RUNNER_TEMP/escaped-report.json"',
         'cmp "$RUNNER_TEMP/plain-report.json" "$RUNNER_TEMP/escaped-report.json"',
+    ]
+
+
+def test_installed_package_rebuilds_the_demo_image():
+    # after pip install . and before the editable install, the image script
+    # run from outside the checkout must reproduce images/demo.* with
+    # --seed 7 and refuse --code-pages 0 with exit 2 and one short line
+    step = workflow_step("Installed package rebuilds the demo image")
+    lines = [line.strip() for line in step.splitlines()]
+    steps = re.findall(r"^      - name: (.+)$",
+                       (REPO / ".github" / "workflows" / "tier1.yml").read_text(), re.M)
+    name = "Installed package rebuilds the demo image"
+    assert steps.index("Installed console script") < steps.index(name)
+    assert steps.index(name) < steps.index("Editable install")
+    assert "shell: bash" in lines
+    script = 'python "$GITHUB_WORKSPACE/scripts/make_demo_image.py"'
+    assert lines[lines.index("run: |") + 1:] == [
+        'cd "$RUNNER_TEMP"',
+        f"{script} --seed 7 --out demo-image",
+        'cmp demo-image/demo.json "$GITHUB_WORKSPACE/images/demo.json"',
+        'cmp demo-image/demo.maps "$GITHUB_WORKSPACE/images/demo.maps"',
+        "code=0",
+        f"{script} --code-pages 0 2> code-pages-0.txt || code=$?",
+        "cat code-pages-0.txt",
+        'test "$code" -eq 2',
+        'test "$(wc -l < code-pages-0.txt)" -eq 1',
+        'test "$(wc -c < code-pages-0.txt)" -lt 300',
     ]
 
 

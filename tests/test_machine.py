@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from caveprobe import machine as m
 from caveprobe.gadgets import GADGETS
 from caveprobe.memspace import PAGE_SIZE, USER_TOP, PagePermissions
-from helpers import make_space
+from helpers import make_space, space_digest
 
 CODE = 0x400000
 STACK = 0x7F0000000000
@@ -172,6 +172,59 @@ class TestTraps:
         m.step(state, space)
         with pytest.raises(ValueError):
             m.step(state, space)
+
+
+class TestPageStraddling:
+    """Fetches, loads and stores whose bytes cross from one page into the
+    next: each runs whole or traps with no register or byte changed."""
+
+    IMM = 0x1122334455667788
+    MOV_RAX = b"\x48\xb8" + IMM.to_bytes(8, "little")  # mov rax, imm64
+
+    def straddling_mov(self, next_perms: str | None):
+        # the instruction's first 4 bytes end the code page, its last 6
+        # start the page after, which is mapped with next_perms or not at all
+        regions = [(CODE, PAGE_SIZE, "rxu", bytes(PAGE_SIZE - 4) + self.MOV_RAX[:4])]
+        if next_perms is not None:
+            regions.append((CODE + PAGE_SIZE, PAGE_SIZE, next_perms, self.MOV_RAX[4:]))
+        state = ready_state(rax=0xAA)
+        state.rip = CODE + PAGE_SIZE - 4
+        m.step(state, make_space(*regions))
+        return state
+
+    def test_fetch_into_executable_page_runs(self):
+        state = self.straddling_mov("rxu")
+        assert state.status == m.RUNNING
+        assert state.reg("rax") == self.IMM
+        assert state.rip == CODE + PAGE_SIZE + 6
+
+    @pytest.mark.parametrize("next_perms, reason", [("ru", "nx-fetch"), (None, "unmapped")])
+    def test_fetch_into_unfetchable_page_traps_in_place(self, next_perms, reason):
+        state = self.straddling_mov(next_perms)
+        assert (state.status, state.trap_reason) == (m.TRAPPED, reason)
+        assert state.rip == CODE + PAGE_SIZE - 4
+        assert state.reg("rax") == 0xAA
+
+    def test_store_into_read_only_page_writes_nothing(self):
+        space = make_space(
+            (CODE, PAGE_SIZE, "rxu", b"\x48\x89\x37"),  # mov [rdi], rsi
+            (DATA, PAGE_SIZE, "rwu", b""),
+            (DATA + PAGE_SIZE, PAGE_SIZE, "ru", b""),
+        )
+        before = space_digest(space)
+        state = ready_state(rdi=DATA + PAGE_SIZE - 4, rsi=self.IMM)
+        m.step(state, space)
+        assert (state.status, state.trap_reason) == (m.TRAPPED, "perm-write")
+        assert space_digest(space) == before
+
+    def test_pop_into_unmapped_page_leaves_rsp(self):
+        space = machine_space(b"\x5f")  # pop rdi; the stack's next page is unmapped
+        state = ready_state(rdi=0xAA)
+        state.set_reg("rsp", STACK + 2 * PAGE_SIZE - 4)
+        m.step(state, space)
+        assert (state.status, state.trap_reason) == (m.TRAPPED, "unmapped")
+        assert state.reg("rsp") == STACK + 2 * PAGE_SIZE - 4
+        assert state.reg("rdi") == 0xAA
 
 
 class TestSyscalls:

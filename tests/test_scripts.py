@@ -26,3 +26,27 @@ def test_make_demo_image_reproduces_the_shipped_demo(tmp_path):
     for name in ("demo.json", "demo.maps"):
         assert (tmp_path / name).read_bytes() == (REPO / "images" / name).read_bytes()
 
+
+
+def test_make_demo_image_refuses_bad_values_in_one_line(tmp_path):
+    # a size below 1, a size that is not plain ASCII decimal, and a seed in
+    # another script's digits (int() would read U+0663 as 3)
+    for flag, value in [
+        ("--code-pages", "0"), ("--code-pages", "-1"), ("--cave-pages", "0"),
+        ("--stack-pages", "0"), ("--stack-pages", "4.0"), ("--code-pages", "0x4"),
+        ("--seed", "٣"), ("--seed", "9" * 5000),
+    ]:
+        done = run_script("make_demo_image.py", flag, value, "--out", str(tmp_path))
+        assert done.returncode == 2, (flag, value, done.stderr)
+        assert done.stderr.count("\n") == 1, (flag, value, done.stderr)
+        assert done.stderr.startswith(f"make_demo_image.py: argument {flag}: not ")
+        assert len(done.stderr.encode()) < 300
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_make_demo_image_builds_one_page_regions(tmp_path):
+    done = run_script("make_demo_image.py", "--code-pages", "1", "--cave-pages",
+                      "1", "--stack-pages", "1", "--seed", "-3", "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.json", "demo.maps"]
+    assert "(0x1000 bytes)" in done.stdout  # the cave's one page
