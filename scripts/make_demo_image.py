@@ -8,7 +8,8 @@ so a full run can be checked end to end:
     python3 -m caveprobe --image-path images/demo.json \
         --ground-truth-path images/demo.maps --seed 1
 
-A bad flag value ends the script with one line on stderr and exit 2.
+A bad flag value, or an ``--out`` it cannot write to, ends the script with
+one line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import sys
 from pathlib import Path
 
 from caveprobe.cli import _SEED, _Parser, _UsageError, _ascii
+from caveprobe.gadgets import GADGETS
+from caveprobe.memspace import _clip
 from caveprobe.synth import build_victim_image
 
 # the CLI's flag grammar and its one-line usage errors
@@ -35,7 +38,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.add_argument(f"--{region}-pages", type=_PAGES, default=4,
                             help=f"pages in the {region} region (default 4, at least 1)")
     parser.add_argument("--omit-gadget", action="append", default=[],
-                        metavar="KIND",
+                        choices=tuple(GADGETS), metavar="KIND",
                         help="leave out a gadget kind (repeatable); useful "
                              "for exercising the failure path")
     try:
@@ -51,11 +54,16 @@ def main(argv: list[str] | None = None) -> int:
         stack_pages=args.stack_pages,
         omit_gadgets=tuple(args.omit_gadget),
     )
-    args.out.mkdir(parents=True, exist_ok=True)
     manifest = args.out / f"{args.name}.json"
     maps = args.out / f"{args.name}.maps"
-    manifest.write_text(image.manifest_text)
-    maps.write_text(image.maps_text)
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+        manifest.write_text(image.manifest_text)
+        maps.write_text(image.maps_text)
+    except OSError as exc:
+        print(f"{parser.prog}: cannot write {_clip(str(exc.filename or args.out))}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
 
     truth = image.truth
     print(f"wrote {manifest} and {maps}")

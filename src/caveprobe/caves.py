@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .memspace import PAGE_SIZE, page_runs
+from .memspace import page_runs
 from .explorer import PageMap
 from .probe import Writability
 
@@ -20,14 +20,10 @@ class CaveRegion:
     start: int
     length: int
 
-    @property
-    def end(self) -> int:
-        return self.start + self.length
-
 
 class NoCaveError(Exception):
-    """No discovered cave is large enough.  The message names the caves
-    there were, since a minimum length above every zero run leaves none."""
+    """No discovered cave is large enough.  The message names the size of
+    every cave there was."""
 
     def __init__(self, need_len: int, caves: list[CaveRegion]):
         sizes = ", ".join(f"{c.length:#x}" for c in caves)
@@ -39,8 +35,8 @@ class NoCaveError(Exception):
         self.need_len = need_len
 
 
-def find_caves(pm: PageMap, min_len: int = PAGE_SIZE) -> list[CaveRegion]:
-    """Collect maximal zero-filled writable runs of at least ``min_len``.
+def find_caves(pm: PageMap) -> list[CaveRegion]:
+    """Collect maximal zero-filled writable runs, each at least a page.
 
     Only pages the store marks accessible are considered; a candidate
     without a writability verdict yet is claw-probed through the store,
@@ -48,18 +44,12 @@ def find_caves(pm: PageMap, min_len: int = PAGE_SIZE) -> list[CaveRegion]:
     are maximal with respect to the probed set and returned sorted by
     address.
     """
-    if min_len <= 0 or min_len % PAGE_SIZE:
-        raise ValueError("min_len must be a positive page multiple")
     usable = [
         base
         for base in pm.accessible_pages()
         if pm.claw(base) is Writability.WRITABLE and pm.space.is_zero_page(base)
     ]
-    return [
-        CaveRegion(start, end - start)
-        for start, end in page_runs(usable)
-        if end - start >= min_len
-    ]
+    return [CaveRegion(start, end - start) for start, end in page_runs(usable)]
 
 
 def select_cave(caves: list[CaveRegion], need_len: int) -> CaveRegion:

@@ -58,7 +58,6 @@ class PipelineConfig:
     mode: str = "hybrid"
     seed: int = 0
     spurious_prob: float = 0.001
-    cave_min_len: int = PAGE_SIZE
     chain_variant: str = "sound-5"
     restore: str = "payload"
     ground_truth_path: str | None = None
@@ -75,8 +74,6 @@ class PipelineConfig:
             raise ValueError(f"chain_variant must be one of {gadgets.CHAIN_VARIANTS}")
         if self.restore not in RESTORE_MODES:
             raise ValueError(f"restore must be one of {RESTORE_MODES}")
-        if self.cave_min_len <= 0 or self.cave_min_len % PAGE_SIZE:
-            raise ValueError("cave_min_len must be a positive page multiple")
         if self.explore_budget < 1:
             raise ValueError("explore_budget must be at least 1")
         if not 0 <= self.spurious_prob < 1:
@@ -116,14 +113,12 @@ class AttackReport:
         return all(self.verdicts.values())
 
     def to_json_obj(self) -> dict:
-        cfg = {
-            f.name.replace("_", "-"): getattr(self.config, f.name)
-            for f in fields(self.config)
-        }
-        cfg["cave-min-len"] = f"{self.config.cave_min_len:#x}"
         obj: dict = {
             "tool": "caveprobe",
-            "config": cfg,
+            "config": {
+                f.name.replace("_", "-"): getattr(self.config, f.name)
+                for f in fields(self.config)
+            },
             "aslr-offset": f"{self.aslr_offset:#x}",
             "stages": list(self.stages),
             "probe-counters": dict(sorted(self.probe_counters.items())),
@@ -268,7 +263,7 @@ def _read_image(path: Path) -> tuple[AddressSpace, int]:
         raise ManifestError(
             f"seeds.stack_pointer is outside the user half [0, {USER_TOP:#x})"
         )
-    return load_manifest(doc, base_dir=path.parent), stack_pointer
+    return load_manifest(doc), stack_pointer
 
 
 def _aslr_offset(seed: int, space: AddressSpace) -> int:
@@ -410,7 +405,7 @@ def _gadgets(ctx: Pipeline) -> None:
 
 
 def _caves(ctx: Pipeline) -> None:
-    ctx.report.cave_list = caves_mod.find_caves(ctx.pagemap, ctx.config.cave_min_len)
+    ctx.report.cave_list = caves_mod.find_caves(ctx.pagemap)
 
 
 def _inject(ctx: Pipeline) -> None:
@@ -426,12 +421,7 @@ def _inject(ctx: Pipeline) -> None:
         need_len = payload_off + machine.payload_len(payload_off) + 8
     else:
         need_len = 8 * (chain_words + 2)
-    try:
-        cave = caves_mod.select_cave(ctx.report.cave_list, need_len)
-    except caves_mod.NoCaveError as exc:
-        # the caves on offer are those the minimum length let through
-        exc.args = (f"{exc}; cave-min-len is {cfg.cave_min_len:#x}",)
-        raise
+    cave = caves_mod.select_cave(ctx.report.cave_list, need_len)
     chain = gadgets.build_mprotect_chain(
         ctx.catalog, cave.start, cave.length,
         machine.PROT_RWX, cfg.chain_variant,
@@ -580,11 +570,6 @@ def _ascii(pattern: str, convert, what: str):
 
 _SEED = _ascii(r"-?[0-9]+", int, "an integer")
 _COUNT = _ascii(r"[0-9]+", int, "a decimal count")
-_LENGTH = _ascii(
-    r"[0-9]+|0[xX][0-9a-fA-F]+",
-    lambda t: int(t, 16) if t[1:2] in ("x", "X") else int(t),
-    "a decimal or 0x-hex length",
-)
 _PROB = _ascii(r"[0-9]+\.?[0-9]*|\.[0-9]+", float, "a decimal fraction")
 
 
@@ -603,7 +588,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES)
     p.add_argument("--seed", type=_SEED, help=f"master RNG seed, else ${ENV_SEED}")
     p.add_argument("--spurious-prob", type=_PROB)
-    p.add_argument("--cave-min-len", type=_LENGTH)
     p.add_argument("--chain-variant", choices=gadgets.CHAIN_VARIANTS)
     p.add_argument("--restore", choices=RESTORE_MODES)
     p.add_argument("--ground-truth-path")

@@ -16,7 +16,6 @@ import re
 import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
-from pathlib import Path
 
 PAGE_SIZE = 4096
 USER_TOP = 1 << 47
@@ -450,19 +449,20 @@ def _parse_json(text: str):
         raise ManifestError("not valid JSON: nested too deeply") from None
 
 
-def load_manifest(doc: dict, base_dir: str | Path | None = None) -> AddressSpace:
+def load_manifest(doc: dict) -> AddressSpace:
     """Build an address space from the manifest document that
     :func:`parse_manifest` returned, so a caller that reads side-band keys
     parses once.
 
     The manifest is ``{"regions": [...]}`` where each region gives page
     aligned "start" and "len" hex strings, a "perms" string drawn from
-    "rwxu", an optional "label", and optional content as either "data", the
-    bytes :func:`parse_manifest` decodes from a hex string, or a "file"
-    path with byte "offset".
-    Regions without content are zero filled.  Unknown top-level keys are
-    ignored so callers may carry side-band data in the same document.  The
-    regions may map no more than ``MAX_MANIFEST_PAGES`` pages in all.
+    "rwxu", an optional "label", and optional content as "data", the bytes
+    :func:`parse_manifest` decodes from a hex string.  Regions without
+    content are zero filled; a region that names a "file" or an "offset"
+    is refused, since its bytes would otherwise load as zeroes.  Unknown
+    top-level keys are ignored so callers may carry side-band data in the
+    same document.  The regions may map no more than ``MAX_MANIFEST_PAGES``
+    pages in all.
     """
     space = AddressSpace()
     pages = 0
@@ -470,6 +470,11 @@ def load_manifest(doc: dict, base_dir: str | Path | None = None) -> AddressSpace
         where = f"region {i}"
         if not isinstance(region, dict):
             raise ManifestError(f"{where}: not an object")
+        if "file" in region or "offset" in region:
+            raise ManifestError(
+                f'{where}: "file" and "offset" are not supported; '
+                'give the bytes as hex "data"'
+            )
         start = parse_hex(region.get("start"), f"{where} start")
         length = parse_hex(region.get("len"), f"{where} len")
         # checked before any page or blob of the region is allocated
@@ -486,39 +491,9 @@ def load_manifest(doc: dict, base_dir: str | Path | None = None) -> AddressSpace
         except ValueError as exc:
             raise ManifestError(f"{where}: {exc}") from None
 
-        blob = b""
-        if "data" in region:
-            blob = region["data"]
-            if type(blob) is not bytes:
-                raise ManifestError(f"{where}: data is not a hex blob")
-        elif "file" in region:
-            name = region["file"]
-            if not isinstance(name, str):
-                raise ManifestError(f"{where}: file must be a string")
-            if "\0" in name:  # open() would reject it in its own words
-                raise ManifestError(f"{where}: file must not contain a NUL character")
-            # an absolute name replaces the folder
-            folder = Path() if base_dir is None else Path(base_dir)
-            path = folder / name
-            offset = region.get("offset", 0)
-            if type(offset) is not int or offset < 0:
-                raise ManifestError(f"{where}: offset must be a non-negative int")
-            if offset >= 1 << 63:  # a seek takes a signed 64-bit offset
-                raise ManifestError(f"{where}: offset is past the largest file offset")
-            try:
-                with open(path, "rb") as fh:
-                    fh.seek(offset)
-                    blob = fh.read(length)
-            except OSError as exc:
-                reason = exc.strerror or exc
-                raise ManifestError(
-                    f"{where}: cannot read {_clip(str(path))}: {reason}"
-                ) from None
-            except UnicodeEncodeError:  # a lone surrogate; open() names no region
-                raise ManifestError(
-                    f"{where}: file has a character no file name can hold"
-                ) from None
-
+        blob = region.get("data", b"")
+        if type(blob) is not bytes:
+            raise ManifestError(f"{where}: data is not a hex blob")
         try:
             space.map_region(start, length, perms, blob)
         except ValueError as exc:

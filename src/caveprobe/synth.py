@@ -77,6 +77,8 @@ def build_victim_image(
     ``omit_gadgets`` suppresses planting the named gadget kinds, which is
     how tests produce images where chain construction must fail.
     """
+    if unknown := [name for name in omit_gadgets if name not in GADGETS]:
+        raise ValueError(f"unknown gadget kinds: {', '.join(unknown)}")
     for name, count in (("code_pages", code_pages), ("cave_pages", cave_pages),
                         ("stack_pages", stack_pages)):
         if count < 1:

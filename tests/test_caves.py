@@ -21,7 +21,7 @@ class TestFindCaves:
         space = make_space((0x100000, 3 * PAGE_SIZE, "rwu", b""))
         caves = find_caves(pagemap_for(space))
         assert caves == [CaveRegion(0x100000, 3 * PAGE_SIZE)]
-        assert caves[0].end == 0x103000
+        assert caves[0].start + caves[0].length == 0x103000
 
     def test_nonzero_pages_break_runs(self):
         blob = bytes(PAGE_SIZE) + b"\x01" + bytes(PAGE_SIZE - 1) + bytes(PAGE_SIZE)
@@ -40,14 +40,14 @@ class TestFindCaves:
         caves = find_caves(pagemap_for(space))
         assert caves == [CaveRegion(0x101000, PAGE_SIZE)]
 
-    def test_min_len_filters_short_runs(self):
+    def test_runs_of_every_length_are_caves(self):
         space = make_space(
             (0x100000, PAGE_SIZE, "rwu", b""),
             (0x200000, 4 * PAGE_SIZE, "rwu", b""),
         )
-        caves = find_caves(pagemap_for(space),
-                           min_len=2 * PAGE_SIZE)
-        assert caves == [CaveRegion(0x200000, 4 * PAGE_SIZE)]
+        caves = find_caves(pagemap_for(space))
+        assert caves == [CaveRegion(0x100000, PAGE_SIZE),
+                         CaveRegion(0x200000, 4 * PAGE_SIZE)]
 
     def test_unprobed_pages_invisible(self):
         space = make_space((0x100000, 2 * PAGE_SIZE, "rwu", b""))
@@ -68,12 +68,6 @@ class TestFindCaves:
         p = quiet_prober()
         find_caves(pagemap_for(space, p))
         assert p.counters["claws"] == 2
-
-    def test_min_len_validation(self):
-        with pytest.raises(ValueError):
-            find_caves(PageMap(make_space(), quiet_prober()), min_len=100)
-        with pytest.raises(ValueError):
-            find_caves(PageMap(make_space(), quiet_prober()), min_len=0)
 
 
 class TestSelectCave:

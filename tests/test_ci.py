@@ -132,6 +132,38 @@ def test_long_flag_values_give_one_short_line():
     assert lines[lines.index("run: |") + 1:] == runs
 
 
+def test_deleted_run_inputs_give_one_short_line():
+    # --cave-min-len, and a demo copy whose region 0 names a "file", given
+    # to the installed package: each run exits 2 with one stderr line under
+    # 300 bytes
+    step = workflow_step("Deleted run inputs give one short line")
+    lines = [line.strip() for line in step.splitlines()]
+    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
+    assert workflow.index("- name: Installed console script") < workflow.index(
+        "- name: Deleted run inputs give one short line")
+    assert "shell: bash" in lines
+    commands = [
+        ("caveprobe --image-path images/demo.json --cave-min-len 4096", "cave-min-len"),
+        ('caveprobe --image-path "$RUNNER_TEMP/file-region.json"', "file-region"),
+    ]
+    runs = []
+    for command, out in commands:
+        if out == "file-region":
+            runs.append(
+                "python -c 'import json, sys; doc = json.load(open(\"images/demo.json\")); "
+                "doc[\"regions\"][0][\"file\"] = \"x.bin\"; "
+                "json.dump(doc, open(sys.argv[1], \"w\"))' \"$RUNNER_TEMP/file-region.json\"")
+        runs += [
+            "code=0",
+            f'{command} 2> "$RUNNER_TEMP/{out}.txt" || code=$?',
+            f'cat "$RUNNER_TEMP/{out}.txt"',
+            'test "$code" -eq 2',
+            f'test "$(wc -l < "$RUNNER_TEMP/{out}.txt")" -eq 1',
+            f'test "$(wc -c < "$RUNNER_TEMP/{out}.txt")" -lt 300',
+        ]
+    assert lines[lines.index("run: |") + 1:] == runs
+
+
 def test_ground_truth_that_disagrees_must_fail_map_match():
     # the demo's maps with the stack's guard page made writable: the
     # installed package must exit 3 and print a failed map-match verdict

@@ -49,6 +49,23 @@ def image_paths(tmp_path_factory):
     return str(manifest), str(maps), img.truth
 
 
+def demo_without_caves(folder: Path) -> str:
+    """A copy of the demo image with a non-zero first byte on every zero
+    writable page, so no zero run is left to be a cave."""
+    doc = json.loads(Path(DEMO).read_text())
+    for region in doc["regions"]:
+        if "w" in region["perms"]:
+            blob = bytearray.fromhex(region.get("data", ""))
+            blob += bytes(int(region["len"], 16) - len(blob))
+            for off in range(0, len(blob), PAGE_SIZE):
+                if not any(blob[off : off + PAGE_SIZE]):
+                    blob[off] = 1
+            region["data"] = blob.hex()
+    manifest = folder / "no-caves.json"
+    manifest.write_text(json.dumps(doc))
+    return str(manifest)
+
+
 def base_config(image_paths, **kw):
     manifest, maps, _ = image_paths
     kw.setdefault("image_path", manifest)
@@ -65,10 +82,6 @@ class TestConfigValidation:
     def test_stop_after_checked(self, image_paths):
         with pytest.raises(ValueError):
             base_config(image_paths, stop_after="cleanup")
-
-    def test_cave_min_len_checked(self, image_paths):
-        with pytest.raises(ValueError):
-            base_config(image_paths, cave_min_len=12)
 
     def test_restore_checked(self, image_paths):
         with pytest.raises(ValueError):
@@ -392,10 +405,9 @@ class TestReportRendering:
         assert "verdicts:" in text
         assert "restoration: pass" in text
 
-    def test_text_leaves_out_an_empty_cave_list(self):
-        # the demo's zero runs are 0x4000 and 0x3000 bytes long
+    def test_text_leaves_out_an_empty_cave_list(self, tmp_path):
         report = run_pipeline(PipelineConfig(
-            image_path=DEMO, cave_min_len=0x5000, stop_after="caves"
+            image_path=demo_without_caves(tmp_path), stop_after="caves"
         ))
         assert json.loads(emit_report(report, "json"))["caves"] == []
         assert "caves:" not in emit_report(report, "text")
@@ -425,6 +437,23 @@ def assert_same_report_as_demo(manifest: Path) -> None:
         assert doc["config"].pop("image-path") == path
         reports.append(doc)
     assert reports[0] == reports[1]
+
+
+REFUSED_REGION = (
+    "caveprobe: stage 'load' failed: region 0: \"file\" and \"offset\" are "
+    'not supported; give the bytes as hex "data"\n'
+)
+
+
+def assert_region_refused(tmp_path: Path, capsys, **keys) -> None:
+    """A synth image whose region 0 holds ``keys`` exits 2 with the one
+    refusal line."""
+    doc = json.loads(build_victim_image(21).manifest_text)
+    doc["regions"][0].update(keys)
+    manifest = tmp_path / "victim.json"
+    manifest.write_text(json.dumps(doc))
+    assert main(["--image-path", str(manifest)]) == EXIT_STAGE_ERROR
+    assert capsys.readouterr().err == REFUSED_REGION
 
 
 class TestMain:
@@ -559,67 +588,27 @@ class TestMain:
         )
         assert "Errno" not in err
 
+    # a region's bytes come from "data" alone; one naming a "file" or an
+    # "offset" is refused without its value echoed, so none of the values
+    # that once broke the file read (a missing file, a NUL, a lone
+    # surrogate, an offset past any seek) can reach the line
+    @pytest.mark.parametrize("keys", [{"file": "x.bin"}, {"offset": 0}],
+                             ids=["file", "offset"])
+    def test_file_backed_region_is_one_line_error(self, tmp_path, capsys, keys):
+        assert_region_refused(tmp_path, capsys, **keys)
+
     def test_missing_blob_file_is_one_line_error(self, tmp_path, capsys):
-        doc = json.loads(build_victim_image(21).manifest_text)
-        region = doc["regions"][0]
-        region.pop("data", None)
-        region["file"] = "missing.bin"
-        manifest = tmp_path / "victim.json"
-        manifest.write_text(json.dumps(doc))
-        assert main(["--image-path", str(manifest)]) == EXIT_STAGE_ERROR
-        err = capsys.readouterr().err
-        assert err == (
-            f"caveprobe: stage 'load' failed: region 0: cannot read "
-            f"{str(tmp_path / 'missing.bin')!a}: No such file or directory\n"
-        )
-        assert "Errno" not in err
+        assert_region_refused(tmp_path, capsys, file="missing.bin")
 
     def test_blob_file_with_a_nul_character_is_one_line_error(self, tmp_path, capsys):
-        # open() refuses such a path with "embedded null byte", which names
-        # no region
-        doc = json.loads(build_victim_image(21).manifest_text)
-        region = doc["regions"][0]
-        region.pop("data", None)
-        region["file"] = "blob\0.bin"
-        manifest = tmp_path / "victim.json"
-        manifest.write_text(json.dumps(doc))
-        assert main(["--image-path", str(manifest)]) == EXIT_STAGE_ERROR
-        assert capsys.readouterr().err == (
-            "caveprobe: stage 'load' failed: region 0: file must not contain "
-            "a NUL character\n"
-        )
+        assert_region_refused(tmp_path, capsys, file="blob\0.bin")
 
     def test_blob_file_with_a_lone_surrogate_is_one_line_error(self, tmp_path,
                                                                capsys):
-        # open() cannot encode such a path and says so in codec text, which
-        # names no region
-        doc = json.loads(build_victim_image(21).manifest_text)
-        region = doc["regions"][0]
-        region.pop("data", None)
-        region["file"] = "blob\ud800.bin"
-        manifest = tmp_path / "victim.json"
-        manifest.write_text(json.dumps(doc))
-        assert main(["--image-path", str(manifest)]) == EXIT_STAGE_ERROR
-        assert capsys.readouterr().err == (
-            "caveprobe: stage 'load' failed: region 0: file has a character "
-            "no file name can hold\n"
-        )
+        assert_region_refused(tmp_path, capsys, file="blob\ud800.bin")
 
     def test_blob_offset_past_any_file_is_one_line_error(self, tmp_path, capsys):
-        # too large for the seek call, whose own error names an
-        # "offset-sized integer"
-        (tmp_path / "blob.bin").write_bytes(bytes(16))
-        doc = json.loads(build_victim_image(21).manifest_text)
-        region = doc["regions"][0]
-        region.pop("data", None)
-        region.update(file="blob.bin", offset=1 << 70)
-        manifest = tmp_path / "victim.json"
-        manifest.write_text(json.dumps(doc))
-        assert main(["--image-path", str(manifest)]) == EXIT_STAGE_ERROR
-        assert capsys.readouterr().err == (
-            "caveprobe: stage 'load' failed: region 0: offset is past the "
-            "largest file offset\n"
-        )
+        assert_region_refused(tmp_path, capsys, file="blob.bin", offset=1 << 70)
 
     def test_integer_too_long_to_convert_is_one_line_error(self, tmp_path, capsys):
         # Python's own text for this differs between 3.10 and 3.11
@@ -742,7 +731,6 @@ class TestMain:
         if fault == "len":
             region["len"] = "f" * 100_000
         elif fault == "file":
-            region.pop("data")
             region["file"] = "b" * 100_000
         else:
             maps.write_text("m" * 100_000 + "\n")
@@ -754,17 +742,15 @@ class TestMain:
         assert err.count("\n") == 1 and len(err.encode()) < 300
         assert err.startswith("caveprobe: stage 'load' failed: ")
         if fault == "file":
-            assert ascii(str(tmp_path / region["file"]))[:80] + "..." in err
+            assert err == REFUSED_REGION  # the name is not echoed
         elif fault == "maps-line":
             assert "'" + "m" * 79 + "..." in err
 
-    def test_no_cave_names_what_the_min_len_left(self, capsys):
-        # the demo's zero runs are 0x4000 and 0x3000 bytes long
-        flags = ["--image-path", DEMO, "--cave-min-len", "0x5000"]
-        assert main(flags) == EXIT_STAGE_ERROR
+    def test_no_cave_is_one_line_error(self, tmp_path, capsys):
+        assert main(["--image-path", demo_without_caves(tmp_path)]) == EXIT_STAGE_ERROR
         assert capsys.readouterr().err == (
             "caveprobe: stage 'inject' failed: no cave of at least 0x146 "
-            "bytes among 0 caves; cave-min-len is 0x5000\n"
+            "bytes among 0 caves\n"
         )
 
     def test_seed_environment_not_an_integer(self, monkeypatch, capsys):
@@ -786,8 +772,6 @@ class TestMain:
         [
             ("--seed", "-3", "seed", -3),
             ("--explore-budget", "0100", "explore-budget", 100),
-            ("--cave-min-len", "8192", "cave-min-len", "0x2000"),
-            ("--cave-min-len", "0X2000", "cave-min-len", "0x2000"),
             ("--spurious-prob", ".25", "spurious-prob", 0.25),
             ("--spurious-prob", "0.", "spurious-prob", 0.0),
         ],
@@ -815,7 +799,11 @@ class TestMain:
     @pytest.mark.parametrize(
         "flags, flag",
         [
-            (["--image-path", DEMO, "--cave-min-len", "zz"], "--cave-min-len"),
+            # there is no --cave-min-len: it is an unrecognized argument
+            # whatever its value
+            (["--image-path", DEMO, "--cave-min-len", "4096"], "--cave-min-len"),
+            (["--image-path", DEMO, "--cave-min-len", "0x1_000"], "--cave-min-len"),
+            (["--image-path", DEMO, "--cave-min-len", "0x"], "--cave-min-len"),
             (["--image-path", DEMO, "--seed", "x"], "--seed"),
             (["--image-path", DEMO, "--mode", "spiral"], "--mode"),
             ([], "--image-path"),
@@ -826,16 +814,14 @@ class TestMain:
             (["--image-path", DEMO, "--seed", "0x10"], "--seed"),
             (["--image-path", DEMO, "--explore-budget", "1_0_0_0"], "--explore-budget"),
             (["--image-path", DEMO, "--explore-budget", "-1"], "--explore-budget"),
-            (["--image-path", DEMO, "--cave-min-len", "0x1_000"], "--cave-min-len"),
-            (["--image-path", DEMO, "--cave-min-len", "0x"], "--cave-min-len"),
             (["--image-path", DEMO, "--spurious-prob", "0.0_01"], "--spurious-prob"),
             (["--image-path", DEMO, "--spurious-prob", "1e-3"], "--spurious-prob"),
             (["--image-path", DEMO, "--spurious-prob", "."], "--spurious-prob"),
         ],
-        ids=["cave-min-len", "seed", "mode", "missing-image-path",
+        ids=["cave-min-len", "cave-min-len-underscore", "cave-min-len-bare-0x",
+             "seed", "mode", "missing-image-path",
              "seed-arabic-indic-digit", "seed-underscore", "seed-padded", "seed-hex",
              "explore-budget-underscore", "explore-budget-negative",
-             "cave-min-len-underscore", "cave-min-len-bare-0x",
              "spurious-prob-underscore", "spurious-prob-exponent",
              "spurious-prob-bare-point"],
     )
@@ -866,7 +852,7 @@ class TestMain:
 # images/demo.maps for seeds 0..9, concatenated in seed order.  A change that
 # means to leave behaviour alone keeps it; a change that deliberately alters
 # the reports updates it and says why in CHANGES.md.
-DEMO_REPORTS_SHA256 = "cb665ea4261196a1744f8230b208e90ed2455b24f9d3fee792dfbaff9b740789"
+DEMO_REPORTS_SHA256 = "e26ebcd6145e56c21107c155c6f9a2d8c6e53e07e531e38d2cde426b13ba8b18"
 
 
 def test_demo_reports_byte_identical(monkeypatch):
@@ -901,7 +887,7 @@ def test_demo_text_reports_byte_identical(monkeypatch):
 
 # The JSON reports for every mode x chain variant x restore combination,
 # in that product order, with seeds 0..2 innermost: 36 passing reports.
-DEMO_COMBO_REPORTS_SHA256 = "b9a1765a8d9c0a72b696b57ea936f34ed4e8cb005bc37128725dfa1cbe4a626d"
+DEMO_COMBO_REPORTS_SHA256 = "16e5b9768773d80e5663534aecb6cddb0de8b8c436a79c880f83669e120fabad"
 
 
 def test_demo_combo_reports_byte_identical(monkeypatch):

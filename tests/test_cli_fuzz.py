@@ -42,7 +42,7 @@ VALUES = [
     "--mode",
 ]
 FLAGS = [
-    "--image-path", "--mode", "--seed", "--spurious-prob", "--cave-min-len",
+    "--image-path", "--mode", "--seed", "--spurious-prob",
     "--chain-variant", "--restore", "--ground-truth-path", "--stop-after",
     "--no-aslr", "--explore-budget", "--format", "--out",
 ]

@@ -5,12 +5,11 @@ fixed catalogue, and runs ``cli.main`` in-process on the result.  It tries
 the whole catalogue, every time:
 
 - each field of the top level, of ``seeds`` and of every region (``file``
-  and ``offset`` included) swapped for every JSON type, for integers at 0,
-  -1, 2**63, 2**64 and huge, and for strings that are empty, very long,
-  hold a NUL, a lone surrogate, non-ASCII digits or a line break, or are
-  100,000 four-byte characters or control characters;
-- ``file`` naming a directory, a missing file, an empty file and a file
-  of bytes that are not UTF-8;
+  and ``offset``, which a region is refused for holding, included) swapped
+  for every JSON type, for integers at 0, -1, 2**63, 2**64 and huge, and
+  for strings that are empty, very long, hold a NUL, a lone surrogate,
+  non-ASCII digits or a line break, or are 100,000 four-byte characters or
+  control characters;
 - each field removed, an extra key in each object, each member
   duplicated, and each region removed or duplicated, plus an extra region;
 - a stray ``"``, ``:`` or ``\\`` next to either quote of each ``data``
@@ -61,7 +60,6 @@ STRINGS = [
     "", "f" * 100_000, "0x1\x000", "\ud800", "١٠٠٠", "a\nb",
     "\U0001F600" * 100_000, "\x01" * 100_000,
 ]
-FILES = [".", "missing.bin", "empty.bin", "not-utf8.bin"]
 REGION_KEYS = ("start", "len", "perms", "label", "data", "file", "offset")
 
 
@@ -87,7 +85,7 @@ def member_swaps():
     for name, obj in containers(base_doc()):
         present = [k for k, _ in obj]
         for key in REGION_KEYS if name.startswith("region") else present:
-            for value in JSON_TYPES + INTEGERS + STRINGS + (FILES if key == "file" else []):
+            for value in JSON_TYPES + INTEGERS + STRINGS:
                 yield f"{name}: {key} = {dump(value)[:40]}", name, "set", key, value
             if key in present:
                 yield f"{name}: {key} removed", name, "remove", key, None
@@ -157,8 +155,6 @@ def outcome_fault(tmp: Path, text: str) -> str | None:
 
 
 def test_every_mutation_gives_a_report_or_one_clean_line(tmp_path):
-    (tmp_path / "empty.bin").write_bytes(b"")
-    (tmp_path / "not-utf8.bin").write_bytes(b"\xff\xfe\x80" * 100)
     assert outcome_fault(tmp_path, BASE) is None
     faults = []
     seen = 0

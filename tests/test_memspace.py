@@ -2,7 +2,6 @@ import binascii
 import json
 import random
 import signal
-import tempfile
 from pathlib import Path
 
 import pytest
@@ -612,18 +611,23 @@ class TestManifest:
             space.read_bytes(0x3000, 1)
 
     def test_load_with_file_blob(self, tmp_path):
-        payload = tmp_path / "blob.bin"
-        payload.write_bytes(b"SKIPME" + b"\x11" * 32)
+        # refused rather than loaded zero-filled
+        (tmp_path / "blob.bin").write_bytes(b"SKIPME" + b"\x11" * 32)
         text = json.dumps(
             {
                 "regions": [
-                    {"start": "0x1000", "len": "0x1000", "perms": "ru",
-                     "file": "blob.bin", "offset": 6}
+                    {"start": "0x1000", "len": "0x1000", "perms": "ru"},
+                    {"start": "0x2000", "len": "0x1000", "perms": "ru",
+                     "file": str(tmp_path / "blob.bin"), "offset": 6},
                 ]
             }
         )
-        space = load_manifest(parse_manifest(text.encode()), base_dir=tmp_path)
-        assert space.read_bytes(0x1000, 32) == b"\x11" * 32
+        with pytest.raises(ManifestError) as exc:
+            load_manifest(parse_manifest(text.encode()))
+        assert str(exc.value) == (
+            'region 1: "file" and "offset" are not supported; '
+            'give the bytes as hex "data"'
+        )
 
     def test_unknown_top_level_keys_ignored(self):
         text = json.dumps({"regions": [], "seeds": {"x": 1}, "comment": "hi"})
@@ -683,21 +687,20 @@ class TestManifest:
         with pytest.raises(ManifestError, match="region 0 start"):
             load_manifest(parse_manifest(text.encode()))
 
-    def test_rejects_boolean_offset(self, tmp_path):
-        (tmp_path / "blob.bin").write_bytes(b"\x11" * 32)
+    def test_rejects_boolean_offset(self):
         text = json.dumps(
             {"regions": [{"start": "0x1000", "len": "0x1000", "perms": "ru",
-                          "file": "blob.bin", "offset": True}]}
+                          "offset": True}]}
         )
-        with pytest.raises(ManifestError, match="offset"):
-            load_manifest(parse_manifest(text.encode()), base_dir=tmp_path)
+        with pytest.raises(ManifestError, match='^region 0: "file" and "offset"'):
+            load_manifest(parse_manifest(text.encode()))
 
     def test_rejects_file_that_is_not_a_string(self):
         text = json.dumps(
             {"regions": [{"start": "0x1000", "len": "0x1000", "perms": "ru",
                           "file": 5}]}
         )
-        with pytest.raises(ManifestError, match="^region 0: file must be a string$"):
+        with pytest.raises(ManifestError, match='^region 0: "file" and "offset"'):
             load_manifest(parse_manifest(text.encode()))
 
     def test_rejects_deep_nesting(self):
@@ -748,8 +751,7 @@ def reference_pages(regions) -> dict[int, tuple[tuple[bool, ...], bytes]]:
 def blob_regions(draw):
     """Up to three regions of one to four pages.  Each blob is any length
     up to its region's, often one byte short of, at or past a page end,
-    and comes as inline hex (either case) or as a file read from an
-    offset; a file may hold bytes past the region's end."""
+    and comes as inline hex in either case."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     regions = []
     for i in range(draw(st.integers(1, 3))):
@@ -764,34 +766,22 @@ def blob_regions(draw):
         region = {"start": hex((i + 1) << 20), "len": hex(length),
                   "perms": draw(st.sampled_from(["", "ru", "rwu", "rxu", "rwxu"]))}
         blob = rng.randbytes(size)
-        source = draw(st.sampled_from(["data", "DATA", "file"]))
-        contents = None
-        if source == "file":
-            pad = rng.randbytes(draw(st.integers(0, 9)))
-            past = rng.randbytes(draw(st.integers(0, 9))) if size == length else b""
-            region.update(file=f"blob{i}.bin", offset=len(pad))
-            contents = pad + blob + past
-        else:
-            region["data"] = blob.hex().upper() if source == "DATA" else blob.hex()
-        regions.append((region, blob, contents))
+        region["data"] = blob.hex().upper() if draw(st.booleans()) else blob.hex()
+        regions.append((region, blob))
     return regions
 
 
 @given(blob_regions())
 def test_load_matches_the_zero_fill_then_copy_reference(regions):
-    with tempfile.TemporaryDirectory() as tmp:
-        for region, _, contents in regions:
-            if contents is not None:
-                Path(tmp, region["file"]).write_bytes(contents)
-        text = json.dumps({"regions": [region for region, _, _ in regions]})
-        space = load_manifest(parse_manifest(text.encode()), base_dir=tmp)
+    text = json.dumps({"regions": [region for region, _ in regions]})
+    space = load_manifest(parse_manifest(text.encode()))
     got = {
         base: ((p.readable, p.writable, p.executable, p.user_accessible), bytes(page.data))
         for base, page in space.pages.items()
         for p in [page.perms]
     }
     assert got == reference_pages(
-        (int(r["start"], 16), int(r["len"], 16), r["perms"], blob) for r, blob, _ in regions
+        (int(r["start"], 16), int(r["len"], 16), r["perms"], blob) for r, blob in regions
     )
 
 

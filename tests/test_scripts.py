@@ -50,3 +50,26 @@ def test_make_demo_image_builds_one_page_regions(tmp_path):
     assert done.returncode == 0, done.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.json", "demo.maps"]
     assert "(0x1000 bytes)" in done.stdout  # the cave's one page
+
+
+def test_make_demo_image_refuses_an_unknown_gadget_kind(tmp_path):
+    done = run_script("make_demo_image.py", "--omit-gadget", "bogus",
+                      "--out", str(tmp_path))
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith(
+        "make_demo_image.py: argument --omit-gadget: invalid choice: 'bogus'")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_make_demo_image_names_an_out_it_cannot_write_in_one_line(tmp_path):
+    # an existing file, a folder below one, and a name of 10,000 four-byte
+    # characters (under the limit on one argument) whose echo is cut
+    (tmp_path / "file").write_text("")
+    for out in ("file", "file/sub", "\U0001F600" * 10_000):
+        done = run_script("make_demo_image.py", "--out", str(tmp_path / out))
+        assert done.returncode == 2, (out[:20], done.stderr)
+        assert done.stderr.count("\n") == 1, done.stderr
+        assert done.stderr.startswith("make_demo_image.py: cannot write ")
+        assert len(done.stderr.encode()) < 300
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]

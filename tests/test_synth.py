@@ -30,6 +30,12 @@ def test_page_counts_below_one_are_refused(name, count):
         build_victim_image(3, **{name: count})
 
 
+def test_unknown_gadget_kinds_are_refused():
+    # a misspelt kind would otherwise leave every gadget planted
+    with pytest.raises(ValueError, match="^unknown gadget kinds: bogus, pop-rdi$"):
+        build_victim_image(3, omit_gadgets=("syscall", "bogus", "pop-rdi"))
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     pages=st.tuples(*[st.integers(1, 5)] * 3),
