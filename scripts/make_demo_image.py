@@ -8,8 +8,8 @@ so a full run can be checked end to end:
     python3 -m caveprobe --image-path images/demo.json \
         --ground-truth-path images/demo.maps --seed 1
 
-A bad flag value, or an ``--out`` it cannot write to, ends the script with
-one line on stderr and exit 2.
+A bad flag value, an image past the loader's page cap, or an ``--out`` it
+cannot write to, ends the script with one line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -47,13 +47,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         return 2
 
-    image = build_victim_image(
-        args.seed,
-        code_pages=args.code_pages,
-        cave_pages=args.cave_pages,
-        stack_pages=args.stack_pages,
-        omit_gadgets=tuple(args.omit_gadget),
-    )
+    try:
+        image = build_victim_image(
+            args.seed,
+            code_pages=args.code_pages,
+            cave_pages=args.cave_pages,
+            stack_pages=args.stack_pages,
+            omit_gadgets=tuple(args.omit_gadget),
+        )
+    except ValueError as exc:  # an image the loader would refuse
+        print(f"{parser.prog}: {exc}", file=sys.stderr)
+        return 2
     manifest = args.out / f"{args.name}.json"
     maps = args.out / f"{args.name}.maps"
     try:

@@ -1,16 +1,18 @@
 """Page-granular model of a 64-bit virtual address space.
 
 The model keeps a sparse dictionary of 4 KB pages, each carrying its own
-permission bits and backing bytes.  Addresses are 48-bit canonical: the low
-half [0, 2**47) belongs to user mappings, the high half [2**47, 2**48) is
-reserved for kernel mappings, which may be loaded for realism but are never
-user accessible.
+permission bits and backing bytes.  A page's bytes are shared and read-only
+until its first write copies them: every all-zero page of a loaded manifest
+is the one ``_ZERO_PAGE``, and every other page keeps the bytes its hex
+decoded to.  Addresses are 48-bit canonical: the low half [0, 2**47)
+belongs to user mappings, the high half [2**47, 2**48) is reserved for
+kernel mappings, which may be loaded for realism but are never user
+accessible.
 """
 
 from __future__ import annotations
 
 import binascii
-import contextlib
 import json
 import re
 import struct
@@ -20,10 +22,12 @@ from dataclasses import dataclass
 PAGE_SIZE = 4096
 USER_TOP = 1 << 47
 ADDR_TOP = 1 << 48
-# pages one manifest may map in all (256 MiB); each is allocated on load
+# pages one manifest may map in all: each is a Page object on load, and a
+# page holding data is its bytes as well
 MAX_MANIFEST_PAGES = 1 << 16
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
+_ZERO_HEX = b"0" * (2 * PAGE_SIZE)
 _WORDS = PAGE_SIZE // 8
 _WORD = struct.Struct("<Q")
 # bytes.translate tables: a zero byte becomes 1 and any other byte 0, and
@@ -91,14 +95,22 @@ class PagePermissions:
 
 @dataclass(slots=True)
 class Page:
-    """One 4 KB page: permission bits plus backing bytes."""
+    """One 4 KB page: permission bits plus backing bytes, which may be
+    ``bytes`` shared with other pages until :meth:`writable_data` gives the
+    page a ``bytearray`` of its own on its first write."""
 
     perms: PagePermissions
-    data: bytearray
+    data: bytes | bytearray
 
     def __post_init__(self) -> None:
         if len(self.data) != PAGE_SIZE:
             raise ValueError("page data must be exactly one page long")
+
+    def writable_data(self) -> bytearray:
+        """The page's own bytes to write into, copied on the first call."""
+        if type(self.data) is not bytearray:
+            self.data = bytearray(self.data)
+        return self.data
 
 
 class AddressSpace:
@@ -119,13 +131,16 @@ class AddressSpace:
         start: int,
         length: int,
         perms: PagePermissions,
-        data: bytes = b"",
+        data: bytes | tuple[bytes, ...] = b"",
     ) -> None:
         """Map ``length`` bytes at ``start``; pages beyond ``data`` are zero.
 
-        The region must be page aligned, lie inside canonical space, not
-        cross the user/kernel boundary, and not overlap existing pages.
-        Kernel-half regions cannot be user accessible.
+        ``data`` is bytes, or the pages :func:`parse_manifest` decodes, each
+        a full page but the last.  A page's bytes are kept, not copied, and
+        an all-zero page is ``_ZERO_PAGE``.  The region must be page
+        aligned, lie inside canonical space, not cross the user/kernel
+        boundary, and not overlap existing pages.  Kernel-half regions
+        cannot be user accessible.
         """
         if start % PAGE_SIZE or length % PAGE_SIZE:
             raise ValueError("region bounds must be page aligned")
@@ -138,21 +153,16 @@ class AddressSpace:
             raise ValueError("region crosses the user/kernel boundary")
         if start >= USER_TOP and perms.user_accessible:
             raise ValueError("kernel-half pages cannot be user accessible")
-        if len(data) > length:
+        if type(data) is not tuple:
+            data = tuple(bytes(data[k : k + PAGE_SIZE]) for k in range(0, len(data), PAGE_SIZE))
+        if len(data) > length // PAGE_SIZE:
             raise ValueError("content blob longer than region")
         for base in range(start, end, PAGE_SIZE):
             if base in self.pages:
                 raise ValueError(f"page {base:#x} already mapped")
-        view = memoryview(data)
-        for base in range(start, end, PAGE_SIZE):
-            off = base - start
-            chunk = view[off : off + PAGE_SIZE]
-            if len(chunk) == PAGE_SIZE:  # a page the blob fills: one copy
-                buf = bytearray(chunk)
-            else:  # where the blob ends, and past it
-                buf = bytearray(PAGE_SIZE)
-                buf[: len(chunk)] = chunk
-            self.pages[base] = Page(perms, buf)
+        for k, base in enumerate(range(start, end, PAGE_SIZE)):
+            page = data[k].ljust(PAGE_SIZE, b"\0") if k < len(data) else _ZERO_PAGE
+            self.pages[base] = Page(perms, _ZERO_PAGE if page == _ZERO_PAGE else page)
 
     def _check_range(self, addr: int, count: int, *, write: bool) -> None:
         pos = addr
@@ -205,7 +215,7 @@ class AddressSpace:
             page = self.pages[base]
             lo = pos - base
             hi = min(PAGE_SIZE, end - base)
-            page.data[lo:hi] = data[pos - addr : pos - addr + (hi - lo)]
+            page.writable_data()[lo:hi] = data[pos - addr : pos - addr + (hi - lo)]
             pos = base + hi
 
     def set_protection(self, start: int, length: int, perms: PagePermissions) -> None:
@@ -226,10 +236,11 @@ class AddressSpace:
             self.pages[base].perms = perms
 
     def shifted(self, offset: int) -> "AddressSpace":
-        """Deep copy of this space, then :meth:`rebase` of the copy."""
+        """Copy of this space, then :meth:`rebase` of the copy.  A page's
+        bytes are shared until either side writes it, unless already written."""
         out = AddressSpace()
         out.pages = {
-            base: Page(page.perms, bytearray(page.data))
+            base: Page(page.perms, bytes(page.data))
             for base, page in self.pages.items()
         }
         out.rebase(offset)
@@ -275,7 +286,7 @@ class AddressSpace:
             zero_is_pointer = 0 in old_bases
             for page in self.pages.values():
                 if zero_is_pointer or page.data != _ZERO_PAGE:
-                    _relocate_page(page.data, old_bases, zero_is_pointer, offset)
+                    _relocate_page(page, old_bases, zero_is_pointer, offset)
 
 
 def lane_filter(data: bytes | bytearray, *, zero: bool = False) -> bytes:
@@ -303,16 +314,17 @@ def lane_filter(data: bytes | bytearray, *, zero: bool = False) -> bytes:
 
 
 def _relocate_page(
-    data: bytearray, old_bases: set[int], zero_is_pointer: bool, offset: int
+    page: Page, old_bases: set[int], zero_is_pointer: bool, offset: int
 ) -> None:
-    """Add ``offset`` to every aligned little-endian word of ``data`` whose
-    page is in ``old_bases``, which lie below 2**47."""
-    marks = lane_filter(data, zero=zero_is_pointer)
+    """Add ``offset`` to every aligned little-endian word of ``page`` whose
+    page is in ``old_bases``, which lie below 2**47.  The page is copied
+    only if a word changes."""
+    marks = lane_filter(page.data, zero=zero_is_pointer)
     i = marks.find(1)
     while i >= 0:
-        w = _WORD.unpack_from(data, 8 * i)[0]
+        w = _WORD.unpack_from(page.data, 8 * i)[0]
         if w & ~(PAGE_SIZE - 1) in old_bases:
-            _WORD.pack_into(data, 8 * i, w + offset)
+            _WORD.pack_into(page.writable_data(), 8 * i, w + offset)
         i = marks.find(1, i + 1)
 
 
@@ -352,12 +364,28 @@ def _clip(value: str) -> str:
     return shown if len(shown) <= 80 else shown[:80] + "..."
 
 
-def _splice_blobs(raw: bytes) -> tuple[bytes, dict[str, bytes]]:
+def _hex_pages(raw: bytes, lo: int, hi: int) -> tuple[bytes, ...] | None:
+    """The bytes the hex literal ``raw[lo:hi]`` spells, one page at a time:
+    a full page of ``0`` digits is ``_ZERO_PAGE``, with nothing decoded,
+    and each other page is one ``unhexlify``.  None when any page is not
+    hex, or the length is odd, so the literal stays text."""
+    view = memoryview(raw)
+    try:
+        return tuple(
+            _ZERO_PAGE if raw.startswith(_ZERO_HEX, pos, hi)
+            else binascii.unhexlify(view[pos : min(pos + len(_ZERO_HEX), hi)])
+            for pos in range(lo, hi, len(_ZERO_HEX))
+        )
+    except binascii.Error:
+        return None
+
+
+def _splice_blobs(raw: bytes) -> tuple[bytes, dict[str, tuple[bytes, ...]]]:
     """Split manifest ``raw`` into a skeleton and the blobs decoded from it.
 
-    Each "data" member's literal that ``unhexlify`` accepts is decoded, and
-    its contents become a placeholder in the skeleton; the blobs are keyed
-    by the text the placeholder parses to.
+    Each "data" member's literal that :func:`_hex_pages` accepts is
+    decoded, and its contents become a placeholder in the skeleton; the
+    blobs are keyed by the text the placeholder parses to.
 
     Without a backslash in ``raw`` every quote delimits a string literal,
     so the literals pair up by ``find`` alone; with one, nothing is
@@ -367,7 +395,7 @@ def _splice_blobs(raw: bytes) -> tuple[bytes, dict[str, bytes]]:
     so taking them out hides no fault of the file.  The key is compared in
     place: a slice of the previous literal could copy a whole blob.
     """
-    blobs: dict[str, bytes] = {}
+    blobs: dict[str, tuple[bytes, ...]] = {}
     if b"\\" in raw:
         return raw, blobs
     view = memoryview(raw)
@@ -383,16 +411,12 @@ def _splice_blobs(raw: bytes) -> tuple[bytes, dict[str, bytes]]:
             prev_hi - prev_lo == 4
             and raw.startswith(b"data", prev_lo)
             and raw[prev_hi + 1 : lo - 1].strip(b" \t\n\r") == b":"
+            and (blob := _hex_pages(raw, lo, hi)) is not None
         ):
-            try:
-                blob = binascii.unhexlify(view[lo:hi])
-            except binascii.Error:
-                pass
-            else:
-                n = len(blobs)
-                blobs[f"\0{n}"] = blob
-                parts += (view[done:lo], b"\\u0000%d" % n)
-                done = hi
+            n = len(blobs)
+            blobs[f"\0{n}"] = blob
+            parts += (view[done:lo], b"\\u0000%d" % n)
+            done = hi
         prev_lo, prev_hi = lo, hi
         lo = raw.find(b'"', hi + 1) + 1
     if not blobs:
@@ -405,13 +429,13 @@ def parse_manifest(raw: bytes) -> dict:
     """Parse the manifest file's bytes as JSON and check the document's
     top-level shape.
 
-    Each "data" member whose value is a hex string comes back as the
-    decoded bytes; every other value is what ``json.loads`` gives.  In a
-    file with no backslash the blobs are found and decoded in one pass over
-    ``raw``, so the JSON scanner never walks one; in a file with one,
-    ``json`` parses every literal and each blob is decoded from its text.
-    Bytes that are not UTF-8 raise UnicodeDecodeError at the offset of the
-    first bad byte.
+    Each "data" member whose value is a hex string comes back as the tuple
+    of pages :func:`_hex_pages` decodes; every other value is what
+    ``json.loads`` gives.  In a file with no backslash the blobs are found
+    and decoded in one pass over ``raw``, so the JSON scanner never walks
+    one; in a file with one, ``json`` parses every literal and each blob is
+    decoded from its text by the same decoder.  Bytes that are not UTF-8
+    raise UnicodeDecodeError at the offset of the first bad byte.
     """
     skeleton, blobs = _splice_blobs(raw)
 
@@ -420,9 +444,9 @@ def parse_manifest(raw: bytes) -> dict:
         if type(value) is str:
             if value in blobs:  # a membership test: an empty blob is falsy
                 obj["data"] = blobs[value]
-            else:
-                with contextlib.suppress(ValueError):
-                    obj["data"] = binascii.unhexlify(value)
+            elif value.isascii() and (
+                    pages := _hex_pages(value.encode(), 0, len(value))) is not None:
+                obj["data"] = pages
         return obj
 
     try:
@@ -456,7 +480,7 @@ def load_manifest(doc: dict) -> AddressSpace:
 
     The manifest is ``{"regions": [...]}`` where each region gives page
     aligned "start" and "len" hex strings, a "perms" string drawn from
-    "rwxu", an optional "label", and optional content as "data", the bytes
+    "rwxu", an optional "label", and optional content as "data", the pages
     :func:`parse_manifest` decodes from a hex string.  Regions without
     content are zero filled; a region that names a "file" or an "offset"
     is refused, since its bytes would otherwise load as zeroes.  Unknown
@@ -477,7 +501,7 @@ def load_manifest(doc: dict) -> AddressSpace:
             )
         start = parse_hex(region.get("start"), f"{where} start")
         length = parse_hex(region.get("len"), f"{where} len")
-        # checked before any page or blob of the region is allocated
+        # checked before any page of the region is built
         pages += length // PAGE_SIZE
         if pages > MAX_MANIFEST_PAGES:
             raise ManifestError(
@@ -491,8 +515,8 @@ def load_manifest(doc: dict) -> AddressSpace:
         except ValueError as exc:
             raise ManifestError(f"{where}: {exc}") from None
 
-        blob = region.get("data", b"")
-        if type(blob) is not bytes:
+        blob = region.get("data", ())
+        if type(blob) is not tuple:
             raise ManifestError(f"{where}: data is not a hex blob")
         try:
             space.map_region(start, length, perms, blob)

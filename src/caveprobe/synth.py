@@ -24,7 +24,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .memspace import PAGE_SIZE, USER_TOP
+from .memspace import MAX_MANIFEST_PAGES, PAGE_SIZE, USER_TOP
 from .gadgets import GADGETS
 
 _PRINTABLE = bytes(range(0x20, 0x7F))
@@ -75,7 +75,9 @@ def build_victim_image(
     """Deterministically build one victim image from ``seed``.
 
     ``omit_gadgets`` suppresses planting the named gadget kinds, which is
-    how tests produce images where chain construction must fail.
+    how tests produce images where chain construction must fail.  Page
+    counts below 1, or an image past ``MAX_MANIFEST_PAGES`` pages, raise
+    ValueError before anything is drawn or allocated.
     """
     if unknown := [name for name in omit_gadgets if name not in GADGETS]:
         raise ValueError(f"unknown gadget kinds: {', '.join(unknown)}")
@@ -83,6 +85,10 @@ def build_victim_image(
                         ("stack_pages", stack_pages)):
         if count < 1:
             raise ValueError(f"{name} must be at least 1, not {count}")
+    # rodata, data and heap take two pages each, the guard and vsyscall one
+    if code_pages + cave_pages + stack_pages + 8 > MAX_MANIFEST_PAGES:
+        raise ValueError(f"the image would map more than the loader's "
+                         f"{MAX_MANIFEST_PAGES} pages")
     rng = random.Random(seed)
     page = PAGE_SIZE
 

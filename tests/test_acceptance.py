@@ -45,7 +45,7 @@ def _poke(space, addr: int, data: bytes) -> None:
     """Test-setup backdoor: write bytes regardless of page permissions."""
     for k, byte in enumerate(data):
         page = space.pages[(addr + k) & ~(PAGE_SIZE - 1)]
-        page.data[(addr + k) % PAGE_SIZE] = byte
+        page.writable_data()[(addr + k) % PAGE_SIZE] = byte
 
 
 def test_criterion_1_map_reconstruction_exact():

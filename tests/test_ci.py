@@ -3,8 +3,9 @@ Pythons from the floor pyproject.toml declares, records src/'s line count
 in the run's summary, smoke-runs the benchmark both untraced and traced,
 runs the installed console script in every mode, checks that it cuts a
 long flag value to one short line, checks its JSON report against the
-stdlib's json.tool and against the report of a demo copy that holds a
-backslash, rebuilds the demo image with the installed package's image
+stdlib's json.tool and against the reports of a demo copy that holds a
+backslash and of one with its cave as zero hex and its code uppercase,
+rebuilds the demo image with the installed package's image
 script and checks that script's one-line refusal of a zero page count, and
 runs README's install commands as written."""
 
@@ -225,6 +226,37 @@ def test_manifest_with_a_backslash_is_checked_against_the_demo_report():
         'cd "$RUNNER_TEMP/escaped"',
         'caveprobe --image-path demo.json --out "$RUNNER_TEMP/escaped-report.json"',
         'cmp "$RUNNER_TEMP/plain-report.json" "$RUNNER_TEMP/escaped-report.json"',
+    ]
+
+
+def test_zero_hex_cave_and_uppercase_code_are_checked_against_the_demo_report():
+    # a copy of the demo whose anon cave holds all-"0" hex and whose code
+    # blob is uppercase; the installed package must report the same bytes
+    # for it, run from a second directory under the same relative path
+    name = "Cave as zero hex and uppercase code give the same report"
+    step = workflow_step(name)
+    lines = [line.strip() for line in step.splitlines()]
+    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
+    assert workflow.index("- name: Installed console script") < workflow.index(
+        f"- name: {name}")
+    body = lines[lines.index("run: |") + 1:]
+    assert body[:2] == [
+        'mkdir "$RUNNER_TEMP/demo-copy" "$RUNNER_TEMP/zero-hex"',
+        'cp images/demo.json "$RUNNER_TEMP/demo-copy/demo.json"',
+    ]
+    rewrite = body[2]
+    assert rewrite.startswith("python -c '")
+    assert rewrite.endswith("' \"$RUNNER_TEMP/zero-hex/demo.json\"")
+    for part in ('cave["label"], cave["perms"], "data" in cave',
+                 'cave["data"] = "0" * (2 * int(cave["len"], 16))',
+                 'code["data"] = code["data"].upper()'):
+        assert part in rewrite
+    assert body[3:] == [
+        'cd "$RUNNER_TEMP/demo-copy"',
+        'caveprobe --image-path demo.json --out "$RUNNER_TEMP/demo-copy-report.json"',
+        'cd "$RUNNER_TEMP/zero-hex"',
+        'caveprobe --image-path demo.json --out "$RUNNER_TEMP/zero-hex-report.json"',
+        'cmp "$RUNNER_TEMP/demo-copy-report.json" "$RUNNER_TEMP/zero-hex-report.json"',
     ]
 
 

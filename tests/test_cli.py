@@ -29,9 +29,10 @@ from caveprobe.cli import (
     run_pipeline,
 )
 from caveprobe.gadgets import CHAIN_VARIANTS
-from caveprobe.memspace import PAGE_SIZE, AddressSpace
+from caveprobe.memspace import _ZERO_PAGE, PAGE_SIZE, AddressSpace
 from caveprobe.probe import ProbeOutcome, Prober, Writability
 from caveprobe.synth import build_victim_image
+from helpers import page_bytes
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = str(REPO / "images" / "demo.json")
@@ -359,6 +360,24 @@ class TestPipeline:
             tracemalloc.stop()
         assert peak < manifest.stat().st_size + len(space.pages) * PAGE_SIZE
 
+    def test_reading_an_image_allocates_only_the_pages_that_hold_data(self, tmp_path):
+        # all-zero pages share one object and decoded pages are kept as
+        # they are, so past the file's bytes the peak is the pages that hold
+        # data and at most 256 bytes of bookkeeping for each page
+        manifest = tmp_path / "victim.json"
+        manifest.write_text(build_victim_image(
+            5, code_pages=64, cave_pages=64, stack_pages=64).manifest_text)
+        tracemalloc.start()
+        try:
+            space, _ = cli._read_image(manifest)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        data = [page for page in space.pages.values() if page.data != bytes(PAGE_SIZE)]
+        assert (len(space.pages), len(data)) == (200, 71)
+        assert peak < (manifest.stat().st_size + len(data) * PAGE_SIZE
+                       + len(space.pages) * 256)
+
     def test_bad_image_path_is_load_stage_error(self):
         with pytest.raises(StageError) as exc:
             run_pipeline(PipelineConfig(image_path="/nonexistent.json"))
@@ -541,6 +560,45 @@ class TestMain:
         escaped.write_bytes(Path(DEMO).read_bytes().replace(
             b'"label"', b'"\\u006cabel"', 1))
         assert_same_report_as_demo(escaped)
+
+    @pytest.mark.parametrize("path", ["spliced", "json-only"])
+    @pytest.mark.parametrize("spelling", [
+        "cave-as-zero-hex", "cave-as-empty-hex", "cave-as-short-zero-hex",
+        "uppercase-hex", "zero-tails-cut"])
+    def test_data_spellings_give_the_same_pages_and_report(self, tmp_path, spelling, path):
+        # the anon cave's zero pages given as hex, the blobs in uppercase, or
+        # each blob cut short before its trailing zero bytes: the pages
+        # decode page by page to the same bytes, shared wherever all zero
+        doc = json.loads(Path(DEMO).read_text())
+        cave = doc["regions"][3]
+        assert (cave["label"], cave["perms"], "data" in cave) == ("anon", "rwu", False)
+        if spelling == "cave-as-zero-hex":
+            cave["data"] = "0" * 2 * int(cave["len"], 16)
+        elif spelling == "cave-as-empty-hex":
+            cave["data"] = ""
+        elif spelling == "cave-as-short-zero-hex":
+            cave["data"] = "0" * (2 * PAGE_SIZE + 6)
+        for region in doc["regions"]:
+            if "data" in region and spelling == "uppercase-hex":
+                region["data"] = region["data"].upper()
+            elif "data" in region and spelling == "zero-tails-cut":
+                cut = region["data"].rstrip("0")
+                region["data"] = cut + "0" * (len(cut) % 2)
+        text = json.dumps(doc, indent=2)
+        if path == "json-only":
+            text = text.replace('"label"', '"\\u006cabel"', 1)
+        manifest = tmp_path / "demo.json"
+        manifest.write_text(text)
+        assert (b"\\" in manifest.read_bytes()) == (path == "json-only")
+        if spelling == "zero-tails-cut":  # the stack's blob ends in zero bytes
+            stack = doc["regions"][6]
+            assert len(stack["data"]) < 2 * int(stack["len"], 16)
+        space, _ = cli._read_image(manifest)
+        demo, _ = cli._read_image(Path(DEMO))
+        assert page_bytes(space) == page_bytes(demo)
+        zero = [page for page in space.pages.values() if page.data == bytes(PAGE_SIZE)]
+        assert len(zero) == 9 and all(page.data is _ZERO_PAGE for page in zero)
+        assert_same_report_as_demo(manifest)
 
     def test_manifest_that_is_not_utf8_is_one_line_error(self, tmp_path, capsys):
         manifest = tmp_path / "not-utf8.json"

@@ -139,18 +139,18 @@ def census_cases(draw):
     patterns = list(GADGETS.values())
     for i in mapped:
         end = first + (i + 1) * PAGE_SIZE
-        page = space.pages[end - PAGE_SIZE].data
+        page = space.pages[end - PAGE_SIZE].writable_data()
         nxt = space.pages.get(end)
         kind = draw(st.sampled_from(
             ["straddle", "syscall-end", "last-byte", "cross", "edges", "none"]
         ))
         if kind == "straddle" and nxt is not None:
             pattern = draw(st.sampled_from(patterns))
-            page[-1], nxt.data[0] = pattern
+            page[-1], nxt.writable_data()[0] = pattern
         elif kind == "syscall-end":
             page[-2:] = b"\x0f\x05"
             if nxt is not None:
-                nxt.data[0] = 0xC3
+                nxt.writable_data()[0] = 0xC3
         elif kind == "last-byte":
             page[-2:] = draw(st.sampled_from(patterns))
         elif kind == "cross":
@@ -158,7 +158,7 @@ def census_cases(draw):
             off = draw(st.integers(0, PAGE_SIZE - 3))
             page[off : off + 2] = pair
             if nxt is not None:
-                page[-1], nxt.data[0] = pair
+                page[-1], nxt.writable_data()[0] = pair
         elif kind == "edges":
             page[0] = draw(st.sampled_from(LAST_BYTES))
             page[-1] = draw(st.sampled_from(FIRST_BYTES))

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from caveprobe import cli, machine
 from caveprobe.memspace import (
+    _ZERO_PAGE,
     ADDR_TOP,
     PAGE_SIZE,
     USER_TOP,
@@ -15,6 +17,7 @@ from caveprobe.memspace import (
     ManifestError,
     MapsParseError,
     MemoryFault,
+    Page,
     PagePermissions,
     load_manifest,
     page_runs,
@@ -22,7 +25,8 @@ from caveprobe.memspace import (
     parse_manifest,
     parse_proc_maps,
 )
-from helpers import is_mapped, make_space, space_digest
+from caveprobe.synth import build_victim_image
+from helpers import is_mapped, make_space, page_bytes, space_digest
 
 
 class TestPagePermissions:
@@ -751,7 +755,9 @@ def reference_pages(regions) -> dict[int, tuple[tuple[bool, ...], bytes]]:
 def blob_regions(draw):
     """Up to three regions of one to four pages.  Each blob is any length
     up to its region's, often one byte short of, at or past a page end,
-    and comes as inline hex in either case."""
+    and comes as inline hex in either case.  Its pages are random, all
+    zero, or each one either; a label past ASCII sends the file to the
+    json-only parse."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     regions = []
     for i in range(draw(st.integers(1, 3))):
@@ -764,8 +770,12 @@ def blob_regions(draw):
             size = min(max(edge + draw(st.sampled_from([-1, 0, 1])), 0), length)
         # regions at least a megabyte apart never touch
         region = {"start": hex((i + 1) << 20), "len": hex(length),
-                  "perms": draw(st.sampled_from(["", "ru", "rwu", "rxu", "rwxu"]))}
-        blob = rng.randbytes(size)
+                  "perms": draw(st.sampled_from(["", "ru", "rwu", "rxu", "rwxu"])),
+                  "label": draw(st.sampled_from(["a", "caf\u00e9"]))}
+        zero = draw(st.sampled_from([0.0, 1.0, 0.5]))  # the share of zero pages
+        blob = b"".join(
+            bytes(n) if rng.random() < zero else rng.randbytes(n)
+            for n in (min(PAGE_SIZE, size - k) for k in range(0, size, PAGE_SIZE)))
         region["data"] = blob.hex().upper() if draw(st.booleans()) else blob.hex()
         regions.append((region, blob))
     return regions
@@ -783,6 +793,155 @@ def test_load_matches_the_zero_fill_then_copy_reference(regions):
     assert got == reference_pages(
         (int(r["start"], 16), int(r["len"], 16), r["perms"], blob) for r, blob in regions
     )
+    assert all(page.data is _ZERO_PAGE
+               for page in space.pages.values() if page.data == bytes(PAGE_SIZE))
+
+
+# a literal the per-page decoder must refuse as a whole, whatever pages of
+# it decode: the region's data stays text and the loader names it
+BAD_BLOBS = {
+    "odd-length": "0" * (6 * PAGE_SIZE) + "0",
+    "odd-length-short": "abc",
+    "bad-page-after-zero-pages": "0" * (6 * PAGE_SIZE) + "zz" + "0" * (2 * PAGE_SIZE - 2),
+    "bad-short-page-after-zero-pages": "0" * (6 * PAGE_SIZE) + "0g",
+}
+
+
+@pytest.mark.parametrize("label", ["plain", "caf\\u00e9"], ids=["spliced", "json-only"])
+@pytest.mark.parametrize("blob", BAD_BLOBS.values(), ids=BAD_BLOBS)
+def test_a_literal_with_a_bad_page_is_not_a_hex_blob(blob, label):
+    raw = ('{"regions": [{"start": "0x1000", "len": "0x4000", "perms": "rwu", '
+           '"data": "00", "label": "%s"}, {"start": "0x10000", "len": "0x4000", '
+           '"perms": "rwu", "data": "%s"}]}' % (label, blob)).encode()
+    doc = parse_manifest(raw)
+    assert doc["regions"][0]["data"] == (b"\0",)
+    assert doc["regions"][1]["data"] == blob
+    with pytest.raises(ManifestError, match=r"^region 1: data is not a hex blob$"):
+        load_manifest(doc)
+
+
+# --- shared pages, copied on the first write --------------------------------
+
+DEMO = Path(__file__).resolve().parent.parent / "images" / "demo.json"
+
+
+def zero_pages(space: AddressSpace) -> list[Page]:
+    return [page for page in space.pages.values() if page.data == bytes(PAGE_SIZE)]
+
+
+def test_read_image_shares_every_zero_page():
+    space, _ = cli._read_image(DEMO)
+    assert len(zero_pages(space)) == 9
+    assert all(page.data is _ZERO_PAGE for page in zero_pages(space))
+    # and every other page keeps the bytes its hex decoded to
+    assert all(type(page.data) is bytes for page in space.pages.values())
+
+
+def test_a_written_page_stops_sharing():
+    space, _ = cli._read_image(DEMO)
+    cave = 0x459000
+    before = page_bytes(space)
+    space.write_bytes(cave + PAGE_SIZE - 2, b"\x01\x02\x03")
+    for base in (cave, cave + PAGE_SIZE):
+        assert space.pages[base].data is not _ZERO_PAGE
+        assert type(space.pages[base].data) is bytearray
+    assert space.read_bytes(cave + PAGE_SIZE - 2, 3) == b"\x01\x02\x03"
+    assert _ZERO_PAGE == bytes(PAGE_SIZE)
+    assert len(zero_pages(space)) == 7
+    assert all(page.data is _ZERO_PAGE for page in zero_pages(space))
+    after = page_bytes(space)
+    assert [b for b in before if before[b] != after[b]] == [cave, cave + PAGE_SIZE]
+
+
+def test_shifted_copy_does_not_see_later_writes_to_its_source():
+    source, _ = cli._read_image(DEMO)
+    source.write_bytes(0x462000, b"\xee" * 8)  # a page the source owns
+    copy = source.shifted(0)
+    want = page_bytes(copy)
+    # a shared zero page, a page with data, and the page already written
+    source.write_bytes(0x459000, b"\xaa" * 8)
+    source.write_bytes(0x453000, b"\xbb" * 8)
+    source.write_bytes(0x462008, b"\xcc" * 8)
+    assert page_bytes(copy) == want
+    copy.write_bytes(0x462010, b"\xdd" * 8)
+    assert source.read_bytes(0x462000, 24) == b"\xee" * 8 + b"\xcc" * 8 + want[0x462000][16:24]
+
+
+def old_way_copy(space: AddressSpace) -> AddressSpace:
+    """``space`` with every page a bytearray of its own, the way every page
+    was built before pages were shared: the reference for the shared ones."""
+    out = AddressSpace()
+    out.pages = {base: Page(page.perms, bytearray(page.data))
+                 for base, page in space.pages.items()}
+    return out
+
+
+SCRATCH_PERMS = PagePermissions.from_rwxu("rwxu")
+
+
+def apply_op(space: AddressSpace, op) -> tuple[object, set[int]]:
+    """Run ``op`` on ``space``; its outcome, and the pages it may write."""
+    bases = sorted(space.pages)
+    if op[0] == "rebase":
+        space.rebase(op[1] * PAGE_SIZE)
+        return None, set()
+    if op[0] == "write":
+        _, i, off, data = op
+        addr = bases[i % len(bases)] + off
+        touched = {space.page_base(a) for a in (addr, addr + len(data) - 1)}
+        try:
+            space.write_bytes(addr, data)
+        except MemoryFault as exc:
+            return ("fault", exc.addr, exc.kind), touched
+        return "ok", touched
+    # a machine store: mov rax, addr; mov rcx, value; mov [rax], rcx, run
+    # from the scratch page
+    _, i, off, value = op
+    addr = bases[i % len(bases)] + off
+    scratch = next(b for b, page in space.pages.items() if page.perms == SCRATCH_PERMS)
+    code = (machine.enc_mov_ri("rax", addr) + machine.enc_mov_ri("rcx", value)
+            + machine.enc_store("rax", "rcx"))
+    space.write_bytes(scratch, code)
+    state = machine.MachineState(rip=scratch)
+    for _ in range(3):
+        machine.step(state, space)
+    touched = {scratch} | {space.page_base(a) for a in (addr, addr + 7)}
+    return (state.status, state.trap_reason, state.rip), touched
+
+
+COW_OPS = st.lists(st.one_of(
+    st.tuples(st.just("write"), st.integers(0, 63), st.integers(0, PAGE_SIZE - 1),
+              st.binary(min_size=1, max_size=16)),
+    st.tuples(st.just("store"), st.integers(0, 63), st.integers(0, PAGE_SIZE - 8),
+              st.integers(0, 2**64 - 1)),
+    st.tuples(st.just("rebase"), st.integers(0, 1 << 20)),
+), max_size=8)
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    sizes=st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 2)),
+    scratch=st.sampled_from([0, 0x10000]),  # page 0 mapped: zero words relocate
+    ops=COW_OPS,
+)
+def test_shared_pages_match_the_copy_every_page_reference(seed, sizes, scratch, ops):
+    code, cave, stack = sizes
+    image = build_victim_image(seed, code_pages=code, cave_pages=cave, stack_pages=stack)
+    doc = parse_manifest(image.manifest_text.encode())
+    doc["regions"].append({"start": hex(scratch), "len": "0x1000", "perms": "rwxu"})
+    space = load_manifest(doc)
+    reference = old_way_copy(space)
+    for op in ops:
+        before = page_bytes(space)
+        outcome, touched = apply_op(space, op)
+        assert apply_op(reference, op)[0] == outcome
+        after = page_bytes(space)
+        assert after == page_bytes(reference)
+        assert {b: p.perms for b, p in space.pages.items()} == {
+            b: p.perms for b, p in reference.pages.items()}
+        if op[0] != "rebase":  # a write changes no page but its own
+            assert {b for b in before if before[b] != after[b]} <= touched
+        assert _ZERO_PAGE == bytes(PAGE_SIZE)
 
 
 # --- manifest parsing against one json.loads of the text ---------------------
@@ -803,9 +962,14 @@ def json_parse_manifest(text: str) -> dict:
     return doc
 
 
+def pages_of(blob: bytes) -> tuple[bytes, ...]:
+    """``blob`` cut into pages, the last one short if the blob ends there."""
+    return tuple(blob[k : k + PAGE_SIZE] for k in range(0, len(blob), PAGE_SIZE))
+
+
 def decoded_blobs(value):
     """``value`` with every "data" member that unhexlify accepts replaced by
-    its bytes, at any depth."""
+    its bytes cut into pages, at any depth."""
     if isinstance(value, list):
         return [decoded_blobs(v) for v in value]
     if not isinstance(value, dict):
@@ -813,7 +977,7 @@ def decoded_blobs(value):
     out = {k: decoded_blobs(v) for k, v in value.items()}
     if isinstance(out.get("data"), str):
         try:
-            out["data"] = binascii.unhexlify(out["data"])
+            out["data"] = pages_of(binascii.unhexlify(out["data"]))
         except ValueError:
             pass
     return out
@@ -920,9 +1084,6 @@ def test_parse_decodes_blobs_and_otherwise_matches_json(raw):
     assert parse_outcome(parse_manifest, raw) == parse_outcome(reference_parse, raw)
 
 
-DEMO = Path(__file__).resolve().parent.parent / "images" / "demo.json"
-
-
 @pytest.mark.parametrize("fault", [
     # a missing comma after the stack's blob
     lambda raw: raw.replace(b'"\n    },\n    {\n      "start": "0x800000000000"',
@@ -945,7 +1106,9 @@ def test_demo_blobs_come_back_decoded():
     doc = parse_manifest(DEMO.read_bytes())
     want = json.loads(DEMO.read_text())
     blobs = [r for r in doc["regions"] if "data" in r]
-    assert blobs and all(type(r["data"]) is bytes for r in blobs)
+    assert blobs and all(
+        type(r["data"]) is tuple and all(type(page) is bytes for page in r["data"])
+        for r in blobs)
     assert doc == decoded_blobs(want)
     assert space_digest(load_manifest(doc)) == space_digest(
         load_manifest(decoded_blobs(want)))
@@ -961,11 +1124,12 @@ def test_hex_text_data_is_refused_by_the_loader():
 
 @pytest.mark.parametrize("label", ["plain", "caf\\u00e9"], ids=["spliced", "json-only"])
 def test_empty_data_comes_back_as_empty_bytes(label):
+    # the empty blob is no pages at all; its region loads zero-filled
     raw = ('{"regions": [{"start": "0x1000", "len": "0x1000", "perms": "ru", '
            '"data": "", "label": "%s"}]}' % label).encode()
     doc = parse_manifest(raw)
-    assert doc["regions"][0]["data"] == b""
-    assert type(doc["regions"][0]["data"]) is bytes
+    assert doc["regions"][0]["data"] == ()
+    assert type(doc["regions"][0]["data"]) is tuple
     assert load_manifest(doc).read_bytes(0x1000, 8) == bytes(8)
 
 

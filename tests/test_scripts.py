@@ -52,6 +52,18 @@ def test_make_demo_image_builds_one_page_regions(tmp_path):
     assert "(0x1000 bytes)" in done.stdout  # the cave's one page
 
 
+def test_make_demo_image_refuses_an_image_past_the_loader_cap_in_one_line(tmp_path):
+    # refused before anything is drawn or allocated: 65,536 code pages and
+    # 8 fixed ones, and a count of 4,000 digits that is not echoed
+    for flag, value in [("--code-pages", "65536"), ("--stack-pages", "9" * 4000)]:
+        done = run_script("make_demo_image.py", flag, value, "--out", str(tmp_path))
+        assert done.returncode == 2, (flag, done.stderr)
+        assert done.stderr == (
+            "make_demo_image.py: the image would map more than the loader's "
+            "65536 pages\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_make_demo_image_refuses_an_unknown_gadget_kind(tmp_path):
     done = run_script("make_demo_image.py", "--omit-gadget", "bogus",
                       "--out", str(tmp_path))

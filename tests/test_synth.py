@@ -7,13 +7,16 @@ formatter here and the builder's own way of writing it is free to differ.
 
 import json
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from caveprobe import synth
 from caveprobe.cli import EXIT_OK
 from caveprobe.gadgets import GADGETS
+from caveprobe.memspace import MAX_MANIFEST_PAGES
 from caveprobe.synth import build_victim_image
 from helpers import run_main
 
@@ -28,6 +31,27 @@ WITH_DATA = {"code", "rodata", "data", "heap", "stack"}
 def test_page_counts_below_one_are_refused(name, count):
     with pytest.raises(ValueError, match=rf"^{name} must be at least 1, not {count}$"):
         build_victim_image(3, **{name: count})
+
+
+class Drawn(Exception):
+    """Raised in place of the builder's first draw."""
+
+
+def no_draw(seed):
+    raise Drawn
+
+
+@pytest.mark.parametrize("name", SIZES)
+def test_images_past_the_loader_cap_are_refused_before_any_draw(monkeypatch, name):
+    # the other two regions take 4 pages each, and 8 pages are fixed; a
+    # refused image draws nothing and allocates nothing, whatever its size
+    monkeypatch.setattr(synth, "random", types.SimpleNamespace(Random=no_draw))
+    for count in (MAX_MANIFEST_PAGES - 15, MAX_MANIFEST_PAGES, 2**62):
+        with pytest.raises(ValueError, match=(
+                r"^the image would map more than the loader's 65536 pages$")):
+            build_victim_image(3, **{name: count})
+    with pytest.raises(Drawn):  # an image at the cap is built
+        build_victim_image(3, **{name: MAX_MANIFEST_PAGES - 16})
 
 
 def test_unknown_gadget_kinds_are_refused():
