@@ -437,7 +437,7 @@ def _inject(ctx: Pipeline) -> None:
     image = injector.forge_fake_frame(victim, chain, payload, cave)
     epilogue = ctx.catalog.lowest("leave-ret")
     ctx.canary_before = ctx.space.read_bytes(victim.canary_slot_addr, 8)
-    injector.inject(ctx.space, ctx.prober, victim, image, epilogue)
+    injector.inject(ctx.pagemap, victim, image, epilogue)
 
     ctx.victim = victim
     ctx.image = image

@@ -35,12 +35,13 @@ class NoFrameError(ValueError):
 @dataclass(slots=True)
 class PageMap:
     """Probe verdicts keyed by page base address: the one store a run
-    probes through, and the only way it probes.  It owns the space and the
-    prober.  Each page maps to the strongest verdict its probes settled:
-    the claw's ``Writability``, or ``ACCESSIBLE`` when only a tap hit.  The
-    victim is paused, so a verdict holds for the whole run; ``tap`` and
-    ``claw`` probe a page only for a verdict not yet stored.  No more than
-    ``budget`` pages are ever probed."""
+    probes through, and the only way it probes, the injector's checks of
+    the pages it writes included.  It owns the space and the prober.  Each
+    page maps to the strongest verdict its probes settled: the claw's
+    ``Writability``, or ``ACCESSIBLE`` when only a tap hit.  The victim is
+    paused, so a verdict holds for the whole run; ``tap`` and ``claw``
+    probe a page only for a verdict not yet stored.  No more than
+    ``budget`` pages are ever probed in the whole run."""
 
     space: AddressSpace
     prober: Prober

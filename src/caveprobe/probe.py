@@ -65,16 +65,10 @@ class RetryBudgetExhausted(RuntimeError):
         self.attempts = attempts
 
 
-class NotWritableError(Exception):
-    """safe_write refused to touch a page the claw probe rejected."""
-
-    def __init__(self, page_base: int):
-        super().__init__(f"page {page_base:#x} is not writable")
-        self.page_base = page_base
-
-
 class Prober:
-    """Probe driver owning the retry RNG and per-operation counters.
+    """Probe driver owning the retry RNG and per-operation counters.  A
+    run probes only through ``explorer.PageMap``, which decides what to
+    probe; ``safe_write`` is how the injector writes.
 
     ``spurious_abort_probability`` is the per-attempt chance of a transient
     abort on an otherwise fine access; ``rng_seed`` seeds those aborts.
@@ -177,18 +171,10 @@ class Prober:
         return kind
 
     def safe_write(self, space: AddressSpace, addr: int, data: bytes) -> None:
-        """Write only after claw confirms every touched page is writable.
-
-        Raises NotWritableError naming the first failing page base; in that
-        case nothing is written.  Never raises a memory fault.
-        """
+        """Write ``data`` at ``addr``, counted as one safe write.  It probes
+        nothing: the caller has settled every touched page writable through
+        the store, as ``injector.inject`` does."""
         if not data:
             raise ValueError("safe_write requires a non-empty payload")
         self.counters["safe_writes"] = self.counters.get("safe_writes", 0) + 1
-        end = addr + len(data)
-        base = AddressSpace.page_base(addr)
-        while base < end:
-            if self.claw(space, base) is not WRITABLE:
-                raise NotWritableError(base)
-            base += PAGE_SIZE
         space.write_bytes(addr, data)

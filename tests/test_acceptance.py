@@ -10,13 +10,23 @@ integrity is checked by replaying the image load and diffing full snapshots.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
+from pathlib import Path
 
 from caveprobe.caves import find_caves
-from caveprobe.cli import Pipeline, PipelineConfig, emit_report, run_pipeline
+from caveprobe.cli import (
+    MODES,
+    RESTORE_MODES,
+    Pipeline,
+    PipelineConfig,
+    _read_image,
+    emit_report,
+    run_pipeline,
+)
 from caveprobe.explorer import PageMap, egg_hunt, reconstruct_map
-from caveprobe.gadgets import GADGETS, build_mprotect_chain, find_gadgets
+from caveprobe.gadgets import CHAIN_VARIANTS, GADGETS, build_mprotect_chain, find_gadgets
 from caveprobe.machine import (
     PROT_RWX,
     MachineState,
@@ -443,3 +453,52 @@ def test_criterion_8_reports_are_deterministic(tmp_path):
     if mismatched or not seeds_differ:
         detail = f"nondeterministic modes: {mismatched}, seeds differ: {seeds_differ}"
     _criterion(8, not mismatched and seeds_differ, detail)
+
+
+def test_canary_survives_and_only_the_cave_and_frame_change(tmp_path):
+    """The attack bypasses the stack canary rather than breaking it, judged
+    on what ``synth`` planted, not on the report: after each full run over
+    small synth images, in every mode x chain variant x restore with ASLR
+    on and off, the canary word still holds its value, and every byte and
+    protection that differs from a fresh load of the image lies in the
+    planted cave or in the victim's 16-byte slot pair."""
+    failures: list[str] = []
+    runs = 0
+    for seed in range(12):
+        img = build_victim_image(seed, code_pages=8, cave_pages=8, stack_pages=8)
+        truth = img.truth
+        manifest = tmp_path / f"victim-{seed}.json"
+        manifest.write_text(img.manifest_text)
+        for mode, variant, restore, aslr in itertools.product(
+            MODES, CHAIN_VARIANTS, RESTORE_MODES, (True, False)
+        ):
+            case = (seed, mode, variant, restore, aslr)
+            pipe = Pipeline(PipelineConfig(
+                image_path=str(manifest), mode=mode, chain_variant=variant,
+                restore=restore, aslr=aslr, seed=seed,
+            ))
+            off = pipe.run().aslr_offset
+            runs += 1
+            canary = pipe.space.read_bytes(truth.canary_addr + off, 8)
+            if canary != truth.canary_value.to_bytes(8, "little"):
+                failures.append(f"{case}: canary became {canary.hex()}")
+            ref, _ = _read_image(Path(manifest))
+            ref.rebase(off)
+            cave = truth.cave_start + off
+            slot = truth.victim_slot + off
+            allowed = ((cave, cave + truth.cave_len), (slot, slot + 16))
+            assert set(ref.pages) == set(pipe.space.pages), case
+            for base, page in pipe.space.pages.items():
+                was = ref.pages[base]
+                if page.perms != was.perms and not cave <= base < cave + truth.cave_len:
+                    failures.append(f"{case}: protection of {base:#x} changed")
+                if page.data == was.data:
+                    continue
+                failures += (
+                    f"{case}: stray write at {base + i:#x}"
+                    for i in range(PAGE_SIZE)
+                    if page.data[i] != was.data[i]
+                    and not any(lo <= base + i < hi for lo, hi in allowed)
+                )
+    assert runs == 288
+    assert failures == [], failures[:5]

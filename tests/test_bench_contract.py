@@ -70,8 +70,8 @@ def test_benchmark_imports_resolve():
 def test_oracle_passes_synth_images_in_every_mode(tmp_path):
     # 16-page regions, seeds 0..29, every mode with ASLR on and off: the
     # attacker starts from the stack pointer alone, and each run must pass
-    # its verdicts and the benchmark's oracle, and arm its frame in no more
-    # than one claw for the image and one for the slot pair
+    # its verdicts and the benchmark's oracle, and arm its frame on the
+    # store's verdicts alone, without a transaction
     check_report = _perfbench_module("workloads").check_report
     failures = []
     for seed in range(30):
@@ -87,7 +87,7 @@ def test_oracle_passes_synth_images_in_every_mode(tmp_path):
             ))
             wrong = check_report(report, img.truth)
             inject = report.stage_counters["inject"]
-            if wrong is None and inject["read_tx"] + inject["write_tx"] > 2:
+            if wrong is None and inject["read_tx"] + inject["write_tx"] > 0:
                 wrong = f"inject stage paid {inject}"
             if not report.all_verdicts_pass() or wrong is not None:
                 failures.append((seed, mode, aslr, wrong))

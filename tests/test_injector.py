@@ -1,7 +1,7 @@
 import pytest
 
 from caveprobe.caves import CaveRegion
-from caveprobe.explorer import PageMap
+from caveprobe.explorer import DEFAULT_BUDGET, ExploreBudgetError, PageMap
 from caveprobe.gadgets import ChainWord
 from caveprobe.injector import (
     FakeFrameImage,
@@ -13,7 +13,7 @@ from caveprobe.injector import (
     payload_offset,
 )
 from caveprobe.memspace import PAGE_SIZE, PagePermissions
-from caveprobe.probe import NotWritableError, Prober, Writability
+from caveprobe.probe import Prober, Writability
 from helpers import make_space, space_digest
 
 STACK = 0x7F0000000000
@@ -32,6 +32,15 @@ def nine_word_chain() -> tuple[ChainWord, ...]:
         words.append(ChainWord(0x1000 + i, "immediate"))
     words.append(ChainWord(CODE + 0x50, "gadget-address"))
     return tuple(words)
+
+
+def explored(space, budget: int = DEFAULT_BUDGET) -> PageMap:
+    """A store holding every mapped page's claw verdict, as the explore
+    stage leaves it."""
+    pm = PageMap(space, quiet_prober(), budget)
+    for base in space.pages:
+        pm.claw(base)
+    return pm
 
 
 def victim() -> VictimFrame:
@@ -72,16 +81,8 @@ class TestLocate:
         put(STACK + 0x7F8, 0xDEAD10CC)       # canary below the inner slot
         return space
 
-    def explored(self, space) -> PageMap:
-        """A store holding every mapped page's claw verdict, as the explore
-        stage leaves it."""
-        pm = PageMap(space, quiet_prober())
-        for base in space.pages:
-            pm.claw(base)
-        return pm
-
     def test_finds_innermost_frame(self):
-        frame = locate_victim_frame(self.explored(self.build_stack()), STACK + 0x700)
+        frame = locate_victim_frame(explored(self.build_stack()), STACK + 0x700)
         assert frame.rbp_slot_addr == STACK + 0x800
         assert frame.saved_rbp == STACK + 0xA00
         assert frame.saved_rip == CODE + 0x234
@@ -98,7 +99,7 @@ class TestLocate:
     def test_refuses_return_address_on_writable_page(self):
         space = self.build_stack()
         space.set_protection(CODE, PAGE_SIZE, PagePermissions.from_rwxu("rwxu"))
-        pm = self.explored(space)
+        pm = explored(space)
         assert pm.entries[CODE] is Writability.WRITABLE
         with pytest.raises(InjectionError):
             locate_victim_frame(pm, STACK + 0x700)
@@ -109,7 +110,7 @@ class TestLocate:
             (STACK, PAGE_SIZE, "rwu", b""),
         )
         with pytest.raises(InjectionError) as exc:
-            locate_victim_frame(self.explored(space), STACK + 0x700)
+            locate_victim_frame(explored(space), STACK + 0x700)
         # slots STACK+0x700 .. STACK+0xFF0, eight bytes apart
         assert str(exc.value) == (
             f"no plausible frame above the stack pointer {STACK + 0x700:#x}: "
@@ -128,7 +129,7 @@ class TestLocate:
         space.write_bytes(STACK, (STACK + 0x100).to_bytes(8, "little"))
         space.write_bytes(STACK + 8, (CODE + 0x234).to_bytes(8, "little"))
         with pytest.raises(InjectionError) as exc:
-            locate_victim_frame(self.explored(space), STACK)
+            locate_victim_frame(explored(space), STACK)
         assert str(exc.value) == (
             f"no plausible frame above the stack pointer {STACK:#x}: "
             f"scanned 511 slots of the stack region "
@@ -138,12 +139,12 @@ class TestLocate:
     def test_frame_one_word_above_the_stack_pointer_is_found(self):
         # its canary slot is the stack pointer's own word
         space = self.build_stack()
-        frame = locate_victim_frame(self.explored(space), STACK + 0x7F8)
+        frame = locate_victim_frame(explored(space), STACK + 0x7F8)
         assert frame.rbp_slot_addr == STACK + 0x800
         assert frame.canary_slot_addr == STACK + 0x7F8
 
     def test_stack_pointer_on_inaccessible_page_fails(self):
-        pm = self.explored(self.build_stack())
+        pm = explored(self.build_stack())
         with pytest.raises(ValueError, match="not accessible"):
             locate_victim_frame(pm, STACK - 0x1000)
 
@@ -222,6 +223,19 @@ def arming_space():
     return space, v
 
 
+def logged_writes(space) -> list[tuple[int, int]]:
+    """(address, length) of every ``write_bytes`` on ``space`` from now on."""
+    written = []
+    write_bytes = space.write_bytes
+
+    def logged(addr, data):
+        written.append((addr, len(data)))
+        write_bytes(addr, data)
+
+    space.write_bytes = logged
+    return written
+
+
 EPILOGUE = CODE + 0x100
 
 
@@ -230,7 +244,9 @@ class TestInject:
         space, v = arming_space()
         image = forge_fake_frame(v, nine_word_chain(), b"\xAA" * 16,
                                  CaveRegion(CAVE, 0x1000))
-        assert inject(space, quiet_prober(), v, image, EPILOGUE) is None
+        pm = explored(space)
+        counters = dict(pm.prober.counters)
+        assert inject(pm, v, image, EPILOGUE) is None
         blob = image.image_bytes()
         assert space.read_bytes(CAVE, len(blob)) == blob
         slot = space.read_bytes(v.rbp_slot_addr, 16)
@@ -239,55 +255,53 @@ class TestInject:
         assert image.cleanup == (CAVE, 0x60)
         # canary untouched
         assert space.read_bytes(v.canary_slot_addr, 8) == (0xC0FFEE).to_bytes(8, "little")
+        # the store held both pages: two writes and no transaction
+        counters["safe_writes"] = counters.get("safe_writes", 0) + 2
+        assert pm.prober.counters == counters
 
     def test_rejects_rearming(self):
         space, v = arming_space()
         image = forge_fake_frame(v, nine_word_chain(), b"",
                                  CaveRegion(CAVE, 0x1000))
-        inject(space, quiet_prober(), v, image, EPILOGUE)
+        pm = PageMap(space, quiet_prober())
+        inject(pm, v, image, EPILOGUE)
         with pytest.raises(InjectionError):
-            inject(space, quiet_prober(), v, image, EPILOGUE)
+            inject(pm, v, image, EPILOGUE)
 
     def test_rejects_wrong_epilogue_bytes(self):
         space, v = arming_space()
         image = forge_fake_frame(v, nine_word_chain(), b"",
                                  CaveRegion(CAVE, 0x1000))
         with pytest.raises(InjectionError):
-            inject(space, quiet_prober(), v, image, CODE)  # nop bytes there
+            inject(PageMap(space, quiet_prober()), v, image, CODE)  # nop bytes there
 
     def test_rejects_unreadable_epilogue(self):
         space, v = arming_space()
         image = forge_fake_frame(v, nine_word_chain(), b"",
                                  CaveRegion(CAVE, 0x1000))
         with pytest.raises(InjectionError):
-            inject(space, quiet_prober(), v, image, 0x123000)
+            inject(PageMap(space, quiet_prober()), v, image, 0x123000)
 
     def test_undo_on_refused_write(self):
-        # cave writable, stack read-only: the image goes in, arming the
-        # frame is refused, and the cave write is rolled back
-        v = victim()
-        space = make_space(
-            (CODE, PAGE_SIZE, "rxu", b"\x90" * 0x100 + b"\xc9\xc3"),
-            (CAVE, PAGE_SIZE, "rwu", b""),
-            (STACK, PAGE_SIZE, "rwu", b""),
-        )
-        space.write_bytes(v.rbp_slot_addr, v.saved_rbp.to_bytes(8, "little"))
-        space.write_bytes(v.rbp_slot_addr + 8, v.saved_rip.to_bytes(8, "little"))
-        from caveprobe.memspace import PagePermissions
+        # cave writable, stack read-only: the store refuses the stack page
+        # before any byte is written, so the cave is never touched
+        space, v = arming_space()
         space.set_protection(STACK, PAGE_SIZE, PagePermissions.from_rwxu("ru"))
-
         image = forge_fake_frame(v, nine_word_chain(), b"\xAA" * 16,
                                  CaveRegion(CAVE, 0x1000))
         before = space_digest(space)
-        with pytest.raises(NotWritableError):
-            inject(space, quiet_prober(), v, image, EPILOGUE)
+        written = logged_writes(space)
+        with pytest.raises(InjectionError) as err:
+            inject(PageMap(space, quiet_prober()), v, image, EPILOGUE)
+        assert str(err.value) == f"page {STACK:#x} is not writable"
+        assert written == []
         assert space_digest(space) == before
 
     @pytest.mark.parametrize("refused", ["rbp-slot-page", "rip-slot-page"])
     def test_refused_slot_page_leaves_cave_and_slots_untouched(self, refused):
         # the slot pair straddles two stack pages and one of them is
-        # read-only: the 16-byte frame write claws both before writing, so
-        # neither slot is ever written, and the planted image is undone
+        # read-only: the store claws both before any write, so neither the
+        # image nor either slot is ever written
         slot = STACK + PAGE_SIZE - 8
         v = VictimFrame(rbp_slot_addr=slot, saved_rbp=STACK + 0x1100,
                         saved_rip=CODE + 0x234, canary_slot_addr=slot - 8)
@@ -302,23 +316,65 @@ class TestInject:
         space.set_protection(page, PAGE_SIZE, PagePermissions.from_rwxu("ru"))
         image = forge_fake_frame(v, nine_word_chain(), b"\xAA" * 16,
                                  CaveRegion(CAVE, 0x1000))
-        cave = space.read_bytes(CAVE, PAGE_SIZE)
-        frame = space.read_bytes(slot, 16)
         before = space_digest(space)
-        written = []
-        write_bytes = space.write_bytes
-
-        def logged(addr, data):
-            written.append((addr, len(data)))
-            write_bytes(addr, data)
-
-        space.write_bytes = logged
-        with pytest.raises(NotWritableError) as err:
-            inject(space, quiet_prober(), v, image, EPILOGUE)
-        assert err.value.page_base == page
-        assert space.read_bytes(CAVE, PAGE_SIZE) == cave
-        assert space.read_bytes(slot, 16) == frame
+        written = logged_writes(space)
+        with pytest.raises(InjectionError) as err:
+            inject(PageMap(space, quiet_prober()), v, image, EPILOGUE)
+        assert str(err.value) == f"page {page:#x} is not writable"
+        assert written == []
         assert space_digest(space) == before
-        # the image and its undo, nothing else
-        blob = len(image.image_bytes())
-        assert written == [(CAVE, blob), (CAVE, blob)]
+
+    def test_refuses_a_read_only_cave_and_writes_nothing(self):
+        space, v = arming_space()
+        space.set_protection(CAVE, PAGE_SIZE, PagePermissions.from_rwxu("ru"))
+        image = forge_fake_frame(v, nine_word_chain(), b"",
+                                 CaveRegion(CAVE, 0x1000))
+        before = space_digest(space)
+        written = logged_writes(space)
+        with pytest.raises(InjectionError) as err:
+            inject(PageMap(space, quiet_prober()), v, image, EPILOGUE)
+        assert str(err.value) == f"page {CAVE:#x} is not writable"
+        assert written == []
+        assert space_digest(space) == before
+
+    def test_refusal_past_a_page_boundary_writes_nothing(self):
+        # the image runs from a writable cave page into a read-only one
+        space, v = arming_space()
+        space.map_region(CAVE + PAGE_SIZE, PAGE_SIZE, PagePermissions.from_rwxu("ru"))
+        image = forge_fake_frame(v, nine_word_chain(), b"\xAA" * 0x100,
+                                 CaveRegion(CAVE + PAGE_SIZE - 0x80, 0x1000))
+        before = space_digest(space)
+        written = logged_writes(space)
+        with pytest.raises(InjectionError) as err:
+            inject(PageMap(space, quiet_prober()), v, image, EPILOGUE)
+        assert str(err.value) == f"page {CAVE + PAGE_SIZE:#x} is not writable"
+        assert written == []
+        assert space_digest(space) == before
+
+    def test_a_store_at_its_budget_that_holds_both_pages_arms_the_frame(self):
+        space, v = arming_space()
+        pm = PageMap(space, quiet_prober(), budget=2)
+        pm.claw(CAVE)
+        pm.claw(STACK)
+        image = forge_fake_frame(v, nine_word_chain(), b"",
+                                 CaveRegion(CAVE, 0x1000))
+        inject(pm, v, image, EPILOGUE)
+        slot = space.read_bytes(v.rbp_slot_addr, 16)
+        assert int.from_bytes(slot[:8], "little") == CAVE
+        assert sorted(pm.entries) == [CAVE, STACK]
+
+    @pytest.mark.parametrize("missing", [CAVE, STACK], ids=["cave", "stack"])
+    def test_a_store_at_its_budget_without_a_written_page_writes_nothing(self, missing):
+        # the explore budget holds for inject too: a page the store lacks
+        # needs a probe the budget has no room for
+        space, v = arming_space()
+        pm = PageMap(space, quiet_prober(), budget=2)
+        pm.claw(CODE)
+        pm.claw(STACK if missing == CAVE else CAVE)
+        image = forge_fake_frame(v, nine_word_chain(), b"",
+                                 CaveRegion(CAVE, 0x1000))
+        before = space_digest(space)
+        with pytest.raises(ExploreBudgetError, match=f"page {missing:#x} needs one more"):
+            inject(pm, v, image, EPILOGUE)
+        assert space_digest(space) == before
+        assert len(pm.entries) == 2

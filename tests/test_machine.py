@@ -243,8 +243,7 @@ class TestSyscalls:
         page = space.get_page(DATA)
         assert page.perms.executable and page.perms.writable
         assert effects == [
-            m.SyscallEffect(m.SYS_MPROTECT, "mprotect",
-                            (DATA, PAGE_SIZE, m.PROT_RWX), 0)
+            m.SyscallEffect("mprotect", (DATA, PAGE_SIZE, m.PROT_RWX), 0)
         ]
 
     def test_mprotect_rounds_length_up(self):

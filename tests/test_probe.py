@@ -9,7 +9,6 @@ from caveprobe import explorer, probe
 from caveprobe.memspace import PAGE_SIZE, USER_TOP, AddressSpace, PagePermissions
 from caveprobe.probe import (
     Accessibility,
-    NotWritableError,
     ProbeOutcome,
     Prober,
     RetryBudgetExhausted,
@@ -199,39 +198,19 @@ class TestClaw:
 
 
 class TestSafeWrite:
+    # refusals are the store's: see test_injector.py's TestInject
     def test_writes_after_probing(self, space):
         p = quiet_prober()
         p.safe_write(space, 0x11100, b"hello")
         assert space.read_bytes(0x11100, 5) == b"hello"
-        assert p.counters["safe_writes"] == 1
-        assert p.counters["claws"] == 1
+        assert p.counters == {"safe_writes": 1}  # no claw, no transaction
 
-    def test_cross_page_probes_every_page(self):
+    def test_writes_across_a_page_boundary(self):
         space = make_space((0x20000, 2 * PAGE_SIZE, "rwu", b""))
         p = quiet_prober()
         p.safe_write(space, 0x20FF8, b"A" * 16)
-        assert p.counters["claws"] == 2
+        assert p.counters == {"safe_writes": 1}
         assert space.read_bytes(0x20FF8, 16) == b"A" * 16
-
-    def test_refuses_read_only_and_writes_nothing(self, space):
-        p = quiet_prober()
-        before = space_digest(space)
-        with pytest.raises(NotWritableError) as exc:
-            p.safe_write(space, 0x10FF0, b"B" * 32)
-        assert exc.value.page_base == 0x10000
-        assert space_digest(space) == before
-
-    def test_partial_refusal_writes_nothing(self):
-        space = make_space(
-            (0x20000, PAGE_SIZE, "rwu", b""),
-            (0x21000, PAGE_SIZE, "ru", b""),
-        )
-        p = quiet_prober()
-        before = space_digest(space)
-        with pytest.raises(NotWritableError) as exc:
-            p.safe_write(space, 0x20FF8, b"C" * 16)
-        assert exc.value.page_base == 0x21000
-        assert space_digest(space) == before
 
     def test_rejects_empty_payload(self, space):
         with pytest.raises(ValueError):

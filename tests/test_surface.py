@@ -5,6 +5,10 @@ as a whole word, somewhere in the program (``src/``, ``scripts/`` or
 ``perfbench/``) besides its own definition lines.  A word match is coarse:
 a mention in a docstring counts, and two methods of one name share their
 uses.  It still catches a name that only tests ever reach.
+
+Every dataclass field in the package must be read as an attribute
+(``obj.field``) somewhere in the program or the tests: a field that is only
+ever set carries nothing.
 """
 
 import ast
@@ -14,6 +18,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "caveprobe"
 PROGRAM = (REPO / "src", REPO / "scripts", REPO / "perfbench")
+TESTS = REPO / "tests"
 
 # qualified name -> why it stays without a caller in the program
 ALLOWED = {
@@ -71,3 +76,32 @@ def test_allowlist_names_only_uncalled_definitions():
     defined = {qual for qual, _, _, _ in _definitions()}
     assert set(ALLOWED) <= defined
     assert set(ALLOWED) <= set(_unused())
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    fields = [
+        f"{path.stem}.{node.name}.{item.target.id}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+    assert fields
+    read = {
+        node.attr
+        for root in (*PROGRAM, TESTS)
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [f for f in fields if f.rsplit(".", 1)[1] not in read]
+    assert not unread, f"nothing reads the fields {unread}"
