@@ -234,15 +234,15 @@ def emit_report(report: AttackReport, fmt: str = "json") -> str:
 
 
 def _parse_file(path: Path, what: str, parse):
-    """``parse`` of the input file ``path``'s bytes, which must be UTF-8
-    whatever the locale."""
+    """``parse`` of the input file ``path``, opened for binary reads, whose
+    bytes must be UTF-8 whatever the locale.  A failed open and a read
+    that fails part way give the same one line."""
     shown = _clip(str(path))
     try:
-        raw = path.read_bytes()
+        with open(path, "rb", buffering=0) as file:
+            return parse(file)
     except OSError as exc:
         raise ValueError(f"cannot read {shown}: {exc.strerror or exc}") from None
-    try:
-        return parse(raw)
     except UnicodeDecodeError as exc:
         raise ValueError(
             f"{what} {shown} is not UTF-8: first bad byte at offset {exc.start}"
@@ -253,7 +253,6 @@ def _read_image(path: Path) -> tuple[AddressSpace, int]:
     """Parse the manifest once; return its space and its stack pointer, the
     one seed the attacker is given.  Other seeds are ground truth for
     checkers and are not read."""
-    # the file's bytes are freed before the pages are built
     doc = _parse_file(path, "manifest", parse_manifest)
     seed_obj = doc.get("seeds")
     if not isinstance(seed_obj, dict):
@@ -351,7 +350,7 @@ def _load(ctx: Pipeline) -> None:
     if cfg.ground_truth_path is not None:
         path = Path(cfg.ground_truth_path)
         truth = _parse_file(
-            path, "ground truth", lambda raw: parse_proc_maps(raw.decode())
+            path, "ground truth", lambda file: parse_proc_maps(file.read().decode())
         )
         ctx.truth = truth.shifted(offset) if offset else truth
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .memspace import PAGE_SIZE, AddressSpace, page_runs
+from .memspace import PAGE_SIZE, AddressSpace
 from .machine import SYS_MPROTECT
 
 # each kind's census pattern, in the order synth plants them
@@ -66,28 +66,32 @@ def find_gadgets(space: AddressSpace, pages: Iterable[int]) -> GadgetCatalog:
     """Scan every page base in ``pages``, each one probed accessible, for
     every pattern in GADGETS.
 
-    No other page is read.  Each maximal run of adjacent pages is read
-    and translated once, marking first and last pattern bytes; a marked
-    pair is a hit if its bytes form a pattern.  So a pattern straddling
-    two adjacent pages of the set counts too, since execution would cross
-    the boundary just as happily, and one ending outside the set does not.
+    No other page is read.  Each page is read once, in address order,
+    together with the first two bytes of the next page when that page is
+    in the set too, and translated to mark first and last pattern bytes; a
+    marked pair starting in the page is a hit if its bytes form a pattern.
+    So a pattern straddling two adjacent pages of the set counts too, since
+    execution would cross the boundary just as happily, and one ending
+    outside the set does not.  No buffer is larger than a page and two
+    bytes.
     """
     accessible = set(pages)
     hits: dict[str, list[int]] = {name: [] for name in GADGETS}
     into_ret: list[int] = []
-    for start, end in page_runs(accessible):
-        buf = space.read_bytes(start, end - start)
+    for base in sorted(accessible):
+        buf = space.read_bytes(
+            base, PAGE_SIZE + 2 if base + PAGE_SIZE in accessible else PAGE_SIZE)
         marked = buf.translate(_MARKS)
-        pos = marked.find(b"\x01\x02")
+        pos = marked.find(b"\x01\x02", 0, PAGE_SIZE + 1)
         while pos != -1:
             name = _KINDS.get(buf[pos : pos + 2])
             if name is not None:
-                hits[name].append(start + pos)
+                hits[name].append(base + pos)
                 # the chain continues past a syscall only through a ret
-                # right after it, read here in the same run
+                # right after it, read here with its page
                 if name == "syscall" and buf[pos + 2 : pos + 3] == _RET:
-                    into_ret.append(start + pos)
-            pos = marked.find(b"\x01\x02", pos + 2)
+                    into_ret.append(base + pos)
+            pos = marked.find(b"\x01\x02", pos + 2, PAGE_SIZE + 1)
     return GadgetCatalog(
         found={name: tuple(addrs) for name, addrs in hits.items()},
         searched_pages=len(accessible),

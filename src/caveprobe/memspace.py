@@ -4,7 +4,8 @@ The model keeps a sparse dictionary of 4 KB pages, each carrying its own
 permission bits and backing bytes.  A page's bytes are shared and read-only
 until its first write copies them: every all-zero page of a loaded manifest
 is the one ``_ZERO_PAGE``, and every other page keeps the bytes its hex
-decoded to.  Addresses are 48-bit canonical: the low half [0, 2**47)
+decoded to, page by page, as the manifest file streams past one chunk at a
+time.  Addresses are 48-bit canonical: the low half [0, 2**47)
 belongs to user mappings, the high half [2**47, 2**48) is reserved for
 kernel mappings, which may be loaded for realism but are never user
 accessible.
@@ -13,21 +14,27 @@ accessible.
 from __future__ import annotations
 
 import binascii
+import io
 import json
 import re
 import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import BinaryIO
 
 PAGE_SIZE = 4096
 USER_TOP = 1 << 47
 ADDR_TOP = 1 << 48
 # pages one manifest may map in all: each is a Page object on load, and a
-# page holding data is its bytes as well
+# page holding data is its bytes as well.  Past the pages, a load holds one
+# chunk of the file (_CHUNK) and the skeleton; the whole text only for a
+# file parsed by json alone, or one that cannot seek
 MAX_MANIFEST_PAGES = 1 << 16
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
-_ZERO_HEX = b"0" * (2 * PAGE_SIZE)
+_ZERO_HEX = b"0" * (2 * PAGE_SIZE)  # one page's hex digits, all zero
+_CHUNK = 1 << 16  # the most a manifest scan reads at a time
+_BLANK = b" \t\n\r"  # JSON's whitespace
 _WORDS = PAGE_SIZE // 8
 _WORD = struct.Struct("<Q")
 # bytes.translate tables: a zero byte becomes 1 and any other byte 0, and
@@ -180,21 +187,28 @@ class AddressSpace:
 
     def read_bytes(self, addr: int, count: int) -> bytes:
         """Native read.  Faults unless every touched page is mapped,
-        readable, and user accessible."""
+        readable, and user accessible.  A read of one whole page whose bytes
+        are shared gives those bytes themselves, with nothing copied."""
         if count < 0:
             raise ValueError("negative read length")
-        if count == 0:
-            return b""
-        self._check_range(addr, count, write=False)
-        chunks = []
+        pages = self.pages
+        parts = []
         pos = addr
         end = addr + count
         while pos < end:
             base = pos & ~(PAGE_SIZE - 1)
-            hi = min(PAGE_SIZE, end - base)
-            chunks.append(memoryview(self.pages[base].data)[pos - base : hi])
-            pos = base + hi
-        return b"".join(chunks)
+            page = pages.get(base)
+            if page is None:
+                raise MemoryFault(pos, "unmapped")
+            p = page.perms
+            if not (p.user_accessible and p.readable):
+                raise MemoryFault(pos, "perm")
+            if end - base <= PAGE_SIZE:
+                parts.append(page.data[pos - base : end - base])
+                break
+            parts.append(page.data[pos - base :])
+            pos = base + PAGE_SIZE
+        return b"".join(parts)
 
     def is_zero_page(self, base: int) -> bool:
         """Whether the page at ``base`` holds only zero bytes: a native read
@@ -364,97 +378,169 @@ def _clip(value: str) -> str:
     return shown if len(shown) <= 80 else shown[:80] + "..."
 
 
-def _hex_pages(raw: bytes, lo: int, hi: int) -> tuple[bytes, ...] | None:
-    """The bytes the hex literal ``raw[lo:hi]`` spells, one page at a time:
-    a full page of ``0`` digits is ``_ZERO_PAGE``, with nothing decoded,
-    and each other page is one ``unhexlify``.  None when any page is not
-    hex, or the length is odd, so the literal stays text."""
-    view = memoryview(raw)
+def _decode_pages(pages: list, part: bytes | bytearray, buf: bytes | bytearray,
+                  lo: int, hi: int, last: bool) -> bytes | bytearray:
+    """Append to ``pages`` each whole page that the hex digits ``part``,
+    then ``buf[lo:hi]``, spell, and return the digits left over, fewer than
+    a page; or, if the literal ends at ``hi`` (``last``), append them as a
+    short last page.  A page of ``0`` digits is ``_ZERO_PAGE``, with
+    nothing decoded, and each other page is one ``unhexlify`` of the digits
+    in place.  Raises binascii.Error on a page that is not hex."""
+    if part:
+        k = min(hi, lo + len(_ZERO_HEX) - len(part))
+        part, lo = part + buf[lo:k], k
+        if len(part) < len(_ZERO_HEX) and not last:
+            return part
+        pages.append(_ZERO_PAGE if part == _ZERO_HEX else binascii.unhexlify(part))
+    view = memoryview(buf)
+    end = hi - (hi - lo) % len(_ZERO_HEX)
+    for pos in range(lo, end, len(_ZERO_HEX)):
+        pages.append(_ZERO_PAGE if buf.startswith(_ZERO_HEX, pos)
+                     else binascii.unhexlify(view[pos : pos + len(_ZERO_HEX)]))
+    if not last:
+        return buf[end:hi]
+    if end < hi:
+        pages.append(binascii.unhexlify(view[end:hi]))
+    return b""
+
+
+def _hex_pages(digits: bytes) -> tuple[bytes, ...] | None:
+    """The pages the hex literal ``digits`` spells, decoded as
+    :func:`_decode_pages` decodes them; None when any page is not hex or
+    the length is odd, so the literal stays text."""
+    pages: list[bytes] = []
     try:
-        return tuple(
-            _ZERO_PAGE if raw.startswith(_ZERO_HEX, pos, hi)
-            else binascii.unhexlify(view[pos : min(pos + len(_ZERO_HEX), hi)])
-            for pos in range(lo, hi, len(_ZERO_HEX))
-        )
+        _decode_pages(pages, b"", digits, 0, len(digits), True)
     except binascii.Error:
         return None
+    return tuple(pages)
 
 
-def _splice_blobs(raw: bytes) -> tuple[bytes, dict[str, tuple[bytes, ...]]]:
-    """Split manifest ``raw`` into a skeleton and the blobs decoded from it.
+def _scan(source: BinaryIO) -> tuple[bytearray, dict] | None:
+    """Split the manifest file ``source``, which can seek, into a skeleton
+    and the blobs decoded from it, reading one chunk of at most ``_CHUNK``
+    bytes, and never more than the file's size, at a time into one buffer.
 
-    Each "data" member's literal that :func:`_hex_pages` accepts is
-    decoded, and its contents become a placeholder in the skeleton; the
-    blobs are keyed by the text the placeholder parses to.
+    Each "data" member's literal is decoded by :func:`_decode_pages` straight
+    from the chunks it lies in, and its contents become a placeholder in the
+    skeleton; the blobs are keyed by the text the placeholder parses to.
+    Skeleton text is copied only at a blob's bounds and at a chunk's end, so
+    the scan holds the decoded pages, the skeleton and about one chunk.
 
-    Without a backslash in ``raw`` every quote delimits a string literal,
-    so the literals pair up by ``find`` alone; with one, nothing is
-    spliced.  A placeholder is a ``\\u0000`` escape and a number, which no
-    literal of a backslash-free file can spell.  Hex digits are never a
-    quote, a backslash, a control character or a byte that is not UTF-8,
-    so taking them out hides no fault of the file.  The key is compared in
-    place: a slice of the previous literal could copy a whole blob.
+    Without a backslash in the file every quote delimits a string literal,
+    so the literals pair up by ``find`` alone.  A placeholder is a
+    ``\\u0000`` escape and a number, which no literal of a backslash-free
+    file can spell.  Hex digits are never a quote, a backslash, a control
+    character or a byte that is not UTF-8, so taking them out hides no
+    fault of the file.  None when the file holds a backslash or leaves a
+    literal open, and binascii.Error when a "data" literal is not hex: the
+    caller then parses the whole text instead.
     """
+    size = source.seek(0, io.SEEK_END)
+    source.seek(0)
+    buf = bytearray(min(_CHUNK, size) or _CHUNK)
+    skeleton = bytearray()
     blobs: dict[str, tuple[bytes, ...]] = {}
-    if b"\\" in raw:
-        return raw, blobs
-    view = memoryview(raw)
-    parts = []
-    done = 0  # raw[:done] is in parts
-    prev_lo = prev_hi = 0  # the previous literal's contents, raw[prev_lo:prev_hi]
-    lo = raw.find(b'"') + 1
-    while lo:
-        hi = raw.find(b'"', lo)
-        if hi < 0:
-            break
-        if (
-            prev_hi - prev_lo == 4
-            and raw.startswith(b"data", prev_lo)
-            and raw[prev_hi + 1 : lo - 1].strip(b" \t\n\r") == b":"
-            and (blob := _hex_pages(raw, lo, hi)) is not None
-        ):
-            n = len(blobs)
-            blobs[f"\0{n}"] = blob
-            parts += (view[done:lo], b"\\u0000%d" % n)
-            done = hi
-        prev_lo, prev_hi = lo, hi
-        lo = raw.find(b'"', hi + 1) + 1
-    if not blobs:
-        return raw, blobs
-    parts.append(view[done:])
-    return b"".join(parts), blobs
+    pages: list[bytes] | None = None  # the open blob's pages, while one is open
+    part = b""  # the open blob's digits past its last whole page
+    head: bytes | None = None  # the open literal's first 5 bytes, if not a blob
+    # None unless the last literal closed spelled "data"; then the non-blank
+    # bytes since, which make it a key only if they are one ":"
+    colon: bytes | None = None
+    while n := source.readinto(buf):
+        if n < len(buf):  # the end of the file, or a source that reads less
+            del buf[n:]
+        if b"\\" in buf:
+            return None
+        done = pos = 0  # buf[:done] is in the skeleton or a blob; the scan is at pos
+        # where the open literal's contents start in buf, -1 if none is open
+        lo = 0 if pages is not None or head is not None else -1
+        while True:
+            if lo < 0:
+                lo = buf.find(b'"', pos) + 1
+                if not lo:
+                    if colon is not None:
+                        colon = (colon + buf[pos:].strip(_BLANK))[:2]
+                    break
+                if colon is not None and colon + buf[pos : lo - 1].strip(_BLANK) == b":":
+                    skeleton += memoryview(buf)[done:lo]
+                    skeleton += b"\\u0000%d" % len(blobs)
+                    pages, part = [], b""
+                else:
+                    head = b""
+                colon = None
+            hi = buf.find(b'"', lo)
+            end = n if hi < 0 else hi
+            if pages is not None:
+                part = _decode_pages(pages, part, buf, lo, end, hi >= 0)
+            else:
+                head = (head + buf[lo : min(end, lo + 5)])[:5]
+            if hi < 0:
+                break
+            if pages is not None:
+                blobs[f"\0{len(blobs)}"] = tuple(pages)
+                pages, done = None, hi
+            else:
+                colon = b"" if head == b"data" else None
+                head = None
+            pos, lo = hi + 1, -1
+        if pages is None:
+            skeleton += memoryview(buf)[done:]
+    if pages is not None or head is not None:
+        return None
+    return skeleton, blobs
 
 
-def parse_manifest(raw: bytes) -> dict:
-    """Parse the manifest file's bytes as JSON and check the document's
-    top-level shape.
+def parse_manifest(source: BinaryIO | bytes) -> dict:
+    """Parse the manifest file read from the binary file ``source``, or
+    given as bytes, as JSON and check the document's top-level shape.
 
     Each "data" member whose value is a hex string comes back as the tuple
-    of pages :func:`_hex_pages` decodes; every other value is what
-    ``json.loads`` gives.  In a file with no backslash the blobs are found
-    and decoded in one pass over ``raw``, so the JSON scanner never walks
-    one; in a file with one, ``json`` parses every literal and each blob is
-    decoded from its text by the same decoder.  Bytes that are not UTF-8
-    raise UnicodeDecodeError at the offset of the first bad byte.
+    of pages :func:`_decode_pages` decodes; every other value is what
+    ``json.loads`` gives.  :func:`_scan` reads the file a chunk at a time,
+    decoding each blob as it passes, so the JSON scanner never walks one
+    and the whole text is never held.  A file with a backslash, a "data"
+    literal that is not hex, or a fault that ``json`` or UTF-8 finds is
+    parsed again from its whole text by ``json`` alone, whose object hook
+    decodes each hex "data" string by the same decoder: the same document,
+    or the message and offset of the file's first fault.  A source that
+    cannot seek is read whole first.  Bytes that are not UTF-8 raise
+    UnicodeDecodeError at the offset of the first bad byte.
     """
-    skeleton, blobs = _splice_blobs(raw)
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    elif not source.seekable():
+        source = io.BytesIO(source.read())
+    try:
+        scanned = _scan(source)
+    except binascii.Error:  # a "data" literal that is not hex
+        scanned = None
+    blobs: dict[str, tuple[bytes, ...]] = {}
 
     def swap(obj: dict) -> dict:
         value = obj.get("data")
         if type(value) is str:
             if value in blobs:  # a membership test: an empty blob is falsy
                 obj["data"] = blobs[value]
-            elif value.isascii() and (
-                    pages := _hex_pages(value.encode(), 0, len(value))) is not None:
+            elif value.isascii() and (pages := _hex_pages(value.encode())) is not None:
                 obj["data"] = pages
         return obj
 
-    try:
-        doc = json.loads(skeleton.decode(), object_hook=swap)
-    except (ValueError, RecursionError):
-        # the skeleton's offsets are not the file's, and the file fails at
-        # the same fault: parse it for that fault's message and offset
-        doc = _parse_json(raw.decode())
+    doc = None
+    if scanned is not None:
+        skeleton, blobs = scanned
+        try:
+            doc = json.loads(skeleton.decode(), object_hook=swap)
+        except (ValueError, RecursionError):
+            # the skeleton's offsets are not the file's: parse the file
+            blobs = {}
+    if doc is None:
+        source.seek(0)
+        text = source.read().decode()
+        try:
+            doc = json.loads(text, object_hook=swap)
+        except (ValueError, RecursionError):
+            doc = _parse_json(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("regions"), list):
         raise ManifestError('manifest must be an object with a "regions" list')
     return doc

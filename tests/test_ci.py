@@ -5,6 +5,7 @@ runs the installed console script in every mode, checks that it cuts a
 long flag value to one short line, checks its JSON report against the
 stdlib's json.tool and against the reports of a demo copy that holds a
 backslash and of one with its cave as zero hex and its code uppercase,
+checks that a manifest read from a pipe reports as the same file does,
 rebuilds the demo image with the installed package's image
 script and checks that script's one-line refusal of a zero page count, and
 runs README's install commands as written."""
@@ -226,6 +227,30 @@ def test_manifest_with_a_backslash_is_checked_against_the_demo_report():
         'cd "$RUNNER_TEMP/escaped"',
         'caveprobe --image-path demo.json --out "$RUNNER_TEMP/escaped-report.json"',
         'cmp "$RUNNER_TEMP/plain-report.json" "$RUNNER_TEMP/escaped-report.json"',
+    ]
+
+
+def test_manifest_from_a_pipe_is_checked_against_the_same_file_redirected():
+    # the demo image and its backslash copy, each read by the installed
+    # package as /dev/stdin from the file and then through a pipe, from
+    # $RUNNER_TEMP and after the step that builds the copy
+    name = "Manifest from a pipe gives the same report"
+    step = workflow_step(name)
+    lines = [line.strip() for line in step.splitlines()]
+    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
+    assert workflow.index(
+        "- name: Manifest with a backslash gives the same report") < workflow.index(
+        f"- name: {name}")
+    demo = '"$GITHUB_WORKSPACE/images/demo.json"'
+    assert lines[lines.index("run: |") + 1:] == [
+        'cd "$RUNNER_TEMP"',
+        f"caveprobe --image-path /dev/stdin --out stdin-file.json < {demo}",
+        f"cat {demo} | caveprobe --image-path /dev/stdin --out stdin-pipe.json",
+        "cmp stdin-file.json stdin-pipe.json",
+        "caveprobe --image-path /dev/stdin --out escaped-stdin-file.json < escaped/demo.json",
+        "cat escaped/demo.json | caveprobe --image-path /dev/stdin "
+        "--out escaped-stdin-pipe.json",
+        "cmp escaped-stdin-file.json escaped-stdin-pipe.json",
     ]
 
 

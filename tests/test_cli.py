@@ -1,11 +1,13 @@
 import argparse
 import contextlib
 import dataclasses
+import errno
 import functools
 import hashlib
 import io
 import itertools
 import json
+import os
 import re
 import tempfile
 import tracemalloc
@@ -368,6 +370,33 @@ class TestPipeline:
         assert peak < (manifest.stat().st_size + len(data) * PAGE_SIZE
                        + len(space.pages) * 256)
 
+    @pytest.mark.parametrize("seed", [5, 12, 40])
+    def test_loading_and_the_census_hold_no_copy_of_the_file(self, tmp_path, seed):
+        # the manifest is read a chunk at a time and the census a page at a
+        # time: loading peaks below the file's size, and the census below
+        # 16 pages, though the code run is 64 pages
+        manifest = tmp_path / "victim.json"
+        manifest.write_text(build_victim_image(
+            seed, code_pages=64, cave_pages=64, stack_pages=64).manifest_text)
+        tracemalloc.start()
+        try:
+            space, _ = cli._read_image(manifest)
+            _, load_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        code = [base for base, page in space.pages.items()
+                if page.perms.user_accessible and page.perms.readable
+                and not page.perms.writable]
+        assert len(code) > 64
+        tracemalloc.start()
+        try:
+            gadgets.find_gadgets(space, code)
+            _, census_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert load_peak < manifest.stat().st_size
+        assert census_peak < 16 * PAGE_SIZE
+
     def test_bad_image_path_is_load_stage_error(self):
         with pytest.raises(StageError) as exc:
             run_pipeline(PipelineConfig(image_path="/nonexistent.json"))
@@ -625,6 +654,46 @@ class TestMain:
             "No such file or directory\n"
         )
         assert "Errno" not in err
+
+    def test_a_read_that_fails_part_way_is_one_line_error(self, monkeypatch, capsys):
+        # the manifest is read inside the parse; a read failing after the
+        # first chunk gives the line a failed open gives
+        class FailsAfterOneRead(io.RawIOBase):
+            def __init__(self, raw: bytes):
+                super().__init__()
+                self.file = io.BytesIO(raw)
+                self.reads = 0
+
+            def readable(self) -> bool:
+                return True
+
+            def seekable(self) -> bool:
+                return True
+
+            def seek(self, pos: int, whence: int = io.SEEK_SET) -> int:
+                return self.file.seek(pos, whence)
+
+            def readinto(self, buf) -> int:
+                self.reads += 1
+                if self.reads > 1:
+                    raise OSError(errno.EIO, os.strerror(errno.EIO))
+                got = self.file.read(len(buf))
+                buf[: len(got)] = got
+                return len(got)
+
+        opened = []
+
+        def fake_open(path, *args, **kwargs):
+            opened.append(FailsAfterOneRead(Path(path).read_bytes()))
+            return opened[-1]
+
+        monkeypatch.setattr(cli, "open", fake_open, raising=False)
+        assert main(["--image-path", DEMO]) == EXIT_STAGE_ERROR
+        assert [reader.reads for reader in opened] == [2]
+        assert capsys.readouterr().err == (
+            f"caveprobe: stage 'load' failed: cannot read {DEMO!r}: "
+            f"{os.strerror(errno.EIO)}\n"
+        )
 
     def test_image_path_that_is_a_directory_is_one_line_error(self, tmp_path,
                                                               capsys):

@@ -16,7 +16,7 @@ from caveprobe.gadgets import (
     required_kinds,
 )
 from caveprobe.machine import SYS_MPROTECT
-from caveprobe.memspace import PAGE_SIZE, AddressSpace, PagePermissions
+from caveprobe.memspace import PAGE_SIZE, AddressSpace, PagePermissions, page_runs
 from helpers import make_space
 
 
@@ -206,12 +206,37 @@ def test_every_pattern_translates_to_the_first_then_last_marks():
     assert others.translate(gadgets._MARKS) == bytes(len(others))
 
 
-def test_one_read_per_contiguous_run(monkeypatch):
-    # three runs: two pages, one page, three pages
+def run_census(space: AddressSpace, pages: set[int]):
+    """The census of each maximal run of ``pages`` read as one buffer:
+    every pattern occurrence in it, and the syscall sites whose next byte
+    in it is C3."""
+    kinds = {pattern: name for name, pattern in GADGETS.items()}
+    found = {name: [] for name in GADGETS}
+    into_ret = []
+    for start, end in page_runs(pages):
+        buf = space.read_bytes(start, end - start)
+        for pos in range(len(buf) - 1):
+            name = kinds.get(buf[pos : pos + 2])
+            if name is not None:
+                found[name].append(start + pos)
+                if name == "syscall" and buf[pos + 2 : pos + 3] == b"\xc3":
+                    into_ret.append(start + pos)
+    return {k: tuple(v) for k, v in found.items()}, tuple(into_ret)
+
+
+def test_each_page_is_read_once_with_at_most_two_bytes_of_the_next(monkeypatch):
+    # three runs: two pages, one page, three pages; the last region's fourth
+    # page is mapped but outside the set.  In the last run: a leave-ret
+    # across its last page pair, a syscall whose ret is the next page's
+    # first byte, and a leave-ret whose ret lies past the set
+    code = bytearray(b"\x90" * 4 * PAGE_SIZE)
+    code[2 * PAGE_SIZE - 1 : 2 * PAGE_SIZE + 1] = b"\xc9\xc3"
+    code[PAGE_SIZE - 2 : PAGE_SIZE + 1] = b"\x0f\x05\xc3"
+    code[3 * PAGE_SIZE - 1 : 3 * PAGE_SIZE + 1] = b"\xc9\xc3"
     space = make_space(
         (0x400000, 2 * PAGE_SIZE, "rxu", b""),
         (0x403000, PAGE_SIZE, "rxu", b""),
-        (0x405000, 4 * PAGE_SIZE, "rxu", b""),
+        (0x405000, 4 * PAGE_SIZE, "rxu", bytes(code)),
     )
     pages = {0x400000, 0x401000, 0x403000, 0x405000, 0x406000, 0x407000}
     reads = []
@@ -222,10 +247,14 @@ def test_one_read_per_contiguous_run(monkeypatch):
         return real(self, addr, count)
 
     monkeypatch.setattr(AddressSpace, "read_bytes", counted)
-    find_gadgets(space, pages)
-    assert reads == [
-        (0x400000, 2 * PAGE_SIZE), (0x403000, PAGE_SIZE), (0x405000, 3 * PAGE_SIZE)
-    ]
+    cat = find_gadgets(space, pages)
+    monkeypatch.undo()
+    assert sorted(addr for addr, _ in reads) == sorted(pages)
+    for addr, count in reads:
+        assert count == PAGE_SIZE or (count == PAGE_SIZE + 2 and addr + PAGE_SIZE in pages)
+    assert cat.found["leave-ret"] == (0x406FFF,)
+    assert cat.syscalls_into_ret == (0x405FFE,)
+    assert (cat.found, cat.syscalls_into_ret) == run_census(space, pages)
 
 
 class TestCatalog:

@@ -1,13 +1,15 @@
 import binascii
+import io
 import json
 import random
 import signal
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
-from caveprobe import cli, machine
+from caveprobe import cli, machine, memspace
 from caveprobe.memspace import (
     _ZERO_PAGE,
     ADDR_TOP,
@@ -1100,6 +1102,133 @@ def test_faults_past_a_blob_give_the_json_message_and_offset(fault):
     got = parse_outcome(parse_manifest, raw)
     assert got[0] != "doc"
     assert got == parse_outcome(reference_parse, raw)
+
+
+class Trickle(io.RawIOBase):
+    """A binary file over ``raw`` whose every read gives at most ``k``
+    bytes, as a pipe's may, and which can say it cannot seek.  It counts
+    the reads to its end, ``whole_reads``."""
+
+    def __init__(self, raw: bytes, k: int, seekable: bool = True):
+        super().__init__()
+        self._file = io.BytesIO(raw)
+        self._k = k
+        self._seekable = seekable
+        self.whole_reads = 0
+
+    def readall(self) -> bytes:
+        self.whole_reads += 1
+        return super().readall()
+
+    def readable(self) -> bool:
+        return True
+
+    def seekable(self) -> bool:
+        return self._seekable
+
+    def seek(self, pos: int, whence: int = io.SEEK_SET) -> int:
+        if not self._seekable:
+            raise io.UnsupportedOperation("seek")
+        return self._file.seek(pos, whence)
+
+    def readinto(self, buf) -> int:
+        got = self._file.read(min(len(buf), self._k))
+        buf[: len(got)] = got
+        return len(got)
+
+
+# read sizes either side of one byte, of a UTF-8 sequence and of a page's
+# 8,192 hex digits, from a source that can seek and from one that cannot
+TRICKLES = [(k, seekable) for k in (1, 2, 7, 8191, 8193) for seekable in (True, False)]
+
+
+def scans_alone(raw: bytes) -> bool:
+    """Whether ``raw`` holds none of what sends a parse to its whole text:
+    a backslash, a "data" string that is not hex, or a fault that json or
+    UTF-8 finds."""
+    hex_data = True
+
+    def check(members):
+        nonlocal hex_data
+        for key, value in members:
+            if key == "data" and isinstance(value, str):
+                try:
+                    binascii.unhexlify(value)
+                except ValueError:
+                    hex_data = False
+        return dict(members)
+
+    try:
+        json.loads(raw.decode(), object_pairs_hook=check)
+    except (ValueError, RecursionError):
+        return False
+    return hex_data and b"\\" not in raw
+
+
+def trickle_counts(k: int, seekable: bool, raw: bytes):
+    """The outcome of parsing ``raw`` from a ``Trickle``; the times the
+    parse read the source whole; and the "data" strings it decoded from
+    text json had parsed."""
+    source = Trickle(raw, k, seekable)
+    with mock.patch.object(memspace, "_hex_pages", wraps=memspace._hex_pages) as from_text:
+        outcome = parse_outcome(lambda _: parse_manifest(source), raw)
+    return outcome, source.whole_reads, from_text.call_count
+
+
+@given(manifest_bytes())
+def test_short_reads_parse_as_the_bytes_do(raw):
+    # and a file with nothing that needs the whole text is read whole only
+    # when it cannot seek, before the scan, which decodes every blob
+    want = parse_outcome(reference_parse, raw)
+    alone = scans_alone(raw)
+    for k, seekable in TRICKLES:
+        got, whole_reads, from_text = trickle_counts(k, seekable, raw)
+        assert got == want, (k, seekable)
+        if alone:
+            assert (whole_reads, from_text) == (0 if seekable else 1, 0), (k, seekable)
+
+
+@pytest.mark.parametrize("k, seekable", TRICKLES)
+def test_only_a_data_key_makes_a_blob_however_the_reads_fall(k, seekable):
+    # "data" as a key before blanks and line breaks, and as a string before
+    # a hex key and a hex item
+    raw = (b'{"regions": [{"data"\n :\r\n\t"0f0E"}], "label": "data" , "ad": "00",'
+           b' "list": ["data",\n "ab"]}')
+    got, whole_reads, from_text = trickle_counts(k, seekable, raw)
+    assert got == ("doc", reference_parse(raw))
+    assert got[1]["regions"][0]["data"] == (b"\x0f\x0e",) and got[1]["ad"] == "00"
+    assert (whole_reads, from_text) == (0 if seekable else 1, 0)
+
+
+# the faults of the test above that places them past the demo's blobs
+PAST_BLOB_FAULTS = test_faults_past_a_blob_give_the_json_message_and_offset.pytestmark[0].args[1]
+
+
+@pytest.mark.parametrize("k, seekable", TRICKLES)
+@pytest.mark.parametrize("fault", [None, *PAST_BLOB_FAULTS], ids=[
+    "demo", "missing-comma-after-a-blob", "control-character-in-a-label",
+    "bad-utf8-after-a-blob"])
+def test_the_demo_read_in_short_reads_parses_as_its_bytes_do(fault, k, seekable):
+    raw = DEMO.read_bytes() if fault is None else fault(DEMO.read_bytes())
+    want = parse_outcome(reference_parse, raw)
+    assert (want[0] == "doc") == (fault is None) == scans_alone(raw)
+    got, whole_reads, from_text = trickle_counts(k, seekable, raw)
+    assert got == want
+    if fault is None:
+        assert (whole_reads, from_text) == (0 if seekable else 1, 0)
+
+
+@pytest.mark.parametrize("k, seekable", TRICKLES + [(1 << 20, True)])
+def test_a_backslash_after_a_decoded_blob_gives_the_json_result(k, seekable):
+    # the blob, a page and more, is decoded before the scan reaches the
+    # escape in the label; the whole text is then parsed by json alone
+    blob = bytes(range(256)) * 20
+    raw = json.dumps({"regions": [{"start": "0x1000", "len": "0x2000", "perms": "ru",
+                                   "data": blob.hex()}], "label": "caf\u00e9"}).encode()
+    assert raw.index(b"\\") > raw.index(blob.hex().encode()) > 0
+    doc = parse_manifest(Trickle(raw, k, seekable))
+    assert doc == reference_parse(raw)
+    assert doc["regions"][0]["data"] == pages_of(blob) and doc["label"] == "caf\u00e9"
 
 
 def test_demo_blobs_come_back_decoded():
