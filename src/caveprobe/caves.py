@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .memspace import page_runs
 from .explorer import PageMap
-from .probe import Writability
+from .probe import ACCESSIBLE, WRITABLE
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,11 +44,14 @@ def find_caves(pm: PageMap) -> list[CaveRegion]:
     are maximal with respect to the probed set and returned sorted by
     address.
     """
-    usable = [
-        base
-        for base in pm.accessible_pages()
-        if pm.claw(base) is Writability.WRITABLE and pm.space.is_zero_page(base)
-    ]
+    entries = pm.entries
+    usable = []
+    for base in sorted(entries):
+        verdict = entries[base]
+        if verdict is ACCESSIBLE:
+            verdict = pm.claw(base)
+        if verdict is WRITABLE and pm.space.is_zero_page(base):
+            usable.append(base)
     return [CaveRegion(start, end - start) for start, end in page_runs(usable)]
 
 

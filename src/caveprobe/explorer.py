@@ -39,8 +39,8 @@ class PageMap:
     the pages it writes included.  It owns the space and the prober.  Each
     page maps to the strongest verdict its probes settled: the claw's
     ``Writability``, or ``ACCESSIBLE`` when only a tap hit.  The victim is
-    paused, so a verdict holds for the whole run; ``tap`` and ``claw``
-    probe a page only for a verdict not yet stored.  No more than
+    paused, so a verdict holds for the whole run; ``tap``, ``claw`` and
+    ``walk`` probe a page only for a verdict not yet stored.  No more than
     ``budget`` pages are ever probed in the whole run."""
 
     space: AddressSpace
@@ -51,18 +51,18 @@ class PageMap:
     def accessible_pages(self) -> list[int]:
         return sorted(b for b, v in self.entries.items() if v is not NO_ACCESS)
 
-    def _admit(self, base: int) -> None:
-        if len(self.entries) >= self.budget:
-            raise ExploreBudgetError(
-                f"explore budget of {self.budget} pages is spent; "
-                f"page {base:#x} needs one more"
-            )
+    def _spent(self, base: int) -> ExploreBudgetError:
+        return ExploreBudgetError(
+            f"explore budget of {self.budget} pages is spent; "
+            f"page {base:#x} needs one more"
+        )
 
     def tap(self, base: int) -> bool:
         """Accessibility of the page at ``base``, tapped at most once."""
         verdict = self.entries.get(base)
         if verdict is None:
-            self._admit(base)
+            if len(self.entries) >= self.budget:
+                raise self._spent(base)
             hit = self.prober.tap(self.space, base) is ACCESSIBLE
             verdict = self.entries[base] = ACCESSIBLE if hit else NO_ACCESS
         return verdict is not NO_ACCESS
@@ -73,7 +73,8 @@ class PageMap:
         not; a page already tapped accessible costs only the write."""
         verdict = self.entries.get(base)
         if verdict is None:
-            self._admit(base)
+            if len(self.entries) >= self.budget:
+                raise self._spent(base)
             verdict = self.prober.claw(self.space, base)
         elif verdict is ACCESSIBLE:
             verdict = self.prober.claw(self.space, base, known_accessible=True)
@@ -82,27 +83,38 @@ class PageMap:
         self.entries[base] = verdict
         return verdict
 
-    def probe_next(self, base: int, step: int) -> bool:
-        """Accessibility of the page at ``base`` on a walk moving by
-        ``step``: the one probe-order rule of every walk.  It claws when
-        the page before it on the walk is stored accessible and not
-        read-only, since the run may go on writable and a writable page
-        costs one transaction, not a tap and a claw; it taps otherwise,
-        since a gap costs one transaction to tap and two to claw."""
-        before = self.entries.get(base - step)
-        if before is ACCESSIBLE or before is WRITABLE:
-            return self.claw(base) is not NO_ACCESS
-        return self.tap(base)
-
-    def grow(self, base: int, step: int) -> bool:
-        """Whether the page at ``base`` extends a run grown by ``step``:
-        probed by ``probe_next``, then clawed, so every page of the run is
-        stored with its writability.  A page already stored with its
-        writability, or as a gap, costs one lookup."""
-        verdict = self.entries.get(base)
-        if verdict is not None and verdict is not ACCESSIBLE:
-            return verdict is not NO_ACCESS
-        return self.probe_next(base, step) and self.claw(base) is not NO_ACCESS
+    def walk(self, base: int, step: int, gap: int, claw_hits: bool) -> int:
+        """Probe from ``base`` by ``step`` until ``gap`` pages in a row missed
+        or the user half ends; return the last hit, or ``base - step``.  The
+        one probe-order rule: claw a page when the one before it on the walk
+        is stored accessible and not read-only, as a writable page then costs
+        one transaction, not a tap and a claw; else tap, as a gap costs one
+        transaction to tap and two to claw.  ``claw_hits`` claws each hit too.
+        Only a page stored as tapped accessible is probed again, by a claw."""
+        entries, space, prober = self.entries, self.space, self.prober
+        last, misses = base - step, 0
+        while 0 <= base < USER_TOP and misses < gap:
+            verdict = entries.get(base)
+            if verdict is None or verdict is ACCESSIBLE:
+                before = entries.get(base - step)
+                clawed = before is ACCESSIBLE or before is WRITABLE
+                if verdict is None:
+                    if len(entries) >= self.budget:
+                        raise self._spent(base)
+                    if clawed:
+                        verdict = entries[base] = prober.claw(space, base)
+                    else:
+                        hit = prober.tap(space, base) is ACCESSIBLE
+                        verdict = entries[base] = ACCESSIBLE if hit else NO_ACCESS
+                if verdict is ACCESSIBLE and (clawed or claw_hits):
+                    verdict = entries[base] = prober.claw(
+                        space, base, known_accessible=True)
+            if verdict is NO_ACCESS:
+                misses += 1
+            else:
+                misses, last = 0, base
+            base += step
+        return last
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,20 +188,12 @@ def explore_from_pointers(pm: PageMap, pointers: tuple[int, ...]) -> PageMap:
 
 
 def _sweep(pm: PageMap, anchor: int) -> None:
-    """Bidirectional linear sweep from ``anchor``: walk up, then down, until
-    ``MAX_GAP`` consecutive pages in a direction were inaccessible.
-
-    Each page is probed by ``PageMap.probe_next``; the downward pass takes
-    the anchor page as its first neighbour.  A page is a hit or a miss as
-    with taps alone."""
-    for step in (PAGE_SIZE, -PAGE_SIZE):
-        base = AddressSpace.page_base(anchor)
-        if step < 0:
-            base += step  # upward pass already covered the anchor page
-        misses = 0
-        while 0 <= base < USER_TOP and misses < MAX_GAP:
-            misses = 0 if pm.probe_next(base, step) else misses + 1
-            base += step
+    """Linear sweep from ``anchor``: walk up from its page, then down from
+    the page below, each until ``MAX_GAP`` pages in a row missed.  A page is
+    a hit or a miss as with taps alone."""
+    base = AddressSpace.page_base(anchor)
+    pm.walk(base, PAGE_SIZE, MAX_GAP, False)
+    pm.walk(base - PAGE_SIZE, -PAGE_SIZE, MAX_GAP, False)
 
 
 def frame_above(pm: PageMap, stack_ptr: int) -> tuple[int, int, int]:
@@ -254,33 +258,31 @@ def explore(pm: PageMap, mode: str, stack_pointer: int) -> PageMap:
 def region_around(pm: PageMap, addr: int) -> tuple[int, int]:
     """Extent of the contiguous accessible run containing ``addr``.
 
-    Walks outward in both directions until the first inaccessible page,
-    each page settled through ``pm`` by ``PageMap.grow``, which follows the
-    probe-order rule, so past a read-only page one tap finds the edge.
-    Every page grown is stored with its writability; stored pages cost
-    nothing.  The page of ``addr`` must be accessible.
+    ``PageMap.walk`` goes outward in both directions until the first
+    inaccessible page and claws every hit, following the probe-order rule,
+    so past a read-only page one tap finds the edge.  Every page grown is
+    stored with its writability; stored pages cost nothing.  The page of
+    ``addr`` must be accessible.
     """
     base = AddressSpace.page_base(addr)
     if pm.claw(base) is NO_ACCESS:
         raise ValueError(f"page {base:#x} is not accessible")
-    lo = base
-    while lo > 0 and pm.grow(lo - PAGE_SIZE, -PAGE_SIZE):
-        lo -= PAGE_SIZE
-    hi = base + PAGE_SIZE
-    while hi < USER_TOP and pm.grow(hi, PAGE_SIZE):
-        hi += PAGE_SIZE
-    return lo, hi
+    lo = pm.walk(base - PAGE_SIZE, -PAGE_SIZE, 1, True)
+    return lo, pm.walk(base + PAGE_SIZE, PAGE_SIZE, 1, True) + PAGE_SIZE
 
 
 def reconstruct_map(pm: PageMap, start: int, end: int) -> ReconstructedMap:
     """Classify every page in [start, end) via write probes through ``pm``
-    and coalesce adjacent pages of equal classification into runs."""
+    and coalesce adjacent pages of equal classification into runs.  A page
+    stored with its writability costs one lookup; only others are clawed."""
     _check_page_range(start, end)
     runs: list[MapRun] = []
     cur_kind: Writability | None = None
     cur_start = start
     for base in range(start, end, PAGE_SIZE):
-        kind = pm.claw(base)
+        kind = pm.entries.get(base)
+        if kind is None or kind is ACCESSIBLE:
+            kind = pm.claw(base)
         if kind is not cur_kind:
             if cur_kind is not None:
                 runs.append(MapRun(cur_start, base, cur_kind))

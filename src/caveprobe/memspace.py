@@ -102,16 +102,12 @@ class PagePermissions:
 
 @dataclass(slots=True)
 class Page:
-    """One 4 KB page: permission bits plus backing bytes, which may be
+    """One 4 KB page: permission bits plus one page of bytes, which may be
     ``bytes`` shared with other pages until :meth:`writable_data` gives the
     page a ``bytearray`` of its own on its first write."""
 
     perms: PagePermissions
     data: bytes | bytearray
-
-    def __post_init__(self) -> None:
-        if len(self.data) != PAGE_SIZE:
-            raise ValueError("page data must be exactly one page long")
 
     def writable_data(self) -> bytearray:
         """The page's own bytes to write into, copied on the first call."""
@@ -143,11 +139,11 @@ class AddressSpace:
         """Map ``length`` bytes at ``start``; pages beyond ``data`` are zero.
 
         ``data`` is bytes, or the pages :func:`parse_manifest` decodes, each
-        a full page but the last.  A page's bytes are kept, not copied, and
-        an all-zero page is ``_ZERO_PAGE``.  The region must be page
-        aligned, lie inside canonical space, not cross the user/kernel
-        boundary, and not overlap existing pages.  Kernel-half regions
-        cannot be user accessible.
+        a full page but the last, which is padded with zeros.  A page's
+        bytes are kept, not copied, and an all-zero page is ``_ZERO_PAGE``.
+        The region must be page aligned, lie inside canonical space, not
+        cross the user/kernel boundary, and not overlap existing pages.
+        Kernel-half regions cannot be user accessible.
         """
         if start % PAGE_SIZE or length % PAGE_SIZE:
             raise ValueError("region bounds must be page aligned")
@@ -162,28 +158,22 @@ class AddressSpace:
             raise ValueError("kernel-half pages cannot be user accessible")
         if type(data) is not tuple:
             data = tuple(bytes(data[k : k + PAGE_SIZE]) for k in range(0, len(data), PAGE_SIZE))
-        if len(data) > length // PAGE_SIZE:
+        bases = range(start, end, PAGE_SIZE)
+        if len(data) > len(bases):
             raise ValueError("content blob longer than region")
-        for base in range(start, end, PAGE_SIZE):
+        for base in bases:
             if base in self.pages:
                 raise ValueError(f"page {base:#x} already mapped")
-        for k, base in enumerate(range(start, end, PAGE_SIZE)):
-            page = data[k].ljust(PAGE_SIZE, b"\0") if k < len(data) else _ZERO_PAGE
-            self.pages[base] = Page(perms, _ZERO_PAGE if page == _ZERO_PAGE else page)
-
-    def _check_range(self, addr: int, count: int, *, write: bool) -> None:
-        pos = addr
-        end = addr + count
-        while pos < end:
-            base = pos & ~(PAGE_SIZE - 1)
-            page = self.pages.get(base)
-            if page is None:
-                raise MemoryFault(pos, "unmapped")
-            p = page.perms
-            ok = p.user_accessible and (p.writable if write else p.readable)
-            if not ok:
-                raise MemoryFault(pos, "perm")
-            pos = base + PAGE_SIZE
+        if data and len(data[-1]) < PAGE_SIZE:
+            data = (*data[:-1], data[-1].ljust(PAGE_SIZE, b"\0"))
+        pages = {}
+        for base, page in zip(bases, data):
+            if len(page) != PAGE_SIZE:
+                raise ValueError("page data must be exactly one page long")
+            pages[base] = Page(perms, _ZERO_PAGE if page == _ZERO_PAGE else page)
+        for base in bases[len(data):]:
+            pages[base] = Page(perms, _ZERO_PAGE)
+        self.pages.update(pages)
 
     def read_bytes(self, addr: int, count: int) -> bytes:
         """Native read.  Faults unless every touched page is mapped,
@@ -213,24 +203,26 @@ class AddressSpace:
     def is_zero_page(self, base: int) -> bool:
         """Whether the page at ``base`` holds only zero bytes: a native read
         of the whole page, compared in place.  Faults as read_bytes does."""
-        self._check_range(base, PAGE_SIZE, write=False)
-        return self.pages[base].data == _ZERO_PAGE
+        page = self.pages.get(base)
+        if page is None or not (page.perms.user_accessible and page.perms.readable):
+            raise MemoryFault(base, "unmapped" if page is None else "perm")
+        return page.data == _ZERO_PAGE
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         """Native write, all or nothing: permissions for the whole range are
         checked before any byte changes."""
         if not data:
             return
-        self._check_range(addr, len(data), write=True)
-        pos = addr
         end = addr + len(data)
-        while pos < end:
-            base = pos & ~(PAGE_SIZE - 1)
-            page = self.pages[base]
-            lo = pos - base
-            hi = min(PAGE_SIZE, end - base)
-            page.writable_data()[lo:hi] = data[pos - addr : pos - addr + (hi - lo)]
-            pos = base + hi
+        bases = range(addr & ~(PAGE_SIZE - 1), end, PAGE_SIZE)
+        for base in bases:
+            page = self.pages.get(base)
+            if page is None or not (page.perms.user_accessible and page.perms.writable):
+                raise MemoryFault(max(addr, base), "unmapped" if page is None else "perm")
+        for base in bases:
+            lo, hi = max(addr, base), min(base + PAGE_SIZE, end)
+            page = self.pages[base].writable_data()
+            page[lo - base : hi - base] = data[lo - addr : hi - addr]
 
     def set_protection(self, start: int, length: int, perms: PagePermissions) -> None:
         """Replace the permissions of every page in the range.
@@ -257,6 +249,8 @@ class AddressSpace:
             base: Page(page.perms, bytes(page.data))
             for base, page in self.pages.items()
         }
+        if {len(page.data) for page in out.pages.values()} - {PAGE_SIZE}:
+            raise ValueError("page data must be exactly one page long")
         out.rebase(offset)
         return out
 

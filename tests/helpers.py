@@ -9,9 +9,12 @@ import hashlib
 import io
 import random
 import re
+from unittest.mock import patch
 
+from caveprobe import caves, explorer
 from caveprobe.cli import EXIT_STAGE_ERROR, main
 from caveprobe.memspace import PAGE_SIZE, USER_TOP, AddressSpace, PagePermissions
+from caveprobe.probe import ACCESSIBLE, NO_ACCESS, WRITABLE
 
 # writability classes as plain strings, kept separate from the library's
 # enum so oracle comparisons cannot accidentally share a bug
@@ -121,6 +124,96 @@ def truth_class_runs(
         else:
             runs.append((base, base + PAGE_SIZE, cls))
     return runs
+
+
+# The walk rule as it stood before ``PageMap.walk``, kept as an oracle for
+# it: ``probe_next`` picked each probe, ``grow`` extended a run, and the
+# sweep and the extent growth drove them one page per call.  Every probe
+# goes through the store's ``tap`` and ``claw``.
+
+def reference_probe_next(pm: explorer.PageMap, base: int, step: int) -> bool:
+    """Accessibility of the page at ``base`` on a walk moving by
+    ``step``: the one probe-order rule of every walk.  It claws when
+    the page before it on the walk is stored accessible and not
+    read-only, since the run may go on writable and a writable page
+    costs one transaction, not a tap and a claw; it taps otherwise,
+    since a gap costs one transaction to tap and two to claw."""
+    before = pm.entries.get(base - step)
+    if before is ACCESSIBLE or before is WRITABLE:
+        return pm.claw(base) is not NO_ACCESS
+    return pm.tap(base)
+
+
+def reference_grow(pm: explorer.PageMap, base: int, step: int) -> bool:
+    """Whether the page at ``base`` extends a run grown by ``step``:
+    probed by ``probe_next``, then clawed, so every page of the run is
+    stored with its writability.  A page already stored with its
+    writability, or as a gap, costs one lookup."""
+    verdict = pm.entries.get(base)
+    if verdict is not None and verdict is not ACCESSIBLE:
+        return verdict is not NO_ACCESS
+    return reference_probe_next(pm, base, step) and pm.claw(base) is not NO_ACCESS
+
+
+def reference_sweep(pm: explorer.PageMap, anchor: int) -> None:
+    """The linear sweep from ``anchor``, up then down, by
+    ``reference_probe_next``, until ``explorer.MAX_GAP`` misses in a row."""
+    for step in (PAGE_SIZE, -PAGE_SIZE):
+        base = AddressSpace.page_base(anchor)
+        if step < 0:
+            base += step  # upward pass already covered the anchor page
+        misses = 0
+        while 0 <= base < USER_TOP and misses < explorer.MAX_GAP:
+            misses = 0 if reference_probe_next(pm, base, step) else misses + 1
+            base += step
+
+
+def reference_region_around(pm: explorer.PageMap, addr: int) -> tuple[int, int]:
+    """The extent around ``addr``, grown a page at a time by
+    ``reference_grow``."""
+    base = AddressSpace.page_base(addr)
+    if pm.claw(base) is NO_ACCESS:
+        raise ValueError(f"page {base:#x} is not accessible")
+    lo = base
+    while lo > 0 and reference_grow(pm, lo - PAGE_SIZE, -PAGE_SIZE):
+        lo -= PAGE_SIZE
+    hi = base + PAGE_SIZE
+    while hi < USER_TOP and reference_grow(pm, hi, PAGE_SIZE):
+        hi += PAGE_SIZE
+    return lo, hi
+
+
+_reconstruct_map = explorer.reconstruct_map
+_find_caves = caves.find_caves
+
+
+def reference_reconstruct_map(pm: explorer.PageMap, start: int, end: int):
+    """``explorer.reconstruct_map`` after a store claw of every page in
+    [start, end), in order, as the classification once probed."""
+    for base in range(start, end, PAGE_SIZE):
+        pm.claw(base)
+    return _reconstruct_map(pm, start, end)
+
+
+def reference_find_caves(pm: explorer.PageMap):
+    """``caves.find_caves`` after a store claw of every accessible page, in
+    address order, as the cave search once probed."""
+    for base in pm.accessible_pages():
+        pm.claw(base)
+    return _find_caves(pm)
+
+
+@contextlib.contextmanager
+def reference_walk():
+    """Run the sweep, the extent growth, the map classification and the
+    cave search by the reference rule above while the block runs."""
+    with (
+        patch.object(explorer, "_sweep", reference_sweep),
+        patch.object(explorer, "region_around", reference_region_around),
+        patch.object(explorer, "reconstruct_map", reference_reconstruct_map),
+        patch.object(caves, "find_caves", reference_find_caves),
+    ):
+        yield
 
 
 def run_main(argv: list[str]) -> tuple[int, str, str]:

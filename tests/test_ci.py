@@ -1,6 +1,7 @@
 """The CI workflow runs the tier-1 command that README documents, on
 Pythons from the floor pyproject.toml declares, records src/'s line count
-in the run's summary, smoke-runs the benchmark both untraced and traced,
+in the run's summary, smoke-runs the benchmark both untraced and traced
+and checks its first-pass report digests against the pinned ones,
 runs the installed console script in every mode, checks that it cuts a
 long flag value to one short line, checks its JSON report against the
 stdlib's json.tool and against the reports of a demo copy that holds a
@@ -13,6 +14,7 @@ runs README's install commands as written."""
 import re
 from pathlib import Path
 
+import bench_digests
 from caveprobe.cli import MODES
 
 REPO = Path(__file__).resolve().parent.parent
@@ -85,6 +87,39 @@ def test_benchmark_smoke_runs_untraced_and_traced():
         # the last line of each run's output must say "correct": true
         check = re.escape(f"tail -n 1 {out} | python -c ") + r".*\[\"correct\"\] is not True"
         assert re.search(check, step), f"no correctness check on {out}"
+
+
+def test_benchmark_smoke_checks_the_pinned_first_pass_digests():
+    # the untraced seed-1 output goes through tests/bench_digests.py, which
+    # pins a digest for every workload the benchmark runs
+    step = workflow_step("Benchmark smoke")
+    lines = [line.strip() for line in step.splitlines()]
+    untraced = lines.index(
+        "python perfbench/run.py --workload all --seed 1 --seconds 0 --trace 0 "
+        '| tee "$RUNNER_TEMP/bench-smoke-0.txt"')
+    check = lines.index('python tests/bench_digests.py "$RUNNER_TEMP/bench-smoke-0.txt"')
+    assert untraced < check
+    assert "continue-on-error" not in step
+    workloads = (REPO / "perfbench" / "workloads.py").read_text()
+    names = re.findall(r'^\s+name="([^"]+)",$', workloads, re.M)
+    assert sorted(names) == sorted(bench_digests.PINNED)
+
+
+def test_first_pass_digests_are_read_per_workload(tmp_path, capsys):
+    out = "".join(
+        f"== {name} (seed 1, trace 0): why\n  runs 3 in 0.1 s\n"
+        f"  {bench_digests._DIGEST_LINE}{digest}\n  run_ms_p50  1.0 ms\n"
+        for name, digest in bench_digests.PINNED.items()
+    ) + '{"correct": true}\n'
+    assert bench_digests.first_pass_digests(out) == bench_digests.PINNED
+    (tmp_path / "smoke.txt").write_text(out)
+    assert bench_digests.main([str(tmp_path / "smoke.txt")]) == 0
+    (tmp_path / "smoke.txt").write_text(out.replace(
+        bench_digests.PINNED["large-aslr"], "0" * 64))
+    assert bench_digests.main([str(tmp_path / "smoke.txt")]) == 1
+    assert "large-aslr: DIFFERS: got " + "0" * 64 in capsys.readouterr().out
+    (tmp_path / "smoke.txt").write_text(out.split("== large-aslr")[0])
+    assert bench_digests.main([str(tmp_path / "smoke.txt")]) == 1
 
 
 def test_installed_console_script_runs_every_mode_outside_the_checkout():

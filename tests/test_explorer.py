@@ -1,3 +1,4 @@
+import contextlib
 import random
 import struct
 from unittest.mock import patch
@@ -5,7 +6,8 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, strategies as st
 
-from caveprobe import explorer
+from caveprobe import caves, explorer
+from caveprobe.cli import MODES, _aslr_offset
 from caveprobe.explorer import (
     DEFAULT_BUDGET,
     ExploreBudgetError,
@@ -30,7 +32,7 @@ from caveprobe.memspace import (
 )
 from caveprobe.probe import Accessibility, Prober, Writability
 from caveprobe.synth import build_victim_image
-from helpers import NONE, make_space, page_class
+from helpers import NONE, make_space, page_class, reference_walk
 
 
 def quiet_prober() -> Prober:
@@ -234,7 +236,7 @@ class TestLinearSweepProbes:
 
 
 class TestProbeOrderRule:
-    # PageMap.probe_next claws a page whose neighbour on the walk's side is
+    # PageMap.walk claws a page whose neighbour on the walk's side is
     # stored accessible and not read-only, and taps it otherwise; the
     # sweep and region_around both walk by it
 
@@ -244,20 +246,58 @@ class TestProbeOrderRule:
             (0x22000, PAGE_SIZE, "ru", b""),
             (0x23000, PAGE_SIZE, "rwu", b""),
         )
-        p = quiet_prober()
+        p = Prober(0.0, 0, trace=True)
         pm = PageMap(space, p)
 
-        def probe(base, step):
-            claws = p.counters.get("claws", 0)
-            assert pm.probe_next(base, step)
-            return "claw" if p.counters.get("claws", 0) > claws else "tap"
+        def walk(base, step):
+            # the last hit, and the probe each page got, named by its first
+            # transaction: a claw writes first, a tap reads
+            start = len(p.trace_log)
+            last = pm.walk(base, step, 1, False)
+            probes = {}
+            for op, addr, _ in p.trace_log[start:]:
+                if op.endswith("_tx"):
+                    probes.setdefault(addr, "claw" if op == "write_tx" else "tap")
+            return last, probes
 
-        assert probe(0x21000, PAGE_SIZE) == "tap"     # nothing stored below
-        assert probe(0x22000, PAGE_SIZE) == "claw"    # tapped accessible below
+        assert walk(0x21000, PAGE_SIZE) == (0x23000, {
+            0x21000: "tap",     # nothing stored below
+            0x22000: "claw",    # tapped accessible below
+            0x23000: "tap",     # read-only below
+            0x24000: "claw",    # tapped accessible below: the miss ends it
+        })
         assert pm.entries[0x22000] is Writability.READ_ONLY
-        assert probe(0x23000, PAGE_SIZE) == "tap"     # read-only below
-        assert probe(0x20000, -PAGE_SIZE) == "claw"   # walking down: tapped above
+        assert walk(0x20000, -PAGE_SIZE) == (0x20000, {
+            0x20000: "claw",    # walking down: tapped above
+            0x1F000: "claw",    # writable above: the miss ends it
+        })
         assert pm.entries[0x20000] is Writability.WRITABLE
+        # tapped accessible, with a writable page below: one write
+        assert walk(0x20000, PAGE_SIZE) == (0x23000, {0x21000: "claw"})
+        assert pm.entries[0x21000] is Writability.WRITABLE
+        # a walk over stored verdicts probes nothing
+        spent = dict(p.counters)
+        assert walk(0x20000, PAGE_SIZE) == (0x23000, {})
+        assert p.counters == spent
+
+    def test_walk_stops_after_gap_misses_and_at_the_user_half_edges(self):
+        space = make_space((0, PAGE_SIZE, "ru", b""),
+                           (0x20000, PAGE_SIZE, "ru", b""),
+                           (0x23000, PAGE_SIZE, "ru", b""),
+                           (USER_TOP - PAGE_SIZE, PAGE_SIZE, "ru", b""))
+        pm = quiet_store(space)
+        # two misses in a row are not three: the walk goes on to 0x23000
+        assert pm.walk(0x20000, PAGE_SIZE, 3, False) == 0x23000
+        assert list(pm.entries) == [0x20000 + k * PAGE_SIZE for k in range(7)]
+        pm = quiet_store(space)
+        assert pm.walk(0x20000, PAGE_SIZE, 2, False) == 0x20000
+        assert len(pm.entries) == 3
+        # no hit: the page before the first
+        assert quiet_store(space).walk(0x30000, -PAGE_SIZE, 1, True) == 0x31000
+        pm = quiet_store(space)
+        assert pm.walk(USER_TOP - PAGE_SIZE, PAGE_SIZE, 64, True) == USER_TOP - PAGE_SIZE
+        assert pm.walk(PAGE_SIZE, -PAGE_SIZE, 64, False) == 0
+        assert list(pm.entries) == [USER_TOP - PAGE_SIZE, PAGE_SIZE, 0]
 
     def test_read_only_run_edges_cost_one_read_each(self):
         # three read-only pages between gaps: each page pays a write and a
@@ -410,6 +450,61 @@ def test_linear_store_matches_tap_only_sweep(
     for base, verdict in pm.entries.items():
         if verdict in (Writability.WRITABLE, Writability.READ_ONLY):
             assert verdict.value == page_class(space.pages[base].perms)
+
+
+def map_stages(pm, mode, stack_pointer, direct):
+    """Every probe of cli's probe, explore and caves stages over ``pm``,
+    and the frame search the inject stage starts with: the map runs, caves
+    and frame found, or the text of the error that ended them.  With
+    ``direct``, a sweep from the stack pointer, a classification of every
+    third hit and the page above it, and a cave search come first, so each
+    meets pages stored as tapped accessible."""
+    out = []
+    try:
+        explore(pm, mode, stack_pointer)
+        if direct:
+            explorer._sweep(pm, stack_pointer)
+            for base in pm.accessible_pages()[::3]:
+                out += explorer.reconstruct_map(pm, base, base + 2 * PAGE_SIZE).runs
+            out.append(caves.find_caves(pm))
+        hi = 0
+        for base in pm.accessible_pages():
+            if base >= hi:
+                lo, hi = explorer.region_around(pm, base)
+                out += explorer.reconstruct_map(pm, lo, hi).runs
+        out += [caves.find_caves(pm), frame_above(pm, stack_pointer)]
+    except (ExploreBudgetError, ValueError) as exc:
+        out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+@given(
+    image_seed=st.integers(0, 2**32 - 1),
+    pages=st.sampled_from((4, 16)),
+    mode=st.sampled_from(MODES),
+    aslr=st.booleans(),
+    budget=st.one_of(st.integers(1, 300), st.just(4096)),
+    abort_prob=st.sampled_from((0.0, 0.3)),
+    direct=st.booleans(),
+)
+def test_walk_matches_the_reference_rule(image_seed, pages, mode, aslr, budget,
+                                         abort_prob, direct):
+    # the same transactions, retries and verdicts in the same order, the
+    # same store in the same order, and the same results or error text as
+    # the one-page-a-call rule in helpers
+    img = build_victim_image(
+        image_seed, code_pages=pages, cave_pages=pages, stack_pages=pages
+    )
+    space = load_manifest(parse_manifest(img.manifest_text.encode()))
+    offset = _aslr_offset(image_seed, space) if aslr else 0
+    space.rebase(offset)
+    got = []
+    for reference in (False, True):
+        pm = PageMap(space, Prober(abort_prob, image_seed, trace=True), budget)
+        with reference_walk() if reference else contextlib.nullcontext():
+            out = map_stages(pm, mode, img.truth.stack_pointer + offset, direct)
+        got.append((out, list(pm.entries.items()), pm.prober.trace_log))
+    assert got[0] == got[1]
 
 
 class TestRegionAround:

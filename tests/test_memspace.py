@@ -89,6 +89,21 @@ class TestMapRegion:
         with pytest.raises(ValueError):
             space.map_region(ADDR_TOP, PAGE_SIZE, PagePermissions.from_rwxu("r"))
 
+    def test_pages_of_the_wrong_length_are_refused(self):
+        # only the last page of a blob may be short; a refused region maps
+        # no page, and a copy refuses a page whose bytes were cut
+        perms = PagePermissions.from_rwxu("ru")
+        for pages in ((bytes(PAGE_SIZE + 1),), (b"\1", bytes(PAGE_SIZE))):
+            space = AddressSpace()
+            with pytest.raises(ValueError, match="exactly one page long"):
+                space.map_region(0x1000, 2 * PAGE_SIZE, perms, pages)
+            assert space.pages == {}
+        space = make_space((0x1000, PAGE_SIZE, "ru", (b"\1",)))
+        assert space.read_bytes(0x1000, PAGE_SIZE) == b"\1".ljust(PAGE_SIZE, b"\0")
+        space.pages[0x1000].data = b"\1"
+        with pytest.raises(ValueError, match="exactly one page long"):
+            space.shifted(0)
+
     def test_blob_longer_than_region_rejected(self):
         space = AddressSpace()
         with pytest.raises(ValueError):
@@ -96,6 +111,44 @@ class TestMapRegion:
                 0x1000, PAGE_SIZE, PagePermissions.from_rwxu("ru"),
                 bytes(PAGE_SIZE + 1),
             )
+
+
+@given(
+    regions=st.lists(
+        st.tuples(st.integers(1, 4), st.integers(0, 5 * PAGE_SIZE),
+                  st.sampled_from(["zero", "random", "zero-first-page"])),
+        min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.integers(0, 8),
+)
+def test_every_page_is_one_page_long(regions, seed, shift):
+    # loaded from a manifest, rebased, and shifted: each page is exactly
+    # PAGE_SIZE bytes, holds its blob then zeros, and a blob longer than
+    # its region is refused
+    rng = random.Random(seed)
+    doc, blobs, start = [], {}, 0x10000
+    for pages, size, fill in regions:
+        blob = bytes(size) if fill == "zero" else rng.randbytes(size)
+        if fill == "zero-first-page":
+            blob = bytes(min(size, PAGE_SIZE)) + blob[PAGE_SIZE:]
+        doc.append({"start": hex(start), "len": hex(pages * PAGE_SIZE),
+                    "perms": "rwu", "data": blob.hex()})
+        blobs[start] = blob.ljust(pages * PAGE_SIZE, b"\0")
+        start += (pages + 1) * PAGE_SIZE
+    raw = json.dumps({"regions": doc}).encode()
+    if any(size > pages * PAGE_SIZE for pages, size, _ in regions):
+        with pytest.raises(ManifestError, match="content blob longer than region"):
+            load_manifest(parse_manifest(raw))
+        return
+    space = load_manifest(parse_manifest(raw))
+    for lo, blob in blobs.items():
+        assert space.read_bytes(lo, len(blob)) == blob
+    moved = space.shifted(shift * PAGE_SIZE)
+    space.rebase(shift * PAGE_SIZE)
+    for each in (space, moved):
+        assert {len(page.data) for page in each.pages.values()} == {PAGE_SIZE}
+        assert all(page.data is _ZERO_PAGE
+                   for page in each.pages.values() if page.data == _ZERO_PAGE)
 
 
 class TestReadWrite:
