@@ -33,7 +33,7 @@ from .memspace import (
     parse_manifest,
     parse_proc_maps,
 )
-from .probe import READ_ONLY, Prober
+from .probe import NO_ACCESS, READ_ONLY, Prober
 
 MODES = ("linear", "pointer-chase", "hybrid")
 RESTORE_MODES = ("payload", "chain-only")
@@ -326,10 +326,9 @@ class Pipeline:
             if stage == self.config.stop_after:
                 break
         # the store's totals after the last stage: what --explore-budget caps
-        self.report.exploration["pages-probed"] = len(self.pagemap.entries)
-        self.report.exploration["accessible-pages"] = len(
-            self.pagemap.accessible_pages()
-        )
+        verdicts = self.pagemap.entries.values()
+        self.report.exploration["pages-probed"] = len(verdicts)
+        self.report.exploration["accessible-pages"] = len(verdicts) - [*verdicts].count(NO_ACCESS)
         self.report.probe_counters = dict(self.prober.counters)
         return self.report
 

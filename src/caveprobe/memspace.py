@@ -5,10 +5,12 @@ permission bits and backing bytes.  A page's bytes are shared and read-only
 until its first write copies them: every all-zero page of a loaded manifest
 is the one ``_ZERO_PAGE``, and every other page keeps the bytes its hex
 decoded to, page by page, as the manifest file streams past one chunk at a
-time.  Addresses are 48-bit canonical: the low half [0, 2**47)
-belongs to user mappings, the high half [2**47, 2**48) is reserved for
-kernel mappings, which may be loaded for realism but are never user
-accessible.
+time.  The scan keeps every byte outside the blobs as a skeleton, and a
+literal is a blob when the skeleton shows it after a "data" literal and one
+":"; an invalid file's whole text is parsed once, by json alone.
+Addresses are 48-bit canonical: the low half [0, 2**47) belongs to user
+mappings, the high half [2**47, 2**48) is reserved for kernel mappings,
+which may be loaded for realism but are never user accessible.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ USER_TOP = 1 << 47
 ADDR_TOP = 1 << 48
 # pages one manifest may map in all: each is a Page object on load, and a
 # page holding data is its bytes as well.  Past the pages, a load holds one
-# chunk of the file (_CHUNK) and the skeleton; the whole text only for a
-# file parsed by json alone, or one that cannot seek
+# chunk of the file (_CHUNK) and the skeleton, every byte but the blobs,
+# which are the literals it shows after a "data" literal and one ":"; the
+# whole text only for a file that cannot seek, or one json parses alone,
+# once, such as an invalid file
 MAX_MANIFEST_PAGES = 1 << 16
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
@@ -415,11 +419,14 @@ def _scan(source: BinaryIO) -> tuple[bytearray, dict] | None:
     and the blobs decoded from it, reading one chunk of at most ``_CHUNK``
     bytes, and never more than the file's size, at a time into one buffer.
 
-    Each "data" member's literal is decoded by :func:`_decode_pages` straight
-    from the chunks it lies in, and its contents become a placeholder in the
-    skeleton; the blobs are keyed by the text the placeholder parses to.
-    Skeleton text is copied only at a blob's bounds and at a chunk's end, so
-    the scan holds the decoded pages, the skeleton and about one chunk.
+    Every byte outside a blob goes into the skeleton as it is read.  A
+    literal is a blob when the skeleton from the end of a literal that
+    spells "data" to its own quote is one ":" and JSON whitespace, so only
+    ``key``, an index into the skeleton, and whether a literal is open
+    cross a chunk's end.  A blob's digits are decoded by
+    :func:`_decode_pages` straight from the chunks they lie in, and a
+    placeholder, the text its pages are keyed by, stands in the skeleton
+    for them.  The scan holds the pages, the skeleton and one chunk.
 
     Without a backslash in the file every quote delimits a string literal,
     so the literals pair up by ``find`` alone.  A placeholder is a
@@ -437,52 +444,38 @@ def _scan(source: BinaryIO) -> tuple[bytearray, dict] | None:
     blobs: dict[str, tuple[bytes, ...]] = {}
     pages: list[bytes] | None = None  # the open blob's pages, while one is open
     part = b""  # the open blob's digits past its last whole page
-    head: bytes | None = None  # the open literal's first 5 bytes, if not a blob
-    # None unless the last literal closed spelled "data"; then the non-blank
-    # bytes since, which make it a key only if they are one ":"
-    colon: bytes | None = None
+    opened = False  # whether a literal is open
+    key = -1  # the skeleton's length after the last literal if it spelled "data", else -1
     while n := source.readinto(buf):
         if n < len(buf):  # the end of the file, or a source that reads less
             del buf[n:]
         if b"\\" in buf:
             return None
-        done = pos = 0  # buf[:done] is in the skeleton or a blob; the scan is at pos
-        # where the open literal's contents start in buf, -1 if none is open
-        lo = 0 if pages is not None or head is not None else -1
+        pos = 0  # buf[:pos] is in the skeleton or a blob
         while True:
-            if lo < 0:
+            if not opened:
                 lo = buf.find(b'"', pos) + 1
+                skeleton += memoryview(buf)[pos : lo or n]
                 if not lo:
-                    if colon is not None:
-                        colon = (colon + buf[pos:].strip(_BLANK))[:2]
                     break
-                if colon is not None and colon + buf[pos : lo - 1].strip(_BLANK) == b":":
-                    skeleton += memoryview(buf)[done:lo]
+                opened, pos = True, lo
+                if key >= 0 and skeleton[key:-1].strip(_BLANK) == b":":
                     skeleton += b"\\u0000%d" % len(blobs)
-                    pages, part = [], b""
-                else:
-                    head = b""
-                colon = None
-            hi = buf.find(b'"', lo)
-            end = n if hi < 0 else hi
-            if pages is not None:
-                part = _decode_pages(pages, part, buf, lo, end, hi >= 0)
+                    pages = []
+            hi = buf.find(b'"', pos)
+            if pages is None:
+                skeleton += memoryview(buf)[pos : hi + 1 or n]
             else:
-                head = (head + buf[lo : min(end, lo + 5)])[:5]
+                part = _decode_pages(pages, part, buf, pos, n if hi < 0 else hi, hi >= 0)
             if hi < 0:
                 break
             if pages is not None:
                 blobs[f"\0{len(blobs)}"] = tuple(pages)
-                pages, done = None, hi
-            else:
-                colon = b"" if head == b"data" else None
-                head = None
-            pos, lo = hi + 1, -1
-        if pages is None:
-            skeleton += memoryview(buf)[done:]
-    if pages is not None or head is not None:
-        return None
-    return skeleton, blobs
+                skeleton += b'"'
+            # no literal holds a quote, so one six bytes back opened this one
+            key = len(skeleton) if skeleton.endswith(b'"data"') else -1
+            opened, pos, pages = False, hi + 1, None
+    return None if opened else (skeleton, blobs)
 
 
 def parse_manifest(source: BinaryIO | bytes) -> dict:
@@ -491,15 +484,16 @@ def parse_manifest(source: BinaryIO | bytes) -> dict:
 
     Each "data" member whose value is a hex string comes back as the tuple
     of pages :func:`_decode_pages` decodes; every other value is what
-    ``json.loads`` gives.  :func:`_scan` reads the file a chunk at a time,
-    decoding each blob as it passes, so the JSON scanner never walks one
-    and the whole text is never held.  A file with a backslash, a "data"
-    literal that is not hex, or a fault that ``json`` or UTF-8 finds is
-    parsed again from its whole text by ``json`` alone, whose object hook
-    decodes each hex "data" string by the same decoder: the same document,
-    or the message and offset of the file's first fault.  A source that
-    cannot seek is read whole first.  Bytes that are not UTF-8 raise
-    UnicodeDecodeError at the offset of the first bad byte.
+    ``json.loads`` gives.  :func:`_scan` reads the file a chunk at a time
+    into a skeleton, and decodes as a blob each literal that the skeleton
+    shows follows a "data" literal and one ":", so the JSON scanner never
+    walks a blob and the whole text is never held.  A file with a
+    backslash, a "data" literal that is not hex, or a fault that ``json``
+    or UTF-8 finds is parsed from its whole text once, by ``json`` alone,
+    whose object hook decodes each hex "data" string by the same decoder:
+    the same document, or the message and offset of the file's first
+    fault.  A source that cannot seek is read whole first.  Bytes that are
+    not UTF-8 raise UnicodeDecodeError at the offset of the first bad byte.
     """
     if isinstance(source, bytes):
         source = io.BytesIO(source)
@@ -520,37 +514,29 @@ def parse_manifest(source: BinaryIO | bytes) -> dict:
                 obj["data"] = pages
         return obj
 
-    doc = None
     if scanned is not None:
         skeleton, blobs = scanned
         try:
             doc = json.loads(skeleton.decode(), object_hook=swap)
         except (ValueError, RecursionError):
             # the skeleton's offsets are not the file's: parse the file
-            blobs = {}
-    if doc is None:
+            scanned, blobs = None, {}
+    if scanned is None:
         source.seek(0)
         text = source.read().decode()
         try:
             doc = json.loads(text, object_hook=swap)
-        except (ValueError, RecursionError):
-            doc = _parse_json(text)
+        except json.JSONDecodeError as exc:
+            raise ManifestError(f"not valid JSON: {exc}") from None
+        except ValueError:
+            # the int() of a too-long integer literal; its text names the
+            # limit differently from one Python version to the next
+            raise ManifestError("not valid JSON: an integer has too many digits") from None
+        except RecursionError:
+            raise ManifestError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("regions"), list):
         raise ManifestError('manifest must be an object with a "regions" list')
     return doc
-
-
-def _parse_json(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"not valid JSON: {exc}") from None
-    except ValueError:
-        # the int() of a too-long integer literal; its text names the limit
-        # differently from one Python version to the next
-        raise ManifestError("not valid JSON: an integer has too many digits") from None
-    except RecursionError:
-        raise ManifestError("not valid JSON: nested too deeply") from None
 
 
 def load_manifest(doc: dict) -> AddressSpace:

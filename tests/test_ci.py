@@ -5,11 +5,11 @@ and checks its first-pass report digests against the pinned ones,
 runs the installed console script in every mode, checks that it cuts a
 long flag value to one short line, checks its JSON report against the
 stdlib's json.tool and against the reports of a demo copy that holds a
-backslash and of one with its cave as zero hex and its code uppercase,
-checks that a manifest read from a pipe reports as the same file does,
-rebuilds the demo image with the installed package's image
-script and checks that script's one-line refusal of a zero page count, and
-runs README's install commands as written."""
+backslash, of compact and respaced copies, and of one with its cave as
+zero hex and its code uppercase, checks that a manifest read from a pipe
+reports as the same file does, rebuilds the demo image with the installed
+package's image script and checks that script's one-line refusal of a
+zero page count, and runs README's install commands as written."""
 
 import re
 from pathlib import Path
@@ -262,6 +262,34 @@ def test_manifest_with_a_backslash_is_checked_against_the_demo_report():
         'cd "$RUNNER_TEMP/escaped"',
         'caveprobe --image-path demo.json --out "$RUNNER_TEMP/escaped-report.json"',
         'cmp "$RUNNER_TEMP/plain-report.json" "$RUNNER_TEMP/escaped-report.json"',
+    ]
+
+
+def test_manifest_in_other_json_spacing_is_checked_against_the_demo_report():
+    # a compact copy of the demo and one spaced as "data" :\n " each take
+    # the scan; the installed package must report the same bytes for them
+    # as for the plain copy the backslash step reports, under the same
+    # relative path
+    name = "Manifest in other JSON spacing gives the same report"
+    step = workflow_step(name)
+    lines = [line.strip() for line in step.splitlines()]
+    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
+    assert workflow.index(
+        "- name: Manifest with a backslash gives the same report") < workflow.index(
+        f"- name: {name}")
+    assert lines[lines.index("run: |") + 1:] == [
+        'mkdir "$RUNNER_TEMP/compact" "$RUNNER_TEMP/spaced"',
+        "python -c 'import json, sys; json.dump(json.load(open(\"images/demo.json\")), "
+        'open(sys.argv[1], "w"), separators=(",", ":"))\' "$RUNNER_TEMP/compact/demo.json"',
+        'grep -qF \'"data":"\' "$RUNNER_TEMP/compact/demo.json"',
+        'sed \'s/"data": "/"data" :\\n "/\' images/demo.json > "$RUNNER_TEMP/spaced/demo.json"',
+        'grep -Fx \'      "data" :\' "$RUNNER_TEMP/spaced/demo.json"',
+        'cd "$RUNNER_TEMP/compact"',
+        'caveprobe --image-path demo.json --out "$RUNNER_TEMP/compact-report.json"',
+        'cd "$RUNNER_TEMP/spaced"',
+        'caveprobe --image-path demo.json --out "$RUNNER_TEMP/spaced-report.json"',
+        'cmp "$RUNNER_TEMP/plain-report.json" "$RUNNER_TEMP/compact-report.json"',
+        'cmp "$RUNNER_TEMP/plain-report.json" "$RUNNER_TEMP/spaced-report.json"',
     ]
 
 

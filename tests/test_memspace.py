@@ -1220,25 +1220,39 @@ def scans_alone(raw: bytes) -> bool:
 
 def trickle_counts(k: int, seekable: bool, raw: bytes):
     """The outcome of parsing ``raw`` from a ``Trickle``; the times the
-    parse read the source whole; and the "data" strings it decoded from
-    text json had parsed."""
+    parse read the source whole; the "data" strings it decoded from text
+    json had parsed; and its ``json.loads`` calls."""
     source = Trickle(raw, k, seekable)
-    with mock.patch.object(memspace, "_hex_pages", wraps=memspace._hex_pages) as from_text:
+    with mock.patch.object(memspace, "_hex_pages", wraps=memspace._hex_pages) as from_text, \
+            mock.patch.object(memspace.json, "loads", wraps=json.loads) as loads:
         outcome = parse_outcome(lambda _: parse_manifest(source), raw)
-    return outcome, source.whole_reads, from_text.call_count
+    return outcome, source.whole_reads, from_text.call_count, loads.call_count
 
 
 @given(manifest_bytes())
 def test_short_reads_parse_as_the_bytes_do(raw):
     # and a file with nothing that needs the whole text is read whole only
-    # when it cannot seek, before the scan, which decodes every blob
+    # when it cannot seek, before the scan, which decodes every blob.  json
+    # parses the skeleton of a file without a backslash, and then the whole
+    # text only if the skeleton fails; a file with one it parses whole, once,
+    # unless the text is not UTF-8
     want = parse_outcome(reference_parse, raw)
     alone = scans_alone(raw)
     for k, seekable in TRICKLES:
-        got, whole_reads, from_text = trickle_counts(k, seekable, raw)
+        got, whole_reads, from_text, loads = trickle_counts(k, seekable, raw)
         assert got == want, (k, seekable)
         if alone:
             assert (whole_reads, from_text) == (0 if seekable else 1, 0), (k, seekable)
+            assert loads == 1, (k, seekable)
+        elif b"\\" in raw:
+            assert loads == (got[0] != "not-utf8"), (k, seekable)
+        else:
+            assert loads <= 2, (k, seekable)
+
+
+# bytes that bytes.strip() or str.strip() take as whitespace and JSON does
+# not: form feed, vertical tab and a no-break space in UTF-8
+NOT_BLANK = [b"\f", b"\v", "\u00a0".encode()]
 
 
 @pytest.mark.parametrize("k, seekable", TRICKLES)
@@ -1247,10 +1261,21 @@ def test_only_a_data_key_makes_a_blob_however_the_reads_fall(k, seekable):
     # a hex key and a hex item
     raw = (b'{"regions": [{"data"\n :\r\n\t"0f0E"}], "label": "data" , "ad": "00",'
            b' "list": ["data",\n "ab"]}')
-    got, whole_reads, from_text = trickle_counts(k, seekable, raw)
+    got, whole_reads, from_text, _ = trickle_counts(k, seekable, raw)
     assert got == ("doc", reference_parse(raw))
     assert got[1]["regions"][0]["data"] == (b"\x0f\x0e",) and got[1]["ad"] == "00"
     assert (whole_reads, from_text) == (0 if seekable else 1, 0)
+    # a byte that is not JSON whitespace next to the key's ":", on either
+    # side, makes no blob: the parse decodes nothing and gives json's own
+    # message
+    for byte in NOT_BLANK:
+        for spot in (b'"data"', b'"data"\n ', b'"data"\n :', b'"data"\n :\r\n\t'):
+            bad = raw.replace(spot, spot + byte, 1)
+            with mock.patch.object(memspace, "_decode_pages",
+                                   wraps=memspace._decode_pages) as decoded:
+                got = trickle_counts(k, seekable, bad)[0]
+            assert got[0] == "manifest-error" and got == parse_outcome(reference_parse, bad)
+            assert decoded.call_count == 0, (byte, spot)
 
 
 # the faults of the test above that places them past the demo's blobs
@@ -1265,7 +1290,7 @@ def test_the_demo_read_in_short_reads_parses_as_its_bytes_do(fault, k, seekable)
     raw = DEMO.read_bytes() if fault is None else fault(DEMO.read_bytes())
     want = parse_outcome(reference_parse, raw)
     assert (want[0] == "doc") == (fault is None) == scans_alone(raw)
-    got, whole_reads, from_text = trickle_counts(k, seekable, raw)
+    got, whole_reads, from_text, _ = trickle_counts(k, seekable, raw)
     assert got == want
     if fault is None:
         assert (whole_reads, from_text) == (0 if seekable else 1, 0)
