@@ -2,8 +2,8 @@
 
 A cave is a maximal run of adjacent pages that the write probe classifies
 writable and whose bytes are all zero, meaning nothing appears to be using
-them.  Content is only ever read after the write probe already said the
-page is writable, so discovery stays fault-free.
+them.  Content is read only through ``PageMap.is_zero``, after the write
+probe said the page is writable, so discovery stays fault-free.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def find_caves(pm: PageMap) -> list[CaveRegion]:
         verdict = entries[base]
         if verdict is ACCESSIBLE:
             verdict = pm.claw(base)
-        if verdict is WRITABLE and pm.space.is_zero_page(base):
+        if verdict is WRITABLE and pm.is_zero(base):
             usable.append(base)
     return [CaveRegion(start, end - start) for start, end in page_runs(usable)]
 

@@ -283,18 +283,16 @@ def _aslr_offset(seed: int, space: AddressSpace) -> int:
 @dataclass(slots=True)
 class Pipeline:
     """One attack run against one image: the typed context its stages fill
-    in order.  Kept as an object so tests can reach the loaded space and
-    prober behind a finished report."""
+    in order.  The stages read only through the probe store the load builds;
+    the simulator's own checks and the machine read its space.  Kept as an
+    object so tests can reach the store behind a finished report."""
 
     config: PipelineConfig
     report: AttackReport = field(init=False)
     # load
-    space: AddressSpace | None = None
-    prober: Prober | None = None
+    pagemap: explorer.PageMap | None = None
     stack_pointer: int | None = None
     truth: GroundTruthMap | None = None
-    # probe, explore
-    pagemap: explorer.PageMap | None = None
     # gadgets
     catalog: gadgets.GadgetCatalog | None = None
     # inject
@@ -312,7 +310,7 @@ class Pipeline:
             _load(self)
         except Exception as exc:
             raise StageError("load", exc) from exc
-        counters = self.prober.counters
+        counters = self.pagemap.prober.counters
         for stage, body in _STAGE_TABLE:
             before = {k: counters.get(k, 0) for k in STAGE_COUNTERS}
             try:
@@ -329,7 +327,7 @@ class Pipeline:
         verdicts = self.pagemap.entries.values()
         self.report.exploration["pages-probed"] = len(verdicts)
         self.report.exploration["accessible-pages"] = len(verdicts) - [*verdicts].count(NO_ACCESS)
-        self.report.probe_counters = dict(self.prober.counters)
+        self.report.probe_counters = dict(counters)
         return self.report
 
 
@@ -343,9 +341,9 @@ def _load(ctx: Pipeline) -> None:
         offset = _aslr_offset(cfg.seed, space)
         space.rebase(offset)
     ctx.report.aslr_offset = offset
-    ctx.space = space
+    ctx.pagemap = explorer.PageMap(
+        space, Prober(cfg.spurious_prob, cfg.seed), cfg.explore_budget)
     ctx.stack_pointer = stack_pointer + offset
-    ctx.prober = Prober(cfg.spurious_prob, cfg.seed)
     if cfg.ground_truth_path is not None:
         path = Path(cfg.ground_truth_path)
         truth = _parse_file(
@@ -356,10 +354,7 @@ def _load(ctx: Pipeline) -> None:
 
 def _probe(ctx: Pipeline) -> None:
     cfg = ctx.config
-    ctx.pagemap = explorer.explore(
-        explorer.PageMap(ctx.space, ctx.prober, cfg.explore_budget),
-        cfg.mode, ctx.stack_pointer,
-    )
+    explorer.explore(ctx.pagemap, cfg.mode, ctx.stack_pointer)
     ctx.report.exploration = {"mode": cfg.mode}
 
 
@@ -393,7 +388,7 @@ def _gadgets(ctx: Pipeline) -> None:
     # read-only pages are where gadgets can live; writable pages would
     # not make them trustworthy
     code = [b for b, v in ctx.pagemap.entries.items() if v is READ_ONLY]
-    ctx.catalog = gadgets.find_gadgets(ctx.space, code)
+    ctx.catalog = gadgets.find_gadgets(ctx.pagemap, code)
     ctx.report.gadget_census = dict(ctx.catalog.found)
     needed = list(gadgets.required_kinds(ctx.config.chain_variant))
     needed.append("leave-ret")  # the pivot's epilogue reuse
@@ -434,7 +429,7 @@ def _inject(ctx: Pipeline) -> None:
 
     image = injector.forge_fake_frame(victim, chain, payload, cave)
     epilogue = ctx.catalog.lowest("leave-ret")
-    ctx.canary_before = ctx.space.read_bytes(victim.canary_slot_addr, 8)
+    ctx.canary_before = ctx.pagemap.space.read_bytes(victim.canary_slot_addr, 8)
     injector.inject(ctx.pagemap, victim, image, epilogue)
 
     ctx.victim = victim
@@ -460,7 +455,7 @@ def _inject(ctx: Pipeline) -> None:
 
 def _execute(ctx: Pipeline) -> None:
     cfg = ctx.config
-    victim, image = ctx.victim, ctx.image
+    victim, image, space = ctx.victim, ctx.image, ctx.pagemap.space
     state = machine.MachineState()
     # the victim is paused right at its epilogue: base pointer at the
     # frame we armed, stack pointer somewhere below in its locals
@@ -477,7 +472,7 @@ def _execute(ctx: Pipeline) -> None:
         # the chain's last ret pops the continuation word, the frame's last
         stop_rsp = image.base + 8 * len(image.words)
     result = machine.run_until(
-        state, ctx.space, victim.resume_rip, MAX_STEPS, stop_rsp=stop_rsp
+        state, space, victim.resume_rip, MAX_STEPS, stop_rsp=stop_rsp
     )
 
     effects = [
@@ -506,14 +501,14 @@ def _execute(ctx: Pipeline) -> None:
     if cfg.restore == "payload":
         start, length = image.cleanup
         ctx.report.verdicts["cleanup-zeroed"] = (
-            ctx.space.read_bytes(start, length) == bytes(length)
+            space.read_bytes(start, length) == bytes(length)
         )
         marker_addr, marker_value = ctx.marker
         ctx.report.verdicts["marker-written"] = (
-            ctx.space.read_bytes(marker_addr, 8)
+            space.read_bytes(marker_addr, 8)
             == marker_value.to_bytes(8, "little")
         )
-    canary_now = ctx.space.read_bytes(victim.canary_slot_addr, 8)
+    canary_now = space.read_bytes(victim.canary_slot_addr, 8)
     ctx.report.verdicts["canary-intact"] = canary_now == ctx.canary_before
 
 

@@ -2,8 +2,8 @@
 
 Two strategies are offered: a linear page sweep, and a pointer-chasing
 breadth-first walk that harvests pointer-looking words from every page it
-can read.  Both classify pages purely through probes and never read a page
-before a probe said it is accessible.
+can read.  Both classify pages purely through probes, and read only through
+``PageMap.read``, which refuses a page no probe has shown accessible.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .memspace import (
-    PAGE_SIZE, USER_TOP, AddressSpace, GroundTruthMap, lane_filter,
+    PAGE_SIZE, USER_TOP, AddressSpace, GroundTruthMap, MemoryFault, lane_filter,
 )
 from .probe import (
     ACCESSIBLE, NO_ACCESS, READ_ONLY, WRITABLE, Accessibility, Prober, Writability,
@@ -35,13 +35,13 @@ class NoFrameError(ValueError):
 @dataclass(slots=True)
 class PageMap:
     """Probe verdicts keyed by page base address: the one store a run
-    probes through, and the only way it probes, the injector's checks of
-    the pages it writes included.  It owns the space and the prober.  Each
-    page maps to the strongest verdict its probes settled: the claw's
-    ``Writability``, or ``ACCESSIBLE`` when only a tap hit.  The victim is
-    paused, so a verdict holds for the whole run; ``tap``, ``claw`` and
-    ``walk`` probe a page only for a verdict not yet stored.  No more than
-    ``budget`` pages are ever probed in the whole run."""
+    probes and reads through, the injector's checks included.  It owns the
+    space and the prober; ``read`` and ``is_zero`` touch only pages it
+    stores accessible.  Each page maps to the strongest verdict its probes
+    settled: the claw's ``Writability``, or ``ACCESSIBLE`` when only a tap
+    hit.  The victim is paused, so a verdict holds for the whole run;
+    ``tap``, ``claw`` and ``walk`` probe a page only for a verdict not yet
+    stored.  No more than ``budget`` pages are ever probed in the run."""
 
     space: AddressSpace
     prober: Prober
@@ -50,6 +50,20 @@ class PageMap:
 
     def accessible_pages(self) -> list[int]:
         return sorted(b for b, v in self.entries.items() if v is not NO_ACCESS)
+
+    def read(self, addr: int, n: int) -> bytes:
+        """``n`` bytes at ``addr`` if every page they touch is stored
+        accessible, else MemoryFault "unprobed", with nothing read."""
+        for base in range(addr & ~(PAGE_SIZE - 1), addr + n, PAGE_SIZE):
+            if self.entries.get(base, NO_ACCESS) is NO_ACCESS:
+                raise MemoryFault(max(addr, base), "unprobed")
+        return self.space.read_bytes(addr, n)
+
+    def is_zero(self, base: int) -> bool:
+        """Whether the page at ``base`` is all zero; raises as ``read``."""
+        if self.entries.get(base, NO_ACCESS) is NO_ACCESS:
+            raise MemoryFault(base, "unprobed")
+        return self.space.is_zero_page(base)
 
     def _spent(self, base: int) -> ExploreBudgetError:
         return ExploreBudgetError(
@@ -178,7 +192,7 @@ def explore_from_pointers(pm: PageMap, pointers: tuple[int, ...]) -> PageMap:
         qi += 1
         if not pm.tap(base):
             continue
-        data = pm.space.read_bytes(base, PAGE_SIZE)
+        data = pm.read(base, PAGE_SIZE)
         for ptr in harvest_pointers(data):
             nb = AddressSpace.page_base(ptr)
             if nb not in queued:
@@ -213,8 +227,7 @@ def frame_above(pm: PageMap, stack_ptr: int) -> tuple[int, int, int]:
     for slot in slots:
         if slot - 8 < stack_ptr:
             continue
-        # every slot lies in the extent just grown, so the read cannot fault
-        raw = pm.space.read_bytes(slot, 16)
+        raw = pm.read(slot, 16)
         rbp = int.from_bytes(raw[:8], "little")
         rip = int.from_bytes(raw[8:], "little")
         rip_page = AddressSpace.page_base(rip)
@@ -339,10 +352,10 @@ def egg_hunt(pm: PageMap, tag: bytes, start: int, end: int) -> int | None:
     for base in range(start, end, PAGE_SIZE):
         if not pm.tap(base):
             continue
-        buf = pm.space.read_bytes(base, PAGE_SIZE)
+        buf = pm.read(base, PAGE_SIZE)
         nxt = base + PAGE_SIZE
         if overlap and nxt < end and pm.tap(nxt):
-            buf += pm.space.read_bytes(nxt, overlap)
+            buf += pm.read(nxt, overlap)
         hit = buf.find(tag)
         if hit != -1:
             # the buffer extends only len(tag)-1 bytes past the page, so any

@@ -11,7 +11,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .memspace import PAGE_SIZE, AddressSpace
+from .explorer import PageMap
+from .memspace import PAGE_SIZE
 from .machine import SYS_MPROTECT
 
 # each kind's census pattern, in the order synth plants them
@@ -62,24 +63,23 @@ class MissingGadgetError(Exception):
         self.missing = tuple(sorted(missing))
 
 
-def find_gadgets(space: AddressSpace, pages: Iterable[int]) -> GadgetCatalog:
-    """Scan every page base in ``pages``, each one probed accessible, for
-    every pattern in GADGETS.
+def find_gadgets(pm: PageMap, pages: Iterable[int]) -> GadgetCatalog:
+    """Scan every page base in ``pages``, each one stored accessible in
+    ``pm``, for every pattern in GADGETS.
 
-    No other page is read.  Each page is read once, in address order,
-    together with the first two bytes of the next page when that page is
-    in the set too, and translated to mark first and last pattern bytes; a
-    marked pair starting in the page is a hit if its bytes form a pattern.
-    So a pattern straddling two adjacent pages of the set counts too, since
-    execution would cross the boundary just as happily, and one ending
-    outside the set does not.  No buffer is larger than a page and two
-    bytes.
+    No other page is read.  Each page is read through ``pm`` once, in
+    address order, with the first two bytes of the next page when that
+    page is in the set too, and translated to mark first and last pattern
+    bytes; a marked pair starting in the page is a hit if its bytes form a
+    pattern.  So a pattern straddling two adjacent pages of the set counts
+    too, since execution would cross the boundary just as happily, and one
+    ending outside the set does not.  No buffer exceeds a page and two bytes.
     """
     accessible = set(pages)
     hits: dict[str, list[int]] = {name: [] for name in GADGETS}
     into_ret: list[int] = []
     for base in sorted(accessible):
-        buf = space.read_bytes(
+        buf = pm.read(
             base, PAGE_SIZE + 2 if base + PAGE_SIZE in accessible else PAGE_SIZE)
         marked = buf.translate(_MARKS)
         pos = marked.find(b"\x01\x02", 0, PAGE_SIZE + 1)

@@ -144,28 +144,14 @@ def inject(
 ) -> None:
     """Plant the image and arm the victim frame, on the store's verdicts.
 
-    Every page either write touches is clawed through ``pm`` before any
-    byte is written; the store already holds them, so this pays no
-    transaction.  The first page not writable raises InjectionError with
-    nothing written.  The image goes into the cave first, then both frame
-    slots in one 16-byte write, so the frame is never half-armed.  The
-    canary slot below the frame is never written."""
-    space = pm.space
+    Every page either write touches is clawed through ``pm`` first; the
+    store already holds them, so this pays no transaction.  The first page
+    not writable raises InjectionError with nothing written.  The frame
+    slots and the epilogue are then read through ``pm``.  The image goes
+    into the cave first, then both frame slots in one 16-byte write, so the
+    frame is never half-armed.  The canary slot below the frame is never
+    written."""
     slot = victim.rbp_slot_addr
-    current = space.read_bytes(slot, 16)
-    cur_rbp = int.from_bytes(current[:8], "little")
-    cur_rip = int.from_bytes(current[8:], "little")
-    if cur_rbp != victim.saved_rbp or cur_rip != victim.saved_rip:
-        raise InjectionError(
-            "victim frame slots changed since location; already armed?"
-        )
-    try:
-        gadget = space.read_bytes(epilogue_gadget_addr, 2)
-    except MemoryFault:
-        raise InjectionError("epilogue gadget address is unreadable") from None
-    if gadget != b"\xc9\xc3":
-        raise InjectionError("epilogue gadget is not a leave; ret site")
-
     frame = image.base.to_bytes(8, "little")
     frame += epilogue_gadget_addr.to_bytes(8, "little")
     writes = ((image.base, image.image_bytes()), (slot, frame))
@@ -173,5 +159,18 @@ def inject(
         for base in range(AddressSpace.page_base(addr), addr + len(data), PAGE_SIZE):
             if pm.claw(base) is not WRITABLE:
                 raise InjectionError(f"page {base:#x} is not writable")
+    current = pm.read(slot, 16)
+    cur_rbp = int.from_bytes(current[:8], "little")
+    cur_rip = int.from_bytes(current[8:], "little")
+    if cur_rbp != victim.saved_rbp or cur_rip != victim.saved_rip:
+        raise InjectionError(
+            "victim frame slots changed since location; already armed?"
+        )
+    try:
+        gadget = pm.read(epilogue_gadget_addr, 2)
+    except MemoryFault:
+        raise InjectionError("epilogue gadget address is unreadable") from None
+    if gadget != b"\xc9\xc3":
+        raise InjectionError("epilogue gadget is not a leave; ret site")
     for addr, data in writes:
-        pm.prober.safe_write(space, addr, data)
+        pm.prober.safe_write(pm.space, addr, data)

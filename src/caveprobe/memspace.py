@@ -50,9 +50,9 @@ _IS_NONZERO = bytes([0]) + bytes([1]) * 255
 class MemoryFault(Exception):
     """Raised when a native read/write touches memory it must not touch.
 
-    ``addr`` names the first failing byte address.  ``kind`` is "unmapped"
-    when no page exists there and "perm" when a page exists but its
-    permission bits forbid the access.
+    ``addr`` names the first failing byte.  ``kind`` is "unmapped" when no
+    page is there, "perm" when its permission bits forbid the access, and
+    "unprobed" when ``explorer.PageMap`` stores no accessible verdict for it.
     """
 
     def __init__(self, addr: int, kind: str = "unmapped"):
@@ -489,8 +489,8 @@ def parse_manifest(source: BinaryIO | bytes) -> dict:
     shows follows a "data" literal and one ":", so the JSON scanner never
     walks a blob and the whole text is never held.  A file with a
     backslash, a "data" literal that is not hex, or a fault that ``json``
-    or UTF-8 finds is parsed from its whole text once, by ``json`` alone,
-    whose object hook decodes each hex "data" string by the same decoder:
+    or UTF-8 finds is parsed from its whole text once, by ``json`` alone;
+    each hex "data" string is decoded by the same decoder once it parsed:
     the same document, or the message and offset of the file's first
     fault.  A source that cannot seek is read whole first.  Bytes that are
     not UTF-8 raise UnicodeDecodeError at the offset of the first bad byte.
@@ -504,28 +504,25 @@ def parse_manifest(source: BinaryIO | bytes) -> dict:
     except binascii.Error:  # a "data" literal that is not hex
         scanned = None
     blobs: dict[str, tuple[bytes, ...]] = {}
+    noted: list[dict] = []  # each object whose "data" is a string
 
-    def swap(obj: dict) -> dict:
-        value = obj.get("data")
-        if type(value) is str:
-            if value in blobs:  # a membership test: an empty blob is falsy
-                obj["data"] = blobs[value]
-            elif value.isascii() and (pages := _hex_pages(value.encode())) is not None:
-                obj["data"] = pages
+    def note(obj: dict) -> dict:
+        if type(obj.get("data")) is str:
+            noted.append(obj)
         return obj
 
     if scanned is not None:
         skeleton, blobs = scanned
         try:
-            doc = json.loads(skeleton.decode(), object_hook=swap)
+            doc = json.loads(skeleton.decode(), object_hook=note)
         except (ValueError, RecursionError):
             # the skeleton's offsets are not the file's: parse the file
-            scanned, blobs = None, {}
+            scanned, blobs, noted = None, {}, []
     if scanned is None:
         source.seek(0)
         text = source.read().decode()
         try:
-            doc = json.loads(text, object_hook=swap)
+            doc = json.loads(text, object_hook=note)
         except json.JSONDecodeError as exc:
             raise ManifestError(f"not valid JSON: {exc}") from None
         except ValueError:
@@ -534,6 +531,12 @@ def parse_manifest(source: BinaryIO | bytes) -> dict:
             raise ManifestError("not valid JSON: an integer has too many digits") from None
         except RecursionError:
             raise ManifestError("not valid JSON: nested too deeply") from None
+    for obj in noted:  # decoded only once the whole text has parsed
+        value = obj["data"]
+        if value in blobs:  # a membership test: an empty blob is falsy
+            obj["data"] = blobs[value]
+        elif value.isascii() and (pages := _hex_pages(value.encode())) is not None:
+            obj["data"] = pages
     if not isinstance(doc, dict) or not isinstance(doc.get("regions"), list):
         raise ManifestError('manifest must be an object with a "regions" list')
     return doc

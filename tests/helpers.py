@@ -14,7 +14,7 @@ from unittest.mock import patch
 from caveprobe import caves, explorer
 from caveprobe.cli import EXIT_STAGE_ERROR, main
 from caveprobe.memspace import PAGE_SIZE, USER_TOP, AddressSpace, PagePermissions
-from caveprobe.probe import ACCESSIBLE, NO_ACCESS, WRITABLE
+from caveprobe.probe import ACCESSIBLE, NO_ACCESS, WRITABLE, Prober
 
 # writability classes as plain strings, kept separate from the library's
 # enum so oracle comparisons cannot accidentally share a bug
@@ -29,6 +29,17 @@ def make_space(*regions: tuple[int, int, str, bytes]) -> AddressSpace:
     for start, length, perms, data in regions:
         space.map_region(start, length, PagePermissions.from_rwxu(perms), data)
     return space
+
+
+def settled_store(space: AddressSpace,
+                  budget: int = explorer.DEFAULT_BUDGET) -> explorer.PageMap:
+    """A store holding every mapped page's claw verdict, in address order,
+    settled by a prober that never aborts spuriously: the verdicts the
+    explore stage leaves for the pages it reaches."""
+    pm = explorer.PageMap(space, Prober(0.0, 0), budget)
+    for base in sorted(space.pages):
+        pm.claw(base)
+    return pm
 
 
 def is_mapped(space: AddressSpace, addr: int) -> bool:

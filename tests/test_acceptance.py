@@ -41,6 +41,7 @@ from helpers import (
     NONE,
     page_bytes,
     random_permed_space,
+    settled_store,
     space_digest,
     truth_class_runs,
 )
@@ -177,7 +178,7 @@ def test_criterion_4_gadget_census_matches_regex_oracle():
             base = gen.choice(pairs)
             _poke(space, base + PAGE_SIZE - 1, pattern)
             planted_straddles += 1
-        catalog = find_gadgets(space, acc_set)
+        catalog = find_gadgets(settled_store(space), acc_set)
         if catalog.searched_pages != len(accessible):
             failures.append(f"layout {i}: searched {catalog.searched_pages}")
         for name, pattern in GADGETS.items():
@@ -220,7 +221,7 @@ def test_criterion_5_chain_flips_protection_and_returns_zero():
         space = load_manifest(parse_manifest(img.manifest_text.encode()))
         code_start, code_len, _ = truth.regions["code"]
         code_pages = range(code_start, code_start + code_len, PAGE_SIZE)
-        catalog = find_gadgets(space, code_pages)
+        catalog = find_gadgets(settled_store(space), code_pages)
         chain = build_mprotect_chain(
             catalog, truth.cave_start, truth.cave_len, PROT_RWX, variant
         )
@@ -318,7 +319,7 @@ def test_criterion_6_end_to_end_verdicts_and_memory_integrity(tmp_path):
         ref = page_bytes(
             load_manifest(parse_manifest(img.manifest_text.encode())).shifted(report.aslr_offset)
         )
-        post = page_bytes(pipe.space)
+        post = page_bytes(pipe.pagemap.space)
         if set(ref) != set(post):
             failures.append(f"trial {t}: page set changed")
             continue
@@ -479,7 +480,7 @@ def test_canary_survives_and_only_the_cave_and_frame_change(tmp_path):
             ))
             off = pipe.run().aslr_offset
             runs += 1
-            canary = pipe.space.read_bytes(truth.canary_addr + off, 8)
+            canary = pipe.pagemap.space.read_bytes(truth.canary_addr + off, 8)
             if canary != truth.canary_value.to_bytes(8, "little"):
                 failures.append(f"{case}: canary became {canary.hex()}")
             ref, _ = _read_image(Path(manifest))
@@ -487,8 +488,8 @@ def test_canary_survives_and_only_the_cave_and_frame_change(tmp_path):
             cave = truth.cave_start + off
             slot = truth.victim_slot + off
             allowed = ((cave, cave + truth.cave_len), (slot, slot + 16))
-            assert set(ref.pages) == set(pipe.space.pages), case
-            for base, page in pipe.space.pages.items():
+            assert set(ref.pages) == set(pipe.pagemap.space.pages), case
+            for base, page in pipe.pagemap.space.pages.items():
                 was = ref.pages[base]
                 if page.perms != was.perms and not cave <= base < cave + truth.cave_len:
                     failures.append(f"{case}: protection of {base:#x} changed")

@@ -9,15 +9,17 @@ import itertools
 import json
 import os
 import re
+import sys
 import tempfile
 import tracemalloc
 import types
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, strategies as st
 
-from caveprobe import cli, gadgets
+from caveprobe import cli, explorer, gadgets, machine
 from caveprobe.cli import (
     EXIT_OK,
     EXIT_STAGE_ERROR,
@@ -35,7 +37,7 @@ from caveprobe.gadgets import CHAIN_VARIANTS
 from caveprobe.memspace import _ZERO_PAGE, PAGE_SIZE, AddressSpace
 from caveprobe.probe import ProbeOutcome, Prober, Writability
 from caveprobe.synth import build_victim_image
-from helpers import page_bytes
+from helpers import page_bytes, settled_store
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = str(REPO / "images" / "demo.json")
@@ -147,9 +149,9 @@ class TestPipeline:
         real = gadgets.find_gadgets
         searched = []
 
-        def recording(space, pages):
+        def recording(pm, pages):
             searched.append(list(pages))
-            return real(space, searched[-1])
+            return real(pm, searched[-1])
 
         monkeypatch.setattr(gadgets, "find_gadgets", recording)
         manifest = tmp_path / "victim.json"
@@ -301,10 +303,10 @@ class TestPipeline:
             spurious_prob=0.2,
         ))
         assert pipe.run().all_verdicts_pass()
-        assert pipe.prober.counters["safe_writes"] == 2
+        assert pipe.pagemap.prober.counters["safe_writes"] == 2
         settled = [
             (op, addr & ~0xFFF)
-            for op, addr, out in pipe.prober.trace_log
+            for op, addr, out in pipe.pagemap.prober.trace_log
             if op in ("read_tx", "write_tx")
             and out is not ProbeOutcome.RETRYABLE_ABORT
         ]
@@ -388,9 +390,10 @@ class TestPipeline:
                 if page.perms.user_accessible and page.perms.readable
                 and not page.perms.writable]
         assert len(code) > 64
+        pm = settled_store(space)
         tracemalloc.start()
         try:
-            gadgets.find_gadgets(space, code)
+            gadgets.find_gadgets(pm, code)
             _, census_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1135,3 +1138,55 @@ def test_main_gives_a_report_or_a_one_line_error(
         assert bounds
         assert all(lo < hi for lo, hi in bounds)
         assert all(a[1] <= b[0] for a, b in zip(bounds, bounds[1:]))
+
+
+# the functions that may read the native space: the store's two guarded
+# reads, through which every stage reads, and the simulator's own checks
+# of the canary, the cleanup and the marker; the machine reads it too
+NATIVE_READERS = {
+    explorer.PageMap.read.__code__,
+    explorer.PageMap.is_zero.__code__,
+    cli._inject.__code__,
+    cli._execute.__code__,
+}
+
+
+@given(
+    image_seed=st.integers(0, 2**32 - 1),
+    run_seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(MODES),
+    budget=st.one_of(st.integers(1, 300), st.just(explorer.DEFAULT_BUDGET)),
+)
+def test_stages_read_only_through_the_store(image_seed, run_seed, mode, budget):
+    callers = []
+    real_read, real_zero = AddressSpace.read_bytes, AddressSpace.is_zero_page
+
+    def read_bytes(space, addr, count):
+        callers.append(sys._getframe(1).f_code)
+        return real_read(space, addr, count)
+
+    def is_zero_page(space, base):
+        callers.append(sys._getframe(1).f_code)
+        return real_zero(space, base)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = Path(tmp) / "victim.json"
+        manifest.write_text(build_victim_image(image_seed).manifest_text)
+        config = PipelineConfig(image_path=str(manifest), mode=mode,
+                                seed=run_seed, explore_budget=budget)
+        with patch.object(AddressSpace, "read_bytes", read_bytes), \
+                patch.object(AddressSpace, "is_zero_page", is_zero_page):
+            try:
+                run_pipeline(config)
+                finished = True
+            except StageError:
+                finished = False
+    stray = {
+        f"{code.co_filename}:{code.co_firstlineno} {code.co_name}"
+        for code in callers
+        if code not in NATIVE_READERS and code.co_filename != machine.__file__
+    }
+    assert not stray
+    if finished:  # the census read and the cave search tested zero pages
+        assert {explorer.PageMap.read.__code__,
+                explorer.PageMap.is_zero.__code__} <= set(callers)

@@ -26,6 +26,8 @@ from caveprobe.explorer import (
 from caveprobe.memspace import (
     PAGE_SIZE,
     USER_TOP,
+    AddressSpace,
+    MemoryFault,
     load_manifest,
     parse_manifest,
     parse_proc_maps,
@@ -623,6 +625,81 @@ class TestPageMapStore:
         assert [r.kind for r in recon.runs] == [Writability.READ_ONLY,
                                                 Writability.WRITABLE]
         assert p.counters == spent
+
+
+class TestReadGuard:
+    """``PageMap.read`` and ``is_zero`` touch only pages stored accessible."""
+
+    def space(self):
+        rng = random.Random(5)
+        return make_space(
+            (0x10000, PAGE_SIZE, "ru", rng.randbytes(PAGE_SIZE)),
+            (0x11000, PAGE_SIZE, "rwu", rng.randbytes(PAGE_SIZE)),
+            (0x12000, PAGE_SIZE, "rwu", b""),
+            (0x13000, PAGE_SIZE, "", b""),
+        )
+
+    def stored(self):
+        """A store holding the first three pages as clawed read-only,
+        tapped accessible and clawed writable, and the fourth, which is
+        mapped, as tapped inaccessible."""
+        pm = quiet_store(self.space())
+        pm.claw(0x10000)
+        pm.tap(0x11000)
+        pm.claw(0x12000)
+        pm.tap(0x13000)
+        assert pm.entries == {
+            0x10000: Writability.READ_ONLY,
+            0x11000: Accessibility.ACCESSIBLE,
+            0x12000: Writability.WRITABLE,
+            0x13000: Writability.INACCESSIBLE,
+        }
+        return pm
+
+    @contextlib.contextmanager
+    def no_native_access(self):
+        def refuse(*args):
+            raise AssertionError("the native space was accessed")
+
+        with patch.object(AddressSpace, "read_bytes", refuse), \
+                patch.object(AddressSpace, "is_zero_page", refuse):
+            yield
+
+    # (page, whether the store drops it): stored inaccessible, mapped
+    # readable but lacked, unmapped and lacked
+    REFUSED = [(0x13000, False), (0x12000, True), (0x14000, False)]
+    REFUSED_IDS = ["stored-inaccessible", "lacked", "unmapped"]
+
+    @pytest.mark.parametrize("base, drop", REFUSED, ids=REFUSED_IDS)
+    def test_refuses_a_page_not_stored_accessible(self, base, drop):
+        pm = self.stored()
+        if drop:
+            del pm.entries[base]
+        with self.no_native_access():
+            for call, addr in ((lambda: pm.read(base + 8, 16), base + 8),
+                               (lambda: pm.is_zero(base), base)):
+                with pytest.raises(MemoryFault) as exc:
+                    call()
+                assert (exc.value.addr, exc.value.kind) == (addr, "unprobed")
+
+    @pytest.mark.parametrize("base, drop", REFUSED[:2], ids=REFUSED_IDS[:2])
+    def test_a_read_straddling_into_a_refused_page_reads_nothing(self, base, drop):
+        # from the stored accessible page below it
+        pm = self.stored()
+        if drop:
+            del pm.entries[base]
+        with self.no_native_access(), pytest.raises(MemoryFault) as exc:
+            pm.read(base - 8, 16)
+        assert (exc.value.addr, exc.value.kind) == (base, "unprobed")
+
+    @given(start=st.integers(0x10000, 0x13000), count=st.integers(0, 2 * PAGE_SIZE))
+    def test_accessible_pages_read_as_the_space_does(self, start, count):
+        pm = self.stored()
+        count = min(count, 0x13000 - start)
+        assert pm.read(start, count) == pm.space.read_bytes(start, count)
+        for base in (0x10000, 0x11000, 0x12000):
+            assert pm.is_zero(base) == pm.space.is_zero_page(base)
+        assert pm.is_zero(0x12000)
 
 
 class TestReconstruct:

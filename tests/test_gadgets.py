@@ -17,7 +17,7 @@ from caveprobe.gadgets import (
 )
 from caveprobe.machine import SYS_MPROTECT
 from caveprobe.memspace import PAGE_SIZE, AddressSpace, PagePermissions, page_runs
-from helpers import make_space
+from helpers import make_space, settled_store
 
 
 def space_with_code(base: int, code: bytes, pages: int = 1):
@@ -30,7 +30,7 @@ class TestFindGadgets:
         code[0x10:0x12] = b"\x5f\xc3"   # pop rdi; ret
         code[0x40:0x42] = b"\x0f\x05"   # syscall
         space = space_with_code(0x400000, bytes(code))
-        cat = find_gadgets(space, {0x400000})
+        cat = find_gadgets(settled_store(space), {0x400000})
         assert cat.found["pop-rdi-ret"] == (0x400010,)
         assert cat.found["syscall"] == (0x400040,)
         assert cat.searched_pages == 1
@@ -39,19 +39,19 @@ class TestFindGadgets:
         # 5f 5f c3: "pop rdi; pop rdi; ret" hides a pop-rdi-ret at +1
         code = b"\x5f\x5f\xc3" + b"\x90" * (PAGE_SIZE - 3)
         space = space_with_code(0x400000, code)
-        cat = find_gadgets(space, {0x400000})
+        cat = find_gadgets(settled_store(space), {0x400000})
         assert cat.found["pop-rdi-ret"] == (0x400001,)
 
     def test_straddles_adjacent_accessible_pages(self):
         code = b"\x90" * (PAGE_SIZE - 1) + b"\x5f" + b"\xc3" + b"\x90" * (PAGE_SIZE - 1)
         space = space_with_code(0x400000, code, pages=2)
-        cat = find_gadgets(space, {0x400000, 0x401000})
+        cat = find_gadgets(settled_store(space), {0x400000, 0x401000})
         assert 0x400FFF in cat.found["pop-rdi-ret"]
 
     def test_no_straddle_when_next_page_unprobed(self):
         code = b"\x90" * (PAGE_SIZE - 1) + b"\x5f" + b"\xc3" + b"\x90" * (PAGE_SIZE - 1)
         space = space_with_code(0x400000, code, pages=2)
-        cat = find_gadgets(space, {0x400000})
+        cat = find_gadgets(settled_store(space), {0x400000})
         assert 0x400FFF not in cat.found["pop-rdi-ret"]
 
     def test_ignores_pages_not_in_map(self):
@@ -60,7 +60,7 @@ class TestFindGadgets:
             (0x400000, PAGE_SIZE, "rxu", code),
             (0x500000, PAGE_SIZE, "rxu", code),
         )
-        cat = find_gadgets(space, {0x400000})
+        cat = find_gadgets(settled_store(space), {0x400000})
         assert cat.found["pop-rdi-ret"] == (0x400000,)
 
     def test_addresses_sorted(self):
@@ -68,7 +68,7 @@ class TestFindGadgets:
         for off in (0x800, 0x20, 0x400):
             code[off : off + 2] = b"\x5e\xc3"
         space = space_with_code(0x400000, bytes(code))
-        cat = find_gadgets(space, {0x400000})
+        cat = find_gadgets(settled_store(space), {0x400000})
         assert list(cat.found["pop-rsi-ret"]) == sorted(cat.found["pop-rsi-ret"])
 
     def test_brute_force_agreement(self):
@@ -76,7 +76,7 @@ class TestFindGadgets:
         for _ in range(20):
             blob = rng.randbytes(2 * PAGE_SIZE)
             space = space_with_code(0x400000, blob, pages=2)
-            cat = find_gadgets(space, {0x400000, 0x401000})
+            cat = find_gadgets(settled_store(space), {0x400000, 0x401000})
             for name, pattern in GADGETS.items():
                 expected = []
                 pos = blob.find(pattern)
@@ -169,7 +169,7 @@ def census_cases(draw):
 @given(census_cases())
 def test_census_matches_brute_force(case):
     space, pages = case
-    cat = find_gadgets(space, pages)
+    cat = find_gadgets(settled_store(space), pages)
     found, into_ret = brute_force_census(space, pages)
     assert cat.found == found
     assert cat.syscalls_into_ret == into_ret
@@ -183,7 +183,7 @@ def test_cross_pairs_are_not_gadgets(pair):
     code[0x10:0x12] = pair
     code[PAGE_SIZE - 1], code[PAGE_SIZE] = pair
     space = space_with_code(0x400000, bytes(code), pages=2)
-    cat = find_gadgets(space, {0x400000, 0x401000})
+    cat = find_gadgets(settled_store(space), {0x400000, 0x401000})
     assert all(addrs == () for addrs in cat.found.values())
     assert cat.syscalls_into_ret == ()
 
@@ -195,7 +195,7 @@ def test_half_patterns_at_run_edges_are_not_gadgets():
     code[PAGE_SIZE - 1 : PAGE_SIZE + 1] = b"\x5f\xc3"
     code[2 * PAGE_SIZE - 1 : 2 * PAGE_SIZE + 1] = b"\x0f\x05"
     space = space_with_code(0x400000, bytes(code), pages=3)
-    cat = find_gadgets(space, {0x401000})
+    cat = find_gadgets(settled_store(space), {0x401000})
     assert all(addrs == () for addrs in cat.found.values())
 
 
@@ -239,6 +239,7 @@ def test_each_page_is_read_once_with_at_most_two_bytes_of_the_next(monkeypatch):
         (0x405000, 4 * PAGE_SIZE, "rxu", bytes(code)),
     )
     pages = {0x400000, 0x401000, 0x403000, 0x405000, 0x406000, 0x407000}
+    pm = settled_store(space)
     reads = []
     real = AddressSpace.read_bytes
 
@@ -247,7 +248,7 @@ def test_each_page_is_read_once_with_at_most_two_bytes_of_the_next(monkeypatch):
         return real(self, addr, count)
 
     monkeypatch.setattr(AddressSpace, "read_bytes", counted)
-    cat = find_gadgets(space, pages)
+    cat = find_gadgets(pm, pages)
     monkeypatch.undo()
     assert sorted(addr for addr, _ in reads) == sorted(pages)
     for addr, count in reads:
@@ -344,7 +345,7 @@ class TestBuildChain:
         code[0x320:0x322] = b"\x5a\xc3"
         code[0x330:0x332] = b"\x58\xc3"
         space = space_with_code(0x400000, bytes(code))
-        cat = find_gadgets(space, {0x400000})
+        cat = find_gadgets(settled_store(space), {0x400000})
         assert cat.found["syscall"] == (0x400100, 0x400200)
         chain = build_mprotect_chain(cat, 0x700000, 0x1000, 7)
         assert chain[-1].value == 0x400200

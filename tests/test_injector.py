@@ -1,7 +1,7 @@
 import pytest
 
 from caveprobe.caves import CaveRegion
-from caveprobe.explorer import DEFAULT_BUDGET, ExploreBudgetError, PageMap
+from caveprobe.explorer import ExploreBudgetError, PageMap
 from caveprobe.gadgets import ChainWord
 from caveprobe.injector import (
     FakeFrameImage,
@@ -14,7 +14,7 @@ from caveprobe.injector import (
 )
 from caveprobe.memspace import PAGE_SIZE, PagePermissions
 from caveprobe.probe import Prober, Writability
-from helpers import make_space, space_digest
+from helpers import make_space, settled_store, space_digest
 
 STACK = 0x7F0000000000
 CODE = 0x400000
@@ -32,15 +32,6 @@ def nine_word_chain() -> tuple[ChainWord, ...]:
         words.append(ChainWord(0x1000 + i, "immediate"))
     words.append(ChainWord(CODE + 0x50, "gadget-address"))
     return tuple(words)
-
-
-def explored(space, budget: int = DEFAULT_BUDGET) -> PageMap:
-    """A store holding every mapped page's claw verdict, as the explore
-    stage leaves it."""
-    pm = PageMap(space, quiet_prober(), budget)
-    for base in space.pages:
-        pm.claw(base)
-    return pm
 
 
 def victim() -> VictimFrame:
@@ -82,7 +73,7 @@ class TestLocate:
         return space
 
     def test_finds_innermost_frame(self):
-        frame = locate_victim_frame(explored(self.build_stack()), STACK + 0x700)
+        frame = locate_victim_frame(settled_store(self.build_stack()), STACK + 0x700)
         assert frame.rbp_slot_addr == STACK + 0x800
         assert frame.saved_rbp == STACK + 0xA00
         assert frame.saved_rip == CODE + 0x234
@@ -99,7 +90,7 @@ class TestLocate:
     def test_refuses_return_address_on_writable_page(self):
         space = self.build_stack()
         space.set_protection(CODE, PAGE_SIZE, PagePermissions.from_rwxu("rwxu"))
-        pm = explored(space)
+        pm = settled_store(space)
         assert pm.entries[CODE] is Writability.WRITABLE
         with pytest.raises(InjectionError):
             locate_victim_frame(pm, STACK + 0x700)
@@ -110,7 +101,7 @@ class TestLocate:
             (STACK, PAGE_SIZE, "rwu", b""),
         )
         with pytest.raises(InjectionError) as exc:
-            locate_victim_frame(explored(space), STACK + 0x700)
+            locate_victim_frame(settled_store(space), STACK + 0x700)
         # slots STACK+0x700 .. STACK+0xFF0, eight bytes apart
         assert str(exc.value) == (
             f"no plausible frame above the stack pointer {STACK + 0x700:#x}: "
@@ -129,7 +120,7 @@ class TestLocate:
         space.write_bytes(STACK, (STACK + 0x100).to_bytes(8, "little"))
         space.write_bytes(STACK + 8, (CODE + 0x234).to_bytes(8, "little"))
         with pytest.raises(InjectionError) as exc:
-            locate_victim_frame(explored(space), STACK)
+            locate_victim_frame(settled_store(space), STACK)
         assert str(exc.value) == (
             f"no plausible frame above the stack pointer {STACK:#x}: "
             f"scanned 511 slots of the stack region "
@@ -139,12 +130,12 @@ class TestLocate:
     def test_frame_one_word_above_the_stack_pointer_is_found(self):
         # its canary slot is the stack pointer's own word
         space = self.build_stack()
-        frame = locate_victim_frame(explored(space), STACK + 0x7F8)
+        frame = locate_victim_frame(settled_store(space), STACK + 0x7F8)
         assert frame.rbp_slot_addr == STACK + 0x800
         assert frame.canary_slot_addr == STACK + 0x7F8
 
     def test_stack_pointer_on_inaccessible_page_fails(self):
-        pm = explored(self.build_stack())
+        pm = settled_store(self.build_stack())
         with pytest.raises(ValueError, match="not accessible"):
             locate_victim_frame(pm, STACK - 0x1000)
 
@@ -244,7 +235,7 @@ class TestInject:
         space, v = arming_space()
         image = forge_fake_frame(v, nine_word_chain(), b"\xAA" * 16,
                                  CaveRegion(CAVE, 0x1000))
-        pm = explored(space)
+        pm = settled_store(space)
         counters = dict(pm.prober.counters)
         assert inject(pm, v, image, EPILOGUE) is None
         blob = image.image_bytes()
@@ -263,17 +254,17 @@ class TestInject:
         space, v = arming_space()
         image = forge_fake_frame(v, nine_word_chain(), b"",
                                  CaveRegion(CAVE, 0x1000))
-        pm = PageMap(space, quiet_prober())
+        pm = settled_store(space)
         inject(pm, v, image, EPILOGUE)
-        with pytest.raises(InjectionError):
+        with pytest.raises(InjectionError, match="already armed"):
             inject(pm, v, image, EPILOGUE)
 
     def test_rejects_wrong_epilogue_bytes(self):
         space, v = arming_space()
         image = forge_fake_frame(v, nine_word_chain(), b"",
                                  CaveRegion(CAVE, 0x1000))
-        with pytest.raises(InjectionError):
-            inject(PageMap(space, quiet_prober()), v, image, CODE)  # nop bytes there
+        with pytest.raises(InjectionError, match="not a leave; ret site"):
+            inject(settled_store(space), v, image, CODE)  # nop bytes there
 
     def test_rejects_unreadable_epilogue(self):
         space, v = arming_space()
@@ -352,8 +343,10 @@ class TestInject:
         assert space_digest(space) == before
 
     def test_a_store_at_its_budget_that_holds_both_pages_arms_the_frame(self):
+        # both written pages, and the code page the epilogue is read from
         space, v = arming_space()
-        pm = PageMap(space, quiet_prober(), budget=2)
+        pm = PageMap(space, quiet_prober(), budget=3)
+        pm.claw(CODE)
         pm.claw(CAVE)
         pm.claw(STACK)
         image = forge_fake_frame(v, nine_word_chain(), b"",
@@ -361,7 +354,7 @@ class TestInject:
         inject(pm, v, image, EPILOGUE)
         slot = space.read_bytes(v.rbp_slot_addr, 16)
         assert int.from_bytes(slot[:8], "little") == CAVE
-        assert sorted(pm.entries) == [CAVE, STACK]
+        assert sorted(pm.entries) == [CODE, CAVE, STACK]
 
     @pytest.mark.parametrize("missing", [CAVE, STACK], ids=["cave", "stack"])
     def test_a_store_at_its_budget_without_a_written_page_writes_nothing(self, missing):

@@ -27,8 +27,9 @@ from caveprobe.memspace import (
     parse_manifest,
     parse_proc_maps,
 )
+from caveprobe.probe import NO_ACCESS
 from caveprobe.synth import build_victim_image
-from helpers import is_mapped, make_space, page_bytes, space_digest
+from helpers import is_mapped, make_space, page_bytes, settled_store, space_digest
 
 
 class TestPagePermissions:
@@ -205,6 +206,17 @@ class TestReadWrite:
             with pytest.raises(MemoryFault) as exc:
                 space.is_zero_page(base)
             assert (exc.value.addr, exc.value.kind) == (base, kind)
+        # the store's guarded test answers alike for the pages it stores
+        # accessible, and refuses the page stored inaccessible and the page
+        # it lacks before any access
+        pm = settled_store(space)
+        assert pm.entries[0x7000] is NO_ACCESS and 0x8000 not in pm.entries
+        assert pm.is_zero(0x5000)
+        assert not pm.is_zero(0x6000)
+        for base in (0x7000, 0x8000):
+            with pytest.raises(MemoryFault) as exc:
+                pm.is_zero(base)
+            assert (exc.value.addr, exc.value.kind) == (base, "unprobed")
 
     def test_zero_length_read(self):
         assert AddressSpace().read_bytes(0x1234, 0) == b""
@@ -1307,6 +1319,24 @@ def test_a_backslash_after_a_decoded_blob_gives_the_json_result(k, seekable):
     doc = parse_manifest(Trickle(raw, k, seekable))
     assert doc == reference_parse(raw)
     assert doc["regions"][0]["data"] == pages_of(blob) and doc["label"] == "caf\u00e9"
+
+
+@pytest.mark.parametrize("backslash", [False, True], ids=["scanned", "json-only"])
+def test_a_fault_at_the_end_decodes_no_blob(backslash):
+    # a synth manifest with a trailing comma before its last brace, and
+    # with an escaped key or without: json reports the fault before any
+    # "data" string parsed from the text is decoded, with json's message
+    text = build_victim_image(3).manifest_text.rstrip()
+    assert text.endswith("}") and text.count('"data": "') >= 3
+    if backslash:
+        text = text.replace('"label"', '"\\u006cabel"', 1)
+    raw = (text[:-1].rstrip() + ",\n}").encode()
+    assert (b"\\" in raw) == backslash
+    with mock.patch.object(memspace, "_hex_pages", wraps=memspace._hex_pages) as from_text:
+        got = parse_outcome(parse_manifest, raw)
+    assert from_text.call_count == 0
+    assert got[0] == "manifest-error"
+    assert got == parse_outcome(reference_parse, raw)
 
 
 def test_demo_blobs_come_back_decoded():
