@@ -46,7 +46,7 @@ def find_caves(pm: PageMap) -> list[CaveRegion]:
     """
     entries = pm.entries
     usable = []
-    for base in sorted(entries):
+    for base in pm.bases():
         verdict = entries[base]
         if verdict is ACCESSIBLE:
             verdict = pm.claw(base)

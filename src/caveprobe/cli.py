@@ -310,16 +310,17 @@ class Pipeline:
             _load(self)
         except Exception as exc:
             raise StageError("load", exc) from exc
-        counters = self.pagemap.prober.counters
+        prober = self.pagemap.prober
         for stage, body in _STAGE_TABLE:
-            before = {k: counters.get(k, 0) for k in STAGE_COUNTERS}
+            before = prober.counters
             try:
                 body(self)
             except Exception as exc:
                 raise StageError(stage, exc) from exc
             self.report.stages.append(stage)
+            after = prober.counters
             self.report.stage_counters[stage] = {
-                k: counters.get(k, 0) - before[k] for k in STAGE_COUNTERS
+                k: after.get(k, 0) - before.get(k, 0) for k in STAGE_COUNTERS
             }
             if stage == self.config.stop_after:
                 break
@@ -327,7 +328,7 @@ class Pipeline:
         verdicts = self.pagemap.entries.values()
         self.report.exploration["pages-probed"] = len(verdicts)
         self.report.exploration["accessible-pages"] = len(verdicts) - [*verdicts].count(NO_ACCESS)
-        self.report.probe_counters = dict(counters)
+        self.report.probe_counters = prober.counters
         return self.report
 
 

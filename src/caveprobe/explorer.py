@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .memspace import (
     PAGE_SIZE, USER_TOP, AddressSpace, GroundTruthMap, MemoryFault, lane_filter,
@@ -22,6 +23,7 @@ DEFAULT_BUDGET = 4096
 MAX_GAP = 64
 
 _WORD = struct.Struct("<Q")
+_PAGE_MASK = ~(PAGE_SIZE - 1)
 
 
 class ExploreBudgetError(Exception):
@@ -41,22 +43,41 @@ class PageMap:
     settled: the claw's ``Writability``, or ``ACCESSIBLE`` when only a tap
     hit.  The victim is paused, so a verdict holds for the whole run;
     ``tap``, ``claw`` and ``walk`` probe a page only for a verdict not yet
-    stored.  No more than ``budget`` pages are ever probed in the run."""
+    stored.  No more than ``budget`` pages are ever probed in the run.
+    Pages are only ever added to ``entries``, never removed."""
 
     space: AddressSpace
     prober: Prober
     budget: int = DEFAULT_BUDGET
     entries: dict[int, Accessibility | Writability] = field(default_factory=dict)
+    _bases: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def bases(self) -> list[int]:
+        """Every stored page base, in address order; do not modify it.  The
+        list is kept between calls, and only pages stored since the last
+        call are sorted into it, so a run sorts its store once."""
+        bases, entries = self._bases, self.entries
+        if len(bases) != len(entries):  # a list of exact size: it is kept
+            bases = self._bases = bases + list(islice(entries, len(bases), None))
+            bases.sort()
+        return bases
 
     def accessible_pages(self) -> list[int]:
-        return sorted(b for b, v in self.entries.items() if v is not NO_ACCESS)
+        entries = self.entries
+        return [b for b in self.bases() if entries[b] is not NO_ACCESS]
 
     def read(self, addr: int, n: int) -> bytes:
         """``n`` bytes at ``addr`` if every page they touch is stored
         accessible, else MemoryFault "unprobed", with nothing read."""
-        for base in range(addr & ~(PAGE_SIZE - 1), addr + n, PAGE_SIZE):
-            if self.entries.get(base, NO_ACCESS) is NO_ACCESS:
-                raise MemoryFault(max(addr, base), "unprobed")
+        entries = self.entries
+        base = addr & _PAGE_MASK
+        last = (addr + n - 1) & _PAGE_MASK  # below ``base`` when n is 0 at a page start
+        if entries.get(base, NO_ACCESS) is NO_ACCESS and base <= last:
+            raise MemoryFault(addr, "unprobed")
+        while base < last:
+            base += PAGE_SIZE
+            if entries.get(base, NO_ACCESS) is NO_ACCESS:
+                raise MemoryFault(base, "unprobed")
         return self.space.read_bytes(addr, n)
 
     def is_zero(self, base: int) -> bool:
@@ -105,28 +126,29 @@ class PageMap:
         one transaction, not a tap and a claw; else tap, as a gap costs one
         transaction to tap and two to claw.  ``claw_hits`` claws each hit too.
         Only a page stored as tapped accessible is probed again, by a claw."""
-        entries, space, prober = self.entries, self.space, self.prober
+        entries, space, budget = self.entries, self.space, self.budget
+        tap, claw = self.prober.tap, self.prober.claw
         last, misses = base - step, 0
+        before = entries.get(base - step)  # then the verdict the last page settled
         while 0 <= base < USER_TOP and misses < gap:
             verdict = entries.get(base)
             if verdict is None or verdict is ACCESSIBLE:
-                before = entries.get(base - step)
                 clawed = before is ACCESSIBLE or before is WRITABLE
                 if verdict is None:
-                    if len(entries) >= self.budget:
+                    if len(entries) >= budget:
                         raise self._spent(base)
                     if clawed:
-                        verdict = entries[base] = prober.claw(space, base)
+                        verdict = entries[base] = claw(space, base)
                     else:
-                        hit = prober.tap(space, base) is ACCESSIBLE
+                        hit = tap(space, base) is ACCESSIBLE
                         verdict = entries[base] = ACCESSIBLE if hit else NO_ACCESS
                 if verdict is ACCESSIBLE and (clawed or claw_hits):
-                    verdict = entries[base] = prober.claw(
-                        space, base, known_accessible=True)
+                    verdict = entries[base] = claw(space, base, known_accessible=True)
             if verdict is NO_ACCESS:
                 misses += 1
             else:
                 misses, last = 0, base
+            before = verdict
             base += step
         return last
 
@@ -316,16 +338,21 @@ def match_ground_truth(pm: PageMap, truth: GroundTruthMap) -> list[str]:
     store matches when the list is empty.
     """
     regions = truth.regions
-    ri = 0
+    ri = start = end = 0
+    inside = NO_ACCESS  # the truth of a page in [start, end)
     bad: list[list] = []  # [lo, hi, probed, truth] of each disagreeing run
-    for base, got in sorted(pm.entries.items()):
-        while ri < len(regions) and regions[ri].end <= base:
-            ri += 1
-        want = NO_ACCESS
-        if ri < len(regions) and regions[ri].start <= base:
-            perms = regions[ri].perms
-            if perms.readable and perms.user_accessible:
-                want = WRITABLE if perms.writable else READ_ONLY
+    entries = pm.entries
+    for base in pm.bases():
+        if base >= end:  # past the region: find the first ending above base
+            while ri < len(regions) and regions[ri].end <= base:
+                ri += 1
+            inside = NO_ACCESS
+            if ri < len(regions):
+                start, end, perms = regions[ri].start, regions[ri].end, regions[ri].perms
+                if perms.readable and perms.user_accessible:
+                    inside = WRITABLE if perms.writable else READ_ONLY
+        want = inside if start <= base else NO_ACCESS
+        got = entries[base]
         if got is want or (got is ACCESSIBLE and want is not NO_ACCESS):
             continue
         if bad and bad[-1][1:] == [base, got, want]:

@@ -17,6 +17,12 @@ Supported encodings (little endian, REX.W = 0x48 where shown):
     FF /4 (mod 11)   jmp r64
 
 There are no flags and no arithmetic; the verification runs need none.
+
+A step looks up rip's page once and takes the instruction from a slice of
+it.  Only an instruction that runs past its page end fetches its remaining
+bytes one at a time, each checked as it is fetched, so a byte on an
+unmapped or non-executable page traps ("unmapped" or "nx-fetch") only when
+the instruction needs it, before anything is executed.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .memspace import (
     USER_TOP,
     AddressSpace,
     MemoryFault,
+    Page,
     PagePermissions,
 )
 
@@ -52,6 +59,9 @@ PROT_RWX = PROT_READ | PROT_WRITE | PROT_EXEC
 
 EINVAL = 22
 ENOMEM = 12
+
+# the longest encoding of the subset, mov r64, imm64
+_MAX_INSN = 10
 
 # assemble_payload refuses to unroll zero stores past this many bytes
 MAX_CLEANUP_BYTES = 1 << 16
@@ -103,14 +113,35 @@ class _Stop(Exception):
         self.reason = reason
 
 
-def _fetch_u8(space: AddressSpace, addr: int) -> int:
+def _code_page(space: AddressSpace, addr: int) -> Page:
+    """The page holding ``addr``, if code may be fetched from it."""
     page = space.get_page(addr)
     if page is None:
         raise _Stop("unmapped")
     p = page.perms
     if not (addr < USER_TOP and p.executable and p.user_accessible):
         raise _Stop("nx-fetch")
-    return page.data[addr % PAGE_SIZE]
+    return page
+
+
+def _fetch_u8(space: AddressSpace, addr: int) -> int:
+    return _code_page(space, addr).data[addr % PAGE_SIZE]
+
+
+def _fetch_to(space: AddressSpace, rip: int, code: bytes, n: int) -> bytes:
+    """``code``, the bytes at ``rip`` up to its page end, extended byte by
+    byte to ``n`` bytes from the page after it; the first byte that cannot
+    be fetched traps as it would alone."""
+    while len(code) < n:
+        code += bytes((_fetch_u8(space, rip + len(code)),))
+    return code
+
+
+def _pop64(regs: dict[str, int], space: AddressSpace) -> int:
+    rsp = regs["rsp"]
+    value = _read64(space, rsp)
+    regs["rsp"] = (rsp + 8) & MASK64
+    return value
 
 
 def _read64(space: AddressSpace, addr: int) -> int:
@@ -192,67 +223,60 @@ def step(
 
 
 def _execute(state: MachineState, space: AddressSpace, effects: list | None) -> None:
-    pos = state.rip
-
-    def u8() -> int:
-        nonlocal pos
-        b = _fetch_u8(space, pos)
-        pos += 1
-        return b
-
-    def pop64() -> int:
-        rsp = state.reg("rsp")
-        value = _read64(space, rsp)
-        state.set_reg("rsp", rsp + 8)
-        return value
-
-    b0 = u8()
+    rip = state.rip
+    off = rip & (PAGE_SIZE - 1)
+    code = _code_page(space, rip).data[off : off + _MAX_INSN]
+    regs = state.regs
+    b0 = code[0]
 
     if b0 == 0x90:  # nop
-        state.rip = pos
+        state.rip = rip + 1
         return
     if b0 == 0xC3:  # ret
-        state.rip = pop64()
+        state.rip = _pop64(regs, space)
         return
     if b0 == 0xC9:  # leave
-        state.set_reg("rsp", state.reg("rbp"))
-        state.set_reg("rbp", pop64())
-        state.rip = pos
-        return
-    if b0 == 0x0F:
-        if u8() != 0x05:
-            raise _Stop("undecodable")
-        state.rip = pos  # rip already past the instruction when it runs
-        _syscall(state, space, effects)
+        regs["rsp"] = regs["rbp"] & MASK64
+        regs["rbp"] = _pop64(regs, space)
+        state.rip = rip + 1
         return
     if 0x58 <= b0 <= 0x5F:  # pop r64
-        state.set_reg(REG_NAMES[b0 - 0x58], pop64())
-        state.rip = pos
+        regs[REG_NAMES[b0 - 0x58]] = _pop64(regs, space)
+        state.rip = rip + 1
+        return
+    if b0 not in (0x0F, 0x48, 0xFF):
+        raise _Stop("undecodable")
+    if len(code) < 2:
+        code = _fetch_to(space, rip, code, 2)
+    if b0 == 0x0F:
+        if code[1] != 0x05:
+            raise _Stop("undecodable")
+        state.rip = rip + 2  # rip already past the instruction when it runs
+        _syscall(state, space, effects)
         return
     if b0 == 0x48:  # REX.W
-        b1 = u8()
+        b1 = code[1]
         if 0xB8 <= b1 <= 0xBF:  # mov r64, imm64
-            imm = 0
-            for shift in range(0, 64, 8):
-                imm |= u8() << shift
-            state.set_reg(REG_NAMES[b1 - 0xB8], imm)
-            state.rip = pos
+            if len(code) < 10:
+                code = _fetch_to(space, rip, code, 10)
+            regs[REG_NAMES[b1 - 0xB8]] = int.from_bytes(code[2:10], "little")
+            state.rip = rip + 10
             return
         if b1 == 0x89:  # mov [r64], r64
-            modrm = u8()
+            if len(code) < 3:
+                code = _fetch_to(space, rip, code, 3)
+            modrm = code[2]
             rm_i = modrm & 7
             if modrm >> 6 == 0b00 and rm_i not in (4, 5):  # 4 needs SIB, 5 is rip-rel
-                src = state.reg(REG_NAMES[(modrm >> 3) & 7])
-                _write64(space, state.reg(REG_NAMES[rm_i]), src, effects)
-                state.rip = pos
+                src = regs[REG_NAMES[(modrm >> 3) & 7]]
+                _write64(space, regs[REG_NAMES[rm_i]], src, effects)
+                state.rip = rip + 3
                 return
         raise _Stop("undecodable")
-    if b0 == 0xFF:  # jmp r64
-        modrm = u8()
-        if modrm >> 6 == 0b11 and (modrm >> 3) & 7 == 4:
-            state.rip = state.reg(REG_NAMES[modrm & 7])
-            return
-        raise _Stop("undecodable")
+    modrm = code[1]  # jmp r64: FF /4, mod 11
+    if modrm >> 6 == 0b11 and (modrm >> 3) & 7 == 4:
+        state.rip = regs[REG_NAMES[modrm & 7]]
+        return
     raise _Stop("undecodable")
 
 

@@ -342,9 +342,9 @@ def _relocate_page(
 
 def page_runs(bases: Iterable[int]) -> list[tuple[int, int]]:
     """Maximal runs [start, end) of adjacent pages among page ``bases``,
-    sorted by address."""
+    which come in ascending order, as the runs do."""
     runs: list[tuple[int, int]] = []
-    for base in sorted(bases):
+    for base in bases:
         if runs and runs[-1][1] == base:
             runs[-1] = (runs[-1][0], base + PAGE_SIZE)
         else:

@@ -7,6 +7,13 @@ accessibility; write probes (``claw``) wrap a write and then explicitly
 abort, which rolls the write back, so writability is learned without ever
 changing memory.  Transient aborts (the kind interrupts or cache pressure
 cause on real hardware) are simulated with a seeded RNG and retried.
+
+Each probe settles in the frame of ``Prober.tap`` or ``Prober.claw``: one
+page lookup, and one draw for a transient abort when its probability is
+above zero.  Only a probe whose first attempt aborted transiently calls
+``Prober._retry``, where every retry happens.  A claw whose write faults
+on a page not known accessible calls ``Prober.tap`` to tell read-only from
+inaccessible, so every tap a report counts is a call of ``Prober.tap``.
 """
 
 from __future__ import annotations
@@ -45,13 +52,15 @@ INACCESSIBLE = Accessibility.INACCESSIBLE
 WRITABLE = Writability.WRITABLE
 READ_ONLY = Writability.READ_ONLY
 NO_ACCESS = Writability.INACCESSIBLE
+_COMMITTED = ProbeOutcome.COMMITTED
+_EXPLICIT = ProbeOutcome.EXPLICIT_ABORT
 _RETRYABLE = ProbeOutcome.RETRYABLE_ABORT
 _FATAL = ProbeOutcome.FATAL_ABORT
+_PAGE_MASK = ~(PAGE_SIZE - 1)
 
-# (transaction op, probe op, outcome and verdict of an allowed access,
-# verdict of a refused one)
-_READ = ("read_tx", "tap", ProbeOutcome.COMMITTED, ACCESSIBLE, INACCESSIBLE)
-_WRITE = ("write_tx", "claw", ProbeOutcome.EXPLICIT_ABORT, WRITABLE, READ_ONLY)
+# (transaction op, probe op, outcome and verdict of an allowed access)
+_READ = ("read_tx", "tap", _COMMITTED, ACCESSIBLE)
+_WRITE = ("write_tx", "claw", _EXPLICIT, WRITABLE)
 
 
 class RetryBudgetExhausted(RuntimeError):
@@ -72,63 +81,80 @@ class Prober:
 
     ``spurious_abort_probability`` is the per-attempt chance of a transient
     abort on an otherwise fine access; ``rng_seed`` seeds those aborts.
-    Counter keys: ``read_tx``, ``write_tx``, ``taps``, ``claws``,
-    ``retries``, ``safe_writes``; a key appears at its first increment, so
-    read ``counters`` with ``.get(key, 0)``.  With ``trace=True`` every
-    primitive call is appended to ``trace_log`` as ``(op, addr, result)``.
+    With ``trace=True`` every primitive call is appended to ``trace_log``
+    as ``(op, addr, result)``.  The counts live in slots, and ``counters``
+    is their dict view.
     """
+
+    __slots__ = (
+        "spurious_abort_probability", "rng", "trace_log", "_keys",
+        "_taps", "_claws", "_retries", "_safe_writes", "_retried",
+    )
 
     def __init__(
         self, spurious_abort_probability: float, rng_seed: int, *, trace: bool = False
     ):
         self.spurious_abort_probability = spurious_abort_probability
         self.rng = random.Random(rng_seed)
-        self.counters: dict[str, int] = {}
         self.trace_log: list[tuple[str, int, object]] | None = [] if trace else None
+        self._keys: list[str] = []  # counter keys, in first-increment order
+        self._taps = self._claws = self._retries = self._safe_writes = 0
+        # transactions past each probe's first, by op: read_tx is taps
+        # plus the read retries, so a probe's first costs one increment
+        self._retried = {"read_tx": 0, "write_tx": 0}
 
-    def _note(self, op: str, addr: int, result: object) -> None:
-        if self.trace_log is not None:
-            self.trace_log.append((op, addr, result))
+    @property
+    def counters(self) -> dict[str, int]:
+        """A new dict of the counts so far, keyed ``read_tx``, ``write_tx``,
+        ``taps``, ``claws``, ``retries`` and ``safe_writes``.  A key appears
+        at its first increment, and the keys keep the order of their first
+        increments (``taps`` then ``read_tx`` at the first tap), so read it
+        with ``.get(key, 0)``, and read it again for later counts."""
+        value = {
+            "read_tx": self._taps + self._retried["read_tx"],
+            "write_tx": self._claws + self._retried["write_tx"],
+            "taps": self._taps,
+            "claws": self._claws,
+            "retries": self._retries,
+            "safe_writes": self._safe_writes,
+        }
+        return {key: value[key] for key in self._keys}
 
     # -- classification probes ----------------------------------------------
 
-    def _settle(self, addr: int, allowed: bool, kind: tuple):
-        """Run every transaction of one probe of ``addr``, in this one frame,
-        and return the probe's verdict; ``kind`` is ``_READ`` or ``_WRITE``.
+    def _retry(self, addr: int, kind: tuple):
+        """Finish a probe of ``addr`` whose first attempt, at an access the
+        page allows, aborted transiently, and return its verdict; ``kind``
+        is ``_READ`` or ``_WRITE``.
 
-        Each attempt is one transaction, counted and traced.  An access the
-        page ``allowed`` succeeds, except for the occasional simulated
-        transient abort, which is retried up to ``MAX_RETRIES`` times beyond
-        the first attempt.  Any other access aborts fatally at the first
-        attempt: the fault is suppressed inside the transaction and surfaces
-        as an abort code distinct from the transient one.  Running out of
-        retries raises RetryBudgetExhausted rather than returning a wrong
-        classification.
+        Each further attempt is one more transaction, counted and traced,
+        and draws again; up to ``MAX_RETRIES`` attempts follow the first.
+        Running out of retries raises RetryBudgetExhausted rather than
+        returning a wrong classification.
         """
-        tx, op, done, verdict, refused = kind
-        counters = self.counters
-        trace = self.trace_log
-        if not allowed:
-            counters[tx] = counters.get(tx, 0) + 1
-            if trace is not None:
-                trace += ((tx, addr, _FATAL), (op, addr, refused))
-            return refused
+        tx, op, done, verdict = kind
+        if not self._retries:
+            self._keys.append("retries")
         p = self.spurious_abort_probability
-        attempts = 1
-        if p > 0.0:
-            rand = self.rng.random
-            while rand() < p:
-                if trace is not None:
-                    trace.append((tx, addr, _RETRYABLE))
-                if attempts > MAX_RETRIES:
-                    counters[tx] = counters.get(tx, 0) + attempts
-                    counters["retries"] = counters.get("retries", 0) + attempts
-                    self._note(op, addr, "exhausted")
-                    raise RetryBudgetExhausted(addr, attempts)
-                attempts += 1
-        counters[tx] = counters.get(tx, 0) + attempts
-        if attempts > 1:
-            counters["retries"] = counters.get("retries", 0) + attempts - 1
+        rand = self.rng.random
+        trace = self.trace_log
+        attempts, exhausted = 1, False
+        while True:
+            if trace is not None:
+                trace.append((tx, addr, _RETRYABLE))
+            if attempts > MAX_RETRIES:
+                exhausted = True
+                break
+            attempts += 1
+            if rand() >= p:
+                break
+        self._retried[tx] += attempts - 1
+        if exhausted:
+            self._retries += attempts
+            if trace is not None:
+                trace.append((op, addr, "exhausted"))
+            raise RetryBudgetExhausted(addr, attempts)
+        self._retries += attempts - 1
         if trace is not None:
             trace += ((tx, addr, done), (op, addr, verdict))
         return verdict
@@ -137,13 +163,25 @@ class Prober:
         """Classify readability of ``addr`` without risking a fault: a
         mapped, readable, user-accessible user-half address commits its
         read transaction."""
-        self.counters["taps"] = self.counters.get("taps", 0) + 1
-        page = space.pages.get(addr & ~(PAGE_SIZE - 1))
-        allowed = (
-            addr < USER_TOP and page is not None
-            and page.perms.readable and page.perms.user_accessible
-        )
-        return self._settle(addr, allowed, _READ)
+        taps = self._taps
+        if not taps:
+            self._keys += ("taps", "read_tx")
+        self._taps = taps + 1
+        trace = self.trace_log
+        page = space.pages.get(addr & _PAGE_MASK)
+        if (
+            page is None or addr >= USER_TOP
+            or not (page.perms.readable and page.perms.user_accessible)
+        ):
+            if trace is not None:
+                trace += (("read_tx", addr, _FATAL), ("tap", addr, INACCESSIBLE))
+            return INACCESSIBLE
+        p = self.spurious_abort_probability
+        if p > 0.0 and self.rng.random() < p:
+            return self._retry(addr, _READ)
+        if trace is not None:
+            trace += (("read_tx", addr, _COMMITTED), ("tap", addr, ACCESSIBLE))
+        return ACCESSIBLE
 
     def claw(
         self, space: AddressSpace, addr: int, *, known_accessible: bool = False
@@ -156,19 +194,31 @@ class Prober:
         is followed by a tap, which tells read-only from inaccessible,
         unless the caller holds an accessible verdict (``known_accessible``).
         """
-        self.counters["claws"] = self.counters.get("claws", 0) + 1
-        page = space.pages.get(addr & ~(PAGE_SIZE - 1))
-        allowed = (
-            addr < USER_TOP and page is not None
+        claws = self._claws
+        if not claws:
+            self._keys += ("claws", "write_tx")
+        self._claws = claws + 1
+        trace = self.trace_log
+        page = space.pages.get(addr & _PAGE_MASK)
+        if (
+            page is not None and addr < USER_TOP
             and page.perms.writable and page.perms.user_accessible
-        )
-        if allowed or known_accessible:
-            return self._settle(addr, allowed, _WRITE)
-        self.counters["write_tx"] = self.counters.get("write_tx", 0) + 1
-        self._note("write_tx", addr, _FATAL)
-        kind = READ_ONLY if self.tap(space, addr) is ACCESSIBLE else NO_ACCESS
-        self._note("claw", addr, kind)
-        return kind
+        ):
+            p = self.spurious_abort_probability
+            if p > 0.0 and self.rng.random() < p:
+                return self._retry(addr, _WRITE)
+            if trace is not None:
+                trace += (("write_tx", addr, _EXPLICIT), ("claw", addr, WRITABLE))
+            return WRITABLE
+        if trace is not None:
+            trace.append(("write_tx", addr, _FATAL))
+        if known_accessible or self.tap(space, addr) is ACCESSIBLE:
+            verdict = READ_ONLY
+        else:
+            verdict = NO_ACCESS
+        if trace is not None:
+            trace.append(("claw", addr, verdict))
+        return verdict
 
     def safe_write(self, space: AddressSpace, addr: int, data: bytes) -> None:
         """Write ``data`` at ``addr``, counted as one safe write.  It probes
@@ -176,5 +226,7 @@ class Prober:
         the store, as ``injector.inject`` does."""
         if not data:
             raise ValueError("safe_write requires a non-empty payload")
-        self.counters["safe_writes"] = self.counters.get("safe_writes", 0) + 1
+        if not self._safe_writes:
+            self._keys.append("safe_writes")
+        self._safe_writes += 1
         space.write_bytes(addr, data)

@@ -13,6 +13,9 @@ from unittest.mock import patch
 
 from caveprobe import caves, explorer
 from caveprobe.cli import EXIT_STAGE_ERROR, main
+from caveprobe.machine import (
+    REG_NAMES, MachineState, _fetch_u8, _read64, _Stop, _syscall, _write64,
+)
 from caveprobe.memspace import PAGE_SIZE, USER_TOP, AddressSpace, PagePermissions
 from caveprobe.probe import ACCESSIBLE, NO_ACCESS, WRITABLE, Prober
 
@@ -225,6 +228,76 @@ def reference_walk():
         patch.object(caves, "find_caves", reference_find_caves),
     ):
         yield
+
+
+# The machine's step as it stood before it sliced each instruction from
+# its page, kept as an oracle for ``machine._execute``: every byte is
+# fetched, and checked, by its own ``_fetch_u8`` call.
+
+def reference_execute(state: MachineState, space: AddressSpace,
+                      effects: list | None) -> None:
+    pos = state.rip
+
+    def u8() -> int:
+        nonlocal pos
+        b = _fetch_u8(space, pos)
+        pos += 1
+        return b
+
+    def pop64() -> int:
+        rsp = state.reg("rsp")
+        value = _read64(space, rsp)
+        state.set_reg("rsp", rsp + 8)
+        return value
+
+    b0 = u8()
+
+    if b0 == 0x90:  # nop
+        state.rip = pos
+        return
+    if b0 == 0xC3:  # ret
+        state.rip = pop64()
+        return
+    if b0 == 0xC9:  # leave
+        state.set_reg("rsp", state.reg("rbp"))
+        state.set_reg("rbp", pop64())
+        state.rip = pos
+        return
+    if b0 == 0x0F:
+        if u8() != 0x05:
+            raise _Stop("undecodable")
+        state.rip = pos  # rip already past the instruction when it runs
+        _syscall(state, space, effects)
+        return
+    if 0x58 <= b0 <= 0x5F:  # pop r64
+        state.set_reg(REG_NAMES[b0 - 0x58], pop64())
+        state.rip = pos
+        return
+    if b0 == 0x48:  # REX.W
+        b1 = u8()
+        if 0xB8 <= b1 <= 0xBF:  # mov r64, imm64
+            imm = 0
+            for shift in range(0, 64, 8):
+                imm |= u8() << shift
+            state.set_reg(REG_NAMES[b1 - 0xB8], imm)
+            state.rip = pos
+            return
+        if b1 == 0x89:  # mov [r64], r64
+            modrm = u8()
+            rm_i = modrm & 7
+            if modrm >> 6 == 0b00 and rm_i not in (4, 5):  # 4 needs SIB, 5 is rip-rel
+                src = state.reg(REG_NAMES[(modrm >> 3) & 7])
+                _write64(space, state.reg(REG_NAMES[rm_i]), src, effects)
+                state.rip = pos
+                return
+        raise _Stop("undecodable")
+    if b0 == 0xFF:  # jmp r64
+        modrm = u8()
+        if modrm >> 6 == 0b11 and (modrm >> 3) & 7 == 4:
+            state.rip = state.reg(REG_NAMES[modrm & 7])
+            return
+        raise _Stop("undecodable")
+    raise _Stop("undecodable")
 
 
 def run_main(argv: list[str]) -> tuple[int, str, str]:

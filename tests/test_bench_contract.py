@@ -16,7 +16,7 @@ import itertools
 import sys
 from pathlib import Path
 
-from caveprobe.cli import MODES, PipelineConfig, run_pipeline
+from caveprobe.cli import MODES, PipelineConfig, emit_report, run_pipeline
 from caveprobe.synth import build_victim_image
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -92,3 +92,34 @@ def test_oracle_passes_synth_images_in_every_mode(tmp_path):
             if not report.all_verdicts_pass() or wrong is not None:
                 failures.append((seed, mode, aslr, wrong))
     assert failures == []
+
+
+def _traced_run(config: PipelineConfig):
+    """The report of one run traced as the benchmark traces it, and the
+    trace's per-layer metrics."""
+    trace = _perfbench_module("spans").RunTrace()
+    report = trace.run(lambda cfg, render: run_pipeline(cfg), config, emit_report)
+    return report, trace.metrics()
+
+
+def test_every_probe_is_a_spanned_call(tmp_path):
+    # the benchmark counts probes by wrapping Prober.tap and Prober.claw:
+    # a probe settled past them would go uncounted there, and the report's
+    # taps and claws would outnumber the spans
+    demo = PERFBENCH.parent / "images"
+    configs = [
+        PipelineConfig(image_path=str(demo / "demo.json"),
+                       ground_truth_path=str(demo / "demo.maps"), mode=mode, seed=3)
+        for mode in MODES
+    ]
+    img = build_victim_image(5, code_pages=16, cave_pages=16, stack_pages=16)
+    manifest = tmp_path / "victim.json"
+    manifest.write_text(img.manifest_text)
+    configs.append(PipelineConfig(image_path=str(manifest), mode="linear",
+                                  seed=5, spurious_prob=0.3))
+    for config in configs:
+        report, metrics = _traced_run(config)
+        counters = report.probe_counters
+        assert config.spurious_prob < 0.3 or counters["retries"] > 0  # retries ran
+        assert (metrics["probe.tap_calls"], metrics["probe.claw_calls"]) == (
+            counters["taps"], counters["claws"]), config

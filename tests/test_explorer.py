@@ -492,8 +492,10 @@ def map_stages(pm, mode, stack_pointer, direct):
 def test_walk_matches_the_reference_rule(image_seed, pages, mode, aslr, budget,
                                          abort_prob, direct):
     # the same transactions, retries and verdicts in the same order, the
-    # same store in the same order, and the same results or error text as
-    # the one-page-a-call rule in helpers
+    # same store in the same order, the same counters in the same key
+    # order, and the same results or error text as the one-page-a-call
+    # rule in helpers; and untraced, as the benchmark runs, all of it but
+    # the trace
     img = build_victim_image(
         image_seed, code_pages=pages, cave_pages=pages, stack_pages=pages
     )
@@ -501,12 +503,14 @@ def test_walk_matches_the_reference_rule(image_seed, pages, mode, aslr, budget,
     offset = _aslr_offset(image_seed, space) if aslr else 0
     space.rebase(offset)
     got = []
-    for reference in (False, True):
-        pm = PageMap(space, Prober(abort_prob, image_seed, trace=True), budget)
+    for reference, trace in ((False, True), (True, True), (False, False)):
+        pm = PageMap(space, Prober(abort_prob, image_seed, trace=trace), budget)
         with reference_walk() if reference else contextlib.nullcontext():
             out = map_stages(pm, mode, img.truth.stack_pointer + offset, direct)
-        got.append((out, list(pm.entries.items()), pm.prober.trace_log))
+        got.append((out, list(pm.entries.items()), list(pm.prober.counters.items()),
+                    pm.prober.trace_log))
     assert got[0] == got[1]
+    assert got[2][:3] == got[1][:3]
 
 
 class TestRegionAround:
@@ -790,6 +794,47 @@ class TestGroundTruthCompare:
             "0x100000-0x102000: probed writable, truth readonly",
             "0x104000-0x105000: probed readonly, truth writable",
             "0x105000-0x106000: probed inaccessible, truth writable",
+        ]
+
+
+VERDICTS = (Accessibility.ACCESSIBLE, *Writability)
+MAPS_PERMS = ("r--p", "rw-p", "r-xp", "rwxp", "---p")
+
+
+@given(
+    regions=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4),
+                               st.sampled_from(MAPS_PERMS)), max_size=6),
+    batches=st.lists(st.dictionaries(st.integers(0, 40), st.sampled_from(VERDICTS)),
+                     min_size=1, max_size=3),
+)
+def test_ground_truth_compare_matches_a_per_page_oracle(regions, batches):
+    # regions as (gap, pages, perms) from page 0 up; verdicts stored in
+    # batches, in no order, the store judged after each batch
+    lines, extents, page = [], [], 0
+    for gap, pages, perms in regions:
+        start, page = page + gap, page + gap + pages
+        lines.append(f"{start * PAGE_SIZE:08x}-{page * PAGE_SIZE:08x} {perms} 00000000 00:00 0")
+        extents.append((start * PAGE_SIZE, page * PAGE_SIZE, perms))
+    truth = parse_proc_maps("".join(line + "\n" for line in lines))
+    store = PageMap(make_space(), quiet_prober())
+    for batch in batches:
+        for page, verdict in batch.items():
+            store.entries.setdefault(page * PAGE_SIZE, verdict)
+        bad = []
+        for base in sorted(store.entries):
+            want = "inaccessible"
+            for lo, hi, perms in extents:
+                if lo <= base < hi and perms[0] == "r":
+                    want = "writable" if perms[1] == "w" else "readonly"
+            got = store.entries[base].value
+            if got == want or (got == "accessible" and want != "inaccessible"):
+                continue
+            if bad and bad[-1][1] == base and bad[-1][2:] == [got, want]:
+                bad[-1][1] += PAGE_SIZE
+            else:
+                bad.append([base, base + PAGE_SIZE, got, want])
+        assert match_ground_truth(store, truth) == [
+            f"{lo:#x}-{hi:#x}: probed {got}, truth {want}" for lo, hi, got, want in bad
         ]
 
 

