@@ -364,20 +364,20 @@ def _explore(ctx: Pipeline) -> None:
     # claws, which settle each page's verdict.  A run ends below a page
     # stored inaccessible, and a stored verdict is never weakened, so a hit
     # past the last run grows a run that starts past it: the extents come
-    # out sorted and disjoint
+    # out sorted and disjoint, and every accessible page lies in one.  The
+    # map then coalesces the store, and a run starts an extent unless it
+    # begins where another ends
     accessible = ctx.pagemap.accessible_pages()
     if not accessible:
         raise ValueError("exploration found nothing accessible")
-    runs: list[explorer.MapRun] = []
-    extents = hi = 0
+    hi = 0
     for base in accessible:
-        if base < hi:
-            continue
-        lo, hi = explorer.region_around(ctx.pagemap, base)
-        runs.extend(explorer.reconstruct_map(ctx.pagemap, lo, hi).runs)
-        extents += 1
-    ctx.report.reconstructed = explorer.ReconstructedMap(tuple(runs))
-    ctx.report.exploration["extents"] = extents
+        if base >= hi:
+            _, hi = explorer.region_around(ctx.pagemap, base)
+    ctx.report.reconstructed = explorer.reconstruct_map(ctx.pagemap)
+    runs = ctx.report.reconstructed.runs
+    ends = {run.end for run in runs}
+    ctx.report.exploration["extents"] = sum(run.start not in ends for run in runs)
     if ctx.truth is not None:
         # every verdict the store holds so far, misses included
         mismatches = explorer.match_ground_truth(ctx.pagemap, ctx.truth)

@@ -15,9 +15,7 @@ from itertools import islice
 from .memspace import (
     PAGE_SIZE, USER_TOP, AddressSpace, GroundTruthMap, MemoryFault, lane_filter,
 )
-from .probe import (
-    ACCESSIBLE, NO_ACCESS, READ_ONLY, WRITABLE, Accessibility, Prober, Writability,
-)
+from .probe import ACCESSIBLE, NO_ACCESS, READ_ONLY, WRITABLE, Prober, Writability
 
 DEFAULT_BUDGET = 4096
 MAX_GAP = 64
@@ -40,16 +38,17 @@ class PageMap:
     probes and reads through, the injector's checks included.  It owns the
     space and the prober; ``read`` and ``is_zero`` touch only pages it
     stores accessible.  Each page maps to the strongest verdict its probes
-    settled: the claw's ``Writability``, or ``ACCESSIBLE`` when only a tap
-    hit.  The victim is paused, so a verdict holds for the whole run;
-    ``tap``, ``claw`` and ``walk`` probe a page only for a verdict not yet
-    stored.  No more than ``budget`` pages are ever probed in the run.
-    Pages are only ever added to ``entries``, never removed."""
+    settled, as the prober returned it: a claw's, or a tap's when no claw
+    ran, so ``ACCESSIBLE`` marks a page tapped but not clawed.  The victim
+    is paused, so a verdict holds for the whole run; ``tap``, ``claw`` and
+    ``walk`` probe a page only for a verdict not yet stored.  No more than
+    ``budget`` pages are ever probed in the run.  Pages are only ever added
+    to ``entries``, never removed."""
 
     space: AddressSpace
     prober: Prober
     budget: int = DEFAULT_BUDGET
-    entries: dict[int, Accessibility | Writability] = field(default_factory=dict)
+    entries: dict[int, Writability] = field(default_factory=dict)
     _bases: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def bases(self) -> list[int]:
@@ -93,13 +92,12 @@ class PageMap:
         )
 
     def tap(self, base: int) -> bool:
-        """Accessibility of the page at ``base``, tapped at most once."""
+        """Whether the page at ``base`` is accessible, tapped at most once."""
         verdict = self.entries.get(base)
         if verdict is None:
             if len(self.entries) >= self.budget:
                 raise self._spent(base)
-            hit = self.prober.tap(self.space, base) is ACCESSIBLE
-            verdict = self.entries[base] = ACCESSIBLE if hit else NO_ACCESS
+            verdict = self.entries[base] = self.prober.tap(self.space, base)
         return verdict is not NO_ACCESS
 
     def claw(self, base: int) -> Writability:
@@ -137,11 +135,7 @@ class PageMap:
                 if verdict is None:
                     if len(entries) >= budget:
                         raise self._spent(base)
-                    if clawed:
-                        verdict = entries[base] = claw(space, base)
-                    else:
-                        hit = tap(space, base) is ACCESSIBLE
-                        verdict = entries[base] = ACCESSIBLE if hit else NO_ACCESS
+                    verdict = entries[base] = (claw if clawed else tap)(space, base)
                 if verdict is ACCESSIBLE and (clawed or claw_hits):
                     verdict = entries[base] = claw(space, base, known_accessible=True)
             if verdict is NO_ACCESS:
@@ -162,8 +156,8 @@ class MapRun:
 
 @dataclass(frozen=True, slots=True)
 class ReconstructedMap:
-    """Probe-derived classification of a page range, coalesced into runs of
-    identical classification."""
+    """The store's accessible pages, coalesced into runs of adjacent pages
+    of one class."""
 
     runs: tuple[MapRun, ...]
 
@@ -172,13 +166,6 @@ class ReconstructedMap:
             {"start": f"{r.start:#x}", "end": f"{r.end:#x}", "class": r.kind.value}
             for r in self.runs
         ]
-
-
-def _check_page_range(start: int, end: int) -> None:
-    if start % PAGE_SIZE or end % PAGE_SIZE:
-        raise ValueError("range bounds must be page aligned")
-    if not (0 <= start <= end <= USER_TOP):
-        raise ValueError("range must lie inside the user half")
 
 
 def harvest_pointers(page_bytes: bytes) -> list[int]:
@@ -306,25 +293,27 @@ def region_around(pm: PageMap, addr: int) -> tuple[int, int]:
     return lo, pm.walk(base + PAGE_SIZE, PAGE_SIZE, 1, True) + PAGE_SIZE
 
 
-def reconstruct_map(pm: PageMap, start: int, end: int) -> ReconstructedMap:
-    """Classify every page in [start, end) via write probes through ``pm``
-    and coalesce adjacent pages of equal classification into runs.  A page
-    stored with its writability costs one lookup; only others are clawed."""
-    _check_page_range(start, end)
+def reconstruct_map(pm: PageMap) -> ReconstructedMap:
+    """Coalesce the pages ``pm`` stores, in address order, into runs of
+    adjacent pages with one verdict, skipping misses.  It probes nothing,
+    so every accessible page must hold its claw verdict, as it does after
+    the explore stage."""
     runs: list[MapRun] = []
-    cur_kind: Writability | None = None
-    cur_start = start
-    for base in range(start, end, PAGE_SIZE):
-        kind = pm.entries.get(base)
-        if kind is None or kind is ACCESSIBLE:
-            kind = pm.claw(base)
-        if kind is not cur_kind:
-            if cur_kind is not None:
-                runs.append(MapRun(cur_start, base, cur_kind))
-            cur_kind = kind
-            cur_start = base
-    if cur_kind is not None:
-        runs.append(MapRun(cur_start, end, cur_kind))
+    entries = pm.entries
+    start = end = 0
+    kind: Writability | None = None  # of the run [start, end)
+    for base in pm.bases():
+        verdict = entries[base]
+        if verdict is NO_ACCESS:
+            continue
+        if base == end and verdict is kind:
+            end += PAGE_SIZE
+            continue
+        if kind is not None:
+            runs.append(MapRun(start, end, kind))
+        start, end, kind = base, base + PAGE_SIZE, verdict
+    if kind is not None:
+        runs.append(MapRun(start, end, kind))
     return ReconstructedMap(tuple(runs))
 
 
@@ -374,14 +363,17 @@ def egg_hunt(pm: PageMap, tag: bytes, start: int, end: int) -> int | None:
     """
     if not (4 <= len(tag) <= 32):
         raise ValueError("tag length must be between 4 and 32 bytes")
-    _check_page_range(start, end)
-    overlap = len(tag) - 1
+    if start % PAGE_SIZE or end % PAGE_SIZE:
+        raise ValueError("range bounds must be page aligned")
+    if not (0 <= start <= end <= USER_TOP):
+        raise ValueError("range must lie inside the user half")
+    overlap = len(tag) - 1  # at least 3
     for base in range(start, end, PAGE_SIZE):
         if not pm.tap(base):
             continue
         buf = pm.read(base, PAGE_SIZE)
         nxt = base + PAGE_SIZE
-        if overlap and nxt < end and pm.tap(nxt):
+        if nxt < end and pm.tap(nxt):
             buf += pm.read(nxt, overlap)
         hit = buf.find(tag)
         if hit != -1:

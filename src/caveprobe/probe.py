@@ -5,8 +5,11 @@ the transaction aborts instead of delivering the fault, so the prober can
 classify any address without crashing.  Read probes (``tap``) classify
 accessibility; write probes (``claw``) wrap a write and then explicitly
 abort, which rolls the write back, so writability is learned without ever
-changing memory.  Transient aborts (the kind interrupts or cache pressure
-cause on real hardware) are simulated with a seeded RNG and retried.
+changing memory.  Both return a ``Writability``, the one verdict type from
+probe to report: a tap ``ACCESSIBLE`` or ``INACCESSIBLE``, a claw
+``WRITABLE``, ``READ_ONLY`` or ``INACCESSIBLE``.  Transient aborts (the
+kind interrupts or cache pressure cause on real hardware) are simulated
+with a seeded RNG and retried.
 
 Each probe settles in the frame of ``Prober.tap`` or ``Prober.claw``: one
 page lookup, and one draw for a transient abort when its probability is
@@ -31,12 +34,8 @@ class ProbeOutcome(enum.Enum):
     FATAL_ABORT = "fatal-abort"
 
 
-class Accessibility(enum.Enum):
-    ACCESSIBLE = "accessible"
-    INACCESSIBLE = "inaccessible"
-
-
 class Writability(enum.Enum):
+    ACCESSIBLE = "accessible"  # tapped, not clawed
     WRITABLE = "writable"
     READ_ONLY = "readonly"
     INACCESSIBLE = "inaccessible"
@@ -47,8 +46,7 @@ MAX_RETRIES = 100
 
 # Module-level aliases: a probe runs once per page, and a global lookup
 # costs a tenth of an enum class attribute lookup.
-ACCESSIBLE = Accessibility.ACCESSIBLE
-INACCESSIBLE = Accessibility.INACCESSIBLE
+ACCESSIBLE = Writability.ACCESSIBLE
 WRITABLE = Writability.WRITABLE
 READ_ONLY = Writability.READ_ONLY
 NO_ACCESS = Writability.INACCESSIBLE
@@ -87,7 +85,7 @@ class Prober:
     """
 
     __slots__ = (
-        "spurious_abort_probability", "rng", "trace_log", "_keys",
+        "spurious_abort_probability", "rng", "trace_log",
         "_taps", "_claws", "_retries", "_safe_writes", "_retried",
     )
 
@@ -97,7 +95,6 @@ class Prober:
         self.spurious_abort_probability = spurious_abort_probability
         self.rng = random.Random(rng_seed)
         self.trace_log: list[tuple[str, int, object]] | None = [] if trace else None
-        self._keys: list[str] = []  # counter keys, in first-increment order
         self._taps = self._claws = self._retries = self._safe_writes = 0
         # transactions past each probe's first, by op: read_tx is taps
         # plus the read retries, so a probe's first costs one increment
@@ -105,12 +102,11 @@ class Prober:
 
     @property
     def counters(self) -> dict[str, int]:
-        """A new dict of the counts so far, keyed ``read_tx``, ``write_tx``,
-        ``taps``, ``claws``, ``retries`` and ``safe_writes``.  A key appears
-        at its first increment, and the keys keep the order of their first
-        increments (``taps`` then ``read_tx`` at the first tap), so read it
-        with ``.get(key, 0)``, and read it again for later counts."""
-        value = {
+        """A new dict of the non-zero counts so far, keyed, in this order,
+        ``read_tx``, ``write_tx``, ``taps``, ``claws``, ``retries`` and
+        ``safe_writes``; read it with ``.get(key, 0)``, and read it again
+        for later counts."""
+        counts = {
             "read_tx": self._taps + self._retried["read_tx"],
             "write_tx": self._claws + self._retried["write_tx"],
             "taps": self._taps,
@@ -118,7 +114,7 @@ class Prober:
             "retries": self._retries,
             "safe_writes": self._safe_writes,
         }
-        return {key: value[key] for key in self._keys}
+        return {key: n for key, n in counts.items() if n}
 
     # -- classification probes ----------------------------------------------
 
@@ -133,8 +129,6 @@ class Prober:
         returning a wrong classification.
         """
         tx, op, done, verdict = kind
-        if not self._retries:
-            self._keys.append("retries")
         p = self.spurious_abort_probability
         rand = self.rng.random
         trace = self.trace_log
@@ -159,14 +153,12 @@ class Prober:
             trace += ((tx, addr, done), (op, addr, verdict))
         return verdict
 
-    def tap(self, space: AddressSpace, addr: int) -> Accessibility:
-        """Classify readability of ``addr`` without risking a fault: a
-        mapped, readable, user-accessible user-half address commits its
-        read transaction."""
-        taps = self._taps
-        if not taps:
-            self._keys += ("taps", "read_tx")
-        self._taps = taps + 1
+    def tap(self, space: AddressSpace, addr: int) -> Writability:
+        """Classify readability of ``addr`` without risking a fault:
+        ``ACCESSIBLE`` when the address is mapped, readable, user-accessible
+        and in the user half, so its read transaction commits, else
+        ``INACCESSIBLE``."""
+        self._taps += 1
         trace = self.trace_log
         page = space.pages.get(addr & _PAGE_MASK)
         if (
@@ -174,8 +166,8 @@ class Prober:
             or not (page.perms.readable and page.perms.user_accessible)
         ):
             if trace is not None:
-                trace += (("read_tx", addr, _FATAL), ("tap", addr, INACCESSIBLE))
-            return INACCESSIBLE
+                trace += (("read_tx", addr, _FATAL), ("tap", addr, NO_ACCESS))
+            return NO_ACCESS
         p = self.spurious_abort_probability
         if p > 0.0 and self.rng.random() < p:
             return self._retry(addr, _READ)
@@ -194,10 +186,7 @@ class Prober:
         is followed by a tap, which tells read-only from inaccessible,
         unless the caller holds an accessible verdict (``known_accessible``).
         """
-        claws = self._claws
-        if not claws:
-            self._keys += ("claws", "write_tx")
-        self._claws = claws + 1
+        self._claws += 1
         trace = self.trace_log
         page = space.pages.get(addr & _PAGE_MASK)
         if (
@@ -226,7 +215,5 @@ class Prober:
         the store, as ``injector.inject`` does."""
         if not data:
             raise ValueError("safe_write requires a non-empty payload")
-        if not self._safe_writes:
-            self._keys.append("safe_writes")
         self._safe_writes += 1
         space.write_bytes(addr, data)

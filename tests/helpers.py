@@ -13,11 +13,12 @@ from unittest.mock import patch
 
 from caveprobe import caves, explorer
 from caveprobe.cli import EXIT_STAGE_ERROR, main
+from caveprobe.explorer import MapRun, ReconstructedMap
 from caveprobe.machine import (
     REG_NAMES, MachineState, _fetch_u8, _read64, _Stop, _syscall, _write64,
 )
 from caveprobe.memspace import PAGE_SIZE, USER_TOP, AddressSpace, PagePermissions
-from caveprobe.probe import ACCESSIBLE, NO_ACCESS, WRITABLE, Prober
+from caveprobe.probe import ACCESSIBLE, NO_ACCESS, WRITABLE, Prober, Writability
 
 # writability classes as plain strings, kept separate from the library's
 # enum so oracle comparisons cannot accidentally share a bug
@@ -197,16 +198,7 @@ def reference_region_around(pm: explorer.PageMap, addr: int) -> tuple[int, int]:
     return lo, hi
 
 
-_reconstruct_map = explorer.reconstruct_map
 _find_caves = caves.find_caves
-
-
-def reference_reconstruct_map(pm: explorer.PageMap, start: int, end: int):
-    """``explorer.reconstruct_map`` after a store claw of every page in
-    [start, end), in order, as the classification once probed."""
-    for base in range(start, end, PAGE_SIZE):
-        pm.claw(base)
-    return _reconstruct_map(pm, start, end)
 
 
 def reference_find_caves(pm: explorer.PageMap):
@@ -219,15 +211,94 @@ def reference_find_caves(pm: explorer.PageMap):
 
 @contextlib.contextmanager
 def reference_walk():
-    """Run the sweep, the extent growth, the map classification and the
-    cave search by the reference rule above while the block runs."""
+    """Run the sweep, the extent growth and the cave search by the
+    reference rule above while the block runs."""
     with (
         patch.object(explorer, "_sweep", reference_sweep),
         patch.object(explorer, "region_around", reference_region_around),
-        patch.object(explorer, "reconstruct_map", reference_reconstruct_map),
         patch.object(caves, "find_caves", reference_find_caves),
     ):
         yield
+
+
+# The map as it stood before ``explorer.reconstruct_map`` coalesced the
+# store in one pass, kept as an oracle for it: a range classified page by
+# page, clawing each page the store lacks or holds as a bare tap hit, and
+# the explore stage classifying each extent as it grew it.
+
+def _check_page_range(start: int, end: int) -> None:
+    if start % PAGE_SIZE or end % PAGE_SIZE:
+        raise ValueError("range bounds must be page aligned")
+    if not (0 <= start <= end <= USER_TOP):
+        raise ValueError("range must lie inside the user half")
+
+
+def reference_reconstruct_map(pm: explorer.PageMap, start: int, end: int):
+    """Classify every page in [start, end) via write probes through ``pm``
+    and coalesce adjacent pages of equal classification into runs.  A page
+    stored with its writability costs one lookup; only others are clawed."""
+    _check_page_range(start, end)
+    runs: list[MapRun] = []
+    cur_kind: Writability | None = None
+    cur_start = start
+    for base in range(start, end, PAGE_SIZE):
+        kind = pm.entries.get(base)
+        if kind is None or kind is ACCESSIBLE:
+            kind = pm.claw(base)
+        if kind is not cur_kind:
+            if cur_kind is not None:
+                runs.append(MapRun(cur_start, base, cur_kind))
+            cur_kind = kind
+            cur_start = base
+    if cur_kind is not None:
+        runs.append(MapRun(cur_start, end, cur_kind))
+    return ReconstructedMap(tuple(runs))
+
+
+def reference_explore(pm: explorer.PageMap) -> tuple[tuple, int]:
+    """cli's explore stage over ``pm`` as it stood: (the map's runs, the
+    number of extents), each extent grown by ``explorer.region_around``,
+    then classified by ``reference_reconstruct_map``."""
+    accessible = pm.accessible_pages()
+    if not accessible:
+        raise ValueError("exploration found nothing accessible")
+    runs: list[MapRun] = []
+    extents = hi = 0
+    for base in accessible:
+        if base < hi:
+            continue
+        lo, hi = explorer.region_around(pm, base)
+        runs.extend(reference_reconstruct_map(pm, lo, hi).runs)
+        extents += 1
+    return tuple(runs), extents
+
+
+def claw_range(pm: explorer.PageMap, start: int, end: int):
+    """Classify every page of [start, end) as ``reference_reconstruct_map``
+    does, with the same probes in the same order and the same errors, but
+    read the map from the program: a store claw of each page, then the
+    runs ``explorer.reconstruct_map`` coalesces, cut to the range, with a
+    run of misses in each gap between them.  Each gap page must be stored
+    as a miss."""
+    _check_page_range(start, end)
+    for base in range(start, end, PAGE_SIZE):
+        pm.claw(base)
+    runs: list[MapRun] = []
+    at = start  # the range is classified up to here
+    for run in explorer.reconstruct_map(pm).runs:
+        lo, hi = max(run.start, start), min(run.end, end)
+        if lo >= hi:
+            continue
+        if at < lo:
+            runs.append(MapRun(at, lo, NO_ACCESS))
+        runs.append(MapRun(lo, hi, run.kind))
+        at = hi
+    if at < end:
+        runs.append(MapRun(at, end, NO_ACCESS))
+    gaps = [b for r in runs if r.kind is NO_ACCESS
+            for b in range(r.start, r.end, PAGE_SIZE)]
+    assert all(pm.entries[b] is NO_ACCESS for b in gaps), "a stored hit is not in the map"
+    return ReconstructedMap(tuple(runs))
 
 
 # The machine's step as it stood before it sliced each instruction from

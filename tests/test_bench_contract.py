@@ -16,7 +16,9 @@ import itertools
 import sys
 from pathlib import Path
 
-from caveprobe.cli import MODES, PipelineConfig, emit_report, run_pipeline
+from caveprobe.cli import MODES, Pipeline, PipelineConfig, emit_report, run_pipeline
+from caveprobe.memspace import PAGE_SIZE
+from caveprobe.probe import NO_ACCESS
 from caveprobe.synth import build_victim_image
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -71,8 +73,11 @@ def test_oracle_passes_synth_images_in_every_mode(tmp_path):
     # 16-page regions, seeds 0..29, every mode with ASLR on and off: the
     # attacker starts from the stack pointer alone, and each run must pass
     # its verdicts and the benchmark's oracle, and arm its frame on the
-    # store's verdicts alone, without a transaction
-    check_report = _perfbench_module("workloads").check_report
+    # store's verdicts alone, without a transaction.  The benchmark's
+    # coverage metric, read from the report's map, must be the share of
+    # truly readable pages the run's store holds accessible
+    workloads = _perfbench_module("workloads")
+    check_report, coverage = workloads.check_report, workloads.coverage
     failures = []
     for seed in range(30):
         img = build_victim_image(seed, code_pages=16, cave_pages=16, stack_pages=16)
@@ -81,14 +86,24 @@ def test_oracle_passes_synth_images_in_every_mode(tmp_path):
         manifest.write_text(img.manifest_text)
         maps.write_text(img.maps_text)
         for mode, aslr in itertools.product(MODES, (True, False)):
-            report = run_pipeline(PipelineConfig(
+            pipe = Pipeline(PipelineConfig(
                 image_path=str(manifest), ground_truth_path=str(maps),
                 mode=mode, seed=seed, aslr=aslr,
             ))
+            report = pipe.run()
             wrong = check_report(report, img.truth)
             inject = report.stage_counters["inject"]
             if wrong is None and inject["read_tx"] + inject["write_tx"] > 0:
                 wrong = f"inject stage paid {inject}"
+            readable = {
+                page + report.aslr_offset
+                for start, length, perms in img.truth.regions.values() if "r" in perms
+                for page in range(start, start + length, PAGE_SIZE)
+            }
+            held = sum(pipe.pagemap.entries.get(page, NO_ACCESS) is not NO_ACCESS
+                       for page in readable) / len(readable)
+            if wrong is None and (got := coverage(report, img.truth)) != held:
+                wrong = f"coverage {got}, store {held}"
             if not report.all_verdicts_pass() or wrong is not None:
                 failures.append((seed, mode, aslr, wrong))
     assert failures == []

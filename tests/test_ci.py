@@ -3,8 +3,9 @@ Pythons from the floor pyproject.toml declares, records src/'s line count
 in the run's summary, smoke-runs the benchmark both untraced and traced
 and checks its first-pass report digests against the pinned ones,
 runs the installed console script in every mode, checks that it cuts a
-long flag value to one short line, checks its JSON report against the
-stdlib's json.tool and against the reports of a demo copy that holds a
+long flag value to one short line, checks its JSON reports, one of them
+linear with ground truth, against the stdlib's json.tool, checks its
+report against the reports of a demo copy that holds a
 backslash, of compact and respaced copies, and of one with its cave as
 zero hex and its code uppercase, checks that a manifest read from a pipe
 reports as the same file does, rebuilds the demo image with the installed
@@ -225,8 +226,9 @@ def test_ground_truth_that_disagrees_must_fail_map_match():
 
 
 def test_json_report_is_checked_against_json_tool():
-    # after the installed package's report is written, the stdlib rewrites
-    # it with json.dumps's options and cmp must find no difference
+    # after each of the installed package's two reports is written, the
+    # stdlib rewrites it with json.dumps's options and cmp must find no
+    # difference; the second is the linear report with ground truth
     step = workflow_step("JSON report matches json.tool")
     lines = [line.strip() for line in step.splitlines()]
     workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
@@ -239,6 +241,12 @@ def test_json_report_is_checked_against_json_tool():
         "python -m json.tool --sort-keys --indent 2 demo-report.json "
         "demo-report-stdlib.json",
         "cmp demo-report.json demo-report-stdlib.json",
+        'caveprobe --image-path "$GITHUB_WORKSPACE/images/demo.json" '
+        '--mode linear --ground-truth-path "$GITHUB_WORKSPACE/images/demo.maps" '
+        "--out demo-linear-report.json",
+        "python -m json.tool --sort-keys --indent 2 demo-linear-report.json "
+        "demo-linear-report-stdlib.json",
+        "cmp demo-linear-report.json demo-linear-report-stdlib.json",
     ]
 
 

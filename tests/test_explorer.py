@@ -6,8 +6,8 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, strategies as st
 
-from caveprobe import caves, explorer
-from caveprobe.cli import MODES, _aslr_offset
+from caveprobe import caves, cli, explorer
+from caveprobe.cli import MODES, Pipeline, PipelineConfig, _aslr_offset
 from caveprobe.explorer import (
     DEFAULT_BUDGET,
     ExploreBudgetError,
@@ -32,9 +32,11 @@ from caveprobe.memspace import (
     parse_manifest,
     parse_proc_maps,
 )
-from caveprobe.probe import Accessibility, Prober, Writability
+from caveprobe.probe import Prober, Writability
 from caveprobe.synth import build_victim_image
-from helpers import NONE, make_space, page_class, reference_walk
+from helpers import (
+    NONE, claw_range, make_space, page_class, reference_explore, reference_walk,
+)
 
 
 def quiet_prober() -> Prober:
@@ -119,7 +121,7 @@ class TestPointerChase:
         p = Prober(0.0, 0, trace=True)
         pm = explore_from_pointers(PageMap(space, p), (0x10000,))
         assert pm.entries[0x20000] is Writability.INACCESSIBLE
-        assert pm.entries[0x30000] is Accessibility.ACCESSIBLE
+        assert pm.entries[0x30000] is Writability.ACCESSIBLE
 
     def test_budget_bounds_probed_pages(self):
         # every page points at the next, far away
@@ -226,7 +228,7 @@ class TestLinearSweepProbes:
         # the writes left: the read-only extent's tapped first and third
         # pages; a tap-only sweep leaves all 8 pages
         assert transactions(p) == (14, 11)
-        kinds = [[r.kind for r in reconstruct_map(pm, lo, hi).runs]
+        kinds = [[r.kind for r in claw_range(pm, lo, hi).runs]
                  for lo, hi in extents]
         assert kinds == [[Writability.WRITABLE], [Writability.READ_ONLY]]
         assert transactions(p) == (14, 11)
@@ -330,7 +332,7 @@ class TestProbeOrderRule:
                              Writability.WRITABLE)
         want[ro] = Writability.READ_ONLY
         assert {b: pm.entries[b] for b in want} == want
-        recon = reconstruct_map(pm, 0x20000, 0x24000)
+        recon = claw_range(pm, 0x20000, 0x24000)
         assert sorted((r.start, r.end, r.kind) for r in recon.runs) == sorted([
             (ro, ro + PAGE_SIZE, Writability.READ_ONLY),
             (rw, rw + 3 * PAGE_SIZE, Writability.WRITABLE),
@@ -467,13 +469,13 @@ def map_stages(pm, mode, stack_pointer, direct):
         if direct:
             explorer._sweep(pm, stack_pointer)
             for base in pm.accessible_pages()[::3]:
-                out += explorer.reconstruct_map(pm, base, base + 2 * PAGE_SIZE).runs
+                out += claw_range(pm, base, base + 2 * PAGE_SIZE).runs
             out.append(caves.find_caves(pm))
         hi = 0
         for base in pm.accessible_pages():
             if base >= hi:
                 lo, hi = explorer.region_around(pm, base)
-                out += explorer.reconstruct_map(pm, lo, hi).runs
+                out += claw_range(pm, lo, hi).runs
         out += [caves.find_caves(pm), frame_above(pm, stack_pointer)]
     except (ExploreBudgetError, ValueError) as exc:
         out.append(f"{type(exc).__name__}: {exc}")
@@ -492,10 +494,9 @@ def map_stages(pm, mode, stack_pointer, direct):
 def test_walk_matches_the_reference_rule(image_seed, pages, mode, aslr, budget,
                                          abort_prob, direct):
     # the same transactions, retries and verdicts in the same order, the
-    # same store in the same order, the same counters in the same key
-    # order, and the same results or error text as the one-page-a-call
-    # rule in helpers; and untraced, as the benchmark runs, all of it but
-    # the trace
+    # same store in the same order, the same counters, and the same
+    # results or error text as the one-page-a-call rule in helpers; and
+    # untraced, as the benchmark runs, all of it but the trace
     img = build_victim_image(
         image_seed, code_pages=pages, cave_pages=pages, stack_pages=pages
     )
@@ -507,10 +508,82 @@ def test_walk_matches_the_reference_rule(image_seed, pages, mode, aslr, budget,
         pm = PageMap(space, Prober(abort_prob, image_seed, trace=trace), budget)
         with reference_walk() if reference else contextlib.nullcontext():
             out = map_stages(pm, mode, img.truth.stack_pointer + offset, direct)
-        got.append((out, list(pm.entries.items()), list(pm.prober.counters.items()),
+        got.append((out, list(pm.entries.items()), pm.prober.counters,
                     pm.prober.trace_log))
     assert got[0] == got[1]
     assert got[2][:3] == got[1][:3]
+
+
+@given(
+    image_seed=st.integers(0, 2**32 - 1),
+    pages=st.sampled_from((4, 16)),
+    mode=st.sampled_from(MODES),
+    aslr=st.booleans(),
+    budget=st.one_of(st.integers(1, 300), st.just(4096)),
+    abort_prob=st.sampled_from((0.0, 0.3)),
+)
+def test_explore_stage_map_matches_the_per_extent_reference(
+    image_seed, pages, mode, aslr, budget, abort_prob
+):
+    # cli's probe and explore stages, which grow every extent and then
+    # coalesce the store once, against the probe stage and the explore
+    # stage in helpers, which classified each extent as it grew it: the
+    # same runs and extent count, or the same error text, with the same
+    # transactions, retries and verdicts in the same order, the same store
+    # in the same order and the same counters
+    img = build_victim_image(
+        image_seed, code_pages=pages, cave_pages=pages, stack_pages=pages
+    )
+    space = load_manifest(parse_manifest(img.manifest_text.encode()))
+    offset = _aslr_offset(image_seed, space) if aslr else 0
+    space.rebase(offset)
+    got = []
+    for reference in (True, False):  # the program's store is left in pm
+        ctx = Pipeline(PipelineConfig(image_path="", mode=mode))
+        ctx.pagemap = PageMap(space, Prober(abort_prob, image_seed, trace=True), budget)
+        ctx.stack_pointer = img.truth.stack_pointer + offset
+        try:
+            cli._probe(ctx)
+            if reference:
+                out = reference_explore(ctx.pagemap)
+            else:
+                cli._explore(ctx)
+                out = (ctx.report.reconstructed.runs, ctx.report.exploration["extents"])
+        except (ExploreBudgetError, ValueError) as exc:
+            out = f"{type(exc).__name__}: {exc}"
+        pm = ctx.pagemap
+        got.append((out, list(pm.entries.items()), pm.prober.counters,
+                    pm.prober.trace_log))
+    assert got[0] == got[1]
+    if isinstance(got[1][0], str):
+        return
+    # after the explore stage every accessible page holds its claw verdict,
+    # and the map, read again, probes nothing
+    assert Writability.ACCESSIBLE not in pm.entries.values()
+    entries, counters = list(pm.entries.items()), pm.prober.counters
+    assert reconstruct_map(pm).runs == got[1][0][0]
+    assert (list(pm.entries.items()), pm.prober.counters) == (entries, counters)
+
+
+def test_explore_stage_counts_an_extent_of_two_classes_once():
+    # code directly below data is one extent of two runs; the stack page,
+    # which points at the code, is a second extent
+    space = make_space(
+        (0x100000, 2 * PAGE_SIZE, "rxu", b""),
+        (0x102000, 2 * PAGE_SIZE, "rwu", b""),
+        (0x200000, PAGE_SIZE, "rwu", ptr_page(0x100000)),
+    )
+    ctx = Pipeline(PipelineConfig(image_path="", mode="pointer-chase"))
+    ctx.pagemap, ctx.stack_pointer = quiet_store(space), 0x200000
+    cli._probe(ctx)
+    cli._explore(ctx)
+    W, RO = Writability.WRITABLE, Writability.READ_ONLY
+    assert ctx.report.reconstructed.runs == (
+        MapRun(0x100000, 0x102000, RO),
+        MapRun(0x102000, 0x104000, W),
+        MapRun(0x200000, 0x201000, W),
+    )
+    assert ctx.report.exploration["extents"] == 2
 
 
 class TestRegionAround:
@@ -539,7 +612,7 @@ class TestRegionAround:
         for edge in (0x1F000, 0x25000):
             assert [op for op, addr, _ in p.trace_log
                     if addr == edge and op.endswith("_tx")] == ["write_tx", "read_tx"]
-        recon = reconstruct_map(pm, 0x20000, 0x25000)
+        recon = claw_range(pm, 0x20000, 0x25000)
         assert [r.kind for r in recon.runs] == [Writability.WRITABLE]
         assert p.counters["write_tx"] + p.counters["read_tx"] == 9
 
@@ -587,7 +660,7 @@ class TestPageMapStore:
         p = quiet_prober()
         pm = PageMap(self.space(), p)
         pm.tap(0x11000)
-        assert pm.entries[0x11000] is Accessibility.ACCESSIBLE
+        assert pm.entries[0x11000] is Writability.ACCESSIBLE
         before = dict(p.counters)
         assert pm.claw(0x11000) is Writability.WRITABLE
         assert pm.entries[0x11000] is Writability.WRITABLE
@@ -625,7 +698,7 @@ class TestPageMapStore:
         assert region_around(pm, 0x10000) == (0x10000, 0x12000)
         spent = dict(p.counters)
         assert region_around(pm, 0x11000) == (0x10000, 0x12000)
-        recon = reconstruct_map(pm, 0x10000, 0x12000)
+        recon = claw_range(pm, 0x10000, 0x12000)
         assert [r.kind for r in recon.runs] == [Writability.READ_ONLY,
                                                 Writability.WRITABLE]
         assert p.counters == spent
@@ -654,7 +727,7 @@ class TestReadGuard:
         pm.tap(0x13000)
         assert pm.entries == {
             0x10000: Writability.READ_ONLY,
-            0x11000: Accessibility.ACCESSIBLE,
+            0x11000: Writability.ACCESSIBLE,
             0x12000: Writability.WRITABLE,
             0x13000: Writability.INACCESSIBLE,
         }
@@ -707,12 +780,31 @@ class TestReadGuard:
 
 
 class TestReconstruct:
+    def test_coalesces_the_store_alone(self):
+        # stored out of order: runs break at a class change, a miss and an
+        # unstored page, and the store and the counters stay as they were
+        W, RO, NO = Writability.WRITABLE, Writability.READ_ONLY, Writability.INACCESSIBLE
+        entries = {0x16000: RO, 0x10000: W, 0x12000: RO, 0x11000: W,
+                   0x13000: NO, 0x14000: RO, 0x17000: RO, 0x15000: NO}
+        p = quiet_prober()
+        pm = PageMap(make_space(), p, entries=dict(entries))
+        assert reconstruct_map(pm).runs == (
+            MapRun(0x10000, 0x12000, W),
+            MapRun(0x12000, 0x13000, RO),
+            MapRun(0x14000, 0x15000, RO),
+            MapRun(0x16000, 0x18000, RO),
+        )
+        pm.entries[0x1A000] = W
+        assert reconstruct_map(pm).runs[-1] == MapRun(0x1A000, 0x1B000, W)
+        assert list(pm.entries.items()) == [*entries.items(), (0x1A000, W)]
+        assert p.counters == {}
+
     def test_coalesces_equal_classes(self):
         space = make_space(
             (0x30000, 2 * PAGE_SIZE, "ru", b""),
             (0x32000, 2 * PAGE_SIZE, "rwu", b""),
         )
-        recon = reconstruct_map(quiet_store(space), 0x2F000, 0x35000)
+        recon = claw_range(quiet_store(space), 0x2F000, 0x35000)
         kinds = [(r.start, r.end, r.kind) for r in recon.runs]
         assert kinds == [
             (0x2F000, 0x30000, Writability.INACCESSIBLE),
@@ -722,7 +814,7 @@ class TestReconstruct:
         ]
 
     def test_all_unmapped_single_run(self):
-        recon = reconstruct_map(quiet_store(make_space()), 0x0, 0x8000)
+        recon = claw_range(quiet_store(make_space()), 0x0, 0x8000)
         assert recon.runs == (MapRun(0x0, 0x8000, Writability.INACCESSIBLE),)
 
     def test_alternating_pages_stay_uncoalesced(self):
@@ -731,7 +823,7 @@ class TestReconstruct:
             perms = "ru" if i % 2 == 0 else "rwu"
             regions.append((0x40000 + i * PAGE_SIZE, PAGE_SIZE, perms, b""))
         space = make_space(*regions)
-        recon = reconstruct_map(quiet_store(space), 0x40000, 0x46000)
+        recon = claw_range(quiet_store(space), 0x40000, 0x46000)
         assert len(recon.runs) == 6
         assert all(r.end - r.start == PAGE_SIZE for r in recon.runs)
 
@@ -755,14 +847,14 @@ class TestGroundTruthCompare:
 
     def test_match(self):
         store = quiet_store(self.space())
-        reconstruct_map(store, 0x100000, 0x106000)
+        claw_range(store, 0x100000, 0x106000)
         assert match_ground_truth(store, parse_proc_maps(self.MAPS)) == []
 
     def test_tapped_page_on_readable_region_passes(self):
-        assert self.check({0x100000: Accessibility.ACCESSIBLE}) == []
+        assert self.check({0x100000: Writability.ACCESSIBLE}) == []
 
     def test_tapped_page_on_unreadable_region_fails(self):
-        assert self.check({0x102000: Accessibility.ACCESSIBLE}) == [
+        assert self.check({0x102000: Writability.ACCESSIBLE}) == [
             "0x102000-0x103000: probed accessible, truth inaccessible"
         ]
 
@@ -797,7 +889,7 @@ class TestGroundTruthCompare:
         ]
 
 
-VERDICTS = (Accessibility.ACCESSIBLE, *Writability)
+VERDICTS = tuple(Writability)
 MAPS_PERMS = ("r--p", "rw-p", "r-xp", "rwxp", "---p")
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from caveprobe import explorer, probe
 from caveprobe.memspace import PAGE_SIZE, USER_TOP, AddressSpace, PagePermissions
 from caveprobe.probe import (
-    Accessibility,
     ProbeOutcome,
     Prober,
     RetryBudgetExhausted,
@@ -101,12 +100,12 @@ class TestSingleTransactions:
 
 class TestTap:
     def test_accessible(self, space):
-        assert quiet_prober().tap(space, 0x10123) is Accessibility.ACCESSIBLE
+        assert quiet_prober().tap(space, 0x10123) is Writability.ACCESSIBLE
 
     def test_inaccessible_variants(self, space):
         p = quiet_prober()
         for addr in (0x999000, 0x12000, 0x13000, USER_TOP, USER_TOP + 0x5000):
-            assert p.tap(space, addr) is Accessibility.INACCESSIBLE
+            assert p.tap(space, addr) is Writability.INACCESSIBLE
 
     def test_zero_probability_never_retries(self, space):
         p = quiet_prober()
@@ -120,7 +119,7 @@ class TestTap:
         # 0.5 and the fifth is 0.7599, so the fifth attempt commits
         p = Prober(0.5, 99)
         with patch.object(probe, "MAX_RETRIES", 4):
-            assert p.tap(space, 0x10000) is Accessibility.ACCESSIBLE
+            assert p.tap(space, 0x10000) is Writability.ACCESSIBLE
         assert p.counters["read_tx"] == 5
         assert p.counters["retries"] == 4
 
@@ -145,7 +144,7 @@ class TestTap:
     def test_spurious_aborts_eventually_resolve(self, space):
         p = Prober(0.3, 7)
         for _ in range(200):
-            assert p.tap(space, 0x11000) is Accessibility.ACCESSIBLE
+            assert p.tap(space, 0x11000) is Writability.ACCESSIBLE
         assert p.counters["retries"] > 0
 
 
@@ -254,8 +253,8 @@ class ReferenceProber:
     counted and traced; a probe repeats attempts until one is not
     transient or ``retries`` retries are spent."""
 
-    READ = {ProbeOutcome.COMMITTED: Accessibility.ACCESSIBLE,
-            ProbeOutcome.FATAL_ABORT: Accessibility.INACCESSIBLE}
+    READ = {ProbeOutcome.COMMITTED: Writability.ACCESSIBLE,
+            ProbeOutcome.FATAL_ABORT: Writability.INACCESSIBLE}
     WRITE = {ProbeOutcome.EXPLICIT_ABORT: Writability.WRITABLE,
              ProbeOutcome.FATAL_ABORT: Writability.READ_ONLY}
 
@@ -308,7 +307,7 @@ class ReferenceProber:
         self.counters["claws"] += 1
         verdict = self.WRITE[self.settle("claw", space, addr, True)]
         if verdict is Writability.READ_ONLY and not known_accessible:
-            if self.tap(space, addr) is Accessibility.INACCESSIBLE:
+            if self.tap(space, addr) is Writability.INACCESSIBLE:
                 verdict = Writability.INACCESSIBLE
         self.trace_log.append(("claw", addr, verdict))
         return verdict
@@ -371,5 +370,5 @@ def test_probes_match_per_attempt_reference(session):
                 got = probe_outcome(p.tap, space, addr)
                 want = probe_outcome(ref.tap, space, addr)
             assert got == want
-    assert list(p.counters.items()) == list(ref.counters.items())
+    assert p.counters == dict(ref.counters)
     assert p.trace_log == ref.trace_log
