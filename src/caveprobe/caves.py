@@ -38,11 +38,12 @@ class NoCaveError(Exception):
 def find_caves(pm: PageMap) -> list[CaveRegion]:
     """Collect maximal zero-filled writable runs, each at least a page.
 
-    Only pages the store marks accessible are considered; a candidate
-    without a writability verdict yet is claw-probed through the store,
-    and its bytes are checked for zero only on a writable verdict.  Runs
-    are maximal with respect to the probed set and returned sorted by
-    address.
+    Only pages the store marks accessible are considered, and a page's
+    bytes are checked for zero only on a writable verdict.  In a pipeline
+    run the explore stage has clawed every accessible page already, so
+    this pays no transaction; the claw below runs only for a caller whose
+    store still holds a tap-only page.  Runs are maximal with respect to
+    the probed set and returned sorted by address.
     """
     entries = pm.entries
     usable = []

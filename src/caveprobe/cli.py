@@ -19,8 +19,7 @@ from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
-from . import caves as caves_mod
-from . import explorer, gadgets, injector, machine
+from . import caves, explorer, gadgets, injector, machine
 from .memspace import (
     PAGE_SIZE,
     USER_TOP,
@@ -298,8 +297,6 @@ class Pipeline:
     # inject
     victim: injector.VictimFrame | None = None
     image: injector.FakeFrameImage | None = None
-    marker: tuple[int, int] | None = None  # (address, value); payload mode only
-    epilogue: int | None = None
     canary_before: bytes | None = None
 
     def __post_init__(self) -> None:
@@ -391,65 +388,41 @@ def _gadgets(ctx: Pipeline) -> None:
     code = [b for b, v in ctx.pagemap.entries.items() if v is READ_ONLY]
     ctx.catalog = gadgets.find_gadgets(ctx.pagemap, code)
     ctx.report.gadget_census = dict(ctx.catalog.found)
-    needed = list(gadgets.required_kinds(ctx.config.chain_variant))
-    needed.append("leave-ret")  # the pivot's epilogue reuse
-    missing = [k for k in needed if not ctx.catalog.found.get(k)]
-    if missing:
-        raise gadgets.MissingGadgetError(missing)
+    # the chain's kinds and the pivot's epilogue
+    ctx.catalog.require((*gadgets.required_kinds(ctx.config.chain_variant), "leave-ret"))
 
 
 def _caves(ctx: Pipeline) -> None:
-    ctx.report.cave_list = caves_mod.find_caves(ctx.pagemap)
+    ctx.report.cave_list = caves.find_caves(ctx.pagemap)
 
 
 def _inject(ctx: Pipeline) -> None:
     cfg = ctx.config
     victim = injector.locate_victim_frame(ctx.pagemap, ctx.stack_pointer)
-
-    # the image: saved-rbp copy, chain, continuation word; in payload mode
-    # the payload follows, zeroes everything before it, and the marker
-    # takes the cave's last word
-    chain_words = gadgets.chain_len(cfg.chain_variant)
-    payload_off = injector.payload_offset(chain_words)
-    if cfg.restore == "payload":
-        need_len = payload_off + machine.payload_len(payload_off) + 8
-    else:
-        need_len = 8 * (chain_words + 2)
-    cave = caves_mod.select_cave(ctx.report.cave_list, need_len)
-    chain = gadgets.build_mprotect_chain(
-        ctx.catalog, cave.start, cave.length,
-        machine.PROT_RWX, cfg.chain_variant,
-    )
-    payload = b""
+    marker_value = None
     if cfg.restore == "payload":
         marker_value = random.Random(f"{cfg.seed}:marker").getrandbits(64) | 1
-        ctx.marker = (cave.start + cave.length - 8, marker_value)
-        payload = machine.assemble_payload(
-            victim, (cave.start, payload_off), ctx.marker
-        )
-
-    image = injector.forge_fake_frame(victim, chain, payload, cave)
-    epilogue = ctx.catalog.lowest("leave-ret")
+    image = injector.forge_fake_frame(
+        victim, ctx.catalog, ctx.report.cave_list, cfg.chain_variant, marker_value)
     ctx.canary_before = ctx.pagemap.space.read_bytes(victim.canary_slot_addr, 8)
-    injector.inject(ctx.pagemap, victim, image, epilogue)
+    injector.inject(ctx.pagemap, victim, image)
 
     ctx.victim = victim
     ctx.image = image
-    ctx.epilogue = epilogue
     ctx.report.injection = {
-        "cave": _hex_extent(cave.start, cave.length),
+        "cave": _hex_extent(image.cave.start, image.cave.length),
         "victim-slot": f"{victim.rbp_slot_addr:#x}",
-        "resume-rip": f"{victim.resume_rip:#x}",
-        "epilogue-gadget": f"{epilogue:#x}",
+        "resume-rip": f"{victim.saved_rip:#x}",
+        "epilogue-gadget": f"{image.epilogue:#x}",
         "chain-words": [
             {"value": f"{w.value:#x}", "role": w.role} for w in image.words
         ],
         "payload-addr": (
             f"{image.payload_addr:#x}" if image.payload_addr else None
         ),
-        "payload-len": len(payload),
-        "marker-addr": f"{ctx.marker[0]:#x}" if ctx.marker else None,
-        "cleanup-ranges": [_hex_extent(*image.cleanup)] if payload else [],
+        "payload-len": len(image.payload),
+        "marker-addr": f"{image.marker[0]:#x}" if image.marker else None,
+        "cleanup-ranges": [_hex_extent(*image.cleanup)] if image.cleanup else [],
         "overwritten": [f"{victim.saved_rbp:#x}", f"{victim.saved_rip:#x}"],
     }
 
@@ -466,14 +439,9 @@ def _execute(ctx: Pipeline) -> None:
         # a chain without an rdx load assumes the register already holds
         # the protection value when the return fires
         state.set_reg("rdx", machine.PROT_RWX)
-    state.rip = ctx.epilogue
-    if cfg.restore == "payload":
-        stop_rsp = victim.resume_rsp
-    else:
-        # the chain's last ret pops the continuation word, the frame's last
-        stop_rsp = image.base + 8 * len(image.words)
+    state.rip = image.epilogue
     result = machine.run_until(
-        state, space, victim.resume_rip, MAX_STEPS, stop_rsp=stop_rsp
+        state, space, victim.saved_rip, MAX_STEPS, stop_rsp=image.stop_rsp
     )
 
     effects = [
@@ -497,14 +465,14 @@ def _execute(ctx: Pipeline) -> None:
     # reaching the stop puts rip and rsp where the finished pivot must
     ctx.report.verdicts["restoration"] = (
         result.stop_reason == "reached-stop"
-        and final.reg("rbp") == victim.resume_rbp
+        and final.reg("rbp") == victim.saved_rbp
     )
-    if cfg.restore == "payload":
+    if image.marker is not None:
         start, length = image.cleanup
         ctx.report.verdicts["cleanup-zeroed"] = (
             space.read_bytes(start, length) == bytes(length)
         )
-        marker_addr, marker_value = ctx.marker
+        marker_addr, marker_value = image.marker
         ctx.report.verdicts["marker-written"] = (
             space.read_bytes(marker_addr, 8)
             == marker_value.to_bytes(8, "little")

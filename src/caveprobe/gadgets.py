@@ -54,12 +54,25 @@ class GadgetCatalog:
         addrs = self.found.get(name)
         return addrs[0] if addrs else None
 
+    def require(self, kinds: tuple[str, ...]) -> None:
+        """Raise MissingGadgetError unless every kind in ``kinds`` has a
+        site.  A syscall site counts only if it falls through into a ret:
+        one that does not would run whatever bytes follow it."""
+        missing = [k for k in kinds if not self.found.get(k)]
+        if missing:
+            raise MissingGadgetError(missing)
+        if "syscall" in kinds and not self.syscalls_into_ret:
+            sites = len(self.found["syscall"])
+            raise MissingGadgetError(
+                ["syscall"], f"none of the {sites} syscall site"
+                f"{'s' * (sites != 1)} found falls into a ret")
+
 
 class MissingGadgetError(Exception):
-    """A required gadget kind has no occurrence at all."""
+    """A required gadget kind has no usable occurrence."""
 
-    def __init__(self, missing: list[str]):
-        super().__init__("missing gadget kinds: " + ", ".join(sorted(missing)))
+    def __init__(self, missing: list[str], why: str | None = None):
+        super().__init__(why or "missing gadget kinds: " + ", ".join(sorted(missing)))
         self.missing = tuple(sorted(missing))
 
 
@@ -112,12 +125,6 @@ def required_kinds(variant: str) -> tuple[str, ...]:
     return CHAINS[variant]
 
 
-def chain_len(variant: str) -> int:
-    """Words in the chain build_mprotect_chain emits for ``variant``: a
-    gadget and an immediate per argument-loading kind, then the syscall."""
-    return 2 * len(required_kinds(variant)) - 1
-
-
 def build_mprotect_chain(
     catalog: GadgetCatalog,
     cave_addr: int,
@@ -129,17 +136,16 @@ def build_mprotect_chain(
 
     Each loader kind of the variant, in CHAINS order, gives its lowest
     cataloged address and then the value it pops.  The chain ends with the
-    lowest syscall site the census saw fall through into a ret, else the
-    lowest one; the caller appends the word that ret will consume.
+    lowest syscall site the census saw fall through into a ret; the caller
+    appends the word that ret will consume.  A catalog without every kind,
+    or with no syscall site into a ret, raises MissingGadgetError.
     """
     if cave_addr % PAGE_SIZE:
         raise ValueError("cave address must be page aligned")
     if cave_len <= 0 or cave_len % PAGE_SIZE:
         raise ValueError("cave length must be a positive page multiple")
     kinds = required_kinds(variant)
-    missing = [k for k in kinds if not catalog.found.get(k)]
-    if missing:
-        raise MissingGadgetError(missing)
+    catalog.require(kinds)
     values = {"pop-rdi-ret": cave_addr, "pop-rsi-ret": cave_len,
               "pop-rdx-ret": prot_value, "pop-rax-ret": SYS_MPROTECT}
     words = [
@@ -148,6 +154,5 @@ def build_mprotect_chain(
         for word in (ChainWord(catalog.lowest(kind), "gadget-address"),
                      ChainWord(values[kind], "immediate"))
     ]
-    syscall = (catalog.syscalls_into_ret or catalog.found["syscall"])[0]
-    words.append(ChainWord(syscall, "gadget-address"))
+    words.append(ChainWord(catalog.syscalls_into_ret[0], "gadget-address"))
     return tuple(words)

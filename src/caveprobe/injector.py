@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import explorer
+from . import caves, explorer, gadgets, machine
 from .memspace import PAGE_SIZE, AddressSpace, MemoryFault
 from .probe import WRITABLE
-from .gadgets import ChainWord
-from .caves import CaveRegion
 
 
 class InjectionError(Exception):
@@ -28,23 +26,14 @@ class InjectionError(Exception):
 class VictimFrame:
     """A located (saved rbp, saved rip) slot pair on the victim stack.
 
-    The ``resume_*`` properties are where execution, stack and base pointer
-    must end up afterwards: the state the victim's own ``leave; ret`` would
-    have produced.
+    The victim's own ``leave; ret`` would resume at ``saved_rip`` with rbp
+    at ``saved_rbp`` and rsp at ``resume_rsp``, just past the pair.
     """
 
     rbp_slot_addr: int
     saved_rbp: int
     saved_rip: int
     canary_slot_addr: int
-
-    @property
-    def resume_rip(self) -> int:
-        return self.saved_rip
-
-    @property
-    def resume_rbp(self) -> int:
-        return self.saved_rbp
 
     @property
     def resume_rsp(self) -> int:
@@ -60,22 +49,29 @@ def payload_offset(chain_words: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class FakeFrameImage:
-    """Byte image planted at the cave base.
+    """Everything the inject and execute stages plant and check.
 
-    ``words[0]`` is the copy of the victim's saved base pointer; the chain
-    words follow, ending in the continuation word; an optional payload sits
-    after them at ``payload_offset``.
+    The byte image goes at the start of ``cave``: ``words[0]`` is the copy
+    of the victim's saved base pointer, the chain words follow, ending in
+    the continuation word, and an optional payload sits after them at
+    ``payload_addr``.  ``marker`` is the (address, value) pair the payload
+    writes to the cave's last word, outside the image; ``epilogue`` is the
+    ``leave; ret`` site the armed frame returns into, so execution enters
+    there; and ``stop_rsp`` is where rsp stands once the pivot is done.
     """
 
-    base: int
-    words: tuple[ChainWord, ...]
+    cave: caves.CaveRegion
+    words: tuple[gadgets.ChainWord, ...]
     payload: bytes
     payload_addr: int | None
+    marker: tuple[int, int] | None
+    epilogue: int
+    stop_rsp: int
 
     def image_bytes(self) -> bytes:
         blob = b"".join(w.value.to_bytes(8, "little") for w in self.words)
         if self.payload:
-            pad = (self.payload_addr - self.base) - len(blob)
+            pad = (self.payload_addr - self.cave.start) - len(blob)
             blob += bytes(pad) + self.payload
         return blob
 
@@ -87,7 +83,7 @@ class FakeFrameImage:
         execute.  None without a payload, since nothing zeroes the cave."""
         if self.payload_addr is None:
             return None
-        return self.base, self.payload_addr - self.base
+        return self.cave.start, self.payload_addr - self.cave.start
 
 
 def locate_victim_frame(pm: explorer.PageMap, stack_ptr: int) -> VictimFrame:
@@ -103,45 +99,54 @@ def locate_victim_frame(pm: explorer.PageMap, stack_ptr: int) -> VictimFrame:
 
 def forge_fake_frame(
     victim: VictimFrame,
-    chain: tuple[ChainWord, ...],
-    payload: bytes,
-    cave: CaveRegion,
+    catalog: gadgets.GadgetCatalog,
+    cave_list: list[caves.CaveRegion],
+    variant: str,
+    marker_value: int | None,
 ) -> FakeFrameImage:
-    """Lay out the frame image for a cave: saved-rbp copy, chain words, a
-    continuation word, then the payload at ``payload_offset``.
+    """Plan the whole injected frame for ``victim``; no other code decides
+    its layout, and nothing is written until inject() plants it.
 
-    The continuation is the payload address when a payload is present;
-    otherwise the chain ends directly in the victim's original return
-    address and execution resumes without running injected code.  Nothing
-    is written here; the image is data until inject() plants it.
+    The image is the saved-rbp copy, the ``variant`` chain and a
+    continuation word.  With a ``marker_value`` a payload follows at
+    ``payload_offset``, the continuation enters it, and it writes the
+    marker into the cave's last word, zeroes the image before itself and
+    resumes the victim; without one the continuation is the victim's saved
+    rip, so no injected code runs.  The cave is the first in ``cave_list``
+    that holds all of it, else NoCaveError names the size needed.  The
+    epilogue is the census's lowest ``leave; ret``.
     """
-    words = [ChainWord(victim.saved_rbp, "saved-rbp"), *chain]
-    if payload:
-        payload_addr = cave.start + payload_offset(len(chain))
-        words.append(ChainWord(payload_addr, "resume-address"))
-        total = (payload_addr - cave.start) + len(payload)
+    # a gadget and an immediate per loader, then the syscall
+    chain_words = 2 * len(gadgets.required_kinds(variant)) - 1
+    payload_off = payload_offset(chain_words)
+    frame_len = 8 * (chain_words + 2)
+    if marker_value is None:
+        need_len = frame_len
     else:
-        payload_addr = None
-        words.append(ChainWord(victim.saved_rip, "resume-address"))
-        total = 8 * len(words)
-    if total > cave.length:
-        raise InjectionError(
-            f"image of {total:#x} bytes exceeds the {cave.length:#x}-byte cave"
-        )
-    return FakeFrameImage(
-        base=cave.start,
-        words=tuple(words),
-        payload=payload,
-        payload_addr=payload_addr,
+        need_len = payload_off + machine.payload_len(payload_off) + 8
+    cave = caves.select_cave(cave_list, need_len)
+    chain = gadgets.build_mprotect_chain(
+        catalog, cave.start, cave.length, machine.PROT_RWX, variant)
+    epilogue = catalog.lowest("leave-ret")
+    if epilogue is None:
+        raise gadgets.MissingGadgetError(["leave-ret"])
+    words = [gadgets.ChainWord(victim.saved_rbp, "saved-rbp"), *chain]
+    if marker_value is None:
+        words.append(gadgets.ChainWord(victim.saved_rip, "resume-address"))
+        return FakeFrameImage(cave, tuple(words), b"", None, None, epilogue,
+                              stop_rsp=cave.start + frame_len)
+    payload_addr = cave.start + payload_off
+    words.append(gadgets.ChainWord(payload_addr, "resume-address"))
+    marker = (cave.start + cave.length - 8, marker_value)
+    payload = machine.assemble_payload(
+        (cave.start, payload_off), marker,
+        victim.resume_rsp, victim.saved_rbp, victim.saved_rip,
     )
+    return FakeFrameImage(cave, tuple(words), payload, payload_addr, marker,
+                          epilogue, stop_rsp=victim.resume_rsp)
 
 
-def inject(
-    pm: explorer.PageMap,
-    victim: VictimFrame,
-    image: FakeFrameImage,
-    epilogue_gadget_addr: int,
-) -> None:
+def inject(pm: explorer.PageMap, victim: VictimFrame, image: FakeFrameImage) -> None:
     """Plant the image and arm the victim frame, on the store's verdicts.
 
     Every page either write touches is clawed through ``pm`` first; the
@@ -151,10 +156,9 @@ def inject(
     into the cave first, then both frame slots in one 16-byte write, so the
     frame is never half-armed.  The canary slot below the frame is never
     written."""
-    slot = victim.rbp_slot_addr
-    frame = image.base.to_bytes(8, "little")
-    frame += epilogue_gadget_addr.to_bytes(8, "little")
-    writes = ((image.base, image.image_bytes()), (slot, frame))
+    slot, cave, epilogue = victim.rbp_slot_addr, image.cave.start, image.epilogue
+    frame = cave.to_bytes(8, "little") + epilogue.to_bytes(8, "little")
+    writes = ((cave, image.image_bytes()), (slot, frame))
     for addr, data in writes:
         for base in range(AddressSpace.page_base(addr), addr + len(data), PAGE_SIZE):
             if pm.claw(base) is not WRITABLE:
@@ -167,7 +171,7 @@ def inject(
             "victim frame slots changed since location; already armed?"
         )
     try:
-        gadget = pm.read(epilogue_gadget_addr, 2)
+        gadget = pm.read(epilogue, 2)
     except MemoryFault:
         raise InjectionError("epilogue gadget address is unreadable") from None
     if gadget != b"\xc9\xc3":

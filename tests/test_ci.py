@@ -3,10 +3,11 @@ Pythons from the floor pyproject.toml declares, records src/'s line count
 in the run's summary, smoke-runs the benchmark both untraced and traced
 and checks its first-pass report digests against the pinned ones,
 runs the installed console script in every mode, checks that it cuts a
-long flag value to one short line, checks its JSON reports, one of them
-linear with ground truth, against the stdlib's json.tool, checks its
-report against the reports of a demo copy that holds a
-backslash, of compact and respaced copies, and of one with its cave as
+long flag value to one short line, checks that a demo copy whose syscall
+falls into no ret fails the gadgets stage in one line, checks its JSON
+reports, one of them linear with ground truth, against the stdlib's
+json.tool, checks its report against the reports of a demo copy that holds
+a backslash, of compact and respaced copies, and of one with its cave as
 zero hex and its code uppercase, checks that a manifest read from a pipe
 reports as the same file does, rebuilds the demo image with the installed
 package's image script and checks that script's one-line refusal of a
@@ -222,6 +223,37 @@ def test_ground_truth_that_disagrees_must_fail_map_match():
         'cat "$RUNNER_TEMP/guard-rw.txt"',
         'test "$code" -eq 3',
         "grep -F 'map-match: FAIL' \"$RUNNER_TEMP/guard-rw.txt\"",
+    ]
+
+
+def test_syscall_that_falls_into_no_ret_fails_the_gadgets_stage():
+    # a demo copy whose one syscall site is followed by a nop: right after
+    # the map-match step, the installed package must exit 2 with one
+    # stderr line under 300 bytes that names the syscall
+    name = "Syscall that falls into no ret fails the gadgets stage"
+    step = workflow_step(name)
+    lines = [line.strip() for line in step.splitlines()]
+    steps = re.findall(r"^      - name: (.+)$",
+                       (REPO / ".github" / "workflows" / "tier1.yml").read_text(), re.M)
+    assert steps.index("Ground truth that disagrees fails map-match") + 1 == steps.index(name)
+    assert "shell: bash" in lines
+    body = lines[lines.index("run: |") + 1:]
+    patch = body[0]
+    assert patch.startswith("python -c 'import json, sys; doc = json.load(open(\"images/demo.json\"));")
+    assert patch.endswith("' \"$RUNNER_TEMP/hanging-syscall.json\"")
+    for part in ('assert code.count(b"\\x0f\\x05") == code.count(b"\\x0f\\x05\\xc3") == 1',
+                 'code[code.index(b"\\x0f\\x05\\xc3") + 2] = 0x90',
+                 'doc["regions"][0]["data"] = code.hex()'):
+        assert part in patch
+    assert body[1:] == [
+        "code=0",
+        'caveprobe --image-path "$RUNNER_TEMP/hanging-syscall.json" --seed 1 '
+        '2> "$RUNNER_TEMP/hanging-syscall.txt" || code=$?',
+        'cat "$RUNNER_TEMP/hanging-syscall.txt"',
+        'test "$code" -eq 2',
+        'test "$(wc -l < "$RUNNER_TEMP/hanging-syscall.txt")" -eq 1',
+        'test "$(wc -c < "$RUNNER_TEMP/hanging-syscall.txt")" -lt 300',
+        'grep -F syscall "$RUNNER_TEMP/hanging-syscall.txt"',
     ]
 
 

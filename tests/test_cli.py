@@ -136,7 +136,7 @@ class TestPipeline:
     def test_run_context_declares_every_attribute(self, image_paths):
         pipe = Pipeline(base_config(image_paths))
         pipe.run()
-        assert pipe.pagemap.entries and pipe.marker is not None
+        assert pipe.pagemap.entries and pipe.image.marker is not None
         with pytest.raises(AttributeError):
             pipe.undeclared = 1
 
@@ -190,6 +190,25 @@ class TestPipeline:
             run_pipeline(PipelineConfig(image_path=str(manifest), seed=1))
         assert exc.value.stage == "gadgets"
         assert "syscall" in str(exc.value)
+
+    def test_syscall_into_no_ret_is_one_line_gadgets_error(self, tmp_path, capsys):
+        # the demo with a nop after its one syscall site: a chain through
+        # it would run on past the syscall, so the gadgets stage refuses
+        # the census before anything is injected
+        doc = json.loads(Path(DEMO).read_text())
+        code = bytearray.fromhex(doc["regions"][0]["data"])
+        assert code.count(b"\x0f\x05") == code.count(b"\x0f\x05\xc3") == 1
+        code[code.index(b"\x0f\x05\xc3") + 2] = 0x90
+        doc["regions"][0]["data"] = code.hex()
+        manifest = tmp_path / "hanging-syscall.json"
+        manifest.write_text(json.dumps(doc))
+        for variant in CHAIN_VARIANTS:
+            assert main(["--image-path", str(manifest), "--seed", "1",
+                         "--chain-variant", variant]) == EXIT_STAGE_ERROR
+            assert capsys.readouterr().err == (
+                "caveprobe: stage 'gadgets' failed: none of the 1 syscall "
+                "site found falls into a ret\n"
+            )
 
     def test_chain_only_restores_without_cleanup(self, image_paths):
         report = run_pipeline(base_config(image_paths, restore="chain-only"))
@@ -282,7 +301,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_inject_stage_pays_no_transactions(self, mode):
-        # the store already holds the cave page, clawed by the caves stage,
+        # the store already holds the cave page, clawed while exploring,
         # and the stack page, grown by locating the frame: inject checks
         # both through it and makes its two writes without a probe
         report = run_pipeline(PipelineConfig(

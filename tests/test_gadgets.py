@@ -11,7 +11,6 @@ from caveprobe.gadgets import (
     GadgetCatalog,
     MissingGadgetError,
     build_mprotect_chain,
-    chain_len,
     find_gadgets,
     required_kinds,
 )
@@ -291,6 +290,7 @@ def full_catalog() -> GadgetCatalog:
             "leave-ret": (0x400060,),
         },
         searched_pages=1,
+        syscalls_into_ret=(0x400050,),
     )
 
 
@@ -350,15 +350,31 @@ class TestBuildChain:
         chain = build_mprotect_chain(cat, 0x700000, 0x1000, 7)
         assert chain[-1].value == 0x400200
 
+    @pytest.mark.parametrize("sites", [1, 2])
+    def test_no_syscall_into_a_ret_builds_no_chain(self, sites):
+        # a syscall site followed by anything but a ret would run on into
+        # those bytes: with no other site there is no chain, whatever the
+        # census found
+        code = bytearray(b"\x90" * PAGE_SIZE)
+        for i in range(sites):
+            code[0x100 * (i + 1):0x100 * (i + 1) + 3] = b"\x0f\x05\x90"
+        for i, kind in enumerate(CHAINS["sound-5"][:-1]):
+            code[0x400 + 0x10 * i:0x402 + 0x10 * i] = GADGETS[kind]
+        cat = find_gadgets(settled_store(space_with_code(0x400000, bytes(code))), {0x400000})
+        assert len(cat.found["syscall"]) == sites and cat.syscalls_into_ret == ()
+        with pytest.raises(MissingGadgetError) as exc:
+            build_mprotect_chain(cat, 0x700000, 0x1000, 7)
+        assert exc.value.missing == ("syscall",)
+        assert str(exc.value) == (
+            f"none of the {sites} syscall site{'s' * (sites > 1)} found falls into a ret")
+
 
 def two_site_catalog() -> GadgetCatalog:
     """Two sites of every kind, apart from every other kind's, so each word
     names the kind it came from and that kind's lowest site."""
-    return GadgetCatalog(
-        {name: (0x400000 + 0x100 * i + 0x10, 0x480000 + 0x100 * i)
-         for i, name in enumerate(GADGETS)},
-        searched_pages=2,
-    )
+    found = {name: (0x400000 + 0x100 * i + 0x10, 0x480000 + 0x100 * i)
+             for i, name in enumerate(GADGETS)}
+    return GadgetCatalog(found, searched_pages=2, syscalls_into_ret=found["syscall"])
 
 
 @pytest.mark.parametrize("variant", list(CHAINS))
@@ -368,7 +384,7 @@ def test_chain_follows_its_table_entry(variant):
     # immediates fill rdi, rsi, rdx when loaded, then rax
     cat = two_site_catalog()
     chain = build_mprotect_chain(cat, 0x700000, 0x2000, 7, variant)
-    assert len(chain) == chain_len(variant)
+    assert len(chain) == 2 * len(CHAINS[variant]) - 1
     gadget_words = [w.value for w in chain if w.role == "gadget-address"]
     assert gadget_words == [cat.found[kind][0] for kind in CHAINS[variant]]
     assert CHAINS[variant][-1] == "syscall"

@@ -1,8 +1,10 @@
+import dataclasses
+
 import pytest
 
-from caveprobe.caves import CaveRegion
+from caveprobe.caves import CaveRegion, NoCaveError
 from caveprobe.explorer import ExploreBudgetError, PageMap
-from caveprobe.gadgets import ChainWord
+from caveprobe.gadgets import CHAIN_VARIANTS, GADGETS, ChainWord, GadgetCatalog
 from caveprobe.injector import (
     FakeFrameImage,
     InjectionError,
@@ -19,19 +21,20 @@ from helpers import make_space, settled_store, space_digest
 STACK = 0x7F0000000000
 CODE = 0x400000
 CAVE = 0x600000
+EPILOGUE = CODE + 0x100
+MARKER = 0x1122334455667789
 
 
 def quiet_prober() -> Prober:
     return Prober(0.0, 0)
 
 
-def nine_word_chain() -> tuple[ChainWord, ...]:
-    words = []
-    for i in range(4):
-        words.append(ChainWord(CODE + 0x10 * (i + 1), "gadget-address"))
-        words.append(ChainWord(0x1000 + i, "immediate"))
-    words.append(ChainWord(CODE + 0x50, "gadget-address"))
-    return tuple(words)
+def catalog() -> GadgetCatalog:
+    """One site of every kind on the code page, the syscall falling into a
+    ret; the leave; ret is EPILOGUE, where arming_space plants its bytes."""
+    found = {kind: (CODE + 0x10 * (i + 1),) for i, kind in enumerate(GADGETS)}
+    found["leave-ret"] = (EPILOGUE,)
+    return GadgetCatalog(found, searched_pages=1, syscalls_into_ret=found["syscall"])
 
 
 def victim() -> VictimFrame:
@@ -43,11 +46,17 @@ def victim() -> VictimFrame:
     )
 
 
+def forge(v: VictimFrame | None = None, marker: int | None = MARKER,
+          variant: str = "sound-5", cave_list=None) -> FakeFrameImage:
+    """The image forge_fake_frame plans for ``v``, by default in payload
+    mode and in one page-long cave at CAVE."""
+    return forge_fake_frame(v or victim(), catalog(),
+                            cave_list or [CaveRegion(CAVE, 0x1000)], variant, marker)
+
+
 class TestRestorationRecord:
     def test_values(self):
         v = victim()
-        assert v.resume_rip == CODE + 0x234
-        assert v.resume_rbp == STACK + 0x900
         assert v.resume_rsp == STACK + 0x810
 
 
@@ -144,9 +153,8 @@ class TestForge:
     def test_payload_layout_frozen(self):
         # 1 saved-rbp word + 9 chain words + 1 continuation = 11 words,
         # 0x58 bytes, so the payload starts at the 0x60 boundary
-        image = forge_fake_frame(victim(), nine_word_chain(), b"\xCC" * 40,
-                                 CaveRegion(CAVE, 0x1000))
-        assert image.base == CAVE
+        image = forge()
+        assert image.cave == CaveRegion(CAVE, 0x1000)
         assert len(image.words) == 11
         assert image.payload_addr == CAVE + 0x60
         assert image.words[0].value == victim().saved_rbp
@@ -155,50 +163,90 @@ class TestForge:
         assert image.words[-1].role == "resume-address"
         assert payload_offset(9) == 0x60
 
+    def test_short_variant_payload_at_0x50(self):
+        # 7 chain words make 0x48 bytes of frame, rounded to 0x50
+        image = forge(variant="short-4")
+        assert len(image.words) == 9
+        assert image.payload_addr == CAVE + 0x50
+        assert image.cleanup == (CAVE, 0x50)
+
     def test_payload_offset_rounds_up_to_16(self):
         # saved-rbp copy + chain + continuation: 7 chain words make 0x48
         # bytes, rounded to 0x50; 6 make exactly 0x40
         assert payload_offset(7) == 0x50
         assert payload_offset(6) == 0x40
 
+    def test_chain_words_follow_the_saved_rbp_copy(self):
+        # the chain protects the chosen cave: its immediates name the
+        # cave's start and length
+        image = forge()
+        chain = image.words[1:-1]
+        assert len(chain) == 9
+        assert [w.value for w in chain[1:4:2]] == [CAVE, 0x1000]
+        assert chain[-1].value == catalog().syscalls_into_ret[0]
+
     def test_image_bytes_pad_before_payload(self):
-        image = forge_fake_frame(victim(), nine_word_chain(), b"\xCC" * 4,
-                                 CaveRegion(CAVE, 0x1000))
+        image = forge()
         blob = image.image_bytes()
-        assert len(blob) == 0x60 + 4
+        assert len(blob) == 0x60 + len(image.payload)
         assert blob[0x58:0x60] == bytes(8)
-        assert blob[0x60:] == b"\xCC" * 4
+        assert blob[0x60:] == image.payload
 
     def test_chain_only_resumes_at_saved_rip(self):
-        image = forge_fake_frame(victim(), nine_word_chain(), b"",
-                                 CaveRegion(CAVE, 0x1000))
+        image = forge(marker=None)
         assert image.payload_addr is None
+        assert image.payload == b""
+        assert image.marker is None
         assert image.words[-1].value == victim().saved_rip
         assert len(image.image_bytes()) == 0x58
 
-    def test_cave_too_small(self):
-        with pytest.raises(InjectionError):
-            forge_fake_frame(victim(), nine_word_chain(), b"\xCC" * 0x1000,
-                             CaveRegion(CAVE, 0x1000))
+    @pytest.mark.parametrize("variant, marker, need", [
+        ("sound-5", MARKER, 0x146), ("short-4", MARKER, 0x11C),
+        ("sound-5", None, 0x58), ("short-4", None, 0x48),
+    ])
+    def test_no_cave_that_fits_names_the_need(self, variant, marker, need):
+        # with a payload: the frame, the payload that zeroes it, and the
+        # marker word; without one, the frame alone
+        with pytest.raises(NoCaveError) as exc:
+            forge(marker=marker, variant=variant, cave_list=[CaveRegion(CAVE, 0x40)])
+        assert exc.value.need_len == need
+        assert str(exc.value).startswith(f"no cave of at least {need:#x} bytes")
+
+    def test_lowest_cave_that_fits_is_taken(self):
+        caves = [CaveRegion(CAVE + 0x10000, 0x2000), CaveRegion(CAVE, 0x1000)]
+        assert forge(cave_list=caves).cave == CaveRegion(CAVE, 0x1000)
 
     def test_forge_writes_nothing(self):
         # pure layout computation: no space is even passed in
-        image = forge_fake_frame(victim(), nine_word_chain(), b"",
-                                 CaveRegion(CAVE, 0x1000))
+        image = forge(marker=None)
         assert isinstance(image, FakeFrameImage)
+
+
+@pytest.mark.parametrize("variant", CHAIN_VARIANTS)
+@pytest.mark.parametrize("marker", [MARKER, None], ids=["payload", "chain-only"])
+def test_image_carries_marker_cleanup_epilogue_and_stop(variant, marker):
+    image = forge(marker=marker, variant=variant)
+    cave = image.cave
+    assert image.epilogue == catalog().lowest("leave-ret")
+    if marker is None:
+        # the chain's last ret pops the continuation word, the frame's last
+        assert image.stop_rsp == cave.start + 8 * len(image.words)
+        assert image.marker is None and image.cleanup is None
+        return
+    assert image.stop_rsp == victim().resume_rsp
+    # the marker takes the cave's last word, past everything planted
+    assert image.marker == (cave.start + cave.length - 8, MARKER)
+    assert cave.start + len(image.image_bytes()) <= image.marker[0]
+    assert image.cleanup == (cave.start, image.payload_addr - cave.start)
 
 
 class TestPlanCleanup:
     def test_payload_mode_covers_words_and_pad(self):
-        image = forge_fake_frame(victim(), nine_word_chain(), b"\xCC" * 8,
-                                 CaveRegion(CAVE, 0x1000))
-        assert image.cleanup == (CAVE, 0x60)
+        assert forge().cleanup == (CAVE, 0x60)
 
     def test_chain_only_has_no_cleanup(self):
         # no payload runs, so nothing zeroes the chain image
-        image = forge_fake_frame(victim(), nine_word_chain(), b"",
-                                 CaveRegion(CAVE, 0x1000))
-        assert image.cleanup is None
+        assert forge(marker=None).cleanup is None
 
 
 def arming_space():
@@ -227,17 +275,14 @@ def logged_writes(space) -> list[tuple[int, int]]:
     return written
 
 
-EPILOGUE = CODE + 0x100
-
 
 class TestInject:
     def test_arms_frame_and_plants_image(self):
         space, v = arming_space()
-        image = forge_fake_frame(v, nine_word_chain(), b"\xAA" * 16,
-                                 CaveRegion(CAVE, 0x1000))
+        image = forge(v)
         pm = settled_store(space)
         counters = dict(pm.prober.counters)
-        assert inject(pm, v, image, EPILOGUE) is None
+        assert inject(pm, v, image) is None
         blob = image.image_bytes()
         assert space.read_bytes(CAVE, len(blob)) == blob
         slot = space.read_bytes(v.rbp_slot_addr, 16)
@@ -252,38 +297,35 @@ class TestInject:
 
     def test_rejects_rearming(self):
         space, v = arming_space()
-        image = forge_fake_frame(v, nine_word_chain(), b"",
-                                 CaveRegion(CAVE, 0x1000))
+        image = forge(v, marker=None)
         pm = settled_store(space)
-        inject(pm, v, image, EPILOGUE)
+        inject(pm, v, image)
         with pytest.raises(InjectionError, match="already armed"):
-            inject(pm, v, image, EPILOGUE)
+            inject(pm, v, image)
 
     def test_rejects_wrong_epilogue_bytes(self):
         space, v = arming_space()
-        image = forge_fake_frame(v, nine_word_chain(), b"",
-                                 CaveRegion(CAVE, 0x1000))
+        image = forge(v, marker=None)
         with pytest.raises(InjectionError, match="not a leave; ret site"):
-            inject(settled_store(space), v, image, CODE)  # nop bytes there
+            inject(settled_store(space), v, dataclasses.replace(image, epilogue=CODE))
 
     def test_rejects_unreadable_epilogue(self):
         space, v = arming_space()
-        image = forge_fake_frame(v, nine_word_chain(), b"",
-                                 CaveRegion(CAVE, 0x1000))
+        image = forge(v, marker=None)
         with pytest.raises(InjectionError):
-            inject(PageMap(space, quiet_prober()), v, image, 0x123000)
+            inject(PageMap(space, quiet_prober()), v,
+                   dataclasses.replace(image, epilogue=0x123000))
 
     def test_undo_on_refused_write(self):
         # cave writable, stack read-only: the store refuses the stack page
         # before any byte is written, so the cave is never touched
         space, v = arming_space()
         space.set_protection(STACK, PAGE_SIZE, PagePermissions.from_rwxu("ru"))
-        image = forge_fake_frame(v, nine_word_chain(), b"\xAA" * 16,
-                                 CaveRegion(CAVE, 0x1000))
+        image = forge(v)
         before = space_digest(space)
         written = logged_writes(space)
         with pytest.raises(InjectionError) as err:
-            inject(PageMap(space, quiet_prober()), v, image, EPILOGUE)
+            inject(PageMap(space, quiet_prober()), v, image)
         assert str(err.value) == f"page {STACK:#x} is not writable"
         assert written == []
         assert space_digest(space) == before
@@ -305,12 +347,11 @@ class TestInject:
         space.write_bytes(slot + 8, v.saved_rip.to_bytes(8, "little"))
         page = STACK if refused == "rbp-slot-page" else STACK + PAGE_SIZE
         space.set_protection(page, PAGE_SIZE, PagePermissions.from_rwxu("ru"))
-        image = forge_fake_frame(v, nine_word_chain(), b"\xAA" * 16,
-                                 CaveRegion(CAVE, 0x1000))
+        image = forge(v)
         before = space_digest(space)
         written = logged_writes(space)
         with pytest.raises(InjectionError) as err:
-            inject(PageMap(space, quiet_prober()), v, image, EPILOGUE)
+            inject(PageMap(space, quiet_prober()), v, image)
         assert str(err.value) == f"page {page:#x} is not writable"
         assert written == []
         assert space_digest(space) == before
@@ -318,12 +359,11 @@ class TestInject:
     def test_refuses_a_read_only_cave_and_writes_nothing(self):
         space, v = arming_space()
         space.set_protection(CAVE, PAGE_SIZE, PagePermissions.from_rwxu("ru"))
-        image = forge_fake_frame(v, nine_word_chain(), b"",
-                                 CaveRegion(CAVE, 0x1000))
+        image = forge(v, marker=None)
         before = space_digest(space)
         written = logged_writes(space)
         with pytest.raises(InjectionError) as err:
-            inject(PageMap(space, quiet_prober()), v, image, EPILOGUE)
+            inject(PageMap(space, quiet_prober()), v, image)
         assert str(err.value) == f"page {CAVE:#x} is not writable"
         assert written == []
         assert space_digest(space) == before
@@ -332,12 +372,16 @@ class TestInject:
         # the image runs from a writable cave page into a read-only one
         space, v = arming_space()
         space.map_region(CAVE + PAGE_SIZE, PAGE_SIZE, PagePermissions.from_rwxu("ru"))
-        image = forge_fake_frame(v, nine_word_chain(), b"\xAA" * 0x100,
-                                 CaveRegion(CAVE + PAGE_SIZE - 0x80, 0x1000))
+        # forge takes only page-aligned caves, whose images fit a page, so
+        # this image is built by hand
+        start = CAVE + PAGE_SIZE - 0x80
+        image = FakeFrameImage(
+            CaveRegion(start, 0x1000), (ChainWord(v.saved_rbp, "saved-rbp"),),
+            b"\xAA" * 0x100, start + 0x10, None, EPILOGUE, v.resume_rsp)
         before = space_digest(space)
         written = logged_writes(space)
         with pytest.raises(InjectionError) as err:
-            inject(PageMap(space, quiet_prober()), v, image, EPILOGUE)
+            inject(PageMap(space, quiet_prober()), v, image)
         assert str(err.value) == f"page {CAVE + PAGE_SIZE:#x} is not writable"
         assert written == []
         assert space_digest(space) == before
@@ -349,9 +393,8 @@ class TestInject:
         pm.claw(CODE)
         pm.claw(CAVE)
         pm.claw(STACK)
-        image = forge_fake_frame(v, nine_word_chain(), b"",
-                                 CaveRegion(CAVE, 0x1000))
-        inject(pm, v, image, EPILOGUE)
+        image = forge(v, marker=None)
+        inject(pm, v, image)
         slot = space.read_bytes(v.rbp_slot_addr, 16)
         assert int.from_bytes(slot[:8], "little") == CAVE
         assert sorted(pm.entries) == [CODE, CAVE, STACK]
@@ -364,10 +407,9 @@ class TestInject:
         pm = PageMap(space, quiet_prober(), budget=2)
         pm.claw(CODE)
         pm.claw(STACK if missing == CAVE else CAVE)
-        image = forge_fake_frame(v, nine_word_chain(), b"",
-                                 CaveRegion(CAVE, 0x1000))
+        image = forge(v, marker=None)
         before = space_digest(space)
         with pytest.raises(ExploreBudgetError, match=f"page {missing:#x} needs one more"):
-            inject(pm, v, image, EPILOGUE)
+            inject(pm, v, image)
         assert space_digest(space) == before
         assert len(pm.entries) == 2

@@ -392,10 +392,8 @@ class TestAssemblers:
         assert m.enc_jmp_r("rcx") == b"\xff\xe1"
 
 
-class _Record:
-    resume_rip = CODE + 0x10
-    resume_rsp = STACK + 0x800
-    resume_rbp = STACK + 0x900
+# the resume rsp, rbp and rip every payload below ends with
+RESUME = (STACK + 0x800, STACK + 0x900, CODE + 0x10)
 
 
 class TestAssemblePayload:
@@ -403,19 +401,19 @@ class TestAssemblePayload:
         # 0x90 bytes of cleanup take 18 stores: the blob length is the
         # 24-byte marker stub, one rsi load, 18 store pairs of 13 bytes,
         # three restore loads, and the final 2-byte jump
-        payload = m.assemble_payload(_Record(), (DATA, 0x90), (DATA + 0x200, 1))
+        payload = m.assemble_payload((DATA, 0x90), (DATA + 0x200, 1), *RESUME)
         assert len(payload) == 24 + 10 + 18 * 13 + 3 * 10 + 2
 
     def test_marker_stub_length_constant(self):
-        payload = m.assemble_payload(_Record(), (DATA, 0), (DATA, 5))
+        payload = m.assemble_payload((DATA, 0), (DATA, 5), *RESUME)
         assert m.MARKER_STUB_LEN == 24
         assert payload[:2] == b"\x48\xbf"  # mov rdi, marker address
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
-            m.assemble_payload(_Record(), (DATA, 12), (DATA, 1))
+            m.assemble_payload((DATA, 12), (DATA, 1), *RESUME)
         with pytest.raises(ValueError):
-            m.assemble_payload(_Record(), (DATA, m.MAX_CLEANUP_BYTES + 8), (DATA, 1))
+            m.assemble_payload((DATA, m.MAX_CLEANUP_BYTES + 8), (DATA, 1), *RESUME)
 
     def test_executes_to_specification(self):
         space = make_space(
@@ -424,15 +422,15 @@ class TestAssemblePayload:
             (STACK, PAGE_SIZE, "rwu", b""),
         )
         marker = (DATA + 0xF00, 0x1122334455667788)
-        payload = m.assemble_payload(_Record(), (DATA, 0x40), marker)
+        payload = m.assemble_payload((DATA, 0x40), marker, *RESUME)
         space.write_bytes(DATA + 0x100, payload)
         state = m.MachineState()
         state.rip = DATA + 0x100
-        result = m.run_until(state, space, _Record.resume_rip, max_steps=1000,
-                             stop_rsp=_Record.resume_rsp)
+        rsp, rbp, rip = RESUME
+        result = m.run_until(state, space, rip, max_steps=1000, stop_rsp=rsp)
         assert result.stop_reason == "reached-stop"
-        assert state.reg("rsp") == _Record.resume_rsp
-        assert state.reg("rbp") == _Record.resume_rbp
+        assert state.reg("rsp") == rsp
+        assert state.reg("rbp") == rbp
         assert space.read_bytes(DATA, 0x40) == bytes(0x40)
         assert space.read_bytes(marker[0], 8) == marker[1].to_bytes(8, "little")
         # bytes past the range stay untouched
