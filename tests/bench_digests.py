@@ -8,7 +8,8 @@ changes reports on purpose re-pins them here, as it re-pins the demo
 digests in ``tests/test_cli.py``.  They guard the 256-page ASLR image and
 the linear runs with transient aborts, which the demo digests do not reach.
 
-Check a saved smoke output (exit 1 on any difference):
+Check a saved smoke output (exit 1 on any difference; exit 2 with one
+stderr line when no file is named or it cannot be read):
 
     python tests/bench_digests.py SMOKE_OUTPUT
 """
@@ -41,7 +42,16 @@ def first_pass_digests(text: str) -> dict[str, str]:
 
 
 def main(argv: list[str]) -> int:
-    got = first_pass_digests(Path(argv[0]).read_text())
+    if len(argv) != 1:
+        print("usage: python tests/bench_digests.py SMOKE_OUTPUT", file=sys.stderr)
+        return 2
+    try:
+        text = Path(argv[0]).read_text()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, binary
+        print(f"bench_digests.py: cannot read {argv[0]}: "
+              f"{getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
+        return 2
+    got = first_pass_digests(text)
     for name in sorted(PINNED.keys() | got.keys()):
         verdict = "ok" if got.get(name) == PINNED.get(name) else "DIFFERS"
         print(f"{name}: {verdict}: got {got.get(name)}, pinned {PINNED.get(name)}")

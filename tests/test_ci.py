@@ -1,17 +1,18 @@
 """The CI workflow runs the tier-1 command that README documents, on
 Pythons from the floor pyproject.toml declares, records src/'s line count
 in the run's summary, smoke-runs the benchmark both untraced and traced
-and checks its first-pass report digests against the pinned ones,
-runs the installed console script in every mode, checks that it cuts a
-long flag value to one short line, checks that a demo copy whose syscall
-falls into no ret fails the gadgets stage in one line, checks its JSON
-reports, one of them linear with ground truth, against the stdlib's
-json.tool, checks its report against the reports of a demo copy that holds
-a backslash, of compact and respaced copies, and of one with its cave as
-zero hex and its code uppercase, checks that a manifest read from a pipe
-reports as the same file does, rebuilds the demo image with the installed
-package's image script and checks that script's one-line refusal of a
-zero page count, and runs README's install commands as written."""
+and checks its first-pass report digests against the pinned ones, checks
+that the digest script named no file refuses in one line, runs the
+installed console script in every mode, checks that it cuts a long flag
+value to one short line, checks that a demo copy whose syscall falls into
+no ret fails the gadgets stage in one line, checks its JSON reports, one
+of them linear with ground truth, against the stdlib's json.tool, checks
+its report against the reports of a demo copy that holds a backslash, of
+compact and respaced copies, and of one with its cave as zero hex and its
+code uppercase, checks that a manifest read from a pipe reports as the
+same file does, rebuilds the demo image with the installed package's image
+script and checks that script's one-line refusal of a zero page count, and
+runs README's install commands as written."""
 
 import re
 from pathlib import Path
@@ -105,6 +106,40 @@ def test_benchmark_smoke_checks_the_pinned_first_pass_digests():
     workloads = (REPO / "perfbench" / "workloads.py").read_text()
     names = re.findall(r'^\s+name="([^"]+)",$', workloads, re.M)
     assert sorted(names) == sorted(bench_digests.PINNED)
+
+
+def test_benchmark_smoke_runs_the_digest_script_with_no_file():
+    # right after the digest check: no file must give exit 2 and one
+    # stderr line, not a traceback
+    step = workflow_step("Benchmark smoke")
+    lines = [line.strip() for line in step.splitlines()]
+    check = lines.index('python tests/bench_digests.py "$RUNNER_TEMP/bench-smoke-0.txt"')
+    assert lines[check + 1:check + 6] == [
+        "code=0",
+        'python tests/bench_digests.py 2> "$RUNNER_TEMP/bench-digests-usage.txt" || code=$?',
+        'cat "$RUNNER_TEMP/bench-digests-usage.txt"',
+        'test "$code" -eq 2',
+        'test "$(wc -l < "$RUNNER_TEMP/bench-digests-usage.txt")" -eq 1',
+    ]
+    assert "shell: bash" in lines
+
+
+def test_digest_script_refuses_no_file_and_an_unreadable_one_in_one_line(
+        tmp_path, capsys):
+    assert bench_digests.main([]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "usage: python tests/bench_digests.py SMOKE_OUTPUT\n")
+    missing = tmp_path / "missing.txt"
+    assert bench_digests.main([str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == (
+        "", f"bench_digests.py: cannot read {missing}: No such file or directory\n")
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe== demo-configs\n")
+    assert bench_digests.main([str(binary)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"bench_digests.py: cannot read {binary}: ")
+    assert err.count("\n") == 1
 
 
 def test_first_pass_digests_are_read_per_workload(tmp_path, capsys):
