@@ -386,10 +386,12 @@ def _gadgets(ctx: Pipeline) -> None:
     # read-only pages are where gadgets can live; writable pages would
     # not make them trustworthy
     code = [b for b, v in ctx.pagemap.entries.items() if v is READ_ONLY]
-    ctx.catalog = gadgets.find_gadgets(ctx.pagemap, code)
+    # the chain's kinds and the pivot's epilogue, where hybrid's census stops
+    need = (*gadgets.required_kinds(ctx.config.chain_variant), "leave-ret")
+    ctx.catalog = gadgets.find_gadgets(
+        ctx.pagemap, code, need if ctx.config.mode == "hybrid" else None)
     ctx.report.gadget_census = dict(ctx.catalog.found)
-    # the chain's kinds and the pivot's epilogue
-    ctx.catalog.require((*gadgets.required_kinds(ctx.config.chain_variant), "leave-ret"))
+    ctx.catalog.require(need)
 
 
 def _caves(ctx: Pipeline) -> None:

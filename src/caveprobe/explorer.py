@@ -87,7 +87,7 @@ class PageMap:
 
     def _spent(self, base: int) -> ExploreBudgetError:
         return ExploreBudgetError(
-            f"explore budget of {self.budget} pages is spent; "
+            f"explore budget of {self.budget} page{'s' * (self.budget != 1)} is spent; "
             f"page {base:#x} needs one more"
         )
 
@@ -260,8 +260,9 @@ def explore(pm: PageMap, mode: str, stack_pointer: int) -> PageMap:
     propagates.
     ``pointer-chase`` and ``hybrid``: breadth-first pointer harvest from the
     stack pointer.  A sweep to its first hit would stop on the stack
-    pointer's own page, which a paused host always has, so ``hybrid`` is the
-    pointer chase under the name reports have always given it.
+    pointer's own page, which a paused host always has, so ``hybrid``
+    probes as the pointer chase does; it differs later, in a gadget census
+    that stops reading code once the chain's kinds are found.
     """
     try:
         if mode in ("pointer-chase", "hybrid"):

@@ -1,9 +1,11 @@
 """Gadget discovery over probed pages and chain construction.
 
-The catalog is a census: every byte offset in every accessible page where a
+The catalog is a census: every byte offset in the scanned pages where a
 known instruction pattern occurs, overlapping and unaligned occurrences
 included.  x86 decodes from any byte, so a pattern found mid-"instruction"
-is just as executable as an intended one.
+is just as executable as an intended one.  A directed census scans pages in
+address order only until the chain's kinds are found, so each kind's lowest
+site is the full census's.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ _RET = GADGETS["pop-rdi-ret"][-1:]
 
 @dataclass(frozen=True, slots=True)
 class GadgetCatalog:
-    """Census result: every address per gadget kind, sorted ascending, plus
-    the syscall sites whose next byte, read in the same census, is a ret."""
+    """Census result: every address per gadget kind in the scanned pages,
+    sorted ascending, plus the syscall sites whose next byte, read in the
+    same census, is a ret."""
 
     found: dict[str, tuple[int, ...]]
     searched_pages: int
@@ -58,14 +61,8 @@ class GadgetCatalog:
         """Raise MissingGadgetError unless every kind in ``kinds`` has a
         site.  A syscall site counts only if it falls through into a ret:
         one that does not would run whatever bytes follow it."""
-        missing = [k for k in kinds if not self.found.get(k)]
-        if missing:
-            raise MissingGadgetError(missing)
-        if "syscall" in kinds and not self.syscalls_into_ret:
-            sites = len(self.found["syscall"])
-            raise MissingGadgetError(
-                ["syscall"], f"none of the {sites} syscall site"
-                f"{'s' * (sites != 1)} found falls into a ret")
+        if unmet := _unmet(self.found, self.syscalls_into_ret, kinds):
+            raise unmet
 
 
 class MissingGadgetError(Exception):
@@ -76,22 +73,39 @@ class MissingGadgetError(Exception):
         self.missing = tuple(sorted(missing))
 
 
-def find_gadgets(pm: PageMap, pages: Iterable[int]) -> GadgetCatalog:
-    """Scan every page base in ``pages``, each one stored accessible in
-    ``pm``, for every pattern in GADGETS.
+def _unmet(found, into_ret, kinds: tuple[str, ...]) -> MissingGadgetError | None:
+    """What ``require(kinds)`` raises over these sites, or None."""
+    if missing := [k for k in kinds if not found.get(k)]:
+        return MissingGadgetError(missing)
+    if "syscall" in kinds and not into_ret:
+        sites = len(found["syscall"])
+        return MissingGadgetError(
+            ["syscall"], f"none of the {sites} syscall site"
+            f"{'s' * (sites != 1)} found falls into a ret")
 
-    No other page is read.  Each page is read through ``pm`` once, in
-    address order, with the first two bytes of the next page when that
-    page is in the set too, and translated to mark first and last pattern
-    bytes; a marked pair starting in the page is a hit if its bytes form a
-    pattern.  So a pattern straddling two adjacent pages of the set counts
-    too, since execution would cross the boundary just as happily, and one
-    ending outside the set does not.  No buffer exceeds a page and two bytes.
+
+def find_gadgets(pm: PageMap, pages: Iterable[int],
+                 need: tuple[str, ...] | None = None) -> GadgetCatalog:
+    """Scan the page bases in ``pages``, each one stored accessible in
+    ``pm``, in address order for every pattern in GADGETS; with ``need``,
+    stop after the first page where ``GadgetCatalog.require(need)`` would
+    pass.  Each kind's sites are then a prefix of the full census's, its
+    lowest the same; ``searched_pages`` counts the pages scanned.
+
+    No other page is read.  Each page is read through ``pm`` once, with
+    the first two bytes of the next page when that page is in the set too,
+    and translated to mark first and last pattern bytes; a marked pair
+    starting in the page is a hit if its bytes form a pattern.  So a
+    pattern straddling two adjacent pages of the set counts, at the lower
+    page, since execution would cross the boundary just as happily, and
+    one ending outside the set does not.  No buffer exceeds a page and two bytes.
     """
     accessible = set(pages)
     hits: dict[str, list[int]] = {name: [] for name in GADGETS}
     into_ret: list[int] = []
+    searched = 0
     for base in sorted(accessible):
+        searched += 1
         buf = pm.read(
             base, PAGE_SIZE + 2 if base + PAGE_SIZE in accessible else PAGE_SIZE)
         marked = buf.translate(_MARKS)
@@ -105,9 +119,11 @@ def find_gadgets(pm: PageMap, pages: Iterable[int]) -> GadgetCatalog:
                 if name == "syscall" and buf[pos + 2 : pos + 3] == _RET:
                     into_ret.append(base + pos)
             pos = marked.find(b"\x01\x02", pos + 2, PAGE_SIZE + 1)
+        if need is not None and _unmet(hits, into_ret, need) is None:
+            break
     return GadgetCatalog(
         found={name: tuple(addrs) for name, addrs in hits.items()},
-        searched_pages=len(accessible),
+        searched_pages=searched,
         syscalls_into_ret=tuple(into_ret),
     )
 

@@ -20,8 +20,8 @@ import sys
 from pathlib import Path
 
 PINNED = {
-    "demo-configs": "1d0e15a92dba849c9ae1c7332d161a46e3a1b1a7dd71adedc4ccda14299f5107",
-    "large-aslr": "2c02b508a2c9fbf5f043a3b357fe170042ffe98ea72fe4772da65f9f73f85208",
+    "demo-configs": "3c4657b0a12960f1fe1738af982dab940ecf91f7f60113fd187277b08c40bdc1",
+    "large-aslr": "38ce8b51e3663f161bcbc6eda60e67b85e8678e4608afa0282e956eda7a0535c",
     "noisy-noaslr": "1d300471b78b5ce8136909caed513080e51bc5ab09a44562e75b5259666dddc4",
 }
 

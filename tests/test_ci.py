@@ -1,18 +1,19 @@
-"""The CI workflow runs the tier-1 command that README documents, on
-Pythons from the floor pyproject.toml declares, records src/'s line count
-in the run's summary, smoke-runs the benchmark both untraced and traced
-and checks its first-pass report digests against the pinned ones, checks
-that the digest script named no file refuses in one line, runs the
-installed console script in every mode, checks that it cuts a long flag
-value to one short line, checks that a demo copy whose syscall falls into
-no ret fails the gadgets stage in one line, checks its JSON reports, one
-of them linear with ground truth, against the stdlib's json.tool, checks
-its report against the reports of a demo copy that holds a backslash, of
-compact and respaced copies, and of one with its cave as zero hex and its
-code uppercase, checks that a manifest read from a pipe reports as the
-same file does, rebuilds the demo image with the installed package's image
-script and checks that script's one-line refusal of a zero page count, and
-runs README's install commands as written."""
+"""The CI workflow runs the tier-1 command that README documents, on Pythons
+from the floor pyproject.toml declares, records src/'s line count in the
+run's summary, smoke-runs the benchmark both untraced and traced and checks
+its first-pass report digests against the pinned ones, checks that the
+digest script named no file refuses in one line, runs the installed console
+script in every mode and checks that its hybrid and pointer-chase JSON
+reports of the demo agree on the injection, run and verdicts, checks that
+it cuts a long flag value to one short line, checks that a demo copy whose
+syscall falls into no ret fails the gadgets stage in one line, checks its
+JSON reports, one of them linear with ground truth, against the stdlib's
+json.tool, checks its report against the reports of a demo copy that holds
+a backslash, of compact and respaced copies, and of one with its cave as
+zero hex and its code uppercase, checks that a manifest read from a pipe
+reports as the same file does, rebuilds the demo image with the installed
+package's image script and checks that script's one-line refusal of a zero
+page count, and runs README's install commands as written."""
 
 import re
 from pathlib import Path
@@ -169,6 +170,28 @@ def test_installed_console_script_runs_every_mode_outside_the_checkout():
         r"--mode (\S+)", "\n".join(lines[leave:]), re.M)
     assert install < leave
     assert sorted(runs) == sorted(MODES)
+
+
+def test_installed_console_script_compares_hybrid_with_pointer_chase():
+    # after the per-mode runs, the installed package writes hybrid's and
+    # pointer-chase's JSON reports of the demo, and a check that shares no
+    # code with the program exits non-zero unless their injection, run and
+    # verdicts blocks are equal
+    step = workflow_step("Installed console script")
+    lines = [line.strip() for line in step.splitlines()]
+    demo = '"$GITHUB_WORKSPACE/images/demo.json"'
+    assert lines[-3:] == [
+        f"caveprobe --image-path {demo} --format json --out console-hybrid.json "
+        "--mode hybrid",
+        f"caveprobe --image-path {demo} --format json --out "
+        "console-pointer-chase.json --mode pointer-chase",
+        "python -c 'import json, sys; hybrid, chase = (json.load(open(path)) "
+        "for path in sys.argv[1:]); differ = [k for k in (\"injection\", "
+        "\"run\", \"verdicts\") if hybrid[k] != chase[k]]; sys.exit(f\"hybrid "
+        "differs from pointer-chase in {differ}\" if differ else 0)' "
+        "console-hybrid.json console-pointer-chase.json",
+    ]
+    assert lines.index('cd "$RUNNER_TEMP"') < len(lines) - 3
 
 
 def test_long_flag_values_give_one_short_line():

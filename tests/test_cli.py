@@ -149,9 +149,9 @@ class TestPipeline:
         real = gadgets.find_gadgets
         searched = []
 
-        def recording(pm, pages):
+        def recording(pm, pages, need=None):
             searched.append(list(pages))
-            return real(pm, searched[-1])
+            return real(pm, searched[-1], need)
 
         monkeypatch.setattr(gadgets, "find_gadgets", recording)
         manifest = tmp_path / "victim.json"
@@ -991,7 +991,7 @@ class TestMain:
 # images/demo.maps for seeds 0..9, concatenated in seed order.  A change that
 # means to leave behaviour alone keeps it; a change that deliberately alters
 # the reports updates it and says why in CHANGES.md.
-DEMO_REPORTS_SHA256 = "c1eca91faea1fd6e3a5b6ed6bc7b913311a262d2de16897f03b9b4b6cb2dc279"
+DEMO_REPORTS_SHA256 = "680a64e21994c8bf1d25fb00d577cff750dba8d117c2d2bcc17898b053e50dd2"
 
 
 def test_demo_reports_byte_identical(monkeypatch):
@@ -1008,7 +1008,7 @@ def test_demo_reports_byte_identical(monkeypatch):
 
 
 # The same ten reports rendered with ``--format text``.
-DEMO_TEXT_REPORTS_SHA256 = "33e55180eb18b30c83ecfc6c59f87a72be06f190508d833b4c5d1561c2c934b6"
+DEMO_TEXT_REPORTS_SHA256 = "0a060df44ed4dba3b4d84a8189be27270a570e1868d6f6b85e6913f71294f8f0"
 
 
 def test_demo_text_reports_byte_identical(monkeypatch):
@@ -1026,7 +1026,7 @@ def test_demo_text_reports_byte_identical(monkeypatch):
 
 # The JSON reports for every mode x chain variant x restore combination,
 # in that product order, with seeds 0..2 innermost: 36 passing reports.
-DEMO_COMBO_REPORTS_SHA256 = "2c028503364cf1e9195efdbbd55e6145b25f142faeebd2f9d7f1a259df97491d"
+DEMO_COMBO_REPORTS_SHA256 = "9507947a1a3a2522d1d4c6104df8b412c15f0ce70c12dc46ec890ae835293563"
 
 
 def test_demo_combo_reports_byte_identical(monkeypatch):
@@ -1046,21 +1046,34 @@ def test_demo_combo_reports_byte_identical(monkeypatch):
     assert digest.hexdigest() == DEMO_COMBO_REPORTS_SHA256
 
 
-def assert_hybrid_reports_as_pointer_chase(**config) -> None:
-    """``hybrid`` runs the pointer chase: its JSON report is pointer-chase's
-    once the mode names are swapped."""
+def assert_hybrid_matches_pointer_chase(**config) -> None:
+    """``hybrid`` probes as the pointer chase does and stops its gadget
+    census once the chain's kinds are found: its JSON report is
+    pointer-chase's once the two mode names are swapped, except that each
+    kind's census list is a prefix of pointer-chase's, and every kind the
+    chain and the epilogue need has a site."""
     hybrid, chase = (
-        emit_report(run_pipeline(PipelineConfig(mode=mode, **config)))
+        json.loads(emit_report(run_pipeline(PipelineConfig(mode=mode, **config))))
         for mode in ("hybrid", "pointer-chase")
     )
-    assert hybrid.count('"hybrid"') == 2  # config.mode and exploration.mode
-    assert hybrid.replace('"hybrid"', '"pointer-chase"') == chase
+    assert (hybrid["config"]["mode"], hybrid["exploration"]["mode"]) == ("hybrid", "hybrid")
+    hybrid["config"]["mode"] = hybrid["exploration"]["mode"] = "pointer-chase"
+    census, full = hybrid.pop("gadgets"), chase.pop("gadgets")
+    assert hybrid == chase
+    assert census.keys() == full.keys()
+    for kind, sites in census.items():
+        assert full[kind][: len(sites)] == sites, kind
+    need = (*gadgets.required_kinds(hybrid["config"]["chain-variant"]), "leave-ret")
+    assert all(census[kind] for kind in need)
 
 
+@pytest.mark.parametrize("restore", RESTORE_MODES)
+@pytest.mark.parametrize("variant", CHAIN_VARIANTS)
 @pytest.mark.parametrize("seed", range(10))
-def test_hybrid_reports_as_pointer_chase_on_the_demo(seed):
-    assert_hybrid_reports_as_pointer_chase(
-        image_path=DEMO, ground_truth_path=DEMO_MAPS, seed=seed)
+def test_hybrid_reports_as_pointer_chase_on_the_demo(seed, variant, restore):
+    assert_hybrid_matches_pointer_chase(
+        image_path=DEMO, ground_truth_path=DEMO_MAPS, seed=seed,
+        chain_variant=variant, restore=restore)
 
 
 def test_hybrid_reports_as_pointer_chase_on_synth_images(tmp_path):
@@ -1073,9 +1086,27 @@ def test_hybrid_reports_as_pointer_chase_on_synth_images(tmp_path):
         manifest.write_text(img.manifest_text)
         maps.write_text(img.maps_text)
         for aslr in (True, False):
-            assert_hybrid_reports_as_pointer_chase(
+            assert_hybrid_matches_pointer_chase(
                 image_path=str(manifest), ground_truth_path=str(maps),
                 seed=seed, aslr=aslr)
+
+
+@pytest.mark.parametrize("omit, image_seed", [
+    ("pop-rdi-ret", 21), ("pop-rsi-ret", 21), ("pop-rdx-ret", 21),
+    ("pop-rax-ret", 29), ("syscall", 20), ("leave-ret", 20),
+])
+def test_hybrid_gadgets_error_equals_pointer_chase(tmp_path, capsys, omit, image_seed):
+    # a need the census never meets scans every page, so the one-line
+    # error is the full census's
+    manifest = tmp_path / "omitted.json"
+    manifest.write_text(build_victim_image(
+        image_seed, code_pages=16, omit_gadgets=(omit,)).manifest_text)
+    errors = []
+    for mode in ("hybrid", "pointer-chase"):
+        assert main(["--image-path", str(manifest), "--mode", mode]) == EXIT_STAGE_ERROR
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        f"caveprobe: stage 'gadgets' failed: missing gadget kinds: {omit}\n")
 
 
 def readme_command_line() -> str:

@@ -680,7 +680,7 @@ class TestPageMapStore:
     def test_budget_refuses_a_new_page_only(self):
         pm = quiet_store(self.space(), budget=1)
         pm.tap(0x10000)
-        with pytest.raises(ExploreBudgetError, match="budget of 1 pages"):
+        with pytest.raises(ExploreBudgetError, match="budget of 1 page is spent"):
             pm.tap(0x11000)
         with pytest.raises(ExploreBudgetError):
             pm.claw(0x11000)

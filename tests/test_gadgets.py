@@ -257,6 +257,118 @@ def test_each_page_is_read_once_with_at_most_two_bytes_of_the_next(monkeypatch):
     assert (cat.found, cat.syscalls_into_ret) == run_census(space, pages)
 
 
+def planted_code(pages: int, plants: dict[int, bytes]) -> AddressSpace:
+    """``pages`` pages of nops at 0x400000 with each byte string in
+    ``plants`` written at its offset from there."""
+    code = bytearray(b"\x90" * pages * PAGE_SIZE)
+    for off, raw in plants.items():
+        code[off : off + len(raw)] = raw
+    return space_with_code(0x400000, bytes(code), pages)
+
+
+def census_reads(monkeypatch, space: AddressSpace, need):
+    """The census of every page of ``space`` with ``need``, and the
+    addresses it read at."""
+    pm = settled_store(space)
+    reads = []
+    real = AddressSpace.read_bytes
+
+    def counted(self, addr, count):
+        reads.append(addr)
+        return real(self, addr, count)
+
+    monkeypatch.setattr(AddressSpace, "read_bytes", counted)
+    cat = find_gadgets(pm, set(space.pages), need)
+    monkeypatch.undo()
+    return cat, reads
+
+
+class TestDirectedCensus:
+    def test_stops_at_the_first_page_that_completes_the_need(self):
+        # page 1 completes the need; its other sites are in the census,
+        # page 2's are not
+        space = planted_code(3, {
+            0x10: GADGETS["pop-rdi-ret"],
+            PAGE_SIZE + 0x20: GADGETS["leave-ret"],
+            PAGE_SIZE + 0x50: GADGETS["pop-rsi-ret"],
+            2 * PAGE_SIZE + 0x30: GADGETS["pop-rdi-ret"],
+            2 * PAGE_SIZE + 0x40: GADGETS["leave-ret"],
+        })
+        cat = find_gadgets(settled_store(space), set(space.pages),
+                           ("pop-rdi-ret", "leave-ret"))
+        assert cat.searched_pages == 2
+        assert cat.found["pop-rdi-ret"] == (0x400010,)
+        assert cat.found["leave-ret"] == (0x401020,)
+        assert cat.found["pop-rsi-ret"] == (0x401050,)
+
+    def test_a_site_straddling_into_the_next_page_counts_at_the_stop_page(self):
+        space = planted_code(2, {
+            PAGE_SIZE - 1: GADGETS["pop-rdi-ret"],
+            PAGE_SIZE + 0x100: GADGETS["pop-rdi-ret"],
+        })
+        cat = find_gadgets(settled_store(space), set(space.pages), ("pop-rdi-ret",))
+        assert cat.searched_pages == 1
+        assert cat.found["pop-rdi-ret"] == (0x400FFF,)
+
+    def test_a_syscall_into_no_ret_does_not_stop_the_scan(self):
+        space = planted_code(3, {
+            0x10: b"\x0f\x05\x90",
+            PAGE_SIZE + 0x20: b"\x0f\x05\xc3",
+            2 * PAGE_SIZE + 0x30: b"\x0f\x05\xc3",
+        })
+        cat = find_gadgets(settled_store(space), set(space.pages), ("syscall",))
+        assert cat.searched_pages == 2
+        assert cat.found["syscall"] == (0x400010, 0x401020)
+        assert cat.syscalls_into_ret == (0x401020,)
+
+    @pytest.mark.parametrize("need, plants", [
+        # no leave-ret anywhere
+        (("pop-rdi-ret", "leave-ret"),
+         {0x10: GADGETS["pop-rdi-ret"], PAGE_SIZE + 0x20: GADGETS["pop-rdi-ret"]}),
+        # every syscall falls into a nop
+        (("pop-rdi-ret", "syscall"),
+         {0x10: GADGETS["pop-rdi-ret"], PAGE_SIZE + 0x20: b"\x0f\x05\x90",
+          2 * PAGE_SIZE + 0x30: b"\x0f\x05\x90"}),
+    ], ids=["missing-kind", "syscall-into-no-ret"])
+    def test_an_unmet_need_gives_the_full_census(self, need, plants):
+        space = planted_code(3, plants)
+        pm = settled_store(space)
+        cat = find_gadgets(pm, set(space.pages), need)
+        assert cat == find_gadgets(pm, set(space.pages))
+        assert cat.searched_pages == 3
+        with pytest.raises(MissingGadgetError):
+            cat.require(need)
+
+    def test_searched_pages_counts_only_the_pages_scanned(self, monkeypatch):
+        space = planted_code(4, {PAGE_SIZE + 0x20: GADGETS["leave-ret"]})
+        cat, reads = census_reads(monkeypatch, space, ("leave-ret",))
+        assert reads == [0x400000, 0x401000]
+        assert cat.searched_pages == len(reads) == 2
+        cat, reads = census_reads(monkeypatch, space, None)
+        assert cat.searched_pages == len(reads) == 4
+
+
+@given(census_cases(), st.sets(st.sampled_from(sorted(GADGETS)), min_size=1))
+def test_directed_census_is_a_prefix_with_the_same_lowest_sites(case, need):
+    space, pages = case
+    need = tuple(sorted(need))
+    pm = settled_store(space)
+    full, directed = find_gadgets(pm, pages), find_gadgets(pm, pages, need)
+    for kind, sites in directed.found.items():
+        assert full.found[kind][: len(sites)] == sites
+    assert full.syscalls_into_ret[: len(directed.syscalls_into_ret)] == directed.syscalls_into_ret
+    try:
+        full.require(need)
+    except MissingGadgetError:
+        # unmet: every page scanned, so the same catalog and the same error
+        assert directed == full
+    else:
+        directed.require(need)
+        assert all(directed.lowest(k) == full.lowest(k) for k in need)
+        assert directed.syscalls_into_ret[:1] == full.syscalls_into_ret[:1]
+        assert 1 <= directed.searched_pages <= full.searched_pages
+
+
 class TestCatalog:
     def test_lowest(self):
         cat = GadgetCatalog({"syscall": (0x500, 0x900)}, searched_pages=1)
