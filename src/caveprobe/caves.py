@@ -36,14 +36,14 @@ class NoCaveError(Exception):
 
 
 def find_caves(pm: PageMap) -> list[CaveRegion]:
-    """Collect maximal zero-filled writable runs, each at least a page.
+    """The ``page_runs`` of the zero writable pages, all under one key:
+    maximal with respect to the probed set, and sorted by address.
 
     Only pages the store marks accessible are considered, and a page's
     bytes are checked for zero only on a writable verdict.  In a pipeline
     run the explore stage has clawed every accessible page already, so
     this pays no transaction; the claw below runs only for a caller whose
-    store still holds a tap-only page.  Runs are maximal with respect to
-    the probed set and returned sorted by address.
+    store still holds a tap-only page.
     """
     entries = pm.entries
     usable = []
@@ -52,8 +52,8 @@ def find_caves(pm: PageMap) -> list[CaveRegion]:
         if verdict is ACCESSIBLE:
             verdict = pm.claw(base)
         if verdict is WRITABLE and pm.is_zero(base):
-            usable.append(base)
-    return [CaveRegion(start, end - start) for start, end in page_runs(usable)]
+            usable.append((base, WRITABLE))
+    return [CaveRegion(start, end - start) for start, end, _ in page_runs(usable)]
 
 
 def select_cave(caves: list[CaveRegion], need_len: int) -> CaveRegion:

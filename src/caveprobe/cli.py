@@ -357,24 +357,21 @@ def _probe(ctx: Pipeline) -> None:
 
 
 def _explore(ctx: Pipeline) -> None:
-    # grow each accessible hit, in address order, to its maximal run with
-    # claws, which settle each page's verdict.  A run ends below a page
-    # stored inaccessible, and a stored verdict is never weakened, so a hit
-    # past the last run grows a run that starts past it: the extents come
-    # out sorted and disjoint, and every accessible page lies in one.  The
-    # map then coalesces the store, and a run starts an extent unless it
-    # begins where another ends
+    # grow each accessible hit, in address order, to its maximal extent
+    # with claws, which settle each page's verdict.  An extent ends below a
+    # page stored inaccessible, and a stored verdict is never weakened, so
+    # a hit past the last extent grows one that starts past it: the extents
+    # come out sorted and disjoint, and every accessible page lies in one
     accessible = ctx.pagemap.accessible_pages()
     if not accessible:
         raise ValueError("exploration found nothing accessible")
-    hi = 0
+    extents = hi = 0
     for base in accessible:
         if base >= hi:
             _, hi = explorer.region_around(ctx.pagemap, base)
+            extents += 1
+    ctx.report.exploration["extents"] = extents
     ctx.report.reconstructed = explorer.reconstruct_map(ctx.pagemap)
-    runs = ctx.report.reconstructed.runs
-    ends = {run.end for run in runs}
-    ctx.report.exploration["extents"] = sum(run.start not in ends for run in runs)
     if ctx.truth is not None:
         # every verdict the store holds so far, misses included
         mismatches = explorer.match_ground_truth(ctx.pagemap, ctx.truth)
@@ -434,9 +431,9 @@ def _execute(ctx: Pipeline) -> None:
     victim, image, space = ctx.victim, ctx.image, ctx.pagemap.space
     state = machine.MachineState()
     # the victim is paused right at its epilogue: base pointer at the
-    # frame we armed, stack pointer somewhere below in its locals
+    # frame we armed, stack pointer where the host holds it, below the canary
     state.set_reg("rbp", victim.rbp_slot_addr)
-    state.set_reg("rsp", victim.rbp_slot_addr - 0x40)
+    state.set_reg("rsp", ctx.stack_pointer)
     if "pop-rdx-ret" not in gadgets.required_kinds(cfg.chain_variant):
         # a chain without an rdx load assumes the register already holds
         # the protection value when the return fires
@@ -463,6 +460,8 @@ def _execute(ctx: Pipeline) -> None:
         "final-rbp": f"{final.reg('rbp'):#x}",
         "side-effects": effects,
     }
+    if final.status == machine.TRAPPED:
+        ctx.report.run["trap-reason"] = final.trap_reason
 
     # reaching the stop puts rip and rsp where the finished pivot must
     ctx.report.verdicts["restoration"] = (

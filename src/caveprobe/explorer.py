@@ -14,6 +14,7 @@ from itertools import islice
 
 from .memspace import (
     PAGE_SIZE, USER_TOP, AddressSpace, GroundTruthMap, MemoryFault, lane_filter,
+    page_runs,
 )
 from .probe import ACCESSIBLE, NO_ACCESS, READ_ONLY, WRITABLE, Prober, Writability
 
@@ -295,27 +296,12 @@ def region_around(pm: PageMap, addr: int) -> tuple[int, int]:
 
 
 def reconstruct_map(pm: PageMap) -> ReconstructedMap:
-    """Coalesce the pages ``pm`` stores, in address order, into runs of
-    adjacent pages with one verdict, skipping misses.  It probes nothing,
-    so every accessible page must hold its claw verdict, as it does after
-    the explore stage."""
-    runs: list[MapRun] = []
-    entries = pm.entries
-    start = end = 0
-    kind: Writability | None = None  # of the run [start, end)
-    for base in pm.bases():
-        verdict = entries[base]
-        if verdict is NO_ACCESS:
-            continue
-        if base == end and verdict is kind:
-            end += PAGE_SIZE
-            continue
-        if kind is not None:
-            runs.append(MapRun(start, end, kind))
-        start, end, kind = base, base + PAGE_SIZE, verdict
-    if kind is not None:
-        runs.append(MapRun(start, end, kind))
-    return ReconstructedMap(tuple(runs))
+    """``page_runs`` of every verdict ``pm`` stores, with the runs of misses
+    left out.  It probes nothing, so every accessible page must hold its
+    claw verdict, as it does after the explore stage."""
+    entries, bases = pm.entries, pm.bases()
+    runs = page_runs(zip(bases, map(entries.__getitem__, bases)))
+    return ReconstructedMap(tuple(MapRun(*r) for r in runs if r[2] is not NO_ACCESS))
 
 
 def match_ground_truth(pm: PageMap, truth: GroundTruthMap) -> list[str]:
@@ -324,13 +310,13 @@ def match_ground_truth(pm: PageMap, truth: GroundTruthMap) -> list[str]:
     A page tapped accessible must be readable, a clawed page must have the
     truth's writability, and a miss must be unmapped or unreadable; pages
     and ``truth.regions`` are walked together in address order.  Returns
-    one line per run of adjacent pages that disagree in the same way; the
-    store matches when the list is empty.
+    one line per ``page_runs`` run of the disagreeing pages, keyed by their
+    (probed, truth) pair; the store matches when the list is empty.
     """
     regions = truth.regions
     ri = start = end = 0
     inside = NO_ACCESS  # the truth of a page in [start, end)
-    bad: list[list] = []  # [lo, hi, probed, truth] of each disagreeing run
+    bad = []  # (base, (probed, truth)) of each disagreeing page
     entries = pm.entries
     for base in pm.bases():
         if base >= end:  # past the region: find the first ending above base
@@ -343,15 +329,11 @@ def match_ground_truth(pm: PageMap, truth: GroundTruthMap) -> list[str]:
                     inside = WRITABLE if perms.writable else READ_ONLY
         want = inside if start <= base else NO_ACCESS
         got = entries[base]
-        if got is want or (got is ACCESSIBLE and want is not NO_ACCESS):
-            continue
-        if bad and bad[-1][1:] == [base, got, want]:
-            bad[-1][1] += PAGE_SIZE
-        else:
-            bad.append([base, base + PAGE_SIZE, got, want])
+        if got is not want and (got is not ACCESSIBLE or want is NO_ACCESS):
+            bad.append((base, (got, want)))
     return [
         f"{lo:#x}-{hi:#x}: probed {got.value}, truth {want.value}"
-        for lo, hi, got, want in bad
+        for lo, hi, (got, want) in page_runs(bad)
     ]
 
 

@@ -340,15 +340,22 @@ def _relocate_page(
         i = marks.find(1, i + 1)
 
 
-def page_runs(bases: Iterable[int]) -> list[tuple[int, int]]:
-    """Maximal runs [start, end) of adjacent pages among page ``bases``,
-    which come in ascending order, as the runs do."""
-    runs: list[tuple[int, int]] = []
-    for base in bases:
-        if runs and runs[-1][1] == base:
-            runs[-1] = (runs[-1][0], base + PAGE_SIZE)
+def page_runs(pages: Iterable[tuple[int, object]]) -> list[tuple[int, int, object]]:
+    """Maximal runs ``(start, end, key)`` of adjacent pages with equal keys,
+    from ``(base, key)`` pairs in ascending base order, as the runs come:
+    the one rule by which the map, the mismatch lines and the caves are
+    coalesced."""
+    runs = []
+    start = end = key = None
+    for base, k in pages:
+        if base == end and k == key:
+            end += PAGE_SIZE
         else:
-            runs.append((base, base + PAGE_SIZE))
+            if end is not None:
+                runs.append((start, end, key))
+            start, end, key = base, base + PAGE_SIZE, k
+    if end is not None:
+        runs.append((start, end, key))
     return runs
 
 

@@ -6,7 +6,9 @@ digest script named no file refuses in one line, runs the installed console
 script in every mode and checks that its hybrid and pointer-chase JSON
 reports of the demo agree on the injection, run and verdicts, checks that
 it cuts a long flag value to one short line, checks that a demo copy whose
-syscall falls into no ret fails the gadgets stage in one line, checks its
+syscall falls into no ret fails the gadgets stage in one line, checks that
+a ground truth calling the demo's stack read-only gives one coalesced
+map-mismatches line, checks its
 JSON reports, one of them linear with ground truth, against the stdlib's
 json.tool, checks its report against the reports of a demo copy that holds
 a backslash, of compact and respaced copies, and of one with its cave as
@@ -312,6 +314,35 @@ def test_syscall_that_falls_into_no_ret_fails_the_gadgets_stage():
         'test "$(wc -l < "$RUNNER_TEMP/hanging-syscall.txt")" -eq 1',
         'test "$(wc -c < "$RUNNER_TEMP/hanging-syscall.txt")" -lt 300',
         'grep -F syscall "$RUNNER_TEMP/hanging-syscall.txt"',
+    ]
+
+
+def test_read_only_stack_in_the_ground_truth_is_one_mismatch_line():
+    # the demo's maps with the stack called read-only: right after the
+    # syscall step, the installed package must exit 3, and its four
+    # clawed-writable stack pages must come out as one coalesced line
+    name = "Read-only stack in the ground truth is one mismatch line"
+    step = workflow_step(name)
+    lines = [line.strip() for line in step.splitlines()]
+    steps = re.findall(r"^      - name: (.+)$",
+                       (REPO / ".github" / "workflows" / "tier1.yml").read_text(), re.M)
+    assert steps.index("Ground truth that disagrees fails map-match") < steps.index(name)
+    assert steps.index("Syscall that falls into no ret fails the gadgets stage") + 1 == (
+        steps.index(name))
+    assert "shell: bash" in lines
+    assert lines[lines.index("run: |") + 1:] == [
+        "sed 's/^7f0000303000-7f0000307000 rw-p/7f0000303000-7f0000307000 r--p/' "
+        'images/demo.maps > "$RUNNER_TEMP/stack-ro.maps"',
+        "grep -F '7f0000303000-7f0000307000 r--p' \"$RUNNER_TEMP/stack-ro.maps\"",
+        "code=0",
+        'caveprobe --image-path images/demo.json --ground-truth-path '
+        '"$RUNNER_TEMP/stack-ro.maps" --no-aslr --seed 1 --format json '
+        '> "$RUNNER_TEMP/stack-ro.json" || code=$?',
+        'cat "$RUNNER_TEMP/stack-ro.json"',
+        'test "$code" -eq 3',
+        "python -c 'import json, sys; assert json.load(open(sys.argv[1]))"
+        '["map-mismatches"] == ["0x7f0000303000-0x7f0000307000: probed writable, '
+        "truth readonly\"]' \"$RUNNER_TEMP/stack-ro.json\"",
     ]
 
 

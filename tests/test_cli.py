@@ -210,6 +210,27 @@ class TestPipeline:
                 "site found falls into a ret\n"
             )
 
+    def test_code_that_is_not_executable_reports_its_trap(self, tmp_path, capsys):
+        # the demo with its code region readable but not executable: the
+        # epilogue's first fetch traps before anything moves rsp, so the
+        # run reports the trap's reason and the host's own stack pointer,
+        # shifted by the run's ASLR offset
+        doc = json.loads(Path(DEMO).read_text())
+        doc["regions"][0]["perms"] = "ru"
+        manifest = tmp_path / "code-ru.json"
+        manifest.write_text(json.dumps(doc))
+        stack_pointer = int(doc["seeds"]["stack_pointer"], 16)
+        for flags in ([], ["--no-aslr"]):
+            code = main(["--image-path", str(manifest), "--seed", "1", *flags])
+            report = json.loads(capsys.readouterr().out)
+            assert code == cli.EXIT_VERDICT_FAILURE
+            run = report["run"]
+            assert (run["status"], run["stop-reason"], run["trap-reason"]) == (
+                "trapped", "halted", "nx-fetch")
+            offset = int(report["aslr-offset"], 16)
+            assert (offset != 0) == (flags == [])
+            assert run["final-rsp"] == f"{stack_pointer + offset:#x}"
+
     def test_chain_only_restores_without_cleanup(self, image_paths):
         report = run_pipeline(base_config(image_paths, restore="chain-only"))
         assert report.verdicts["restoration"]

@@ -35,7 +35,8 @@ from caveprobe.memspace import (
 from caveprobe.probe import Prober, Writability
 from caveprobe.synth import build_victim_image
 from helpers import (
-    NONE, claw_range, make_space, page_class, reference_explore, reference_walk,
+    NONE, claw_range, make_space, page_class, random_permed_space, reference_explore,
+    reference_walk,
 )
 
 
@@ -584,6 +585,53 @@ def test_explore_stage_counts_an_extent_of_two_classes_once():
         MapRun(0x200000, 0x201000, W),
     )
     assert ctx.report.exploration["extents"] == 2
+
+
+@given(
+    image_seed=st.integers(0, 2**32 - 1),
+    pages=st.sampled_from((4, 16)),
+    mode=st.sampled_from(MODES),
+    aslr=st.booleans(),
+)
+def test_explore_stage_counts_the_runs_that_begin_where_none_ends(
+    image_seed, pages, mode, aslr
+):
+    # the extents the explore stage counts as it grows them equal the map
+    # runs that do not begin where another ends, the count the map gave
+    img = build_victim_image(
+        image_seed, code_pages=pages, cave_pages=pages, stack_pages=pages
+    )
+    space = load_manifest(parse_manifest(img.manifest_text.encode()))
+    offset = _aslr_offset(image_seed, space) if aslr else 0
+    space.rebase(offset)
+    ctx = Pipeline(PipelineConfig(image_path="", mode=mode))
+    ctx.pagemap = PageMap(space, Prober(0.001, image_seed))
+    ctx.stack_pointer = img.truth.stack_pointer + offset
+    assert_extents_are_the_runs_that_begin_where_none_ends(ctx)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_extents_of_mixed_class_layouts_are_the_runs_that_begin_where_none_ends(
+    layout_seed
+):
+    # regions of different classes touch here, so an extent can hold
+    # several runs; the pointer chase starts from a random accessible page
+    rng = random.Random(layout_seed)
+    space, truth, _, _ = random_permed_space(rng, 64)
+    hits = [base for base, cls in truth.items() if cls != NONE]
+    if not hits:
+        return
+    ctx = Pipeline(PipelineConfig(image_path="", mode="pointer-chase"))
+    ctx.pagemap, ctx.stack_pointer = quiet_store(space), rng.choice(hits)
+    assert_extents_are_the_runs_that_begin_where_none_ends(ctx)
+
+
+def assert_extents_are_the_runs_that_begin_where_none_ends(ctx: Pipeline) -> None:
+    cli._probe(ctx)
+    cli._explore(ctx)
+    runs = ctx.report.reconstructed.runs
+    ends = {run.end for run in runs}
+    assert ctx.report.exploration["extents"] == sum(run.start not in ends for run in runs)
 
 
 class TestRegionAround:

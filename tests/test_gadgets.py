@@ -212,7 +212,7 @@ def run_census(space: AddressSpace, pages: set[int]):
     kinds = {pattern: name for name, pattern in GADGETS.items()}
     found = {name: [] for name in GADGETS}
     into_ret = []
-    for start, end in page_runs(sorted(pages)):
+    for start, end, _ in page_runs((base, None) for base in sorted(pages)):
         buf = space.read_bytes(start, end - start)
         for pos in range(len(buf) - 1):
             name = kinds.get(buf[pos : pos + 2])

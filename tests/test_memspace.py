@@ -27,7 +27,7 @@ from caveprobe.memspace import (
     parse_manifest,
     parse_proc_maps,
 )
-from caveprobe.probe import NO_ACCESS
+from caveprobe.probe import NO_ACCESS, Writability
 from caveprobe.synth import build_victim_image
 from helpers import is_mapped, make_space, page_bytes, settled_store, space_digest
 
@@ -633,18 +633,51 @@ def test_relocation_matches_per_word_reference(case):
     assert_matches_reference(space, offset)
 
 
+# keys as the program passes them: verdicts, (probed, truth) pairs of
+# verdicts, and one constant; few of each, so that equal keys often meet
+_W, _RO = Writability.WRITABLE, Writability.READ_ONLY
+RUN_KEYS = st.one_of(
+    st.sampled_from([_W, _RO]),
+    st.tuples(st.sampled_from([_W, _RO]), st.just(Writability.INACCESSIBLE)),
+    st.none(),
+)
+
+
 class TestPageRuns:
     def test_adjacent_pages_merge(self):
-        bases = [0x1000, 0x2000, 0x5000, 0x6000, 0x7000]
-        assert page_runs(bases) == [(0x1000, 0x3000), (0x5000, 0x8000)]
+        pairs = [(b, None) for b in (0x1000, 0x2000, 0x5000, 0x6000, 0x7000)]
+        assert page_runs(pairs) == [(0x1000, 0x3000, None), (0x5000, 0x8000, None)]
+        # adjacent pages merge only while their keys are equal
+        pairs = [(0x1000, _RO), (0x2000, _RO), (0x3000, _W), (0x4000, (_W, _RO)),
+                 (0x5000, (_W, _RO))]
+        assert page_runs(pairs) == [
+            (0x1000, 0x3000, _RO), (0x3000, 0x4000, _W), (0x4000, 0x6000, (_W, _RO))]
 
     @given(st.sets(st.integers(0, 63)))
     def test_runs_are_maximal_and_cover_exactly(self, pages):
-        runs = page_runs(p * PAGE_SIZE for p in sorted(pages))
-        covered = [b for lo, hi in runs for b in range(lo, hi, PAGE_SIZE)]
+        runs = page_runs((p * PAGE_SIZE, 0) for p in sorted(pages))
+        covered = [b for lo, hi, _ in runs for b in range(lo, hi, PAGE_SIZE)]
         assert covered == sorted(p * PAGE_SIZE for p in pages)
         # a gap of at least one page separates consecutive runs
         assert all(a[1] < b[0] for a, b in zip(runs, runs[1:]))
+
+    @given(st.lists(st.tuples(st.integers(1, 2), RUN_KEYS), max_size=48))
+    def test_keyed_runs_match_a_per_page_reference(self, steps):
+        # ascending bases, each one or two pages past the last, so some
+        # pages touch and some have gaps between them; keys are drawn anew
+        # for each page, so equal tuples are distinct objects
+        pairs, base = [], 0
+        for pages_on, key in steps:
+            base += pages_on * PAGE_SIZE
+            pairs.append((base, key))
+        # a page starts a run unless the page just below it came last, with
+        # an equal key; a run ends past the page before the next start
+        starts = [i for i, (b, key) in enumerate(pairs)
+                  if i == 0 or pairs[i - 1] != (b - PAGE_SIZE, key)]
+        want = [(pairs[i][0], pairs[j - 1][0] + PAGE_SIZE, pairs[i][1])
+                for i, j in zip(starts, starts[1:] + [len(pairs)])]
+        assert page_runs(pairs) == want
+        assert page_runs(iter(pairs)) == want
 
 
 class TestParseHex:
