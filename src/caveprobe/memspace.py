@@ -7,7 +7,9 @@ is the one ``_ZERO_PAGE``, and every other page keeps the bytes its hex
 decoded to, page by page, as the manifest file streams past one chunk at a
 time.  The scan keeps every byte outside the blobs as a skeleton, and a
 literal is a blob when the skeleton shows it after a "data" literal and one
-":"; an invalid file's whole text is parsed once, by json alone.
+":"; an invalid file's whole text is parsed once, by json alone.  A rebase
+moves the pages at once, but a page's pointer fix-up waits until its bytes
+are first read, written or fetched.
 Addresses are 48-bit canonical: the low half [0, 2**47) belongs to user
 mappings, the high half [2**47, 2**48) is reserved for kernel mappings,
 which may be loaded for realism but are never user accessible.
@@ -20,8 +22,10 @@ import io
 import json
 import re
 import struct
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
 from typing import BinaryIO
 
 PAGE_SIZE = 4096
@@ -104,20 +108,60 @@ class PagePermissions:
         )
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Page:
     """One 4 KB page: permission bits plus one page of bytes, which may be
     ``bytes`` shared with other pages until :meth:`writable_data` gives the
-    page a ``bytearray`` of its own on its first write."""
+    page a ``bytearray`` of its own on its first write.
+
+    A pointer fix-up that :meth:`AddressSpace.rebase` leaves pending waits
+    until ``data`` is first read.  Every read, write and fetch reaches the
+    bytes through ``data``, so each of them sees them relocated.  Until
+    that read the page is a :class:`_PendingPage`."""
 
     perms: PagePermissions
     data: bytes | bytearray
+    _fixup: _Fixup = field(init=False, repr=False)  # set only while pending
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Page):
+            return NotImplemented
+        return self.perms == other.perms and self.data == other.data
 
     def writable_data(self) -> bytearray:
         """The page's own bytes to write into, copied on the first call."""
         if type(self.data) is not bytearray:
             self.data = bytearray(self.data)
         return self.data
+
+
+class _PendingPage(Page):
+    """A :class:`Page` whose ``data`` slot holds its bytes as loaded and
+    whose ``_fixup`` is pending.  The first read of ``data`` relocates the
+    bytes and turns the page back into a plain Page, so every later read,
+    like every read of a page with nothing pending, is a plain slot read."""
+
+    __slots__ = ()  # the same layout as Page, so __class__ can switch
+
+    @property
+    def data(self) -> bytes | bytearray:
+        self.__class__ = Page
+        _relocate_page(self, self._fixup)
+        del self._fixup
+        return self.data
+
+
+@dataclass(frozen=True, slots=True)
+class _Fixup:
+    """The pointer fix-up one rebase leaves pending on the pages that may
+    need it: the user pages mapped before the rebase, as the ``starts`` and
+    ``ends`` of their runs, whether zero was a pointer (page 0 mapped), and
+    the offset."""
+
+    starts: tuple[int, ...]
+    ends: tuple[int, ...]
+    zero: bool
+    offset: int
 
 
 class AddressSpace:
@@ -247,7 +291,9 @@ class AddressSpace:
 
     def shifted(self, offset: int) -> "AddressSpace":
         """Copy of this space, then :meth:`rebase` of the copy.  A page's
-        bytes are shared until either side writes it, unless already written."""
+        bytes are shared until either side writes it, unless already written;
+        the copy takes them relocated by any fix-up still pending here, and
+        its own fix-up waits as :meth:`rebase` leaves it."""
         out = AddressSpace()
         out.pages = {
             base: Page(page.perms, bytes(page.data))
@@ -259,8 +305,10 @@ class AddressSpace:
         return out
 
     def rebase(self, offset: int) -> None:
-        """Move every user-half page up by ``offset``, in place, and
-        relocate the pointers into them.
+        """Move every user-half page up by ``offset``, in place, and leave
+        the relocation of the pointers into them pending on each page that
+        may hold one, until that page's bytes are first read, written or
+        fetched (:class:`Page`).
 
         Kernel-half pages stay in place, like the fixed hardware-dictated
         mappings real base randomization never moves.  The offset must be
@@ -272,33 +320,40 @@ class AddressSpace:
         including kernel-half ones, whose value falls inside a user page
         that was mapped before the shift is rebased by the same offset.
         Random data is effectively never touched, since hitting the mapped
-        span by accident requires a 64-bit value to land in it.
+        span by accident requires a 64-bit value to land in it.  A fix-up
+        an earlier rebase left pending is applied first, so rebases compose
+        as if each had relocated every page at once.
 
-        Most pages cannot hold such a word, so a page filter keeps the
-        per-word work off them.  An all-zero page is skipped with one
-        comparison, unless page 0 was mapped and zero is a pointer.  A page
-        with no word whose two top bytes are both zero is skipped, since
-        every candidate lies below 2**47.  On the pages left,
-        ``lane_filter`` builds a mask with one byte per word, from the
-        page's eight byte lanes, that marks the words whose top bytes are
-        zero and whose low bytes are not (zero words too if page 0 was
-        mapped); only the marked words are read, matched against the old
-        page set and rewritten.
+        An all-zero page holds no such word, and no fix-up is left on it,
+        unless page 0 was mapped and zero is a pointer.  When a fix-up is
+        applied, a page with no word whose two top bytes are both zero is
+        skipped, since every candidate lies below 2**47.  On the pages
+        left, ``lane_filter`` builds a mask with one byte per word, from
+        the page's eight byte lanes, that marks the words whose top bytes
+        are zero and whose low bytes are not (zero words too if page 0 was
+        mapped); only the marked words are read, matched against the runs
+        of old pages and rewritten.
         """
         if offset % PAGE_SIZE or offset < 0:
             raise ValueError("offset must be a non-negative page multiple")
-        old_bases = {b for b in self.pages if b < USER_TOP}
-        if old_bases and max(old_bases) + offset + PAGE_SIZE > USER_TOP:
+        bases = sorted(self.pages)
+        old_bases = bases[: bisect_left(bases, USER_TOP)]
+        if old_bases and old_bases[-1] + offset + PAGE_SIZE > USER_TOP:
             raise ValueError("shift pushes a page past the user half")
         self.pages = {
             (base + offset if base < USER_TOP else base): page
             for base, page in self.pages.items()
         }
         if offset and old_bases:
-            zero_is_pointer = 0 in old_bases
+            runs = page_runs(zip(old_bases, repeat(None)))
+            zero_is_pointer = old_bases[0] == 0
+            fixup = _Fixup(tuple(r[0] for r in runs), tuple(r[1] for r in runs),
+                           zero_is_pointer, offset)
             for page in self.pages.values():
+                # reading data applies the fix-up an earlier rebase left
                 if zero_is_pointer or page.data != _ZERO_PAGE:
-                    _relocate_page(page, old_bases, zero_is_pointer, offset)
+                    page._fixup = fixup
+                    page.__class__ = _PendingPage
 
 
 def lane_filter(data: bytes | bytearray, *, zero: bool = False) -> bytes:
@@ -325,18 +380,20 @@ def lane_filter(data: bytes | bytearray, *, zero: bool = False) -> bytes:
     return marks.to_bytes(_WORDS, "little")
 
 
-def _relocate_page(
-    page: Page, old_bases: set[int], zero_is_pointer: bool, offset: int
-) -> None:
-    """Add ``offset`` to every aligned little-endian word of ``page`` whose
-    page is in ``old_bases``, which lie below 2**47.  The page is copied
-    only if a word changes."""
-    marks = lane_filter(page.data, zero=zero_is_pointer)
+def _relocate_page(page: Page, fixup: _Fixup) -> None:
+    """Add the offset to every aligned little-endian word of ``page`` that
+    lies in one of the fix-up's runs of old pages, all below 2**47.  The
+    page is copied only if a word changes."""
+    data = page.data
+    starts, ends, offset = fixup.starts, fixup.ends, fixup.offset
+    marks = lane_filter(data, zero=fixup.zero)
     i = marks.find(1)
     while i >= 0:
-        w = _WORD.unpack_from(page.data, 8 * i)[0]
-        if w & ~(PAGE_SIZE - 1) in old_bases:
-            _WORD.pack_into(page.writable_data(), 8 * i, w + offset)
+        w = _WORD.unpack_from(data, 8 * i)[0]
+        k = bisect_right(starts, w) - 1
+        if k >= 0 and w < ends[k]:
+            data = page.writable_data()
+            _WORD.pack_into(data, 8 * i, w + offset)
         i = marks.find(1, i + 1)
 
 

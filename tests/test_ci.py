@@ -15,7 +15,8 @@ a backslash, of compact and respaced copies, and of one with its cave as
 zero hex and its code uppercase, checks that a manifest read from a pipe
 reports as the same file does, rebuilds the demo image with the installed
 package's image script and checks that script's one-line refusal of a zero
-page count, and runs README's install commands as written."""
+page count, runs README's install commands as written, and checks that a
+demo copy with page 0 mapped finds no cave under ASLR and passes without."""
 
 import re
 from pathlib import Path
@@ -520,3 +521,35 @@ def test_editable_install_runs_the_readme_install_commands():
     assert commands[0] in lines, "the Editable install step does not install wheel first"
     start = lines.index(commands[0])
     assert lines[start:start + len(commands)] == commands
+
+
+def test_page_zero_mapped_makes_zero_words_pointers():
+    # the last step: a demo copy with a read-only user page at 0x0, so that
+    # zero is an address; with ASLR every zero word moves and no cave is
+    # left, so the installed package must exit 2 with one stderr line that
+    # names 0 caves, and with --no-aslr it must exit 0
+    name = "'Page 0 mapped: zero words are pointers'"
+    step = workflow_step(name)
+    lines = [line.strip() for line in step.splitlines()]
+    steps = re.findall(r"^      - name: (.+)$",
+                       (REPO / ".github" / "workflows" / "tier1.yml").read_text(), re.M)
+    assert steps[-1] == name
+    assert "shell: bash" in lines
+    body = lines[lines.index("run: |") + 1:]
+    patch = body[0]
+    assert patch.startswith("python -c 'import json, sys; doc = json.load(open(\"images/demo.json\"));")
+    assert patch.endswith("' \"$RUNNER_TEMP/page-zero.json\"")
+    for part in ('assert all(int(r["start"], 16) >= 0x1000 for r in doc["regions"])',
+                 'doc["regions"].insert(0, {"start": "0x0", "len": "0x1000", "perms": "ru"})'):
+        assert part in patch
+    assert body[1:] == [
+        "code=0",
+        'caveprobe --image-path "$RUNNER_TEMP/page-zero.json" --seed 1 '
+        '> "$RUNNER_TEMP/page-zero-aslr.json" 2> "$RUNNER_TEMP/page-zero-aslr.txt" || code=$?',
+        'cat "$RUNNER_TEMP/page-zero-aslr.txt"',
+        'test "$code" -eq 2',
+        'test "$(wc -l < "$RUNNER_TEMP/page-zero-aslr.txt")" -eq 1',
+        "grep -F 'among 0 caves' \"$RUNNER_TEMP/page-zero-aslr.txt\"",
+        'caveprobe --image-path "$RUNNER_TEMP/page-zero.json" --seed 1 --no-aslr '
+        '> "$RUNNER_TEMP/page-zero-no-aslr.json"',
+    ]

@@ -413,9 +413,9 @@ class TestRebase:
 
 # --- relocation against an independent reference ----------------------------
 
-def reference_shift(space: AddressSpace, offset: int) -> str:
-    """space_digest of ``space.shifted(offset)`` by
-    the original per-word rule: every aligned little-endian word, in every
+def reference_shifted(space: AddressSpace, offset: int) -> AddressSpace:
+    """``space.shifted(offset)`` built eagerly, page by page, by the
+    original per-word rule: every aligned little-endian word, in every
     page, whose page number was an old user page moves by ``offset``."""
     old_bases = {b for b in space.pages if b < USER_TOP}
     out = AddressSpace()
@@ -428,7 +428,12 @@ def reference_shift(space: AddressSpace, offset: int) -> str:
                     data[off : off + 8] = (value + offset).to_bytes(8, "little")
         moved = base + offset if base < USER_TOP else base
         out.map_region(moved, PAGE_SIZE, page.perms, bytes(data))
-    return space_digest(out)
+    return out
+
+
+def reference_shift(space: AddressSpace, offset: int) -> str:
+    """space_digest of ``space.shifted(offset)`` by the per-word rule."""
+    return space_digest(reference_shifted(space, offset))
 
 
 def words_page(*words: int, fill: int = 0) -> bytes:
@@ -631,6 +636,165 @@ def relocation_cases(draw):
 def test_relocation_matches_per_word_reference(case):
     space, offset = case
     assert_matches_reference(space, offset)
+
+
+# --- the fix-up waits for a page's first read, write or fetch ------------------
+
+def outcome(call, *args):
+    """What ``call(*args)`` gives, or the fault or refusal it raises."""
+    try:
+        return call(*args)
+    except MemoryFault as exc:
+        return ("fault", exc.addr, exc.kind)
+    except ValueError as exc:
+        return ("refused", str(exc))
+
+
+def step_both(lazy: AddressSpace, eager: AddressSpace, op, loaded: list[int]):
+    """Run ``op`` on a rebased space and on its eagerly relocated twin,
+    check that both give the same, and return both spaces after it.
+    ``loaded`` holds the page bases the two were loaded at."""
+    bases = sorted(eager.pages)
+    assert sorted(lazy.pages) == bases
+    kind, i = op[0], op[1]
+    base = bases[i % len(bases)]
+    if kind in ("rebase", "shifted"):
+        offset = i * PAGE_SIZE
+        top = max((b for b in bases if b < USER_TOP), default=-PAGE_SIZE)
+        if top + offset + PAGE_SIZE > USER_TOP:
+            with pytest.raises(ValueError):
+                lazy.rebase(offset) if kind == "rebase" else lazy.shifted(offset)
+            return lazy, eager
+        if kind == "rebase":
+            lazy.rebase(offset)
+        else:
+            lazy = lazy.shifted(offset)
+        return lazy, reference_shifted(eager, offset)
+    if kind == "read":
+        got = [outcome(space.read_bytes, base + op[2], op[3]) for space in (lazy, eager)]
+    elif kind == "write":
+        # into a writable page when there is one, so that a write often
+        # lands on a page whose fix-up is still pending
+        writable = [b for b in bases if eager.pages[b].perms.writable
+                    and eager.pages[b].perms.user_accessible] or bases
+        base = writable[i % len(writable)]
+        _, _, slot, (layout, j, off) = op
+        targets = {"now": bases, "loaded": loaded, "zero": [0]}[layout]
+        word = (targets[j % len(targets)] + off).to_bytes(8, "little")
+        got = [outcome(space.write_bytes, base + slot, word) for space in (lazy, eager)]
+    elif kind == "protect":
+        perms = PagePermissions.from_rwxu(op[2])
+        got = [outcome(space.set_protection, base, PAGE_SIZE, perms) for space in (lazy, eager)]
+    elif kind == "zero":
+        got = [outcome(space.is_zero_page, base) for space in (lazy, eager)]
+    else:
+        got = [bytes(space.get_page(base).data) for space in (lazy, eager)]
+    assert got[0] == got[1], op
+    return lazy, eager
+
+
+# a pointer-looking word: into a page where it is now, where it was
+# loaded, or zero, a pointer while page 0 is mapped
+POINTER_WRITE = st.tuples(
+    st.just("write"), st.integers(0, 63),
+    st.integers(0, PAGE_SIZE // 8 - 1).map(lambda k: 8 * k),
+    st.tuples(st.sampled_from(["loaded", "loaded", "now", "zero"]), st.integers(0, 63),
+              st.integers(0, PAGE_SIZE - 1)))
+LAZY_OPS = st.lists(st.one_of(
+    st.tuples(st.just("read"), st.integers(0, 63), st.integers(0, PAGE_SIZE - 1),
+              st.integers(0, 2 * PAGE_SIZE)),
+    POINTER_WRITE,
+    POINTER_WRITE,  # twice, so that writes are common
+    st.tuples(st.just("protect"), st.integers(0, 63), st.sampled_from(["rwu", "ru", "rxu", "r", ""])),
+    st.tuples(st.just("zero"), st.integers(0, 63)),
+    st.tuples(st.just("data"), st.integers(0, 63)),
+    st.tuples(st.sampled_from(["rebase", "shifted"]), st.integers(0, 64)),
+), min_size=1, max_size=12)
+
+
+@given(relocation_cases(), st.booleans(), LAZY_OPS)
+def test_lazy_relocation_matches_the_eager_reference(case, page_zero, ops):
+    space, offset = case
+    if page_zero and 0 not in space.pages:
+        space.map_region(0, PAGE_SIZE, PagePermissions.from_rwxu("rwu"))
+    loaded = sorted(space.pages)
+    lazy, eager = twin(space), reference_shifted(space, offset)
+    lazy.rebase(offset)
+    for op in ops:
+        lazy, eager = step_both(lazy, eager, op, loaded)
+    assert space_digest(lazy) == space_digest(eager)
+
+
+class TestLazyRelocation:
+    def test_written_before_first_read_stays_as_written(self):
+        space = make_space((0x8000, PAGE_SIZE, "rwu", words_page(0x8010, 0x8020)))
+        space.rebase(0x10000)
+        # a word into the page's loaded place, written before any read: the
+        # fix-up runs first and leaves it as written
+        space.write_bytes(0x18008, (0x8030).to_bytes(8, "little"))
+        assert space.read_bytes(0x18000, 16) == b"".join(
+            w.to_bytes(8, "little") for w in (0x18010, 0x8030))
+
+    def test_two_rebases_compose(self):
+        # 0x18010 points nowhere at load and into the page after the first
+        # rebase, so the second moves both words
+        space = make_space((0x8000, PAGE_SIZE, "rwu", words_page(0x8010, 0x18010)))
+        want = space_digest(reference_shifted(reference_shifted(space, 0x10000), 0x20000))
+        space.rebase(0x10000)
+        space.rebase(0x20000)
+        assert space.read_bytes(0x38000, 16) == (0x38010).to_bytes(8, "little") * 2
+        assert space_digest(space) == want
+
+
+def test_a_hybrid_run_relocates_only_the_pages_it_reads_writes_or_fetches(
+        tmp_path, monkeypatch):
+    # with ASLR, the 256-page image leaves a fix-up pending on its 263
+    # pages that are not all zero; a hybrid run reads, writes or fetches 7
+    # of them, and relocates those alone.  A stage that reads every page
+    # would relocate all 263 and fail here
+    manifest = tmp_path / "victim.json"
+    manifest.write_text(build_victim_image(
+        1, code_pages=256, cave_pages=256, stack_pages=256).manifest_text)
+    touched: set[int] = set()
+    relocated: set[int] = set()  # ids of the pages relocated
+
+    def spans(addr: int, count: int) -> range:
+        return range(addr & ~(PAGE_SIZE - 1), addr + count, PAGE_SIZE)
+
+    def spy(name: str, bases) -> None:
+        real = getattr(AddressSpace, name)
+
+        def spied(self, *args):
+            touched.update(bases(*args))
+            return real(self, *args)
+        monkeypatch.setattr(AddressSpace, name, spied)
+
+    spy("read_bytes", spans)
+    spy("is_zero_page", lambda base: (base,))
+    spy("write_bytes", lambda addr, data: spans(addr, len(data)))
+    code_page, relocate = machine._code_page, memspace._relocate_page
+
+    def fetched(space, addr):
+        touched.add(addr & ~(PAGE_SIZE - 1))
+        return code_page(space, addr)
+
+    def relocating(page, fixup):
+        relocated.add(id(page))
+        relocate(page, fixup)
+    monkeypatch.setattr(machine, "_code_page", fetched)
+    monkeypatch.setattr(memspace, "_relocate_page", relocating)
+
+    pipe = cli.Pipeline(cli.PipelineConfig(image_path=str(manifest), mode="hybrid", seed=1))
+    offset = pipe.run().aslr_offset
+    assert offset
+    loaded, _ = cli._read_image(manifest)
+    pending = {base + offset if base < USER_TOP else base
+               for base, page in loaded.pages.items() if page.data != _ZERO_PAGE}
+    space = pipe.pagemap.space
+    moved = {base for base, page in space.pages.items() if id(page) in relocated}
+    assert len(pending) == 263
+    assert moved == touched & pending
+    assert len(moved) == 7
 
 
 # keys as the program passes them: verdicts, (probed, truth) pairs of
