@@ -24,6 +24,8 @@ from caveprobe.synth import build_victim_image
 
 # the CLI's flag grammar and its one-line usage errors
 _PAGES = _ascii(r"0*[1-9][0-9]*", int, "a positive decimal")
+# an empty basename would write the hidden files .json and .maps
+_NAME = _ascii(r"(?s).+", str, "a non-empty basename")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -32,7 +34,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="layout randomization seed (default 0)")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory (default current)")
-    parser.add_argument("--name", default="demo",
+    parser.add_argument("--name", type=_NAME, default="demo",
                         help="basename for the written files (default demo)")
     for region in ("code", "cave", "stack"):
         parser.add_argument(f"--{region}-pages", type=_PAGES, default=4,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .memspace import page_runs
 from .explorer import PageMap
-from .probe import ACCESSIBLE, WRITABLE
+from .probe import WRITABLE
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,23 +36,14 @@ class NoCaveError(Exception):
 
 
 def find_caves(pm: PageMap) -> list[CaveRegion]:
-    """The ``page_runs`` of the zero writable pages, all under one key:
-    maximal with respect to the probed set, and sorted by address.
-
-    Only pages the store marks accessible are considered, and a page's
-    bytes are checked for zero only on a writable verdict.  In a pipeline
-    run the explore stage has clawed every accessible page already, so
-    this pays no transaction; the claw below runs only for a caller whose
-    store still holds a tap-only page.
-    """
+    """The ``page_runs`` of the pages ``pm`` stores writable whose bytes
+    are all zero: maximal with respect to the probed set, and sorted by
+    address.  It probes nothing, so every accessible page must hold its
+    claw verdict, as it does after the explore stage; a page stored as a
+    bare tap hit is not a cave."""
     entries = pm.entries
-    usable = []
-    for base in pm.bases():
-        verdict = entries[base]
-        if verdict is ACCESSIBLE:
-            verdict = pm.claw(base)
-        if verdict is WRITABLE and pm.is_zero(base):
-            usable.append((base, WRITABLE))
+    usable = [(base, WRITABLE) for base in pm.bases()
+              if entries[base] is WRITABLE and pm.is_zero(base)]
     return [CaveRegion(start, end - start) for start, end, _ in page_runs(usable)]
 
 

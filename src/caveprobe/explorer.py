@@ -335,32 +335,3 @@ def match_ground_truth(pm: PageMap, truth: GroundTruthMap) -> list[str]:
         f"{lo:#x}-{hi:#x}: probed {got.value}, truth {want.value}"
         for lo, hi, (got, want) in page_runs(bad)
     ]
-
-
-def egg_hunt(pm: PageMap, tag: bytes, start: int, end: int) -> int | None:
-    """Find the lowest address of ``tag`` in [start, end) using only probes
-    plus reads of pages already probed accessible.
-
-    Matches may straddle two adjacent accessible pages.  Inaccessible pages
-    are skipped without faulting.  Returns None when the tag is absent.
-    """
-    if not (4 <= len(tag) <= 32):
-        raise ValueError("tag length must be between 4 and 32 bytes")
-    if start % PAGE_SIZE or end % PAGE_SIZE:
-        raise ValueError("range bounds must be page aligned")
-    if not (0 <= start <= end <= USER_TOP):
-        raise ValueError("range must lie inside the user half")
-    overlap = len(tag) - 1  # at least 3
-    for base in range(start, end, PAGE_SIZE):
-        if not pm.tap(base):
-            continue
-        buf = pm.read(base, PAGE_SIZE)
-        nxt = base + PAGE_SIZE
-        if nxt < end and pm.tap(nxt):
-            buf += pm.read(nxt, overlap)
-        hit = buf.find(tag)
-        if hit != -1:
-            # the buffer extends only len(tag)-1 bytes past the page, so any
-            # match found here necessarily starts inside this page
-            return base + hit
-    return None

@@ -89,11 +89,8 @@ class FakeFrameImage:
 def locate_victim_frame(pm: explorer.PageMap, stack_ptr: int) -> VictimFrame:
     """The frame ``explorer.frame_above`` finds above ``stack_ptr``, with
     the slot conventionally holding the stack canary, just below the saved
-    base pointer."""
-    try:
-        slot, rbp, rip = explorer.frame_above(pm, stack_ptr)
-    except explorer.NoFrameError as exc:
-        raise InjectionError(str(exc)) from None
+    base pointer; its NoFrameError passes through when there is none."""
+    slot, rbp, rip = explorer.frame_above(pm, stack_ptr)
     return VictimFrame(slot, rbp, rip, canary_slot_addr=slot - 8)
 
 

@@ -123,11 +123,6 @@ class Page:
     data: bytes | bytearray
     _fixup: _Fixup = field(init=False, repr=False)  # set only while pending
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Page):
-            return NotImplemented
-        return self.perms == other.perms and self.data == other.data
-
     def writable_data(self) -> bytearray:
         """The page's own bytes to write into, copied on the first call."""
         if type(self.data) is not bytearray:

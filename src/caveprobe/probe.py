@@ -132,26 +132,21 @@ class Prober:
         p = self.spurious_abort_probability
         rand = self.rng.random
         trace = self.trace_log
-        attempts, exhausted = 1, False
-        while True:
+        budget = MAX_RETRIES
+        for retries in range(1, budget + 1):
             if trace is not None:
                 trace.append((tx, addr, _RETRYABLE))
-            if attempts > MAX_RETRIES:
-                exhausted = True
-                break
-            attempts += 1
             if rand() >= p:
-                break
-        self._retried[tx] += attempts - 1
-        if exhausted:
-            self._retries += attempts
-            if trace is not None:
-                trace.append((op, addr, "exhausted"))
-            raise RetryBudgetExhausted(addr, attempts)
-        self._retries += attempts - 1
+                self._retried[tx] += retries
+                self._retries += retries
+                if trace is not None:
+                    trace += ((tx, addr, done), (op, addr, verdict))
+                return verdict
+        self._retried[tx] += budget
+        self._retries += budget + 1
         if trace is not None:
-            trace += ((tx, addr, done), (op, addr, verdict))
-        return verdict
+            trace += ((tx, addr, _RETRYABLE), (op, addr, "exhausted"))
+        raise RetryBudgetExhausted(addr, budget + 1)
 
     def tap(self, space: AddressSpace, addr: int) -> Writability:
         """Classify readability of ``addr`` without risking a fault:

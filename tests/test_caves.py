@@ -4,29 +4,20 @@ from caveprobe.caves import CaveRegion, NoCaveError, find_caves, select_cave
 from caveprobe.explorer import PageMap
 from caveprobe.memspace import PAGE_SIZE
 from caveprobe.probe import ACCESSIBLE, Prober
-from helpers import make_space
-
-
-def quiet_prober() -> Prober:
-    return Prober(0.0, 0)
-
-
-def pagemap_for(space, prober=None) -> PageMap:
-    return PageMap(space, prober or quiet_prober(),
-                   entries=dict.fromkeys(space.pages, ACCESSIBLE))
+from helpers import make_space, settled_store
 
 
 class TestFindCaves:
     def test_zero_writable_run_found(self):
         space = make_space((0x100000, 3 * PAGE_SIZE, "rwu", b""))
-        caves = find_caves(pagemap_for(space))
+        caves = find_caves(settled_store(space))
         assert caves == [CaveRegion(0x100000, 3 * PAGE_SIZE)]
         assert caves[0].start + caves[0].length == 0x103000
 
     def test_nonzero_pages_break_runs(self):
         blob = bytes(PAGE_SIZE) + b"\x01" + bytes(PAGE_SIZE - 1) + bytes(PAGE_SIZE)
         space = make_space((0x100000, 3 * PAGE_SIZE, "rwu", blob))
-        caves = find_caves(pagemap_for(space))
+        caves = find_caves(settled_store(space))
         assert caves == [
             CaveRegion(0x100000, PAGE_SIZE),
             CaveRegion(0x102000, PAGE_SIZE),
@@ -37,7 +28,7 @@ class TestFindCaves:
             (0x100000, PAGE_SIZE, "ru", b""),
             (0x101000, PAGE_SIZE, "rwu", b""),
         )
-        caves = find_caves(pagemap_for(space))
+        caves = find_caves(settled_store(space))
         assert caves == [CaveRegion(0x101000, PAGE_SIZE)]
 
     def test_runs_of_every_length_are_caves(self):
@@ -45,13 +36,14 @@ class TestFindCaves:
             (0x100000, PAGE_SIZE, "rwu", b""),
             (0x200000, 4 * PAGE_SIZE, "rwu", b""),
         )
-        caves = find_caves(pagemap_for(space))
+        caves = find_caves(settled_store(space))
         assert caves == [CaveRegion(0x100000, PAGE_SIZE),
                          CaveRegion(0x200000, 4 * PAGE_SIZE)]
 
     def test_unprobed_pages_invisible(self):
         space = make_space((0x100000, 2 * PAGE_SIZE, "rwu", b""))
-        pm = PageMap(space, quiet_prober(), entries={0x100000: ACCESSIBLE})
+        pm = PageMap(space, Prober(0.0, 0))
+        pm.claw(0x100000)
         caves = find_caves(pm)
         assert caves == [CaveRegion(0x100000, PAGE_SIZE)]
 
@@ -60,14 +52,23 @@ class TestFindCaves:
             (0x500000, PAGE_SIZE, "rwu", b""),
             (0x100000, PAGE_SIZE, "rwu", b""),
         )
-        caves = find_caves(pagemap_for(space))
+        caves = find_caves(settled_store(space))
         assert [c.start for c in caves] == [0x100000, 0x500000]
 
     def test_probe_before_read_discipline(self):
+        # the search reads only stored verdicts and probes nothing
         space = make_space((0x100000, 2 * PAGE_SIZE, "rwu", b""))
-        p = quiet_prober()
-        find_caves(pagemap_for(space, p))
-        assert p.counters["claws"] == 2
+        pm = settled_store(space)
+        before = pm.prober.counters
+        assert find_caves(pm) == [CaveRegion(0x100000, 2 * PAGE_SIZE)]
+        assert pm.prober.counters == before
+
+    def test_a_bare_tap_hit_is_not_clawed_and_is_not_a_cave(self):
+        space = make_space((0x100000, 2 * PAGE_SIZE, "rwu", b""))
+        tapped = PageMap(space, Prober(0.0, 0),
+                         entries=dict.fromkeys(space.pages, ACCESSIBLE))
+        assert find_caves(tapped) == []
+        assert tapped.prober.counters == {}
 
 
 class TestSelectCave:

@@ -1,5 +1,6 @@
 """The CI workflow runs the tier-1 command that README documents, on Pythons
-from the floor pyproject.toml declares, records src/'s line count in the
+from the floor pyproject.toml declares, checks that the acceptance tests
+print README's eight PASS lines, records src/'s line count in the
 run's summary, smoke-runs the benchmark both untraced and traced and checks
 its first-pass report digests against the pinned ones, checks that the
 digest script named no file refuses in one line, runs the installed console
@@ -71,6 +72,31 @@ def workflow_step(name: str) -> str:
     text = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
     assert f"- name: {name}\n" in text, f"tier1.yml has no {name!r} step"
     return text.split(f"- name: {name}\n", 1)[1].split("\n      - ", 1)[0]
+
+
+def test_acceptance_criteria_each_print_a_pass_line():
+    # right after the tier-1 tests: the acceptance tests run with -s, as
+    # README shows, and the step fails unless each of the eight criteria
+    # prints its PASS line; bash's pipefail keeps pytest's exit status
+    name = "Acceptance criteria print one PASS line each"
+    step = workflow_step(name)
+    lines = [line.strip() for line in step.splitlines()]
+    steps = re.findall(r"^      - name: (.+)$",
+                       (REPO / ".github" / "workflows" / "tier1.yml").read_text(), re.M)
+    assert steps.index(name) == steps.index("Tier-1 tests") + 1
+    assert "shell: bash" in lines
+    assert "continue-on-error" not in step
+    out = '"$RUNNER_TEMP/acceptance.txt"'
+    assert lines[lines.index("run: |") + 1:] == [
+        "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -s "
+        f"tests/test_acceptance.py | tee {out}",
+        f"test \"$(grep -oE 'criterion [1-8]: PASS' {out} | sort -u | wc -l)\" -eq 8",
+    ]
+    assert ("python3 -m pytest tests/test_acceptance.py -s   "
+            "# one PASS line per criterion") in readme_installation()
+    criteria = re.findall(r"^def test_criterion_(\d+)_", (
+        REPO / "tests" / "test_acceptance.py").read_text(), re.M)
+    assert criteria == [str(n) for n in range(1, 9)]
 
 
 def test_source_line_count_goes_to_the_step_summary():

@@ -320,17 +320,31 @@ class TestPipeline:
         # every page the caves stage looks at was clawed while exploring
         assert by_stage["caves"] == dict.fromkeys(STAGE_COUNTERS, 0)
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_inject_stage_pays_no_transactions(self, mode):
-        # the store already holds the cave page, clawed while exploring,
-        # and the stack page, grown by locating the frame: inject checks
-        # both through it and makes its two writes without a probe
+    @pytest.mark.parametrize("mode, synth", [
+        *(pytest.param(mode, False, id=mode) for mode in MODES),
+        *(pytest.param(mode, True, id=f"synth-16-{mode}") for mode in MODES),
+    ])
+    def test_inject_stage_pays_no_transactions(self, tmp_path, mode, synth):
+        # the explore stage leaves every accessible page clawed, so no later
+        # stage probes: the census and the cave search read stored verdicts,
+        # and inject checks the cave and stack pages through the store and
+        # makes its two writes without a probe.  On the demo image without
+        # aborts, and on a 16-page synth image with 30% of them
+        image, maps, prob = DEMO, DEMO_MAPS, 0.0
+        if synth:
+            img = build_victim_image(5, code_pages=16, cave_pages=16, stack_pages=16)
+            image, maps, prob = tmp_path / "synth-16.json", tmp_path / "synth-16.maps", 0.3
+            image.write_text(img.manifest_text)
+            maps.write_text(img.maps_text)
         report = run_pipeline(PipelineConfig(
-            image_path=DEMO, ground_truth_path=DEMO_MAPS, mode=mode,
-            spurious_prob=0.0,
+            image_path=str(image), ground_truth_path=str(maps), mode=mode,
+            spurious_prob=prob,
         ))
-        assert report.stage_counters["inject"] == {
-            "read_tx": 0, "write_tx": 0, "retries": 0}
+        assert report.all_verdicts_pass()
+        assert (report.probe_counters.get("retries", 0) > 0) == synth
+        for stage in ("gadgets", "caves", "inject", "execute"):
+            assert report.stage_counters[stage] == {
+                "read_tx": 0, "write_tx": 0, "retries": 0}, stage
         assert report.probe_counters["safe_writes"] == 2
 
     @pytest.mark.parametrize("mode", ["linear", "pointer-chase", "hybrid"])

@@ -14,7 +14,6 @@ from caveprobe.explorer import (
     NoFrameError,
     MapRun,
     PageMap,
-    egg_hunt,
     explore,
     explore_from_pointers,
     frame_above,
@@ -461,9 +460,11 @@ def map_stages(pm, mode, stack_pointer, direct):
     """Every probe of cli's probe, explore and caves stages over ``pm``,
     and the frame search the inject stage starts with: the map runs, caves
     and frame found, or the text of the error that ended them.  With
-    ``direct``, a sweep from the stack pointer, a classification of every
-    third hit and the page above it, and a cave search come first, so each
-    meets pages stored as tapped accessible."""
+    ``direct``, a sweep from the stack pointer and a classification of
+    every third hit and the page above it come first, so the
+    classifications and the extent growth meet pages stored as tapped
+    accessible; the cave search runs only on the settled store, as it
+    probes nothing."""
     out = []
     try:
         explore(pm, mode, stack_pointer)
@@ -471,7 +472,6 @@ def map_stages(pm, mode, stack_pointer, direct):
             explorer._sweep(pm, stack_pointer)
             for base in pm.accessible_pages()[::3]:
                 out += claw_range(pm, base, base + 2 * PAGE_SIZE).runs
-            out.append(caves.find_caves(pm))
         hi = 0
         for base in pm.accessible_pages():
             if base >= hi:
@@ -976,53 +976,6 @@ def test_ground_truth_compare_matches_a_per_page_oracle(regions, batches):
         assert match_ground_truth(store, truth) == [
             f"{lo:#x}-{hi:#x}: probed {got}, truth {want}" for lo, hi, got, want in bad
         ]
-
-
-class TestEggHunt:
-    def test_plant_at_offset(self):
-        blob = bytearray(PAGE_SIZE)
-        blob[0x123 : 0x123 + 8] = b"EGGSEGGS"
-        space = make_space(
-            (0x50000, PAGE_SIZE, "ru", bytes(blob)),
-        )
-        got = egg_hunt(quiet_store(space), b"EGGSEGGS", 0x4C000, 0x54000)
-        assert got == 0x50123
-
-    def test_straddling_pages(self):
-        first = bytes(PAGE_SIZE - 3) + b"EGG"
-        second = b"SEGGS" + bytes(PAGE_SIZE - 5)
-        space = make_space((0x60000, 2 * PAGE_SIZE, "ru", first + second))
-        got = egg_hunt(quiet_store(space), b"EGGSEGGS", 0x60000, 0x62000)
-        assert got == 0x60000 + PAGE_SIZE - 3
-
-    def test_no_straddle_into_inaccessible_page(self):
-        first = bytes(PAGE_SIZE - 3) + b"EGG"
-        space = make_space(
-            (0x60000, PAGE_SIZE, "ru", first),
-            (0x61000, PAGE_SIZE, "", b"SEGGS"),
-        )
-        got = egg_hunt(quiet_store(space), b"EGGSEGGS", 0x60000, 0x62000)
-        assert got is None
-
-    def test_absent_returns_none_without_faults(self):
-        space = make_space((0x70000, PAGE_SIZE, "ru", b""))
-        got = egg_hunt(quiet_store(space), b"EGGSEGGS", 0x60000, 0x80000)
-        assert got is None
-
-    def test_lowest_of_several(self):
-        blob = bytearray(PAGE_SIZE)
-        blob[0x800 : 0x808] = b"EGGSEGGS"
-        blob[0x100 : 0x108] = b"EGGSEGGS"
-        space = make_space((0x70000, PAGE_SIZE, "ru", bytes(blob)))
-        assert egg_hunt(quiet_store(space), b"EGGSEGGS",
-                        0x70000, 0x71000) == 0x70100
-
-    def test_tag_length_bounds(self):
-        space = make_space()
-        with pytest.raises(ValueError):
-            egg_hunt(quiet_store(space), b"abc", 0x0, 0x1000)
-        with pytest.raises(ValueError):
-            egg_hunt(quiet_store(space), b"x" * 33, 0x0, 0x1000)
 
 
 def test_random_layout_agreement():

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from caveprobe.caves import CaveRegion, NoCaveError
-from caveprobe.explorer import ExploreBudgetError, PageMap
+from caveprobe.explorer import ExploreBudgetError, NoFrameError, PageMap
 from caveprobe.gadgets import CHAIN_VARIANTS, GADGETS, ChainWord, GadgetCatalog
 from caveprobe.injector import (
     FakeFrameImage,
@@ -101,7 +101,7 @@ class TestLocate:
         space.set_protection(CODE, PAGE_SIZE, PagePermissions.from_rwxu("rwxu"))
         pm = settled_store(space)
         assert pm.entries[CODE] is Writability.WRITABLE
-        with pytest.raises(InjectionError):
+        with pytest.raises(NoFrameError):
             locate_victim_frame(pm, STACK + 0x700)
 
     def test_no_frame_names_the_region_and_slots_scanned(self):
@@ -109,7 +109,7 @@ class TestLocate:
             (CODE, PAGE_SIZE, "rxu", b""),
             (STACK, PAGE_SIZE, "rwu", b""),
         )
-        with pytest.raises(InjectionError) as exc:
+        with pytest.raises(NoFrameError) as exc:
             locate_victim_frame(settled_store(space), STACK + 0x700)
         # slots STACK+0x700 .. STACK+0xFF0, eight bytes apart
         assert str(exc.value) == (
@@ -128,7 +128,7 @@ class TestLocate:
         )
         space.write_bytes(STACK, (STACK + 0x100).to_bytes(8, "little"))
         space.write_bytes(STACK + 8, (CODE + 0x234).to_bytes(8, "little"))
-        with pytest.raises(InjectionError) as exc:
+        with pytest.raises(NoFrameError) as exc:
             locate_victim_frame(settled_store(space), STACK)
         assert str(exc.value) == (
             f"no plausible frame above the stack pointer {STACK:#x}: "

@@ -745,6 +745,18 @@ class TestLazyRelocation:
         assert space.read_bytes(0x38000, 16) == (0x38010).to_bytes(8, "little") * 2
         assert space_digest(space) == want
 
+    def test_comparing_pages_leaves_their_fix_ups_pending(self):
+        # pages compare by identity: two pages of equal bytes are not equal,
+        # and the comparison reads neither page's bytes, so neither relocates
+        space = make_space((0x8000, 2 * PAGE_SIZE, "rwu", words_page(0x8010) * 2))
+        space.rebase(0x10000)
+        first, second = space.pages[0x18000], space.pages[0x19000]
+        assert first != second
+        assert first == first
+        assert type(first) is not Page and type(second) is not Page
+        assert space.read_bytes(0x18000, 8) == (0x18010).to_bytes(8, "little")
+        assert type(first) is Page and type(second) is not Page
+
 
 def test_a_hybrid_run_relocates_only_the_pages_it_reads_writes_or_fetches(
         tmp_path, monkeypatch):

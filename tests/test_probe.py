@@ -131,6 +131,8 @@ class TestTap:
             p.tap(space, 0x10000)
         assert exc.value.attempts == 4
         assert exc.value.addr == 0x10000
+        # three retried transactions, and all four attempts count as retries
+        assert p.counters == {"read_tx": 4, "taps": 1, "retries": 4}
 
     def test_exhaustion_never_misclassifies(self, space):
         # seed 0 at probability 0.9: the first five draws all fall below

@@ -29,12 +29,13 @@ def test_make_demo_image_reproduces_the_shipped_demo(tmp_path):
 
 
 def test_make_demo_image_refuses_bad_values_in_one_line(tmp_path):
-    # a size below 1, a size that is not plain ASCII decimal, and a seed in
-    # another script's digits (int() would read U+0663 as 3)
+    # a size below 1, a size that is not plain ASCII decimal, a seed in
+    # another script's digits (int() would read U+0663 as 3), and an empty
+    # name, which would write hidden .json and .maps files
     for flag, value in [
         ("--code-pages", "0"), ("--code-pages", "-1"), ("--cave-pages", "0"),
         ("--stack-pages", "0"), ("--stack-pages", "4.0"), ("--code-pages", "0x4"),
-        ("--seed", "٣"), ("--seed", "9" * 5000),
+        ("--seed", "٣"), ("--seed", "9" * 5000), ("--name", ""),
     ]:
         done = run_script("make_demo_image.py", flag, value, "--out", str(tmp_path))
         assert done.returncode == 2, (flag, value, done.stderr)
