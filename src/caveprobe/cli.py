@@ -587,7 +587,9 @@ def main(argv: list[str] | None = None) -> int:
     text = emit_report(report, fmt)
     if out:
         try:
-            Path(out).write_text(text)
+            # stdout's bytes: a path argv could not decode as UTF-8 keeps
+            # its bytes as surrogates, which stdout writes back unchanged
+            Path(out).write_text(text, errors="surrogateescape")
         except OSError as exc:
             print(f"caveprobe: cannot write {_clip(out)}: "
                   f"{exc.strerror or exc}", file=sys.stderr)

@@ -143,7 +143,7 @@ class Prober:
                     trace += ((tx, addr, done), (op, addr, verdict))
                 return verdict
         self._retried[tx] += budget
-        self._retries += budget + 1
+        self._retries += budget
         if trace is not None:
             trace += ((tx, addr, _RETRYABLE), (op, addr, "exhausted"))
         raise RetryBudgetExhausted(addr, budget + 1)

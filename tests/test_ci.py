@@ -1,28 +1,20 @@
-"""The CI workflow runs the tier-1 command that README documents, on Pythons
-from the floor pyproject.toml declares, checks that the acceptance tests
-print README's eight PASS lines, records src/'s line count in the
-run's summary, smoke-runs the benchmark both untraced and traced and checks
-its first-pass report digests against the pinned ones, checks that the
-digest script named no file refuses in one line, runs the installed console
-script in every mode and checks that its hybrid and pointer-chase JSON
-reports of the demo agree on the injection, run and verdicts, checks that
-it cuts a long flag value to one short line, checks that a demo copy whose
-syscall falls into no ret fails the gadgets stage in one line, checks that
-a ground truth calling the demo's stack read-only gives one coalesced
-map-mismatches line, checks its
-JSON reports, one of them linear with ground truth, against the stdlib's
-json.tool, checks its report against the reports of a demo copy that holds
-a backslash, of compact and respaced copies, and of one with its cave as
-zero hex and its code uppercase, checks that a manifest read from a pipe
-reports as the same file does, rebuilds the demo image with the installed
-package's image script and checks that script's one-line refusal of a zero
-page count, runs README's install commands as written, and checks that a
-demo copy with page 0 mapped finds no cave under ASLR and passes without."""
+"""Pins of the CI workflow to README, pyproject.toml and the tests.  It
+runs README's tier-1 command on Pythons from the requires-python floor up,
+checks that the acceptance tests print their eight PASS lines, records
+src/'s line count on the summary page, and smoke-runs the benchmark with
+its pinned report digests.  After ``pip install .`` it runs the console
+script in every mode and every row of tests/scenarios.py from outside the
+checkout, rebuilds the demo image with the installed package, and runs
+README's install commands as written.  The digest script and the scenario
+runner are checked here too: each must fail when its input is wrong."""
 
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import bench_digests
+import scenarios
 from caveprobe.cli import MODES
 
 REPO = Path(__file__).resolve().parent.parent
@@ -201,307 +193,56 @@ def test_installed_console_script_runs_every_mode_outside_the_checkout():
     assert sorted(runs) == sorted(MODES)
 
 
-def test_installed_console_script_compares_hybrid_with_pointer_chase():
-    # after the per-mode runs, the installed package writes hybrid's and
-    # pointer-chase's JSON reports of the demo, and a check that shares no
-    # code with the program exits non-zero unless their injection, run and
-    # verdicts blocks are equal
-    step = workflow_step("Installed console script")
-    lines = [line.strip() for line in step.splitlines()]
-    demo = '"$GITHUB_WORKSPACE/images/demo.json"'
-    assert lines[-3:] == [
-        f"caveprobe --image-path {demo} --format json --out console-hybrid.json "
-        "--mode hybrid",
-        f"caveprobe --image-path {demo} --format json --out "
-        "console-pointer-chase.json --mode pointer-chase",
-        "python -c 'import json, sys; hybrid, chase = (json.load(open(path)) "
-        "for path in sys.argv[1:]); differ = [k for k in (\"injection\", "
-        "\"run\", \"verdicts\") if hybrid[k] != chase[k]]; sys.exit(f\"hybrid "
-        "differs from pointer-chase in {differ}\" if differ else 0)' "
-        "console-hybrid.json console-pointer-chase.json",
-    ]
-    assert lines.index('cd "$RUNNER_TEMP"') < len(lines) - 3
+# the scenarios that were workflow steps of their own, and the comparison
+# that closed the console-script step
+MOVED = (
+    "Long flag values give one short line",
+    "Deleted run inputs give one short line",
+    "Ground truth that disagrees fails map-match",
+    "Syscall that falls into no ret fails the gadgets stage",
+    "Read-only stack in the ground truth is one mismatch line",
+    "JSON report matches json.tool",
+    "Manifest with a backslash gives the same report",
+    "Manifest in other JSON spacing gives the same report",
+    "Manifest from a pipe gives the same report",
+    "Cave as zero hex and uppercase code give the same report",
+    "Page 0 mapped: zero words are pointers",
+    "Hybrid picks the chain pointer-chase picks",
+)
 
 
-def test_long_flag_values_give_one_short_line():
-    # a --mode of 100,000 x's, a --seed of 100,000 9's, a $CAVEPROBE_SEED of
-    # 10,000 U+1F600 and an --image-path of 10,000 U+1F600, right after the
-    # console script is installed: each run exits 2 with one stderr line
-    # under 300 bytes
-    step = workflow_step("Long flag values give one short line")
-    lines = [line.strip() for line in step.splitlines()]
-    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
-    steps = re.findall(r"^      - name: (.+)$", workflow, re.M)
-    assert steps.index("Long flag values give one short line") == steps.index(
-        "Installed console script") + 1
-    assert "shell: bash" in lines
-    emoji = "\"$(python -c 'print(\"\\U0001F600\" * 10000)')\""
-    commands = [
-        ("caveprobe --image-path images/demo.json --mode "
-         "\"$(python -c 'print(\"x\" * 100000)')\"", "long-mode"),
-        ("caveprobe --image-path images/demo.json --seed "
-         "\"$(python -c 'print(\"9\" * 100000)')\"", "long-seed"),
-        (f"CAVEPROBE_SEED={emoji} caveprobe --image-path images/demo.json",
-         "long-seed-variable"),
-        (f"caveprobe --image-path {emoji}", "long-image-path"),
-    ]
-    runs = []
-    for command, out in commands:
-        runs += [
-            "code=0",
-            f'{command} 2> "$RUNNER_TEMP/{out}.txt" || code=$?',
-            f'cat "$RUNNER_TEMP/{out}.txt"',
-            'test "$code" -eq 2',
-            f'test "$(wc -l < "$RUNNER_TEMP/{out}.txt")" -eq 1',
-            f'test "$(wc -c < "$RUNNER_TEMP/{out}.txt")" -lt 300',
-        ]
-    assert lines[lines.index("run: |") + 1:] == runs
-
-
-def test_deleted_run_inputs_give_one_short_line():
-    # --cave-min-len, and a demo copy whose region 0 names a "file", given
-    # to the installed package: each run exits 2 with one stderr line under
-    # 300 bytes
-    step = workflow_step("Deleted run inputs give one short line")
-    lines = [line.strip() for line in step.splitlines()]
-    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
-    assert workflow.index("- name: Installed console script") < workflow.index(
-        "- name: Deleted run inputs give one short line")
-    assert "shell: bash" in lines
-    commands = [
-        ("caveprobe --image-path images/demo.json --cave-min-len 4096", "cave-min-len"),
-        ('caveprobe --image-path "$RUNNER_TEMP/file-region.json"', "file-region"),
-    ]
-    runs = []
-    for command, out in commands:
-        if out == "file-region":
-            runs.append(
-                "python -c 'import json, sys; doc = json.load(open(\"images/demo.json\")); "
-                "doc[\"regions\"][0][\"file\"] = \"x.bin\"; "
-                "json.dump(doc, open(sys.argv[1], \"w\"))' \"$RUNNER_TEMP/file-region.json\"")
-        runs += [
-            "code=0",
-            f'{command} 2> "$RUNNER_TEMP/{out}.txt" || code=$?',
-            f'cat "$RUNNER_TEMP/{out}.txt"',
-            'test "$code" -eq 2',
-            f'test "$(wc -l < "$RUNNER_TEMP/{out}.txt")" -eq 1',
-            f'test "$(wc -c < "$RUNNER_TEMP/{out}.txt")" -lt 300',
-        ]
-    assert lines[lines.index("run: |") + 1:] == runs
-
-
-def test_ground_truth_that_disagrees_must_fail_map_match():
-    # the demo's maps with the stack's guard page made writable: the
-    # installed package must exit 3 and print a failed map-match verdict
-    step = workflow_step("Ground truth that disagrees fails map-match")
-    lines = [line.strip() for line in step.splitlines()]
-    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
-    assert workflow.index("- name: Installed console script") < workflow.index(
-        "- name: Ground truth that disagrees fails map-match")
-    assert "shell: bash" in lines
-    assert lines[lines.index("run: |") + 1:] == [
-        "sed 's/^7f0000302000-7f0000303000 ---p/7f0000302000-7f0000303000 rw-p/' "
-        'images/demo.maps > "$RUNNER_TEMP/guard-rw.maps"',
-        "grep -F '7f0000302000-7f0000303000 rw-p' \"$RUNNER_TEMP/guard-rw.maps\"",
-        "code=0",
-        'caveprobe --image-path images/demo.json --ground-truth-path '
-        '"$RUNNER_TEMP/guard-rw.maps" --format text > "$RUNNER_TEMP/guard-rw.txt" '
-        "|| code=$?",
-        'cat "$RUNNER_TEMP/guard-rw.txt"',
-        'test "$code" -eq 3',
-        "grep -F 'map-match: FAIL' \"$RUNNER_TEMP/guard-rw.txt\"",
-    ]
-
-
-def test_syscall_that_falls_into_no_ret_fails_the_gadgets_stage():
-    # a demo copy whose one syscall site is followed by a nop: right after
-    # the map-match step, the installed package must exit 2 with one
-    # stderr line under 300 bytes that names the syscall
-    name = "Syscall that falls into no ret fails the gadgets stage"
+def test_cli_scenarios_run_through_the_installed_console_script():
+    # right after pip install . and the per-mode runs, from outside the
+    # checkout, so only the installed package can answer; the step fails
+    # when the runner exits non-zero
+    name = "CLI scenarios"
     step = workflow_step(name)
     lines = [line.strip() for line in step.splitlines()]
-    steps = re.findall(r"^      - name: (.+)$",
+    steps = re.findall(r"^      - name: '?(.+?)'?$",
                        (REPO / ".github" / "workflows" / "tier1.yml").read_text(), re.M)
-    assert steps.index("Ground truth that disagrees fails map-match") + 1 == steps.index(name)
-    assert "shell: bash" in lines
-    body = lines[lines.index("run: |") + 1:]
-    patch = body[0]
-    assert patch.startswith("python -c 'import json, sys; doc = json.load(open(\"images/demo.json\"));")
-    assert patch.endswith("' \"$RUNNER_TEMP/hanging-syscall.json\"")
-    for part in ('assert code.count(b"\\x0f\\x05") == code.count(b"\\x0f\\x05\\xc3") == 1',
-                 'code[code.index(b"\\x0f\\x05\\xc3") + 2] = 0x90',
-                 'doc["regions"][0]["data"] = code.hex()'):
-        assert part in patch
-    assert body[1:] == [
-        "code=0",
-        'caveprobe --image-path "$RUNNER_TEMP/hanging-syscall.json" --seed 1 '
-        '2> "$RUNNER_TEMP/hanging-syscall.txt" || code=$?',
-        'cat "$RUNNER_TEMP/hanging-syscall.txt"',
-        'test "$code" -eq 2',
-        'test "$(wc -l < "$RUNNER_TEMP/hanging-syscall.txt")" -eq 1',
-        'test "$(wc -c < "$RUNNER_TEMP/hanging-syscall.txt")" -lt 300',
-        'grep -F syscall "$RUNNER_TEMP/hanging-syscall.txt"',
-    ]
-
-
-def test_read_only_stack_in_the_ground_truth_is_one_mismatch_line():
-    # the demo's maps with the stack called read-only: right after the
-    # syscall step, the installed package must exit 3, and its four
-    # clawed-writable stack pages must come out as one coalesced line
-    name = "Read-only stack in the ground truth is one mismatch line"
-    step = workflow_step(name)
-    lines = [line.strip() for line in step.splitlines()]
-    steps = re.findall(r"^      - name: (.+)$",
-                       (REPO / ".github" / "workflows" / "tier1.yml").read_text(), re.M)
-    assert steps.index("Ground truth that disagrees fails map-match") < steps.index(name)
-    assert steps.index("Syscall that falls into no ret fails the gadgets stage") + 1 == (
-        steps.index(name))
-    assert "shell: bash" in lines
-    assert lines[lines.index("run: |") + 1:] == [
-        "sed 's/^7f0000303000-7f0000307000 rw-p/7f0000303000-7f0000307000 r--p/' "
-        'images/demo.maps > "$RUNNER_TEMP/stack-ro.maps"',
-        "grep -F '7f0000303000-7f0000307000 r--p' \"$RUNNER_TEMP/stack-ro.maps\"",
-        "code=0",
-        'caveprobe --image-path images/demo.json --ground-truth-path '
-        '"$RUNNER_TEMP/stack-ro.maps" --no-aslr --seed 1 --format json '
-        '> "$RUNNER_TEMP/stack-ro.json" || code=$?',
-        'cat "$RUNNER_TEMP/stack-ro.json"',
-        'test "$code" -eq 3',
-        "python -c 'import json, sys; assert json.load(open(sys.argv[1]))"
-        '["map-mismatches"] == ["0x7f0000303000-0x7f0000307000: probed writable, '
-        "truth readonly\"]' \"$RUNNER_TEMP/stack-ro.json\"",
-    ]
-
-
-def test_json_report_is_checked_against_json_tool():
-    # after each of the installed package's two reports is written, the
-    # stdlib rewrites it with json.dumps's options and cmp must find no
-    # difference; the second is the linear report with ground truth
-    step = workflow_step("JSON report matches json.tool")
-    lines = [line.strip() for line in step.splitlines()]
-    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
-    assert workflow.index("- name: Installed console script") < workflow.index(
-        "- name: JSON report matches json.tool")
+    assert steps.index(name) == steps.index("Installed console script") + 1
+    assert "continue-on-error" not in step
     assert lines[lines.index("run: |") + 1:] == [
         'cd "$RUNNER_TEMP"',
-        'caveprobe --image-path "$GITHUB_WORKSPACE/images/demo.json" '
-        "--out demo-report.json",
-        "python -m json.tool --sort-keys --indent 2 demo-report.json "
-        "demo-report-stdlib.json",
-        "cmp demo-report.json demo-report-stdlib.json",
-        'caveprobe --image-path "$GITHUB_WORKSPACE/images/demo.json" '
-        '--mode linear --ground-truth-path "$GITHUB_WORKSPACE/images/demo.maps" '
-        "--out demo-linear-report.json",
-        "python -m json.tool --sort-keys --indent 2 demo-linear-report.json "
-        "demo-linear-report-stdlib.json",
-        "cmp demo-linear-report.json demo-linear-report-stdlib.json",
+        'python "$GITHUB_WORKSPACE/tests/scenarios.py" caveprobe',
     ]
+    rows = [row.name for row in scenarios.ROWS]
+    assert len(set(rows)) == len(rows)
+    assert [moved for moved in MOVED if moved not in rows or moved in steps] == []
 
 
-def test_manifest_with_a_backslash_is_checked_against_the_demo_report():
-    # a copy of the demo with its first "label" key spelled as a \u escape
-    # takes the json-only parse; the installed package must report the same
-    # bytes for it, run from a second directory under the same relative path
-    step = workflow_step("Manifest with a backslash gives the same report")
-    lines = [line.strip() for line in step.splitlines()]
-    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
-    assert workflow.index("- name: Installed console script") < workflow.index(
-        "- name: Manifest with a backslash gives the same report")
-    assert lines[lines.index("run: |") + 1:] == [
-        'mkdir "$RUNNER_TEMP/plain" "$RUNNER_TEMP/escaped"',
-        'cp images/demo.json "$RUNNER_TEMP/plain/demo.json"',
-        "sed '0,/\"label\"/s//\"\\\\u006cabel\"/' images/demo.json "
-        '> "$RUNNER_TEMP/escaped/demo.json"',
-        'grep -F \'"\\u006cabel"\' "$RUNNER_TEMP/escaped/demo.json"',
-        'cd "$RUNNER_TEMP/plain"',
-        'caveprobe --image-path demo.json --out "$RUNNER_TEMP/plain-report.json"',
-        'cd "$RUNNER_TEMP/escaped"',
-        'caveprobe --image-path demo.json --out "$RUNNER_TEMP/escaped-report.json"',
-        'cmp "$RUNNER_TEMP/plain-report.json" "$RUNNER_TEMP/escaped-report.json"',
-    ]
-
-
-def test_manifest_in_other_json_spacing_is_checked_against_the_demo_report():
-    # a compact copy of the demo and one spaced as "data" :\n " each take
-    # the scan; the installed package must report the same bytes for them
-    # as for the plain copy the backslash step reports, under the same
-    # relative path
-    name = "Manifest in other JSON spacing gives the same report"
-    step = workflow_step(name)
-    lines = [line.strip() for line in step.splitlines()]
-    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
-    assert workflow.index(
-        "- name: Manifest with a backslash gives the same report") < workflow.index(
-        f"- name: {name}")
-    assert lines[lines.index("run: |") + 1:] == [
-        'mkdir "$RUNNER_TEMP/compact" "$RUNNER_TEMP/spaced"',
-        "python -c 'import json, sys; json.dump(json.load(open(\"images/demo.json\")), "
-        'open(sys.argv[1], "w"), separators=(",", ":"))\' "$RUNNER_TEMP/compact/demo.json"',
-        'grep -qF \'"data":"\' "$RUNNER_TEMP/compact/demo.json"',
-        'sed \'s/"data": "/"data" :\\n "/\' images/demo.json > "$RUNNER_TEMP/spaced/demo.json"',
-        'grep -Fx \'      "data" :\' "$RUNNER_TEMP/spaced/demo.json"',
-        'cd "$RUNNER_TEMP/compact"',
-        'caveprobe --image-path demo.json --out "$RUNNER_TEMP/compact-report.json"',
-        'cd "$RUNNER_TEMP/spaced"',
-        'caveprobe --image-path demo.json --out "$RUNNER_TEMP/spaced-report.json"',
-        'cmp "$RUNNER_TEMP/plain-report.json" "$RUNNER_TEMP/compact-report.json"',
-        'cmp "$RUNNER_TEMP/plain-report.json" "$RUNNER_TEMP/spaced-report.json"',
-    ]
-
-
-def test_manifest_from_a_pipe_is_checked_against_the_same_file_redirected():
-    # the demo image and its backslash copy, each read by the installed
-    # package as /dev/stdin from the file and then through a pipe, from
-    # $RUNNER_TEMP and after the step that builds the copy
-    name = "Manifest from a pipe gives the same report"
-    step = workflow_step(name)
-    lines = [line.strip() for line in step.splitlines()]
-    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
-    assert workflow.index(
-        "- name: Manifest with a backslash gives the same report") < workflow.index(
-        f"- name: {name}")
-    demo = '"$GITHUB_WORKSPACE/images/demo.json"'
-    assert lines[lines.index("run: |") + 1:] == [
-        'cd "$RUNNER_TEMP"',
-        f"caveprobe --image-path /dev/stdin --out stdin-file.json < {demo}",
-        f"cat {demo} | caveprobe --image-path /dev/stdin --out stdin-pipe.json",
-        "cmp stdin-file.json stdin-pipe.json",
-        "caveprobe --image-path /dev/stdin --out escaped-stdin-file.json < escaped/demo.json",
-        "cat escaped/demo.json | caveprobe --image-path /dev/stdin "
-        "--out escaped-stdin-pipe.json",
-        "cmp escaped-stdin-file.json escaped-stdin-pipe.json",
-    ]
-
-
-def test_zero_hex_cave_and_uppercase_code_are_checked_against_the_demo_report():
-    # a copy of the demo whose anon cave holds all-"0" hex and whose code
-    # blob is uppercase; the installed package must report the same bytes
-    # for it, run from a second directory under the same relative path
-    name = "Cave as zero hex and uppercase code give the same report"
-    step = workflow_step(name)
-    lines = [line.strip() for line in step.splitlines()]
-    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
-    assert workflow.index("- name: Installed console script") < workflow.index(
-        f"- name: {name}")
-    body = lines[lines.index("run: |") + 1:]
-    assert body[:2] == [
-        'mkdir "$RUNNER_TEMP/demo-copy" "$RUNNER_TEMP/zero-hex"',
-        'cp images/demo.json "$RUNNER_TEMP/demo-copy/demo.json"',
-    ]
-    rewrite = body[2]
-    assert rewrite.startswith("python -c '")
-    assert rewrite.endswith("' \"$RUNNER_TEMP/zero-hex/demo.json\"")
-    for part in ('cave["label"], cave["perms"], "data" in cave',
-                 'cave["data"] = "0" * (2 * int(cave["len"], 16))',
-                 'code["data"] = code["data"].upper()'):
-        assert part in rewrite
-    assert body[3:] == [
-        'cd "$RUNNER_TEMP/demo-copy"',
-        'caveprobe --image-path demo.json --out "$RUNNER_TEMP/demo-copy-report.json"',
-        'cd "$RUNNER_TEMP/zero-hex"',
-        'caveprobe --image-path demo.json --out "$RUNNER_TEMP/zero-hex-report.json"',
-        'cmp "$RUNNER_TEMP/demo-copy-report.json" "$RUNNER_TEMP/zero-hex-report.json"',
-    ]
+def test_scenario_runner_fails_every_row_of_a_command_that_does_nothing(tmp_path):
+    # no row passes vacuously: a command that prints nothing and exits 0
+    # fails each, and the runner names each and exits 1
+    run = subprocess.run(
+        [sys.executable, str(REPO / "tests" / "scenarios.py"), sys.executable, "-c", "pass"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    lines = run.stdout.splitlines()
+    assert run.returncode == 1
+    assert len(lines) == len(scenarios.ROWS) + 1
+    for line, row in zip(lines, scenarios.ROWS):
+        assert line.startswith(f"FAIL {row.name}: ")
+    assert lines[-1] == f"0 of {len(scenarios.ROWS)} scenarios pass"
 
 
 def test_installed_package_rebuilds_the_demo_image():
@@ -548,34 +289,3 @@ def test_editable_install_runs_the_readme_install_commands():
     start = lines.index(commands[0])
     assert lines[start:start + len(commands)] == commands
 
-
-def test_page_zero_mapped_makes_zero_words_pointers():
-    # the last step: a demo copy with a read-only user page at 0x0, so that
-    # zero is an address; with ASLR every zero word moves and no cave is
-    # left, so the installed package must exit 2 with one stderr line that
-    # names 0 caves, and with --no-aslr it must exit 0
-    name = "'Page 0 mapped: zero words are pointers'"
-    step = workflow_step(name)
-    lines = [line.strip() for line in step.splitlines()]
-    steps = re.findall(r"^      - name: (.+)$",
-                       (REPO / ".github" / "workflows" / "tier1.yml").read_text(), re.M)
-    assert steps[-1] == name
-    assert "shell: bash" in lines
-    body = lines[lines.index("run: |") + 1:]
-    patch = body[0]
-    assert patch.startswith("python -c 'import json, sys; doc = json.load(open(\"images/demo.json\"));")
-    assert patch.endswith("' \"$RUNNER_TEMP/page-zero.json\"")
-    for part in ('assert all(int(r["start"], 16) >= 0x1000 for r in doc["regions"])',
-                 'doc["regions"].insert(0, {"start": "0x0", "len": "0x1000", "perms": "ru"})'):
-        assert part in patch
-    assert body[1:] == [
-        "code=0",
-        'caveprobe --image-path "$RUNNER_TEMP/page-zero.json" --seed 1 '
-        '> "$RUNNER_TEMP/page-zero-aslr.json" 2> "$RUNNER_TEMP/page-zero-aslr.txt" || code=$?',
-        'cat "$RUNNER_TEMP/page-zero-aslr.txt"',
-        'test "$code" -eq 2',
-        'test "$(wc -l < "$RUNNER_TEMP/page-zero-aslr.txt")" -eq 1',
-        "grep -F 'among 0 caves' \"$RUNNER_TEMP/page-zero-aslr.txt\"",
-        'caveprobe --image-path "$RUNNER_TEMP/page-zero.json" --seed 1 --no-aslr '
-        '> "$RUNNER_TEMP/page-zero-no-aslr.json"',
-    ]

@@ -564,6 +564,22 @@ class TestMain:
         assert code == EXIT_OK
         assert json.loads(out.read_text())["verdicts"]["map-match"] is True
 
+    def test_text_report_file_keeps_an_image_path_that_is_not_utf8(self, tmp_path):
+        # argv holds the name's byte 0xff as a surrogate; the text report
+        # file gets the bytes a UTF-8 stdout gets for it
+        manifest = tmp_path / "demo\udcff.json"
+        manifest.write_bytes(Path(DEMO).read_bytes())
+        out = tmp_path / "report.txt"
+        stdout = io.TextIOWrapper(io.BytesIO(), "utf-8", "surrogateescape")
+        with patch.object(sys, "stdout", stdout):
+            assert main(["--image-path", str(manifest), "--format", "text"]) == EXIT_OK
+        stdout.flush()
+        shown = stdout.buffer.getvalue()
+        assert main(["--image-path", str(manifest), "--format", "text",
+                     "--out", str(out)]) == EXIT_OK
+        assert b"demo\xff.json" in shown
+        assert out.read_bytes() == shown
+
     def test_exit_two_on_stage_error(self, tmp_path, capsys):
         img = build_victim_image(23, omit_gadgets=("pop-rdi-ret",))
         manifest = tmp_path / "broken.json"

@@ -131,8 +131,8 @@ class TestTap:
             p.tap(space, 0x10000)
         assert exc.value.attempts == 4
         assert exc.value.addr == 0x10000
-        # three retried transactions, and all four attempts count as retries
-        assert p.counters == {"read_tx": 4, "taps": 1, "retries": 4}
+        # the first attempt and three retries, each a transaction
+        assert p.counters == {"read_tx": 4, "taps": 1, "retries": 3}
 
     def test_exhaustion_never_misclassifies(self, space):
         # seed 0 at probability 0.9: the first five draws all fall below
@@ -288,12 +288,14 @@ class ReferenceProber:
         return out
 
     def settle(self, op, space, addr, write):
-        """The outcome of the first attempt that is not transient."""
+        """The outcome of the first attempt that is not transient; each
+        attempt after the first is a retry."""
         for attempts in range(1, self.retries + 2):
+            if attempts > 1:
+                self.counters["retries"] += 1
             out = self.attempt(space, addr, write)
             if out is not ProbeOutcome.RETRYABLE_ABORT:
                 return out
-            self.counters["retries"] += 1
         self.trace_log.append((op, addr, "exhausted"))
         raise RetryBudgetExhausted(addr, attempts)
 
@@ -374,3 +376,8 @@ def test_probes_match_per_attempt_reference(session):
             assert got == want
     assert p.counters == dict(ref.counters)
     assert p.trace_log == ref.trace_log
+    # each probe's first attempt is its one transaction that is no retry,
+    # whether the probe settled or ran out of retries
+    c = p.counters
+    assert c.get("retries", 0) == (c.get("read_tx", 0) + c.get("write_tx", 0)
+                                   - c.get("taps", 0) - c.get("claws", 0))
