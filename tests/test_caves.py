@@ -1,9 +1,9 @@
 import pytest
 
-from caveprobe.caves import CaveRegion, NoCaveError, find_caves, select_cave
+from caveprobe.caves import NoCaveError, find_caves, select_cave
 from caveprobe.explorer import PageMap
-from caveprobe.memspace import PAGE_SIZE
-from caveprobe.probe import ACCESSIBLE, Prober
+from caveprobe.memspace import PAGE_SIZE, PageRun
+from caveprobe.probe import ACCESSIBLE, WRITABLE, Prober
 from helpers import make_space, settled_store
 
 
@@ -11,16 +11,16 @@ class TestFindCaves:
     def test_zero_writable_run_found(self):
         space = make_space((0x100000, 3 * PAGE_SIZE, "rwu", b""))
         caves = find_caves(settled_store(space))
-        assert caves == [CaveRegion(0x100000, 3 * PAGE_SIZE)]
-        assert caves[0].start + caves[0].length == 0x103000
+        assert caves == [PageRun(0x100000, 0x103000, WRITABLE)]
+        assert caves[0].end == 0x103000
 
     def test_nonzero_pages_break_runs(self):
         blob = bytes(PAGE_SIZE) + b"\x01" + bytes(PAGE_SIZE - 1) + bytes(PAGE_SIZE)
         space = make_space((0x100000, 3 * PAGE_SIZE, "rwu", blob))
         caves = find_caves(settled_store(space))
         assert caves == [
-            CaveRegion(0x100000, PAGE_SIZE),
-            CaveRegion(0x102000, PAGE_SIZE),
+            PageRun(0x100000, 0x101000, WRITABLE),
+            PageRun(0x102000, 0x103000, WRITABLE),
         ]
 
     def test_read_only_zero_pages_excluded(self):
@@ -29,7 +29,7 @@ class TestFindCaves:
             (0x101000, PAGE_SIZE, "rwu", b""),
         )
         caves = find_caves(settled_store(space))
-        assert caves == [CaveRegion(0x101000, PAGE_SIZE)]
+        assert caves == [PageRun(0x101000, 0x102000, WRITABLE)]
 
     def test_runs_of_every_length_are_caves(self):
         space = make_space(
@@ -37,15 +37,15 @@ class TestFindCaves:
             (0x200000, 4 * PAGE_SIZE, "rwu", b""),
         )
         caves = find_caves(settled_store(space))
-        assert caves == [CaveRegion(0x100000, PAGE_SIZE),
-                         CaveRegion(0x200000, 4 * PAGE_SIZE)]
+        assert caves == [PageRun(0x100000, 0x101000, WRITABLE),
+                         PageRun(0x200000, 0x204000, WRITABLE)]
 
     def test_unprobed_pages_invisible(self):
         space = make_space((0x100000, 2 * PAGE_SIZE, "rwu", b""))
         pm = PageMap(space, Prober(0.0, 0))
         pm.claw(0x100000)
         caves = find_caves(pm)
-        assert caves == [CaveRegion(0x100000, PAGE_SIZE)]
+        assert caves == [PageRun(0x100000, 0x101000, WRITABLE)]
 
     def test_sorted_by_address(self):
         space = make_space(
@@ -60,7 +60,7 @@ class TestFindCaves:
         space = make_space((0x100000, 2 * PAGE_SIZE, "rwu", b""))
         pm = settled_store(space)
         before = pm.prober.counters
-        assert find_caves(pm) == [CaveRegion(0x100000, 2 * PAGE_SIZE)]
+        assert find_caves(pm) == [PageRun(0x100000, 0x102000, WRITABLE)]
         assert pm.prober.counters == before
 
     def test_a_bare_tap_hit_is_not_clawed_and_is_not_a_cave(self):
@@ -73,17 +73,19 @@ class TestFindCaves:
 
 class TestSelectCave:
     def test_first_fit_by_address(self):
-        caves = [CaveRegion(0x200000, 0x4000), CaveRegion(0x100000, 0x1000)]
-        assert select_cave(caves, 0x800) == CaveRegion(0x100000, 0x1000)
-        assert select_cave(caves, 0x2000) == CaveRegion(0x200000, 0x4000)
+        caves = [PageRun(0x200000, 0x204000, WRITABLE),
+                 PageRun(0x100000, 0x101000, WRITABLE)]
+        assert select_cave(caves, 0x800) == PageRun(0x100000, 0x101000, WRITABLE)
+        assert select_cave(caves, 0x2000) == PageRun(0x200000, 0x204000, WRITABLE)
 
     def test_no_fit(self):
         with pytest.raises(NoCaveError) as exc:
-            select_cave([CaveRegion(0x100000, 0x1000)], 0x2000)
+            select_cave([PageRun(0x100000, 0x101000, WRITABLE)], 0x2000)
         assert exc.value.need_len == 0x2000
 
     def test_no_fit_names_the_caves(self):
-        caves = [CaveRegion(0x100000, 0x1000), CaveRegion(0x300000, 0x3000)]
+        caves = [PageRun(0x100000, 0x101000, WRITABLE),
+                 PageRun(0x300000, 0x303000, WRITABLE)]
         with pytest.raises(NoCaveError) as exc:
             select_cave(caves, 0x4000)
         assert str(exc.value) == (

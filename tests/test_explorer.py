@@ -4,7 +4,7 @@ import struct
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from caveprobe import caves, cli, explorer
 from caveprobe.cli import MODES, Pipeline, PipelineConfig, _aslr_offset
@@ -12,7 +12,6 @@ from caveprobe.explorer import (
     DEFAULT_BUDGET,
     ExploreBudgetError,
     NoFrameError,
-    MapRun,
     PageMap,
     explore,
     explore_from_pointers,
@@ -27,6 +26,7 @@ from caveprobe.memspace import (
     USER_TOP,
     AddressSpace,
     MemoryFault,
+    PageRun,
     load_manifest,
     parse_manifest,
     parse_proc_maps,
@@ -580,9 +580,9 @@ def test_explore_stage_counts_an_extent_of_two_classes_once():
     cli._explore(ctx)
     W, RO = Writability.WRITABLE, Writability.READ_ONLY
     assert ctx.report.reconstructed.runs == (
-        MapRun(0x100000, 0x102000, RO),
-        MapRun(0x102000, 0x104000, W),
-        MapRun(0x200000, 0x201000, W),
+        PageRun(0x100000, 0x102000, RO),
+        PageRun(0x102000, 0x104000, W),
+        PageRun(0x200000, 0x201000, W),
     )
     assert ctx.report.exploration["extents"] == 2
 
@@ -837,13 +837,13 @@ class TestReconstruct:
         p = quiet_prober()
         pm = PageMap(make_space(), p, entries=dict(entries))
         assert reconstruct_map(pm).runs == (
-            MapRun(0x10000, 0x12000, W),
-            MapRun(0x12000, 0x13000, RO),
-            MapRun(0x14000, 0x15000, RO),
-            MapRun(0x16000, 0x18000, RO),
+            PageRun(0x10000, 0x12000, W),
+            PageRun(0x12000, 0x13000, RO),
+            PageRun(0x14000, 0x15000, RO),
+            PageRun(0x16000, 0x18000, RO),
         )
         pm.entries[0x1A000] = W
-        assert reconstruct_map(pm).runs[-1] == MapRun(0x1A000, 0x1B000, W)
+        assert reconstruct_map(pm).runs[-1] == PageRun(0x1A000, 0x1B000, W)
         assert list(pm.entries.items()) == [*entries.items(), (0x1A000, W)]
         assert p.counters == {}
 
@@ -863,7 +863,7 @@ class TestReconstruct:
 
     def test_all_unmapped_single_run(self):
         recon = claw_range(quiet_store(make_space()), 0x0, 0x8000)
-        assert recon.runs == (MapRun(0x0, 0x8000, Writability.INACCESSIBLE),)
+        assert recon.runs == (PageRun(0x0, 0x8000, Writability.INACCESSIBLE),)
 
     def test_alternating_pages_stay_uncoalesced(self):
         regions = []
@@ -938,7 +938,7 @@ class TestGroundTruthCompare:
 
 
 VERDICTS = tuple(Writability)
-MAPS_PERMS = ("r--p", "rw-p", "r-xp", "rwxp", "---p")
+MAPS_PERMS = ("r--p", "rw-p", "r-xp", "rwxp", "---p", "-w-p")
 
 
 @given(
@@ -947,6 +947,9 @@ MAPS_PERMS = ("r--p", "rw-p", "r-xp", "rwxp", "---p")
     batches=st.lists(st.dictionaries(st.integers(0, 40), st.sampled_from(VERDICTS)),
                      min_size=1, max_size=3),
 )
+# a write-only mapping, which Linux prints -w-, is writable and readable
+@example(regions=[(0, 2, "-w-p")], batches=[{0: Writability.WRITABLE,
+                                             1: Writability.READ_ONLY}])
 def test_ground_truth_compare_matches_a_per_page_oracle(regions, batches):
     # regions as (gap, pages, perms) from page 0 up; verdicts stored in
     # batches, in no order, the store judged after each batch
@@ -964,7 +967,8 @@ def test_ground_truth_compare_matches_a_per_page_oracle(regions, batches):
         for base in sorted(store.entries):
             want = "inaccessible"
             for lo, hi, perms in extents:
-                if lo <= base < hi and perms[0] == "r":
+                # a -w- mapping is readable, as the MMU maps PROT_WRITE
+                if lo <= base < hi and (perms[0] == "r" or perms[1] == "w"):
                     want = "writable" if perms[1] == "w" else "readonly"
             got = store.entries[base].value
             if got == want or (got == "accessible" and want != "inaccessible"):

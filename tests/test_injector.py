@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from caveprobe.caves import CaveRegion, NoCaveError
+from caveprobe.caves import NoCaveError
 from caveprobe.explorer import ExploreBudgetError, NoFrameError, PageMap
 from caveprobe.gadgets import CHAIN_VARIANTS, GADGETS, ChainWord, GadgetCatalog
 from caveprobe.injector import (
@@ -14,8 +14,8 @@ from caveprobe.injector import (
     locate_victim_frame,
     payload_offset,
 )
-from caveprobe.memspace import PAGE_SIZE, PagePermissions
-from caveprobe.probe import Prober, Writability
+from caveprobe.memspace import PAGE_SIZE, PagePermissions, PageRun
+from caveprobe.probe import WRITABLE, Prober, Writability
 from helpers import make_space, settled_store, space_digest
 
 STACK = 0x7F0000000000
@@ -51,7 +51,8 @@ def forge(v: VictimFrame | None = None, marker: int | None = MARKER,
     """The image forge_fake_frame plans for ``v``, by default in payload
     mode and in one page-long cave at CAVE."""
     return forge_fake_frame(v or victim(), catalog(),
-                            cave_list or [CaveRegion(CAVE, 0x1000)], variant, marker)
+                            cave_list or [PageRun(CAVE, CAVE + 0x1000, WRITABLE)],
+                            variant, marker)
 
 
 class TestRestorationRecord:
@@ -154,7 +155,7 @@ class TestForge:
         # 1 saved-rbp word + 9 chain words + 1 continuation = 11 words,
         # 0x58 bytes, so the payload starts at the 0x60 boundary
         image = forge()
-        assert image.cave == CaveRegion(CAVE, 0x1000)
+        assert image.cave == PageRun(CAVE, CAVE + 0x1000, WRITABLE)
         assert len(image.words) == 11
         assert image.payload_addr == CAVE + 0x60
         assert image.words[0].value == victim().saved_rbp
@@ -208,13 +209,15 @@ class TestForge:
         # with a payload: the frame, the payload that zeroes it, and the
         # marker word; without one, the frame alone
         with pytest.raises(NoCaveError) as exc:
-            forge(marker=marker, variant=variant, cave_list=[CaveRegion(CAVE, 0x40)])
+            forge(marker=marker, variant=variant,
+                  cave_list=[PageRun(CAVE, CAVE + 0x40, WRITABLE)])
         assert exc.value.need_len == need
         assert str(exc.value).startswith(f"no cave of at least {need:#x} bytes")
 
     def test_lowest_cave_that_fits_is_taken(self):
-        caves = [CaveRegion(CAVE + 0x10000, 0x2000), CaveRegion(CAVE, 0x1000)]
-        assert forge(cave_list=caves).cave == CaveRegion(CAVE, 0x1000)
+        caves = [PageRun(CAVE + 0x10000, CAVE + 0x12000, WRITABLE),
+                 PageRun(CAVE, CAVE + 0x1000, WRITABLE)]
+        assert forge(cave_list=caves).cave == PageRun(CAVE, CAVE + 0x1000, WRITABLE)
 
     def test_forge_writes_nothing(self):
         # pure layout computation: no space is even passed in
@@ -235,7 +238,7 @@ def test_image_carries_marker_cleanup_epilogue_and_stop(variant, marker):
         return
     assert image.stop_rsp == victim().resume_rsp
     # the marker takes the cave's last word, past everything planted
-    assert image.marker == (cave.start + cave.length - 8, MARKER)
+    assert image.marker == (cave.end - 8, MARKER)
     assert cave.start + len(image.image_bytes()) <= image.marker[0]
     assert image.cleanup == (cave.start, image.payload_addr - cave.start)
 
@@ -376,7 +379,7 @@ class TestInject:
         # this image is built by hand
         start = CAVE + PAGE_SIZE - 0x80
         image = FakeFrameImage(
-            CaveRegion(start, 0x1000), (ChainWord(v.saved_rbp, "saved-rbp"),),
+            PageRun(start, start + 0x1000, WRITABLE), (ChainWord(v.saved_rbp, "saved-rbp"),),
             b"\xAA" * 0x100, start + 0x10, None, EPILOGUE, v.resume_rsp)
         before = space_digest(space)
         written = logged_writes(space)

@@ -3,7 +3,7 @@ from collections import Counter
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from caveprobe import explorer, probe
 from caveprobe.memspace import PAGE_SIZE, USER_TOP, AddressSpace, PagePermissions
@@ -360,7 +360,19 @@ def probe_sessions(draw):
     return space, settings, probes
 
 
+def _exhausting_session():
+    """Taps and claws on a readable and a writable page with abort
+    probability 0.95 and one retry, so that most probes run out of retries."""
+    space = AddressSpace()
+    space.map_region(0x10000, PAGE_SIZE, PagePermissions.from_rwxu("ru"))
+    space.map_region(0x12000, PAGE_SIZE, PagePermissions.from_rwxu("rwu"))
+    probes = [(False, 0x10000, False), (True, 0x12000, False), (False, 0x12000, False),
+              (True, 0x10000, True), (True, 0x12000, True)]
+    return space, (0.95, 0, 1), probes
+
+
 @given(probe_sessions())
+@example(_exhausting_session())
 def test_probes_match_per_attempt_reference(session):
     space, (prob, seed, retries), probes = session
     p = Prober(prob, seed, trace=True)
