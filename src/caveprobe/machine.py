@@ -63,9 +63,6 @@ ENOMEM = 12
 # the longest encoding of the subset, mov r64, imm64
 _MAX_INSN = 10
 
-# assemble_payload refuses to unroll zero stores past this many bytes
-MAX_CLEANUP_BYTES = 1 << 16
-
 
 @dataclass(slots=True)
 class MachineState:
@@ -206,14 +203,13 @@ def _mprotect(space: AddressSpace, addr: int, length: int, prot: int) -> int:
 def step(
     state: MachineState, space: AddressSpace, effects: list | None = None
 ) -> MachineState:
-    """Execute one instruction at ``state.rip``, mutating ``state``.
+    """Execute one instruction at ``state.rip``, mutating ``state``, which
+    must be running, as ``run_until`` checks before each step.
 
     Undecodable bytes, fetches from non-executable memory, stores to
     read-only pages, and touches of unmapped pages all end in a trapped
     status instead of an exception.
     """
-    if state.status != RUNNING:
-        raise ValueError("machine is not running")
     try:
         _execute(state, space, effects)
     except _Stop as stop:
@@ -312,29 +308,22 @@ def run_until(
 
 
 # --- tiny assembler ---------------------------------------------------------
+# Each encoder takes registers among rax..rdi, as assemble_payload passes
+# them; a store's address register is not rsp or rbp.
+
 
 def enc_mov_ri(reg: str, imm: int) -> bytes:
-    """mov r64, imm64 (register must be one of rax..rdi)."""
-    idx = _REG_INDEX[reg]
-    if idx > 7:
-        raise ValueError("immediate moves support only rax..rdi here")
-    return bytes([0x48, 0xB8 + idx]) + (imm & MASK64).to_bytes(8, "little")
+    """mov r64, imm64."""
+    return bytes([0x48, 0xB8 + _REG_INDEX[reg]]) + (imm & MASK64).to_bytes(8, "little")
 
 
 def enc_store(addr_reg: str, src_reg: str) -> bytes:
     """mov [addr_reg], src_reg."""
-    ai = _REG_INDEX[addr_reg]
-    si = _REG_INDEX[src_reg]
-    if ai in (4, 5) or ai > 7 or si > 7:
-        raise ValueError("store needs plain registers, address not rsp/rbp")
-    return bytes([0x48, 0x89, (si << 3) | ai])
+    return bytes([0x48, 0x89, (_REG_INDEX[src_reg] << 3) | _REG_INDEX[addr_reg]])
 
 
 def enc_jmp_r(reg: str) -> bytes:
-    idx = _REG_INDEX[reg]
-    if idx > 7:
-        raise ValueError("jmp register must be one of rax..rdi")
-    return bytes([0xFF, 0xC0 | (4 << 3) | idx])
+    return bytes([0xFF, 0xC0 | (4 << 3) | _REG_INDEX[reg]])
 
 
 def enc_nop() -> bytes:
@@ -369,19 +358,11 @@ def assemble_payload(
     4. jump to ``resume_rip``.
 
     ``injector.forge_fake_frame`` passes the victim's values and places the
-    blob.  The range must be 8-byte divisible and no larger than
-    MAX_CLEANUP_BYTES, since each zeroed 8 bytes costs 13 instruction bytes.
+    blob.  The range's length, ``injector.payload_offset``, is 8-byte
+    divisible; each zeroed 8 bytes costs 13 instruction bytes.
     """
     marker_addr, marker_value = marker
     start, length = cleanup
-    if length < 0 or length % 8:
-        raise ValueError("the cleanup range must be 8-byte divisible")
-    if length > MAX_CLEANUP_BYTES:
-        raise ValueError(
-            f"cleanup of {length:#x} bytes exceeds the "
-            f"{MAX_CLEANUP_BYTES:#x}-byte unrolled-store limit"
-        )
-
     out = bytearray()
     out += enc_mov_ri("rdi", marker_addr)
     out += enc_mov_ri("rsi", marker_value)

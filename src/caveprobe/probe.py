@@ -208,7 +208,5 @@ class Prober:
         """Write ``data`` at ``addr``, counted as one safe write.  It probes
         nothing: the caller has settled every touched page writable through
         the store, as ``injector.inject`` does."""
-        if not data:
-            raise ValueError("safe_write requires a non-empty payload")
         self._safe_writes += 1
         space.write_bytes(addr, data)

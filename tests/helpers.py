@@ -7,12 +7,17 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import random
 import re
+from pathlib import Path
 from unittest.mock import patch
 
 from caveprobe import caves, explorer
-from caveprobe.cli import EXIT_STAGE_ERROR, main
+from caveprobe.cli import (
+    EXIT_STAGE_ERROR, RESTORE_MODES, PipelineConfig, main, run_pipeline,
+)
+from caveprobe.gadgets import CHAIN_VARIANTS
 from caveprobe.explorer import ReconstructedMap
 from caveprobe.machine import (
     REG_NAMES, MachineState, _fetch_u8, _read64, _Stop, _syscall, _write64,
@@ -369,6 +374,18 @@ def reference_execute(state: MachineState, space: AddressSpace,
             return
         raise _Stop("undecodable")
     raise _Stop("undecodable")
+
+
+DEMO = str(Path(__file__).resolve().parent.parent / "images" / "demo.json")
+
+
+def run_demo_pipelines(**config) -> None:
+    """Run the demo image through every stage once per chain variant and
+    restore mode, so a spy patched in sees every call a stage makes."""
+    for variant, restore in itertools.product(CHAIN_VARIANTS, RESTORE_MODES):
+        report = run_pipeline(PipelineConfig(
+            image_path=DEMO, chain_variant=variant, restore=restore, **config))
+        assert report.all_verdicts_pass(), (variant, restore)
 
 
 def run_main(argv: list[str]) -> tuple[int, str, str]:

@@ -109,6 +109,12 @@ def _zero_hex_cave(doc: dict) -> None:
     code["data"] = code["data"].upper()
 
 
+def _read_only_stack(doc: dict) -> None:
+    [stack] = [r for r in doc["regions"] if r["label"] == "[stack]"]
+    _need(stack["perms"] == "rwu", "the demo's stack is not rwu")
+    stack["perms"] = "ru"
+
+
 def _page_zero(doc: dict) -> None:
     # a read-only user page at 0x0 makes zero an address
     _need(all(int(r["start"], 16) >= 0x1000 for r in doc["regions"]),
@@ -119,6 +125,7 @@ def _page_zero(doc: dict) -> None:
 _BACKSLASH = _sub('"label"', '"\\u006cabel"', '"\\u006cabel"', 1)
 _OUT = ("--out", "report.json")
 _NOT_UTF8 = "images/demo\udcff.json"  # names the file with byte 0xff
+_EMOJI_PATH = "images/d\U0001F600.json"
 
 ROWS = (
     # a long value is escaped to ASCII and cut to 80 characters
@@ -211,6 +218,20 @@ ROWS = (
     Row("Image path that is not UTF-8 in a text report to --out gives stdout's bytes",
         ("--image-path", _NOT_UTF8, "--format", "text", "--out", "report.txt"),
         image_at=_NOT_UTF8, same_as="Image path that is not UTF-8 in a text report"),
+    # the report goes out as bytes, so a stdout that can encode only ASCII
+    # gets what a UTF-8 one gets
+    Row("Image path with an emoji in a text report",
+        ("--image-path", _EMOJI_PATH, "--format", "text"), image_at=_EMOJI_PATH,
+        env={"PYTHONIOENCODING": "utf-8"}),
+    Row("Image path with an emoji in a text report on an ASCII stdout",
+        ("--image-path", _EMOJI_PATH, "--format", "text"), image_at=_EMOJI_PATH,
+        env={"PYTHONIOENCODING": "ascii:strict"},
+        same_as="Image path with an emoji in a text report"),
+    # the inject stage claws the stack pages it writes, and the armed
+    # frame's page is read-only
+    Row("Read-only stack in the manifest fails the inject stage",
+        ("--image-path", IMAGE, "--no-aslr"), 2, image=_doc(_read_only_stack),
+        stderr=Err(has="stage 'inject' failed: page 0x7f0000306000 is not writable")),
 )
 
 

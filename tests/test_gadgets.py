@@ -1,9 +1,11 @@
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from caveprobe import gadgets
+from caveprobe.cli import PipelineConfig
 from caveprobe.gadgets import (
     CHAIN_VARIANTS,
     CHAINS,
@@ -12,11 +14,10 @@ from caveprobe.gadgets import (
     MissingGadgetError,
     build_mprotect_chain,
     find_gadgets,
-    required_kinds,
 )
 from caveprobe.machine import SYS_MPROTECT
 from caveprobe.memspace import PAGE_SIZE, AddressSpace, PagePermissions, page_runs
-from helpers import make_space, settled_store
+from helpers import DEMO, make_space, run_demo_pipelines, run_main, settled_store
 
 
 def space_with_code(base: int, code: bytes, pages: int = 1):
@@ -388,13 +389,19 @@ class TestCatalog:
 
 class TestRequiredKinds:
     def test_variants(self):
-        assert "pop-rdx-ret" in required_kinds("sound-5")
-        assert "pop-rdx-ret" not in required_kinds("short-4")
-        assert set(required_kinds("short-4")) < set(required_kinds("sound-5"))
+        assert "pop-rdx-ret" in CHAINS["sound-5"]
+        assert "pop-rdx-ret" not in CHAINS["short-4"]
+        assert set(CHAINS["short-4"]) < set(CHAINS["sound-5"])
 
     def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            required_kinds("five")
+        # argv and the config refuse a variant CHAINS lacks before any
+        # stage runs, so every stage indexes CHAINS directly
+        assert "five" not in CHAINS
+        code, out, err = run_main(["--image-path", DEMO, "--chain-variant", "five"])
+        assert (code, out) == (2, "")
+        assert err.startswith("caveprobe: ") and "--chain-variant" in err
+        with pytest.raises(ValueError, match="chain_variant must be one of"):
+            PipelineConfig(image_path="", chain_variant="five")
 
     def test_variant_constant(self):
         # in this order: perfbench's combos rotate through the variants so
@@ -442,20 +449,32 @@ class TestBuildChain:
         ]
 
     def test_missing_gadgets_all_named(self):
+        # the gadgets stage requires the chain's kinds before any is built
         cat = GadgetCatalog({"pop-rdi-ret": (0x400010,)}, searched_pages=1)
         with pytest.raises(MissingGadgetError) as exc:
-            build_mprotect_chain(cat, 0x700000, 0x1000, 7)
+            cat.require(CHAINS["sound-5"])
         assert set(exc.value.missing) == {
             "pop-rsi-ret", "pop-rdx-ret", "pop-rax-ret", "syscall"
         }
 
     def test_alignment_validation(self):
-        with pytest.raises(ValueError):
-            build_mprotect_chain(full_catalog(), 0x700010, 0x1000, 7)
-        with pytest.raises(ValueError):
-            build_mprotect_chain(full_catalog(), 0x700000, 0x10, 7)
-        with pytest.raises(ValueError):
-            build_mprotect_chain(full_catalog(), 0x700000, 0, 7)
+        # build_mprotect_chain trusts its caller: the pipeline passes a cave
+        # find_caves gave, page aligned and whole pages long, and a catalog
+        # the gadgets stage has already required the chain's kinds of
+        calls = []
+        build = gadgets.build_mprotect_chain
+
+        def spy(catalog, cave_addr, cave_len, prot_value, variant="sound-5"):
+            calls.append((cave_addr, cave_len))
+            catalog.require(CHAINS[variant])
+            return build(catalog, cave_addr, cave_len, prot_value, variant)
+
+        with patch.object(gadgets, "build_mprotect_chain", spy):
+            run_demo_pipelines()
+        assert calls
+        for cave_addr, cave_len in calls:
+            assert cave_addr % PAGE_SIZE == 0
+            assert cave_len > 0 and cave_len % PAGE_SIZE == 0
 
     def test_syscall_site_prefers_ret_fallthrough(self):
         # two syscall sites; only the higher one falls through into a ret
@@ -485,7 +504,7 @@ class TestBuildChain:
         cat = find_gadgets(settled_store(space_with_code(0x400000, bytes(code))), {0x400000})
         assert len(cat.found["syscall"]) == sites and cat.syscalls_into_ret == ()
         with pytest.raises(MissingGadgetError) as exc:
-            build_mprotect_chain(cat, 0x700000, 0x1000, 7)
+            cat.require(CHAINS["sound-5"])
         assert exc.value.missing == ("syscall",)
         assert str(exc.value) == (
             f"none of the {sites} syscall site{'s' * (sites > 1)} found falls into a ret")

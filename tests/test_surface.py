@@ -1,10 +1,12 @@
 """Public surface of ``src/`` that nothing but tests calls must not grow back.
 
-Every public function, class and method defined in the package must appear,
-as a whole word, somewhere in the program (``src/``, ``scripts/`` or
-``perfbench/``) besides its own definition lines.  A word match is coarse:
-a mention in a docstring counts, and two methods of one name share their
-uses.  It still catches a name that only tests ever reach.
+Every public function, class and method defined in the package must be
+named by code somewhere in the program (``src/``, ``scripts/`` or
+``perfbench/``): as a name or an attribute in the syntax tree, or as an
+attribute ``perfbench/spans.py``'s ``SPANNED`` gives as a string, which the
+benchmark reaches by ``setattr``.  A mention in a docstring or a comment does
+not count.  Two methods of one name share their uses, so the rule is still
+coarse, but it catches a name that only tests ever reach.
 
 Every dataclass field in the package must be read as an attribute
 (``obj.field``) somewhere in the program or the tests: a field that is only
@@ -12,7 +14,6 @@ ever set carries nothing.
 """
 
 import ast
-import re
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -26,42 +27,47 @@ ALLOWED = {
 }
 
 
-def _definitions() -> list[tuple[str, str, Path, int]]:
-    """(qualified name, name, file, def line) of every public function and
-    class at module level and every public method of a module-level class."""
+def _definitions() -> list[tuple[str, str]]:
+    """(qualified name, name) of every public function and class at module
+    level and every public method of a module-level class."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 if not node.name.startswith("_"):
-                    found.append((f"{module}.{node.name}", node.name, path, node.lineno))
+                    found.append((f"{module}.{node.name}", node.name))
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        qual = f"{module}.{node.name}.{item.name}"
-                        found.append((qual, item.name, path, item.lineno))
+                        found.append((f"{module}.{node.name}.{item.name}", item.name))
     return found
 
 
+def _spanned() -> set[str]:
+    """The attribute names in ``SPANNED``'s (owner, attribute, span) rows."""
+    tree = ast.parse((REPO / "perfbench" / "spans.py").read_text())
+    [rows] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+              and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["SPANNED"]]
+    return {row.elts[1].value for row in rows.elts}
+
+
+def _named_in_program() -> set[str]:
+    """Every name and attribute the program's code uses."""
+    named = _spanned()
+    for root in PROGRAM:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+    return named
+
+
 def _unused() -> list[str]:
-    defs = _definitions()
-    def_lines = {(path, line) for _, _, path, line in defs}
-    lines = [
-        (path, no, text)
-        for root in PROGRAM
-        for path in sorted(root.rglob("*.py"))
-        for no, text in enumerate(path.read_text().splitlines(), start=1)
-    ]
-    unused = []
-    for qual, name, _, _ in defs:
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        if not any(
-            (path, no) not in def_lines and word.search(text)
-            for path, no, text in lines
-        ):
-            unused.append(qual)
-    return unused
+    named = _named_in_program()
+    return [qual for qual, name in _definitions() if name not in named]
 
 
 def test_every_public_name_has_a_caller_in_the_program():
@@ -72,7 +78,7 @@ def test_every_public_name_has_a_caller_in_the_program():
 def test_allowlist_names_only_uncalled_definitions():
     # an allowlisted name that gained a caller, or was deleted, should leave
     # the list rather than excuse a later name of the same spelling
-    defined = {qual for qual, _, _, _ in _definitions()}
+    defined = {qual for qual, _ in _definitions()}
     assert set(ALLOWED) <= defined
     assert set(ALLOWED) <= set(_unused())
 
