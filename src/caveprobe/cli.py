@@ -383,10 +383,9 @@ def _gadgets(ctx: Pipeline) -> None:
     # read-only pages are where gadgets can live; writable pages would
     # not make them trustworthy
     code = [b for b, v in ctx.pagemap.entries.items() if v is READ_ONLY]
-    # the chain's kinds and the pivot's epilogue, where hybrid's census stops
+    # the chain's kinds and the pivot's epilogue, where the census stops
     need = (*gadgets.CHAINS[ctx.config.chain_variant], "leave-ret")
-    ctx.catalog = gadgets.find_gadgets(
-        ctx.pagemap, code, need if ctx.config.mode == "hybrid" else None)
+    ctx.catalog = gadgets.find_gadgets(ctx.pagemap, code, need)
     ctx.report.gadget_census = dict(ctx.catalog.found)
     ctx.catalog.require(need)
 

@@ -253,8 +253,7 @@ def explore(pm: PageMap, mode: str, stack_pointer: int) -> PageMap:
     ``pointer-chase`` and ``hybrid``: breadth-first pointer harvest from the
     stack pointer.  A sweep to its first hit would stop on the stack
     pointer's own page, which a paused host always has, so ``hybrid``
-    probes as the pointer chase does; it differs later, in a gadget census
-    that stops reading code once the chain's kinds are found.
+    probes as the pointer chase does.
     """
     try:
         if mode == "linear":

@@ -90,7 +90,9 @@ def find_gadgets(pm: PageMap, pages: Iterable[int],
     ``pm``, in address order for every pattern in GADGETS; with ``need``,
     stop after the first page where ``GadgetCatalog.require(need)`` would
     pass.  Each kind's sites are then a prefix of the full census's, its
-    lowest the same; ``searched_pages`` counts the pages scanned.
+    lowest the same; ``searched_pages`` counts the pages scanned.  The
+    gadgets stage always passes its need; ``need=None`` is the full
+    census, which the tests compare against.
 
     No other page is read.  Each page is read through ``pm`` once, with
     the first two bytes of the next page when that page is in the set too,

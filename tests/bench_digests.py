@@ -20,9 +20,9 @@ import sys
 from pathlib import Path
 
 PINNED = {
-    "demo-configs": "3c4657b0a12960f1fe1738af982dab940ecf91f7f60113fd187277b08c40bdc1",
+    "demo-configs": "6da3ad5dcd70c6deace8dad33dbbb8ca19f8ff9eff7181fe439513d75963b463",
     "large-aslr": "38ce8b51e3663f161bcbc6eda60e67b85e8678e4608afa0282e956eda7a0535c",
-    "noisy-noaslr": "1d300471b78b5ce8136909caed513080e51bc5ab09a44562e75b5259666dddc4",
+    "noisy-noaslr": "9868c3cf994efed07e4f03c74f6d1fb67fc18135264f215cfbd1e22d1a0d3b66",
 }
 
 _DIGEST_LINE = "report digest over the first pass: "

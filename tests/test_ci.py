@@ -207,7 +207,7 @@ MOVED = (
     "Manifest from a pipe gives the same report",
     "Cave as zero hex and uppercase code give the same report",
     "Page 0 mapped: zero words are pointers",
-    "Hybrid picks the chain pointer-chase picks",
+    "Hybrid report is pointer-chase's but for the mode",
 )
 
 

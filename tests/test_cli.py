@@ -1082,7 +1082,7 @@ def test_demo_text_reports_byte_identical(monkeypatch):
 
 # The JSON reports for every mode x chain variant x restore combination,
 # in that product order, with seeds 0..2 innermost: 36 passing reports.
-DEMO_COMBO_REPORTS_SHA256 = "9507947a1a3a2522d1d4c6104df8b412c15f0ce70c12dc46ec890ae835293563"
+DEMO_COMBO_REPORTS_SHA256 = "aac65266ac1354bdd9b6b46a15b6c4fddf6b9548025057626da4a933d75de6a0"
 
 
 def test_demo_combo_reports_byte_identical(monkeypatch):
@@ -1103,24 +1103,19 @@ def test_demo_combo_reports_byte_identical(monkeypatch):
 
 
 def assert_hybrid_matches_pointer_chase(**config) -> None:
-    """``hybrid`` probes as the pointer chase does and stops its gadget
-    census once the chain's kinds are found: its JSON report is
-    pointer-chase's once the two mode names are swapped, except that each
-    kind's census list is a prefix of pointer-chase's, and every kind the
-    chain and the epilogue need has a site."""
+    """``hybrid`` probes as the pointer chase does, and every mode's gadget
+    census stops once the chain's kinds are found: its JSON report is
+    pointer-chase's once the two mode names are swapped, ``gadgets``
+    included, and every kind the chain and the epilogue need has a site."""
     hybrid, chase = (
         json.loads(emit_report(run_pipeline(PipelineConfig(mode=mode, **config))))
         for mode in ("hybrid", "pointer-chase")
     )
     assert (hybrid["config"]["mode"], hybrid["exploration"]["mode"]) == ("hybrid", "hybrid")
     hybrid["config"]["mode"] = hybrid["exploration"]["mode"] = "pointer-chase"
-    census, full = hybrid.pop("gadgets"), chase.pop("gadgets")
     assert hybrid == chase
-    assert census.keys() == full.keys()
-    for kind, sites in census.items():
-        assert full[kind][: len(sites)] == sites, kind
     need = (*gadgets.CHAINS[hybrid["config"]["chain-variant"]], "leave-ret")
-    assert all(census[kind] for kind in need)
+    assert all(hybrid["gadgets"][kind] for kind in need)
 
 
 @pytest.mark.parametrize("restore", RESTORE_MODES)
@@ -1145,6 +1140,55 @@ def test_hybrid_reports_as_pointer_chase_on_synth_images(tmp_path):
             assert_hybrid_matches_pointer_chase(
                 image_path=str(manifest), ground_truth_path=str(maps),
                 seed=seed, aslr=aslr)
+
+
+def assert_census_stops_at_the_chain(**config) -> None:
+    """Whatever the mode, the gadgets stage scans read-only pages in address
+    order and stops after the first page that completes the chain and the
+    epilogue: its catalog is the full census cut after that page, so each
+    kind's list is a prefix of the full list, and it holds each needed
+    kind's lowest site."""
+    pipe = Pipeline(PipelineConfig(**config))
+    pipe.run()
+    code = sorted(b for b, v in pipe.pagemap.entries.items()
+                  if v is Writability.READ_ONLY)
+    full = gadgets.find_gadgets(pipe.pagemap, code)
+    need = (*gadgets.CHAINS[pipe.config.chain_variant], "leave-ret")
+
+    def cut(k: int) -> gadgets.GadgetCatalog:
+        end = code[k - 1] + PAGE_SIZE
+        return gadgets.GadgetCatalog(
+            found={kind: tuple(a for a in sites if a < end)
+                   for kind, sites in full.found.items()},
+            searched_pages=k,
+            syscalls_into_ret=tuple(a for a in full.syscalls_into_ret if a < end))
+
+    def complete(k: int) -> bool:
+        try:
+            cut(k).require(need)
+        except gadgets.MissingGadgetError:
+            return False
+        return True
+
+    k = next((k for k in range(1, len(code) + 1) if complete(k)), len(code))
+    assert pipe.catalog == cut(k)
+    assert all(pipe.catalog.lowest(kind) == full.lowest(kind) for kind in need)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("variant", CHAIN_VARIANTS)
+def test_every_mode_stops_its_census_at_the_chain(tmp_path, mode, variant):
+    for seed in range(4):
+        assert_census_stops_at_the_chain(
+            image_path=DEMO, seed=seed, mode=mode, chain_variant=variant)
+    for seed in range(6):
+        manifest = tmp_path / f"victim-{seed}.json"
+        manifest.write_text(build_victim_image(
+            seed, code_pages=16, cave_pages=16, stack_pages=16).manifest_text)
+        for aslr in (True, False):
+            assert_census_stops_at_the_chain(
+                image_path=str(manifest), seed=seed, aslr=aslr, mode=mode,
+                chain_variant=variant)
 
 
 @pytest.mark.parametrize("omit, image_seed", [
