@@ -1,17 +1,21 @@
-"""The benchmark's first-pass report digests at seed 1, pinned.
+"""Check the report digests a benchmark smoke run prints against the golden
+table in ``tests/golden.py``.
 
-For each workload, ``perfbench/run.py --workload all --seed 1 --seconds 0
---trace 0`` prints a ``report digest over the first pass`` line: one
-SHA-256 over the reports of every run of the workload's first pass.  A
-change that keeps reports byte-identical keeps these three; one that
-changes reports on purpose re-pins them here, as it re-pins the demo
-digests in ``tests/test_cli.py``.  They guard the 256-page ASLR image and
-the linear runs with transient aborts, which the demo digests do not reach.
+``perfbench/run.py --workload all --seed 1 --seconds 0 --trace 0`` prints,
+for each workload, a ``report digest over the first pass`` line: one
+SHA-256 over the reports of every run of the workload's first pass, the
+digest of the golden corpus named after the workload.  Under
+``demo-configs`` it also prints a ``demo report digest, seeds 0..9`` line,
+the digest of the ``demo-json`` corpus.  The benchmark corpora guard the
+256-page ASLR image and the linear runs with transient aborts, which the
+demo corpora do not reach.
 
 Check a saved smoke output (exit 1 on any difference; exit 2 with one
 stderr line when no file is named or it cannot be read):
 
     python tests/bench_digests.py SMOKE_OUTPUT
+
+It needs neither caveprobe nor ``perfbench/`` on the path.
 """
 
 from __future__ import annotations
@@ -19,25 +23,32 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import golden
+
+# each line the smoke output prints a digest on, and the corpus it names:
+# None for the workload of the ``== name (...)`` header above it
+LINES = {
+    "report digest over the first pass: ": None,
+    "demo report digest, seeds 0..9: ": "demo-json",
+}
 PINNED = {
-    "demo-configs": "6da3ad5dcd70c6deace8dad33dbbb8ca19f8ff9eff7181fe439513d75963b463",
-    "large-aslr": "38ce8b51e3663f161bcbc6eda60e67b85e8678e4608afa0282e956eda7a0535c",
-    "noisy-noaslr": "9868c3cf994efed07e4f03c74f6d1fb67fc18135264f215cfbd1e22d1a0d3b66",
+    corpus.name: corpus.digest
+    for corpus in golden.CORPORA
+    if corpus.per_report or corpus.name in LINES.values()
 }
 
-_DIGEST_LINE = "report digest over the first pass: "
 
-
-def first_pass_digests(text: str) -> dict[str, str]:
-    """Each workload's first-pass digest in a ``perfbench/run.py`` output,
-    keyed by the name on the workload's ``== name (...)`` header line."""
+def printed_digests(text: str) -> dict[str, str]:
+    """Each digest in a ``perfbench/run.py`` output, keyed by the golden
+    corpus it is the digest of."""
     found: dict[str, str] = {}
     name = None
     for line in text.splitlines():
         if line.startswith("== "):
             name = line.split()[1]
-        elif line.strip().startswith(_DIGEST_LINE):
-            found[name] = line.strip()[len(_DIGEST_LINE):]
+        for start, corpus in LINES.items():
+            if line.strip().startswith(start):
+                found[corpus or name] = line.strip()[len(start):]
     return found
 
 
@@ -51,7 +62,7 @@ def main(argv: list[str]) -> int:
         print(f"bench_digests.py: cannot read {argv[0]}: "
               f"{getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
         return 2
-    got = first_pass_digests(text)
+    got = printed_digests(text)
     for name in sorted(PINNED.keys() | got.keys()):
         verdict = "ok" if got.get(name) == PINNED.get(name) else "DIFFERS"
         print(f"{name}: {verdict}: got {got.get(name)}, pinned {PINNED.get(name)}")

@@ -11,28 +11,16 @@ tier-1.  This file only reads ``perfbench/``.
 
 import ast
 import importlib
-import importlib.util
 import itertools
-import sys
 from pathlib import Path
 
 from caveprobe.cli import MODES, Pipeline, PipelineConfig, emit_report, run_pipeline
 from caveprobe.memspace import PAGE_SIZE
 from caveprobe.probe import NO_ACCESS
 from caveprobe.synth import build_victim_image
+from golden import perfbench_module
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _perfbench_module(name: str):
-    """Load ``perfbench/<name>.py`` without putting ``perfbench/`` on the path."""
-    key = f"perfbench_{name}"
-    if key not in sys.modules:
-        spec = importlib.util.spec_from_file_location(key, PERFBENCH / f"{name}.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[key] = module  # dataclasses look their module up there
-        spec.loader.exec_module(module)
-    return sys.modules[key]
 
 
 def _caveprobe_imports() -> list[tuple[str, str, str]]:
@@ -48,7 +36,7 @@ def _caveprobe_imports() -> list[tuple[str, str, str]]:
 
 
 def test_every_spanned_attribute_exists():
-    spans = _perfbench_module("spans")
+    spans = perfbench_module("spans")
     assert spans.SPANNED
     missing = [
         (getattr(owner, "__name__", owner), attr)
@@ -76,7 +64,7 @@ def test_oracle_passes_synth_images_in_every_mode(tmp_path):
     # store's verdicts alone, without a transaction.  The benchmark's
     # coverage metric, read from the report's map, must be the share of
     # truly readable pages the run's store holds accessible
-    workloads = _perfbench_module("workloads")
+    workloads = perfbench_module("workloads")
     check_report, coverage = workloads.check_report, workloads.coverage
     failures = []
     for seed in range(30):
@@ -112,7 +100,7 @@ def test_oracle_passes_synth_images_in_every_mode(tmp_path):
 def _traced_run(config: PipelineConfig):
     """The report of one run traced as the benchmark traces it, and the
     trace's per-layer metrics."""
-    trace = _perfbench_module("spans").RunTrace()
+    trace = perfbench_module("spans").RunTrace()
     report = trace.run(lambda cfg, render: run_pipeline(cfg), config, emit_report)
     return report, trace.metrics()
 

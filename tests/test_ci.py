@@ -8,6 +8,7 @@ checkout, rebuilds the demo image with the installed package, and runs
 README's install commands as written.  The digest script and the scenario
 runner are checked here too: each must fail when its input is wrong."""
 
+import os
 import re
 import subprocess
 import sys
@@ -125,9 +126,16 @@ def test_benchmark_smoke_checks_the_pinned_first_pass_digests():
     check = lines.index('python tests/bench_digests.py "$RUNNER_TEMP/bench-smoke-0.txt"')
     assert untraced < check
     assert "continue-on-error" not in step
+    # the script checks each workload's first pass, and the demo digest the
+    # demo-configs workload prints, against the golden table's rows: the
+    # one copy of each pin
     workloads = (REPO / "perfbench" / "workloads.py").read_text()
     names = re.findall(r'^\s+name="([^"]+)",$', workloads, re.M)
-    assert sorted(names) == sorted(bench_digests.PINNED)
+    assert sorted(bench_digests.PINNED) == sorted([*names, "demo-json"])
+    script = (REPO / "tests" / "bench_digests.py").read_text()
+    assert re.findall(r"[0-9a-f]{64}", script) == []
+    bench = (REPO / "perfbench" / "bench.py").read_text()
+    assert [start for start in bench_digests.LINES if start not in bench] == []
 
 
 def test_benchmark_smoke_runs_the_digest_script_with_no_file():
@@ -164,21 +172,48 @@ def test_digest_script_refuses_no_file_and_an_unreadable_one_in_one_line(
     assert err.count("\n") == 1
 
 
-def test_first_pass_digests_are_read_per_workload(tmp_path, capsys):
-    out = "".join(
+def smoke_output(pinned: dict[str, str]) -> str:
+    """A benchmark smoke output that prints the digests ``pinned``, as
+    ``perfbench/run.py --workload all --seed 1 --seconds 0 --trace 0`` does."""
+    demo = f"  demo report digest, seeds 0..9: {pinned['demo-json']}\n"
+    return "".join(
         f"== {name} (seed 1, trace 0): why\n  runs 3 in 0.1 s\n"
-        f"  {bench_digests._DIGEST_LINE}{digest}\n  run_ms_p50  1.0 ms\n"
-        for name, digest in bench_digests.PINNED.items()
+        f"  report digest over the first pass: {pinned[name]}\n"
+        + (demo if name == "demo-configs" else "") + "  run_ms_p50  1.0 ms\n"
+        for name in pinned if name != "demo-json"
     ) + '{"correct": true}\n'
-    assert bench_digests.first_pass_digests(out) == bench_digests.PINNED
+
+
+def test_first_pass_digests_are_read_per_workload(tmp_path, capsys):
+    out = smoke_output(bench_digests.PINNED)
+    assert bench_digests.printed_digests(out) == bench_digests.PINNED
     (tmp_path / "smoke.txt").write_text(out)
     assert bench_digests.main([str(tmp_path / "smoke.txt")]) == 0
-    (tmp_path / "smoke.txt").write_text(out.replace(
-        bench_digests.PINNED["large-aslr"], "0" * 64))
-    assert bench_digests.main([str(tmp_path / "smoke.txt")]) == 1
-    assert "large-aslr: DIFFERS: got " + "0" * 64 in capsys.readouterr().out
-    (tmp_path / "smoke.txt").write_text(out.split("== large-aslr")[0])
-    assert bench_digests.main([str(tmp_path / "smoke.txt")]) == 1
+    for name in ("large-aslr", "demo-json"):
+        (tmp_path / "smoke.txt").write_text(out.replace(
+            bench_digests.PINNED[name], "0" * 64))
+        assert bench_digests.main([str(tmp_path / "smoke.txt")]) == 1
+        assert f"{name}: DIFFERS: got " + "0" * 64 in capsys.readouterr().out
+    for cut in ("== large-aslr", "  demo report digest"):
+        (tmp_path / "smoke.txt").write_text(out.split(cut)[0])
+        assert bench_digests.main([str(tmp_path / "smoke.txt")]) == 1
+
+
+def test_digest_script_runs_without_the_program_from_anywhere(tmp_path):
+    # CI runs it before pip install . and with no PYTHONPATH, so the golden
+    # table it reads must import neither caveprobe nor perfbench/; -S leaves
+    # out site-packages, where an install of caveprobe would be
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    script = [sys.executable, "-S", str(REPO / "tests" / "bench_digests.py")]
+    run = subprocess.run(script, cwd=tmp_path, env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (
+        2, "", "usage: python tests/bench_digests.py SMOKE_OUTPUT\n")
+    (tmp_path / "smoke.txt").write_text(smoke_output(bench_digests.PINNED))
+    run = subprocess.run([*script, "smoke.txt"], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stderr) == (0, ""), run.stdout
+    assert run.stdout.count(": ok: ") == len(bench_digests.PINNED) == 4
 
 
 def test_installed_console_script_runs_every_mode_outside_the_checkout():
