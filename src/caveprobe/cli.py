@@ -14,17 +14,23 @@ import json
 import os
 import random
 import re
+import stat
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
+from time import time_ns
+from typing import BinaryIO, NamedTuple
 
 from . import caves, explorer, gadgets, injector, machine
 from .memspace import (
+    MAX_MANIFEST_PAGES,
     PAGE_SIZE,
     USER_TOP,
     AddressSpace,
     GroundTruthMap,
+    Layout,
     ManifestError,
     _clip,
     load_manifest,
@@ -230,27 +236,104 @@ def emit_report(report: AttackReport, fmt: str = "json") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_file(path: Path, what: str, parse):
+# --- inputs, kept per process --------------------------------------------------
+
+# A file whose status changed less than this long before the clock at lookup
+# is parsed and not kept: a rewrite in place of the same size within one
+# timestamp tick then cannot be served stale, even where ctime is coarse
+# (FAT: 2 s; ext4 on older kernels: one jiffy)
+RACY_NS = 2_000_000_000
+
+
+class _Memo:
+    """Loaded input files, kept per process and keyed on what they are
+    loaded as and their stat signature.  Only a regular file of non-zero
+    size, whose status did not change within ``RACY_NS`` of the lookup, has
+    a key.  A key's first load is only noted, so a one-shot run hands the
+    value it parsed to itself and copies nothing; its second load is kept,
+    and later ones share it.  A load that fails is never noted.  An entry
+    weighs its value's pages (a maps file its regions), at least 1; the
+    weights sum to at most ``MAX_MANIFEST_PAGES``, and the least recently
+    used entry goes first."""
+
+    def __init__(self) -> None:
+        # key -> (value, weight); value None when the key was only noted
+        self.entries: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
+        self.weight = 0
+
+    def get(self, key: tuple):
+        """The value kept under ``key``, now the most recently used, or None."""
+        value = self.entries.get(key, (None,))[0]
+        if value is not None:
+            self.entries.move_to_end(key)
+        return value
+
+    def put(self, key: tuple, value, weight: int) -> bool:
+        """Note a load of ``key`` that gave ``value``, which was not kept;
+        whether ``value`` is kept now."""
+        noted = self.entries.pop(key, None)
+        if noted is not None:
+            self.weight -= noted[1]
+        entry = (value, max(weight, 1)) if noted is not None else (None, 1)
+        self.entries[key] = entry
+        self.weight += entry[1]
+        while self.weight > MAX_MANIFEST_PAGES:
+            self.weight -= self.entries.popitem(last=False)[1][1]
+        return noted is not None and key in self.entries
+
+
+_KEPT = _Memo()
+
+
+def _memo_key(file, what: str) -> tuple | None:
+    """The key of the open ``file`` loaded as ``what`` (see :class:`_Memo`)."""
+    try:
+        st = os.fstat(file.fileno())
+    except OSError:  # io.UnsupportedOperation too: a file-like object
+        return None
+    if not stat.S_ISREG(st.st_mode) or not st.st_size or time_ns() - st.st_ctime_ns < RACY_NS:
+        return None
+    return (what, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
+def _parse_file(path: Path, what: str, parse, weigh):
     """``parse`` of the input file ``path``, opened for binary reads, whose
-    bytes must be UTF-8 whatever the locale.  A failed open and a read
-    that fails part way give the same one line."""
+    bytes must be UTF-8 whatever the locale, and whether it is kept: shared
+    with later runs, which must not change it.  The file is opened once;
+    the stat signature of that handle looks it up in ``_KEPT``, and a miss
+    parses from the same handle.  ``weigh`` gives a value's weight there.
+    A failed open and a read that fails part way give the same one line."""
     shown = _clip(str(path))
     try:
         with open(path, "rb", buffering=0) as file:
-            return parse(file)
+            key = _memo_key(file, what)
+            if key is not None and (value := _KEPT.get(key)) is not None:
+                return value, True
+            value = parse(file)
     except OSError as exc:
         raise ValueError(f"cannot read {shown}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ValueError(
             f"{what} {shown} is not UTF-8: first bad byte at offset {exc.start}"
         ) from None
+    return value, key is not None and _KEPT.put(key, value, weigh(value))
 
 
-def _read_image(path: Path) -> tuple[AddressSpace, int]:
-    """Parse the manifest once; return its space and its stack pointer, the
-    one seed the attacker is given.  Other seeds are ground truth for
-    checkers and are not read."""
-    doc = _parse_file(path, "manifest", parse_manifest)
+class _Image(NamedTuple):
+    """A loaded manifest: its space as built, the stack pointer it gives the
+    attacker, and the layout of its user pages, which every run's ASLR draw
+    and shift read."""
+
+    space: AddressSpace
+    stack_pointer: int
+    layout: Layout
+
+
+def _read_image(file: BinaryIO) -> _Image:
+    """Parse the manifest file once.  Its stack pointer is the one seed the
+    attacker is given; other seeds are ground truth for checkers and are
+    not read."""
+    doc = parse_manifest(file)
     seed_obj = doc.get("seeds")
     if not isinstance(seed_obj, dict):
         raise ManifestError('image manifest lacks a "seeds" object')
@@ -259,19 +342,23 @@ def _read_image(path: Path) -> tuple[AddressSpace, int]:
         raise ManifestError(
             f"seeds.stack_pointer is outside the user half [0, {USER_TOP:#x})"
         )
-    return load_manifest(doc), stack_pointer
+    space = load_manifest(doc)
+    return _Image(space, stack_pointer, space.layout())
 
 
-def _aslr_offset(seed: int, space: AddressSpace) -> int:
+def _read_maps(file: BinaryIO) -> GroundTruthMap:
+    return parse_proc_maps(file.read().decode())
+
+
+def _aslr_offset(seed: int, layout: Layout) -> int:
     """Draw the base shift for ``seed``: 2**28 pages of entropy.  A draw
     that would push the highest user page past the user half is replaced
     by a second draw from the same RNG over the pages left above it, so
     every seed that fitted before keeps its offset."""
     rng = random.Random(f"{seed}:aslr")
     pages = rng.randrange(1 << _ASLR_PAGE_BITS)
-    top = max((b for b in space.pages if b < USER_TOP), default=None)
-    if top is not None:
-        room = (USER_TOP - PAGE_SIZE - top) // PAGE_SIZE
+    if layout.ends:
+        room = (USER_TOP - layout.ends[-1]) // PAGE_SIZE
         if pages > room:
             pages = rng.randrange(room + 1)
     return pages * PAGE_SIZE
@@ -333,20 +420,21 @@ class Pipeline:
 
 def _load(ctx: Pipeline) -> None:
     cfg = ctx.config
-    space, stack_pointer = _read_image(Path(cfg.image_path))
-    offset = 0
-    if cfg.aslr:
-        offset = _aslr_offset(cfg.seed, space)
-        space.rebase(offset)
+    image, kept = _parse_file(Path(cfg.image_path), "manifest", _read_image,
+                              lambda image: len(image.space.pages))
+    offset = _aslr_offset(cfg.seed, image.layout) if cfg.aslr else 0
+    space = image.space
+    if kept:  # later runs start from it too: this one moves its own copy
+        space = space.shifted(offset, image.layout)
+    elif offset:
+        space.rebase(offset, image.layout)
     ctx.report.aslr_offset = offset
     ctx.pagemap = explorer.PageMap(
         space, Prober(cfg.spurious_prob, cfg.seed), cfg.explore_budget)
-    ctx.stack_pointer = stack_pointer + offset
+    ctx.stack_pointer = image.stack_pointer + offset
     if cfg.ground_truth_path is not None:
-        path = Path(cfg.ground_truth_path)
-        truth = _parse_file(
-            path, "ground truth", lambda file: parse_proc_maps(file.read().decode())
-        )
+        truth, _ = _parse_file(Path(cfg.ground_truth_path), "ground truth", _read_maps,
+                               lambda truth: len(truth.regions))
         ctx.truth = truth.shifted(offset) if offset else truth
 
 

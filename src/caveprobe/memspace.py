@@ -22,7 +22,7 @@ import io
 import json
 import re
 import struct
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -159,6 +159,15 @@ class _Fixup:
     offset: int
 
 
+class Layout(NamedTuple):
+    """Where a space's user-half pages lie: the starts and ends of its runs
+    of adjacent pages, in address order.  A shift reads nothing else of the
+    page keys."""
+
+    starts: tuple[int, ...]
+    ends: tuple[int, ...]
+
+
 class AddressSpace:
     """Sparse map of page base address to :class:`Page`."""
 
@@ -284,26 +293,28 @@ class AddressSpace:
         for base in bases:
             self.pages[base].perms = perms
 
-    def shifted(self, offset: int) -> "AddressSpace":
-        """Copy of this space, then :meth:`rebase` of the copy.  A page's
-        bytes are shared until either side writes it, unless already written;
-        the copy takes them relocated by any fix-up still pending here, and
-        its own fix-up waits as :meth:`rebase` leaves it."""
+    def layout(self) -> Layout:
+        """The runs of adjacent user-half pages mapped now."""
+        runs = page_runs(zip(sorted(b for b in self.pages if b < USER_TOP), repeat(None)))
+        return Layout(tuple(r.start for r in runs), tuple(r.end for r in runs))
+
+    def shifted(self, offset: int, layout: Layout | None = None) -> "AddressSpace":
+        """A copy of this space moved as :meth:`rebase` moves it, built in
+        one pass: a new Page for each page, sharing its bytes until either
+        side writes them, at its shifted base, with its fix-up pending.  The
+        copy takes the bytes relocated by any fix-up still pending here,
+        and bytes written here as bytes of its own.  ``layout`` is
+        ``self.layout()``, which a caller that shifts one space many times
+        need only compute once."""
         out = AddressSpace()
-        out.pages = {
-            base: Page(page.perms, bytes(page.data))
-            for base, page in self.pages.items()
-        }
-        if {len(page.data) for page in out.pages.values()} - {PAGE_SIZE}:
-            raise ValueError("page data must be exactly one page long")
-        out.rebase(offset)
+        out.pages = self._moved(offset, layout, copy=True)
         return out
 
-    def rebase(self, offset: int) -> None:
+    def rebase(self, offset: int, layout: Layout | None = None) -> None:
         """Move every user-half page up by ``offset``, in place, and leave
         the relocation of the pointers into them pending on each page that
         may hold one, until that page's bytes are first read, written or
-        fetched (:class:`Page`).
+        fetched (:class:`Page`).  ``layout`` is as for :meth:`shifted`.
 
         Kernel-half pages stay in place, like the fixed hardware-dictated
         mappings real base randomization never moves.  The offset must be
@@ -329,26 +340,31 @@ class AddressSpace:
         mapped); only the marked words are read, matched against the runs
         of old pages and rewritten.
         """
+        self.pages = self._moved(offset, layout, copy=False)
+
+    def _moved(self, offset: int, layout: Layout | None, copy: bool) -> dict[int, Page]:
+        """The pages keyed by their bases shifted by ``offset``, each that
+        may hold a pointer with the fix-up pending; with ``copy``, new Page
+        objects that share the bytes, which must each be one page long."""
         if offset % PAGE_SIZE or offset < 0:
             raise ValueError("offset must be a non-negative page multiple")
-        bases = sorted(self.pages)
-        old_bases = bases[: bisect_left(bases, USER_TOP)]
-        if old_bases and old_bases[-1] + offset + PAGE_SIZE > USER_TOP:
+        starts, ends = self.layout() if layout is None else layout
+        if ends and ends[-1] + offset > USER_TOP:
             raise ValueError("shift pushes a page past the user half")
-        self.pages = {
-            (base + offset if base < USER_TOP else base): page
-            for base, page in self.pages.items()
-        }
-        if offset and old_bases:
-            runs = page_runs(zip(old_bases, repeat(None)))
-            zero_is_pointer = old_bases[0] == 0
-            fixup = _Fixup(tuple(r.start for r in runs), tuple(r.end for r in runs),
-                           zero_is_pointer, offset)
-            for page in self.pages.values():
-                # reading data applies the fix-up an earlier rebase left
-                if zero_is_pointer or page.data != _ZERO_PAGE:
-                    page._fixup = fixup
-                    page.__class__ = _PendingPage
+        fixup = _Fixup(starts, ends, starts[0] == 0, offset) if offset and starts else None
+        pages = {}
+        for base, page in self.pages.items():
+            if copy:
+                data = page.data  # applies a fix-up still pending here
+                if len(data) != PAGE_SIZE:
+                    raise ValueError("page data must be exactly one page long")
+                page = Page(page.perms, data if type(data) is bytes else bytes(data))
+            # reading data applies the fix-up an earlier rebase left
+            if fixup is not None and (page.data != _ZERO_PAGE or fixup.zero):
+                page._fixup = fixup
+                page.__class__ = _PendingPage
+            pages[base + offset if base < USER_TOP else base] = page
+        return pages
 
 
 def lane_filter(data: bytes | bytearray, *, zero: bool = False) -> bytes:

@@ -30,6 +30,7 @@ the checkout's ``.perfbench-work/``.  This file imports caveprobe and
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import itertools
@@ -145,18 +146,21 @@ def _in_images_copy():
             os.chdir(home)
 
 
-def build() -> dict[str, list[str]]:
-    """Each corpus's reports, in order.  Corpora with the same runs render
-    one run of each, so the demo's JSON and text share ten runs.  A run
-    that fails gives the line ``StageError: ...`` in place of its report."""
+def build(names: tuple[str, ...] | None = None, **fields) -> dict[str, list[str]]:
+    """Each corpus's reports, in order, or only those of the corpora
+    ``names``, each run with the config ``fields`` replaced.  Corpora with
+    the same runs render one run of each, so the demo's JSON and text share
+    ten runs.  A run that fails gives the line ``StageError: ...`` in place
+    of its report."""
     from caveprobe.cli import StageError, emit_report, run_pipeline
-    texts: dict[str, list[str]] = {corpus.name: [] for corpus in CORPORA}
+    chosen = [corpus for corpus in CORPORA if names is None or corpus.name in names]
+    texts: dict[str, list[str]] = {corpus.name: [] for corpus in chosen}
     with _in_images_copy():
-        for runs in dict.fromkeys(corpus.runs for corpus in CORPORA):
-            renders = [corpus for corpus in CORPORA if corpus.runs is runs]
+        for runs in dict.fromkeys(corpus.runs for corpus in chosen):
+            renders = [corpus for corpus in chosen if corpus.runs is runs]
             for config in runs():
                 try:
-                    report = run_pipeline(config)
+                    report = run_pipeline(dataclasses.replace(config, **fields))
                 except StageError as exc:
                     rendered = [f"StageError: {exc}\n"] * len(renders)
                 else:

@@ -13,7 +13,7 @@ import re
 from pathlib import Path
 from unittest.mock import patch
 
-from caveprobe import caves, explorer
+from caveprobe import caves, cli, explorer
 from caveprobe.cli import (
     EXIT_STAGE_ERROR, RESTORE_MODES, PipelineConfig, main, run_pipeline,
 )
@@ -30,6 +30,14 @@ from caveprobe.probe import ACCESSIBLE, NO_ACCESS, WRITABLE, Prober, Writability
 W = "writable"
 RO = "readonly"
 NONE = "inaccessible"
+
+
+def read_image(path) -> tuple[AddressSpace, int]:
+    """The space and stack pointer of the manifest at ``path``, parsed from
+    an open file as a run parses it on a miss."""
+    with open(path, "rb", buffering=0) as file:
+        image = cli._read_image(file)
+    return image.space, image.stack_pointer
 
 
 def make_space(*regions: tuple[int, int, str, bytes]) -> AddressSpace:

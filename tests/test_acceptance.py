@@ -21,7 +21,6 @@ from caveprobe.cli import (
     RESTORE_MODES,
     Pipeline,
     PipelineConfig,
-    _read_image,
     emit_report,
     run_pipeline,
 )
@@ -44,6 +43,7 @@ from helpers import (
     claw_range,
     page_bytes,
     random_permed_space,
+    read_image,
     settled_store,
     space_digest,
     truth_class_runs,
@@ -501,7 +501,7 @@ def test_canary_survives_and_only_the_cave_and_frame_change(tmp_path):
             canary = pipe.pagemap.space.read_bytes(truth.canary_addr + off, 8)
             if canary != truth.canary_value.to_bytes(8, "little"):
                 failures.append(f"{case}: canary became {canary.hex()}")
-            ref, _ = _read_image(Path(manifest))
+            ref, _ = read_image(manifest)
             ref.rebase(off)
             cave = truth.cave_start + off
             slot = truth.victim_slot + off

@@ -9,6 +9,7 @@ import os
 import re
 import sys
 import tempfile
+import threading
 import tracemalloc
 import types
 from pathlib import Path
@@ -35,7 +36,7 @@ from caveprobe.gadgets import CHAIN_VARIANTS
 from caveprobe.memspace import _ZERO_PAGE, PAGE_SIZE, AddressSpace
 from caveprobe.probe import ProbeOutcome, Prober, Writability
 from caveprobe.synth import build_victim_image
-from helpers import page_bytes, settled_store
+from helpers import page_bytes, read_image, settled_store
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = str(REPO / "images" / "demo.json")
@@ -400,7 +401,7 @@ class TestPipeline:
             5, code_pages=64, cave_pages=64, stack_pages=64).manifest_text)
         tracemalloc.start()
         try:
-            space, _ = cli._read_image(manifest)
+            space, _ = read_image(manifest)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -415,7 +416,7 @@ class TestPipeline:
             5, code_pages=64, cave_pages=64, stack_pages=64).manifest_text)
         tracemalloc.start()
         try:
-            space, _ = cli._read_image(manifest)
+            space, _ = read_image(manifest)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -434,7 +435,7 @@ class TestPipeline:
             seed, code_pages=64, cave_pages=64, stack_pages=64).manifest_text)
         tracemalloc.start()
         try:
-            space, _ = cli._read_image(manifest)
+            space, _ = read_image(manifest)
             _, load_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -688,8 +689,8 @@ class TestMain:
         if spelling == "zero-tails-cut":  # the stack's blob ends in zero bytes
             stack = doc["regions"][6]
             assert len(stack["data"]) < 2 * int(stack["len"], 16)
-        space, _ = cli._read_image(manifest)
-        demo, _ = cli._read_image(Path(DEMO))
+        space, _ = read_image(manifest)
+        demo, _ = read_image(Path(DEMO))
         assert page_bytes(space) == page_bytes(demo)
         zero = [page for page in space.pages.values() if page.data == bytes(PAGE_SIZE)]
         assert len(zero) == 9 and all(page.data is _ZERO_PAGE for page in zero)
@@ -1239,3 +1240,214 @@ def test_stages_read_only_through_the_store(image_seed, run_seed, mode, budget):
     if finished:  # the census read and the cave search tested zero pages
         assert {explorer.PageMap.read.__code__,
                 explorer.PageMap.is_zero.__code__} <= set(callers)
+
+
+# --- loaded inputs kept per process --------------------------------------------
+
+def counted_parses(monkeypatch) -> list[str]:
+    """Count the manifest and maps files parsed from here on, by kind."""
+    parsed = []
+    real_manifest, real_maps = cli.parse_manifest, cli.parse_proc_maps
+
+    def parse_manifest(source):
+        parsed.append("manifest")
+        return real_manifest(source)
+
+    def parse_proc_maps(text):
+        parsed.append("maps")
+        return real_maps(text)
+
+    monkeypatch.setattr(cli, "parse_manifest", parse_manifest)
+    monkeypatch.setattr(cli, "parse_proc_maps", parse_proc_maps)
+    return parsed
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    with os.fdopen(fd, "wb") as out:
+        out.write(data)
+
+
+def clock_at(monkeypatch, ns: int) -> None:
+    monkeypatch.setattr(cli, "time_ns", lambda: ns)
+
+
+def late_clock(monkeypatch) -> None:
+    """The module's clock an hour on: no file written so far is racy."""
+    clock_at(monkeypatch, cli.time_ns() + 3600 * 10**9)
+
+
+def kept_kinds() -> list[str]:
+    return sorted(key[0] for key, (value, _) in cli._KEPT.entries.items()
+                  if value is not None)
+
+
+class TestKeptInputs:
+    def test_second_load_keeps_and_later_runs_share(self, monkeypatch, tmp_path):
+        manifest, maps = tmp_path / "demo.json", tmp_path / "demo.maps"
+        manifest.write_bytes(Path(DEMO).read_bytes())
+        maps.write_bytes(Path(DEMO_MAPS).read_bytes())
+        late_clock(monkeypatch)
+        parsed = counted_parses(monkeypatch)
+        config = PipelineConfig(image_path=str(manifest), ground_truth_path=str(maps), seed=3)
+        texts = [emit_report(run_pipeline(config)) for _ in range(4)]
+        assert parsed == ["manifest", "maps"] * 2
+        assert kept_kinds() == ["ground truth", "manifest"]
+        assert len(set(texts)) == 1
+        assert json.loads(texts[0])["aslr-offset"] != "0x0"
+
+    def test_a_manifest_rewritten_in_place_gives_the_new_report(
+            self, monkeypatch, tmp_path, capsys):
+        # the same inode and size, a later mtime, and a stack pointer a page
+        # up, above the victim's frame
+        manifest, fresh = tmp_path / "victim.json", tmp_path / "fresh.json"
+        old_text = Path(DEMO).read_text()
+        new_text = old_text.replace("0x7f0000306e48", "0x7f0000306f48")
+        assert len(new_text) == len(old_text) and new_text != old_text
+        manifest.write_text(old_text)
+        late_clock(monkeypatch)
+
+        def outcome(path: Path) -> tuple[int, str, str]:
+            code = main(["--image-path", str(path), "--seed", "2"])
+            out, err = capsys.readouterr()
+            return code, out, err.replace(str(path), "IMAGE")
+
+        old = [outcome(manifest) for _ in range(3)]
+        assert kept_kinds() == ["manifest"]
+        assert old[-1][0] == EXIT_OK
+        before = manifest.stat()
+        manifest.write_text(new_text)
+        # a tick on, however coarse the file system's clock
+        os.utime(manifest, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+        assert (manifest.stat().st_ino, manifest.stat().st_size) == (
+            before.st_ino, before.st_size)
+        new = outcome(manifest)
+        fresh.write_text(new_text)
+        assert new == outcome(fresh)
+        assert new[0] == EXIT_STAGE_ERROR
+        assert "no plausible frame above the stack pointer" in new[2]
+
+    def test_a_fresh_file_is_parsed_on_every_run(self, monkeypatch, tmp_path):
+        manifest = tmp_path / "victim.json"
+        manifest.write_bytes(Path(DEMO).read_bytes())
+        changed = manifest.stat().st_ctime_ns
+        parsed = counted_parses(monkeypatch)
+        config = PipelineConfig(image_path=str(manifest), stop_after="probe")
+        clock_at(monkeypatch, changed + cli.RACY_NS - 1)
+        for _ in range(3):
+            run_pipeline(config)
+        assert (len(parsed), kept_kinds()) == (3, [])
+        clock_at(monkeypatch, changed + cli.RACY_NS)
+        for _ in range(3):
+            run_pipeline(config)
+        assert (len(parsed), kept_kinds()) == (5, ["manifest"])
+
+    def test_a_failing_manifest_is_never_kept(self, monkeypatch, tmp_path, capsys):
+        manifest = tmp_path / "victim.json"
+        manifest.write_text(Path(DEMO).read_text().replace(
+            '"stack_pointer": "0x7f0000306e48"', '"stack_pointer": "0xff00000306e48"'))
+        late_clock(monkeypatch)
+        parsed = counted_parses(monkeypatch)
+        for _ in range(3):
+            assert main(["--image-path", str(manifest)]) == EXIT_STAGE_ERROR
+        assert len(parsed) == 3
+        assert cli._KEPT.entries == {}
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3 and len(set(err)) == 1
+        assert "seeds.stack_pointer is outside the user half" in err[0]
+
+    def test_a_pipe_given_as_dev_stdin_is_never_kept(self, monkeypatch):
+        late_clock(monkeypatch)
+        parsed = counted_parses(monkeypatch)
+        data = Path(DEMO).read_bytes()
+        saved = os.dup(0)
+        texts = []
+        try:
+            for _ in range(3):
+                read, write = os.pipe()
+                writer = threading.Thread(target=_write_all, args=(write, data))
+                writer.start()
+                os.dup2(read, 0)
+                os.close(read)
+                try:
+                    texts.append(emit_report(run_pipeline(
+                        PipelineConfig(image_path="/dev/stdin", seed=1))))
+                finally:
+                    writer.join()
+        finally:
+            os.dup2(saved, 0)
+            os.close(saved)
+        assert len(parsed) == 3
+        assert cli._KEPT.entries == {}
+        assert len(set(texts)) == 1
+
+    def test_a_procfs_file_is_never_kept(self, monkeypatch):
+        # regular, but of size 0 and read fresh each time
+        late_clock(monkeypatch)
+        parsed = counted_parses(monkeypatch)
+        config = PipelineConfig(image_path=DEMO, ground_truth_path="/proc/self/maps",
+                                stop_after="explore")
+        for _ in range(3):
+            run_pipeline(config)
+        assert parsed.count("maps") == 3
+        assert "ground truth" not in kept_kinds()
+
+    def test_a_run_leaves_the_kept_image_as_built(self, monkeypatch, tmp_path):
+        # writes, the mprotect of the chain and each pending fix-up touch
+        # only the run's own pages
+        manifest = tmp_path / "demo.json"
+        manifest.write_bytes(Path(DEMO).read_bytes())
+        late_clock(monkeypatch)
+        config = PipelineConfig(image_path=str(manifest), seed=4)
+        run_pipeline(config)
+        run_pipeline(config)
+        [(image, _)] = cli._KEPT.entries.values()
+        pages = dict(image.space.pages)
+        built = {base: (type(page), page.perms, page.data) for base, page in pages.items()}
+        fresh, _ = read_image(manifest)
+        assert page_bytes(image.space) == page_bytes(fresh)
+        pipe = Pipeline(config)
+        report = pipe.run()
+        assert report.all_verdicts_pass()
+        assert [e["name"] for e in report.run["side-effects"] if e["kind"] == "syscall"] == [
+            "mprotect"]
+        space = pipe.pagemap.space
+        assert not set(map(id, space.pages.values())) & set(map(id, pages.values()))
+        assert any(p.perms != built[b - report.aslr_offset][1]
+                   for b, p in space.pages.items() if b - report.aslr_offset in built)
+        assert image.space.pages == pages  # the same Page objects: eq is identity
+        assert {base: (type(page), page.perms, page.data)
+                for base, page in pages.items()} == built
+        assert all(page.data is built[base][2] for base, page in pages.items())
+        assert page_bytes(image.space) == page_bytes(fresh)
+        assert emit_report(run_pipeline(config)) == emit_report(report)
+
+    def test_the_page_bound_evicts_the_least_recently_used(self, monkeypatch, tmp_path):
+        paths = []
+        for name in ("a", "b", "c"):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_bytes(Path(DEMO).read_bytes())
+        a, b, c = (str(p) for p in paths)
+        pages = len(read_image(paths[0])[0].pages)
+        # two kept images and one noted key fit; a third kept image does not
+        monkeypatch.setattr(cli, "MAX_MANIFEST_PAGES", 2 * pages + 1)
+        late_clock(monkeypatch)
+        parsed = counted_parses(monkeypatch)
+
+        def load(path: str) -> None:
+            run_pipeline(PipelineConfig(image_path=path, stop_after="probe"))
+
+        for path in (a, a, b, b):
+            load(path)
+        load(a)  # a hit: b is now the least recently used
+        assert len(parsed) == 4
+        load(c)
+        load(c)
+        assert len(parsed) == 6
+        kept = {key[2] for key, (value, _) in cli._KEPT.entries.items() if value is not None}
+        assert kept == {os.stat(a).st_ino, os.stat(c).st_ino}
+        assert cli._KEPT.weight == 2 * pages
+        load(a)
+        assert len(parsed) == 6
+        load(b)
+        assert len(parsed) == 7
+

@@ -523,7 +523,7 @@ def test_walk_matches_the_reference_rule(image_seed, pages, mode, aslr, budget,
         image_seed, code_pages=pages, cave_pages=pages, stack_pages=pages
     )
     space = load_manifest(parse_manifest(img.manifest_text.encode()))
-    offset = _aslr_offset(image_seed, space) if aslr else 0
+    offset = _aslr_offset(image_seed, space.layout()) if aslr else 0
     space.rebase(offset)
     got = []
     for reference, trace in ((False, True), (True, True), (False, False)):
@@ -557,7 +557,7 @@ def test_explore_stage_map_matches_the_per_extent_reference(
         image_seed, code_pages=pages, cave_pages=pages, stack_pages=pages
     )
     space = load_manifest(parse_manifest(img.manifest_text.encode()))
-    offset = _aslr_offset(image_seed, space) if aslr else 0
+    offset = _aslr_offset(image_seed, space.layout()) if aslr else 0
     space.rebase(offset)
     got = []
     for reference in (True, False):  # the program's store is left in pm
@@ -623,7 +623,7 @@ def test_explore_stage_counts_the_runs_that_begin_where_none_ends(
         image_seed, code_pages=pages, cave_pages=pages, stack_pages=pages
     )
     space = load_manifest(parse_manifest(img.manifest_text.encode()))
-    offset = _aslr_offset(image_seed, space) if aslr else 0
+    offset = _aslr_offset(image_seed, space.layout()) if aslr else 0
     space.rebase(offset)
     ctx = Pipeline(PipelineConfig(image_path="", mode=mode))
     ctx.pagemap = PageMap(space, Prober(0.001, image_seed))

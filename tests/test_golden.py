@@ -37,6 +37,29 @@ def test_corpus_matches_its_pin(corpus, texts):
         assert failing == []
 
 
+@pytest.mark.parametrize("aslr", [True, False], ids=["aslr", "no-aslr"])
+def test_demo_corpora_are_the_same_from_a_kept_image(monkeypatch, aslr):
+    # cold: the clock stopped before the images are copied, so each run
+    # parses its image; warm: an hour on, so the image is kept at its
+    # second load and every later run starts from it
+    from caveprobe import cli
+    parsed = []
+    parse = cli.parse_manifest
+    monkeypatch.setattr(cli, "parse_manifest", lambda source: parsed.append(source) or parse(source))
+    now = cli.time_ns()
+    monkeypatch.setattr(cli, "time_ns", lambda: now)
+    cold = golden.build(DEMO_CORPORA, aslr=aslr)
+    cold_parses = len(parsed)
+    monkeypatch.setattr(cli, "time_ns", lambda: now + 3600 * 10**9)
+    warm = golden.build(DEMO_CORPORA, aslr=aslr)
+    assert (cold_parses, len(parsed) - cold_parses) == (46, 2)
+    assert warm == cold
+    if aslr:  # the pins are of ASLR runs
+        for corpus in golden.CORPORA:
+            if corpus.name in DEMO_CORPORA:
+                assert golden.check(corpus, warm[corpus.name]) is None
+
+
 def _one_byte_off(text: str, at: int) -> str:
     flipped = "1" if text[at] == "0" else "0"
     return text[:at] + flipped + text[at + 1:]

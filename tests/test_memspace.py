@@ -29,7 +29,9 @@ from caveprobe.memspace import (
 )
 from caveprobe.probe import NO_ACCESS, Writability
 from caveprobe.synth import build_victim_image
-from helpers import is_mapped, make_space, page_bytes, settled_store, space_digest
+from helpers import (
+    is_mapped, make_space, page_bytes, read_image, settled_store, space_digest,
+)
 
 
 class TestPagePermissions:
@@ -401,6 +403,15 @@ class TestRebase:
         assert space.pages == before
         assert all(space.pages[b] is p for b, p in before.items())
         assert space_digest(space) == digest
+
+    def test_a_pending_fix_up_survives_a_rebase_once_page_0_is_mapped(self):
+        # zero becomes a pointer, so the second rebase leaves its fix-up on
+        # every page; the first one's, still pending, is applied before
+        space = make_space((0x8000, PAGE_SIZE, "rwu", (0x8010).to_bytes(8, "little")))
+        space.rebase(0x10000)
+        space.map_region(0, PAGE_SIZE, PagePermissions.from_rwxu("rwu"))
+        space.rebase(0x100000)
+        assert space.read_bytes(0x118000, 8) == (0x118010).to_bytes(8, "little")
 
     def test_rejects_unaligned_or_negative(self):
         space = make_space((0x8000, PAGE_SIZE, "rwu", b""))
@@ -799,7 +810,7 @@ def test_a_hybrid_run_relocates_only_the_pages_it_reads_writes_or_fetches(
     pipe = cli.Pipeline(cli.PipelineConfig(image_path=str(manifest), mode="hybrid", seed=1))
     offset = pipe.run().aslr_offset
     assert offset
-    loaded, _ = cli._read_image(manifest)
+    loaded, _ = read_image(manifest)
     pending = {base + offset if base < USER_TOP else base
                for base, page in loaded.pages.items() if page.data != _ZERO_PAGE}
     space = pipe.pagemap.space
@@ -1106,7 +1117,7 @@ def zero_pages(space: AddressSpace) -> list[Page]:
 
 
 def test_read_image_shares_every_zero_page():
-    space, _ = cli._read_image(DEMO)
+    space, _ = read_image(DEMO)
     assert len(zero_pages(space)) == 9
     assert all(page.data is _ZERO_PAGE for page in zero_pages(space))
     # and every other page keeps the bytes its hex decoded to
@@ -1114,7 +1125,7 @@ def test_read_image_shares_every_zero_page():
 
 
 def test_a_written_page_stops_sharing():
-    space, _ = cli._read_image(DEMO)
+    space, _ = read_image(DEMO)
     cave = 0x459000
     before = page_bytes(space)
     space.write_bytes(cave + PAGE_SIZE - 2, b"\x01\x02\x03")
@@ -1130,7 +1141,7 @@ def test_a_written_page_stops_sharing():
 
 
 def test_shifted_copy_does_not_see_later_writes_to_its_source():
-    source, _ = cli._read_image(DEMO)
+    source, _ = read_image(DEMO)
     source.write_bytes(0x462000, b"\xee" * 8)  # a page the source owns
     copy = source.shifted(0)
     want = page_bytes(copy)
