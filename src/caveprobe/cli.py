@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from time import time_ns
-from typing import BinaryIO, NamedTuple
+from typing import BinaryIO
 
 from . import caves, explorer, gadgets, injector, machine
 from .memspace import (
@@ -319,14 +319,17 @@ def _parse_file(path: Path, what: str, parse, weigh):
     return value, key is not None and _KEPT.put(key, value, weigh(value))
 
 
-class _Image(NamedTuple):
+@dataclass(slots=True)
+class _Image:
     """A loaded manifest: its space as built, the stack pointer it gives the
-    attacker, and the layout of its user pages, which every run's ASLR draw
-    and shift read."""
+    attacker, the layout of its user pages, which every run's ASLR draw
+    and shift read, and, once a run shifted the kept image by a non-zero
+    offset, the table of the words every such shift relocates."""
 
     space: AddressSpace
     stack_pointer: int
     layout: Layout
+    relocations: dict | None = None  # space.relocations(layout)
 
 
 def _read_image(file: BinaryIO) -> _Image:
@@ -424,8 +427,10 @@ def _load(ctx: Pipeline) -> None:
                               lambda image: len(image.space.pages))
     offset = _aslr_offset(cfg.seed, image.layout) if cfg.aslr else 0
     space = image.space
-    if kept:  # later runs start from it too: this one moves its own copy
-        space = space.shifted(offset, image.layout)
+    if kept:  # later runs start from it too: this one shares its pages
+        if offset and image.relocations is None:
+            image.relocations = space.relocations(image.layout)
+        space = space.shifted(offset, image.layout, image.relocations)
     elif offset:
         space.rebase(offset, image.layout)
     ctx.report.aslr_offset = offset

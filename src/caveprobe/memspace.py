@@ -9,7 +9,10 @@ time.  The scan keeps every byte outside the blobs as a skeleton, and a
 literal is a blob when the skeleton shows it after a "data" literal and one
 ":"; an invalid file's whole text is parsed once, by json alone.  A rebase
 moves the pages at once, but a page's pointer fix-up waits until its bytes
-are first read, written or fetched.
+are first read, written or fetched.  A shifted copy shares the Page
+objects of its source, copy-on-write: it re-keys them, and builds new
+pages only for those a relocation table names, which one pass over every
+page builds once for a space that many shifts start from.
 Addresses are 48-bit canonical: the low half [0, 2**47) belongs to user
 mappings, the high half [2**47, 2**48) is reserved for kernel mappings,
 which may be loaded for realism but are never user accessible.
@@ -22,6 +25,7 @@ import io
 import json
 import re
 import struct
+from array import array
 from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -110,24 +114,21 @@ class PagePermissions:
 
 @dataclass(slots=True, eq=False)
 class Page:
-    """One 4 KB page: permission bits plus one page of bytes, which may be
-    ``bytes`` shared with other pages until :meth:`writable_data` gives the
-    page a ``bytearray`` of its own on its first write.
+    """One 4 KB page: permission bits plus one page of bytes.  Bytes of
+    type ``bytes`` may be shared, with other pages and, through the Page
+    itself, with other spaces (:meth:`AddressSpace.shifted`), so a space
+    never changes such a page: it puts a new Page in its place.  A
+    ``bytearray`` is one space's own, and is written in place.
 
     A pointer fix-up that :meth:`AddressSpace.rebase` leaves pending waits
     until ``data`` is first read.  Every read, write and fetch reaches the
     bytes through ``data``, so each of them sees them relocated.  Until
-    that read the page is a :class:`_PendingPage`."""
+    that read the page is a :class:`_PendingPage`, which is its space's
+    own as well."""
 
     perms: PagePermissions
     data: bytes | bytearray
     _fixup: _Fixup = field(init=False, repr=False)  # set only while pending
-
-    def writable_data(self) -> bytearray:
-        """The page's own bytes to write into, copied on the first call."""
-        if type(self.data) is not bytearray:
-            self.data = bytearray(self.data)
-        return self.data
 
 
 class _PendingPage(Page):
@@ -150,12 +151,10 @@ class _PendingPage(Page):
 class _Fixup:
     """The pointer fix-up one rebase leaves pending on the pages that may
     need it: the user pages mapped before the rebase, as the ``starts`` and
-    ``ends`` of their runs, whether zero was a pointer (page 0 mapped), and
-    the offset."""
+    ``ends`` of their runs, and the offset."""
 
     starts: tuple[int, ...]
     ends: tuple[int, ...]
-    zero: bool
     offset: int
 
 
@@ -169,10 +168,17 @@ class Layout(NamedTuple):
 
 
 class AddressSpace:
-    """Sparse map of page base address to :class:`Page`."""
+    """Sparse map of page base address to :class:`Page`.
+
+    Pages are copy-on-write: one whose bytes are ``bytes`` may be in
+    another space's map as well, so :meth:`write_bytes` and
+    :meth:`set_protection` put a new Page in its place before they change
+    it.  A page whose bytes are a ``bytearray``, or whose fix-up is
+    pending, is this space's own."""
 
     def __init__(self) -> None:
         self.pages: dict[int, Page] = {}
+        self._shares = False  # whether a shift shared its pages with another space
 
     @staticmethod
     def page_base(addr: int) -> int:
@@ -262,59 +268,128 @@ class AddressSpace:
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         """Native write, all or nothing: permissions for the whole range are
-        checked before any byte changes."""
+        checked before any byte changes.  A page whose bytes may be shared
+        is replaced first by a Page with a ``bytearray`` of its own."""
         if not data:
             return
+        pages = self.pages
         end = addr + len(data)
         bases = range(addr & ~(PAGE_SIZE - 1), end, PAGE_SIZE)
         for base in bases:
-            page = self.pages.get(base)
+            page = pages.get(base)
             if page is None or not (page.perms.user_accessible and page.perms.writable):
                 raise MemoryFault(max(addr, base), "unmapped" if page is None else "perm")
         for base in bases:
             lo, hi = max(addr, base), min(base + PAGE_SIZE, end)
-            page = self.pages[base].writable_data()
-            page[lo - base : hi - base] = data[lo - addr : hi - addr]
+            page = pages[base]
+            own = page.data
+            if type(own) is not bytearray:
+                own = bytearray(own)
+                pages[base] = Page(page.perms, own)
+            own[lo - base : hi - base] = data[lo - addr : hi - addr]
 
     def set_protection(self, start: int, length: int, perms: PagePermissions) -> None:
-        """Replace the permissions of every page in the range.
+        """Replace the permissions of every page in the range: each page
+        becomes a new Page with the same bytes, but for a page whose fix-up
+        is pending, which is this space's own and changes in place.
 
         Unaligned or empty arguments raise ValueError; a range touching an
         unmapped page raises MemoryFault before anything changes.
         """
         if start % PAGE_SIZE or length % PAGE_SIZE or length <= 0:
             raise ValueError("arguments must be page aligned and non-empty")
+        pages = self.pages
         bases = range(start, start + length, PAGE_SIZE)
         for base in bases:
-            if base not in self.pages:
+            if base not in pages:
                 raise MemoryFault(base, "unmapped")
             if base >= USER_TOP and perms.user_accessible:
                 raise ValueError("kernel-half pages cannot be user accessible")
         for base in bases:
-            self.pages[base].perms = perms
+            page = pages[base]
+            if type(page) is _PendingPage:
+                page.perms = perms
+            else:
+                pages[base] = Page(perms, page.data)
 
     def layout(self) -> Layout:
         """The runs of adjacent user-half pages mapped now."""
         runs = page_runs(zip(sorted(b for b in self.pages if b < USER_TOP), repeat(None)))
         return Layout(tuple(r.start for r in runs), tuple(r.end for r in runs))
 
-    def shifted(self, offset: int, layout: Layout | None = None) -> "AddressSpace":
-        """A copy of this space moved as :meth:`rebase` moves it, built in
-        one pass: a new Page for each page, sharing its bytes until either
-        side writes them, at its shifted base, with its fix-up pending.  The
-        copy takes the bytes relocated by any fix-up still pending here,
-        and bytes written here as bytes of its own.  ``layout`` is
-        ``self.layout()``, which a caller that shifts one space many times
-        need only compute once."""
+    def relocations(self, layout: Layout | None = None) -> dict[int, array | None]:
+        """What a shift of this space relocates, by page base: the indices
+        of the page's words that point into ``layout``'s runs, by the rule
+        :meth:`rebase` gives, or None for an all-zero page while page 0 is
+        mapped, whose every word is zero and so a pointer.  A page with no
+        such word is left out.  Built by one pass over every page's bytes,
+        the table holds for each shift until a page of this space changes.
+        ``layout`` is ``self.layout()``.
+
+        Two bytes an index, so a page's entry is at most a quarter of its
+        own bytes, and the all-zero pages, which share their bytes, add
+        none."""
+        starts, ends = self.layout() if layout is None else layout
+        table: dict[int, array | None] = {}
+        if not starts:
+            return table
+        for base, page in self.pages.items():
+            data = page.data
+            if data == _ZERO_PAGE:
+                if not starts[0]:
+                    table[base] = None
+            elif words := _pointer_words(data, starts, ends):
+                table[base] = words
+        return table
+
+    def shifted(self, offset: int, layout: Layout | None = None,
+                relocations: dict[int, array | None] | None = None) -> "AddressSpace":
+        """A copy of this space moved as :meth:`rebase` moves it, with each
+        fix-up applied at once.  The copy holds this space's Page objects
+        at their shifted bases, and new ones only for the pages
+        ``relocations`` names, relocated, and for the pages this space owns,
+        with bytes of their own.  The all-zero pages relocated while page 0
+        is mapped share one page of bytes, every word the offset.  Either
+        space then replaces a page it shares before changing it.
+
+        ``layout`` is ``self.layout()`` and ``relocations`` is
+        ``self.relocations(layout)``: a caller that shifts one space many
+        times, and changes none of its pages, need build each only once."""
+        layout = self._checked(offset, layout)
+        if not offset:
+            relocations = {}
+        elif relocations is None:
+            relocations = self.relocations(layout)
+        pages = self.pages
+        moved = ({base + offset if base < USER_TOP else base: page
+                  for base, page in pages.items()} if offset else dict(pages))
+        for base, page in pages.items():
+            data = page.data  # applies a fix-up still pending here
+            if type(data) is not bytes or len(data) != PAGE_SIZE:
+                if len(data) != PAGE_SIZE:
+                    raise ValueError("page data must be exactly one page long")
+                moved[base + offset if base < USER_TOP else base] = Page(page.perms, bytes(data))
+        zero = None  # an all-zero page relocated
+        for base, words in relocations.items():
+            page = pages[base]
+            if words is None:
+                data = zero = zero or _WORD.pack(offset) * _WORDS
+            else:
+                data = _add_offset(page.data, words, offset)
+            moved[base + offset if base < USER_TOP else base] = Page(page.perms, data)
         out = AddressSpace()
-        out.pages = self._moved(offset, layout, copy=True)
+        out.pages = moved
+        self._shares = out._shares = True
         return out
 
     def rebase(self, offset: int, layout: Layout | None = None) -> None:
         """Move every user-half page up by ``offset``, in place, and leave
         the relocation of the pointers into them pending on each page that
         may hold one, until that page's bytes are first read, written or
-        fetched (:class:`Page`).  ``layout`` is as for :meth:`shifted`.
+        fetched (:class:`Page`).  ``layout`` is as for :meth:`shifted`.  A
+        space that shares its pages takes the pages of its
+        :meth:`shifted` copy instead, so no page another space holds
+        changes.
 
         Kernel-half pages stay in place, like the fixed hardware-dictated
         mappings real base randomization never moves.  The offset must be
@@ -340,31 +415,30 @@ class AddressSpace:
         mapped); only the marked words are read, matched against the runs
         of old pages and rewritten.
         """
-        self.pages = self._moved(offset, layout, copy=False)
-
-    def _moved(self, offset: int, layout: Layout | None, copy: bool) -> dict[int, Page]:
-        """The pages keyed by their bases shifted by ``offset``, each that
-        may hold a pointer with the fix-up pending; with ``copy``, new Page
-        objects that share the bytes, which must each be one page long."""
-        if offset % PAGE_SIZE or offset < 0:
-            raise ValueError("offset must be a non-negative page multiple")
-        starts, ends = self.layout() if layout is None else layout
-        if ends and ends[-1] + offset > USER_TOP:
-            raise ValueError("shift pushes a page past the user half")
-        fixup = _Fixup(starts, ends, starts[0] == 0, offset) if offset and starts else None
+        if self._shares:
+            self.pages = self.shifted(offset, layout).pages
+            return
+        starts, ends = self._checked(offset, layout)
+        fixup = _Fixup(starts, ends, offset) if offset and starts else None
+        zero = bool(starts) and not starts[0]
         pages = {}
         for base, page in self.pages.items():
-            if copy:
-                data = page.data  # applies a fix-up still pending here
-                if len(data) != PAGE_SIZE:
-                    raise ValueError("page data must be exactly one page long")
-                page = Page(page.perms, data if type(data) is bytes else bytes(data))
             # reading data applies the fix-up an earlier rebase left
-            if fixup is not None and (page.data != _ZERO_PAGE or fixup.zero):
+            if fixup is not None and (page.data != _ZERO_PAGE or zero):
                 page._fixup = fixup
                 page.__class__ = _PendingPage
             pages[base + offset if base < USER_TOP else base] = page
-        return pages
+        self.pages = pages
+
+    def _checked(self, offset: int, layout: Layout | None) -> Layout:
+        """``layout``, or ``self.layout()`` when it is None, once ``offset``
+        is found to be a shift this space can take."""
+        if offset % PAGE_SIZE or offset < 0:
+            raise ValueError("offset must be a non-negative page multiple")
+        layout = self.layout() if layout is None else layout
+        if layout.ends and layout.ends[-1] + offset > USER_TOP:
+            raise ValueError("shift pushes a page past the user half")
+        return layout
 
 
 def lane_filter(data: bytes | bytearray, *, zero: bool = False) -> bytes:
@@ -391,21 +465,40 @@ def lane_filter(data: bytes | bytearray, *, zero: bool = False) -> bytes:
     return marks.to_bytes(_WORDS, "little")
 
 
-def _relocate_page(page: Page, fixup: _Fixup) -> None:
-    """Add the offset to every aligned little-endian word of ``page`` that
-    lies in one of the fix-up's runs of old pages, all below 2**47.  The
-    page is copied only if a word changes."""
-    data = page.data
-    starts, ends, offset = fixup.starts, fixup.ends, fixup.offset
-    marks = lane_filter(data, zero=fixup.zero)
+def _pointer_words(data: bytes | bytearray, starts: tuple[int, ...],
+                   ends: tuple[int, ...]) -> array:
+    """The indices of the aligned little-endian words of the page ``data``
+    that lie in one of the runs of user pages ``starts``/``ends``, the
+    words a shift relocates: of the words ``lane_filter`` marks, zero words
+    too when the first run starts at page 0, those the runs hold."""
+    marks = lane_filter(data, zero=not starts[0])
+    words = array("H")
     i = marks.find(1)
     while i >= 0:
         w = _WORD.unpack_from(data, 8 * i)[0]
         k = bisect_right(starts, w) - 1
         if k >= 0 and w < ends[k]:
-            data = page.writable_data()
-            _WORD.pack_into(data, 8 * i, w + offset)
+            words.append(i)
         i = marks.find(1, i + 1)
+    return words
+
+
+def _add_offset(data: bytes | bytearray, words: array, offset: int) -> bytearray:
+    """A copy of the page ``data`` with ``offset`` added to each aligned
+    little-endian word whose index is in ``words``."""
+    out = bytearray(data)
+    for i in words:
+        _WORD.pack_into(out, 8 * i, _WORD.unpack_from(out, 8 * i)[0] + offset)
+    return out
+
+
+def _relocate_page(page: Page, fixup: _Fixup) -> None:
+    """Apply the pending ``fixup`` to ``page``: bytes of its own with the
+    offset added to each pointer word, and the same bytes when it holds
+    none."""
+    words = _pointer_words(page.data, fixup.starts, fixup.ends)
+    if words:
+        page.data = _add_offset(page.data, words, fixup.offset)
 
 
 class PageRun(NamedTuple):

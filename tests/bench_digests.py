@@ -1,7 +1,7 @@
 """Check the report digests a benchmark smoke run prints against the golden
 table in ``tests/golden.py``.
 
-``perfbench/run.py --workload all --seed 1 --seconds 0 --trace 0`` prints,
+``perfbench/run.py --workload all --seed 1 --seconds 4 --trace 0`` prints,
 for each workload, a ``report digest over the first pass`` line: one
 SHA-256 over the reports of every run of the workload's first pass, the
 digest of the golden corpus named after the workload.  Under

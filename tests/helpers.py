@@ -22,7 +22,9 @@ from caveprobe.explorer import ReconstructedMap
 from caveprobe.machine import (
     REG_NAMES, MachineState, _fetch_u8, _read64, _Stop, _syscall, _write64,
 )
-from caveprobe.memspace import PAGE_SIZE, USER_TOP, AddressSpace, PagePermissions, PageRun
+from caveprobe.memspace import (
+    PAGE_SIZE, USER_TOP, AddressSpace, Page, PagePermissions, PageRun,
+)
 from caveprobe.probe import ACCESSIBLE, NO_ACCESS, WRITABLE, Prober, Writability
 
 # writability classes as plain strings, kept separate from the library's
@@ -57,6 +59,19 @@ def settled_store(space: AddressSpace,
     for base in sorted(space.pages):
         pm.claw(base)
     return pm
+
+
+def poke(space: AddressSpace, addr: int, data: bytes) -> None:
+    """Test-setup backdoor: write ``data`` at ``addr`` whatever the pages'
+    permissions.  Each page it touches is replaced by a new Page with bytes
+    of its own first, so no poke reaches a page another space shares."""
+    end = addr + len(data)
+    for base in range(addr & ~(PAGE_SIZE - 1), end, PAGE_SIZE):
+        page = space.pages[base]
+        own = bytearray(page.data)
+        lo, hi = max(addr, base), min(base + PAGE_SIZE, end)
+        own[lo - base : hi - base] = data[lo - addr : hi - addr]
+        space.pages[base] = Page(page.perms, own)
 
 
 def is_mapped(space: AddressSpace, addr: int) -> bool:

@@ -42,6 +42,7 @@ from helpers import (
     NONE,
     claw_range,
     page_bytes,
+    poke,
     random_permed_space,
     read_image,
     settled_store,
@@ -53,13 +54,6 @@ from helpers import (
 def _criterion(num: int, ok: bool, detail: str) -> None:
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'}  {detail}")
     assert ok, f"criterion {num} failed: {detail}"
-
-
-def _poke(space, addr: int, data: bytes) -> None:
-    """Test-setup backdoor: write bytes regardless of page permissions."""
-    for k, byte in enumerate(data):
-        page = space.pages[(addr + k) & ~(PAGE_SIZE - 1)]
-        page.writable_data()[(addr + k) % PAGE_SIZE] = byte
 
 
 def test_criterion_1_map_reconstruction_exact():
@@ -180,7 +174,7 @@ def test_criterion_4_gadget_census_matches_regex_oracle():
             # force boundary coverage: split one pattern across two pages
             pattern = gen.choice(list(GADGETS.values()))
             base = gen.choice(pairs)
-            _poke(space, base + PAGE_SIZE - 1, pattern)
+            poke(space, base + PAGE_SIZE - 1, pattern)
             planted_straddles += 1
         catalog = find_gadgets(settled_store(space), acc_set)
         if catalog.searched_pages != len(accessible):
@@ -383,7 +377,7 @@ def test_criterion_7_directed_census_matches_regex_oracle():
             else:
                 base = gen.choice(accessible)
                 off = gen.randint(0, PAGE_SIZE - len(pattern))
-            _poke(space, base + off, pattern)
+            poke(space, base + off, pattern)
         for variant in CHAIN_VARIANTS:
             need = (*CHAINS[variant], "leave-ret")
             # the oracle: each page with the next page's first two bytes when

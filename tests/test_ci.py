@@ -16,6 +16,7 @@ from pathlib import Path
 
 import bench_digests
 import scenarios
+from caveprobe import cli
 from caveprobe.cli import MODES
 
 REPO = Path(__file__).resolve().parent.parent
@@ -104,12 +105,15 @@ def test_source_line_count_goes_to_the_step_summary():
 
 
 def test_benchmark_smoke_runs_untraced_and_traced():
+    # the untraced loop outlasts the racy window after setup, so its later
+    # runs start from kept images and are checked against the first pass
     step = workflow_step("Benchmark smoke")
     runs = re.findall(
-        r"^\s+python perfbench/run\.py --workload all --seed 1 --seconds 0 "
+        r"^\s+python perfbench/run\.py --workload all --seed 1 --seconds (\d+) "
         r"--trace ([01]) \| tee (\S+)$", step, re.M)
-    assert sorted(trace for trace, _ in runs) == ["0", "1"]
-    for _, out in runs:
+    assert sorted((trace, seconds) for seconds, trace, _ in runs) == [("0", "4"), ("1", "0")]
+    assert 4 * 10**9 > cli.RACY_NS
+    for *_, out in runs:
         # the last line of each run's output must say "correct": true
         check = re.escape(f"tail -n 1 {out} | python -c ") + r".*\[\"correct\"\] is not True"
         assert re.search(check, step), f"no correctness check on {out}"
@@ -121,7 +125,7 @@ def test_benchmark_smoke_checks_the_pinned_first_pass_digests():
     step = workflow_step("Benchmark smoke")
     lines = [line.strip() for line in step.splitlines()]
     untraced = lines.index(
-        "python perfbench/run.py --workload all --seed 1 --seconds 0 --trace 0 "
+        "python perfbench/run.py --workload all --seed 1 --seconds 4 --trace 0 "
         '| tee "$RUNNER_TEMP/bench-smoke-0.txt"')
     check = lines.index('python tests/bench_digests.py "$RUNNER_TEMP/bench-smoke-0.txt"')
     assert untraced < check
@@ -174,7 +178,7 @@ def test_digest_script_refuses_no_file_and_an_unreadable_one_in_one_line(
 
 def smoke_output(pinned: dict[str, str]) -> str:
     """A benchmark smoke output that prints the digests ``pinned``, as
-    ``perfbench/run.py --workload all --seed 1 --seconds 0 --trace 0`` does."""
+    ``perfbench/run.py --workload all --seed 1 --seconds 4 --trace 0`` does."""
     demo = f"  demo report digest, seeds 0..9: {pinned['demo-json']}\n"
     return "".join(
         f"== {name} (seed 1, trace 0): why\n  runs 3 in 0.1 s\n"

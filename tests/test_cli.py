@@ -18,7 +18,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, strategies as st
 
-from caveprobe import cli, explorer, gadgets, machine
+from caveprobe import cli, explorer, gadgets, machine, memspace
 from caveprobe.cli import (
     EXIT_OK,
     EXIT_STAGE_ERROR,
@@ -33,7 +33,7 @@ from caveprobe.cli import (
     run_pipeline,
 )
 from caveprobe.gadgets import CHAIN_VARIANTS
-from caveprobe.memspace import _ZERO_PAGE, PAGE_SIZE, AddressSpace
+from caveprobe.memspace import _ZERO_PAGE, PAGE_SIZE, USER_TOP, AddressSpace, Page
 from caveprobe.probe import ProbeOutcome, Prober, Writability
 from caveprobe.synth import build_victim_image
 from helpers import page_bytes, read_image, settled_store
@@ -1392,8 +1392,9 @@ class TestKeptInputs:
         assert "ground truth" not in kept_kinds()
 
     def test_a_run_leaves_the_kept_image_as_built(self, monkeypatch, tmp_path):
-        # writes, the mprotect of the chain and each pending fix-up touch
-        # only the run's own pages
+        # the run shares the kept image's pages, and writes, the mprotect of
+        # the chain and the relocation each replace a page first, so they
+        # touch only pages of the run's own
         manifest = tmp_path / "demo.json"
         manifest.write_bytes(Path(DEMO).read_bytes())
         late_clock(monkeypatch)
@@ -1405,13 +1406,30 @@ class TestKeptInputs:
         built = {base: (type(page), page.perms, page.data) for base, page in pages.items()}
         fresh, _ = read_image(manifest)
         assert page_bytes(image.space) == page_bytes(fresh)
+        changed = set()  # the bases the run wrote or re-protected
+
+        def spy(name: str, size) -> None:
+            real = getattr(AddressSpace, name)
+
+            def spied(space, addr, *args):
+                real(space, addr, *args)
+                changed.update(range(addr & -PAGE_SIZE, addr + size(*args), PAGE_SIZE))
+            monkeypatch.setattr(AddressSpace, name, spied)
+        spy("write_bytes", len)
+        spy("set_protection", lambda length, perms: length)
+        monkeypatch.setattr(memspace, "_relocate_page", None)  # no fix-up is left pending
         pipe = Pipeline(config)
         report = pipe.run()
         assert report.all_verdicts_pass()
         assert [e["name"] for e in report.run["side-effects"] if e["kind"] == "syscall"] == [
             "mprotect"]
-        space = pipe.pagemap.space
-        assert not set(map(id, space.pages.values())) & set(map(id, pages.values()))
+        space, offset = pipe.pagemap.space, report.aslr_offset
+        relocated = {base + offset if base < USER_TOP else base for base in image.relocations}
+        assert relocated and changed
+        for base, page in space.pages.items():
+            kept = pages[base - offset if base < USER_TOP else base]
+            assert (page is kept) == (base not in changed | relocated)
+            assert type(page) is Page
         assert any(p.perms != built[b - report.aslr_offset][1]
                    for b, p in space.pages.items() if b - report.aslr_offset in built)
         assert image.space.pages == pages  # the same Page objects: eq is identity
@@ -1420,6 +1438,41 @@ class TestKeptInputs:
         assert all(page.data is built[base][2] for base, page in pages.items())
         assert page_bytes(image.space) == page_bytes(fresh)
         assert emit_report(run_pipeline(config)) == emit_report(report)
+
+    def test_an_image_that_maps_page_0_runs_warm_as_cold(self, monkeypatch, tmp_path):
+        # zero is a pointer there, so every all-zero page relocates: the
+        # table names each with None and holds no index for it, and lists
+        # the indices of the other pages by the per-word rule
+        doc = json.loads(Path(DEMO).read_text())
+        doc["regions"].append({"start": "0x0", "len": hex(64 * PAGE_SIZE), "perms": ""})
+        manifest = tmp_path / "page-0.json"
+        manifest.write_text(json.dumps(doc))
+        configs = [PipelineConfig(image_path=str(manifest), mode=mode, seed=seed,
+                                  stop_after="caves")
+                   for mode in ("linear", "hybrid") for seed in range(3)]
+        late = cli.time_ns() + 3600 * 10**9
+        clock_at(monkeypatch, 0)  # every load is racy, so each run rebases its own parse
+        cold = [emit_report(run_pipeline(config)) for config in configs]
+        assert not cli._KEPT.entries
+        clock_at(monkeypatch, late)
+        warm = [emit_report(run_pipeline(config)) for config in configs]
+        assert warm == cold
+        [(image, _)] = cli._KEPT.entries.values()
+        zero = [base for base, page in image.space.pages.items() if page.data == _ZERO_PAGE]
+        assert len(zero) >= 64
+        assert [base for base, words in image.relocations.items() if words is None] == zero
+        mapped = set(image.space.pages)
+        want = {}
+        for base, page in image.space.pages.items():
+            if page.data != _ZERO_PAGE:
+                words = [i for i in range(PAGE_SIZE // 8)
+                         if int.from_bytes(page.data[8 * i : 8 * i + 8], "little")
+                         & -PAGE_SIZE in mapped]
+                if words:
+                    want[base] = words
+        assert {base: list(words) for base, words in image.relocations.items()
+                if words is not None} == want
+        assert sum(map(len, want.values())) < PAGE_SIZE // 8 * len(want)
 
     def test_the_page_bound_evicts_the_least_recently_used(self, monkeypatch, tmp_path):
         paths = []

@@ -17,7 +17,7 @@ from caveprobe.gadgets import (
 )
 from caveprobe.machine import SYS_MPROTECT
 from caveprobe.memspace import PAGE_SIZE, AddressSpace, PagePermissions, page_runs
-from helpers import DEMO, make_space, run_demo_pipelines, run_main, settled_store
+from helpers import DEMO, make_space, poke, run_demo_pipelines, run_main, settled_store
 
 
 def space_with_code(base: int, code: bytes, pages: int = 1):
@@ -139,29 +139,25 @@ def census_cases(draw):
     patterns = list(GADGETS.values())
     for i in mapped:
         end = first + (i + 1) * PAGE_SIZE
-        page = space.pages[end - PAGE_SIZE].writable_data()
-        nxt = space.pages.get(end)
+        nxt = end in space.pages
         kind = draw(st.sampled_from(
             ["straddle", "syscall-end", "last-byte", "cross", "edges", "none"]
         ))
-        if kind == "straddle" and nxt is not None:
-            pattern = draw(st.sampled_from(patterns))
-            page[-1], nxt.writable_data()[0] = pattern
+        if kind == "straddle" and nxt:
+            poke(space, end - 1, draw(st.sampled_from(patterns)))
         elif kind == "syscall-end":
-            page[-2:] = b"\x0f\x05"
-            if nxt is not None:
-                nxt.writable_data()[0] = 0xC3
+            poke(space, end - 2, b"\x0f\x05\xc3" if nxt else b"\x0f\x05")
         elif kind == "last-byte":
-            page[-2:] = draw(st.sampled_from(patterns))
+            poke(space, end - 2, draw(st.sampled_from(patterns)))
         elif kind == "cross":
             pair = draw(st.sampled_from(CROSS_PAIRS))
             off = draw(st.integers(0, PAGE_SIZE - 3))
-            page[off : off + 2] = pair
-            if nxt is not None:
-                page[-1], nxt.writable_data()[0] = pair
+            poke(space, end - PAGE_SIZE + off, pair)
+            if nxt:
+                poke(space, end - 1, pair)
         elif kind == "edges":
-            page[0] = draw(st.sampled_from(LAST_BYTES))
-            page[-1] = draw(st.sampled_from(FIRST_BYTES))
+            poke(space, end - PAGE_SIZE, bytes([draw(st.sampled_from(LAST_BYTES))]))
+            poke(space, end - 1, bytes([draw(st.sampled_from(FIRST_BYTES))]))
     chosen = {first + i * PAGE_SIZE for i in mapped if draw(st.booleans())}
     return space, chosen
 

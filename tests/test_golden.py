@@ -16,6 +16,7 @@ REPO = Path(__file__).resolve().parent.parent
 DEMO = str(REPO / "images" / "demo.json")
 DEMO_MAPS = str(REPO / "images" / "demo.maps")
 DEMO_CORPORA = ("demo-json", "demo-text", "demo-combos")
+WARM_CORPORA = (*DEMO_CORPORA, "large-aslr")
 
 
 @pytest.fixture(scope="module")
@@ -39,24 +40,26 @@ def test_corpus_matches_its_pin(corpus, texts):
 
 @pytest.mark.parametrize("aslr", [True, False], ids=["aslr", "no-aslr"])
 def test_demo_corpora_are_the_same_from_a_kept_image(monkeypatch, aslr):
-    # cold: the clock stopped before the images are copied, so each run
-    # parses its image; warm: an hour on, so the image is kept at its
-    # second load and every later run starts from it
+    # cold: the clock stopped before the images are written, so each run
+    # parses its image; warm: an hour on, so each image is kept at its
+    # second load and every later run starts from it.  The large-aslr
+    # first pass runs on a 776-page image, where a warm run's shift
+    # relocates from the kept image's table
     from caveprobe import cli
     parsed = []
     parse = cli.parse_manifest
     monkeypatch.setattr(cli, "parse_manifest", lambda source: parsed.append(source) or parse(source))
     now = cli.time_ns()
     monkeypatch.setattr(cli, "time_ns", lambda: now)
-    cold = golden.build(DEMO_CORPORA, aslr=aslr)
+    cold = golden.build(WARM_CORPORA, aslr=aslr)
     cold_parses = len(parsed)
     monkeypatch.setattr(cli, "time_ns", lambda: now + 3600 * 10**9)
-    warm = golden.build(DEMO_CORPORA, aslr=aslr)
-    assert (cold_parses, len(parsed) - cold_parses) == (46, 2)
+    warm = golden.build(WARM_CORPORA, aslr=aslr)
+    assert (cold_parses, len(parsed) - cold_parses) == (146, 4)
     assert warm == cold
     if aslr:  # the pins are of ASLR runs
         for corpus in golden.CORPORA:
-            if corpus.name in DEMO_CORPORA:
+            if corpus.name in WARM_CORPORA:
                 assert golden.check(corpus, warm[corpus.name]) is None
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import random
 import signal
+from array import array
 from pathlib import Path
 from unittest import mock
 
@@ -734,6 +735,66 @@ def test_lazy_relocation_matches_the_eager_reference(case, page_zero, ops):
     for op in ops:
         lazy, eager = step_both(lazy, eager, op, loaded)
     assert space_digest(lazy) == space_digest(eager)
+
+
+# --- a shifted pair shares its pages, copy-on-write ---------------------------
+
+SIDE_OPS = st.lists(st.tuples(
+    st.sampled_from([0, 1]),  # the side: the source, or its shifted copy
+    st.one_of(
+        # odd bytes, so a write always changes an all-zero page
+        st.tuples(st.just("write"), st.integers(0, 63), st.integers(0, PAGE_SIZE - 1),
+                  st.binary(min_size=1, max_size=16).map(lambda b: bytes(x | 1 for x in b))),
+        st.tuples(st.just("protect"), st.integers(0, 63),
+                  st.sampled_from(["rwu", "ru", "rxu", "r", ""])),
+        st.tuples(st.just("rebase"), st.integers(0, 8)),
+    )), max_size=12)
+
+
+@given(relocation_cases(), st.booleans(), st.booleans(), SIDE_OPS)
+def test_a_change_to_either_side_of_a_shifted_pair_leaves_the_other(
+        case, page_zero, with_table, ops):
+    space, offset = case
+    if page_zero and 0 not in space.pages:
+        space.map_region(0, PAGE_SIZE, PagePermissions.from_rwxu("rwu"))
+    want = space_digest(reference_shifted(space, offset))
+    moved = space.shifted(offset, None, space.relocations() if with_table else None)
+    assert space_digest(moved) == want
+    sides, digests = [space, moved], [space_digest(space), want]
+    for side, op in ops:
+        target = sides[side]
+        bases = sorted(target.pages)
+        base = bases[op[1] % len(bases)]
+        if op[0] == "write":
+            outcome(target.write_bytes, base + op[2], op[3])
+        elif op[0] == "protect":
+            outcome(target.set_protection, base, PAGE_SIZE, PagePermissions.from_rwxu(op[2]))
+        else:
+            outcome(target.rebase, op[1] * PAGE_SIZE)
+        assert space_digest(sides[1 - side]) == digests[1 - side], op
+        digests[side] = space_digest(target)
+
+
+def test_shifted_shares_every_page_the_table_does_not_name():
+    # page 0 is mapped, so the three all-zero pages relocate, to one page
+    # of bytes every word of which is the offset
+    space = make_space(
+        (0, 3 * PAGE_SIZE, "rwu", b""),
+        (0x8000, 2 * PAGE_SIZE, "rwu",
+         words_page(0x8010, fill=RANDOM_HIGH) + words_page(fill=RANDOM_HIGH)),
+    )
+    table = space.relocations()
+    assert table == {0: None, 0x1000: None, 0x2000: None, 0x8000: array("H", [0])}
+    moved = space.shifted(0x10000, None, table)
+    assert moved.pages[0x19000] is space.pages[0x9000]
+    assert moved.pages[0x18000] is not space.pages[0x8000]
+    assert moved.read_bytes(0x18000, 8) == (0x18010).to_bytes(8, "little")
+    zero = moved.pages[0x10000].data
+    assert zero == (0x10000).to_bytes(8, "little") * (PAGE_SIZE // 8)
+    assert all(moved.pages[base].data is zero for base in (0x11000, 0x12000))
+    assert type(zero) is bytes  # shared, so a write copies it first
+    moved.write_bytes(0x11000, b"\1")
+    assert moved.pages[0x12000].data is zero and moved.read_bytes(0x11000, 2) == b"\1\0"
 
 
 class TestLazyRelocation:
