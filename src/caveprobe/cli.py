@@ -249,37 +249,31 @@ class _Memo:
     """Loaded input files, kept per process and keyed on what they are
     loaded as and their stat signature.  Only a regular file of non-zero
     size, whose status did not change within ``RACY_NS`` of the lookup, has
-    a key.  A key's first load is only noted, so a one-shot run hands the
-    value it parsed to itself and copies nothing; its second load is kept,
-    and later ones share it.  A load that fails is never noted.  An entry
-    weighs its value's pages (a maps file its regions), at least 1; the
-    weights sum to at most ``MAX_MANIFEST_PAGES``, and the least recently
-    used entry goes first."""
+    a key.  A key's first load is kept, and later ones share it; a load
+    that fails is never kept.  An entry weighs its value's pages (a maps
+    file its regions), at least 1; the weights sum to at most
+    ``MAX_MANIFEST_PAGES``, and the least recently used entry goes first."""
 
     def __init__(self) -> None:
-        # key -> (value, weight); value None when the key was only noted
+        # key -> (value, weight)
         self.entries: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
         self.weight = 0
 
     def get(self, key: tuple):
         """The value kept under ``key``, now the most recently used, or None."""
-        value = self.entries.get(key, (None,))[0]
-        if value is not None:
-            self.entries.move_to_end(key)
-        return value
+        entry = self.entries.get(key)
+        if entry is None:
+            return None
+        self.entries.move_to_end(key)
+        return entry[0]
 
-    def put(self, key: tuple, value, weight: int) -> bool:
-        """Note a load of ``key`` that gave ``value``, which was not kept;
-        whether ``value`` is kept now."""
-        noted = self.entries.pop(key, None)
-        if noted is not None:
-            self.weight -= noted[1]
-        entry = (value, max(weight, 1)) if noted is not None else (None, 1)
-        self.entries[key] = entry
-        self.weight += entry[1]
+    def put(self, key: tuple, value, weight: int) -> None:
+        """Keep ``value``, the load of ``key``, which holds nothing yet."""
+        weight = max(weight, 1)
+        self.entries[key] = (value, weight)
+        self.weight += weight
         while self.weight > MAX_MANIFEST_PAGES:
             self.weight -= self.entries.popitem(last=False)[1][1]
-        return noted is not None and key in self.entries
 
 
 _KEPT = _Memo()
@@ -298,17 +292,18 @@ def _memo_key(file, what: str) -> tuple | None:
 
 def _parse_file(path: Path, what: str, parse, weigh):
     """``parse`` of the input file ``path``, opened for binary reads, whose
-    bytes must be UTF-8 whatever the locale, and whether it is kept: shared
-    with later runs, which must not change it.  The file is opened once;
-    the stat signature of that handle looks it up in ``_KEPT``, and a miss
-    parses from the same handle.  ``weigh`` gives a value's weight there.
-    A failed open and a read that fails part way give the same one line."""
+    bytes must be UTF-8 whatever the locale.  The file is opened once; the
+    stat signature of that handle looks it up in ``_KEPT``, and a miss
+    parses from the same handle and keeps the value there, shared with
+    later runs, which must not change it.  ``weigh`` gives a value's weight
+    there.  A failed open and a read that fails part way give the same one
+    line."""
     shown = _clip(str(path))
     try:
         with open(path, "rb", buffering=0) as file:
             key = _memo_key(file, what)
             if key is not None and (value := _KEPT.get(key)) is not None:
-                return value, True
+                return value
             value = parse(file)
     except OSError as exc:
         raise ValueError(f"cannot read {shown}: {exc.strerror or exc}") from None
@@ -316,14 +311,16 @@ def _parse_file(path: Path, what: str, parse, weigh):
         raise ValueError(
             f"{what} {shown} is not UTF-8: first bad byte at offset {exc.start}"
         ) from None
-    return value, key is not None and _KEPT.put(key, value, weigh(value))
+    if key is not None:
+        _KEPT.put(key, value, weigh(value))
+    return value
 
 
 @dataclass(slots=True)
 class _Image:
     """A loaded manifest: its space as built, the stack pointer it gives the
     attacker, the layout of its user pages, which every run's ASLR draw
-    and shift read, and, once a run shifted the kept image by a non-zero
+    and shift read, and, once a run shifted the image by a non-zero
     offset, the table of the words every such shift relocates."""
 
     space: AddressSpace
@@ -423,23 +420,20 @@ class Pipeline:
 
 def _load(ctx: Pipeline) -> None:
     cfg = ctx.config
-    image, kept = _parse_file(Path(cfg.image_path), "manifest", _read_image,
-                              lambda image: len(image.space.pages))
+    image = _parse_file(Path(cfg.image_path), "manifest", _read_image,
+                        lambda image: len(image.space.pages))
     offset = _aslr_offset(cfg.seed, image.layout) if cfg.aslr else 0
-    space = image.space
-    if kept:  # later runs start from it too: this one shares its pages
-        if offset and image.relocations is None:
-            image.relocations = space.relocations(image.layout)
-        space = space.shifted(offset, image.layout, image.relocations)
-    elif offset:
-        space.rebase(offset, image.layout)
+    if offset and image.relocations is None:
+        image.relocations = image.space.relocations(image.layout)
+    # a kept image is shared with later runs: the run's space shares its pages
+    space = image.space.shifted(offset, image.layout, image.relocations)
     ctx.report.aslr_offset = offset
     ctx.pagemap = explorer.PageMap(
         space, Prober(cfg.spurious_prob, cfg.seed), cfg.explore_budget)
     ctx.stack_pointer = image.stack_pointer + offset
     if cfg.ground_truth_path is not None:
-        truth, _ = _parse_file(Path(cfg.ground_truth_path), "ground truth", _read_maps,
-                               lambda truth: len(truth.regions))
+        truth = _parse_file(Path(cfg.ground_truth_path), "ground truth", _read_maps,
+                            lambda truth: len(truth.regions))
         ctx.truth = truth.shifted(offset) if offset else truth
 
 

@@ -7,12 +7,11 @@ is the one ``_ZERO_PAGE``, and every other page keeps the bytes its hex
 decoded to, page by page, as the manifest file streams past one chunk at a
 time.  The scan keeps every byte outside the blobs as a skeleton, and a
 literal is a blob when the skeleton shows it after a "data" literal and one
-":"; an invalid file's whole text is parsed once, by json alone.  A rebase
-moves the pages at once, but a page's pointer fix-up waits until its bytes
-are first read, written or fetched.  A shifted copy shares the Page
-objects of its source, copy-on-write: it re-keys them, and builds new
-pages only for those a relocation table names, which one pass over every
-page builds once for a space that many shifts start from.
+":"; an invalid file's whole text is parsed once, by json alone.  A shift
+moves a space as a relocating loader moves an image to a new base, into a
+copy that shares the Page objects of its source, copy-on-write: it
+re-keys them, and builds new pages only for those a relocation table
+names, which one pass over every page builds once per source.
 Addresses are 48-bit canonical: the low half [0, 2**47) belongs to user
 mappings, the high half [2**47, 2**48) is reserved for kernel mappings,
 which may be loaded for realism but are never user accessible.
@@ -28,7 +27,7 @@ import struct
 from array import array
 from bisect import bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import BinaryIO, NamedTuple
 
@@ -118,44 +117,10 @@ class Page:
     type ``bytes`` may be shared, with other pages and, through the Page
     itself, with other spaces (:meth:`AddressSpace.shifted`), so a space
     never changes such a page: it puts a new Page in its place.  A
-    ``bytearray`` is one space's own, and is written in place.
-
-    A pointer fix-up that :meth:`AddressSpace.rebase` leaves pending waits
-    until ``data`` is first read.  Every read, write and fetch reaches the
-    bytes through ``data``, so each of them sees them relocated.  Until
-    that read the page is a :class:`_PendingPage`, which is its space's
-    own as well."""
+    ``bytearray`` is one space's own, and is written in place."""
 
     perms: PagePermissions
     data: bytes | bytearray
-    _fixup: _Fixup = field(init=False, repr=False)  # set only while pending
-
-
-class _PendingPage(Page):
-    """A :class:`Page` whose ``data`` slot holds its bytes as loaded and
-    whose ``_fixup`` is pending.  The first read of ``data`` relocates the
-    bytes and turns the page back into a plain Page, so every later read,
-    like every read of a page with nothing pending, is a plain slot read."""
-
-    __slots__ = ()  # the same layout as Page, so __class__ can switch
-
-    @property
-    def data(self) -> bytes | bytearray:
-        self.__class__ = Page
-        _relocate_page(self, self._fixup)
-        del self._fixup
-        return self.data
-
-
-@dataclass(frozen=True, slots=True)
-class _Fixup:
-    """The pointer fix-up one rebase leaves pending on the pages that may
-    need it: the user pages mapped before the rebase, as the ``starts`` and
-    ``ends`` of their runs, and the offset."""
-
-    starts: tuple[int, ...]
-    ends: tuple[int, ...]
-    offset: int
 
 
 class Layout(NamedTuple):
@@ -173,12 +138,10 @@ class AddressSpace:
     Pages are copy-on-write: one whose bytes are ``bytes`` may be in
     another space's map as well, so :meth:`write_bytes` and
     :meth:`set_protection` put a new Page in its place before they change
-    it.  A page whose bytes are a ``bytearray``, or whose fix-up is
-    pending, is this space's own."""
+    it.  A page whose bytes are a ``bytearray`` is this space's own."""
 
     def __init__(self) -> None:
         self.pages: dict[int, Page] = {}
-        self._shares = False  # whether a shift shared its pages with another space
 
     @staticmethod
     def page_base(addr: int) -> int:
@@ -290,8 +253,7 @@ class AddressSpace:
 
     def set_protection(self, start: int, length: int, perms: PagePermissions) -> None:
         """Replace the permissions of every page in the range: each page
-        becomes a new Page with the same bytes, but for a page whose fix-up
-        is pending, which is this space's own and changes in place.
+        becomes a new Page with the same bytes.
 
         Unaligned or empty arguments raise ValueError; a range touching an
         unmapped page raises MemoryFault before anything changes.
@@ -306,11 +268,7 @@ class AddressSpace:
             if base >= USER_TOP and perms.user_accessible:
                 raise ValueError("kernel-half pages cannot be user accessible")
         for base in bases:
-            page = pages[base]
-            if type(page) is _PendingPage:
-                page.perms = perms
-            else:
-                pages[base] = Page(perms, page.data)
+            pages[base] = Page(perms, pages[base].data)
 
     def layout(self) -> Layout:
         """The runs of adjacent user-half pages mapped now."""
@@ -319,12 +277,24 @@ class AddressSpace:
 
     def relocations(self, layout: Layout | None = None) -> dict[int, array | None]:
         """What a shift of this space relocates, by page base: the indices
-        of the page's words that point into ``layout``'s runs, by the rule
-        :meth:`rebase` gives, or None for an all-zero page while page 0 is
-        mapped, whose every word is zero and so a pointer.  A page with no
-        such word is left out.  Built by one pass over every page's bytes,
-        the table holds for each shift until a page of this space changes.
-        ``layout`` is ``self.layout()``.
+        of the page's pointer words, or None for an all-zero page while page
+        0 is mapped, whose every word is zero and so a pointer.  A page with
+        no such word is left out.  Built by one pass over every page's
+        bytes, the table holds for each shift until a page of this space
+        changes.  ``layout`` is ``self.layout()``.
+
+        A pointer word is one a relocating loader fixes up in an image it
+        moves: an aligned little-endian 8-byte word, in any page including
+        kernel-half ones, whose value falls inside a user page of
+        ``layout``.  Random data is effectively never touched, since hitting
+        the mapped span by accident requires a 64-bit value to land in it.
+        A page with no word whose two top bytes are both zero is skipped,
+        since every candidate lies below 2**47.  On the pages left,
+        :func:`lane_filter` builds a mask with one byte per word, from the
+        page's eight byte lanes, that marks the words whose top bytes are
+        zero and whose low bytes are not (zero words too while page 0 is
+        mapped); only the marked words are read and matched against the
+        runs.
 
         Two bytes an index, so a page's entry is at most a quarter of its
         own bytes, and the all-zero pages, which share their bytes, add
@@ -344,18 +314,29 @@ class AddressSpace:
 
     def shifted(self, offset: int, layout: Layout | None = None,
                 relocations: dict[int, array | None] | None = None) -> "AddressSpace":
-        """A copy of this space moved as :meth:`rebase` moves it, with each
-        fix-up applied at once.  The copy holds this space's Page objects
-        at their shifted bases, and new ones only for the pages
-        ``relocations`` names, relocated, and for the pages this space owns,
-        with bytes of their own.  The all-zero pages relocated while page 0
-        is mapped share one page of bytes, every word the offset.  Either
-        space then replaces a page it shares before changing it.
+        """A copy of this space moved the way a relocating loader moves an
+        image to a new base: every user-half page up by ``offset``, and the offset
+        added to each pointer word into them (:meth:`relocations`).
+        Kernel-half pages stay in place, like the fixed hardware-dictated
+        mappings real base randomization never moves.  The offset must be
+        page aligned and must not push any page past the user-half top;
+        otherwise ValueError is raised.
+
+        The copy holds this space's Page objects at their shifted bases, and
+        new ones only for the pages ``relocations`` names, relocated, and
+        for the pages this space owns, with bytes of their own.  The
+        all-zero pages relocated while page 0 is mapped share one page of
+        bytes, every word the offset.  Either space then replaces a page it
+        shares before changing it.
 
         ``layout`` is ``self.layout()`` and ``relocations`` is
         ``self.relocations(layout)``: a caller that shifts one space many
         times, and changes none of its pages, need build each only once."""
-        layout = self._checked(offset, layout)
+        if offset % PAGE_SIZE or offset < 0:
+            raise ValueError("offset must be a non-negative page multiple")
+        layout = self.layout() if layout is None else layout
+        if layout.ends and layout.ends[-1] + offset > USER_TOP:
+            raise ValueError("shift pushes a page past the user half")
         if not offset:
             relocations = {}
         elif relocations is None:
@@ -364,7 +345,7 @@ class AddressSpace:
         moved = ({base + offset if base < USER_TOP else base: page
                   for base, page in pages.items()} if offset else dict(pages))
         for base, page in pages.items():
-            data = page.data  # applies a fix-up still pending here
+            data = page.data
             if type(data) is not bytes or len(data) != PAGE_SIZE:
                 if len(data) != PAGE_SIZE:
                     raise ValueError("page data must be exactly one page long")
@@ -379,66 +360,7 @@ class AddressSpace:
             moved[base + offset if base < USER_TOP else base] = Page(page.perms, data)
         out = AddressSpace()
         out.pages = moved
-        self._shares = out._shares = True
         return out
-
-    def rebase(self, offset: int, layout: Layout | None = None) -> None:
-        """Move every user-half page up by ``offset``, in place, and leave
-        the relocation of the pointers into them pending on each page that
-        may hold one, until that page's bytes are first read, written or
-        fetched (:class:`Page`).  ``layout`` is as for :meth:`shifted`.  A
-        space that shares its pages takes the pages of its
-        :meth:`shifted` copy instead, so no page another space holds
-        changes.
-
-        Kernel-half pages stay in place, like the fixed hardware-dictated
-        mappings real base randomization never moves.  The offset must be
-        page aligned and must not push any page past the user-half top;
-        otherwise ValueError is raised before any page moves.
-
-        The fix-up is the one a relocating loader applies to a rebased
-        image: every aligned little-endian 8-byte word, in every page
-        including kernel-half ones, whose value falls inside a user page
-        that was mapped before the shift is rebased by the same offset.
-        Random data is effectively never touched, since hitting the mapped
-        span by accident requires a 64-bit value to land in it.  A fix-up
-        an earlier rebase left pending is applied first, so rebases compose
-        as if each had relocated every page at once.
-
-        An all-zero page holds no such word, and no fix-up is left on it,
-        unless page 0 was mapped and zero is a pointer.  When a fix-up is
-        applied, a page with no word whose two top bytes are both zero is
-        skipped, since every candidate lies below 2**47.  On the pages
-        left, ``lane_filter`` builds a mask with one byte per word, from
-        the page's eight byte lanes, that marks the words whose top bytes
-        are zero and whose low bytes are not (zero words too if page 0 was
-        mapped); only the marked words are read, matched against the runs
-        of old pages and rewritten.
-        """
-        if self._shares:
-            self.pages = self.shifted(offset, layout).pages
-            return
-        starts, ends = self._checked(offset, layout)
-        fixup = _Fixup(starts, ends, offset) if offset and starts else None
-        zero = bool(starts) and not starts[0]
-        pages = {}
-        for base, page in self.pages.items():
-            # reading data applies the fix-up an earlier rebase left
-            if fixup is not None and (page.data != _ZERO_PAGE or zero):
-                page._fixup = fixup
-                page.__class__ = _PendingPage
-            pages[base + offset if base < USER_TOP else base] = page
-        self.pages = pages
-
-    def _checked(self, offset: int, layout: Layout | None) -> Layout:
-        """``layout``, or ``self.layout()`` when it is None, once ``offset``
-        is found to be a shift this space can take."""
-        if offset % PAGE_SIZE or offset < 0:
-            raise ValueError("offset must be a non-negative page multiple")
-        layout = self.layout() if layout is None else layout
-        if layout.ends and layout.ends[-1] + offset > USER_TOP:
-            raise ValueError("shift pushes a page past the user half")
-        return layout
 
 
 def lane_filter(data: bytes | bytearray, *, zero: bool = False) -> bytes:
@@ -490,15 +412,6 @@ def _add_offset(data: bytes | bytearray, words: array, offset: int) -> bytearray
     for i in words:
         _WORD.pack_into(out, 8 * i, _WORD.unpack_from(out, 8 * i)[0] + offset)
     return out
-
-
-def _relocate_page(page: Page, fixup: _Fixup) -> None:
-    """Apply the pending ``fixup`` to ``page``: bytes of its own with the
-    offset added to each pointer word, and the same bytes when it holds
-    none."""
-    words = _pointer_words(page.data, fixup.starts, fixup.ends)
-    if words:
-        page.data = _add_offset(page.data, words, fixup.offset)
 
 
 class PageRun(NamedTuple):

@@ -496,7 +496,7 @@ def test_canary_survives_and_only_the_cave_and_frame_change(tmp_path):
             if canary != truth.canary_value.to_bytes(8, "little"):
                 failures.append(f"{case}: canary became {canary.hex()}")
             ref, _ = read_image(manifest)
-            ref.rebase(off)
+            ref = ref.shifted(off)
             cave = truth.cave_start + off
             slot = truth.victim_slot + off
             allowed = ((cave, cave + truth.cave_len), (slot, slot + 16))

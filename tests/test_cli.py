@@ -383,16 +383,6 @@ class TestPipeline:
         assert code_len == 1100 * 0x1000
         assert all(a.end <= b.start for a, b in zip(runs, runs[1:]))
 
-    def test_load_relocates_in_place(self, monkeypatch, tmp_path):
-        # the loaded image is rebased where it was built, never copied
-        def copy_refused(*args, **kwargs):
-            raise AssertionError("AddressSpace.shifted called")
-
-        monkeypatch.setattr(AddressSpace, "shifted", copy_refused)
-        out = tmp_path / "report.json"
-        assert main(["--image-path", DEMO, "--out", str(out)]) == EXIT_OK
-        assert json.loads(out.read_text())["aslr-offset"] != "0x0"
-
     def test_reading_an_image_peaks_below_its_file_and_its_pages(self, tmp_path):
         # the file's bytes, the decoded blobs and the pages: never a second
         # copy of the file as text or as parsed hex strings
@@ -1277,12 +1267,11 @@ def late_clock(monkeypatch) -> None:
 
 
 def kept_kinds() -> list[str]:
-    return sorted(key[0] for key, (value, _) in cli._KEPT.entries.items()
-                  if value is not None)
+    return sorted(key[0] for key in cli._KEPT.entries)
 
 
 class TestKeptInputs:
-    def test_second_load_keeps_and_later_runs_share(self, monkeypatch, tmp_path):
+    def test_first_load_keeps_and_later_runs_share(self, monkeypatch, tmp_path):
         manifest, maps = tmp_path / "demo.json", tmp_path / "demo.maps"
         manifest.write_bytes(Path(DEMO).read_bytes())
         maps.write_bytes(Path(DEMO_MAPS).read_bytes())
@@ -1290,7 +1279,7 @@ class TestKeptInputs:
         parsed = counted_parses(monkeypatch)
         config = PipelineConfig(image_path=str(manifest), ground_truth_path=str(maps), seed=3)
         texts = [emit_report(run_pipeline(config)) for _ in range(4)]
-        assert parsed == ["manifest", "maps"] * 2
+        assert parsed == ["manifest", "maps"]
         assert kept_kinds() == ["ground truth", "manifest"]
         assert len(set(texts)) == 1
         assert json.loads(texts[0])["aslr-offset"] != "0x0"
@@ -1339,7 +1328,7 @@ class TestKeptInputs:
         clock_at(monkeypatch, changed + cli.RACY_NS)
         for _ in range(3):
             run_pipeline(config)
-        assert (len(parsed), kept_kinds()) == (5, ["manifest"])
+        assert (len(parsed), kept_kinds()) == (4, ["manifest"])
 
     def test_a_failing_manifest_is_never_kept(self, monkeypatch, tmp_path, capsys):
         manifest = tmp_path / "victim.json"
@@ -1392,20 +1381,36 @@ class TestKeptInputs:
         assert "ground truth" not in kept_kinds()
 
     def test_a_run_leaves_the_kept_image_as_built(self, monkeypatch, tmp_path):
-        # the run shares the kept image's pages, and writes, the mprotect of
-        # the chain and the relocation each replace a page first, so they
-        # touch only pages of the run's own
-        manifest = tmp_path / "demo.json"
+        # every run builds its space by one shift of the image it loads; a
+        # racy one-shot run keeps nothing, and one past RACY_NS keeps the
+        # image with its table.  Runs share the kept image's pages, and
+        # writes, the mprotect of the chain and the relocation each replace
+        # a page first, so they touch only pages of the run's own
+        manifest, out = tmp_path / "demo.json", tmp_path / "report.json"
         manifest.write_bytes(Path(DEMO).read_bytes())
+        argv = ["--image-path", str(manifest), "--seed", "4", "--out", str(out)]
+        calls = []
+        for name in ("relocations", "shifted"):
+            def counted(space, *args, real=getattr(AddressSpace, name), name=name):
+                calls.append(name)
+                return real(space, *args)
+            monkeypatch.setattr(AddressSpace, name, counted)
+        clock_at(monkeypatch, manifest.stat().st_ctime_ns)
+        assert main(argv) == EXIT_OK
+        assert not cli._KEPT.entries
+        racy = out.read_bytes()
         late_clock(monkeypatch)
-        config = PipelineConfig(image_path=str(manifest), seed=4)
-        run_pipeline(config)
-        run_pipeline(config)
+        assert main(argv) == EXIT_OK
+        assert out.read_bytes() == racy
+        assert calls == ["relocations", "shifted"] * 2
         [(image, _)] = cli._KEPT.entries.values()
         pages = dict(image.space.pages)
         built = {base: (type(page), page.perms, page.data) for base, page in pages.items()}
         fresh, _ = read_image(manifest)
         assert page_bytes(image.space) == page_bytes(fresh)
+        assert {b: (t, perms) for b, (t, perms, _) in built.items()} == {
+            b: (Page, p.perms) for b, p in fresh.pages.items()}
+        assert all(type(page.data) is bytes for page in pages.values())
         changed = set()  # the bases the run wrote or re-protected
 
         def spy(name: str, size) -> None:
@@ -1417,9 +1422,9 @@ class TestKeptInputs:
             monkeypatch.setattr(AddressSpace, name, spied)
         spy("write_bytes", len)
         spy("set_protection", lambda length, perms: length)
-        monkeypatch.setattr(memspace, "_relocate_page", None)  # no fix-up is left pending
-        pipe = Pipeline(config)
+        pipe = Pipeline(PipelineConfig(image_path=str(manifest), seed=4))
         report = pipe.run()
+        assert calls == ["relocations", "shifted"] * 2 + ["shifted"]
         assert report.all_verdicts_pass()
         assert [e["name"] for e in report.run["side-effects"] if e["kind"] == "syscall"] == [
             "mprotect"]
@@ -1437,7 +1442,44 @@ class TestKeptInputs:
                 for base, page in pages.items()} == built
         assert all(page.data is built[base][2] for base, page in pages.items())
         assert page_bytes(image.space) == page_bytes(fresh)
-        assert emit_report(run_pipeline(config)) == emit_report(report)
+        assert emit_report(report).encode() == racy
+
+    def test_a_run_without_aslr_builds_no_table(self, monkeypatch, tmp_path):
+        # a shift by 0 relocates nothing: the run's space holds every Page
+        # of the kept image, in a dict of its own
+        manifest = tmp_path / "demo.json"
+        manifest.write_bytes(Path(DEMO).read_bytes())
+        late_clock(monkeypatch)
+        monkeypatch.setattr(AddressSpace, "relocations", None)
+        config = PipelineConfig(image_path=str(manifest), aslr=False, stop_after="caves")
+        run_pipeline(config)
+        pipe = Pipeline(config)
+        assert pipe.run().aslr_offset == 0
+        [(image, _)] = cli._KEPT.entries.values()
+        assert image.relocations is None
+        space = pipe.pagemap.space
+        assert space.pages == image.space.pages and space.pages is not image.space.pages
+
+    def test_an_image_heavier_than_the_bound_is_parsed_on_every_run(
+            self, monkeypatch, tmp_path):
+        manifest = tmp_path / "demo.json"
+        manifest.write_bytes(Path(DEMO).read_bytes())
+        monkeypatch.setattr(cli, "MAX_MANIFEST_PAGES", len(read_image(manifest)[0].pages) - 1)
+        late_clock(monkeypatch)
+        parsed = counted_parses(monkeypatch)
+        config = PipelineConfig(image_path=str(manifest), seed=2)
+        texts = [emit_report(run_pipeline(config)) for _ in range(3)]
+        assert (len(parsed), cli._KEPT.entries, cli._KEPT.weight) == (3, {}, 0)
+        assert len(set(texts)) == 1
+
+    def test_an_entry_weighs_at_least_1_and_a_hit_is_used_last(self):
+        memo = cli._Memo()
+        memo.put(("ground truth", 1), "empty map", 0)
+        memo.put(("manifest", 2), "image", 3)
+        assert memo.weight == 4
+        assert memo.get(("ground truth", 1)) == "empty map"
+        assert memo.get(("manifest", 3)) is None
+        assert list(memo.entries) == [("manifest", 2), ("ground truth", 1)]
 
     def test_an_image_that_maps_page_0_runs_warm_as_cold(self, monkeypatch, tmp_path):
         # zero is a pointer there, so every all-zero page relocates: the
@@ -1451,7 +1493,7 @@ class TestKeptInputs:
                                   stop_after="caves")
                    for mode in ("linear", "hybrid") for seed in range(3)]
         late = cli.time_ns() + 3600 * 10**9
-        clock_at(monkeypatch, 0)  # every load is racy, so each run rebases its own parse
+        clock_at(monkeypatch, 0)  # every load is racy, so each run shifts its own parse
         cold = [emit_report(run_pipeline(config)) for config in configs]
         assert not cli._KEPT.entries
         clock_at(monkeypatch, late)
@@ -1481,8 +1523,8 @@ class TestKeptInputs:
             paths[-1].write_bytes(Path(DEMO).read_bytes())
         a, b, c = (str(p) for p in paths)
         pages = len(read_image(paths[0])[0].pages)
-        # two kept images and one noted key fit; a third kept image does not
-        monkeypatch.setattr(cli, "MAX_MANIFEST_PAGES", 2 * pages + 1)
+        # two kept images fit; a third does not
+        monkeypatch.setattr(cli, "MAX_MANIFEST_PAGES", 2 * pages)
         late_clock(monkeypatch)
         parsed = counted_parses(monkeypatch)
 
@@ -1492,15 +1534,15 @@ class TestKeptInputs:
         for path in (a, a, b, b):
             load(path)
         load(a)  # a hit: b is now the least recently used
-        assert len(parsed) == 4
+        assert len(parsed) == 2
         load(c)
         load(c)
-        assert len(parsed) == 6
-        kept = {key[2] for key, (value, _) in cli._KEPT.entries.items() if value is not None}
+        assert len(parsed) == 3
+        kept = {key[2] for key in cli._KEPT.entries}
         assert kept == {os.stat(a).st_ino, os.stat(c).st_ino}
         assert cli._KEPT.weight == 2 * pages
         load(a)
-        assert len(parsed) == 6
+        assert len(parsed) == 3
         load(b)
-        assert len(parsed) == 7
+        assert len(parsed) == 4
 

@@ -524,7 +524,7 @@ def test_walk_matches_the_reference_rule(image_seed, pages, mode, aslr, budget,
     )
     space = load_manifest(parse_manifest(img.manifest_text.encode()))
     offset = _aslr_offset(image_seed, space.layout()) if aslr else 0
-    space.rebase(offset)
+    space = space.shifted(offset)
     got = []
     for reference, trace in ((False, True), (True, True), (False, False)):
         pm = PageMap(space, Prober(abort_prob, image_seed, trace=trace), budget)
@@ -558,7 +558,7 @@ def test_explore_stage_map_matches_the_per_extent_reference(
     )
     space = load_manifest(parse_manifest(img.manifest_text.encode()))
     offset = _aslr_offset(image_seed, space.layout()) if aslr else 0
-    space.rebase(offset)
+    space = space.shifted(offset)
     got = []
     for reference in (True, False):  # the program's store is left in pm
         ctx = Pipeline(PipelineConfig(image_path="", mode=mode))
@@ -624,7 +624,7 @@ def test_explore_stage_counts_the_runs_that_begin_where_none_ends(
     )
     space = load_manifest(parse_manifest(img.manifest_text.encode()))
     offset = _aslr_offset(image_seed, space.layout()) if aslr else 0
-    space.rebase(offset)
+    space = space.shifted(offset)
     ctx = Pipeline(PipelineConfig(image_path="", mode=mode))
     ctx.pagemap = PageMap(space, Prober(0.001, image_seed))
     ctx.stack_pointer = img.truth.stack_pointer + offset

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from caveprobe import cli, machine, memspace
+from caveprobe import machine, memspace
 from caveprobe.memspace import (
     _ZERO_PAGE,
     ADDR_TOP,
@@ -126,9 +126,9 @@ class TestMapRegion:
     shift=st.integers(0, 8),
 )
 def test_every_page_is_one_page_long(regions, seed, shift):
-    # loaded from a manifest, rebased, and shifted: each page is exactly
-    # PAGE_SIZE bytes, holds its blob then zeros, and a blob longer than
-    # its region is refused
+    # loaded from a manifest, and shifted: each page is exactly PAGE_SIZE
+    # bytes, holds its blob then zeros, and a blob longer than its region
+    # is refused
     rng = random.Random(seed)
     doc, blobs, start = [], {}, 0x10000
     for pages, size, fill in regions:
@@ -148,7 +148,6 @@ def test_every_page_is_one_page_long(regions, seed, shift):
     for lo, blob in blobs.items():
         assert space.read_bytes(lo, len(blob)) == blob
     moved = space.shifted(shift * PAGE_SIZE)
-    space.rebase(shift * PAGE_SIZE)
     for each in (space, moved):
         assert {len(page.data) for page in each.pages.values()} == {PAGE_SIZE}
         assert all(page.data is _ZERO_PAGE
@@ -333,6 +332,31 @@ class TestReadOutcomes:
 
 
 class TestShifted:
+    def test_moves_pages_and_shares_those_it_does_not_relocate(self):
+        space = make_space(
+            (0x8000, PAGE_SIZE, "rwu", (0x8010).to_bytes(8, "little")),
+            (0x9000, PAGE_SIZE, "ru", b"hi"),
+            (USER_TOP, PAGE_SIZE, "rx", b""),
+        )
+        page = space.get_page(0x9000)
+        moved = space.shifted(0x10000)
+        assert moved.get_page(0x19000) is page  # moved, not copied
+        assert not is_mapped(moved, 0x8000)
+        assert is_mapped(moved, USER_TOP)
+        assert moved.read_bytes(0x18000, 8) == (0x18010).to_bytes(8, "little")
+
+    def test_a_shift_by_0_shares_every_page_whatever_the_table(self):
+        # zero words are pointers while page 0 is mapped, but nothing moves
+        space = make_space(
+            (0, PAGE_SIZE, "rwu", b""),
+            (0x8000, PAGE_SIZE, "rwu", (0x8010).to_bytes(8, "little")),
+            (USER_TOP, PAGE_SIZE, "rx", b""),
+        )
+        table = space.relocations()
+        assert set(table) == {0, 0x8000, USER_TOP}
+        moved = space.shifted(0, None, table)
+        assert moved.pages == space.pages and moved.pages is not space.pages
+
     def test_moves_user_pages_only(self):
         space = make_space(
             (0x8000, PAGE_SIZE, "rwu", b"hi"),
@@ -351,16 +375,29 @@ class TestShifted:
         assert space.read_bytes(0x8000, 1) == b"\x00"
 
     def test_rejects_unaligned_or_negative(self):
-        space = AddressSpace()
-        with pytest.raises(ValueError):
-            space.shifted(8)
-        with pytest.raises(ValueError):
-            space.shifted(-PAGE_SIZE)
+        for space in (AddressSpace(), make_space((0x8000, PAGE_SIZE, "rwu", b""))):
+            digest = space_digest(space)
+            for offset in (8, -PAGE_SIZE):
+                with pytest.raises(ValueError):
+                    space.shifted(offset)
+            assert space_digest(space) == digest
 
     def test_rejects_overflow_past_user_top(self):
         space = make_space((USER_TOP - PAGE_SIZE, PAGE_SIZE, "r", b""))
         with pytest.raises(ValueError):
             space.shifted(PAGE_SIZE)
+        space = make_space(
+            (0x8000, PAGE_SIZE, "rwu", (0x8010).to_bytes(8, "little")),
+            (USER_TOP - PAGE_SIZE, PAGE_SIZE, "ru", b""),
+            (USER_TOP, PAGE_SIZE, "r", (0x8010).to_bytes(8, "little")),
+        )
+        before = dict(space.pages)
+        digest = space_digest(space)
+        with pytest.raises(ValueError):
+            space.shifted(PAGE_SIZE)
+        assert space.pages == before
+        assert all(space.pages[b] is p for b, p in before.items())
+        assert space_digest(space) == digest
 
     def test_relocates_stored_pointers(self):
         ptr = (0x8000).to_bytes(8, "little") + (0xDEAD0000).to_bytes(8, "little")
@@ -377,50 +414,40 @@ class TestShifted:
         moved = space.shifted(0x10000)
         assert moved.read_bytes(0x18000, 16) == blob
 
+    def test_written_after_the_shift_stays_as_written(self):
+        space = make_space((0x8000, PAGE_SIZE, "rwu", words_page(0x8010, 0x8020)))
+        moved = space.shifted(0x10000)
+        # a word into the page's loaded place, written into the relocated
+        # copy, is left as written
+        moved.write_bytes(0x18008, (0x8030).to_bytes(8, "little"))
+        assert moved.read_bytes(0x18000, 16) == b"".join(
+            w.to_bytes(8, "little") for w in (0x18010, 0x8030))
 
-class TestRebase:
-    def test_moves_pages_in_place(self):
-        space = make_space(
-            (0x8000, PAGE_SIZE, "rwu", (0x8010).to_bytes(8, "little")),
-            (USER_TOP, PAGE_SIZE, "rx", b""),
-        )
-        page = space.get_page(0x8000)
-        space.rebase(0x10000)
-        assert space.get_page(0x18000) is page  # moved, not copied
-        assert not is_mapped(space, 0x8000)
-        assert is_mapped(space, USER_TOP)
-        assert space.read_bytes(0x18000, 8) == (0x18010).to_bytes(8, "little")
+    def test_two_shifts_compose(self):
+        # 0x18010 points nowhere at load and into the page after the first
+        # shift, so the second moves both words
+        space = make_space((0x8000, PAGE_SIZE, "rwu", words_page(0x8010, 0x18010)))
+        want = space_digest(reference_shifted(reference_shifted(space, 0x10000), 0x20000))
+        moved = space.shifted(0x10000).shifted(0x20000)
+        assert moved.read_bytes(0x38000, 16) == (0x38010).to_bytes(8, "little") * 2
+        assert space_digest(moved) == want
 
-    def test_overflow_raises_and_moves_nothing(self):
-        space = make_space(
-            (0x8000, PAGE_SIZE, "rwu", (0x8010).to_bytes(8, "little")),
-            (USER_TOP - PAGE_SIZE, PAGE_SIZE, "ru", b""),
-            (USER_TOP, PAGE_SIZE, "r", (0x8010).to_bytes(8, "little")),
-        )
-        before = dict(space.pages)
-        digest = space_digest(space)
-        with pytest.raises(ValueError):
-            space.rebase(PAGE_SIZE)
-        assert space.pages == before
-        assert all(space.pages[b] is p for b, p in before.items())
-        assert space_digest(space) == digest
-
-    def test_a_pending_fix_up_survives_a_rebase_once_page_0_is_mapped(self):
-        # zero becomes a pointer, so the second rebase leaves its fix-up on
-        # every page; the first one's, still pending, is applied before
+    def test_shifts_compose_once_page_0_is_mapped(self):
+        # zero becomes a pointer, so the second shift relocates every page
         space = make_space((0x8000, PAGE_SIZE, "rwu", (0x8010).to_bytes(8, "little")))
-        space.rebase(0x10000)
+        space = space.shifted(0x10000)
         space.map_region(0, PAGE_SIZE, PagePermissions.from_rwxu("rwu"))
-        space.rebase(0x100000)
+        space = space.shifted(0x100000)
         assert space.read_bytes(0x118000, 8) == (0x118010).to_bytes(8, "little")
 
-    def test_rejects_unaligned_or_negative(self):
-        space = make_space((0x8000, PAGE_SIZE, "rwu", b""))
-        digest = space_digest(space)
-        for offset in (8, -PAGE_SIZE):
-            with pytest.raises(ValueError):
-                space.rebase(offset)
-        assert space_digest(space) == digest
+    def test_pages_compare_by_identity(self):
+        # two pages of equal bytes are not equal
+        space = make_space((0x8000, 2 * PAGE_SIZE, "rwu", words_page(0x8010) * 2))
+        moved = space.shifted(0x10000)
+        first, second = moved.pages[0x18000], moved.pages[0x19000]
+        assert first != second
+        assert first == first
+        assert first.data == second.data == words_page(0x18010)
 
 
 # --- relocation against an independent reference ----------------------------
@@ -454,21 +481,8 @@ def words_page(*words: int, fill: int = 0) -> bytes:
     return b"".join(w.to_bytes(8, "little") for w in (*words, *rest))
 
 
-def twin(space: AddressSpace) -> AddressSpace:
-    """A copy built page by page through map_region."""
-    out = AddressSpace()
-    for base, page in space.pages.items():
-        out.map_region(base, PAGE_SIZE, page.perms, bytes(page.data))
-    return out
-
-
 def assert_matches_reference(space: AddressSpace, offset: int) -> None:
-    want = reference_shift(space, offset)
-    moved = space.shifted(offset)
-    assert space_digest(moved) == want
-    in_place = twin(space)
-    in_place.rebase(offset)
-    assert space_digest(in_place) == want
+    assert space_digest(space.shifted(offset)) == reference_shift(space, offset)
 
 
 KERNEL = USER_TOP + 0x10000
@@ -650,7 +664,7 @@ def test_relocation_matches_per_word_reference(case):
     assert_matches_reference(space, offset)
 
 
-# --- the fix-up waits for a page's first read, write or fetch ------------------
+# --- a shifted copy under reads, writes and shifts ---------------------------
 
 def outcome(call, *args):
     """What ``call(*args)`` gives, or the fault or refusal it raises."""
@@ -662,47 +676,43 @@ def outcome(call, *args):
         return ("refused", str(exc))
 
 
-def step_both(lazy: AddressSpace, eager: AddressSpace, op, loaded: list[int]):
-    """Run ``op`` on a rebased space and on its eagerly relocated twin,
-    check that both give the same, and return both spaces after it.
-    ``loaded`` holds the page bases the two were loaded at."""
+def step_both(moved: AddressSpace, eager: AddressSpace, op, loaded: list[int]):
+    """Run ``op`` on a shifted space and on its relocated reference, check
+    that both give the same, and return both spaces after it.  ``loaded``
+    holds the page bases the two were loaded at."""
     bases = sorted(eager.pages)
-    assert sorted(lazy.pages) == bases
+    assert sorted(moved.pages) == bases
     kind, i = op[0], op[1]
     base = bases[i % len(bases)]
-    if kind in ("rebase", "shifted"):
+    if kind == "shifted":
         offset = i * PAGE_SIZE
         top = max((b for b in bases if b < USER_TOP), default=-PAGE_SIZE)
         if top + offset + PAGE_SIZE > USER_TOP:
             with pytest.raises(ValueError):
-                lazy.rebase(offset) if kind == "rebase" else lazy.shifted(offset)
-            return lazy, eager
-        if kind == "rebase":
-            lazy.rebase(offset)
-        else:
-            lazy = lazy.shifted(offset)
-        return lazy, reference_shifted(eager, offset)
+                moved.shifted(offset)
+            return moved, eager
+        return moved.shifted(offset), reference_shifted(eager, offset)
     if kind == "read":
-        got = [outcome(space.read_bytes, base + op[2], op[3]) for space in (lazy, eager)]
+        got = [outcome(space.read_bytes, base + op[2], op[3]) for space in (moved, eager)]
     elif kind == "write":
         # into a writable page when there is one, so that a write often
-        # lands on a page whose fix-up is still pending
+        # lands on a page the shifted space shares with its source
         writable = [b for b in bases if eager.pages[b].perms.writable
                     and eager.pages[b].perms.user_accessible] or bases
         base = writable[i % len(writable)]
         _, _, slot, (layout, j, off) = op
         targets = {"now": bases, "loaded": loaded, "zero": [0]}[layout]
         word = (targets[j % len(targets)] + off).to_bytes(8, "little")
-        got = [outcome(space.write_bytes, base + slot, word) for space in (lazy, eager)]
+        got = [outcome(space.write_bytes, base + slot, word) for space in (moved, eager)]
     elif kind == "protect":
         perms = PagePermissions.from_rwxu(op[2])
-        got = [outcome(space.set_protection, base, PAGE_SIZE, perms) for space in (lazy, eager)]
+        got = [outcome(space.set_protection, base, PAGE_SIZE, perms) for space in (moved, eager)]
     elif kind == "zero":
-        got = [outcome(space.is_zero_page, base) for space in (lazy, eager)]
+        got = [outcome(space.is_zero_page, base) for space in (moved, eager)]
     else:
-        got = [bytes(space.get_page(base).data) for space in (lazy, eager)]
+        got = [bytes(space.get_page(base).data) for space in (moved, eager)]
     assert got[0] == got[1], op
-    return lazy, eager
+    return moved, eager
 
 
 # a pointer-looking word: into a page where it is now, where it was
@@ -712,7 +722,7 @@ POINTER_WRITE = st.tuples(
     st.integers(0, PAGE_SIZE // 8 - 1).map(lambda k: 8 * k),
     st.tuples(st.sampled_from(["loaded", "loaded", "now", "zero"]), st.integers(0, 63),
               st.integers(0, PAGE_SIZE - 1)))
-LAZY_OPS = st.lists(st.one_of(
+SHIFTED_OPS = st.lists(st.one_of(
     st.tuples(st.just("read"), st.integers(0, 63), st.integers(0, PAGE_SIZE - 1),
               st.integers(0, 2 * PAGE_SIZE)),
     POINTER_WRITE,
@@ -720,21 +730,22 @@ LAZY_OPS = st.lists(st.one_of(
     st.tuples(st.just("protect"), st.integers(0, 63), st.sampled_from(["rwu", "ru", "rxu", "r", ""])),
     st.tuples(st.just("zero"), st.integers(0, 63)),
     st.tuples(st.just("data"), st.integers(0, 63)),
-    st.tuples(st.sampled_from(["rebase", "shifted"]), st.integers(0, 64)),
+    st.tuples(st.just("shifted"), st.integers(0, 64)),
 ), min_size=1, max_size=12)
 
 
-@given(relocation_cases(), st.booleans(), LAZY_OPS)
-def test_lazy_relocation_matches_the_eager_reference(case, page_zero, ops):
+@given(relocation_cases(), st.booleans(), SHIFTED_OPS)
+def test_a_shifted_space_matches_the_eager_reference(case, page_zero, ops):
+    # and its source, which shares its pages, stays as it was
     space, offset = case
     if page_zero and 0 not in space.pages:
         space.map_region(0, PAGE_SIZE, PagePermissions.from_rwxu("rwu"))
-    loaded = sorted(space.pages)
-    lazy, eager = twin(space), reference_shifted(space, offset)
-    lazy.rebase(offset)
+    loaded, digest = sorted(space.pages), space_digest(space)
+    moved, eager = space.shifted(offset), reference_shifted(space, offset)
     for op in ops:
-        lazy, eager = step_both(lazy, eager, op, loaded)
-    assert space_digest(lazy) == space_digest(eager)
+        moved, eager = step_both(moved, eager, op, loaded)
+    assert space_digest(moved) == space_digest(eager)
+    assert space_digest(space) == digest
 
 
 # --- a shifted pair shares its pages, copy-on-write ---------------------------
@@ -747,7 +758,7 @@ SIDE_OPS = st.lists(st.tuples(
                   st.binary(min_size=1, max_size=16).map(lambda b: bytes(x | 1 for x in b))),
         st.tuples(st.just("protect"), st.integers(0, 63),
                   st.sampled_from(["rwu", "ru", "rxu", "r", ""])),
-        st.tuples(st.just("rebase"), st.integers(0, 8)),
+        st.tuples(st.just("shift"), st.integers(0, 8)),
     )), max_size=12)
 
 
@@ -769,8 +780,8 @@ def test_a_change_to_either_side_of_a_shifted_pair_leaves_the_other(
             outcome(target.write_bytes, base + op[2], op[3])
         elif op[0] == "protect":
             outcome(target.set_protection, base, PAGE_SIZE, PagePermissions.from_rwxu(op[2]))
-        else:
-            outcome(target.rebase, op[1] * PAGE_SIZE)
+        elif isinstance(moved := outcome(target.shifted, op[1] * PAGE_SIZE), AddressSpace):
+            sides[side] = target = moved  # the side is now its shifted copy
         assert space_digest(sides[1 - side]) == digests[1 - side], op
         digests[side] = space_digest(target)
 
@@ -795,90 +806,6 @@ def test_shifted_shares_every_page_the_table_does_not_name():
     assert type(zero) is bytes  # shared, so a write copies it first
     moved.write_bytes(0x11000, b"\1")
     assert moved.pages[0x12000].data is zero and moved.read_bytes(0x11000, 2) == b"\1\0"
-
-
-class TestLazyRelocation:
-    def test_written_before_first_read_stays_as_written(self):
-        space = make_space((0x8000, PAGE_SIZE, "rwu", words_page(0x8010, 0x8020)))
-        space.rebase(0x10000)
-        # a word into the page's loaded place, written before any read: the
-        # fix-up runs first and leaves it as written
-        space.write_bytes(0x18008, (0x8030).to_bytes(8, "little"))
-        assert space.read_bytes(0x18000, 16) == b"".join(
-            w.to_bytes(8, "little") for w in (0x18010, 0x8030))
-
-    def test_two_rebases_compose(self):
-        # 0x18010 points nowhere at load and into the page after the first
-        # rebase, so the second moves both words
-        space = make_space((0x8000, PAGE_SIZE, "rwu", words_page(0x8010, 0x18010)))
-        want = space_digest(reference_shifted(reference_shifted(space, 0x10000), 0x20000))
-        space.rebase(0x10000)
-        space.rebase(0x20000)
-        assert space.read_bytes(0x38000, 16) == (0x38010).to_bytes(8, "little") * 2
-        assert space_digest(space) == want
-
-    def test_comparing_pages_leaves_their_fix_ups_pending(self):
-        # pages compare by identity: two pages of equal bytes are not equal,
-        # and the comparison reads neither page's bytes, so neither relocates
-        space = make_space((0x8000, 2 * PAGE_SIZE, "rwu", words_page(0x8010) * 2))
-        space.rebase(0x10000)
-        first, second = space.pages[0x18000], space.pages[0x19000]
-        assert first != second
-        assert first == first
-        assert type(first) is not Page and type(second) is not Page
-        assert space.read_bytes(0x18000, 8) == (0x18010).to_bytes(8, "little")
-        assert type(first) is Page and type(second) is not Page
-
-
-def test_a_hybrid_run_relocates_only_the_pages_it_reads_writes_or_fetches(
-        tmp_path, monkeypatch):
-    # with ASLR, the 256-page image leaves a fix-up pending on its 263
-    # pages that are not all zero; a hybrid run reads, writes or fetches 7
-    # of them, and relocates those alone.  A stage that reads every page
-    # would relocate all 263 and fail here
-    manifest = tmp_path / "victim.json"
-    manifest.write_text(build_victim_image(
-        1, code_pages=256, cave_pages=256, stack_pages=256).manifest_text)
-    touched: set[int] = set()
-    relocated: set[int] = set()  # ids of the pages relocated
-
-    def spans(addr: int, count: int) -> range:
-        return range(addr & ~(PAGE_SIZE - 1), addr + count, PAGE_SIZE)
-
-    def spy(name: str, bases) -> None:
-        real = getattr(AddressSpace, name)
-
-        def spied(self, *args):
-            touched.update(bases(*args))
-            return real(self, *args)
-        monkeypatch.setattr(AddressSpace, name, spied)
-
-    spy("read_bytes", spans)
-    spy("is_zero_page", lambda base: (base,))
-    spy("write_bytes", lambda addr, data: spans(addr, len(data)))
-    code_page, relocate = machine._code_page, memspace._relocate_page
-
-    def fetched(space, addr):
-        touched.add(addr & ~(PAGE_SIZE - 1))
-        return code_page(space, addr)
-
-    def relocating(page, fixup):
-        relocated.add(id(page))
-        relocate(page, fixup)
-    monkeypatch.setattr(machine, "_code_page", fetched)
-    monkeypatch.setattr(memspace, "_relocate_page", relocating)
-
-    pipe = cli.Pipeline(cli.PipelineConfig(image_path=str(manifest), mode="hybrid", seed=1))
-    offset = pipe.run().aslr_offset
-    assert offset
-    loaded, _ = read_image(manifest)
-    pending = {base + offset if base < USER_TOP else base
-               for base, page in loaded.pages.items() if page.data != _ZERO_PAGE}
-    space = pipe.pagemap.space
-    moved = {base for base, page in space.pages.items() if id(page) in relocated}
-    assert len(pending) == 263
-    assert moved == touched & pending
-    assert len(moved) == 7
 
 
 # keys as the program passes them: verdicts, (probed, truth) pairs of
@@ -1230,9 +1157,6 @@ SCRATCH_PERMS = PagePermissions.from_rwxu("rwxu")
 def apply_op(space: AddressSpace, op) -> tuple[object, set[int]]:
     """Run ``op`` on ``space``; its outcome, and the pages it may write."""
     bases = sorted(space.pages)
-    if op[0] == "rebase":
-        space.rebase(op[1] * PAGE_SIZE)
-        return None, set()
     if op[0] == "write":
         _, i, off, data = op
         addr = bases[i % len(bases)] + off
@@ -1262,7 +1186,7 @@ COW_OPS = st.lists(st.one_of(
               st.binary(min_size=1, max_size=16)),
     st.tuples(st.just("store"), st.integers(0, 63), st.integers(0, PAGE_SIZE - 8),
               st.integers(0, 2**64 - 1)),
-    st.tuples(st.just("rebase"), st.integers(0, 1 << 20)),
+    st.tuples(st.just("shift"), st.integers(0, 1 << 20)),
 ), max_size=8)
 
 
@@ -1281,13 +1205,17 @@ def test_shared_pages_match_the_copy_every_page_reference(seed, sizes, scratch, 
     reference = old_way_copy(space)
     for op in ops:
         before = page_bytes(space)
-        outcome, touched = apply_op(space, op)
-        assert apply_op(reference, op)[0] == outcome
+        if op[0] == "shift":
+            space = space.shifted(op[1] * PAGE_SIZE)
+            reference = old_way_copy(reference_shifted(reference, op[1] * PAGE_SIZE))
+        else:
+            outcome, touched = apply_op(space, op)
+            assert apply_op(reference, op)[0] == outcome
         after = page_bytes(space)
         assert after == page_bytes(reference)
         assert {b: p.perms for b, p in space.pages.items()} == {
             b: p.perms for b, p in reference.pages.items()}
-        if op[0] != "rebase":  # a write changes no page but its own
+        if op[0] != "shift":  # a write changes no page but its own
             assert {b for b in before if before[b] != after[b]} <= touched
         assert _ZERO_PAGE == bytes(PAGE_SIZE)
 
