@@ -2,13 +2,14 @@
 
 A cave is a maximal run of adjacent pages that the write probe classifies
 writable and whose bytes are all zero, meaning nothing appears to be using
-them.  Content is read only through ``PageMap.is_zero``, after the write
-probe said the page is writable, so discovery stays fault-free.
+them.  Content is read only through ``PageMap.zero_pages``, one read per
+run of pages the write probe said are writable, so discovery stays
+fault-free.
 """
 
 from __future__ import annotations
 
-from .memspace import PageRun, page_runs
+from .memspace import PAGE_SIZE, PageRun
 from .explorer import PageMap
 from .probe import WRITABLE
 
@@ -28,15 +29,27 @@ class NoCaveError(Exception):
 
 
 def find_caves(pm: PageMap) -> list[PageRun]:
-    """The ``page_runs`` of the pages ``pm`` stores writable whose bytes
-    are all zero: maximal with respect to the probed set, and sorted by
-    address.  It probes nothing, so every accessible page must hold its
-    claw verdict, as it does after the explore stage; a page stored as a
-    bare tap hit is not a cave."""
-    entries = pm.entries
-    usable = [(base, WRITABLE) for base in pm.bases()
-              if entries[base] is WRITABLE and pm.is_zero(base)]
-    return page_runs(usable)
+    """The maximal runs of adjacent pages ``pm`` stores writable whose
+    bytes are all zero, kind ``WRITABLE``, sorted by address: maximal with
+    respect to the probed set, as ``page_runs`` would coalesce them page by
+    page.  Each writable run of ``pm.runs()`` is tested by one read, and
+    two runs of one kind are never adjacent, so no cave spans two.  It
+    probes nothing, so every accessible page must hold its claw verdict, as
+    it does after the explore stage; a page stored as a bare tap hit is not
+    a cave."""
+    found = []
+    for start, end, kind in pm.runs():
+        if kind is not WRITABLE:
+            continue
+        zero = pm.zero_pages(start, end)
+        i = zero.find(1)
+        while i >= 0:
+            j = zero.find(0, i)
+            if j < 0:
+                j = len(zero)
+            found.append(PageRun(start + i * PAGE_SIZE, start + j * PAGE_SIZE, WRITABLE))
+            i = zero.find(1, j)
+    return found
 
 
 def select_cave(caves: list[PageRun], need_len: int) -> PageRun:

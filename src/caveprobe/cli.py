@@ -469,7 +469,7 @@ def _explore(ctx: Pipeline) -> None:
 def _gadgets(ctx: Pipeline) -> None:
     # read-only pages are where gadgets can live; writable pages would
     # not make them trustworthy
-    code = [b for b, v in ctx.pagemap.entries.items() if v is READ_ONLY]
+    code = [r for r in ctx.pagemap.runs() if r.kind is READ_ONLY]
     # the chain's kinds and the pivot's epilogue, where the census stops
     need = (*gadgets.CHAINS[ctx.config.chain_variant], "leave-ret")
     ctx.catalog = gadgets.find_gadgets(ctx.pagemap, code, need)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from bisect import bisect_right
 from itertools import islice
 
 from .memspace import (
-    PAGE_SIZE, USER_TOP, AddressSpace, GroundTruthMap, MemoryFault, lane_filter,
-    PageRun, page_runs,
+    ADDR_TOP, PAGE_SIZE, USER_TOP, AddressSpace, GroundTruthMap, MemoryFault,
+    lane_filter, PageRun, page_runs,
 )
 from .probe import ACCESSIBLE, NO_ACCESS, READ_ONLY, WRITABLE, Prober, Writability
 
@@ -37,20 +38,24 @@ class NoFrameError(ValueError):
 class PageMap:
     """Probe verdicts keyed by page base address: the one store a run
     probes and reads through, the injector's checks included.  It owns the
-    space and the prober; ``read`` and ``is_zero`` touch only pages it
+    space and the prober; ``read`` and ``zero_pages`` touch only pages it
     stores accessible.  Each page maps to the strongest verdict its probes
     settled, as the prober returned it: a claw's, or a tap's when no claw
     ran, so ``ACCESSIBLE`` marks a page tapped but not clawed.  The victim
     is paused, so a verdict holds for the whole run; ``tap``, ``claw`` and
     ``walk`` probe a page only for a verdict not yet stored.  No more than
     ``budget`` pages are ever probed in the run.  Pages are only ever added
-    to ``entries``, never removed."""
+    to ``entries``, never removed; a verdict changes only when a page
+    stored as a bare tap hit is clawed."""
 
     space: AddressSpace
     prober: Prober
     budget: int = DEFAULT_BUDGET
     entries: dict[int, Writability] = field(default_factory=dict)
     _bases: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
+    _runs: list[PageRun] = field(default_factory=list, init=False, repr=False, compare=False)
+    # len(entries) when _runs was built; -1 once a verdict changed since
+    _runs_of: int = field(default=-1, init=False, repr=False, compare=False)
 
     def bases(self) -> list[int]:
         """Every stored page base, in address order; do not modify it.  The
@@ -61,6 +66,17 @@ class PageMap:
             bases = self._bases = bases + list(islice(entries, len(bases), None))
             bases.sort()
         return bases
+
+    def runs(self) -> list[PageRun]:
+        """``page_runs`` of every stored verdict, misses included, in address
+        order; do not modify it.  Built once, and again only after the
+        store gains a page or a bare tap hit is clawed."""
+        entries = self.entries
+        if self._runs_of != len(entries):
+            bases = self.bases()
+            self._runs = page_runs(zip(bases, map(entries.__getitem__, bases)))
+            self._runs_of = len(entries)
+        return self._runs
 
     def accessible_pages(self) -> list[int]:
         entries = self.entries
@@ -80,11 +96,20 @@ class PageMap:
                 raise MemoryFault(base, "unprobed")
         return self.space.read_bytes(addr, n)
 
-    def is_zero(self, base: int) -> bool:
-        """Whether the page at ``base`` is all zero; raises as ``read``."""
-        if self.entries.get(base, NO_ACCESS) is NO_ACCESS:
-            raise MemoryFault(base, "unprobed")
-        return self.space.is_zero_page(base)
+    def zero_pages(self, start: int, end: int) -> bytes:
+        """``AddressSpace.zero_pages`` of the page-aligned range [start,
+        end) if every page in it is stored accessible, else MemoryFault
+        "unprobed" at the first page that is not, with nothing read.  The
+        range is checked against ``runs``, one lookup per run it spans."""
+        runs = self.runs()
+        k = bisect_right(runs, (start, ADDR_TOP)) - 1  # the run holding start, if any
+        at = start
+        while at < end:
+            if k < 0 or k == len(runs) or runs[k].start > at or runs[k].kind is NO_ACCESS:
+                raise MemoryFault(at, "unprobed")
+            at = runs[k].end
+            k += 1
+        return self.space.zero_pages(start, end)
 
     def _spent(self, base: int) -> ExploreBudgetError:
         return ExploreBudgetError(
@@ -112,6 +137,7 @@ class PageMap:
             verdict = self.prober.claw(self.space, base)
         elif verdict is ACCESSIBLE:
             verdict = self.prober.claw(self.space, base, known_accessible=True)
+            self._runs_of = -1
         else:
             return verdict
         self.entries[base] = verdict
@@ -139,6 +165,7 @@ class PageMap:
                     verdict = entries[base] = (claw if clawed else tap)(space, base)
                 if verdict is ACCESSIBLE and (clawed or claw_hits):
                     verdict = entries[base] = claw(space, base, known_accessible=True)
+                    self._runs_of = -1
             if verdict is NO_ACCESS:
                 misses += 1
             else:
@@ -284,42 +311,46 @@ def region_around(pm: PageMap, addr: int) -> tuple[int, int]:
 
 
 def reconstruct_map(pm: PageMap) -> ReconstructedMap:
-    """``page_runs`` of every verdict ``pm`` stores, with the runs of misses
-    left out.  It probes nothing, so every accessible page must hold its
-    claw verdict, as it does after the explore stage."""
-    entries, bases = pm.entries, pm.bases()
-    runs = page_runs(zip(bases, map(entries.__getitem__, bases)))
-    return ReconstructedMap(tuple(r for r in runs if r.kind is not NO_ACCESS))
+    """``pm.runs()`` with the runs of misses left out.  It probes nothing,
+    so every accessible page must hold its claw verdict, as it does after
+    the explore stage."""
+    return ReconstructedMap(tuple(r for r in pm.runs() if r.kind is not NO_ACCESS))
 
 
 def match_ground_truth(pm: PageMap, truth: GroundTruthMap) -> list[str]:
-    """Judge every verdict ``pm`` stores against ground truth, page by page.
+    """Judge every verdict ``pm`` stores against ground truth.
 
     A page tapped accessible must be readable, a clawed page must have the
-    truth's writability, and a miss must be unmapped or unreadable; pages
-    and ``truth.regions`` are walked together in address order.  Returns
-    one line per ``page_runs`` run of the disagreeing pages, keyed by their
-    (probed, truth) pair; the store matches when the list is empty.
+    truth's writability, and a miss must be unmapped or unreadable.  The
+    store's runs are cut where ``truth.regions`` begin and end, walking
+    both in address order, so every piece has one (probed, truth) pair.
+    Returns one line per maximal run of adjacent disagreeing pages of one
+    pair, as ``page_runs`` would coalesce them page by page; the store
+    matches when the list is empty.
     """
     regions = truth.regions
-    ri = start = end = 0
-    inside = NO_ACCESS  # the truth of a page in [start, end)
-    bad = []  # (base, (probed, truth)) of each disagreeing page
-    entries = pm.entries
-    for base in pm.bases():
-        if base >= end:  # past the region: find the first ending above base
-            while ri < len(regions) and regions[ri].end <= base:
+    ri = 0
+    bad: list[PageRun] = []  # maximal runs of disagreeing pages, by pair
+    for at, end, got in pm.runs():
+        while at < end:
+            while ri < len(regions) and regions[ri].end <= at:
                 ri += 1
-            inside = NO_ACCESS
-            if ri < len(regions):
-                start, end, perms = regions[ri].start, regions[ri].end, regions[ri].perms
+            want = NO_ACCESS
+            if ri == len(regions):
+                hi = end
+            elif regions[ri].start > at:
+                hi = min(regions[ri].start, end)
+            else:
+                hi, perms = min(regions[ri].end, end), regions[ri].perms
                 if perms.readable and perms.user_accessible:
-                    inside = WRITABLE if perms.writable else READ_ONLY
-        want = inside if start <= base else NO_ACCESS
-        got = entries[base]
-        if got is not want and (got is not ACCESSIBLE or want is NO_ACCESS):
-            bad.append((base, (got, want)))
+                    want = WRITABLE if perms.writable else READ_ONLY
+            if got is not want and (got is not ACCESSIBLE or want is NO_ACCESS):
+                if bad and bad[-1].end == at and bad[-1].kind == (got, want):
+                    bad[-1] = bad[-1]._replace(end=hi)
+                else:
+                    bad.append(PageRun(at, hi, (got, want)))
+            at = hi
     return [
         f"{lo:#x}-{hi:#x}: probed {got.value}, truth {want.value}"
-        for lo, hi, (got, want) in page_runs(bad)
+        for lo, hi, (got, want) in bad
     ]

@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .explorer import PageMap
-from .memspace import PAGE_SIZE
+from .memspace import PAGE_SIZE, PageRun
 from .machine import SYS_MPROTECT
 
 # each kind's census pattern, in the order synth plants them
@@ -84,32 +84,34 @@ def _unmet(found, into_ret, kinds: tuple[str, ...]) -> MissingGadgetError | None
             f"{'s' * (sites != 1)} found falls into a ret")
 
 
-def find_gadgets(pm: PageMap, pages: Iterable[int],
+def find_gadgets(pm: PageMap, runs: Iterable[PageRun],
                  need: tuple[str, ...] | None = None) -> GadgetCatalog:
-    """Scan the page bases in ``pages``, each one stored accessible in
-    ``pm``, in address order for every pattern in GADGETS; with ``need``,
-    stop after the first page where ``GadgetCatalog.require(need)`` would
-    pass.  Each kind's sites are then a prefix of the full census's, its
-    lowest the same; ``searched_pages`` counts the pages scanned.  The
-    gadgets stage always passes its need; ``need=None`` is the full
-    census, which the tests compare against.
+    """Scan the pages of ``runs``, each stored accessible in ``pm``, in
+    address order for every pattern in GADGETS; with ``need``, stop after
+    the first page where ``GadgetCatalog.require(need)`` would pass.  Each
+    kind's sites are then a prefix of the full census's, its lowest the
+    same; ``searched_pages`` counts the pages scanned.  The runs are in
+    address order and maximal, no two adjacent, as the read-only runs of
+    ``PageMap.runs`` are.  The gadgets stage always passes its need;
+    ``need=None`` is the full census, which the tests compare against.
 
     No other page is read.  Each page is read through ``pm`` once, with
-    the first two bytes of the next page when that page is in the set too,
-    and translated to mark first and last pattern bytes; a marked pair
+    the first two bytes of the next page unless the page ends its run, and
+    translated to mark first and last pattern bytes; a marked pair
     starting in the page is a hit if its bytes form a pattern.  So a
-    pattern straddling two adjacent pages of the set counts, at the lower
+    pattern straddling two adjacent pages of a run counts, at the lower
     page, since execution would cross the boundary just as happily, and
-    one ending outside the set does not.  No buffer exceeds a page and two bytes.
+    one ending outside the runs does not.  No buffer exceeds a page and two bytes.
     """
-    accessible = set(pages)
     hits: dict[str, list[int]] = {name: [] for name in GADGETS}
     into_ret: list[int] = []
     searched = 0
-    for base in sorted(accessible):
+    # each page, and whether the next one is in its run
+    pages = ((base, base + PAGE_SIZE < end)
+             for start, end, _ in runs for base in range(start, end, PAGE_SIZE))
+    for base, more in pages:
         searched += 1
-        buf = pm.read(
-            base, PAGE_SIZE + 2 if base + PAGE_SIZE in accessible else PAGE_SIZE)
+        buf = pm.read(base, PAGE_SIZE + 2 if more else PAGE_SIZE)
         marked = buf.translate(_MARKS)
         pos = marked.find(b"\x01\x02", 0, PAGE_SIZE + 1)
         while pos != -1:

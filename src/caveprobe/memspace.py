@@ -221,13 +221,19 @@ class AddressSpace:
             pos = base + PAGE_SIZE
         return b"".join(parts)
 
-    def is_zero_page(self, base: int) -> bool:
-        """Whether the page at ``base`` holds only zero bytes: a native read
-        of the whole page, compared in place.  Faults as read_bytes does."""
-        page = self.pages.get(base)
-        if page is None or not (page.perms.user_accessible and page.perms.readable):
-            raise MemoryFault(base, "unmapped" if page is None else "perm")
-        return page.data == _ZERO_PAGE
+    def zero_pages(self, start: int, end: int) -> bytes:
+        """One byte per page of the page-aligned range [start, end), 1 where
+        the page holds only zero bytes: a native read of each whole page,
+        compared in place.  Faults as read_bytes does, at the first page it
+        may not read."""
+        pages = self.pages
+        zero = bytearray()
+        for base in range(start, end, PAGE_SIZE):
+            page = pages.get(base)
+            if page is None or not (page.perms.user_accessible and page.perms.readable):
+                raise MemoryFault(base, "unmapped" if page is None else "perm")
+            zero.append(page.data == _ZERO_PAGE)
+        return bytes(zero)
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         """Native write, all or nothing: permissions for the whole range are
@@ -253,7 +259,9 @@ class AddressSpace:
 
     def set_protection(self, start: int, length: int, perms: PagePermissions) -> None:
         """Replace the permissions of every page in the range: each page
-        becomes a new Page with the same bytes.
+        becomes a new Page with the same bytes, but every all-zero page
+        becomes one Page of ``_ZERO_PAGE``, which, its bytes being
+        ``bytes``, no write changes in place.
 
         Unaligned or empty arguments raise ValueError; a range touching an
         unmapped page raises MemoryFault before anything changes.
@@ -267,8 +275,13 @@ class AddressSpace:
                 raise MemoryFault(base, "unmapped")
             if base >= USER_TOP and perms.user_accessible:
                 raise ValueError("kernel-half pages cannot be user accessible")
+        zero = None
         for base in bases:
-            pages[base] = Page(perms, pages[base].data)
+            data = pages[base].data
+            if data == _ZERO_PAGE:
+                pages[base] = zero = zero or Page(perms, _ZERO_PAGE)
+            else:
+                pages[base] = Page(perms, data)
 
     def layout(self) -> Layout:
         """The runs of adjacent user-half pages mapped now."""
@@ -276,12 +289,15 @@ class AddressSpace:
         return Layout(tuple(r.start for r in runs), tuple(r.end for r in runs))
 
     def relocations(self, layout: Layout | None = None) -> dict[int, array | None]:
-        """What a shift of this space relocates, by page base: the indices
-        of the page's pointer words, or None for an all-zero page while page
-        0 is mapped, whose every word is zero and so a pointer.  A page with
-        no such word is left out.  Built by one pass over every page's
-        bytes, the table holds for each shift until a page of this space
-        changes.  ``layout`` is ``self.layout()``.
+        """The pages a shift of this space builds anew, by page base: the
+        indices of the page's pointer words, or None for an all-zero page
+        while page 0 is mapped, whose every word is zero and so a pointer.
+        A page a shift must copy has an entry even with no such word: one
+        this space owns (its bytes a ``bytearray``), and one not one page
+        long, which the shift refuses.  Every other page is left out, and a
+        shift shares it.  Built by one pass over every page's bytes, the
+        table holds for each shift until a page of this space changes.
+        ``layout`` is ``self.layout()``.
 
         A pointer word is one a relocating loader fixes up in an image it
         moves: an aligned little-endian 8-byte word, in any page including
@@ -305,10 +321,14 @@ class AddressSpace:
             return table
         for base, page in self.pages.items():
             data = page.data
-            if data == _ZERO_PAGE:
+            if len(data) != PAGE_SIZE:
+                table[base] = array("H")
+            elif data == _ZERO_PAGE:
                 if not starts[0]:
                     table[base] = None
-            elif words := _pointer_words(data, starts, ends):
+                elif type(data) is not bytes:
+                    table[base] = array("H")
+            elif (words := _pointer_words(data, starts, ends)) or type(data) is not bytes:
                 table[base] = words
         return table
 
@@ -323,11 +343,12 @@ class AddressSpace:
         otherwise ValueError is raised.
 
         The copy holds this space's Page objects at their shifted bases, and
-        new ones only for the pages ``relocations`` names, relocated, and
+        new ones only for the pages ``relocations`` names: relocated, or,
         for the pages this space owns, with bytes of their own.  The
         all-zero pages relocated while page 0 is mapped share one page of
         bytes, every word the offset.  Either space then replaces a page it
-        shares before changing it.
+        shares before changing it.  A shift by 0 relocates nothing, builds
+        no table, and reads every page for those it must copy.
 
         ``layout`` is ``self.layout()`` and ``relocations`` is
         ``self.relocations(layout)``: a caller that shifts one space many
@@ -337,26 +358,26 @@ class AddressSpace:
         layout = self.layout() if layout is None else layout
         if layout.ends and layout.ends[-1] + offset > USER_TOP:
             raise ValueError("shift pushes a page past the user half")
+        pages = self.pages
         if not offset:
-            relocations = {}
+            relocations = {base: array("H") for base, page in pages.items()
+                           if type(page.data) is not bytes or len(page.data) != PAGE_SIZE}
         elif relocations is None:
             relocations = self.relocations(layout)
-        pages = self.pages
         moved = ({base + offset if base < USER_TOP else base: page
                   for base, page in pages.items()} if offset else dict(pages))
-        for base, page in pages.items():
-            data = page.data
-            if type(data) is not bytes or len(data) != PAGE_SIZE:
-                if len(data) != PAGE_SIZE:
-                    raise ValueError("page data must be exactly one page long")
-                moved[base + offset if base < USER_TOP else base] = Page(page.perms, bytes(data))
         zero = None  # an all-zero page relocated
         for base, words in relocations.items():
             page = pages[base]
+            data = page.data
+            if len(data) != PAGE_SIZE:
+                raise ValueError("page data must be exactly one page long")
             if words is None:
                 data = zero = zero or _WORD.pack(offset) * _WORDS
-            else:
-                data = _add_offset(page.data, words, offset)
+            elif words:
+                data = _add_offset(data, words, offset)
+            else:  # a page this space owns, copied
+                data = bytes(data)
             moved[base + offset if base < USER_TOP else base] = Page(page.perms, data)
         out = AddressSpace()
         out.pages = moved

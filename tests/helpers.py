@@ -13,7 +13,7 @@ import re
 from pathlib import Path
 from unittest.mock import patch
 
-from caveprobe import caves, cli, explorer
+from caveprobe import caves, cli, explorer, gadgets
 from caveprobe.cli import (
     EXIT_STAGE_ERROR, RESTORE_MODES, PipelineConfig, main, run_pipeline,
 )
@@ -23,9 +23,12 @@ from caveprobe.machine import (
     REG_NAMES, MachineState, _fetch_u8, _read64, _Stop, _syscall, _write64,
 )
 from caveprobe.memspace import (
-    PAGE_SIZE, USER_TOP, AddressSpace, Page, PagePermissions, PageRun,
+    PAGE_SIZE, USER_TOP, AddressSpace, GroundTruthMap, Page, PagePermissions,
+    PageRun, page_runs,
 )
-from caveprobe.probe import ACCESSIBLE, NO_ACCESS, WRITABLE, Prober, Writability
+from caveprobe.probe import (
+    ACCESSIBLE, NO_ACCESS, READ_ONLY, WRITABLE, Prober, Writability,
+)
 
 # writability classes as plain strings, kept separate from the library's
 # enum so oracle comparisons cannot accidentally share a bug
@@ -59,6 +62,12 @@ def settled_store(space: AddressSpace,
     for base in sorted(space.pages):
         pm.claw(base)
     return pm
+
+
+def runs_of(pages) -> list[PageRun]:
+    """The runs of adjacent pages among the page bases in ``pages``, in
+    address order: what ``gadgets.find_gadgets`` scans."""
+    return page_runs(zip(sorted(set(pages)), itertools.repeat(None)))
 
 
 def poke(space: AddressSpace, addr: int, data: bytes) -> None:
@@ -247,6 +256,69 @@ def reference_walk():
         patch.object(caves, "find_caves", reference_find_caves),
     ):
         yield
+
+
+# The stages after the explore stage as they stood before they read the
+# store by ``PageMap.runs``, kept as oracles for it: the census, the cave
+# search and the truth match each visit the stored pages one at a time.
+
+def page_by_page_census(pm: explorer.PageMap, pages,
+                        need: tuple[str, ...] | None = None) -> gadgets.GadgetCatalog:
+    """``gadgets.find_gadgets`` over the page bases in ``pages``: each page
+    read through ``pm`` in address order, with the first two bytes of the
+    next page when that page is in the set too."""
+    accessible = set(pages)
+    kinds = {pattern: name for name, pattern in gadgets.GADGETS.items()}
+    hits: dict[str, list[int]] = {name: [] for name in gadgets.GADGETS}
+    into_ret: list[int] = []
+    searched = 0
+    for base in sorted(accessible):
+        searched += 1
+        buf = pm.read(
+            base, PAGE_SIZE + 2 if base + PAGE_SIZE in accessible else PAGE_SIZE)
+        for pos in range(PAGE_SIZE):
+            name = kinds.get(buf[pos : pos + 2])
+            if name is not None:
+                hits[name].append(base + pos)
+                if name == "syscall" and buf[pos + 2 : pos + 3] == b"\xc3":
+                    into_ret.append(base + pos)
+        if (need is not None and all(hits[kind] for kind in need)
+                and ("syscall" not in need or into_ret)):
+            break
+    return gadgets.GadgetCatalog(
+        found={name: tuple(addrs) for name, addrs in hits.items()},
+        searched_pages=searched,
+        syscalls_into_ret=tuple(into_ret),
+    )
+
+
+def page_by_page_caves(pm: explorer.PageMap) -> list[PageRun]:
+    """``caves.find_caves``: the ``page_runs`` of the pages stored writable
+    whose bytes, each page read whole through ``pm``, are all zero."""
+    zero = bytes(PAGE_SIZE)
+    return page_runs((base, WRITABLE) for base in pm.bases()
+                     if pm.entries[base] is WRITABLE and pm.read(base, PAGE_SIZE) == zero)
+
+
+def page_by_page_match(pm: explorer.PageMap, truth: GroundTruthMap) -> list[str]:
+    """``explorer.match_ground_truth``: each stored page judged against the
+    region of ``truth`` that holds it, and the ``page_runs`` of the
+    disagreeing pages keyed by their (probed, truth) pair."""
+    bad = []
+    for base in pm.bases():
+        want = NO_ACCESS
+        for region in truth.regions:
+            if region.start <= base < region.end:
+                perms = region.perms
+                if perms.readable and perms.user_accessible:
+                    want = WRITABLE if perms.writable else READ_ONLY
+        got = pm.entries[base]
+        if got is not want and (got is not ACCESSIBLE or want is NO_ACCESS):
+            bad.append((base, (got, want)))
+    return [
+        f"{lo:#x}-{hi:#x}: probed {got.value}, truth {want.value}"
+        for lo, hi, (got, want) in page_runs(bad)
+    ]
 
 
 # The map as it stood before ``explorer.reconstruct_map`` coalesced the

@@ -45,6 +45,7 @@ from helpers import (
     poke,
     random_permed_space,
     read_image,
+    runs_of,
     settled_store,
     space_digest,
     truth_class_runs,
@@ -176,7 +177,7 @@ def test_criterion_4_gadget_census_matches_regex_oracle():
             base = gen.choice(pairs)
             poke(space, base + PAGE_SIZE - 1, pattern)
             planted_straddles += 1
-        catalog = find_gadgets(settled_store(space), acc_set)
+        catalog = find_gadgets(settled_store(space), runs_of(acc_set))
         if catalog.searched_pages != len(accessible):
             failures.append(f"layout {i}: searched {catalog.searched_pages}")
         for name, pattern in GADGETS.items():
@@ -219,7 +220,7 @@ def test_criterion_5_chain_flips_protection_and_returns_zero():
         space = load_manifest(parse_manifest(img.manifest_text.encode()))
         code_start, code_len, _ = truth.regions["code"]
         code_pages = range(code_start, code_start + code_len, PAGE_SIZE)
-        catalog = find_gadgets(settled_store(space), code_pages)
+        catalog = find_gadgets(settled_store(space), runs_of(code_pages))
         chain = build_mprotect_chain(
             catalog, truth.cave_start, truth.cave_len, PROT_RWX, variant
         )
@@ -402,7 +403,7 @@ def test_criterion_7_directed_census_matches_regex_oracle():
             unmet += not done
             searched_total += searched
             accessible_total += len(accessible)
-            catalog = find_gadgets(settled_store(space), acc_set, need)
+            catalog = find_gadgets(settled_store(space), runs_of(acc_set), need)
             got = ([catalog.lowest(kind) for kind in need],
                    list(catalog.syscalls_into_ret[:1]), catalog.searched_pages)
             want = ([min(sites[kind], default=None) for kind in need],

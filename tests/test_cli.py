@@ -36,7 +36,7 @@ from caveprobe.gadgets import CHAIN_VARIANTS
 from caveprobe.memspace import _ZERO_PAGE, PAGE_SIZE, USER_TOP, AddressSpace, Page
 from caveprobe.probe import ProbeOutcome, Prober, Writability
 from caveprobe.synth import build_victim_image
-from helpers import page_bytes, read_image, settled_store
+from helpers import page_bytes, read_image, runs_of, settled_store
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO = str(REPO / "images" / "demo.json")
@@ -143,13 +143,13 @@ class TestPipeline:
     @pytest.mark.parametrize("image_seed", [3, 21, 40])
     def test_gadgets_search_the_readonly_runs(self, monkeypatch, tmp_path,
                                               mode, image_seed):
-        # the gadgets stage takes its pages from the store: exactly the
-        # pages of the report's readonly runs
+        # the gadgets stage takes its runs from the store: exactly the
+        # report's readonly runs, so exactly their pages
         real = gadgets.find_gadgets
         searched = []
 
-        def recording(pm, pages, need=None):
-            searched.append(list(pages))
+        def recording(pm, runs, need=None):
+            searched.append(list(runs))
             return real(pm, searched[-1], need)
 
         monkeypatch.setattr(gadgets, "find_gadgets", recording)
@@ -165,7 +165,10 @@ class TestPipeline:
             if run.kind is Writability.READ_ONLY
             for base in range(run.start, run.end, 0x1000)
         ]
-        (pages,) = searched
+        (runs,) = searched
+        assert runs == [r for r in report.reconstructed.runs
+                        if r.kind is Writability.READ_ONLY]
+        pages = [base for run in runs for base in range(run.start, run.end, 0x1000)]
         assert readonly and sorted(pages) == sorted(readonly)
 
     def test_stage_order_stops_midway(self, image_paths):
@@ -436,7 +439,7 @@ class TestPipeline:
         pm = settled_store(space)
         tracemalloc.start()
         try:
-            gadgets.find_gadgets(pm, code)
+            gadgets.find_gadgets(pm, runs_of(code))
             _, census_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1042,7 +1045,7 @@ def assert_census_stops_at_the_chain(**config) -> None:
     pipe.run()
     code = sorted(b for b, v in pipe.pagemap.entries.items()
                   if v is Writability.READ_ONLY)
-    full = gadgets.find_gadgets(pipe.pagemap, code)
+    full = gadgets.find_gadgets(pipe.pagemap, runs_of(code))
     need = (*gadgets.CHAINS[pipe.config.chain_variant], "leave-ret")
 
     def cut(k: int) -> gadgets.GadgetCatalog:
@@ -1185,7 +1188,7 @@ def test_main_gives_a_report_or_a_one_line_error(
 # of the canary, the cleanup and the marker; the machine reads it too
 NATIVE_READERS = {
     explorer.PageMap.read.__code__,
-    explorer.PageMap.is_zero.__code__,
+    explorer.PageMap.zero_pages.__code__,
     cli._inject.__code__,
     cli._execute.__code__,
 }
@@ -1199,15 +1202,15 @@ NATIVE_READERS = {
 )
 def test_stages_read_only_through_the_store(image_seed, run_seed, mode, budget):
     callers = []
-    real_read, real_zero = AddressSpace.read_bytes, AddressSpace.is_zero_page
+    real_read, real_zero = AddressSpace.read_bytes, AddressSpace.zero_pages
 
     def read_bytes(space, addr, count):
         callers.append(sys._getframe(1).f_code)
         return real_read(space, addr, count)
 
-    def is_zero_page(space, base):
+    def zero_pages(space, start, end):
         callers.append(sys._getframe(1).f_code)
-        return real_zero(space, base)
+        return real_zero(space, start, end)
 
     with tempfile.TemporaryDirectory() as tmp:
         manifest = Path(tmp) / "victim.json"
@@ -1215,7 +1218,7 @@ def test_stages_read_only_through_the_store(image_seed, run_seed, mode, budget):
         config = PipelineConfig(image_path=str(manifest), mode=mode,
                                 seed=run_seed, explore_budget=budget)
         with patch.object(AddressSpace, "read_bytes", read_bytes), \
-                patch.object(AddressSpace, "is_zero_page", is_zero_page):
+                patch.object(AddressSpace, "zero_pages", zero_pages):
             try:
                 run_pipeline(config)
                 finished = True
@@ -1229,7 +1232,7 @@ def test_stages_read_only_through_the_store(image_seed, run_seed, mode, budget):
     assert not stray
     if finished:  # the census read and the cave search tested zero pages
         assert {explorer.PageMap.read.__code__,
-                explorer.PageMap.is_zero.__code__} <= set(callers)
+                explorer.PageMap.zero_pages.__code__} <= set(callers)
 
 
 # --- loaded inputs kept per process --------------------------------------------

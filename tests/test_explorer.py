@@ -6,7 +6,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import example, given, strategies as st
 
-from caveprobe import caves, cli, explorer
+from caveprobe import caves, cli, explorer, gadgets
 from caveprobe.cli import MODES, Pipeline, PipelineConfig, _aslr_offset
 from caveprobe.explorer import (
     DEFAULT_BUDGET,
@@ -25,16 +25,21 @@ from caveprobe.memspace import (
     PAGE_SIZE,
     USER_TOP,
     AddressSpace,
+    GroundTruthMap,
+    MapsRegion,
     MemoryFault,
+    PagePermissions,
     PageRun,
     load_manifest,
+    page_runs,
     parse_manifest,
     parse_proc_maps,
 )
 from caveprobe.probe import Prober, Writability
 from caveprobe.synth import build_victim_image
 from helpers import (
-    DEMO, NONE, claw_range, make_space, page_class, random_permed_space, reference_explore,
+    DEMO, NONE, claw_range, make_space, page_by_page_caves, page_by_page_census,
+    page_by_page_match, page_class, random_permed_space, reference_explore,
     reference_walk, run_main,
 )
 
@@ -774,7 +779,7 @@ class TestPageMapStore:
 
 
 class TestReadGuard:
-    """``PageMap.read`` and ``is_zero`` touch only pages stored accessible."""
+    """``PageMap.read`` and ``zero_pages`` touch only pages stored accessible."""
 
     def space(self):
         rng = random.Random(5)
@@ -808,7 +813,7 @@ class TestReadGuard:
             raise AssertionError("the native space was accessed")
 
         with patch.object(AddressSpace, "read_bytes", refuse), \
-                patch.object(AddressSpace, "is_zero_page", refuse):
+                patch.object(AddressSpace, "zero_pages", refuse):
             yield
 
     # (page, whether the store drops it): stored inaccessible, mapped
@@ -823,10 +828,18 @@ class TestReadGuard:
             del pm.entries[base]
         with self.no_native_access():
             for call, addr in ((lambda: pm.read(base + 8, 16), base + 8),
-                               (lambda: pm.is_zero(base), base)):
+                               (lambda: pm.zero_pages(base, base + PAGE_SIZE), base)):
                 with pytest.raises(MemoryFault) as exc:
                     call()
                 assert (exc.value.addr, exc.value.kind) == (addr, "unprobed")
+
+    def test_a_range_across_a_lacked_page_faults_there(self):
+        # the pages on either side of it are stored accessible
+        pm = self.stored()
+        del pm.entries[0x11000]
+        with self.no_native_access(), pytest.raises(MemoryFault) as exc:
+            pm.zero_pages(0x10000, 0x13000)
+        assert (exc.value.addr, exc.value.kind) == (0x11000, "unprobed")
 
     @pytest.mark.parametrize("base, drop", REFUSED[:2], ids=REFUSED_IDS[:2])
     def test_a_read_straddling_into_a_refused_page_reads_nothing(self, base, drop):
@@ -844,8 +857,10 @@ class TestReadGuard:
         count = min(count, 0x13000 - start)
         assert pm.read(start, count) == pm.space.read_bytes(start, count)
         for base in (0x10000, 0x11000, 0x12000):
-            assert pm.is_zero(base) == pm.space.is_zero_page(base)
-        assert pm.is_zero(0x12000)
+            end = base + PAGE_SIZE
+            assert pm.zero_pages(base, end) == pm.space.zero_pages(base, end)
+        assert pm.zero_pages(0x12000, 0x13000) == b"\1"
+        assert pm.zero_pages(0x10000, 0x13000) == pm.space.zero_pages(0x10000, 0x13000)
 
 
 class TestReconstruct:
@@ -1001,6 +1016,134 @@ def test_ground_truth_compare_matches_a_per_page_oracle(regions, batches):
         assert match_ground_truth(store, truth) == [
             f"{lo:#x}-{hi:#x}: probed {got}, truth {want}" for lo, hi, got, want in bad
         ]
+
+
+# --- the stages after the explore stage read the store by runs --------------
+
+class TestRuns:
+    def stored(self):
+        """A store holding page 0, writable, only tapped, and the writable
+        page above it clawed."""
+        pm = quiet_store(make_space((0, 2 * PAGE_SIZE, "rwu", b"")))
+        pm.claw(0x1000)
+        pm.tap(0)
+        return pm
+
+    # a claw of page 0 by the store, and by a walk down from it, which
+    # ends below it without probing another page
+    @pytest.mark.parametrize("settle", [
+        lambda pm: pm.claw(0),
+        lambda pm: pm.walk(0, -PAGE_SIZE, 1, True),
+    ], ids=["claw", "walk"])
+    def test_a_claw_of_a_tapped_page_shows_in_the_next_runs(self, settle):
+        pm = self.stored()
+        assert pm.runs() == [PageRun(0, 0x1000, Writability.ACCESSIBLE),
+                             PageRun(0x1000, 0x2000, Writability.WRITABLE)]
+        size = len(pm.entries)
+        settle(pm)
+        assert len(pm.entries) == size
+        assert pm.runs() == [PageRun(0, 0x2000, Writability.WRITABLE)]
+
+    def test_runs_are_kept_until_the_store_changes(self):
+        pm = self.stored()
+        runs = pm.runs()
+        assert pm.runs() is runs
+        pm.tap(0x2000)
+        assert pm.runs() is not runs
+        assert pm.runs()[-1] == PageRun(0x2000, 0x3000, Writability.INACCESSIBLE)
+
+
+# (pages, how the store holds them, their bytes); a hole is neither mapped
+# nor stored, a miss is stored inaccessible, mapped without permissions or
+# not at all
+SEGMENT = st.tuples(
+    st.integers(1, 3),
+    st.sampled_from(["writable", "readonly", "tapped-writable", "tapped-readonly",
+                     "miss-mapped", "miss-unmapped", "hole"]),
+    st.sampled_from(["zero", "code", "dirty"]),
+)
+SEGMENT_PERMS = {"writable": "rwu", "readonly": "rxu", "tapped-writable": "rwu",
+                 "tapped-readonly": "ru", "miss-mapped": ""}
+SEGMENT_VERDICT = {"writable": Writability.WRITABLE, "readonly": Writability.READ_ONLY,
+                   "tapped-writable": Writability.ACCESSIBLE,
+                   "tapped-readonly": Writability.ACCESSIBLE,
+                   "miss-mapped": Writability.INACCESSIBLE,
+                   "miss-unmapped": Writability.INACCESSIBLE}
+# each truth region's permissions: as mapped, or another class
+TRUTH_PERMS = ("as-mapped", "rwu", "ru", "rxu", "", None)
+# bytes the census patterns are made of, so that patterns, and patterns
+# straddling two pages, are common
+CODE_BYTES = bytes(sorted({b for p in gadgets.GADGETS.values() for b in p})) + b"\x00\x90"
+
+
+@st.composite
+def hand_built_stores(draw):
+    """A store whose verdicts are set by hand, and a ground truth for it:
+    two classes adjacent in one extent, pages only tapped, misses and holes
+    between runs, and truth regions that abut with one class, each as no
+    synthetic image has them."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    space, entries, regions = AddressSpace(), {}, []
+    base = 0x10000
+    for pages, kind, fill in draw(st.lists(SEGMENT, min_size=1, max_size=8)):
+        end = base + pages * PAGE_SIZE
+        letters = SEGMENT_PERMS.get(kind)
+        if letters is not None:
+            if fill == "code":  # with a pattern's bytes on each page boundary
+                data = bytearray(rng.choices(CODE_BYTES, k=pages * PAGE_SIZE))
+                for cut in range(PAGE_SIZE, len(data), PAGE_SIZE):
+                    data[cut - 1 : cut + 1] = rng.choice(list(gadgets.GADGETS.values()))
+            else:
+                data = bytearray(pages * PAGE_SIZE)
+                if fill == "dirty":  # one byte set, in one page of them
+                    data[rng.randrange(len(data))] = 1
+            space.map_region(base, end - base, PagePermissions.from_rwxu(letters), bytes(data))
+        if kind in SEGMENT_VERDICT:
+            entries.update(dict.fromkeys(range(base, end, PAGE_SIZE), SEGMENT_VERDICT[kind]))
+        # one truth region or two that abut, of the mapped class or another
+        truth = draw(st.sampled_from(TRUTH_PERMS))
+        if truth is not None:
+            letters = (letters or "") if truth == "as-mapped" else truth
+            perms = PagePermissions.from_rwxu(letters)
+            cut = base + draw(st.integers(0, pages)) * PAGE_SIZE
+            regions += [MapsRegion(lo, hi, perms) for lo, hi in ((base, cut), (cut, end))
+                        if lo < hi]
+        base = end
+    pm = quiet_store(space)
+    pm.entries.update(entries)
+    return pm, GroundTruthMap(tuple(regions))
+
+
+@st.composite
+def budget_cut_stores(draw):
+    """A store a walk filled until its budget was spent, over a random
+    layout, and the layout's ground truth."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    space, _, start, _ = random_permed_space(
+        rng, 32, fill=draw(st.sampled_from(["random", "zero"])))
+    pm = quiet_store(space, budget=draw(st.integers(1, 40)))
+    try:
+        pm.walk(start, PAGE_SIZE, draw(st.integers(1, 8)), draw(st.booleans()))
+    except ExploreBudgetError:
+        pass
+    mapped = sorted(space.pages)
+    regions = tuple(MapsRegion(lo, hi, perms) for lo, hi, perms in page_runs(
+        zip(mapped, (space.pages[b].perms for b in mapped))))
+    return pm, GroundTruthMap(regions)
+
+
+@given(store=st.one_of(hand_built_stores(), budget_cut_stores()),
+       need=st.sampled_from([None, *gadgets.CHAINS.values(), ("leave-ret",)]))
+def test_run_level_stages_equal_their_page_by_page_references(store, need):
+    pm, truth = store
+    assert caves.find_caves(pm) == page_by_page_caves(pm)
+    assert match_ground_truth(pm, truth) == page_by_page_match(pm, truth)
+    code = [b for b, v in pm.entries.items() if v is Writability.READ_ONLY]
+    runs = [r for r in pm.runs() if r.kind is Writability.READ_ONLY]
+    assert gadgets.find_gadgets(pm, runs, need) == page_by_page_census(pm, code, need)
+    assert reconstruct_map(pm).runs == tuple(
+        r for r in page_runs((b, pm.entries[b]) for b in sorted(pm.entries))
+        if r.kind is not Writability.INACCESSIBLE)
 
 
 def test_random_layout_agreement():

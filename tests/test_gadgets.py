@@ -17,7 +17,9 @@ from caveprobe.gadgets import (
 )
 from caveprobe.machine import SYS_MPROTECT
 from caveprobe.memspace import PAGE_SIZE, AddressSpace, PagePermissions, page_runs
-from helpers import DEMO, make_space, poke, run_demo_pipelines, run_main, settled_store
+from helpers import (
+    DEMO, make_space, poke, run_demo_pipelines, run_main, runs_of, settled_store,
+)
 
 
 def space_with_code(base: int, code: bytes, pages: int = 1):
@@ -30,7 +32,7 @@ class TestFindGadgets:
         code[0x10:0x12] = b"\x5f\xc3"   # pop rdi; ret
         code[0x40:0x42] = b"\x0f\x05"   # syscall
         space = space_with_code(0x400000, bytes(code))
-        cat = find_gadgets(settled_store(space), {0x400000})
+        cat = find_gadgets(settled_store(space), runs_of({0x400000}))
         assert cat.found["pop-rdi-ret"] == (0x400010,)
         assert cat.found["syscall"] == (0x400040,)
         assert cat.searched_pages == 1
@@ -39,19 +41,19 @@ class TestFindGadgets:
         # 5f 5f c3: "pop rdi; pop rdi; ret" hides a pop-rdi-ret at +1
         code = b"\x5f\x5f\xc3" + b"\x90" * (PAGE_SIZE - 3)
         space = space_with_code(0x400000, code)
-        cat = find_gadgets(settled_store(space), {0x400000})
+        cat = find_gadgets(settled_store(space), runs_of({0x400000}))
         assert cat.found["pop-rdi-ret"] == (0x400001,)
 
     def test_straddles_adjacent_accessible_pages(self):
         code = b"\x90" * (PAGE_SIZE - 1) + b"\x5f" + b"\xc3" + b"\x90" * (PAGE_SIZE - 1)
         space = space_with_code(0x400000, code, pages=2)
-        cat = find_gadgets(settled_store(space), {0x400000, 0x401000})
+        cat = find_gadgets(settled_store(space), runs_of({0x400000, 0x401000}))
         assert 0x400FFF in cat.found["pop-rdi-ret"]
 
     def test_no_straddle_when_next_page_unprobed(self):
         code = b"\x90" * (PAGE_SIZE - 1) + b"\x5f" + b"\xc3" + b"\x90" * (PAGE_SIZE - 1)
         space = space_with_code(0x400000, code, pages=2)
-        cat = find_gadgets(settled_store(space), {0x400000})
+        cat = find_gadgets(settled_store(space), runs_of({0x400000}))
         assert 0x400FFF not in cat.found["pop-rdi-ret"]
 
     def test_ignores_pages_not_in_map(self):
@@ -60,7 +62,7 @@ class TestFindGadgets:
             (0x400000, PAGE_SIZE, "rxu", code),
             (0x500000, PAGE_SIZE, "rxu", code),
         )
-        cat = find_gadgets(settled_store(space), {0x400000})
+        cat = find_gadgets(settled_store(space), runs_of({0x400000}))
         assert cat.found["pop-rdi-ret"] == (0x400000,)
 
     def test_addresses_sorted(self):
@@ -68,7 +70,7 @@ class TestFindGadgets:
         for off in (0x800, 0x20, 0x400):
             code[off : off + 2] = b"\x5e\xc3"
         space = space_with_code(0x400000, bytes(code))
-        cat = find_gadgets(settled_store(space), {0x400000})
+        cat = find_gadgets(settled_store(space), runs_of({0x400000}))
         assert list(cat.found["pop-rsi-ret"]) == sorted(cat.found["pop-rsi-ret"])
 
     def test_brute_force_agreement(self):
@@ -76,7 +78,7 @@ class TestFindGadgets:
         for _ in range(20):
             blob = rng.randbytes(2 * PAGE_SIZE)
             space = space_with_code(0x400000, blob, pages=2)
-            cat = find_gadgets(settled_store(space), {0x400000, 0x401000})
+            cat = find_gadgets(settled_store(space), runs_of({0x400000, 0x401000}))
             for name, pattern in GADGETS.items():
                 expected = []
                 pos = blob.find(pattern)
@@ -165,7 +167,7 @@ def census_cases(draw):
 @given(census_cases())
 def test_census_matches_brute_force(case):
     space, pages = case
-    cat = find_gadgets(settled_store(space), pages)
+    cat = find_gadgets(settled_store(space), runs_of(pages))
     found, into_ret = brute_force_census(space, pages)
     assert cat.found == found
     assert cat.syscalls_into_ret == into_ret
@@ -179,7 +181,7 @@ def test_cross_pairs_are_not_gadgets(pair):
     code[0x10:0x12] = pair
     code[PAGE_SIZE - 1], code[PAGE_SIZE] = pair
     space = space_with_code(0x400000, bytes(code), pages=2)
-    cat = find_gadgets(settled_store(space), {0x400000, 0x401000})
+    cat = find_gadgets(settled_store(space), runs_of({0x400000, 0x401000}))
     assert all(addrs == () for addrs in cat.found.values())
     assert cat.syscalls_into_ret == ()
 
@@ -191,7 +193,7 @@ def test_half_patterns_at_run_edges_are_not_gadgets():
     code[PAGE_SIZE - 1 : PAGE_SIZE + 1] = b"\x5f\xc3"
     code[2 * PAGE_SIZE - 1 : 2 * PAGE_SIZE + 1] = b"\x0f\x05"
     space = space_with_code(0x400000, bytes(code), pages=3)
-    cat = find_gadgets(settled_store(space), {0x401000})
+    cat = find_gadgets(settled_store(space), runs_of({0x401000}))
     assert all(addrs == () for addrs in cat.found.values())
 
 
@@ -244,7 +246,7 @@ def test_each_page_is_read_once_with_at_most_two_bytes_of_the_next(monkeypatch):
         return real(self, addr, count)
 
     monkeypatch.setattr(AddressSpace, "read_bytes", counted)
-    cat = find_gadgets(pm, pages)
+    cat = find_gadgets(pm, runs_of(pages))
     monkeypatch.undo()
     assert sorted(addr for addr, _ in reads) == sorted(pages)
     for addr, count in reads:
@@ -275,7 +277,7 @@ def census_reads(monkeypatch, space: AddressSpace, need):
         return real(self, addr, count)
 
     monkeypatch.setattr(AddressSpace, "read_bytes", counted)
-    cat = find_gadgets(pm, set(space.pages), need)
+    cat = find_gadgets(pm, runs_of(space.pages), need)
     monkeypatch.undo()
     return cat, reads
 
@@ -291,7 +293,7 @@ class TestDirectedCensus:
             2 * PAGE_SIZE + 0x30: GADGETS["pop-rdi-ret"],
             2 * PAGE_SIZE + 0x40: GADGETS["leave-ret"],
         })
-        cat = find_gadgets(settled_store(space), set(space.pages),
+        cat = find_gadgets(settled_store(space), runs_of(space.pages),
                            ("pop-rdi-ret", "leave-ret"))
         assert cat.searched_pages == 2
         assert cat.found["pop-rdi-ret"] == (0x400010,)
@@ -303,7 +305,7 @@ class TestDirectedCensus:
             PAGE_SIZE - 1: GADGETS["pop-rdi-ret"],
             PAGE_SIZE + 0x100: GADGETS["pop-rdi-ret"],
         })
-        cat = find_gadgets(settled_store(space), set(space.pages), ("pop-rdi-ret",))
+        cat = find_gadgets(settled_store(space), runs_of(space.pages), ("pop-rdi-ret",))
         assert cat.searched_pages == 1
         assert cat.found["pop-rdi-ret"] == (0x400FFF,)
 
@@ -313,7 +315,7 @@ class TestDirectedCensus:
             PAGE_SIZE + 0x20: b"\x0f\x05\xc3",
             2 * PAGE_SIZE + 0x30: b"\x0f\x05\xc3",
         })
-        cat = find_gadgets(settled_store(space), set(space.pages), ("syscall",))
+        cat = find_gadgets(settled_store(space), runs_of(space.pages), ("syscall",))
         assert cat.searched_pages == 2
         assert cat.found["syscall"] == (0x400010, 0x401020)
         assert cat.syscalls_into_ret == (0x401020,)
@@ -330,8 +332,8 @@ class TestDirectedCensus:
     def test_an_unmet_need_gives_the_full_census(self, need, plants):
         space = planted_code(3, plants)
         pm = settled_store(space)
-        cat = find_gadgets(pm, set(space.pages), need)
-        assert cat == find_gadgets(pm, set(space.pages))
+        cat = find_gadgets(pm, runs_of(space.pages), need)
+        assert cat == find_gadgets(pm, runs_of(space.pages))
         assert cat.searched_pages == 3
         with pytest.raises(MissingGadgetError):
             cat.require(need)
@@ -359,7 +361,7 @@ def test_directed_census_is_a_prefix_with_the_same_lowest_sites(case, need):
     space, pages = case
     need = tuple(sorted(need))
     pm = settled_store(space)
-    full, directed = find_gadgets(pm, pages), find_gadgets(pm, pages, need)
+    full, directed = find_gadgets(pm, runs_of(pages)), find_gadgets(pm, runs_of(pages), need)
     for kind, sites in directed.found.items():
         assert full.found[kind][: len(sites)] == sites
     assert full.syscalls_into_ret[: len(directed.syscalls_into_ret)] == directed.syscalls_into_ret
@@ -482,7 +484,7 @@ class TestBuildChain:
         code[0x320:0x322] = b"\x5a\xc3"
         code[0x330:0x332] = b"\x58\xc3"
         space = space_with_code(0x400000, bytes(code))
-        cat = find_gadgets(settled_store(space), {0x400000})
+        cat = find_gadgets(settled_store(space), runs_of({0x400000}))
         assert cat.found["syscall"] == (0x400100, 0x400200)
         chain = build_mprotect_chain(cat, 0x700000, 0x1000, 7)
         assert chain[-1].value == 0x400200
@@ -497,7 +499,7 @@ class TestBuildChain:
             code[0x100 * (i + 1):0x100 * (i + 1) + 3] = b"\x0f\x05\x90"
         for i, kind in enumerate(CHAINS["sound-5"][:-1]):
             code[0x400 + 0x10 * i:0x402 + 0x10 * i] = GADGETS[kind]
-        cat = find_gadgets(settled_store(space_with_code(0x400000, bytes(code))), {0x400000})
+        cat = find_gadgets(settled_store(space_with_code(0x400000, bytes(code))), runs_of({0x400000}))
         assert len(cat.found["syscall"]) == sites and cat.syscalls_into_ret == ()
         with pytest.raises(MissingGadgetError) as exc:
             cat.require(CHAINS["sound-5"])

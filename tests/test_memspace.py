@@ -202,22 +202,27 @@ class TestReadWrite:
             (0x6000, PAGE_SIZE, "rwu", b"\0" * (PAGE_SIZE - 1) + b"\1"),
             (0x7000, PAGE_SIZE, "", b""),
         )
-        assert space.is_zero_page(0x5000)
-        assert not space.is_zero_page(0x6000)
-        for base, kind in ((0x7000, "perm"), (0x8000, "unmapped")):
+        assert space.zero_pages(0x5000, 0x6000) == b"\1"
+        assert space.zero_pages(0x6000, 0x7000) == b"\0"
+        assert space.zero_pages(0x5000, 0x7000) == b"\1\0"
+        assert space.zero_pages(0x5000, 0x5000) == b""
+        # a range faults at the first page it may not read
+        for start, base, kind in ((0x7000, 0x7000, "perm"), (0x8000, 0x8000, "unmapped"),
+                                  (0x5000, 0x7000, "perm")):
             with pytest.raises(MemoryFault) as exc:
-                space.is_zero_page(base)
+                space.zero_pages(start, 0x9000)
             assert (exc.value.addr, exc.value.kind) == (base, kind)
         # the store's guarded test answers alike for the pages it stores
         # accessible, and refuses the page stored inaccessible and the page
         # it lacks before any access
         pm = settled_store(space)
         assert pm.entries[0x7000] is NO_ACCESS and 0x8000 not in pm.entries
-        assert pm.is_zero(0x5000)
-        assert not pm.is_zero(0x6000)
-        for base in (0x7000, 0x8000):
+        assert pm.zero_pages(0x5000, 0x6000) == b"\1"
+        assert pm.zero_pages(0x6000, 0x7000) == b"\0"
+        assert pm.zero_pages(0x5000, 0x7000) == b"\1\0"
+        for start, base in ((0x7000, 0x7000), (0x8000, 0x8000), (0x5000, 0x7000)):
             with pytest.raises(MemoryFault) as exc:
-                pm.is_zero(base)
+                pm.zero_pages(start, 0x9000)
             assert (exc.value.addr, exc.value.kind) == (base, "unprobed")
 
     def test_zero_length_read(self):
@@ -245,6 +250,22 @@ class TestSetProtection:
         with pytest.raises(MemoryFault):
             space.set_protection(0x7000, 2 * PAGE_SIZE, PagePermissions.from_rwxu("rwu"))
         assert not space.get_page(0x7000).perms.writable
+
+    def test_all_zero_pages_share_one_page(self):
+        # an owned all-zero page joins them; a page holding data keeps its
+        # own Page; a write then changes its one page only
+        space = make_space((0x7000, 4 * PAGE_SIZE, "ru", bytes(2 * PAGE_SIZE) + b"\1"))
+        space.pages[0x8000] = Page(space.pages[0x8000].perms, bytearray(PAGE_SIZE))
+        data = space.pages[0x9000].data
+        space.set_protection(0x7000, 4 * PAGE_SIZE, PagePermissions.from_rwxu("rwu"))
+        zero = space.pages[0x7000]
+        assert zero.data is _ZERO_PAGE and zero.perms == PagePermissions.from_rwxu("rwu")
+        assert space.pages[0x8000] is zero and space.pages[0xA000] is zero
+        assert space.pages[0x9000] is not zero and space.pages[0x9000].data is data
+        space.write_bytes(0x8000, b"ok")
+        assert space.read_bytes(0x8000, 2) == b"ok"
+        assert space.pages[0x7000] is zero and space.pages[0xA000] is zero
+        assert zero.data is _ZERO_PAGE
 
 
 class TestContentHash:
@@ -708,7 +729,7 @@ def step_both(moved: AddressSpace, eager: AddressSpace, op, loaded: list[int]):
         perms = PagePermissions.from_rwxu(op[2])
         got = [outcome(space.set_protection, base, PAGE_SIZE, perms) for space in (moved, eager)]
     elif kind == "zero":
-        got = [outcome(space.is_zero_page, base) for space in (moved, eager)]
+        got = [outcome(space.zero_pages, base, base + PAGE_SIZE) for space in (moved, eager)]
     else:
         got = [bytes(space.get_page(base).data) for space in (moved, eager)]
     assert got[0] == got[1], op
@@ -784,6 +805,35 @@ def test_a_change_to_either_side_of_a_shifted_pair_leaves_the_other(
             sides[side] = target = moved  # the side is now its shifted copy
         assert space_digest(sides[1 - side]) == digests[1 - side], op
         digests[side] = space_digest(target)
+
+
+def test_the_table_names_the_pages_a_shift_must_copy():
+    # pages the space owns, with a pointer word or none, and all-zero or
+    # not; every other page is shared
+    space = make_space((0x8000, 4 * PAGE_SIZE, "rwu", b""))
+    space.write_bytes(0x9000, b"\1")
+    space.write_bytes(0xA000, (0x8010).to_bytes(8, "little"))
+    space.pages[0xB000] = Page(space.pages[0xB000].perms, bytearray(PAGE_SIZE))
+    table = space.relocations()
+    assert table == {0x9000: array("H"), 0xA000: array("H", [0]), 0xB000: array("H")}
+    moved = space.shifted(0x10000, None, table)
+    assert moved.pages[0x18000] is space.pages[0x8000]
+    for base in (0x9000, 0xB000):  # copied, as bytes a later shift shares
+        page = moved.pages[base + 0x10000]
+        assert page is not space.pages[base] and type(page.data) is bytes
+        assert page.data == space.pages[base].data
+    assert moved.read_bytes(0x1A000, 8) == (0x18010).to_bytes(8, "little")
+    # a shift with a table reads no page it does not name: a page made the
+    # space's own after the table was built is shared as it is
+    space.write_bytes(0x8000, b"\1")
+    assert space.shifted(0x10000, None, table).pages[0x18000] is space.pages[0x8000]
+    # a page not one page long is named, and every shift refuses it
+    space.pages[0x8000] = Page(space.pages[0x8000].perms, b"\1")
+    table = space.relocations()
+    assert table[0x8000] == array("H")
+    for offset, relocations in ((0x10000, table), (0x10000, None), (0, None)):
+        with pytest.raises(ValueError, match="exactly one page long"):
+            space.shifted(offset, None, relocations)
 
 
 def test_shifted_shares_every_page_the_table_does_not_name():
@@ -1157,6 +1207,10 @@ SCRATCH_PERMS = PagePermissions.from_rwxu("rwxu")
 def apply_op(space: AddressSpace, op) -> tuple[object, set[int]]:
     """Run ``op`` on ``space``; its outcome, and the pages it may write."""
     bases = sorted(space.pages)
+    if op[0] == "protect":  # an mprotect, as the chain makes of the cave
+        _, i, pages, letters = op
+        return outcome(space.set_protection, bases[i % len(bases)], pages * PAGE_SIZE,
+                       PagePermissions.from_rwxu(letters)), set()
     if op[0] == "write":
         _, i, off, data = op
         addr = bases[i % len(bases)] + off
@@ -1170,7 +1224,9 @@ def apply_op(space: AddressSpace, op) -> tuple[object, set[int]]:
     # from the scratch page
     _, i, off, value = op
     addr = bases[i % len(bases)] + off
-    scratch = next(b for b, page in space.pages.items() if page.perms == SCRATCH_PERMS)
+    scratch = next((b for b, page in space.pages.items() if page.perms == SCRATCH_PERMS), None)
+    if scratch is None:  # protected away
+        return "no scratch page", set()
     code = (machine.enc_mov_ri("rax", addr) + machine.enc_mov_ri("rcx", value)
             + machine.enc_store("rax", "rcx"))
     space.write_bytes(scratch, code)
@@ -1187,6 +1243,8 @@ COW_OPS = st.lists(st.one_of(
     st.tuples(st.just("store"), st.integers(0, 63), st.integers(0, PAGE_SIZE - 8),
               st.integers(0, 2**64 - 1)),
     st.tuples(st.just("shift"), st.integers(0, 1 << 20)),
+    st.tuples(st.just("protect"), st.integers(0, 63), st.integers(1, 4),
+              st.sampled_from(["rwu", "ru", "rxu", ""])),
 ), max_size=8)
 
 
@@ -1201,7 +1259,10 @@ def test_shared_pages_match_the_copy_every_page_reference(seed, sizes, scratch, 
     image = build_victim_image(seed, code_pages=code, cave_pages=cave, stack_pages=stack)
     doc = parse_manifest(image.manifest_text.encode())
     doc["regions"].append({"start": hex(scratch), "len": "0x1000", "perms": "rwxu"})
-    space = load_manifest(doc)
+    # the run's space shares the kept image's pages, as the CLI's runs do
+    kept = load_manifest(doc)
+    built = {b: (p.perms, bytes(p.data)) for b, p in kept.pages.items()}
+    space = kept.shifted(0)
     reference = old_way_copy(space)
     for op in ops:
         before = page_bytes(space)
@@ -1218,6 +1279,7 @@ def test_shared_pages_match_the_copy_every_page_reference(seed, sizes, scratch, 
         if op[0] != "shift":  # a write changes no page but its own
             assert {b for b in before if before[b] != after[b]} <= touched
         assert _ZERO_PAGE == bytes(PAGE_SIZE)
+    assert {b: (p.perms, bytes(p.data)) for b, p in kept.pages.items()} == built
 
 
 # --- manifest parsing against one json.loads of the text ---------------------
