@@ -425,7 +425,7 @@ def _load(ctx: Pipeline) -> None:
     offset = _aslr_offset(cfg.seed, image.layout) if cfg.aslr else 0
     if offset and image.relocations is None:
         image.relocations = image.space.relocations(image.layout)
-    # a kept image is shared with later runs: the run's space shares its pages
+    # the run's space shares the kept image's pages: none changes once built
     space = image.space.shifted(offset, image.layout, image.relocations)
     ctx.report.aslr_offset = offset
     ctx.pagemap = explorer.PageMap(

@@ -1,17 +1,18 @@
 """Page-granular model of a 64-bit virtual address space.
 
 The model keeps a sparse dictionary of 4 KB pages, each carrying its own
-permission bits and backing bytes.  A page's bytes are shared and read-only
-until its first write copies them: every all-zero page of a loaded manifest
-is the one ``_ZERO_PAGE``, and every other page keeps the bytes its hex
-decoded to, page by page, as the manifest file streams past one chunk at a
-time.  The scan keeps every byte outside the blobs as a skeleton, and a
-literal is a blob when the skeleton shows it after a "data" literal and one
-":"; an invalid file's whole text is parsed once, by json alone.  A shift
-moves a space as a relocating loader moves an image to a new base, into a
-copy that shares the Page objects of its source, copy-on-write: it
-re-keys them, and builds new pages only for those a relocation table
-names, which one pass over every page builds once per source.
+permission bits and backing bytes.  No page changes once built: a write or
+a change of permissions puts a new page in the old one's place, so any
+space may share any page.  Every all-zero page of a loaded manifest is the
+one ``_ZERO_PAGE``, and every other page keeps the bytes its hex decoded
+to, page by page, as the manifest file streams past one chunk at a time.
+The scan keeps every byte outside the blobs as a skeleton, and a literal
+is a blob when the skeleton shows it after a "data" literal and one ":";
+an invalid file's whole text is parsed once, by json alone.  A shift moves
+a space as a relocating loader moves an image to a new base, into a copy
+that shares the Page objects of its source: it re-keys them, and builds
+new pages only for those a relocation table names, which one pass over
+every page builds once per source.
 Addresses are 48-bit canonical: the low half [0, 2**47) belongs to user
 mappings, the high half [2**47, 2**48) is reserved for kernel mappings,
 which may be loaded for realism but are never user accessible.
@@ -113,11 +114,10 @@ class PagePermissions:
 
 @dataclass(slots=True, eq=False)
 class Page:
-    """One 4 KB page: permission bits plus one page of bytes.  Bytes of
-    type ``bytes`` may be shared, with other pages and, through the Page
-    itself, with other spaces (:meth:`AddressSpace.shifted`), so a space
-    never changes such a page: it puts a new Page in its place.  A
-    ``bytearray`` is one space's own, and is written in place."""
+    """One 4 KB page: permission bits plus one page of bytes.  Neither
+    changes once the Page is built, so its bytes may be shared with other
+    pages and the Page itself with other spaces
+    (:meth:`AddressSpace.shifted`)."""
 
     perms: PagePermissions
     data: bytes | bytearray
@@ -135,10 +135,10 @@ class Layout(NamedTuple):
 class AddressSpace:
     """Sparse map of page base address to :class:`Page`.
 
-    Pages are copy-on-write: one whose bytes are ``bytes`` may be in
-    another space's map as well, so :meth:`write_bytes` and
-    :meth:`set_protection` put a new Page in its place before they change
-    it.  A page whose bytes are a ``bytearray`` is this space's own."""
+    Any page may be in another space's map as well, so
+    :meth:`write_bytes` and :meth:`set_protection` put a new Page in the
+    place of each page they change, and ``dict(space.pages)`` is a
+    snapshot of the space."""
 
     def __init__(self) -> None:
         self.pages: dict[int, Page] = {}
@@ -198,8 +198,8 @@ class AddressSpace:
 
     def read_bytes(self, addr: int, count: int) -> bytes:
         """Native read.  Faults unless every touched page is mapped,
-        readable, and user accessible.  A read of one whole page whose bytes
-        are shared gives those bytes themselves, with nothing copied."""
+        readable, and user accessible.  A read of one whole page never
+        written or relocated gives its bytes themselves, with nothing copied."""
         if count < 0:
             raise ValueError("negative read length")
         pages = self.pages
@@ -237,8 +237,8 @@ class AddressSpace:
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         """Native write, all or nothing: permissions for the whole range are
-        checked before any byte changes.  A page whose bytes may be shared
-        is replaced first by a Page with a ``bytearray`` of its own."""
+        checked before any byte changes.  Each page written becomes a new
+        Page, its bytes a copy with the write applied."""
         if not data:
             return
         pages = self.pages
@@ -251,17 +251,14 @@ class AddressSpace:
         for base in bases:
             lo, hi = max(addr, base), min(base + PAGE_SIZE, end)
             page = pages[base]
-            own = page.data
-            if type(own) is not bytearray:
-                own = bytearray(own)
-                pages[base] = Page(page.perms, own)
-            own[lo - base : hi - base] = data[lo - addr : hi - addr]
+            new = bytearray(page.data)
+            new[lo - base : hi - base] = data[lo - addr : hi - addr]
+            pages[base] = Page(page.perms, new)
 
     def set_protection(self, start: int, length: int, perms: PagePermissions) -> None:
         """Replace the permissions of every page in the range: each page
         becomes a new Page with the same bytes, but every all-zero page
-        becomes one Page of ``_ZERO_PAGE``, which, its bytes being
-        ``bytes``, no write changes in place.
+        becomes one Page of ``_ZERO_PAGE``.
 
         Unaligned or empty arguments raise ValueError; a range touching an
         unmapped page raises MemoryFault before anything changes.
@@ -289,14 +286,12 @@ class AddressSpace:
         return Layout(tuple(r.start for r in runs), tuple(r.end for r in runs))
 
     def relocations(self, layout: Layout | None = None) -> dict[int, array | None]:
-        """The pages a shift of this space builds anew, by page base: the
+        """The pages a shift of this space rewrites, by page base: the
         indices of the page's pointer words, or None for an all-zero page
         while page 0 is mapped, whose every word is zero and so a pointer.
-        A page a shift must copy has an entry even with no such word: one
-        this space owns (its bytes a ``bytearray``), and one not one page
-        long, which the shift refuses.  Every other page is left out, and a
-        shift shares it.  Built by one pass over every page's bytes, the
-        table holds for each shift until a page of this space changes.
+        Every other page is left out, and a shift shares it.  Built by one
+        pass over every page's bytes, the table holds for each shift until
+        a page of this space changes.
         ``layout`` is ``self.layout()``.
 
         A pointer word is one a relocating loader fixes up in an image it
@@ -321,14 +316,10 @@ class AddressSpace:
             return table
         for base, page in self.pages.items():
             data = page.data
-            if len(data) != PAGE_SIZE:
-                table[base] = array("H")
-            elif data == _ZERO_PAGE:
+            if data == _ZERO_PAGE:
                 if not starts[0]:
                     table[base] = None
-                elif type(data) is not bytes:
-                    table[base] = array("H")
-            elif (words := _pointer_words(data, starts, ends)) or type(data) is not bytes:
+            elif words := _pointer_words(data, starts, ends):
                 table[base] = words
         return table
 
@@ -343,43 +334,36 @@ class AddressSpace:
         otherwise ValueError is raised.
 
         The copy holds this space's Page objects at their shifted bases, and
-        new ones only for the pages ``relocations`` names: relocated, or,
-        for the pages this space owns, with bytes of their own.  The
+        new, relocated ones only for the pages ``relocations`` names.  The
         all-zero pages relocated while page 0 is mapped share one page of
-        bytes, every word the offset.  Either space then replaces a page it
-        shares before changing it.  A shift by 0 relocates nothing, builds
-        no table, and reads every page for those it must copy.
+        bytes, every word the offset.  A shift by 0 is ``dict(self.pages)``
+        and reads no page.
 
         ``layout`` is ``self.layout()`` and ``relocations`` is
         ``self.relocations(layout)``: a caller that shifts one space many
         times, and changes none of its pages, need build each only once."""
         if offset % PAGE_SIZE or offset < 0:
             raise ValueError("offset must be a non-negative page multiple")
+        out = AddressSpace()
+        pages = self.pages
+        if not offset:
+            out.pages = dict(pages)
+            return out
         layout = self.layout() if layout is None else layout
         if layout.ends and layout.ends[-1] + offset > USER_TOP:
             raise ValueError("shift pushes a page past the user half")
-        pages = self.pages
-        if not offset:
-            relocations = {base: array("H") for base, page in pages.items()
-                           if type(page.data) is not bytes or len(page.data) != PAGE_SIZE}
-        elif relocations is None:
+        if relocations is None:
             relocations = self.relocations(layout)
-        moved = ({base + offset if base < USER_TOP else base: page
-                  for base, page in pages.items()} if offset else dict(pages))
+        moved = {base + offset if base < USER_TOP else base: page
+                 for base, page in pages.items()}
         zero = None  # an all-zero page relocated
         for base, words in relocations.items():
             page = pages[base]
-            data = page.data
-            if len(data) != PAGE_SIZE:
-                raise ValueError("page data must be exactly one page long")
             if words is None:
                 data = zero = zero or _WORD.pack(offset) * _WORDS
-            elif words:
-                data = _add_offset(data, words, offset)
-            else:  # a page this space owns, copied
-                data = bytes(data)
+            else:
+                data = _add_offset(page.data, words, offset)
             moved[base + offset if base < USER_TOP else base] = Page(page.perms, data)
-        out = AddressSpace()
         out.pages = moved
         return out
 

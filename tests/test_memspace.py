@@ -94,8 +94,8 @@ class TestMapRegion:
             space.map_region(ADDR_TOP, PAGE_SIZE, PagePermissions.from_rwxu("r"))
 
     def test_pages_of_the_wrong_length_are_refused(self):
-        # only the last page of a blob may be short; a refused region maps
-        # no page, and a copy refuses a page whose bytes were cut
+        # only the last page of a blob may be short, and a refused region
+        # maps no page
         perms = PagePermissions.from_rwxu("ru")
         for pages in ((bytes(PAGE_SIZE + 1),), (b"\1", bytes(PAGE_SIZE))):
             space = AddressSpace()
@@ -104,9 +104,6 @@ class TestMapRegion:
             assert space.pages == {}
         space = make_space((0x1000, PAGE_SIZE, "ru", (b"\1",)))
         assert space.read_bytes(0x1000, PAGE_SIZE) == b"\1".ljust(PAGE_SIZE, b"\0")
-        space.pages[0x1000].data = b"\1"
-        with pytest.raises(ValueError, match="exactly one page long"):
-            space.shifted(0)
 
     def test_blob_longer_than_region_rejected(self):
         space = AddressSpace()
@@ -807,33 +804,25 @@ def test_a_change_to_either_side_of_a_shifted_pair_leaves_the_other(
         digests[side] = space_digest(target)
 
 
-def test_the_table_names_the_pages_a_shift_must_copy():
-    # pages the space owns, with a pointer word or none, and all-zero or
-    # not; every other page is shared
+def test_the_table_names_only_the_pages_a_shift_rewrites():
+    # a written page, a bytearray page and an all-zero page, none holding
+    # a pointer word, are shared; the pointer page comes out relocated
     space = make_space((0x8000, 4 * PAGE_SIZE, "rwu", b""))
     space.write_bytes(0x9000, b"\1")
     space.write_bytes(0xA000, (0x8010).to_bytes(8, "little"))
     space.pages[0xB000] = Page(space.pages[0xB000].perms, bytearray(PAGE_SIZE))
     table = space.relocations()
-    assert table == {0x9000: array("H"), 0xA000: array("H", [0]), 0xB000: array("H")}
+    assert table == {0xA000: array("H", [0])}
     moved = space.shifted(0x10000, None, table)
-    assert moved.pages[0x18000] is space.pages[0x8000]
-    for base in (0x9000, 0xB000):  # copied, as bytes a later shift shares
-        page = moved.pages[base + 0x10000]
-        assert page is not space.pages[base] and type(page.data) is bytes
-        assert page.data == space.pages[base].data
+    for base in (0x8000, 0x9000, 0xB000):
+        assert moved.pages[base + 0x10000] is space.pages[base]
+    assert moved.pages[0x1A000] is not space.pages[0xA000]
     assert moved.read_bytes(0x1A000, 8) == (0x18010).to_bytes(8, "little")
-    # a shift with a table reads no page it does not name: a page made the
-    # space's own after the table was built is shared as it is
+    assert space.read_bytes(0xA000, 8) == (0x8010).to_bytes(8, "little")
+    # a shift with a table reads no page it does not name: a page written
+    # after the table was built is shared as it is
     space.write_bytes(0x8000, b"\1")
     assert space.shifted(0x10000, None, table).pages[0x18000] is space.pages[0x8000]
-    # a page not one page long is named, and every shift refuses it
-    space.pages[0x8000] = Page(space.pages[0x8000].perms, b"\1")
-    table = space.relocations()
-    assert table[0x8000] == array("H")
-    for offset, relocations in ((0x10000, table), (0x10000, None), (0, None)):
-        with pytest.raises(ValueError, match="exactly one page long"):
-            space.shifted(offset, None, relocations)
 
 
 def test_shifted_shares_every_page_the_table_does_not_name():
@@ -1180,7 +1169,7 @@ def test_a_written_page_stops_sharing():
 
 def test_shifted_copy_does_not_see_later_writes_to_its_source():
     source, _ = read_image(DEMO)
-    source.write_bytes(0x462000, b"\xee" * 8)  # a page the source owns
+    source.write_bytes(0x462000, b"\xee" * 8)  # a page the source wrote
     copy = source.shifted(0)
     want = page_bytes(copy)
     # a shared zero page, a page with data, and the page already written
@@ -1266,6 +1255,8 @@ def test_shared_pages_match_the_copy_every_page_reference(seed, sizes, scratch, 
     reference = old_way_copy(space)
     for op in ops:
         before = page_bytes(space)
+        held = dict(space.pages)
+        held_perms = {b: p.perms for b, p in held.items()}
         if op[0] == "shift":
             space = space.shifted(op[1] * PAGE_SIZE)
             reference = old_way_copy(reference_shifted(reference, op[1] * PAGE_SIZE))
@@ -1278,6 +1269,9 @@ def test_shared_pages_match_the_copy_every_page_reference(seed, sizes, scratch, 
             b: p.perms for b, p in reference.pages.items()}
         if op[0] != "shift":  # a write changes no page but its own
             assert {b for b in before if before[b] != after[b]} <= touched
+        # no page changes once built, so dict(space.pages) was a snapshot
+        assert {b: (p.perms, bytes(p.data)) for b, p in held.items()} == {
+            b: (held_perms[b], before[b]) for b in held}
         assert _ZERO_PAGE == bytes(PAGE_SIZE)
     assert {b: (p.perms, bytes(p.data)) for b, p in kept.pages.items()} == built
 
