@@ -16,7 +16,6 @@ import random
 import re
 import stat
 import sys
-from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
@@ -245,42 +244,15 @@ def emit_report(report: AttackReport, fmt: str = "json") -> str:
 RACY_NS = 2_000_000_000
 
 
-class _Memo:
-    """Loaded input files, kept per process and keyed on what they are
-    loaded as and their stat signature.  Only a regular file of non-zero
-    size, whose status did not change within ``RACY_NS`` of the lookup, has
-    a key.  A key's first load is kept, and later ones share it; a load
-    that fails is never kept.  An entry weighs its value's pages (a maps
-    file its regions), at least 1; the weights sum to at most
-    ``MAX_MANIFEST_PAGES``, and the least recently used entry goes first."""
-
-    def __init__(self) -> None:
-        # key -> (value, weight)
-        self.entries: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
-        self.weight = 0
-
-    def get(self, key: tuple):
-        """The value kept under ``key``, now the most recently used, or None."""
-        entry = self.entries.get(key)
-        if entry is None:
-            return None
-        self.entries.move_to_end(key)
-        return entry[0]
-
-    def put(self, key: tuple, value, weight: int) -> None:
-        """Keep ``value``, the load of ``key``, which holds nothing yet."""
-        weight = max(weight, 1)
-        self.entries[key] = (value, weight)
-        self.weight += weight
-        while self.weight > MAX_MANIFEST_PAGES:
-            self.weight -= self.entries.popitem(last=False)[1][1]
-
-
-_KEPT = _Memo()
+# the input files loaded so far, key (see ``_memo_key``) -> (value, weight);
+# only ``_parse_file`` reads and writes it
+_KEPT: dict[tuple, tuple[object, int]] = {}
 
 
 def _memo_key(file, what: str) -> tuple | None:
-    """The key of the open ``file`` loaded as ``what`` (see :class:`_Memo`)."""
+    """The key in ``_KEPT`` of the open ``file`` loaded as ``what``, its stat
+    signature: only a regular file of non-zero size, whose status did not
+    change within ``RACY_NS`` of the lookup, has one."""
     try:
         st = os.fstat(file.fileno())
     except OSError:  # io.UnsupportedOperation too: a file-like object
@@ -295,15 +267,20 @@ def _parse_file(path: Path, what: str, parse, weigh):
     bytes must be UTF-8 whatever the locale.  The file is opened once; the
     stat signature of that handle looks it up in ``_KEPT``, and a miss
     parses from the same handle and keeps the value there, shared with
-    later runs, which must not change it.  ``weigh`` gives a value's weight
-    there.  A failed open and a read that fails part way give the same one
-    line."""
+    later runs; a load that fails is never kept.  A kept value must not
+    change, with one exception: the first run that shifts a kept
+    ``_Image`` by a non-zero offset sets its ``relocations``, once.
+    ``weigh`` gives a value's weight, at least 1: its pages, or a maps
+    file's regions.  A load that would take the kept weights past
+    ``MAX_MANIFEST_PAGES`` first empties the table, and a value heavier
+    than the bound on its own is not kept.  A failed open and a read that
+    fails part way give the same one line."""
     shown = _clip(str(path))
     try:
         with open(path, "rb", buffering=0) as file:
             key = _memo_key(file, what)
-            if key is not None and (value := _KEPT.get(key)) is not None:
-                return value
+            if key is not None and (entry := _KEPT.get(key)) is not None:
+                return entry[0]
             value = parse(file)
     except OSError as exc:
         raise ValueError(f"cannot read {shown}: {exc.strerror or exc}") from None
@@ -312,7 +289,11 @@ def _parse_file(path: Path, what: str, parse, weigh):
             f"{what} {shown} is not UTF-8: first bad byte at offset {exc.start}"
         ) from None
     if key is not None:
-        _KEPT.put(key, value, weigh(value))
+        weight = max(weigh(value), 1)
+        if weight + sum(w for _, w in _KEPT.values()) > MAX_MANIFEST_PAGES:
+            _KEPT.clear()
+        if weight <= MAX_MANIFEST_PAGES:
+            _KEPT[key] = (value, weight)
     return value
 
 

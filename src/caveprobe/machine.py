@@ -116,7 +116,7 @@ def _code_page(space: AddressSpace, addr: int) -> Page:
     if page is None:
         raise _Stop("unmapped")
     p = page.perms
-    if not (addr < USER_TOP and p.executable and p.user_accessible):
+    if not (p.executable and p.user_accessible):
         raise _Stop("nx-fetch")
     return page
 

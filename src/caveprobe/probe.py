@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import random
 
-from .memspace import PAGE_SIZE, USER_TOP, AddressSpace
+from .memspace import PAGE_SIZE, AddressSpace
 
 
 class ProbeOutcome(enum.Enum):
@@ -86,7 +86,7 @@ class Prober:
 
     __slots__ = (
         "spurious_abort_probability", "rng", "trace_log",
-        "_taps", "_claws", "_retries", "_safe_writes", "_retried",
+        "_taps", "_claws", "_safe_writes", "_retried",
     )
 
     def __init__(
@@ -95,7 +95,7 @@ class Prober:
         self.spurious_abort_probability = spurious_abort_probability
         self.rng = random.Random(rng_seed)
         self.trace_log: list[tuple[str, int, object]] | None = [] if trace else None
-        self._taps = self._claws = self._retries = self._safe_writes = 0
+        self._taps = self._claws = self._safe_writes = 0
         # transactions past each probe's first, by op: read_tx is taps
         # plus the read retries, so a probe's first costs one increment
         self._retried = {"read_tx": 0, "write_tx": 0}
@@ -111,7 +111,7 @@ class Prober:
             "write_tx": self._claws + self._retried["write_tx"],
             "taps": self._taps,
             "claws": self._claws,
-            "retries": self._retries,
+            "retries": sum(self._retried.values()),
             "safe_writes": self._safe_writes,
         }
         return {key: n for key, n in counts.items() if n}
@@ -138,28 +138,23 @@ class Prober:
                 trace.append((tx, addr, _RETRYABLE))
             if rand() >= p:
                 self._retried[tx] += retries
-                self._retries += retries
                 if trace is not None:
                     trace += ((tx, addr, done), (op, addr, verdict))
                 return verdict
         self._retried[tx] += budget
-        self._retries += budget
         if trace is not None:
             trace += ((tx, addr, _RETRYABLE), (op, addr, "exhausted"))
         raise RetryBudgetExhausted(addr, budget + 1)
 
     def tap(self, space: AddressSpace, addr: int) -> Writability:
         """Classify readability of ``addr`` without risking a fault:
-        ``ACCESSIBLE`` when the address is mapped, readable, user-accessible
-        and in the user half, so its read transaction commits, else
+        ``ACCESSIBLE`` when the address is mapped, readable and
+        user-accessible, so its read transaction commits, else
         ``INACCESSIBLE``."""
         self._taps += 1
         trace = self.trace_log
         page = space.pages.get(addr & _PAGE_MASK)
-        if (
-            page is None or addr >= USER_TOP
-            or not (page.perms.readable and page.perms.user_accessible)
-        ):
+        if page is None or not (page.perms.readable and page.perms.user_accessible):
             if trace is not None:
                 trace += (("read_tx", addr, _FATAL), ("tap", addr, NO_ACCESS))
             return NO_ACCESS
@@ -184,10 +179,7 @@ class Prober:
         self._claws += 1
         trace = self.trace_log
         page = space.pages.get(addr & _PAGE_MASK)
-        if (
-            page is not None and addr < USER_TOP
-            and page.perms.writable and page.perms.user_accessible
-        ):
+        if page is not None and page.perms.writable and page.perms.user_accessible:
             p = self.spurious_abort_probability
             if p > 0.0 and self.rng.random() < p:
                 return self._retry(addr, _WRITE)

@@ -10,4 +10,4 @@ settings.load_profile("suite")
 @pytest.fixture(autouse=True)
 def fresh_memo(monkeypatch):
     """Each test starts with nothing kept, as a new process does."""
-    monkeypatch.setattr(cli, "_KEPT", cli._Memo())
+    monkeypatch.setattr(cli, "_KEPT", {})

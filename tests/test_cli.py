@@ -1270,7 +1270,11 @@ def late_clock(monkeypatch) -> None:
 
 
 def kept_kinds() -> list[str]:
-    return sorted(key[0] for key in cli._KEPT.entries)
+    return sorted(key[0] for key in cli._KEPT)
+
+
+def kept_weight() -> int:
+    return sum(weight for _, weight in cli._KEPT.values())
 
 
 class TestKeptInputs:
@@ -1342,7 +1346,7 @@ class TestKeptInputs:
         for _ in range(3):
             assert main(["--image-path", str(manifest)]) == EXIT_STAGE_ERROR
         assert len(parsed) == 3
-        assert cli._KEPT.entries == {}
+        assert cli._KEPT == {}
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 3 and len(set(err)) == 1
         assert "seeds.stack_pointer is outside the user half" in err[0]
@@ -1369,7 +1373,7 @@ class TestKeptInputs:
             os.dup2(saved, 0)
             os.close(saved)
         assert len(parsed) == 3
-        assert cli._KEPT.entries == {}
+        assert cli._KEPT == {}
         assert len(set(texts)) == 1
 
     def test_a_procfs_file_is_never_kept(self, monkeypatch):
@@ -1400,13 +1404,13 @@ class TestKeptInputs:
             monkeypatch.setattr(AddressSpace, name, counted)
         clock_at(monkeypatch, manifest.stat().st_ctime_ns)
         assert main(argv) == EXIT_OK
-        assert not cli._KEPT.entries
+        assert not cli._KEPT
         racy = out.read_bytes()
         late_clock(monkeypatch)
         assert main(argv) == EXIT_OK
         assert out.read_bytes() == racy
         assert calls == ["relocations", "shifted"] * 2
-        [(image, _)] = cli._KEPT.entries.values()
+        [(image, _)] = cli._KEPT.values()
         pages = dict(image.space.pages)
         built = {base: (type(page), page.perms, page.data) for base, page in pages.items()}
         fresh, _ = read_image(manifest)
@@ -1458,7 +1462,7 @@ class TestKeptInputs:
         run_pipeline(config)
         pipe = Pipeline(config)
         assert pipe.run().aslr_offset == 0
-        [(image, _)] = cli._KEPT.entries.values()
+        [(image, _)] = cli._KEPT.values()
         assert image.relocations is None
         space = pipe.pagemap.space
         assert space.pages == image.space.pages and space.pages is not image.space.pages
@@ -1472,17 +1476,17 @@ class TestKeptInputs:
         parsed = counted_parses(monkeypatch)
         config = PipelineConfig(image_path=str(manifest), seed=2)
         texts = [emit_report(run_pipeline(config)) for _ in range(3)]
-        assert (len(parsed), cli._KEPT.entries, cli._KEPT.weight) == (3, {}, 0)
+        assert (len(parsed), cli._KEPT, kept_weight()) == (3, {}, 0)
         assert len(set(texts)) == 1
 
-    def test_an_entry_weighs_at_least_1_and_a_hit_is_used_last(self):
-        memo = cli._Memo()
-        memo.put(("ground truth", 1), "empty map", 0)
-        memo.put(("manifest", 2), "image", 3)
-        assert memo.weight == 4
-        assert memo.get(("ground truth", 1)) == "empty map"
-        assert memo.get(("manifest", 3)) is None
-        assert list(memo.entries) == [("manifest", 2), ("ground truth", 1)]
+    def test_an_entry_weighs_at_least_1(self, monkeypatch, tmp_path):
+        empty, image = tmp_path / "empty.maps", tmp_path / "image.json"
+        empty.write_text("\n")
+        image.write_text("{}")
+        late_clock(monkeypatch)
+        assert cli._parse_file(empty, "ground truth", lambda f: "map", lambda v: 0) == "map"
+        assert cli._parse_file(image, "manifest", lambda f: "image", lambda v: 3) == "image"
+        assert kept_weight() == 4
 
     def test_an_image_that_maps_page_0_runs_warm_as_cold(self, monkeypatch, tmp_path):
         # zero is a pointer there, so every all-zero page relocates: the
@@ -1498,11 +1502,11 @@ class TestKeptInputs:
         late = cli.time_ns() + 3600 * 10**9
         clock_at(monkeypatch, 0)  # every load is racy, so each run shifts its own parse
         cold = [emit_report(run_pipeline(config)) for config in configs]
-        assert not cli._KEPT.entries
+        assert not cli._KEPT
         clock_at(monkeypatch, late)
         warm = [emit_report(run_pipeline(config)) for config in configs]
         assert warm == cold
-        [(image, _)] = cli._KEPT.entries.values()
+        [(image, _)] = cli._KEPT.values()
         zero = [base for base, page in image.space.pages.items() if page.data == _ZERO_PAGE]
         assert len(zero) >= 64
         assert [base for base, words in image.relocations.items() if words is None] == zero
@@ -1519,7 +1523,7 @@ class TestKeptInputs:
                 if words is not None} == want
         assert sum(map(len, want.values())) < PAGE_SIZE // 8 * len(want)
 
-    def test_the_page_bound_evicts_the_least_recently_used(self, monkeypatch, tmp_path):
+    def test_a_load_past_the_page_bound_empties_the_table(self, monkeypatch, tmp_path):
         paths = []
         for name in ("a", "b", "c"):
             paths.append(tmp_path / f"{name}.json")
@@ -1530,22 +1534,14 @@ class TestKeptInputs:
         monkeypatch.setattr(cli, "MAX_MANIFEST_PAGES", 2 * pages)
         late_clock(monkeypatch)
         parsed = counted_parses(monkeypatch)
-
-        def load(path: str) -> None:
+        inode = {path: os.stat(path).st_ino for path in (a, b, c)}
+        # each load, then the parses so far and the images kept after it
+        for path, parses, kept in [
+            (a, 1, {a}), (a, 1, {a}), (b, 2, {a, b}), (b, 2, {a, b}), (a, 2, {a, b}),
+            (c, 3, {c}), (c, 3, {c}), (a, 4, {a, c}), (b, 5, {b}),
+        ]:
             run_pipeline(PipelineConfig(image_path=path, stop_after="probe"))
-
-        for path in (a, a, b, b):
-            load(path)
-        load(a)  # a hit: b is now the least recently used
-        assert len(parsed) == 2
-        load(c)
-        load(c)
-        assert len(parsed) == 3
-        kept = {key[2] for key in cli._KEPT.entries}
-        assert kept == {os.stat(a).st_ino, os.stat(c).st_ino}
-        assert cli._KEPT.weight == 2 * pages
-        load(a)
-        assert len(parsed) == 3
-        load(b)
-        assert len(parsed) == 4
+            assert len(parsed) == parses
+            assert {key[2] for key in cli._KEPT} == {inode[p] for p in kept}
+            assert kept_weight() == len(kept) * pages
 

@@ -1267,6 +1267,9 @@ def test_shared_pages_match_the_copy_every_page_reference(seed, sizes, scratch, 
         assert after == page_bytes(reference)
         assert {b: p.perms for b, p in space.pages.items()} == {
             b: p.perms for b, p in reference.pages.items()}
+        # no kernel-half page is user-accessible: the probes and instruction
+        # fetch rely on it, and do not check the address again
+        assert not any(p.perms.user_accessible for b, p in space.pages.items() if b >= USER_TOP)
         if op[0] != "shift":  # a write changes no page but its own
             assert {b for b in before if before[b] != after[b]} <= touched
         # no page changes once built, so dict(space.pages) was a snapshot
