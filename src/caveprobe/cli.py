@@ -49,7 +49,7 @@ EXIT_STAGE_ERROR = 2
 EXIT_VERDICT_FAILURE = 3
 
 # what the report splits by stage: the transactions and retries the
-# attacker pays for
+# attacker pays for, in the order of ``Prober.totals``
 STAGE_COUNTERS = ("read_tx", "write_tx", "retries")
 
 _ASLR_PAGE_BITS = 28  # pages of entropy for the base shift
@@ -179,9 +179,15 @@ def _write_json(value, pad: str, out: list[str]) -> None:
             _write_json(item, inner, out)
             sep = "," + inner
         out.append(pad + "]")
-    elif isinstance(value, int) and not isinstance(value, bool):
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, int):
         out.append(int.__repr__(value))
-    else:  # bool, None, float; anything else raises TypeError there
+    else:  # float; anything else raises TypeError there
         out.append(json.dumps(value))
 
 
@@ -362,7 +368,7 @@ class Pipeline:
     truth: GroundTruthMap | None = None
     # gadgets
     catalog: gadgets.GadgetCatalog | None = None
-    # inject
+    # inject; a linear probe stage sets victim, the frame it found
     victim: injector.VictimFrame | None = None
     image: injector.FakeFrameImage | None = None
     canary_before: bytes | None = None
@@ -376,17 +382,18 @@ class Pipeline:
         except Exception as exc:
             raise StageError("load", exc) from exc
         prober = self.pagemap.prober
+        before = prober.totals()
         for stage, body in _STAGE_TABLE:
-            before = prober.counters
             try:
                 body(self)
             except Exception as exc:
                 raise StageError(stage, exc) from exc
             self.report.stages.append(stage)
-            after = prober.counters
+            after = prober.totals()
             self.report.stage_counters[stage] = {
-                k: after.get(k, 0) - before.get(k, 0) for k in STAGE_COUNTERS
+                k: n - m for k, n, m in zip(STAGE_COUNTERS, after, before)
             }
+            before = after
             if stage == self.config.stop_after:
                 break
         # the store's totals after the last stage: what --explore-budget caps
@@ -420,7 +427,9 @@ def _load(ctx: Pipeline) -> None:
 
 def _probe(ctx: Pipeline) -> None:
     cfg = ctx.config
-    explorer.explore(ctx.pagemap, cfg.mode, ctx.stack_pointer)
+    frame = explorer.explore(ctx.pagemap, cfg.mode, ctx.stack_pointer)
+    if frame is not None:
+        ctx.victim = injector.VictimFrame(*frame)
     ctx.report.exploration = {"mode": cfg.mode}
 
 
@@ -464,7 +473,9 @@ def _caves(ctx: Pipeline) -> None:
 
 def _inject(ctx: Pipeline) -> None:
     cfg = ctx.config
-    victim = injector.locate_victim_frame(ctx.pagemap, ctx.stack_pointer)
+    # a frame the probe stage found is the one a search would find now: the
+    # pages it read and clawed are stored, and no verdict changes
+    victim = ctx.victim or injector.locate_victim_frame(ctx.pagemap, ctx.stack_pointer)
     marker_value = None
     if cfg.restore == "payload":
         marker_value = random.Random(f"{cfg.seed}:marker").getrandbits(64) | 1

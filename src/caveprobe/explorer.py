@@ -23,6 +23,7 @@ DEFAULT_BUDGET = 4096
 MAX_GAP = 64
 
 _WORD = struct.Struct("<Q")
+_PAIR = struct.Struct("<QQ")  # a saved (rbp, rip) slot pair
 _PAGE_MASK = ~(PAGE_SIZE - 1)
 
 
@@ -248,29 +249,33 @@ def frame_above(pm: PageMap, stack_ptr: int) -> tuple[int, int, int]:
     return address on a page that claws read-only through ``pm``: its
     probe verdict vouches for it, and a page already stored costs nothing.
     The canary slot just below it must not lie below ``stack_ptr``, where
-    the stack may end.
+    the stack may end.  The slots are read a stack page at a time, with
+    the 8 bytes of the pair that crosses the page's end.
     """
     lo, hi = region_around(pm, stack_ptr)
-    slots = range((stack_ptr + 7) & ~7, hi - 15, 8)
-    for slot in slots:
-        if slot - 8 < stack_ptr:
-            continue
-        raw = pm.read(slot, 16)
-        rbp = int.from_bytes(raw[:8], "little")
-        rip = int.from_bytes(raw[8:], "little")
-        rip_page = AddressSpace.page_base(rip)
-        if slot < rbp < hi and rip < USER_TOP and pm.claw(rip_page) is READ_ONLY:
-            return slot, rbp, rip
+    unpack = _PAIR.unpack_from
+    at = (stack_ptr + 15) & ~7  # the first slot whose canary is not below
+    end = hi - 8  # the slot of a pair must leave room for its rip
+    while at < end:
+        stop = min((at & _PAGE_MASK) + PAGE_SIZE, end)
+        raw = pm.read(at, stop + 8 - at)
+        for slot in range(at, stop, 8):
+            rbp, rip = unpack(raw, slot - at)
+            if slot < rbp < hi and rip < USER_TOP and pm.claw(rip & _PAGE_MASK) is READ_ONLY:
+                return slot, rbp, rip
+        at = stop
     raise NoFrameError(
         f"no plausible frame above the stack pointer {stack_ptr:#x}: "
-        f"scanned {len(slots)} slots of the stack region {lo:#x}-{hi:#x}"
+        f"scanned {len(range((stack_ptr + 7) & ~7, hi - 15, 8))} slots "
+        f"of the stack region {lo:#x}-{hi:#x}"
     )
 
 
-def explore(pm: PageMap, mode: str, stack_pointer: int) -> PageMap:
+def explore(pm: PageMap, mode: str, stack_pointer: int) -> tuple[int, int, int] | None:
     """Run one exploration strategy from the stack pointer, the only
     address the attacker is given, through ``pm``; it stops gracefully when
-    the store's budget is spent.
+    the store's budget is spent.  Returns the ``frame_above`` the stack
+    pointer that the strategy found, else None.
 
     ``linear``: gap-limited bidirectional sweep around the stack pointer,
     then around the saved return address of the first frame above it; it
@@ -280,18 +285,19 @@ def explore(pm: PageMap, mode: str, stack_pointer: int) -> PageMap:
     ``pointer-chase`` and ``hybrid``: breadth-first pointer harvest from the
     stack pointer.  A sweep to its first hit would stop on the stack
     pointer's own page, which a paused host always has, so ``hybrid``
-    probes as the pointer chase does.
+    probes as the pointer chase does; neither looks for a frame.
     """
+    frame = None
     try:
         if mode == "linear":
             _sweep(pm, stack_pointer)
-            _, _, code_anchor = frame_above(pm, stack_pointer)
-            _sweep(pm, code_anchor)
+            frame = frame_above(pm, stack_pointer)
+            _sweep(pm, frame[2])  # from the saved return address
         else:
             explore_from_pointers(pm, (stack_pointer,))
     except ExploreBudgetError:
         pass  # a later stage that needs one more page fails on it instead
-    return pm
+    return frame
 
 
 def region_around(pm: PageMap, addr: int) -> tuple[int, int]:

@@ -80,8 +80,8 @@ class Prober:
     ``spurious_abort_probability`` is the per-attempt chance of a transient
     abort on an otherwise fine access; ``rng_seed`` seeds those aborts.
     With ``trace=True`` every primitive call is appended to ``trace_log``
-    as ``(op, addr, result)``.  The counts live in slots, and ``counters``
-    is their dict view.
+    as ``(op, addr, result)``.  The counts live in slots; ``counters`` is
+    their dict view, and ``totals`` the three a report splits by stage.
     """
 
     __slots__ = (
@@ -106,15 +106,24 @@ class Prober:
         ``read_tx``, ``write_tx``, ``taps``, ``claws``, ``retries`` and
         ``safe_writes``; read it with ``.get(key, 0)``, and read it again
         for later counts."""
+        read_tx, write_tx, retries = self.totals()
         counts = {
-            "read_tx": self._taps + self._retried["read_tx"],
-            "write_tx": self._claws + self._retried["write_tx"],
+            "read_tx": read_tx,
+            "write_tx": write_tx,
             "taps": self._taps,
             "claws": self._claws,
-            "retries": sum(self._retried.values()),
+            "retries": retries,
             "safe_writes": self._safe_writes,
         }
         return {key: n for key, n in counts.items() if n}
+
+    def totals(self) -> tuple[int, int, int]:
+        """``read_tx``, ``write_tx`` and ``retries`` so far, zeros
+        included: the counts a report splits by stage, without building
+        ``counters``."""
+        read_retries, write_retries = self._retried.values()
+        return (self._taps + read_retries, self._claws + write_retries,
+                read_retries + write_retries)
 
     # -- classification probes ----------------------------------------------
 

@@ -235,6 +235,29 @@ def reference_region_around(pm: explorer.PageMap, addr: int) -> tuple[int, int]:
     return lo, hi
 
 
+def reference_frame_above(pm: explorer.PageMap, stack_ptr: int) -> tuple[int, int, int]:
+    """``explorer.frame_above`` as it stood before it read the stack a page
+    at a time, kept as an oracle for it: every slot from the stack
+    pointer's first aligned word up to the last whole pair of the extent
+    is visited in turn, and each one past the first canary slot reads its
+    pair with one 16-byte ``PageMap.read``."""
+    lo, hi = explorer.region_around(pm, stack_ptr)
+    slots = range((stack_ptr + 7) & ~7, hi - 15, 8)
+    for slot in slots:
+        if slot - 8 < stack_ptr:
+            continue
+        raw = pm.read(slot, 16)
+        rbp = int.from_bytes(raw[:8], "little")
+        rip = int.from_bytes(raw[8:], "little")
+        rip_page = AddressSpace.page_base(rip)
+        if slot < rbp < hi and rip < USER_TOP and pm.claw(rip_page) is READ_ONLY:
+            return slot, rbp, rip
+    raise explorer.NoFrameError(
+        f"no plausible frame above the stack pointer {stack_ptr:#x}: "
+        f"scanned {len(slots)} slots of the stack region {lo:#x}-{hi:#x}"
+    )
+
+
 _find_caves = caves.find_caves
 
 

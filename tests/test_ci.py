@@ -1,12 +1,13 @@
-"""Pins of the CI workflow to README, pyproject.toml and the tests.  It
-runs README's tier-1 command on Pythons from the requires-python floor up,
-checks that the acceptance tests print their eight PASS lines, records
-src/'s line count on the summary page, and smoke-runs the benchmark with
-its pinned report digests.  After ``pip install .`` it runs the console
-script in every mode and every row of tests/scenarios.py from outside the
-checkout, rebuilds the demo image with the installed package, and runs
-README's install commands as written.  The digest script and the scenario
-runner are checked here too: each must fail when its input is wrong."""
+"""Pins of the CI workflow to README, pyproject.toml and the tests.  Its
+tests job has a time limit.  It runs README's tier-1 command on Pythons
+from the requires-python floor up, checks that the acceptance tests print
+their eight PASS lines, records src/'s line count on the summary page,
+and smoke-runs the benchmark with its pinned report digests.  After
+``pip install .`` it runs the console script in every mode and every row
+of tests/scenarios.py from outside the checkout, rebuilds the demo image
+with the installed package, and runs README's install commands as
+written.  The digest script and the scenario runner are checked here
+too: each must fail when its input is wrong."""
 
 import os
 import re
@@ -59,6 +60,15 @@ def test_lowest_workflow_python_is_the_requires_python_floor():
     floor = re.search(r'^requires-python = ">=([0-9.]+)"$', project, re.M)
     assert floor, 'pyproject.toml has no requires-python = ">=X.Y" line'
     assert min(matrix, key=version) == floor.group(1)
+
+
+def test_tests_job_has_a_timeout():
+    # without one, a hung run holds its runner for GitHub's 6-hour default
+    text = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
+    job = text.split("\n  tests:\n", 1)[1].split("\n    steps:\n", 1)[0]
+    match = re.search(r"^    timeout-minutes: ([0-9]+)$", job, re.M)
+    assert match, "tier1.yml's tests job has no timeout-minutes"
+    assert 0 < int(match.group(1)) <= 60
 
 
 def workflow_step(name: str) -> str:

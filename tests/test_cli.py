@@ -18,7 +18,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, strategies as st
 
-from caveprobe import cli, explorer, gadgets, machine, memspace
+from caveprobe import cli, explorer, gadgets, injector, machine, memspace, synth
 from caveprobe.cli import (
     EXIT_OK,
     EXIT_STAGE_ERROR,
@@ -34,7 +34,7 @@ from caveprobe.cli import (
 )
 from caveprobe.gadgets import CHAIN_VARIANTS
 from caveprobe.memspace import _ZERO_PAGE, PAGE_SIZE, USER_TOP, AddressSpace, Page
-from caveprobe.probe import ProbeOutcome, Prober, Writability
+from caveprobe.probe import READ_ONLY, WRITABLE, ProbeOutcome, Prober, Writability
 from caveprobe.synth import build_victim_image
 from helpers import page_bytes, read_image, runs_of, settled_store
 
@@ -367,6 +367,37 @@ class TestPipeline:
             and out is not ProbeOutcome.RETRYABLE_ABORT
         ]
         assert len(settled) == len(set(settled))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_run_searches_for_the_victim_frame_once(self, monkeypatch, tmp_path, mode):
+        # linear finds the frame in its probe stage, to reach the code, and
+        # keeps it for the inject stage; the other modes search only there
+        searched = []
+        search = explorer.frame_above
+
+        def spy(pm, stack_ptr):
+            searched.append(stack_ptr)
+            return search(pm, stack_ptr)
+
+        monkeypatch.setattr(explorer, "frame_above", spy)
+        img = build_victim_image(5, code_pages=16, cave_pages=16, stack_pages=16)
+        synth_16 = tmp_path / "synth-16.json"
+        synth_16.write_text(img.manifest_text)
+        for image, seed, prob in ((DEMO, 3, 0.0), (synth_16, 4, 0.3)):
+            config = PipelineConfig(image_path=str(image), mode=mode, seed=seed,
+                                    spurious_prob=prob)
+            searched.clear()
+            pipe = Pipeline(config)
+            assert pipe.run().all_verdicts_pass()
+            assert searched == [pipe.stack_pointer]
+            # the store as the inject stage meets it: a new search of it
+            # finds the frame the run used, and pays no transaction
+            kept = Pipeline(dataclasses.replace(config, stop_after="caves"))
+            kept.run()
+            assert kept.victim == (pipe.victim if mode == "linear" else None)
+            spent = kept.pagemap.prober.counters
+            assert injector.locate_victim_frame(kept.pagemap, kept.stack_pointer) == pipe.victim
+            assert kept.pagemap.prober.counters == spent
 
     @pytest.mark.parametrize("mode", ["linear", "hybrid"])
     def test_large_region_is_one_run(self, tmp_path, mode):
@@ -1192,6 +1223,48 @@ NATIVE_READERS = {
     cli._inject.__code__,
     cli._execute.__code__,
 }
+
+
+def adjacent_segments_image(seed: int) -> synth.VictimImage:
+    """The synth image of ``seed`` with its rodata and data moved down to
+    follow the code directly, as an ELF maps its segments; every other
+    region keeps its place, past a gap."""
+    layout = synth._layout
+
+    def adjacent(rng, spec):
+        regions = layout(rng, spec)
+        start, length, _ = regions["code"]
+        for name in ("rodata", "data"):
+            start += length
+            _, length, perms = regions[name]
+            regions[name] = (start, length, perms)
+        return regions
+
+    with patch.object(synth, "_layout", adjacent):
+        return build_victim_image(seed)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_adjacent_code_rodata_and_data_are_one_extent_of_two_classes(tmp_path, mode):
+    for image_seed in range(3):
+        img = adjacent_segments_image(image_seed)
+        code, rodata, data = (img.truth.regions[name] for name in ("code", "rodata", "data"))
+        assert code[0] + code[1] == rodata[0] and rodata[0] + rodata[1] == data[0]
+        manifest, maps = tmp_path / f"{image_seed}.json", tmp_path / f"{image_seed}.maps"
+        manifest.write_text(img.manifest_text)
+        maps.write_text(img.maps_text)
+        for seed in range(3):
+            report = run_pipeline(PipelineConfig(
+                image_path=str(manifest), ground_truth_path=str(maps), mode=mode, seed=seed))
+            assert report.all_verdicts_pass()
+            assert report.verdicts["map-match"]
+            # the map splits the one extent by class: code and rodata are
+            # read-only, data writable; no other run touches another
+            off = report.aslr_offset
+            runs = report.reconstructed.runs
+            assert (code[0] + off, data[0] + off, READ_ONLY) in runs
+            assert (data[0] + off, data[0] + data[1] + off, WRITABLE) in runs
+            assert report.exploration["extents"] == len(runs) - 1
 
 
 @given(

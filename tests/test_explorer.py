@@ -40,7 +40,7 @@ from caveprobe.synth import build_victim_image
 from helpers import (
     DEMO, NONE, claw_range, make_space, page_by_page_caves, page_by_page_census,
     page_by_page_match, page_class, random_permed_space, reference_explore,
-    reference_walk, run_main,
+    reference_frame_above, reference_walk, run_main,
 )
 
 
@@ -84,7 +84,8 @@ class TestHarvest:
             (0x70000000, 2 * PAGE_SIZE, "rwu", ptr_page(0x70001008, 0x100008)),
         )
         with patch.object(explorer, "harvest_pointers", spy):
-            pm = explore(quiet_store(space), "pointer-chase", 0x100000)
+            pm = quiet_store(space)
+            explore(pm, "pointer-chase", 0x100000)
         assert 0x70001000 in pm.accessible_pages()
         assert len(lengths) >= 3 and set(lengths) == {PAGE_SIZE}
 
@@ -197,11 +198,13 @@ class TestExploreModes:
             (0x100000, PAGE_SIZE, "ru", ptr_page(0x70000000)),
             (0x70000000, PAGE_SIZE, "rwu", b""),
         )
-        pm = explore(quiet_store(space), "pointer-chase", 0x100000)
+        pm = quiet_store(space)
+        explore(pm, "pointer-chase", 0x100000)
         assert 0x70000000 in pm.accessible_pages()
 
     def test_hybrid_combines_both(self):
-        pm = explore(quiet_store(self.layout()), "hybrid", 0x112008)
+        pm = quiet_store(self.layout())
+        explore(pm, "hybrid", 0x112008)
         # the sweep finds the data page; the harvest then reaches the code
         assert 0x100000 in pm.accessible_pages()
 
@@ -388,7 +391,8 @@ class TestFrameAbove:
         return space
 
     def test_linear_reaches_code_only_the_return_address_points_to(self):
-        pm = explore(quiet_store(self.layout()), "linear", self.STACK + 0x700)
+        pm = quiet_store(self.layout())
+        explore(pm, "linear", self.STACK + 0x700)
         assert pm.entries[self.CODE] is Writability.READ_ONLY
         # the second sweep grew the code run past the return address's page
         assert self.CODE + PAGE_SIZE in pm.accessible_pages()
@@ -397,7 +401,8 @@ class TestFrameAbove:
         # the return address is harvested as a pointer, so its page is
         # found, but nothing sweeps past it
         for mode in ("pointer-chase", "hybrid"):
-            pm = explore(quiet_store(self.layout()), mode, self.STACK + 0x700)
+            pm = quiet_store(self.layout())
+            explore(pm, mode, self.STACK + 0x700)
             assert self.CODE in pm.accessible_pages()
             assert self.CODE + PAGE_SIZE not in pm.entries
 
@@ -433,6 +438,113 @@ class TestFrameAbove:
             explore(pm, "linear", self.STACK - 0x1000)
         assert self.STACK in pm.accessible_pages()
         assert self.CODE not in pm.entries
+
+
+# The paged frame search against the per-slot reference in helpers.py: one
+# stack of a few pages over a page of drawn perms, a read-only code page a
+# return address can be vouched for on, a second one no probe has stored,
+# and a writable page where one is refused.
+FRAME_STACK = 0x7F0000000000
+FRAME_CODE = 0x400000
+FRAME_CODE2 = 0x480000
+FRAME_DATA = 0x600000
+RIPS = {
+    "code": FRAME_CODE, "code2": FRAME_CODE2, "data": FRAME_DATA,
+    "unmapped": 0x500000, "kernel": USER_TOP,
+}
+
+
+def frame_stack(stack_pages, below, frames, junk=None) -> AddressSpace:
+    """The stack of ``stack_pages`` pages at FRAME_STACK, zero or filled
+    with the random words of seed ``junk``, over a page of perms ``below``
+    (None: unmapped).  Each of ``frames``, (word index, link, rip kind,
+    offset), writes a pair at that word of the stack: a saved rbp ``link``
+    words above the slot (0: zero) and a return address ``offset`` bytes
+    into the page of the ``RIPS`` kind; pairs written later win."""
+    size = stack_pages * PAGE_SIZE
+    blob = bytearray(size if junk is None else random.Random(junk).randbytes(size))
+    for index, link, kind, offset in frames:
+        slot = 8 * (index % (size // 8 - 1))
+        rbp = FRAME_STACK + slot + 8 * link if link else 0
+        blob[slot:slot + 16] = struct.pack("<QQ", rbp, RIPS[kind] + offset)
+    regions = [(FRAME_STACK, size, "rwu", bytes(blob)),
+               (FRAME_CODE, PAGE_SIZE, "rxu", b""),
+               (FRAME_CODE2, PAGE_SIZE, "ru", b""),
+               (FRAME_DATA, PAGE_SIZE, "rwu", b"")]
+    if below is not None:
+        regions.append((FRAME_STACK - PAGE_SIZE, PAGE_SIZE, below, b""))
+    return make_space(*regions)
+
+
+def frame_search(search, space, stack_ptr, abort_prob=0.0, seed=0):
+    """What ``search`` gives on a new store of ``space``: the frame, or the
+    NoFrameError text, with the prober's counters and the verdicts stored,
+    in the order they were."""
+    pm = PageMap(space, Prober(abort_prob, seed))
+    try:
+        got = search(pm, stack_ptr)
+    except NoFrameError as exc:
+        got = str(exc)
+    return got, pm.prober.counters, list(pm.entries.items())
+
+
+@given(
+    stack_pages=st.integers(1, 3),
+    below=st.sampled_from((None, "", "ru", "rwu")),
+    sp_page=st.integers(0, 2),
+    # every 8-byte offset of a page is drawn as often as any other offset
+    sp_off=st.integers(0, PAGE_SIZE // 8 - 1).map(lambda i: 8 * i)
+    | st.integers(0, PAGE_SIZE - 1),
+    frames=st.lists(st.tuples(
+        st.integers(0, 3 * PAGE_SIZE // 8),
+        st.integers(0, 600),
+        st.sampled_from(sorted(RIPS)),
+        st.integers(0, PAGE_SIZE - 1),
+    ), max_size=6),
+    junk=st.none() | st.integers(0, 2**32 - 1),
+    abort_prob=st.sampled_from((0.0, 0.3)),
+)
+# a pair straddling the end of the stack's first page, above the stack
+# pointer, and one below the stack pointer that the search must skip
+@example(stack_pages=2, below=None, sp_page=0, sp_off=0x800,
+         frames=[(511, 4, "code", 0x234), (100, 4, "code", 0x10)],
+         junk=None, abort_prob=0.0)
+# the last pair of the stack, at hi - 16, found after a refused one
+@example(stack_pages=3, below="rwu", sp_page=1, sp_off=0x7F3,
+         frames=[(3 * 512 - 2, 1, "code2", 0x8), (600, 2, "data", 0)],
+         junk=None, abort_prob=0.3)
+# nothing plausible: the text names the slots and the grown region
+@example(stack_pages=2, below="ru", sp_page=1, sp_off=0xFF1,
+         frames=[], junk=7, abort_prob=0.0)
+def test_paged_frame_search_matches_the_per_slot_reference(
+    stack_pages, below, sp_page, sp_off, frames, junk, abort_prob
+):
+    space = frame_stack(stack_pages, below, frames, junk)
+    stack_ptr = FRAME_STACK + (sp_page % stack_pages) * PAGE_SIZE + sp_off
+    seed = sp_off
+    assert (frame_search(frame_above, space, stack_ptr, abort_prob, seed)
+            == frame_search(reference_frame_above, space, stack_ptr, abort_prob, seed))
+
+
+def test_paged_frame_search_matches_from_every_word_of_a_page():
+    # a pair straddling the first page's end and one in the last slot of
+    # the second, at hi - 16: a stack pointer below the first finds it,
+    # one above finds the last, and one in the top words finds neither
+    hi = FRAME_STACK + 2 * PAGE_SIZE
+    space = frame_stack(2, "", [(511, 2, "code", 0x40), (1022, 1, "code2", 0x80)])
+    found = []
+    for stack_ptr in range(FRAME_STACK, hi, 8):
+        for unaligned in (0, 3) if stack_ptr % 0x100 == 0 else (0,):
+            got = frame_search(frame_above, space, stack_ptr + unaligned)
+            assert got == frame_search(reference_frame_above, space, stack_ptr + unaligned)
+            found.append(got[0] if isinstance(got[0], str) else got[0][0])
+    # below each pair: 511 aligned stack pointers, and 16 unaligned ones
+    assert found.count(FRAME_STACK + 0xFF8) == found.count(hi - 16) == 511 + 16
+    assert [f for f in found if isinstance(f, str)] == [
+        f"no plausible frame above the stack pointer {stack_ptr:#x}: "
+        f"scanned {n} slots of the stack region {FRAME_STACK:#x}-{hi:#x}"
+        for stack_ptr, n in ((hi - 16, 1), (hi - 8, 0))
+    ]
 
 
 def reference_linear_sweep(space, anchors, gap) -> dict[int, bool]:
@@ -471,8 +583,8 @@ def test_linear_store_matches_tap_only_sweep(
     anchors = (img.truth.stack_pointer, img.truth.saved_rip)
     prober = Prober(abort_prob, image_seed)
     with patch.object(explorer, "MAX_GAP", gap):
-        pm = explore(PageMap(space, prober, budget), "linear",
-                     img.truth.stack_pointer)
+        pm = PageMap(space, prober, budget)
+        explore(pm, "linear", img.truth.stack_pointer)
     want = list(reference_linear_sweep(space, anchors, gap).items())
     assert [
         (b, v is not Writability.INACCESSIBLE) for b, v in pm.entries.items()
@@ -763,7 +875,8 @@ class TestPageMapStore:
 
     def test_explore_stops_at_the_budget_it_stores(self):
         space = make_space((0x10000, 8 * PAGE_SIZE, "ru", b""))
-        pm = explore(quiet_store(space, budget=3), "linear", 0x12000)
+        pm = quiet_store(space, budget=3)
+        explore(pm, "linear", 0x12000)
         assert len(pm.entries) == 3 and pm.budget == 3
 
     def test_region_around_reuses_stored_verdicts(self):
