@@ -29,8 +29,8 @@ from .memspace import (
     USER_TOP,
     AddressSpace,
     GroundTruthMap,
-    Layout,
     ManifestError,
+    PageRun,
     _clip,
     load_manifest,
     parse_hex,
@@ -131,7 +131,10 @@ class AttackReport:
         if "probe" in self.stages:
             obj["exploration"] = self.exploration
         if self.reconstructed is not None:
-            obj["reconstructed-map"] = self.reconstructed.to_json_obj()
+            obj["reconstructed-map"] = [
+                {"start": f"{r.start:#x}", "end": f"{r.end:#x}", "class": r.kind.value}
+                for r in self.reconstructed.runs
+            ]
             if self.config.ground_truth_path is not None:
                 obj["map-mismatches"] = list(self.map_mismatches)
         if "gadgets" in self.stages:
@@ -312,7 +315,7 @@ class _Image:
 
     space: AddressSpace
     stack_pointer: int
-    layout: Layout
+    layout: list[PageRun]
     relocations: dict | None = None  # space.relocations(layout)
 
 
@@ -337,15 +340,15 @@ def _read_maps(file: BinaryIO) -> GroundTruthMap:
     return parse_proc_maps(file.read().decode())
 
 
-def _aslr_offset(seed: int, layout: Layout) -> int:
+def _aslr_offset(seed: int, layout: list[PageRun]) -> int:
     """Draw the base shift for ``seed``: 2**28 pages of entropy.  A draw
     that would push the highest user page past the user half is replaced
     by a second draw from the same RNG over the pages left above it, so
     every seed that fitted before keeps its offset."""
     rng = random.Random(f"{seed}:aslr")
     pages = rng.randrange(1 << _ASLR_PAGE_BITS)
-    if layout.ends:
-        room = (USER_TOP - layout.ends[-1]) // PAGE_SIZE
+    if layout:
+        room = (USER_TOP - layout[-1].end) // PAGE_SIZE
         if pages > room:
             pages = rng.randrange(room + 1)
     return pages * PAGE_SIZE

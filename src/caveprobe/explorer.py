@@ -183,12 +183,6 @@ class ReconstructedMap:
 
     runs: tuple[PageRun, ...]
 
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {"start": f"{r.start:#x}", "end": f"{r.end:#x}", "class": r.kind.value}
-            for r in self.runs
-        ]
-
 
 def harvest_pointers(page_bytes: bytes) -> list[int]:
     """Extract pointer candidates from one page's bytes in word order:
@@ -347,7 +341,7 @@ def match_ground_truth(pm: PageMap, truth: GroundTruthMap) -> list[str]:
             elif regions[ri].start > at:
                 hi = min(regions[ri].start, end)
             else:
-                hi, perms = min(regions[ri].end, end), regions[ri].perms
+                hi, perms = min(regions[ri].end, end), regions[ri].kind
                 if perms.readable and perms.user_accessible:
                     want = WRITABLE if perms.writable else READ_ONLY
             if got is not want and (got is not ACCESSIBLE or want is NO_ACCESS):

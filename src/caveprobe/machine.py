@@ -175,7 +175,7 @@ def _syscall(state: MachineState, space: AddressSpace,
 def _mprotect(space: AddressSpace, addr: int, length: int, prot: int) -> int:
     if addr % PAGE_SIZE or prot & ~(PROT_READ | PROT_WRITE | PROT_EXEC):
         return -EINVAL
-    if addr >= USER_TOP:
+    if addr >= USER_TOP or addr + length > USER_TOP:
         return -ENOMEM
     # the kernel rounds the length up to whole pages; zero is a no-op
     length = (length + PAGE_SIZE - 1) // PAGE_SIZE * PAGE_SIZE
@@ -193,8 +193,6 @@ def _mprotect(space: AddressSpace, addr: int, length: int, prot: int) -> int:
         space.set_protection(addr, length, perms)
     except MemoryFault:
         return -ENOMEM
-    except ValueError:
-        return -EINVAL
     return 0
 
 

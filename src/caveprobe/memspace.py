@@ -123,15 +123,6 @@ class Page:
     data: bytes | bytearray
 
 
-class Layout(NamedTuple):
-    """Where a space's user-half pages lie: the starts and ends of its runs
-    of adjacent pages, in address order.  A shift reads nothing else of the
-    page keys."""
-
-    starts: tuple[int, ...]
-    ends: tuple[int, ...]
-
-
 class AddressSpace:
     """Sparse map of page base address to :class:`Page`.
 
@@ -280,12 +271,12 @@ class AddressSpace:
             else:
                 pages[base] = Page(perms, data)
 
-    def layout(self) -> Layout:
-        """The runs of adjacent user-half pages mapped now."""
-        runs = page_runs(zip(sorted(b for b in self.pages if b < USER_TOP), repeat(None)))
-        return Layout(tuple(r.start for r in runs), tuple(r.end for r in runs))
+    def layout(self) -> list[PageRun]:
+        """The runs of adjacent user-half pages mapped now, each of kind
+        None.  A shift reads nothing else of the page keys."""
+        return page_runs(zip(sorted(b for b in self.pages if b < USER_TOP), repeat(None)))
 
-    def relocations(self, layout: Layout | None = None) -> dict[int, array | None]:
+    def relocations(self, layout: list[PageRun] | None = None) -> dict[int, array | None]:
         """The pages a shift of this space rewrites, by page base: the
         indices of the page's pointer words, or None for an all-zero page
         while page 0 is mapped, whose every word is zero and so a pointer.
@@ -310,20 +301,20 @@ class AddressSpace:
         Two bytes an index, so a page's entry is at most a quarter of its
         own bytes, and the all-zero pages, which share their bytes, add
         none."""
-        starts, ends = self.layout() if layout is None else layout
+        layout = self.layout() if layout is None else layout
         table: dict[int, array | None] = {}
-        if not starts:
+        if not layout:
             return table
         for base, page in self.pages.items():
             data = page.data
             if data == _ZERO_PAGE:
-                if not starts[0]:
+                if not layout[0].start:
                     table[base] = None
-            elif words := _pointer_words(data, starts, ends):
+            elif words := _pointer_words(data, layout):
                 table[base] = words
         return table
 
-    def shifted(self, offset: int, layout: Layout | None = None,
+    def shifted(self, offset: int, layout: list[PageRun] | None = None,
                 relocations: dict[int, array | None] | None = None) -> "AddressSpace":
         """A copy of this space moved the way a relocating loader moves an
         image to a new base: every user-half page up by ``offset``, and the offset
@@ -350,7 +341,7 @@ class AddressSpace:
             out.pages = dict(pages)
             return out
         layout = self.layout() if layout is None else layout
-        if layout.ends and layout.ends[-1] + offset > USER_TOP:
+        if layout and layout[-1].end + offset > USER_TOP:
             raise ValueError("shift pushes a page past the user half")
         if relocations is None:
             relocations = self.relocations(layout)
@@ -392,19 +383,18 @@ def lane_filter(data: bytes | bytearray, *, zero: bool = False) -> bytes:
     return marks.to_bytes(_WORDS, "little")
 
 
-def _pointer_words(data: bytes | bytearray, starts: tuple[int, ...],
-                   ends: tuple[int, ...]) -> array:
+def _pointer_words(data: bytes | bytearray, layout: list[PageRun]) -> array:
     """The indices of the aligned little-endian words of the page ``data``
-    that lie in one of the runs of user pages ``starts``/``ends``, the
-    words a shift relocates: of the words ``lane_filter`` marks, zero words
-    too when the first run starts at page 0, those the runs hold."""
-    marks = lane_filter(data, zero=not starts[0])
+    that lie in one of the runs of user pages ``layout``, the words a shift
+    relocates: of the words ``lane_filter`` marks, zero words too when the
+    first run starts at page 0, those the runs hold."""
+    marks = lane_filter(data, zero=not layout[0].start)
     words = array("H")
     i = marks.find(1)
     while i >= 0:
         w = _WORD.unpack_from(data, 8 * i)[0]
-        k = bisect_right(starts, w) - 1
-        if k >= 0 and w < ends[k]:
+        k = bisect_right(layout, (w, ADDR_TOP)) - 1  # the run holding w, if any
+        if k >= 0 and w < layout[k].end:
             words.append(i)
         i = marks.find(1, i + 1)
     return words
@@ -697,27 +687,19 @@ _MAPS_LINE = re.compile(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class MapsRegion:
-    """Bounds and permissions from one line of a maps-format file."""
-
-    start: int
-    end: int
-    perms: PagePermissions
-
-
 @dataclass(frozen=True)
 class GroundTruthMap:
-    """Parsed maps file: sorted, non-overlapping regions."""
+    """Parsed maps file: sorted, non-overlapping regions, each a run of
+    the :class:`PagePermissions` its line gives."""
 
-    regions: tuple[MapsRegion, ...]
+    regions: tuple[PageRun, ...]
 
     def shifted(self, offset: int) -> "GroundTruthMap":
         """Move user-half regions up by ``offset``; kernel lines stay put."""
         if offset % PAGE_SIZE or offset < 0:
             raise ValueError("offset must be a non-negative page multiple")
         moved = [
-            MapsRegion(r.start + offset, r.end + offset, r.perms)
+            PageRun(r.start + offset, r.end + offset, r.kind)
             if r.start < USER_TOP else r
             for r in self.regions
         ]
@@ -731,7 +713,7 @@ def parse_proc_maps(text: str) -> GroundTruthMap:
     shared.  User accessibility is inferred from the address half.  Every
     field is checked, though only bounds and permissions are kept.
     """
-    numbered: list[tuple[int, int, MapsRegion]] = []  # (start, line, region)
+    numbered: list[tuple[int, int, PageRun]] = []  # (start, line, region)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip()
         if not line:
@@ -753,7 +735,7 @@ def parse_proc_maps(text: str) -> GroundTruthMap:
             executable=field[2] == "x",
             user_accessible=start < USER_TOP,
         )
-        numbered.append((start, line_no, MapsRegion(start, end, perms)))
+        numbered.append((start, line_no, PageRun(start, end, perms)))
     numbered.sort()
     for (_, _, a), (_, line_no, b) in zip(numbered, numbered[1:]):
         if b.start < a.end:

@@ -332,7 +332,7 @@ def page_by_page_match(pm: explorer.PageMap, truth: GroundTruthMap) -> list[str]
         want = NO_ACCESS
         for region in truth.regions:
             if region.start <= base < region.end:
-                perms = region.perms
+                perms = region.kind
                 if perms.readable and perms.user_accessible:
                     want = WRITABLE if perms.writable else READ_ONLY
         got = pm.entries[base]

@@ -1,13 +1,14 @@
 """Pins of the CI workflow to README, pyproject.toml and the tests.  Its
-tests job has a time limit.  It runs README's tier-1 command on Pythons
-from the requires-python floor up, checks that the acceptance tests print
-their eight PASS lines, records src/'s line count on the summary page,
-and smoke-runs the benchmark with its pinned report digests.  After
-``pip install .`` it runs the console script in every mode and every row
-of tests/scenarios.py from outside the checkout, rebuilds the demo image
-with the installed package, and runs README's install commands as
-written.  The digest script and the scenario runner are checked here
-too: each must fail when its input is wrong."""
+token may only read the repository, and its tests job has a time limit.
+It runs README's tier-1 command on Pythons from the requires-python floor
+up, checks that the acceptance tests print their eight PASS lines,
+records src/'s line count on the summary page, and smoke-runs the
+benchmark with its pinned report digests.  After ``pip install .`` it
+runs the console script in every mode and every row of tests/scenarios.py
+from outside the checkout, rebuilds the demo image with the installed
+package, and runs README's install commands as written.  The digest
+script and the scenario runner are checked here too: each must fail when
+its input is wrong."""
 
 import os
 import re
@@ -69,6 +70,16 @@ def test_tests_job_has_a_timeout():
     match = re.search(r"^    timeout-minutes: ([0-9]+)$", job, re.M)
     assert match, "tier1.yml's tests job has no timeout-minutes"
     assert 0 < int(match.group(1)) <= 60
+
+
+def test_workflow_token_is_read_only():
+    # no step writes to the repository; one top-level block grants the
+    # token read access to its contents, and no job widens it
+    text = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
+    top = text.split("\njobs:\n", 1)[0] + "\n"
+    assert re.search(r"^permissions:\n  contents: read\n(?!  )", top, re.M), \
+        "tier1.yml has no top-level permissions: contents: read block"
+    assert re.findall(r"^ *permissions:", text, re.M) == ["permissions:"]
 
 
 def workflow_step(name: str) -> str:

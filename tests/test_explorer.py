@@ -26,7 +26,6 @@ from caveprobe.memspace import (
     USER_TOP,
     AddressSpace,
     GroundTruthMap,
-    MapsRegion,
     MemoryFault,
     PagePermissions,
     PageRun,
@@ -1219,7 +1218,7 @@ def hand_built_stores(draw):
             letters = (letters or "") if truth == "as-mapped" else truth
             perms = PagePermissions.from_rwxu(letters)
             cut = base + draw(st.integers(0, pages)) * PAGE_SIZE
-            regions += [MapsRegion(lo, hi, perms) for lo, hi in ((base, cut), (cut, end))
+            regions += [PageRun(lo, hi, perms) for lo, hi in ((base, cut), (cut, end))
                         if lo < hi]
         base = end
     pm = quiet_store(space)
@@ -1240,9 +1239,8 @@ def budget_cut_stores(draw):
     except ExploreBudgetError:
         pass
     mapped = sorted(space.pages)
-    regions = tuple(MapsRegion(lo, hi, perms) for lo, hi, perms in page_runs(
-        zip(mapped, (space.pages[b].perms for b in mapped))))
-    return pm, GroundTruthMap(regions)
+    regions = page_runs(zip(mapped, (space.pages[b].perms for b in mapped)))
+    return pm, GroundTruthMap(tuple(regions))
 
 
 @given(store=st.one_of(hand_built_stores(), budget_cut_stores()),

@@ -2,7 +2,7 @@ import random
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from caveprobe import injector
 from caveprobe import machine as m
@@ -119,9 +119,10 @@ class TestTraps:
         return state.trap_reason
 
     def test_undecodable(self):
-        # int3, then push rdi, mov rax, [rdi] and mov rbx, rax: the attack
-        # runs none of them, so the machine does not decode them
-        for code in (b"\xcc", b"\x57", b"\x48\x8b\x07", b"\x48\x89\xc3"):
+        # int3, ud2 (0F but not syscall), then push rdi, mov rax, [rdi] and
+        # mov rbx, rax: the attack runs none of them, so the machine does
+        # not decode them
+        for code in (b"\xcc", b"\x0f\x0b", b"\x57", b"\x48\x8b\x07", b"\x48\x89\xc3"):
             state = ready_state()
             assert self.trap_of(machine_space(code), state) == "undecodable", code
 
@@ -289,6 +290,21 @@ class TestSyscalls:
             space, rax=m.SYS_MPROTECT, rdi=USER_TOP, rsi=8, rdx=m.PROT_READ
         )
         assert state.reg("rax") == (-m.ENOMEM) & ((1 << 64) - 1)
+
+    def test_mprotect_past_user_half_enomem(self):
+        # both pages are mapped, but the range ends past the user half
+        space = make_space(
+            (CODE, PAGE_SIZE, "rxu", b"\x0f\x05"),
+            (USER_TOP - PAGE_SIZE, PAGE_SIZE, "rwu", b""),
+            (USER_TOP, PAGE_SIZE, "rw", b""),
+        )
+        before = space_digest(space)
+        state, _ = self.run_syscall(
+            space, rax=m.SYS_MPROTECT, rdi=USER_TOP - PAGE_SIZE,
+            rsi=2 * PAGE_SIZE, rdx=m.PROT_READ,
+        )
+        assert state.reg("rax") == (-m.ENOMEM) & ((1 << 64) - 1)
+        assert space_digest(space) == before
 
     def test_mprotect_zero_length_noop(self):
         space = machine_space(b"\x0f\x05")
@@ -509,6 +525,16 @@ def straddling_programs(draw):
 
 
 @given(straddling_programs())
+# mov [rdi], rsi whose ModRM byte starts the next page: a draw reaches that
+# fetch only by chance
+@example((
+    [(CODE, PAGE_SIZE, "rxu", bytes(PAGE_SIZE - 2) + b"\x48\x89"),
+     (CODE + PAGE_SIZE, PAGE_SIZE, "rxu", b"\x37"),
+     (DATA, PAGE_SIZE, "rwu", b""),
+     (STACK, 2 * PAGE_SIZE, "rwu", b"")],
+    {"rdi": DATA, "rsi": 0xAA, "rsp": STACK + PAGE_SIZE},
+    CODE + PAGE_SIZE - 2,
+))
 def test_execute_matches_per_byte_reference(program):
     # the same registers, rip, status, trap reason, steps and side effects,
     # and the same bytes and permissions left in the space, as the step

@@ -164,6 +164,9 @@ class TestReadWrite:
             space.read_bytes(0x5000, 1)
         assert exc.value.kind == "unmapped"
         assert exc.value.addr == 0x5000
+        # an empty write touches no page, so it cannot fault
+        space.write_bytes(0x5000, b"")
+        assert space.pages == {}
 
     def test_perm_fault_kind(self):
         space = make_space((0x5000, PAGE_SIZE, "ru", b""))
@@ -1650,13 +1653,13 @@ class TestProcMaps:
         truth = parse_proc_maps(self.SAMPLE)
         first = truth.regions[0]
         assert (first.start, first.end) == (0x400000, 0x404000)
-        assert first.perms.readable and first.perms.executable
-        assert not first.perms.writable
+        assert first.kind.readable and first.kind.executable
+        assert not first.kind.writable
 
     def test_user_accessibility_from_address_half(self):
         truth = parse_proc_maps(self.SAMPLE)
-        assert truth.regions[0].perms.user_accessible
-        assert not truth.regions[-1].perms.user_accessible
+        assert truth.regions[0].kind.user_accessible
+        assert not truth.regions[-1].kind.user_accessible
 
     def test_sorted_on_parse(self):
         lines = self.SAMPLE.splitlines()
@@ -1686,6 +1689,10 @@ class TestProcMaps:
         with pytest.raises(MapsParseError) as exc:
             parse_proc_maps("00400000-00401000 r-xp 00000000 00:00 0\nbogus\n")
         assert exc.value.line_no == 2
+        # a blank line is skipped, but it still counts
+        with pytest.raises(MapsParseError) as exc:
+            parse_proc_maps("\n  \n00400000-00401000 r-xp 00000000 00:00 0\nbogus\n")
+        assert exc.value.line_no == 4
 
     def test_unaligned_bounds_rejected(self):
         with pytest.raises(MapsParseError):
@@ -1703,6 +1710,9 @@ class TestProcMaps:
         moved = truth.shifted(0x1000)
         assert moved.regions[0].start == 0x401000
         assert moved.regions[-1].start == truth.regions[-1].start
+        for offset in (0x800, -0x1000):
+            with pytest.raises(ValueError, match="non-negative page multiple"):
+                truth.shifted(offset)
 
 
 @given(
