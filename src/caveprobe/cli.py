@@ -101,7 +101,6 @@ def _hex_extent(start: int, length: int) -> dict[str, str]:
 class AttackReport:
     config: PipelineConfig
     aslr_offset: int = 0
-    stages: list[str] = field(default_factory=list)
     exploration: dict = field(default_factory=dict)
     reconstructed: explorer.ReconstructedMap | None = None
     map_mismatches: list[str] = field(default_factory=list)
@@ -124,12 +123,11 @@ class AttackReport:
                 for f in fields(self.config)
             },
             "aslr-offset": f"{self.aslr_offset:#x}",
-            "stages": list(self.stages),
+            "stages": list(self.stage_counters),
             "probe-counters": dict(sorted(self.probe_counters.items())),
             "probe-counters-by-stage": self.stage_counters,
+            "exploration": self.exploration,
         }
-        if "probe" in self.stages:
-            obj["exploration"] = self.exploration
         if self.reconstructed is not None:
             obj["reconstructed-map"] = [
                 {"start": f"{r.start:#x}", "end": f"{r.end:#x}", "class": r.kind.value}
@@ -137,16 +135,16 @@ class AttackReport:
             ]
             if self.config.ground_truth_path is not None:
                 obj["map-mismatches"] = list(self.map_mismatches)
-        if "gadgets" in self.stages:
+        if "gadgets" in self.stage_counters:
             obj["gadgets"] = {
                 name: [f"{a:#x}" for a in addrs]
                 for name, addrs in sorted(self.gadget_census.items())
             }
-        if "caves" in self.stages:
+        if "caves" in self.stage_counters:
             obj["caves"] = [_hex_extent(c.start, c.end - c.start) for c in self.cave_list]
-        if "inject" in self.stages:
+        if "inject" in self.stage_counters:
             obj["injection"] = self.injection
-        if "execute" in self.stages:
+        if "execute" in self.stage_counters:
             obj["run"] = self.run
         obj["verdicts"] = dict(sorted(self.verdicts.items()))
         return obj
@@ -391,7 +389,6 @@ class Pipeline:
                 body(self)
             except Exception as exc:
                 raise StageError(stage, exc) from exc
-            self.report.stages.append(stage)
             after = prober.totals()
             self.report.stage_counters[stage] = {
                 k: n - m for k, n, m in zip(STAGE_COUNTERS, after, before)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from bisect import bisect_right
-from itertools import islice
 
 from .memspace import (
     ADDR_TOP, PAGE_SIZE, USER_TOP, AddressSpace, GroundTruthMap, MemoryFault,
@@ -53,20 +52,9 @@ class PageMap:
     prober: Prober
     budget: int = DEFAULT_BUDGET
     entries: dict[int, Writability] = field(default_factory=dict)
-    _bases: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
     _runs: list[PageRun] = field(default_factory=list, init=False, repr=False, compare=False)
     # len(entries) when _runs was built; -1 once a verdict changed since
     _runs_of: int = field(default=-1, init=False, repr=False, compare=False)
-
-    def bases(self) -> list[int]:
-        """Every stored page base, in address order; do not modify it.  The
-        list is kept between calls, and only pages stored since the last
-        call are sorted into it, so a run sorts its store once."""
-        bases, entries = self._bases, self.entries
-        if len(bases) != len(entries):  # a list of exact size: it is kept
-            bases = self._bases = bases + list(islice(entries, len(bases), None))
-            bases.sort()
-        return bases
 
     def runs(self) -> list[PageRun]:
         """``page_runs`` of every stored verdict, misses included, in address
@@ -74,14 +62,13 @@ class PageMap:
         store gains a page or a bare tap hit is clawed."""
         entries = self.entries
         if self._runs_of != len(entries):
-            bases = self.bases()
-            self._runs = page_runs(zip(bases, map(entries.__getitem__, bases)))
+            self._runs = page_runs(sorted(entries.items()))
             self._runs_of = len(entries)
         return self._runs
 
     def accessible_pages(self) -> list[int]:
         entries = self.entries
-        return [b for b in self.bases() if entries[b] is not NO_ACCESS]
+        return [b for b in sorted(entries) if entries[b] is not NO_ACCESS]
 
     def read(self, addr: int, n: int) -> bytes:
         """``n`` bytes at ``addr`` if every page they touch is stored

@@ -173,14 +173,18 @@ def _syscall(state: MachineState, space: AddressSpace,
 
 
 def _mprotect(space: AddressSpace, addr: int, length: int, prot: int) -> int:
-    if addr % PAGE_SIZE or prot & ~(PROT_READ | PROT_WRITE | PROT_EXEC):
+    """The checks of Linux's ``do_mprotect_pkey``, in its order."""
+    if addr % PAGE_SIZE:
         return -EINVAL
-    if addr >= USER_TOP or addr + length > USER_TOP:
-        return -ENOMEM
-    # the kernel rounds the length up to whole pages; zero is a no-op
-    length = (length + PAGE_SIZE - 1) // PAGE_SIZE * PAGE_SIZE
     if length == 0:
         return 0
+    length = (length + PAGE_SIZE - 1) // PAGE_SIZE * PAGE_SIZE
+    if addr + length > MASK64:  # the range wraps past 2**64
+        return -ENOMEM
+    if prot & ~(PROT_READ | PROT_WRITE | PROT_EXEC):
+        return -EINVAL
+    if addr + length > USER_TOP:
+        return -ENOMEM
     perms = PagePermissions(
         # hardware cannot express write-only mappings, so PROT_WRITE
         # implies readability here just as it does on x86

@@ -319,7 +319,7 @@ def page_by_page_caves(pm: explorer.PageMap) -> list[PageRun]:
     """``caves.find_caves``: the ``page_runs`` of the pages stored writable
     whose bytes, each page read whole through ``pm``, are all zero."""
     zero = bytes(PAGE_SIZE)
-    return page_runs((base, WRITABLE) for base in pm.bases()
+    return page_runs((base, WRITABLE) for base in sorted(pm.entries)
                      if pm.entries[base] is WRITABLE and pm.read(base, PAGE_SIZE) == zero)
 
 
@@ -328,7 +328,7 @@ def page_by_page_match(pm: explorer.PageMap, truth: GroundTruthMap) -> list[str]
     region of ``truth`` that holds it, and the ``page_runs`` of the
     disagreeing pages keyed by their (probed, truth) pair."""
     bad = []
-    for base in pm.bases():
+    for base in sorted(pm.entries):
         want = NO_ACCESS
         for region in truth.regions:
             if region.start <= base < region.end:

@@ -2,8 +2,8 @@
 token may only read the repository, and its tests job has a time limit.
 It runs README's tier-1 command on Pythons from the requires-python floor
 up, checks that the acceptance tests print their eight PASS lines,
-records src/'s line count on the summary page, and smoke-runs the
-benchmark with its pinned report digests.  After ``pip install .`` it
+records src/'s and tests/' line counts on the summary page, and smoke-runs
+the benchmark with its pinned report digests.  After ``pip install .`` it
 runs the console script in every mode and every row of tests/scenarios.py
 from outside the checkout, rebuilds the demo image with the installed
 package, and runs README's install commands as written.  The digest
@@ -115,13 +115,15 @@ def test_acceptance_criteria_each_print_a_pass_line():
 
 
 def test_source_line_count_goes_to_the_step_summary():
-    # a record of src/'s size on every run, after the tests and not a gate
+    # a record of src/'s and tests/' sizes on every run, after the tests and
+    # not a gate
     step = workflow_step("Source line count")
     lines = [line.strip() for line in step.splitlines()]
     workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
     assert workflow.index("- name: Tier-1 tests") < workflow.index(
         "- name: Source line count")
     assert 'wc -l src/caveprobe/*.py >> "$GITHUB_STEP_SUMMARY"' in lines
+    assert 'wc -l tests/*.py >> "$GITHUB_STEP_SUMMARY"' in lines
     assert "continue-on-error" not in step
 
 

@@ -105,8 +105,8 @@ class TestConfigValidation:
 class TestPipeline:
     def test_full_run_all_verdicts(self, image_paths):
         report = run_pipeline(base_config(image_paths))
-        assert report.stages == ["probe", "explore", "gadgets", "caves",
-                                 "inject", "execute"]
+        assert list(report.stage_counters) == ["probe", "explore", "gadgets", "caves",
+                                               "inject", "execute"]
         assert report.verdicts == {
             "map-match": True,
             "restoration": True,
@@ -127,7 +127,7 @@ class TestPipeline:
 
     def test_stop_after_probe_reads_only(self, image_paths):
         report = run_pipeline(base_config(image_paths, stop_after="probe"))
-        assert report.stages == ["probe"]
+        assert list(report.stage_counters) == ["probe"]
         assert report.probe_counters.get("write_tx", 0) == 0
         assert report.probe_counters.get("claws", 0) == 0
         assert report.verdicts == {}
@@ -173,7 +173,7 @@ class TestPipeline:
 
     def test_stage_order_stops_midway(self, image_paths):
         report = run_pipeline(base_config(image_paths, stop_after="caves"))
-        assert report.stages[-1] == "caves"
+        assert list(report.stage_counters)[-1] == "caves"
         assert report.cave_list
         assert report.run == {}
 
@@ -315,7 +315,7 @@ class TestPipeline:
         ))
         by_stage = emit_report(report)
         by_stage = json.loads(by_stage)["probe-counters-by-stage"]
-        assert list(by_stage) == sorted(report.stages)
+        assert list(by_stage) == sorted(report.stage_counters)
         for key in STAGE_COUNTERS:
             total = sum(counts[key] for counts in by_stage.values())
             assert total == report.probe_counters.get(key, 0), key

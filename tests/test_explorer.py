@@ -1164,6 +1164,29 @@ class TestRuns:
         assert pm.runs() is not runs
         assert pm.runs()[-1] == PageRun(0x2000, 0x3000, Writability.INACCESSIBLE)
 
+    # each probe a (kind, page from the first accessible one, walk gap,
+    # claw_hits); few pages are drawn, so one is often tapped, then clawed
+    @given(layout_seed=st.integers(0, 2**32 - 1), probes=st.lists(st.tuples(
+        st.sampled_from(["tap", "claw", "walk-up", "walk-down"]),
+        st.integers(0, 3), st.integers(1, 2), st.booleans(),
+    ), max_size=16))
+    def test_runs_match_a_build_from_the_store_after_every_probe(self, layout_seed, probes):
+        space, truth, start, _ = random_permed_space(random.Random(layout_seed), 16)
+        first = min((b for b, cls in truth.items() if cls != NONE), default=start)
+        pm = quiet_store(space)
+        for kind, page, gap, claw_hits in probes:
+            base = first + page * PAGE_SIZE
+            if kind == "tap":
+                pm.tap(base)
+            elif kind == "claw":
+                pm.claw(base)
+            else:
+                pm.walk(base, PAGE_SIZE if kind == "walk-up" else -PAGE_SIZE, gap, claw_hits)
+            entries = pm.entries
+            assert pm.runs() == page_runs(sorted(entries.items()))
+            assert pm.accessible_pages() == sorted(
+                b for b, v in entries.items() if v is not Writability.INACCESSIBLE)
+
 
 # (pages, how the store holds them, their bytes); a hole is neither mapped
 # nor stored, a miss is stored inaccessible, mapped without permissions or

@@ -277,6 +277,13 @@ class TestSyscalls:
         )
         assert state.reg("rax") == (-m.EINVAL) & ((1 << 64) - 1)
 
+    def test_mprotect_wrapping_length_enomem_before_bad_prot(self):
+        space = machine_space(b"\x0f\x05")
+        state, _ = self.run_syscall(
+            space, rax=m.SYS_MPROTECT, rdi=DATA, rsi=2**64 - 1, rdx=0x100
+        )
+        assert state.reg("rax") == (-m.ENOMEM) & ((1 << 64) - 1)
+
     def test_mprotect_unmapped_enomem(self):
         space = machine_space(b"\x0f\x05")
         state, _ = self.run_syscall(
@@ -306,12 +313,18 @@ class TestSyscalls:
         assert state.reg("rax") == (-m.ENOMEM) & ((1 << 64) - 1)
         assert space_digest(space) == before
 
-    def test_mprotect_zero_length_noop(self):
+    # a zero length returns 0 before the address half or the bits are checked
+    @pytest.mark.parametrize("addr, prot", [
+        (DATA, m.PROT_READ), (USER_TOP, m.PROT_READ), (0x600000, 0x100),
+    ])
+    def test_mprotect_zero_length_noop(self, addr, prot):
         space = machine_space(b"\x0f\x05")
+        before = space_digest(space)
         state, _ = self.run_syscall(
-            space, rax=m.SYS_MPROTECT, rdi=DATA, rsi=0, rdx=m.PROT_READ
+            space, rax=m.SYS_MPROTECT, rdi=addr, rsi=0, rdx=prot
         )
         assert state.reg("rax") == 0
+        assert space_digest(space) == before
 
     def test_mprotect_write_implies_read(self):
         space = machine_space(b"\x0f\x05")
