@@ -56,6 +56,13 @@ PROT_READ = 1
 PROT_WRITE = 2
 PROT_EXEC = 4
 PROT_RWX = PROT_READ | PROT_WRITE | PROT_EXEC
+PROT_SEM = 8  # accepted, and grants nothing
+PROT_GROWSDOWN = 0x01000000
+PROT_GROWSUP = 0x02000000
+
+# what SYSCALL leaves in r11, rflags with IF and the reserved bit 1 set: the
+# model keeps no status flags
+SYSCALL_R11 = 0x202
 
 EINVAL = 22
 ENOMEM = 12
@@ -162,7 +169,10 @@ def _write64(space: AddressSpace, addr: int, value: int,
 
 def _syscall(state: MachineState, space: AddressSpace,
              effects: list | None) -> None:
-    """mprotect(rdi, rsi, rdx); any other number in rax traps."""
+    """mprotect(rdi, rsi, rdx); any other number in rax traps.  As the
+    instruction runs, rcx gets the next rip and r11 ``SYSCALL_R11``."""
+    state.regs["rcx"] = state.rip
+    state.regs["r11"] = SYSCALL_R11
     if state.reg("rax") != SYS_MPROTECT:
         raise _Stop("unknown-syscall")
     args = (state.reg("rdi"), state.reg("rsi"), state.reg("rdx"))
@@ -174,17 +184,21 @@ def _syscall(state: MachineState, space: AddressSpace,
 
 def _mprotect(space: AddressSpace, addr: int, length: int, prot: int) -> int:
     """The checks of Linux's ``do_mprotect_pkey``, in its order."""
-    if addr % PAGE_SIZE:
+    grows = prot & (PROT_GROWSDOWN | PROT_GROWSUP)
+    prot ^= grows
+    if grows == PROT_GROWSDOWN | PROT_GROWSUP or addr % PAGE_SIZE:
         return -EINVAL
     if length == 0:
         return 0
     length = (length + PAGE_SIZE - 1) // PAGE_SIZE * PAGE_SIZE
     if addr + length > MASK64:  # the range wraps past 2**64
         return -ENOMEM
-    if prot & ~(PROT_READ | PROT_WRITE | PROT_EXEC):
+    if prot & ~(PROT_RWX | PROT_SEM):
         return -EINVAL
-    if addr + length > USER_TOP:
-        return -ENOMEM
+    if grows:  # no model mapping can grow, so one the kernel finds refuses
+        # it: GROWSDOWN looks in the whole range, GROWSUP at its first page
+        end = min(addr + (length if grows == PROT_GROWSDOWN else PAGE_SIZE), USER_TOP)
+        return -EINVAL if any(addr <= base < end for base in space.pages) else -ENOMEM
     perms = PagePermissions(
         # hardware cannot express write-only mappings, so PROT_WRITE
         # implies readability here just as it does on x86
@@ -193,11 +207,9 @@ def _mprotect(space: AddressSpace, addr: int, length: int, prot: int) -> int:
         executable=bool(prot & PROT_EXEC),
         user_accessible=True,
     )
-    try:
-        space.set_protection(addr, length, perms)
-    except MemoryFault:
-        return -ENOMEM
-    return 0
+    # the pages before a hole keep the change, as Linux's mprotect_fixup
+    # has made it one mapping at a time
+    return 0 if space.set_protection(addr, length, perms) == length else -ENOMEM
 
 
 # --- instruction stepping ---------------------------------------------------

@@ -246,30 +246,22 @@ class AddressSpace:
             new[lo - base : hi - base] = data[lo - addr : hi - addr]
             pages[base] = Page(page.perms, new)
 
-    def set_protection(self, start: int, length: int, perms: PagePermissions) -> None:
-        """Replace the permissions of every page in the range: each page
+    def set_protection(self, start: int, length: int, perms: PagePermissions) -> int:
+        """Replace the permissions of each page from the page-aligned
+        ``start`` up to the first page of the ``length`` bytes that is not
+        mapped in the user half, and return the bytes covered.  Each page
         becomes a new Page with the same bytes, but every all-zero page
-        becomes one Page of ``_ZERO_PAGE``.
-
-        Unaligned or empty arguments raise ValueError; a range touching an
-        unmapped page raises MemoryFault before anything changes.
-        """
-        if start % PAGE_SIZE or length % PAGE_SIZE or length <= 0:
-            raise ValueError("arguments must be page aligned and non-empty")
+        becomes one Page of ``_ZERO_PAGE``."""
         pages = self.pages
-        bases = range(start, start + length, PAGE_SIZE)
-        for base in bases:
-            if base not in pages:
-                raise MemoryFault(base, "unmapped")
-            if base >= USER_TOP and perms.user_accessible:
-                raise ValueError("kernel-half pages cannot be user accessible")
-        zero = None
-        for base in bases:
-            data = pages[base].data
-            if data == _ZERO_PAGE:
+        end = min(start + length, USER_TOP)
+        base, zero = start, None
+        while base < end and (page := pages.get(base)) is not None:
+            if page.data == _ZERO_PAGE:
                 pages[base] = zero = zero or Page(perms, _ZERO_PAGE)
             else:
-                pages[base] = Page(perms, data)
+                pages[base] = Page(perms, page.data)
+            base += PAGE_SIZE
+        return base - start
 
     def layout(self) -> list[PageRun]:
         """The runs of adjacent user-half pages mapped now, each of kind

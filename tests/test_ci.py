@@ -1,8 +1,9 @@
 """Pins of the CI workflow to README, pyproject.toml and the tests.  Its
 token may only read the repository, and its tests job has a time limit.
 It runs README's tier-1 command on Pythons from the requires-python floor
-up, checks that the acceptance tests print their eight PASS lines,
-records src/'s and tests/' line counts on the summary page, and smoke-runs
+up, checks that the acceptance tests print their eight PASS lines and that
+the kernel differential runs without a skip, records src/'s and tests/'
+line counts on the summary page, and smoke-runs
 the benchmark with its pinned report digests.  After ``pip install .`` it
 runs the console script in every mode and every row of tests/scenarios.py
 from outside the checkout, rebuilds the demo image with the installed
@@ -112,6 +113,22 @@ def test_acceptance_criteria_each_print_a_pass_line():
     criteria = re.findall(r"^def test_criterion_(\d+)_", (
         REPO / "tests" / "test_acceptance.py").read_text(), re.M)
     assert criteria == [str(n) for n in range(1, 9)]
+
+
+def test_kernel_differential_runs_and_fails_on_a_skip():
+    # the hosted runner is Linux x86-64, where tests/test_native.py must run:
+    # -rs prints a SKIPPED line for each skip, and one fails the step
+    step = workflow_step("Kernel differential runs unskipped")
+    lines = [line.strip() for line in step.splitlines()]
+    assert "shell: bash" in lines
+    assert "continue-on-error" not in step
+    out = '"$RUNNER_TEMP/native.txt"'
+    assert lines[lines.index("run: |") + 1:] == [
+        "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -rs "
+        f"tests/test_native.py | tee {out}",
+        f"if grep -q SKIPPED {out}; then exit 1; fi",
+    ]
+    assert (REPO / "tests" / "test_native.py").is_file()
 
 
 def test_source_line_count_goes_to_the_step_summary():

@@ -1497,8 +1497,9 @@ class TestKeptInputs:
             real = getattr(AddressSpace, name)
 
             def spied(space, addr, *args):
-                real(space, addr, *args)
+                done = real(space, addr, *args)
                 changed.update(range(addr & -PAGE_SIZE, addr + size(*args), PAGE_SIZE))
+                return done
             monkeypatch.setattr(AddressSpace, name, spied)
         spy("write_bytes", len)
         spy("set_protection", lambda length, perms: length)

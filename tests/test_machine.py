@@ -299,19 +299,20 @@ class TestSyscalls:
         assert state.reg("rax") == (-m.ENOMEM) & ((1 << 64) - 1)
 
     def test_mprotect_past_user_half_enomem(self):
-        # both pages are mapped, but the range ends past the user half
+        # both pages are mapped, but the range ends past the user half: the
+        # user page changes, as the kernel changes the mapping before a hole
         space = make_space(
             (CODE, PAGE_SIZE, "rxu", b"\x0f\x05"),
             (USER_TOP - PAGE_SIZE, PAGE_SIZE, "rwu", b""),
             (USER_TOP, PAGE_SIZE, "rw", b""),
         )
-        before = space_digest(space)
         state, _ = self.run_syscall(
             space, rax=m.SYS_MPROTECT, rdi=USER_TOP - PAGE_SIZE,
             rsi=2 * PAGE_SIZE, rdx=m.PROT_READ,
         )
         assert state.reg("rax") == (-m.ENOMEM) & ((1 << 64) - 1)
-        assert space_digest(space) == before
+        assert space.get_page(USER_TOP - PAGE_SIZE).perms == PagePermissions.from_rwxu("ru")
+        assert space.get_page(USER_TOP).perms == PagePermissions.from_rwxu("rw")
 
     # a zero length returns 0 before the address half or the bits are checked
     @pytest.mark.parametrize("addr, prot", [
@@ -331,6 +332,71 @@ class TestSyscalls:
         self.run_syscall(space, rax=m.SYS_MPROTECT, rdi=DATA, rsi=8,
                          rdx=m.PROT_WRITE)
         assert space.get_page(DATA).perms.readable
+
+    def test_syscall_sets_rcx_to_the_next_rip_and_r11_to_its_flags(self):
+        space = machine_space(b"\x0f\x05")
+        state, _ = self.run_syscall(space, rax=m.SYS_MPROTECT, rdi=DATA,
+                                    rsi=PAGE_SIZE, rdx=m.PROT_READ, rcx=1, r11=1)
+        assert state.status == m.RUNNING and state.rip == CODE + 2
+        assert (state.reg("rcx"), state.reg("r11")) == (CODE + 2, 0x202)
+
+    def test_mprotect_accepts_prot_sem(self):
+        # x86 takes PROT_SEM as a valid bit that grants nothing
+        space = machine_space(b"\x0f\x05")
+        state, _ = self.run_syscall(space, rax=m.SYS_MPROTECT, rdi=DATA,
+                                    rsi=PAGE_SIZE, rdx=m.PROT_READ | m.PROT_SEM)
+        assert state.reg("rax") == 0
+        assert space.get_page(DATA).perms == PagePermissions.from_rwxu("ru")
+
+    def test_mprotect_refuses_both_grow_bits_first(self):
+        # before the alignment and the zero length are looked at
+        both = m.PROT_GROWSDOWN | m.PROT_GROWSUP | m.PROT_READ
+        for addr, length in ((DATA, 0), (DATA + 1, 0), (DATA, PAGE_SIZE), (0x66000, 8)):
+            space = machine_space(b"\x0f\x05")
+            state, _ = self.run_syscall(space, rax=m.SYS_MPROTECT, rdi=addr,
+                                        rsi=length, rdx=both)
+            assert state.reg("rax") == (-m.EINVAL) & ((1 << 64) - 1), (addr, length)
+
+    def test_mprotect_growsdown_refuses_any_mapping_in_its_range(self):
+        # no model mapping can grow down: a range with none is a hole
+        # (-ENOMEM), and one with any mapped user page, even after a hole or
+        # 2**47 bytes on, is refused (-EINVAL); nothing changes either way
+        prot = m.PROT_GROWSDOWN | m.PROT_READ
+        for addr, length, want in ((0x66000, 8, -m.ENOMEM),
+                                   (DATA, PAGE_SIZE, -m.EINVAL),
+                                   (DATA - PAGE_SIZE, 2 * PAGE_SIZE, -m.EINVAL),
+                                   (DATA + PAGE_SIZE, 2**47, -m.EINVAL),
+                                   (STACK + 2 * PAGE_SIZE, 2**47, -m.ENOMEM),
+                                   (DATA, 2**64 - PAGE_SIZE, -m.ENOMEM)):
+            space = machine_space(b"\x0f\x05")
+            before = space_digest(space)
+            state, _ = self.run_syscall(space, rax=m.SYS_MPROTECT, rdi=addr,
+                                        rsi=length, rdx=prot)
+            assert state.reg("rax") == want & ((1 << 64) - 1), (addr, length)
+            assert space_digest(space) == before
+
+    def test_mprotect_growsup_refuses_a_mapped_start(self):
+        # no model mapping can grow up: an unmapped start is a hole
+        # (-ENOMEM) even when a mapping follows, and a mapped one is refused
+        prot = m.PROT_GROWSUP | m.PROT_READ
+        for addr, length, want in ((DATA - PAGE_SIZE, 2 * PAGE_SIZE, -m.ENOMEM),
+                                   (DATA, PAGE_SIZE, -m.EINVAL),
+                                   (STACK + PAGE_SIZE, 2**47, -m.EINVAL),
+                                   (USER_TOP, PAGE_SIZE, -m.ENOMEM)):
+            space = machine_space(b"\x0f\x05")
+            before = space_digest(space)
+            state, _ = self.run_syscall(space, rax=m.SYS_MPROTECT, rdi=addr,
+                                        rsi=length, rdx=prot)
+            assert state.reg("rax") == want & ((1 << 64) - 1), (addr, length)
+            assert space_digest(space) == before
+
+    def test_mprotect_into_a_hole_keeps_the_change_before_it(self):
+        # Linux changes the mappings before a hole, then returns -ENOMEM
+        space = machine_space(b"\x0f\x05")
+        state, _ = self.run_syscall(space, rax=m.SYS_MPROTECT, rdi=DATA,
+                                    rsi=2 * PAGE_SIZE, rdx=m.PROT_READ)
+        assert state.reg("rax") == (-m.ENOMEM) & ((1 << 64) - 1)
+        assert space.get_page(DATA).perms == PagePermissions.from_rwxu("ru")
 
 
 class TestRunUntil:

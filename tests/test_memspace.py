@@ -241,15 +241,20 @@ class TestSetProtection:
         assert space.read_bytes(0x7000, 2) == b"ok"
 
     def test_unaligned_rejected(self):
+        # no page starts at an unaligned address, so the walk covers nothing
         space = make_space((0x7000, PAGE_SIZE, "ru", b""))
-        with pytest.raises(ValueError):
-            space.set_protection(0x7001, PAGE_SIZE, PagePermissions.from_rwxu("ru"))
+        before = space_digest(space)
+        assert space.set_protection(0x7001, PAGE_SIZE, PagePermissions.from_rwxu("rwu")) == 0
+        assert space_digest(space) == before
 
-    def test_unmapped_page_faults_before_any_change(self):
-        space = make_space((0x7000, PAGE_SIZE, "ru", b""))
-        with pytest.raises(MemoryFault):
-            space.set_protection(0x7000, 2 * PAGE_SIZE, PagePermissions.from_rwxu("rwu"))
-        assert not space.get_page(0x7000).perms.writable
+    def test_a_hole_stops_the_walk(self):
+        # the page before the hole changes, and the one after it does not
+        space = make_space((0x7000, PAGE_SIZE, "ru", b""), (0x9000, PAGE_SIZE, "ru", b""))
+        rw = PagePermissions.from_rwxu("rwu")
+        assert space.set_protection(0x7000, 3 * PAGE_SIZE, rw) == PAGE_SIZE
+        assert space.get_page(0x7000).perms == rw
+        assert space.get_page(0x8000) is None
+        assert space.get_page(0x9000).perms == PagePermissions.from_rwxu("ru")
 
     def test_all_zero_pages_share_one_page(self):
         # an owned all-zero page joins them; a page holding data keeps its
