@@ -28,17 +28,17 @@ class NoCaveError(Exception):
         self.need_len = need_len
 
 
-def find_caves(pm: PageMap) -> list[PageRun]:
+def find_caves(pm: PageMap, runs: list[PageRun]) -> list[PageRun]:
     """The maximal runs of adjacent pages ``pm`` stores writable whose
     bytes are all zero, kind ``WRITABLE``, sorted by address: maximal with
     respect to the probed set, as ``page_runs`` would coalesce them page by
-    page.  Each writable run of ``pm.runs()`` is tested by one read, and
-    two runs of one kind are never adjacent, so no cave spans two.  It
-    probes nothing, so every accessible page must hold its claw verdict, as
-    it does after the explore stage; a page stored as a bare tap hit is not
-    a cave."""
+    page.  ``runs`` are ``pm.runs()`` as the store holds them now.  Each
+    writable run is tested by one read, and two runs of one kind are never
+    adjacent, so no cave spans two.  It probes nothing, so every accessible
+    page must hold its claw verdict, as it does after the explore stage; a
+    page stored as a bare tap hit is not a cave."""
     found = []
-    for start, end, kind in pm.runs():
+    for start, end, kind in runs:
         if kind is not WRITABLE:
             continue
         zero = pm.zero_pages(start, end)

@@ -367,6 +367,9 @@ class Pipeline:
     pagemap: explorer.PageMap | None = None
     stack_pointer: int | None = None
     truth: GroundTruthMap | None = None
+    # explore: the store's runs once its verdicts are settled; a later
+    # stage that probes must build the runs it reads anew
+    runs: list[PageRun] | None = None
     # gadgets
     catalog: gadgets.GadgetCatalog | None = None
     # inject; a linear probe stage sets victim, the frame it found
@@ -448,10 +451,11 @@ def _explore(ctx: Pipeline) -> None:
             _, hi = explorer.region_around(ctx.pagemap, base)
             extents += 1
     ctx.report.exploration["extents"] = extents
-    ctx.report.reconstructed = explorer.reconstruct_map(ctx.pagemap)
+    ctx.runs = ctx.pagemap.runs()
+    ctx.report.reconstructed = explorer.reconstruct_map(ctx.runs)
     if ctx.truth is not None:
         # every verdict the store holds so far, misses included
-        mismatches = explorer.match_ground_truth(ctx.pagemap, ctx.truth)
+        mismatches = explorer.match_ground_truth(ctx.runs, ctx.truth)
         ctx.report.map_mismatches = mismatches
         ctx.report.verdicts["map-match"] = not mismatches
 
@@ -459,7 +463,7 @@ def _explore(ctx: Pipeline) -> None:
 def _gadgets(ctx: Pipeline) -> None:
     # read-only pages are where gadgets can live; writable pages would
     # not make them trustworthy
-    code = [r for r in ctx.pagemap.runs() if r.kind is READ_ONLY]
+    code = [r for r in ctx.runs if r.kind is READ_ONLY]
     # the chain's kinds and the pivot's epilogue, where the census stops
     need = (*gadgets.CHAINS[ctx.config.chain_variant], "leave-ret")
     ctx.catalog = gadgets.find_gadgets(ctx.pagemap, code, need)
@@ -468,7 +472,7 @@ def _gadgets(ctx: Pipeline) -> None:
 
 
 def _caves(ctx: Pipeline) -> None:
-    ctx.report.cave_list = caves.find_caves(ctx.pagemap)
+    ctx.report.cave_list = caves.find_caves(ctx.pagemap, ctx.runs)
 
 
 def _inject(ctx: Pipeline) -> None:

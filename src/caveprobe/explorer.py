@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from bisect import bisect_right
 
 from .memspace import (
-    ADDR_TOP, PAGE_SIZE, USER_TOP, AddressSpace, GroundTruthMap, MemoryFault,
+    PAGE_SIZE, USER_TOP, AddressSpace, GroundTruthMap, MemoryFault,
     lane_filter, PageRun, page_runs,
 )
 from .probe import ACCESSIBLE, NO_ACCESS, READ_ONLY, WRITABLE, Prober, Writability
@@ -52,19 +51,11 @@ class PageMap:
     prober: Prober
     budget: int = DEFAULT_BUDGET
     entries: dict[int, Writability] = field(default_factory=dict)
-    _runs: list[PageRun] = field(default_factory=list, init=False, repr=False, compare=False)
-    # len(entries) when _runs was built; -1 once a verdict changed since
-    _runs_of: int = field(default=-1, init=False, repr=False, compare=False)
 
     def runs(self) -> list[PageRun]:
         """``page_runs`` of every stored verdict, misses included, in address
-        order; do not modify it.  Built once, and again only after the
-        store gains a page or a bare tap hit is clawed."""
-        entries = self.entries
-        if self._runs_of != len(entries):
-            self._runs = page_runs(sorted(entries.items()))
-            self._runs_of = len(entries)
-        return self._runs
+        order, built anew on each call."""
+        return page_runs(sorted(self.entries.items()))
 
     def accessible_pages(self) -> list[int]:
         entries = self.entries
@@ -87,16 +78,11 @@ class PageMap:
     def zero_pages(self, start: int, end: int) -> bytes:
         """``AddressSpace.zero_pages`` of the page-aligned range [start,
         end) if every page in it is stored accessible, else MemoryFault
-        "unprobed" at the first page that is not, with nothing read.  The
-        range is checked against ``runs``, one lookup per run it spans."""
-        runs = self.runs()
-        k = bisect_right(runs, (start, ADDR_TOP)) - 1  # the run holding start, if any
-        at = start
-        while at < end:
-            if k < 0 or k == len(runs) or runs[k].start > at or runs[k].kind is NO_ACCESS:
-                raise MemoryFault(at, "unprobed")
-            at = runs[k].end
-            k += 1
+        "unprobed" at the first page that is not, with nothing read."""
+        entries = self.entries
+        for base in range(start, end, PAGE_SIZE):
+            if entries.get(base, NO_ACCESS) is NO_ACCESS:
+                raise MemoryFault(base, "unprobed")
         return self.space.zero_pages(start, end)
 
     def _spent(self, base: int) -> ExploreBudgetError:
@@ -125,7 +111,6 @@ class PageMap:
             verdict = self.prober.claw(self.space, base)
         elif verdict is ACCESSIBLE:
             verdict = self.prober.claw(self.space, base, known_accessible=True)
-            self._runs_of = -1
         else:
             return verdict
         self.entries[base] = verdict
@@ -153,7 +138,6 @@ class PageMap:
                     verdict = entries[base] = (claw if clawed else tap)(space, base)
                 if verdict is ACCESSIBLE and (clawed or claw_hits):
                     verdict = entries[base] = claw(space, base, known_accessible=True)
-                    self._runs_of = -1
             if verdict is NO_ACCESS:
                 misses += 1
             else:
@@ -297,15 +281,15 @@ def region_around(pm: PageMap, addr: int) -> tuple[int, int]:
     return lo, pm.walk(base + PAGE_SIZE, PAGE_SIZE, 1, True) + PAGE_SIZE
 
 
-def reconstruct_map(pm: PageMap) -> ReconstructedMap:
-    """``pm.runs()`` with the runs of misses left out.  It probes nothing,
-    so every accessible page must hold its claw verdict, as it does after
-    the explore stage."""
-    return ReconstructedMap(tuple(r for r in pm.runs() if r.kind is not NO_ACCESS))
+def reconstruct_map(runs: list[PageRun]) -> ReconstructedMap:
+    """The store's ``runs`` with the runs of misses left out.  Every
+    accessible page must hold its claw verdict, as it does after the
+    explore stage."""
+    return ReconstructedMap(tuple(r for r in runs if r.kind is not NO_ACCESS))
 
 
-def match_ground_truth(pm: PageMap, truth: GroundTruthMap) -> list[str]:
-    """Judge every verdict ``pm`` stores against ground truth.
+def match_ground_truth(runs: list[PageRun], truth: GroundTruthMap) -> list[str]:
+    """Judge every verdict of a store's ``runs`` against ground truth.
 
     A page tapped accessible must be readable, a clawed page must have the
     truth's writability, and a miss must be unmapped or unreadable.  The
@@ -318,7 +302,7 @@ def match_ground_truth(pm: PageMap, truth: GroundTruthMap) -> list[str]:
     regions = truth.regions
     ri = 0
     bad: list[PageRun] = []  # maximal runs of disagreeing pages, by pair
-    for at, end, got in pm.runs():
+    for at, end, got in runs:
         while at < end:
             while ri < len(regions) and regions[ri].end <= at:
                 ri += 1

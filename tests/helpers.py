@@ -261,12 +261,13 @@ def reference_frame_above(pm: explorer.PageMap, stack_ptr: int) -> tuple[int, in
 _find_caves = caves.find_caves
 
 
-def reference_find_caves(pm: explorer.PageMap):
+def reference_find_caves(pm: explorer.PageMap, runs):
     """``caves.find_caves`` after a store claw of every accessible page, in
-    address order, as the cave search once probed."""
+    address order, as the cave search once probed; the claws may change
+    the store, so the runs given are built anew."""
     for base in pm.accessible_pages():
         pm.claw(base)
-    return _find_caves(pm)
+    return _find_caves(pm, pm.runs())
 
 
 @contextlib.contextmanager
@@ -408,7 +409,7 @@ def claw_range(pm: explorer.PageMap, start: int, end: int):
         pm.claw(base)
     runs: list[PageRun] = []
     at = start  # the range is classified up to here
-    for run in explorer.reconstruct_map(pm).runs:
+    for run in explorer.reconstruct_map(pm.runs()).runs:
         lo, hi = max(run.start, start), min(run.end, end)
         if lo >= hi:
             continue

@@ -10,17 +10,22 @@ from caveprobe.probe import ACCESSIBLE, WRITABLE, Prober
 from helpers import make_space, run_demo_pipelines, settled_store
 
 
+def store_caves(pm: PageMap) -> list[PageRun]:
+    """``find_caves`` over the runs ``pm`` stores now."""
+    return find_caves(pm, pm.runs())
+
+
 class TestFindCaves:
     def test_zero_writable_run_found(self):
         space = make_space((0x100000, 3 * PAGE_SIZE, "rwu", b""))
-        caves = find_caves(settled_store(space))
+        caves = store_caves(settled_store(space))
         assert caves == [PageRun(0x100000, 0x103000, WRITABLE)]
         assert caves[0].end == 0x103000
 
     def test_nonzero_pages_break_runs(self):
         blob = bytes(PAGE_SIZE) + b"\x01" + bytes(PAGE_SIZE - 1) + bytes(PAGE_SIZE)
         space = make_space((0x100000, 3 * PAGE_SIZE, "rwu", blob))
-        caves = find_caves(settled_store(space))
+        caves = store_caves(settled_store(space))
         assert caves == [
             PageRun(0x100000, 0x101000, WRITABLE),
             PageRun(0x102000, 0x103000, WRITABLE),
@@ -31,7 +36,7 @@ class TestFindCaves:
             (0x100000, PAGE_SIZE, "ru", b""),
             (0x101000, PAGE_SIZE, "rwu", b""),
         )
-        caves = find_caves(settled_store(space))
+        caves = store_caves(settled_store(space))
         assert caves == [PageRun(0x101000, 0x102000, WRITABLE)]
 
     def test_runs_of_every_length_are_caves(self):
@@ -39,7 +44,7 @@ class TestFindCaves:
             (0x100000, PAGE_SIZE, "rwu", b""),
             (0x200000, 4 * PAGE_SIZE, "rwu", b""),
         )
-        caves = find_caves(settled_store(space))
+        caves = store_caves(settled_store(space))
         assert caves == [PageRun(0x100000, 0x101000, WRITABLE),
                          PageRun(0x200000, 0x204000, WRITABLE)]
 
@@ -47,7 +52,7 @@ class TestFindCaves:
         space = make_space((0x100000, 2 * PAGE_SIZE, "rwu", b""))
         pm = PageMap(space, Prober(0.0, 0))
         pm.claw(0x100000)
-        caves = find_caves(pm)
+        caves = store_caves(pm)
         assert caves == [PageRun(0x100000, 0x101000, WRITABLE)]
 
     def test_sorted_by_address(self):
@@ -55,7 +60,7 @@ class TestFindCaves:
             (0x500000, PAGE_SIZE, "rwu", b""),
             (0x100000, PAGE_SIZE, "rwu", b""),
         )
-        caves = find_caves(settled_store(space))
+        caves = store_caves(settled_store(space))
         assert [c.start for c in caves] == [0x100000, 0x500000]
 
     def test_probe_before_read_discipline(self):
@@ -63,14 +68,14 @@ class TestFindCaves:
         space = make_space((0x100000, 2 * PAGE_SIZE, "rwu", b""))
         pm = settled_store(space)
         before = pm.prober.counters
-        assert find_caves(pm) == [PageRun(0x100000, 0x102000, WRITABLE)]
+        assert store_caves(pm) == [PageRun(0x100000, 0x102000, WRITABLE)]
         assert pm.prober.counters == before
 
     def test_a_bare_tap_hit_is_not_clawed_and_is_not_a_cave(self):
         space = make_space((0x100000, 2 * PAGE_SIZE, "rwu", b""))
         tapped = PageMap(space, Prober(0.0, 0),
                          entries=dict.fromkeys(space.pages, ACCESSIBLE))
-        assert find_caves(tapped) == []
+        assert store_caves(tapped) == []
         assert tapped.prober.counters == {}
 
 

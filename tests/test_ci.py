@@ -115,10 +115,11 @@ def test_acceptance_criteria_each_print_a_pass_line():
     assert criteria == [str(n) for n in range(1, 9)]
 
 
-def test_kernel_differential_runs_and_fails_on_a_skip():
-    # the hosted runner is Linux x86-64, where tests/test_native.py must run:
-    # -rs prints a SKIPPED line for each skip, and one fails the step
-    step = workflow_step("Kernel differential runs unskipped")
+def test_kernel_differential_and_cpu_lockstep_run_and_fail_on_a_skip():
+    # the hosted runner is Linux x86-64, where tests/test_native.py, the
+    # mprotect differential and the CPU lockstep, must run: -rs prints a
+    # SKIPPED line for each skip, and one fails the step
+    step = workflow_step("Kernel differential and CPU lockstep run unskipped")
     lines = [line.strip() for line in step.splitlines()]
     assert "shell: bash" in lines
     assert "continue-on-error" not in step

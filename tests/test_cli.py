@@ -4,6 +4,7 @@ import dataclasses
 import errno
 import functools
 import io
+import itertools
 import json
 import os
 import re
@@ -398,6 +399,30 @@ class TestPipeline:
             spent = kept.pagemap.prober.counters
             assert injector.locate_victim_frame(kept.pagemap, kept.stack_pointer) == pipe.victim
             assert kept.pagemap.prober.counters == spent
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_run_builds_the_store_runs_once(self, monkeypatch, mode):
+        # the explore stage builds the runs once and hands that one list to
+        # the map, the truth match, the census and the cave search, so no
+        # later reader pays for a build of its own; the probe stage builds none
+        builds = []
+        build = explorer.page_runs
+
+        def spy(pages):
+            builds.append(mode)
+            return build(pages)
+
+        monkeypatch.setattr(explorer, "page_runs", spy)
+        for variant, restore, truth, (stop_after, want) in itertools.product(
+                CHAIN_VARIANTS, RESTORE_MODES, (None, DEMO_MAPS),
+                (("execute", 1), ("probe", 0))):
+            builds.clear()
+            report = run_pipeline(PipelineConfig(
+                image_path=DEMO, ground_truth_path=truth, mode=mode,
+                chain_variant=variant, restore=restore, seed=2, stop_after=stop_after,
+            ))
+            assert list(report.stage_counters)[-1] == stop_after
+            assert len(builds) == want, (variant, restore, truth, stop_after)
 
     @pytest.mark.parametrize("mode", ["linear", "hybrid"])
     def test_large_region_is_one_run(self, tmp_path, mode):

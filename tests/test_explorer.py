@@ -614,7 +614,7 @@ def map_stages(pm, mode, stack_pointer, direct):
             if base >= hi:
                 lo, hi = explorer.region_around(pm, base)
                 out += claw_range(pm, lo, hi).runs
-        out += [caves.find_caves(pm), frame_above(pm, stack_pointer)]
+        out += [caves.find_caves(pm, pm.runs()), frame_above(pm, stack_pointer)]
     except (ExploreBudgetError, ValueError) as exc:
         out.append(f"{type(exc).__name__}: {exc}")
     return out
@@ -699,7 +699,7 @@ def test_explore_stage_map_matches_the_per_extent_reference(
     # and the map, read again, probes nothing
     assert Writability.ACCESSIBLE not in pm.entries.values()
     entries, counters = list(pm.entries.items()), pm.prober.counters
-    assert reconstruct_map(pm).runs == got[1][0][0]
+    assert reconstruct_map(pm.runs()).runs == got[1][0][0]
     assert (list(pm.entries.items()), pm.prober.counters) == (entries, counters)
 
 
@@ -919,13 +919,14 @@ class TestReadGuard:
         }
         return pm
 
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("the native space was accessed")
+
     @contextlib.contextmanager
     def no_native_access(self):
-        def refuse(*args):
-            raise AssertionError("the native space was accessed")
-
-        with patch.object(AddressSpace, "read_bytes", refuse), \
-                patch.object(AddressSpace, "zero_pages", refuse):
+        with patch.object(AddressSpace, "read_bytes", self.refuse), \
+                patch.object(AddressSpace, "zero_pages", self.refuse):
             yield
 
     # (page, whether the store drops it): stored inaccessible, mapped
@@ -984,14 +985,14 @@ class TestReconstruct:
                    0x13000: NO, 0x14000: RO, 0x17000: RO, 0x15000: NO}
         p = quiet_prober()
         pm = PageMap(make_space(), p, entries=dict(entries))
-        assert reconstruct_map(pm).runs == (
+        assert reconstruct_map(pm.runs()).runs == (
             PageRun(0x10000, 0x12000, W),
             PageRun(0x12000, 0x13000, RO),
             PageRun(0x14000, 0x15000, RO),
             PageRun(0x16000, 0x18000, RO),
         )
         pm.entries[0x1A000] = W
-        assert reconstruct_map(pm).runs[-1] == PageRun(0x1A000, 0x1B000, W)
+        assert reconstruct_map(pm.runs()).runs[-1] == PageRun(0x1A000, 0x1B000, W)
         assert list(pm.entries.items()) == [*entries.items(), (0x1A000, W)]
         assert p.counters == {}
 
@@ -1039,12 +1040,12 @@ class TestGroundTruthCompare:
 
     def check(self, entries):
         store = PageMap(self.space(), quiet_prober(), entries=dict(entries))
-        return match_ground_truth(store, parse_proc_maps(self.MAPS))
+        return match_ground_truth(store.runs(), parse_proc_maps(self.MAPS))
 
     def test_match(self):
         store = quiet_store(self.space())
         claw_range(store, 0x100000, 0x106000)
-        assert match_ground_truth(store, parse_proc_maps(self.MAPS)) == []
+        assert match_ground_truth(store.runs(), parse_proc_maps(self.MAPS)) == []
 
     def test_tapped_page_on_readable_region_passes(self):
         assert self.check({0x100000: Writability.ACCESSIBLE}) == []
@@ -1125,7 +1126,7 @@ def test_ground_truth_compare_matches_a_per_page_oracle(regions, batches):
                 bad[-1][1] += PAGE_SIZE
             else:
                 bad.append([base, base + PAGE_SIZE, got, want])
-        assert match_ground_truth(store, truth) == [
+        assert match_ground_truth(store.runs(), truth) == [
             f"{lo:#x}-{hi:#x}: probed {got}, truth {want}" for lo, hi, got, want in bad
         ]
 
@@ -1155,26 +1156,22 @@ class TestRuns:
         settle(pm)
         assert len(pm.entries) == size
         assert pm.runs() == [PageRun(0, 0x2000, Writability.WRITABLE)]
-
-    def test_runs_are_kept_until_the_store_changes(self):
-        pm = self.stored()
-        runs = pm.runs()
-        assert pm.runs() is runs
         pm.tap(0x2000)
-        assert pm.runs() is not runs
         assert pm.runs()[-1] == PageRun(0x2000, 0x3000, Writability.INACCESSIBLE)
 
     # each probe a (kind, page from the first accessible one, walk gap,
-    # claw_hits); few pages are drawn, so one is often tapped, then clawed
+    # claw_hits, window start from that page, window pages); few pages are
+    # drawn, so one is often tapped, then clawed
     @given(layout_seed=st.integers(0, 2**32 - 1), probes=st.lists(st.tuples(
         st.sampled_from(["tap", "claw", "walk-up", "walk-down"]),
         st.integers(0, 3), st.integers(1, 2), st.booleans(),
+        st.integers(-2, 6), st.integers(0, 4),
     ), max_size=16))
-    def test_runs_match_a_build_from_the_store_after_every_probe(self, layout_seed, probes):
+    def test_the_read_gate_follows_the_store_after_every_probe(self, layout_seed, probes):
         space, truth, start, _ = random_permed_space(random.Random(layout_seed), 16)
         first = min((b for b, cls in truth.items() if cls != NONE), default=start)
         pm = quiet_store(space)
-        for kind, page, gap, claw_hits in probes:
+        for kind, page, gap, claw_hits, at, pages in probes:
             base = first + page * PAGE_SIZE
             if kind == "tap":
                 pm.tap(base)
@@ -1183,9 +1180,21 @@ class TestRuns:
             else:
                 pm.walk(base, PAGE_SIZE if kind == "walk-up" else -PAGE_SIZE, gap, claw_hits)
             entries = pm.entries
-            assert pm.runs() == page_runs(sorted(entries.items()))
             assert pm.accessible_pages() == sorted(
                 b for b, v in entries.items() if v is not Writability.INACCESSIBLE)
+            # the window [lo, hi) reads only if each of its pages is stored
+            # accessible, else faults at the first that is not
+            lo = max(first + at * PAGE_SIZE, 0)
+            hi = lo + pages * PAGE_SIZE
+            lacked = [b for b in range(lo, hi, PAGE_SIZE)
+                      if entries.get(b, Writability.INACCESSIBLE) is Writability.INACCESSIBLE]
+            if not lacked:
+                assert pm.zero_pages(lo, hi) == space.zero_pages(lo, hi)
+                continue
+            with patch.object(AddressSpace, "zero_pages", TestReadGuard.refuse), \
+                    pytest.raises(MemoryFault) as exc:
+                pm.zero_pages(lo, hi)
+            assert (exc.value.addr, exc.value.kind) == (lacked[0], "unprobed")
 
 
 # (pages, how the store holds them, their bytes); a hole is neither mapped
@@ -1270,12 +1279,12 @@ def budget_cut_stores(draw):
        need=st.sampled_from([None, *gadgets.CHAINS.values(), ("leave-ret",)]))
 def test_run_level_stages_equal_their_page_by_page_references(store, need):
     pm, truth = store
-    assert caves.find_caves(pm) == page_by_page_caves(pm)
-    assert match_ground_truth(pm, truth) == page_by_page_match(pm, truth)
+    assert caves.find_caves(pm, pm.runs()) == page_by_page_caves(pm)
+    assert match_ground_truth(pm.runs(), truth) == page_by_page_match(pm, truth)
     code = [b for b, v in pm.entries.items() if v is Writability.READ_ONLY]
     runs = [r for r in pm.runs() if r.kind is Writability.READ_ONLY]
     assert gadgets.find_gadgets(pm, runs, need) == page_by_page_census(pm, code, need)
-    assert reconstruct_map(pm).runs == tuple(
+    assert reconstruct_map(pm.runs()).runs == tuple(
         r for r in page_runs((b, pm.entries[b]) for b in sorted(pm.entries))
         if r.kind is not Writability.INACCESSIBLE)
 
